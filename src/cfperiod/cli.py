@@ -15,7 +15,8 @@ a + b*sqrt(d) (a bare "a" is shorthand for ["a", "0"]).  CSV output is
 deterministic: fixed column order, floats printed to 12 significant digits,
 timing columns 0 unless --timing is given.  Summary lines start with '#'.
 
-Exit codes: 0 success, 2 bad input or unmet precondition, 3 internal bug.
+Exit codes: 0 success, 2 bad input, unmet precondition or a continued-fraction
+walk that hit its step cap, 3 internal bug.
 Environment: CFPERIOD_MAX_BITS caps per-coordinate term size in scans
 (default 2^20); CFPERIOD_PRECISION_DIGITS sets working precision for
 certified real-place numerics (default 60).
@@ -34,10 +35,10 @@ from statistics import linear_regression
 from typing import NamedTuple
 
 from .classifier import classify, explain
-from .contfrac import (check_convergent_bound, convergents, expand,
-                       period_length, period_lower_bound)
+from .contfrac import check_convergent_bound, convergents, expand, period_length
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
-                     ParseError, PreconditionViolated, TooFewPoints, UsageError)
+                     ParseError, PreconditionViolated, StepCapExceeded,
+                     TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_bounds, finite_dominant_slope,
                      growth_check, places_above, real_places, root_abs_table, val)
 from .qfield import QuadElem, floor_exact, quad, split_square
@@ -336,20 +337,6 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def format_expansion(e) -> str:
-    head = str(e.preperiod[0])
-    rest = ", ".join(str(a) for a in e.preperiod[1:])
-    cycle = ", ".join(str(a) for a in e.period)
-    body = head
-    if rest:
-        body += "; " + rest
-        if cycle:
-            body += ", (" + cycle + ")"
-    elif cycle:
-        body += "; (" + cycle + ")"
-    return "[" + body + "]"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -358,7 +345,7 @@ def cmd_cf(args) -> int:
     x = parse_element(args.expr)
     e = expand(x)
     lines = [f"value = {x}",
-             f"expansion = {format_expansion(e)}",
+             f"expansion = {e}",
              f"preperiod_len = {len(e.preperiod)}",
              f"ell = {len(e.period)}",
              "convergents:"]
@@ -407,6 +394,8 @@ def cmd_periods(args) -> int:
     mult = args.mult
     if mult == 0:
         raise UsageError("--mult must be nonzero")
+    if args.step_cap < 1:
+        raise UsageError(f"--step-cap must be at least 1, got {args.step_cap}")
     bits = max_bits_guard()
     lines = ["n,ell,preperiod_len,a1,wall_time_ms,truncated"]
     rows = {}
@@ -422,13 +411,14 @@ def cmd_periods(args) -> int:
             lines.append(f"{n},0,1,0,0,0")
             continue
         a1 = floor_exact(a)
-        if a.b == 0:
-            e = expand(a.a)
-            ell, closed, pre = len(e.period), True, len(e.preperiod)
+        try:
+            e = expand(a, max_steps=args.step_cap)
+        except StepCapExceeded as exc:
+            # steps since the first reduced state is a certified lower bound
+            ell, pre = exc.steps - exc.preperiod_seen, -1
         else:
-            ell, truncated = period_lower_bound(a, cap=args.step_cap)
-            closed = not truncated
-            pre = len(expand(a).preperiod) if closed else -1
+            ell, pre = len(e.period), len(e.preperiod)
+        closed = pre >= 0
         ms = int(round((time.perf_counter() - t0) * 1000)) if args.timing else 0
         rows[n] = (ell, closed)
         lines.append(f"{n},{ell},{pre},{a1},{ms},{0 if closed else 1}")
@@ -681,7 +671,7 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, StepCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InternalError as e:

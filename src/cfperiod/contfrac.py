@@ -1,9 +1,13 @@
 """Continued fractions of rationals and quadratic irrationals, exactly.
 
 The quadratic walk runs on canonical surd states (P + sqrt(D))/Q with the
-integer invariant Q | D - P^2; cycle detection is a first-repeat hash map on
-(P, Q), which simultaneously yields the minimal preperiod and the minimal
-period (the state orbit is eventually periodic with a deterministic rho shape).
+integer invariant Q | D - P^2.  Cycle detection needs no table of visited
+states.  With D fixed, a state is determined by (P, Q), so a state recurs iff
+its value is purely periodic, and by Galois' theorem that holds iff the value
+is reduced (x > 1 and -1 < conj(x) < 0), a test decided on integers.  The
+first reduced state x_j with j >= 1 is therefore the first state on the cycle:
+j is the minimal preperiod (a_0 always counts in it), and the number of steps
+until (P, Q) at x_j recurs is the minimal period.
 """
 from __future__ import annotations
 
@@ -106,29 +110,34 @@ def expand(x, max_steps: int = DEFAULT_STEP_CAP) -> CFExpansion:
     surd = x if isinstance(x, Surd) else to_surd(x)
     P, Q, D = surd.P, surd.Q, surd.D
     t = math.isqrt(D)
-    # a_0 always belongs to the preperiod: the cycle is detected among the
-    # states x_1, x_2, ... (so a reduced x still prints as [a0; (a1..am)]).
-    seen: dict[tuple[int, int], int] = {}
+    # a_0 always belongs to the preperiod: the cycle is anchored at the first
+    # reduced state x_j with j >= 1 (so a reduced x prints as [a0; (a1..am)]).
+    # A capped walk reports the first reduced index counting x_0 (0 or j) as
+    # preperiod_seen, so steps - preperiod_seen bounds the period from below.
+    x0_reduced = _surd_reduced(P, Q, t)
     quotients: list[int] = []
-    first_reduced = -1
+    j = 0
     while True:
-        key = (P, Q)
-        idx = len(quotients)
-        if idx >= 1 and key in seen:
-            j = seen[key]
-            return CFExpansion(tuple(quotients[:j]), tuple(quotients[j:]), x)
-        if idx >= max_steps:
-            raise StepCapExceeded(
-                steps=idx,
-                preperiod_seen=first_reduced if first_reduced >= 0 else idx)
-        if idx >= 1:
-            seen[key] = idx
-        if first_reduced < 0 and _surd_reduced(P, Q, t):
-            first_reduced = idx
+        if j >= max_steps:  # x_0 .. x_{j-1} hold no reduced state, or j = 0
+            raise StepCapExceeded(steps=j, preperiod_seen=j)
         a = _surd_floor(P, Q, t)
         quotients.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
+        j += 1
+        if _surd_reduced(P, Q, t):
+            break
+    # x_j and all its successors are reduced, so Q > 0 from here on
+    P0, Q0 = P, Q
+    append = quotients.append
+    for _ in range(j, max_steps):
+        a = (P + t) // Q
+        append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == Q0 and P == P0:
+            return CFExpansion(tuple(quotients[:j]), tuple(quotients[j:]), x)
+    raise StepCapExceeded(steps=max_steps, preperiod_seen=0 if x0_reduced else j)
 
 
 def is_purely_periodic(x, max_steps: int = DEFAULT_STEP_CAP) -> bool:

@@ -4,12 +4,16 @@ Everything here works from plain integers/floats through mpmath at high
 precision and deliberately shares no code with the package: continued
 fractions are run by floor/reciprocal on an mpf, root locations come from
 polyroots, and root-of-unity detection is done by angle rationalization.
+The reference quadratic walk works on plain integers and finds its cycle with
+a first-repeat hash map on (P, Q), not with the reduced-state anchor that
+contfrac.expand uses.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -39,6 +43,57 @@ def cf_quotients(x, count: int, dps: int = 200) -> list[int]:
                 break
             v = 1 / frac
         return out
+
+
+def surd_walk_first_repeat(P: int, Q: int, D: int, max_steps: int):
+    """Reference walk of the state (P + sqrt(D))/Q, with Q | D - P^2.
+
+    Returns ("closed", preperiod, period) with a_0 always in the preperiod,
+    or ("capped", steps, preperiod_seen) when more than max_steps states
+    would be visited; preperiod_seen is the index of the first reduced state
+    (index 0 included), or steps if none was seen.  The cycle is found by
+    remembering every state from x_1 on.  Floors and the reducedness test
+    compare squares of integers with D instead of taking an integer root.
+    """
+    def sqrt_above(m):  # sqrt(D) > m
+        return m < 0 or m * m < D
+
+    def sqrt_below(m):  # sqrt(D) < m
+        return m > 0 and m * m > D
+
+    def exceeds(P, Q, a):  # (P + sqrt(D))/Q > a
+        return sqrt_above(a * Q - P) if Q > 0 else sqrt_below(a * Q - P)
+
+    def floor_surd(P, Q):
+        a = math.floor((P + math.sqrt(D)) / Q)  # estimate, corrected below
+        while not exceeds(P, Q, a):
+            a -= 1
+        while exceeds(P, Q, a + 1):
+            a += 1
+        return a
+
+    def reduced(P, Q):  # x > 1 and -1 < conj(x) < 0
+        return (Q > 0 and exceeds(P, Q, 1)
+                and sqrt_above(P) and sqrt_below(P + Q))
+
+    seen: dict[tuple[int, int], int] = {}
+    quotients: list[int] = []
+    first_reduced = -1
+    while True:
+        idx = len(quotients)
+        if idx >= 1 and (P, Q) in seen:
+            j = seen[(P, Q)]
+            return "closed", tuple(quotients[:j]), tuple(quotients[j:])
+        if idx >= max_steps:
+            return "capped", idx, first_reduced if first_reduced >= 0 else idx
+        if idx >= 1:
+            seen[(P, Q)] = idx
+        if first_reduced < 0 and reduced(P, Q):
+            first_reduced = idx
+        a = floor_surd(P, Q)
+        quotients.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 def poly_roots(coeffs, dps: int = 100):

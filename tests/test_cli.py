@@ -10,7 +10,8 @@ import math
 import pytest
 
 from cfperiod import cli
-from cfperiod.errors import DivisionByZero, ParseError, TooFewPoints
+from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
+                             TooFewPoints)
 from cfperiod.qfield import quad
 
 from fractions import Fraction as F
@@ -162,6 +163,20 @@ def test_cf_parse_error_exit_code(capsys):
     assert "position 2" in err
 
 
+@pytest.mark.parametrize("walk, argv", [
+    ("expand", ["cf", "sqrt(2)"]),
+    ("period_length", ["schinzel", "--poly", "x^2+2", "--range", "1..3"]),
+], ids=["cf", "schinzel"])
+def test_step_cap_hit_exits_two_without_traceback(capsys, monkeypatch, walk, argv):
+    def capped(x, max_steps=None):
+        raise StepCapExceeded(steps=7, preperiod_seen=1)
+
+    monkeypatch.setattr(cli, walk, capped)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: step cap hit after 7 states\n"
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------
@@ -221,6 +236,14 @@ def test_periods_step_cap_marks_lower_bounds(capsys, tmp_path):
         assert 1 <= int(row[1]) <= 50
     assert any(l.startswith("# window") and l.endswith("(lower bound)")
                for l in lines)
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_periods_rejects_step_cap_below_one(capsys, tmp_path, cap):
+    code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 1, 3),
+                                  "--step-cap", cap])
+    assert code == 2 and out == ""
+    assert err == f"error: --step-cap must be at least 1, got {cap}\n"
 
 
 def test_periods_multiplier_keeps_bounded_summary(capsys, tmp_path):

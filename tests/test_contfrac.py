@@ -1,8 +1,11 @@
 """Continued fractions of rationals and quadratic irrationals."""
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfperiod.contfrac import (
     DEFAULT_STEP_CAP,
@@ -18,9 +21,9 @@ from cfperiod.contfrac import (
     period_lower_bound,
 )
 from cfperiod.errors import RationalInput, StepCapExceeded
-from cfperiod.qfield import conj, quad, sqrt_int, to_surd
+from cfperiod.qfield import Surd, conj, quad, sqrt_int, to_surd
 
-from oracles import cf_quotients, surd_value
+from oracles import cf_quotients, surd_value, surd_walk_first_repeat
 
 R2 = sqrt_int(2)
 GOLDEN = quad(F(1, 2), F(1, 2), 5)
@@ -213,6 +216,65 @@ def test_period_lower_bound_truncation_is_a_lower_bound():
     assert 0 < ell <= true_ell
     ell2, truncated2 = period_lower_bound(x, cap=5000)
     assert (ell2, truncated2) == (217, False)
+
+
+# ---------------------------------------------------------------------------
+# differential: reduced-state anchor vs the first-repeat hash map
+# ---------------------------------------------------------------------------
+
+@st.composite
+def surd_states(draw):
+    """(kind, P, Q, D) with Q | D - P^2; kind is raw, negative_q or reduced."""
+    kind = draw(st.sampled_from(["raw", "negative_q", "reduced"]))
+    D = draw(st.integers(2, 3000).filter(lambda d: math.isqrt(d) ** 2 != d))
+    t = math.isqrt(D)
+    if kind == "reduced":
+        # reduced iff 0 < P <= t and t - P < Q <= t + P (so Q > 0); at P = t,
+        # Q = D - t^2 always qualifies, so the search below ends
+        P = draw(st.integers(1, t))
+        while not (divisors := [q for q in range(t - P + 1, t + P + 1)
+                                if (D - P * P) % q == 0]):
+            P += 1
+        return kind, P, draw(st.sampled_from(divisors)), D
+    P = draw(st.integers(-60, 60))
+    Q = draw(st.integers(1, 60))
+    if kind == "negative_q" or draw(st.booleans()):
+        Q = -Q
+    if (D - P * P) % Q:
+        P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+    return kind, P, Q, D
+
+
+def _walk(P, Q, D, cap):
+    try:
+        e = expand(Surd(P, Q, D), max_steps=cap)
+    except StepCapExceeded as exc:
+        return "capped", exc.steps, exc.preperiod_seen
+    return "closed", e.preperiod, e.period
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(surd_states())
+def test_expand_matches_first_repeat_reference(state):
+    kind, P, Q, D = state
+    want = surd_walk_first_repeat(P, Q, D, max_steps=10**7)
+    assert want[0] == "closed"
+    _, pre, per = want
+    if kind == "reduced":
+        # purely periodic: the quotients of x_0 repeat from a_0 on
+        assert len(pre) == 1 and per[-1] == pre[0]
+    if kind == "negative_q":
+        assert Q < 0
+    assert _walk(P, Q, D, 10**7) == want
+    # capped at x_j, the reference reports the first reduced index (0 or j)
+    first_reduced = surd_walk_first_repeat(P, Q, D, max_steps=len(pre))[2]
+    closing = len(pre) + len(per)
+    for cap in {0, 1, first_reduced, len(pre), closing - 1, closing, closing + 1}:
+        got, ref = _walk(P, Q, D, cap), surd_walk_first_repeat(P, Q, D, cap)
+        assert got == ref, (cap, got, ref)
+        if got[0] == "capped":
+            # the certified lower bound never exceeds the true period
+            assert got[1] - got[2] <= len(per)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import memo
 from .errors import InternalInvariantError
 from .polyalg import (
     KPoly,
@@ -31,6 +32,7 @@ from .polyalg import (
     factor_q,
     is_pisot_paper,
     is_unital,
+    nondegeneracy,
     root_integrality_flags,
 )
 from .qfield import QuadElem
@@ -113,10 +115,10 @@ def _analyze_s(p_s, r: LinRec):
     factor_polys: list[tuple[RatPoly, int]] = list(factor_q(p_s).factors)
     notes: list[str] = []
     effective = direct
-    s_rec = _s_rec_from(p_s, r)
-    ok, _wit = nondegenerate_rec(s_rec, "Q")
+    # P_S is the minimal polynomial of S, so S's degeneracy is that of P_S
+    ok, _wit = nondegeneracy(p_s, "Q")
     if not ok:
-        d_step, parts = split_degenerate(s_rec)
+        d_step, parts = split_degenerate(_s_rec_from(p_s, r))
         part_polys = []
         for part in parts:
             cp = seq_min_charpoly(part)
@@ -144,10 +146,15 @@ def _analyze_s(p_s, r: LinRec):
 
 
 def classify(r: LinRec) -> Classification:
-    """Run the full decision procedure on a recurrence sequence."""
+    """Run the full decision procedure on a recurrence sequence.
+
+    Polynomial facts (minimal polynomials, factorizations, degeneracy
+    witnesses) are computed once per call and reused by every stage.
+    """
     partial: dict = {}
     try:
-        return _classify(r, partial)
+        with memo.scope():
+            return _classify(r, partial)
     except Exception as e:
         e.partial_evidence = EvidenceReport(**partial)  # type: ignore[attr-defined]
         raise

@@ -41,7 +41,7 @@ from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_bounds, finite_dominant_slope,
                      growth_check, places_above, real_places, root_abs_table, val)
-from .qfield import QuadElem, floor_exact, quad, split_square
+from .qfield import QuadElem, check_field_parameter, floor_exact, quad, split_square
 from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -257,10 +257,17 @@ def parse_int_poly(src: str) -> list[int]:
 
 def _job_elem(v, d: int) -> QuadElem:
     if isinstance(v, (int, str)):
-        return quad(Fraction(str(v)), 0, d)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return quad(Fraction(str(v[0])), Fraction(str(v[1])), d)
-    raise UsageError(f"bad element spec {v!r}: want \"a\" or [\"a\", \"b\"]")
+        parts = (v, 0)
+    elif isinstance(v, (list, tuple)) and len(v) == 2:
+        parts = v
+    else:
+        raise UsageError(f"bad element spec {v!r}: want \"a\" or [\"a\", \"b\"]")
+    try:
+        a, b = (Fraction(str(x)) for x in parts)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad element spec {v!r}: coordinates must be rationals "
+                         f"such as \"-7\" or \"3/2\"") from None
+    return quad(a, b, d)
 
 
 def load_job(path: str) -> dict:
@@ -281,8 +288,12 @@ def rec_from_job(job: dict) -> LinRec:
         if key not in job:
             raise UsageError(f"job is missing {key!r}")
     d = job["d"]
-    if not isinstance(d, int):
+    if not isinstance(d, int) or isinstance(d, bool):
         raise UsageError("job field 'd' must be an integer")
+    check_field_parameter(d)
+    for key in ("coeffs", "initials"):
+        if not isinstance(job[key], list):
+            raise UsageError(f"job field {key!r} must be a JSON array, got {job[key]!r}")
     coeffs = [_job_elem(c, d) for c in job["coeffs"]]
     initials = [_job_elem(c, d) for c in job["initials"]]
     return LinRec(coeffs, initials, d)

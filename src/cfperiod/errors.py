@@ -24,6 +24,10 @@ class MixedFieldError(UsageError):
     pass
 
 
+class BadFieldParameter(UsageError, ValueError):
+    """d is below 2 or not squarefree."""
+
+
 class DivisionByZero(UsageError, ZeroDivisionError):
     pass
 

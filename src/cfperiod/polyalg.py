@@ -10,8 +10,15 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   factors + Sturm chains on the x + 1/x transform) and certified numeric
   enclosures only for provably off-circle roots;
 * unital / Pisot-style predicates on factorizations;
-* composed-ratio resultants and the root-ratio non-degeneracy test with
-  exact root-of-unity witnesses.
+* the root-ratio non-degeneracy test with exact root-of-unity witnesses, at
+  two levels.  Over Q the pool of roots is that of a rational polynomial N,
+  and each pair of its irreducible factors yields one composed-ratio
+  resultant over Z (``ratio_poly``), which is factored and whose cyclotomic
+  factors name the witness orders.  At the base level of K the ratios range
+  over the roots of p only, through resultants over K built by interpolation.
+
+factor_q, factor_k and the degeneracy witnesses are memoized inside a
+``memo.scope()`` (one classification), so each fact is computed once there.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .errors import (
     PreconditionViolated,
     ZeroRootInDenominator,
 )
+from .memo import memoized
 from .qfield import QuadElem, to_mpf
 
 FACTOR_Q_MAX_DEGREE = 24
@@ -470,9 +478,6 @@ class Factorization:
         return [f for f, _m in self.factors]
 
 
-KFactorization = Factorization  # K-coefficient case: unit is a QuadElem
-
-
 def poly_arith(p, q, op: str):
     """Named dispatch over the exact polynomial kernel."""
     table = {
@@ -560,6 +565,7 @@ def _certify_irreducible_q(p: RatPoly) -> None:
     # degree >= 5: no independent certificate here (see decision ledger)
 
 
+@memoized
 def factor_q(p: RatPoly, max_degree: int = FACTOR_Q_MAX_DEGREE) -> Factorization:
     """Complete factorization over Q into monic irreducibles.
 
@@ -640,6 +646,7 @@ def _factor_k_squarefree(g: KPoly, max_degree: int) -> list[KPoly]:
     raise InternalInvariantError(f"no squarefree shift found for {g}")
 
 
+@memoized
 def factor_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> Factorization:
     """Factorization into monic irreducibles over K = Q(sqrt(d)).
 
@@ -941,24 +948,35 @@ def cyclotomic(n: int) -> RatPoly:
     return phi
 
 
-@functools.lru_cache(maxsize=None)
-def _orders_with_totient_at_most(bound: int) -> tuple[int, ...]:
-    from sympy import totient
+def _totient_sieve(limit: int) -> list[int]:
+    """phi(n) for 0 <= n <= limit, by Euler's product over the primes p | n."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched so far: p is prime
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
 
+
+@functools.lru_cache(maxsize=None)
+def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
+    """(n, phi(n)) for every n >= 1 with phi(n) <= bound."""
     # phi(n) >= sqrt(n/2) gives the scan limit
-    return tuple(n for n in range(1, 2 * bound * bound + 3) if totient(n) <= bound)
+    phi = _totient_sieve(2 * bound * bound + 2)
+    return tuple((n, t) for n, t in enumerate(phi) if n >= 1 and t <= bound)
 
 
 def is_root_of_unity(q: RatPoly) -> tuple[bool, int | None]:
     """Whether irreducible q is a cyclotomic polynomial; returns (flag, order)."""
     if q.degree < 1:
         raise PreconditionViolated(f"is_root_of_unity needs degree >= 1, got {q}")
-    from sympy import totient
-
-    m = q.degree
     qm = q.monic()
-    for n in _orders_with_totient_at_most(m):
-        if totient(n) == m and cyclotomic(n) == qm:
+    # every Phi_n is monic over Z with constant term +-1
+    if abs(qm.coeffs[0]) != 1 or any(c.denominator != 1 for c in qm.coeffs):
+        return False, None
+    m = q.degree
+    for n, t in _orders_with_totient_at_most(m):
+        if t == m and cyclotomic(n) == qm:
             return True, n
     return False, None
 
@@ -970,8 +988,8 @@ def is_root_of_unity(q: RatPoly) -> tuple[bool, int | None]:
 def ratio_poly(p: RatPoly, q: RatPoly) -> RatPoly:
     """Polynomial whose roots are the ratios (root of p) / (root of q).
 
-    Computed as Res_y(q(y), p(x*y)) and returned in primitive integer form
-    with positive leading coefficient.
+    Computed as Res_y(q(y), p(x*y)) over Z on the primitive integer forms and
+    returned in primitive integer form with positive leading coefficient.
     """
     if p.is_zero or q.is_zero or p.degree < 1 or q.degree < 1:
         raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
@@ -982,20 +1000,53 @@ def ratio_poly(p: RatPoly, q: RatPoly) -> RatPoly:
     import sympy
 
     x, y = sympy.symbols("x y")
-
-    def expr(poly, var):
-        return sum(sympy.Rational(c.numerator, c.denominator) * var ** i
-                   for i, c in enumerate(poly.coeffs))
-
-    res = sympy.resultant(expr(q, y), expr(p, x * y).expand(), y)
-    out = _rat_from_sympy(sympy.Poly(sympy.expand(res), x, domain="QQ"))
+    # exponent pairs (deg_y, deg_x): q(y) and p(x*y)
+    qy = sympy.Poly.from_dict({(i, 0): c for i, c in enumerate(q.primitive_integer_coeffs())},
+                              y, x, domain=sympy.ZZ)
+    pxy = sympy.Poly.from_dict({(i, i): c for i, c in enumerate(p.primitive_integer_coeffs())},
+                               y, x, domain=sympy.ZZ)
+    res = qy.resultant(pxy)
+    out = RatPoly([int(c) for c in reversed(res.all_coeffs())])
     if out.degree != p.degree * q.degree:
         raise InternalInvariantError("ratio_poly degree mismatch")
     return RatPoly(out.primitive_integer_coeffs())
 
 
+def _pair_ratio_orders(fi: RatPoly, fj: RatPoly) -> set[int]:
+    """Orders n such that some ratio of distinct roots of fi * fj is a primitive
+    n-th root of unity; fi, fj monic irreducible over Q, nonzero roots."""
+    if fi.degree == 1 and fj.degree == 1:
+        if fi == fj:
+            return set()  # a single root forms no ratio
+        a, b = -fi.coeffs[0], -fj.coeffs[0]
+        if a == b:
+            raise InternalInvariantError("distinct irreducible factors share a root")
+        # a rational ratio is a root of unity only as -1 (1 would be a shared root)
+        return {2} if a == -b else set()
+    r = ratio_poly(fi, fj)
+    if fi == fj:
+        # self-ratios contribute (x-1)^deg exactly once per root; strip them
+        one_root = RatPoly([-1, 1])
+        for _ in range(fi.degree):
+            r = r.exact_div(one_root)
+    if r.degree == 0:
+        return set()
+    orders = set()
+    for f, _m in factor_q(r, max_degree=max(r.degree, FACTOR_Q_MAX_DEGREE)).factors:
+        is_unity, n = is_root_of_unity(f)
+        if is_unity:
+            if n == 1:
+                raise InternalInvariantError("distinct irreducible factors share a root")
+            orders.add(n)
+    return orders
+
+
 def _ratio_resultant_field(pi, pj):
-    """Res_y(pj(y), pi(x*y)) over the common coefficient field, by interpolation."""
+    """Res_y(pj(y), pi(x*y)) over K, by interpolation.
+
+    Serves the base-K level of nondegeneracy only, where the ratios range
+    over the roots of a K-polynomial and not over their conjugates.
+    """
     di, dj = pi.degree, pj.degree
     n = di * dj + 1
     xs, ys = [], []
@@ -1023,36 +1074,9 @@ def _ratio_resultant_field(pi, pj):
     return acc
 
 
-def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
-    """Root-ratio degeneracy test.
-
-    over="baseK": ratios among the roots of p itself.  over="Q": ratios among
-    the roots of the squarefree part of p * conj_poly(p) (conjugate orbits).
-    Roots at zero are ignored: they cannot take part in a unit-modulus ratio.
-    Returns (non_degenerate, sorted root-of-unity witness orders).
-    """
-    if over not in ("baseK", "Q"):
-        raise PreconditionViolated(f"unknown Galois level {over!r}")
-    if p.is_zero or p.degree < 1:
-        raise PreconditionViolated("nondegeneracy needs a nonconstant polynomial")
-    if isinstance(p, KPoly) and p.is_rational():
-        p = p.to_ratpoly()
-    while p.degree >= 1 and p.coeffs[0] == 0:
-        p = p._make(list(p.coeffs[1:]))
-    if p.degree < 1:
-        return True, []
-    if isinstance(p, KPoly):
-        base = [f for f, _m in factor_k(p, max_degree=max(p.degree, FACTOR_K_MAX_DEGREE)).factors]
-        if over == "Q":
-            for f in list(base):
-                fc = f.conj()
-                if fc not in base:
-                    base.append(fc)
-        field_degree = 2
-    else:
-        base = [f for f, _m in factor_q(p, max_degree=max(p.degree, FACTOR_Q_MAX_DEGREE)).factors]
-        field_degree = 1
-
+def _base_k_witnesses(p: KPoly) -> set[int]:
+    """Witness orders among the roots of an irrational K-polynomial p."""
+    base = [f for f, _m in factor_k(p, max_degree=max(p.degree, FACTOR_K_MAX_DEGREE)).factors]
     witnesses: set[int] = set()
     for pi, pj in itertools.product(base, repeat=2):
         r = _ratio_resultant_field(pi, pj)
@@ -1066,13 +1090,53 @@ def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
         if r.degree == 0:
             continue
         r = r.monic()
-        bound = field_degree * r.degree
-        for n in _orders_with_totient_at_most(bound):
-            phi = cyclotomic(n)
-            phi_lift = phi.lift(r.d) if isinstance(r, KPoly) else phi
-            if r.gcd(phi_lift).degree > 0:
+        # a root of r has degree <= 2 * deg r over Q
+        for n, _t in _orders_with_totient_at_most(2 * r.degree):
+            if r.gcd(cyclotomic(n).lift(r.d)).degree > 0:
                 if n == 1:
                     raise InternalInvariantError(
                         "distinct irreducible factors share a root")
                 witnesses.add(n)
-    return (not witnesses), sorted(witnesses)
+    return witnesses
+
+
+def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
+    """Root-ratio degeneracy test.
+
+    over="baseK": ratios among the roots of p itself.  over="Q": ratios among
+    the roots of p * conj_poly(p) (conjugate orbits).  A rational p has the
+    same pool at both levels.  Roots at zero are ignored: they cannot take
+    part in a unit-modulus ratio.
+    Returns (non_degenerate, sorted root-of-unity witness orders).
+    """
+    if over not in ("baseK", "Q"):
+        raise PreconditionViolated(f"unknown Galois level {over!r}")
+    if p.is_zero or p.degree < 1:
+        raise PreconditionViolated("nondegeneracy needs a nonconstant polynomial")
+    if isinstance(p, KPoly) and p.is_rational():
+        p = p.to_ratpoly()
+    witnesses = _witness_orders(p, "Q" if isinstance(p, RatPoly) else over)
+    return (not witnesses), list(witnesses)
+
+
+@memoized
+def _witness_orders(p, over: str) -> tuple[int, ...]:
+    """Sorted witness orders; p is a RatPoly (over="Q") or an irrational KPoly."""
+    while p.degree >= 1 and p.coeffs[0] == 0:
+        p = p._make(list(p.coeffs[1:]))
+    if p.degree < 1:
+        return ()
+    if isinstance(p, KPoly):
+        if over == "baseK":
+            return tuple(sorted(_base_k_witnesses(p)))
+        norm = p * p.conj()
+        if not norm.is_rational():
+            raise InternalInvariantError("p * conj(p) not rational")
+        p = norm.to_ratpoly()
+    # the over-Q pool: the roots of the rational polynomial p
+    base = factor_q(p, max_degree=max(p.degree, FACTOR_Q_MAX_DEGREE)).distinct()
+    witnesses: set[int] = set()
+    for i, fi in enumerate(base):
+        for fj in base[i:]:
+            witnesses |= _pair_ratio_orders(fi, fj)
+    return tuple(sorted(witnesses))

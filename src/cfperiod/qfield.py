@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BadFieldParameter,
     DivisionByZero,
     MixedFieldError,
     NegativeInput,
@@ -22,15 +23,16 @@ Rational = Fraction  # contract alias: reduced, positive denominator by construc
 _SQUAREFREE_OK: set[int] = set()
 
 
-def _check_squarefree(d: int) -> None:
+def check_field_parameter(d: int) -> None:
+    """Raise BadFieldParameter unless d is a squarefree integer >= 2."""
     if d in _SQUAREFREE_OK:
         return
     if d < 2:
-        raise ValueError(f"field parameter d must be >= 2, got {d}")
+        raise BadFieldParameter(f"field parameter d must be >= 2, got {d}")
     n, p = d, 2
     while p * p <= n:
         if n % (p * p) == 0:
-            raise ValueError(f"field parameter d must be squarefree, got {d}")
+            raise BadFieldParameter(f"field parameter d must be squarefree, got {d}")
         if n % p == 0:
             n //= p
         p += 1 if p == 2 else 2
@@ -77,7 +79,7 @@ class QuadElem:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_fraction(self.a))
         object.__setattr__(self, "b", _as_fraction(self.b))
-        _check_squarefree(self.d)
+        check_field_parameter(self.d)
 
     # -- coercion ------------------------------------------------------------
 

@@ -20,6 +20,7 @@ from .errors import (
     VerificationFailed,
     WindowTooShort,
 )
+from .memo import memoized
 from .polyalg import KPoly, RatPoly, is_unital, nondegeneracy
 from .qfield import QuadElem
 
@@ -236,6 +237,7 @@ def diff_sum_parts(r: LinRec):
     return p_d, p_s
 
 
+@memoized
 def seq_min_charpoly(r: LinRec):
     """Minimal characteristic polynomial of the sequence itself."""
     count = 2 * r.order + BM_MARGIN

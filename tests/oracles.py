@@ -127,29 +127,32 @@ def circle_counts(coeffs, dps: int = 100, band: float = 1e-40):
     return inside, on, outside
 
 
-def is_root_of_unity_numeric(z, max_order: int, dps: int = 100) -> bool:
-    """Angle-rationalization check that z is an exact root of unity.
+def root_of_unity_order_numeric(z, max_order: int, dps: int = 100) -> int | None:
+    """Angle-rationalization order of z as a root of unity, or None.
 
     |z| must be within the band of 1; the angle divided by 2*pi is
-    rationalized with denominator <= max_order and the candidate order is
-    confirmed by direct powering.
+    rationalized with denominator <= max_order, and the candidate order (the
+    reduced denominator) is confirmed by direct powering.
     """
     with mpmath.workdps(dps):
         if abs(abs(z) - 1) > mpmath.mpf("1e-40"):
-            return False
+            return None
         theta = mpmath.arg(z) / (2 * mpmath.pi)
         cand = Fraction(float(theta)).limit_denominator(max_order)
         n = cand.denominator
-        return abs(z ** n - 1) < mpmath.mpf("1e-30")
+        return n if abs(z ** n - 1) < mpmath.mpf("1e-30") else None
 
 
-def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,
-                             max_order: int, dps: int = 100) -> bool:
-    """True iff some ratio of distinct roots is a root of unity, numerically.
+def ratio_witness_orders_numeric(coeff_pairs, d: int, over_q: bool,
+                                 max_order: int, dps: int = 100) -> list[int]:
+    """Sorted orders n such that a ratio of two distinct roots is a primitive
+    n-th root of unity, numerically.
 
     coeff_pairs are (a: Fraction, b: Fraction) coordinates of coefficients in
     Q(sqrt(d)), ascending.  over_q additionally throws the conjugate
     polynomial's roots into the pool, mirroring ratios of Galois conjugates.
+    Zero roots are left out of the pool; roots closer than the band count as
+    one root, so the input's own roots should be simple.
     """
     with mpmath.workdps(dps):
         emb = [surd_value(a, b, d, dps) for a, b in coeff_pairs]
@@ -158,10 +161,18 @@ def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,
             conj = [surd_value(a, -b, d, dps) for a, b in coeff_pairs]
             pool += list(poly_roots(conj, dps))
         pool = [z for z in pool if abs(z) > mpmath.mpf("1e-40")]
+        orders = set()
         for i, zi in enumerate(pool):
             for j, zj in enumerate(pool):
                 if i == j or abs(zi - zj) < mpmath.mpf("1e-40"):
                     continue
-                if is_root_of_unity_numeric(zi / zj, max_order, dps):
-                    return True
-        return False
+                n = root_of_unity_order_numeric(zi / zj, max_order, dps)
+                if n is not None:
+                    orders.add(n)
+        return sorted(orders)
+
+
+def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,
+                             max_order: int, dps: int = 100) -> bool:
+    """True iff some ratio of distinct roots is a root of unity, numerically."""
+    return bool(ratio_witness_orders_numeric(coeff_pairs, d, over_q, max_order, dps))

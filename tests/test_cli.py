@@ -319,6 +319,23 @@ def test_job_validation_errors(capsys, tmp_path):
     assert code == 2 and "range" in err
 
 
+@pytest.mark.parametrize("fields, hint", [
+    ({"d": 4}, "squarefree"),
+    ({"d": 1}, ">= 2"),
+    ({"coeffs": "6"}, "JSON array"),
+    ({"coeffs": "-7"}, "JSON array"),
+    ({"coeffs": ["1", "abc"]}, "bad element spec"),
+])
+def test_bad_job_fields_exit_two(capsys, tmp_path, fields, hint):
+    job = write_job(tmp_path, "job.json",
+                    {"command": "classify", "d": 5, "coeffs": ["1", "1"],
+                     "initials": ["0", "1"], **fields})
+    code, out, err = run(capsys, ["classify", job])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and hint in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # props
 # ---------------------------------------------------------------------------

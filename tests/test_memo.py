@@ -1,0 +1,55 @@
+"""The per-classification memo: one value per argument list, one scope only."""
+from cfperiod import memo
+from cfperiod.classifier import classify
+from cfperiod.polyalg import KPoly, RatPoly
+
+from curated import members
+
+
+def _counting():
+    calls = []
+
+    @memo.memoized
+    def degree_plus(p, k=1):
+        calls.append((p, k))
+        return p.degree + k
+
+    return degree_plus, calls
+
+
+def test_memo_keys_on_bound_arguments_within_one_scope():
+    f, calls = _counting()
+    p = RatPoly([-1, -1, 1])
+    with memo.scope():
+        assert f(p) == f(p, 1) == f(p, k=1) == 3
+        assert f(p, 2) == 4
+        with memo.scope():  # nested scopes share the outer memo
+            assert f(p) == 3
+    assert calls == [(p, 1), (p, 2)]
+
+
+def test_memo_is_dropped_when_the_scope_ends():
+    f, calls = _counting()
+    p = RatPoly([1, 1])
+    f(p)
+    f(p)  # outside a scope nothing is kept
+    with memo.scope():
+        f(p)
+    with memo.scope():
+        f(p)
+    assert len(calls) == 4
+
+
+def test_memo_separates_types_and_fields():
+    f, calls = _counting()
+    with memo.scope():
+        f(RatPoly([1, 1]))
+        f(KPoly([1, 1], 2))  # equal coefficients, other type: its own entry
+        f(KPoly([1, 1], 3))  # other field: never compared with d = 2
+    assert len(calls) == 3
+
+
+def test_classify_leaves_no_memo_behind():
+    for _name, r, _verdict, _step in members()[:3]:
+        classify(r)
+        assert memo._MEMO.get() is None

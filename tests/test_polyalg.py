@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfperiod.errors import DegreeTooLarge, PreconditionViolated
 from cfperiod.polyalg import (
@@ -30,8 +32,10 @@ from cfperiod.polyalg import (
     root_integrality_flags,
 )
 from cfperiod.qfield import quad, sqrt_int
+from cfperiod.recurrence import seq_min_charpoly
 
-from oracles import circle_counts, degenerate_ratio_numeric, poly_roots
+from curated import members
+from oracles import circle_counts, poly_roots, ratio_witness_orders_numeric
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -288,6 +292,25 @@ def test_cyclotomic_product_identity():
         assert prod == want
 
 
+def test_totient_sieve_matches_sympy():
+    from cfperiod.polyalg import _orders_with_totient_at_most, _totient_sieve
+
+    phi = _totient_sieve(5000)
+    assert phi[1:] == [int(sympy.totient(n)) for n in range(1, 5001)]
+    for bound in (1, 2, 6, 12):
+        want = [(n, int(sympy.totient(n))) for n in range(1, 2 * bound * bound + 3)
+                if sympy.totient(n) <= bound]
+        assert list(_orders_with_totient_at_most(bound)) == want
+
+
+def test_is_root_of_unity_rejects_non_integral_candidates():
+    # not monic over Z, or constant term other than +-1: no Phi_n at all
+    assert is_root_of_unity(RatPoly([1, 0, 2])) == (False, None)
+    assert is_root_of_unity(RatPoly([F(1, 2), 1])) == (False, None)
+    assert is_root_of_unity(RatPoly([2, 1, 1])) == (False, None)
+    assert is_root_of_unity(RatPoly([2, 2, 2])) == (True, 3)  # 2 * Phi_3
+
+
 def test_is_root_of_unity():
     assert is_root_of_unity(RatPoly([-1, 1])) == (True, 1)
     assert is_root_of_unity(RatPoly([1, 1])) == (True, 2)
@@ -362,6 +385,85 @@ def test_nondegeneracy_ignores_zero_roots():
     ok, wit = nondegeneracy(RatPoly([0, -1, 0, 1]))
     assert not ok and wit == [2]
     assert nondegeneracy(RatPoly([0, 0, 1])) == (True, [])  # x^2 alone
+
+
+# over-Q witness orders of the curated members' minimal polynomials, as the
+# interpolated-resultant implementation over K computed them
+CURATED_WITNESSES = {
+    "fibonacci": [], "n+sqrt5": [], "(1+sqrt2)^n": [], "(3+sqrt2)^n": [],
+    "sqrt5*2^n": [], "n^2*sqrt5": [], "sqrt2^n+(1+sqrt2)^n": [2],
+    "(-1)^n*(2+sqrt2)": [], "(5/2)^n+(-1)^n*sqrt2": [], "sqrt2*osc_n": [],
+}
+
+
+def test_nondegeneracy_curated_witnesses_pinned():
+    got = {}
+    for name, r, _verdict, _step in members():
+        p = seq_min_charpoly(r)
+        got[name] = nondegeneracy(p, over="Q")[1]
+        assert nondegeneracy(p, over="baseK") == (True, [])
+    assert got == CURATED_WITNESSES
+
+
+@st.composite
+def chosen_root_polys(draw):
+    """Squarefree K- or Q-polynomials assembled from chosen roots.
+
+    Blocks: one root alpha; a forced pair alpha, -alpha; alpha with
+    zeta_3 * alpha and zeta_3^2 * alpha (x^2 + alpha x + alpha^2); the
+    conjugates +-c*sqrt(d) (over K the root c*sqrt(d) alone, its conjugate
+    joins at the Q level); a zero root.  Every root is a real number times a
+    power of zeta_3, so a ratio of modulus 1 is a root of unity and the
+    numeric oracle's angle test is exact on it.
+    """
+    d = draw(st.sampled_from([2, 3, 5]))
+    rational = draw(st.booleans())
+    x = KPoly.x(d)
+    sqrt_d = quad(0, 1, d)
+
+    def elem():
+        a = draw(st.integers(-3, 3))
+        return quad(a, 0 if rational else draw(st.integers(-2, 2)), d)
+
+    p = KPoly([1], d)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["root", "neg", "zeta3", "conj", "zero"]))
+        if kind == "root":
+            p = p * (x - elem())
+        elif kind == "neg":
+            a = elem()
+            p = p * (x - a) * (x + a)
+        elif kind == "zeta3":
+            a = elem()
+            p = p * (x - a) * (x * x + x.scale(a) + a * a)
+        elif kind == "conj":
+            c = draw(st.sampled_from([1, -1, 2]))
+            p = p * (x * x - c * c * d if rational else x - sqrt_d * c)
+        else:
+            p = p * x
+    p = p.squarefree_part()
+    return p.to_ratpoly() if rational else p
+
+
+def _coeff_pairs(p):
+    if isinstance(p, RatPoly):
+        return 2, [(c, F(0)) for c in p.coeffs]
+    return p.d, [(c.a, c.b) for c in p.coeffs]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chosen_root_polys())
+@example(KPoly([-(1 + R2), 1], 2) * KPoly([1 + R2, 1], 2))          # alpha, -alpha
+@example(KPoly([-R5, 1], 5) * KPoly([5, R5, 1], 5))                  # alpha, zeta_3 alpha
+@example(KPoly([-R2, 1], 2))                                         # +-sqrt(2) over Q
+@example(RatPoly([-3, 0, 1]))                                        # +-sqrt(3)
+@example(KPoly([0, -R5, 1], 5) * KPoly([2, 1], 5))                   # zero root
+@example(RatPoly([0, 1, 1, 1]))                                      # x(x^2 + x + 1)
+def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
+    d, pairs = _coeff_pairs(p)
+    ok, orders = nondegeneracy(p, over="Q")
+    assert orders == ratio_witness_orders_numeric(pairs, d, True, 60)
+    assert ok == (not orders)
 
 
 def test_poly_arith_dispatch():

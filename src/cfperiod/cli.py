@@ -17,9 +17,11 @@ timing columns 0 unless --timing is given.  Summary lines start with '#'.
 
 Exit codes: 0 success, 2 bad input, unmet precondition or a continued-fraction
 walk that hit its step cap, 3 internal bug.
-Environment: CFPERIOD_MAX_BITS caps per-coordinate term size in scans
-(default 2^20); CFPERIOD_PRECISION_DIGITS sets working precision for
-certified real-place numerics (default 60).
+Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
+coordinate: `periods` skips a term with a larger numerator or denominator,
+and the element grammar refuses a power x^e whose coordinates could exceed it
+(checked before the power is computed); CFPERIOD_PRECISION_DIGITS sets working
+precision for certified real-place numerics (default 60).
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from fractions import Fraction
 from statistics import linear_regression
 from typing import NamedTuple
 
+from . import memo
 from .classifier import classify, explain
 from .contfrac import check_convergent_bound, convergents, expand, period_length
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
@@ -106,6 +109,19 @@ def _tokenize(src: str):
     return toks
 
 
+def _log2_height(x) -> float:
+    """log2 of a bound H(x) with every coordinate of x^e below H(x)^e in size.
+
+    x = (A + B*sqrt(d))/m: the coordinates of x^e have numerators at most
+    (|A| + |B|*sqrt(d))^e and denominators dividing m^e.
+    """
+    if isinstance(x, QuadElem):
+        m = math.lcm(x.a.denominator, x.b.denominator)
+        top = abs(x.a * m) + abs(x.b * m) * (math.isqrt(x.d) + 1)
+        return math.log2(max(int(top), m))
+    return math.log2(max(abs(x.numerator), x.denominator))
+
+
 class _ElementParser:
     def __init__(self, src: str):
         self.src = src
@@ -165,11 +181,16 @@ class _ElementParser:
     def _power(self):
         value = self._atom()
         if self._peek()[0] == "^":
-            self._next()
+            pos = self._next()[2]
             e = self._exponent()
             if e < 0 and value == 0:
                 raise DivisionByZero("zero raised to a negative power")
-            value = value ** e
+            base = value if e >= 0 else 1 / value
+            bits = max_bits_guard()
+            if abs(e) * _log2_height(base) > bits:
+                raise UsageError(f"the power at position {pos} would exceed "
+                                 f"CFPERIOD_MAX_BITS = {bits} bits per coordinate")
+            value = base ** abs(e)
         return value
 
     def _exponent(self) -> int:
@@ -355,19 +376,22 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 def cmd_cf(args) -> int:
     x = parse_element(args.expr)
     e = expand(x)
-    lines = [f"value = {x}",
-             f"expansion = {e}",
-             f"preperiod_len = {len(e.preperiod)}",
-             f"ell = {len(e.period)}",
-             "convergents:"]
-    total = None if e.period else len(e.preperiod)
-    count = 8 if total is None else min(8, total)
-    for c in convergents(e, count):
-        if total is not None and c.n == total - 1:
-            mark = "exact"
-        else:
-            mark = "yes" if check_convergent_bound(x, c.n) else "NO"
-        lines.append(f"  n={c.n} p={c.p} q={c.q} bound_ok={mark}")
+    try:
+        lines = [f"value = {x}",
+                 f"expansion = {e}",
+                 f"preperiod_len = {len(e.preperiod)}",
+                 f"ell = {len(e.period)}",
+                 "convergents:"]
+        total = None if e.period else len(e.preperiod)
+        count = 8 if total is None else min(8, total)
+        for c in convergents(e, count):
+            if total is not None and c.n == total - 1:
+                mark = "exact"
+            else:
+                mark = "yes" if check_convergent_bound(x, c.n) else "NO"
+            lines.append(f"  n={c.n} p={c.p} q={c.q} bound_ok={mark}")
+    except ValueError as exc:  # an integer beyond the int -> str digit limit
+        raise UsageError(f"cannot print the result: {exc}") from None
     _emit(lines, args.out)
     return 0
 
@@ -571,48 +595,64 @@ def _log_abs_real(x: QuadElem, embedding: int, dps: int) -> float:
         return float(mpmath.log(to_mpf(abs(y), dps)))
 
 
+def _growth_eps(options: dict) -> Fraction:
+    raw = options.get("eps", "1/10")
+    try:
+        eps = Fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        eps = None
+    if isinstance(raw, bool) or eps is None or not 0 < eps < 1:
+        raise UsageError(f"growth option 'eps' must be a rational strictly between "
+                         f"0 and 1 such as \"1/10\", got {raw!r}")
+    return eps
+
+
 def cmd_growth(args) -> int:
     job = load_job(args.job)
     r = rec_from_job(job)
     n_lo, n_hi = _job_range(job)
     options = job.get("options") or {}
+    if not isinstance(options, dict):
+        raise UsageError(f"job field 'options' must be a JSON object, got {options!r}")
     v = place_from_spec(options.get("place"), r.d)
-    eps = Fraction(str(options.get("eps", "1/10")))
+    eps = _growth_eps(options)
     dps = precision_digits()
-    try:
-        if v.kind == "finite":
-            log_a1 = float(finite_dominant_slope(r, v)) * v.f * math.log(v.p)
-        else:
-            _lo, hi = arch_dominant_bounds(r, v, dps)
-            log_a1 = math.log(float(hi))
-    except HypothesisViolated as e:
-        print(f"error: {e}", file=sys.stderr)
-        for line in root_abs_table(r, v, dps):
-            print("  " + line, file=sys.stderr)
-        return 2
-    lines = ["n,log_abs,bound"]
-    factor = (1 - float(eps)) * log_a1
-    for n in range(n_lo, n_hi + 1):
-        a = r.term(n)
-        if a == 0:
-            continue
-        if v.kind == "finite":
-            la = -val(a, v) * v.f * math.log(v.p)
-        else:
-            la = _log_abs_real(a, v.embedding, dps)
-        lines.append(f"{n},{_fmt_float(la)},{_fmt_float(factor * n)}")
-    passed = growth_check(r, v, eps, n_lo, n_hi, dps)
-    lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
-    if args.estimate_limit:
-        pts = [(n, _log_abs_real(diff, 1, dps))
-               for n in range(n_lo, n_hi + 1)
-               if (diff := r.term(n) - r.term(n).conj()) != 0]
-        est = estimate_log_limit(pts)
-        lines.append(f"# limit_slope={_fmt_float(est.slope)} "
-                     f"positive={'yes' if est.positive else 'no'} "
-                     f"({ESTIMATOR_LABEL})")
-    _emit(lines, args.out)
-    return 0
+    # one memo per job: the bound column and growth_check share each fact
+    with memo.scope():
+        try:
+            if v.kind == "finite":
+                log_a1 = float(finite_dominant_slope(r, v)) * v.f * math.log(v.p)
+            else:
+                _lo, hi = arch_dominant_bounds(r, v, dps)
+                log_a1 = math.log(float(hi))
+        except HypothesisViolated as e:
+            print(f"error: {e}", file=sys.stderr)
+            for line in root_abs_table(r, v, dps):
+                print("  " + line, file=sys.stderr)
+            return 2
+        lines = ["n,log_abs,bound"]
+        factor = (1 - float(eps)) * log_a1
+        for n in range(n_lo, n_hi + 1):
+            a = r.term(n)
+            if a == 0:
+                continue
+            if v.kind == "finite":
+                la = -val(a, v) * v.f * math.log(v.p)
+            else:
+                la = _log_abs_real(a, v.embedding, dps)
+            lines.append(f"{n},{_fmt_float(la)},{_fmt_float(factor * n)}")
+        passed = growth_check(r, v, eps, n_lo, n_hi, dps)
+        lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
+        if args.estimate_limit:
+            pts = [(n, _log_abs_real(diff, 1, dps))
+                   for n in range(n_lo, n_hi + 1)
+                   if (diff := r.term(n) - r.term(n).conj()) != 0]
+            est = estimate_log_limit(pts)
+            lines.append(f"# limit_slope={_fmt_float(est.slope)} "
+                         f"positive={'yes' if est.positive else 'no'} "
+                         f"({ESTIMATOR_LABEL})")
+        _emit(lines, args.out)
+        return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""A memo of polynomial facts that lives for one classification only.
+"""A memo of polynomial and valuation facts that lives for one job only.
 
-Inside ``with scope():`` every function decorated with :func:`memoized`
-computes its value once per distinct argument list and hands the stored value
-back on later calls; outside a scope the functions run unmemoized.  Nested
-scopes share the outermost memo, so a recursive classification of the
-subsequences of a degenerate input reuses the facts of its parent.  Nothing is
-kept between scopes: a batch of classifications pays for each one in full.
+The job is one classification (``classify``) or one growth job
+(``cfperiod growth``, whose bound column and ``growth_check`` share the
+minimal polynomial, its factors, the dominant-root bounds and each term's
+valuation).  Inside ``with scope():`` every function decorated with
+:func:`memoized` computes its value once per distinct argument list and hands
+the stored value back on later calls; outside a scope the functions run
+unmemoized.  Nested scopes share the outermost memo, so a recursive
+classification of the subsequences of a degenerate input reuses the facts of
+its parent.  Nothing is kept between scopes: a batch of jobs pays for each one
+in full.
 Memoized functions must return immutable values.
 """
 from __future__ import annotations
@@ -41,16 +45,22 @@ def memoized(fn):
     """
     sig = inspect.signature(fn)
     name = fn.__qualname__
+    params = sig.parameters.values()
+    # a call that passes every parameter by position needs no binding
+    arity = (len(params) if all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+             else -1)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         memo = _MEMO.get()
         if memo is None:
             return fn(*args, **kwargs)
-        bound = sig.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (name,) + tuple((type(v), getattr(v, "d", None), v)
-                              for v in bound.arguments.values())
+        values = args
+        if kwargs or len(args) != arity:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            values = bound.arguments.values()
+        key = (name,) + tuple((type(v), getattr(v, "d", None), v) for v in values)
         try:
             return memo[key]
         except KeyError:

@@ -2,6 +2,11 @@
 
 Finite places are identified by a rational prime together with its splitting
 behavior; split places carry a Hensel branch (a root t of x^2 = d mod p^k).
+At a split place the branch root is Newton-lifted to the precision a valuation
+needs (about log k steps, not k one-bit steps at p = 2) and checked exactly
+against d mod p^k; valuations, dominant-root bounds and everything below them
+are memoized inside one ``memo.scope()`` (one growth job), so the CLI's bound
+column and ``growth_check`` compute each fact once.
 Normalization: |x|_w = (p^f)^(-ord_w(x)) with residue degree f, so the product
 formula over the two real embeddings and all finite places holds with no
 exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
@@ -26,6 +31,7 @@ from .errors import (
     SupportIncomplete,
     ZeroInput,
 )
+from .memo import memoized
 from .polyalg import KPoly, certified_root_boxes, circle_profile, conj_poly, factor_k
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, nondegenerate_rec, seq_min_charpoly
@@ -94,6 +100,8 @@ def places_above(p: int, d: int) -> list[Place]:
 def _vp_int(n: int, p: int) -> int:
     if n == 0:
         raise ZeroInput("valuation of 0")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p
@@ -106,33 +114,39 @@ def _vp_fraction(q: Fraction, p: int) -> int:
 
 
 def _branch_root(w: Place, k: int) -> int:
-    """t with t^2 = d mod p^k on w's branch (split places only)."""
+    """t with t^2 = d mod p^k on w's branch (split places only).
+
+    Newton lifting: at p = 2 a root t mod 2^j (j >= 3) goes to
+    t - ((t^2 - d)/2) / t, a root mod 2^(2j-2) in the same class mod 2^(j-1)
+    (the division needs 1/t mod 2^(j-1) only);
+    at odd p a root mod p^j goes to t - (t^2 - d) / (2t), a root mod p^(2j).
+    The result is checked exactly against d mod p^k.
+    """
     p, d = w.p, w.d
+    pk = p ** k
     if p == 2:
-        # increment lifting from the branch rep; valid from k0 = 3 upward
-        t = w.branch
-        mod = 8
-        kk = 3
-        while kk < k:
-            step = mod // 2
-            if (t * t - d) % (2 * mod):
-                t += step
-            if (t * t - d) % (2 * mod):
-                raise InternalInvariantError("2-adic branch lift failed")
-            mod *= 2
-            kk += 1
-        return t % 2 ** k
-    t = w.branch % p
-    mod = p
-    while mod < p ** k:
-        # Newton step doubles the precision
-        inv = pow(2 * t, -1, mod * mod if mod * mod <= p ** k else p ** k)
-        new_mod = min(mod * mod, p ** k)
-        t = (t - (t * t - d) * inv) % new_mod
-        mod = new_mod
-    return t % p ** k
+        # the branch rep is a root mod 16 (places_above reads it off those);
+        # u = 1/t mod 2^(j-1) is lifted alongside by u <- u (2 - t u), and an
+        # odd t is its own inverse mod 8
+        t = u = w.branch
+        j = 4
+        while j < k:
+            j = 2 * j - 2
+            mod = 1 << j
+            t = (t - ((t * t - d) >> 1) * u) % mod
+            u = u * (2 - t * u) % mod
+    else:
+        t, mod = w.branch % p, p
+        while mod < pk:
+            mod = min(mod * mod, pk)
+            t = (t - (t * t - d) * pow(2 * t, -1, mod)) % mod
+    t %= pk
+    if (t * t - d) % pk:
+        raise InternalInvariantError(f"branch lift at {w} failed mod {p}^{k}")
+    return t
 
 
+@memoized
 def val(x: QuadElem, w: Place) -> int:
     """ord_w(x) for a finite place, in the f-normalization described above."""
     if w.kind != "finite":
@@ -364,6 +378,7 @@ def finite_dominant_slope(r: LinRec, w: Place) -> Fraction:
     return slope
 
 
+@memoized
 def arch_dominant_bounds(r: LinRec, v: Place, dps: int = ARCH_DPS):
     """(lo, hi) certified bounds on max |sigma_v(alpha)| over charpoly roots.
 

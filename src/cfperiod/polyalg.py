@@ -18,7 +18,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   over the roots of p only, through resultants over K built by interpolation.
 
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
-``memo.scope()`` (one classification), so each fact is computed once there.
+``memo.scope()`` (one classification or one growth job), so each fact is
+computed once there.
 """
 from __future__ import annotations
 

@@ -7,6 +7,8 @@ polyroots, and root-of-unity detection is done by angle rationalization.
 The reference quadratic walk works on plain integers and finds its cycle with
 a first-repeat hash map on (P, Q), not with the reduced-state anchor that
 contfrac.expand uses.
+The reference 2-adic square root lifts one bit per step, not by Newton steps
+as places._branch_root does.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -94,6 +96,21 @@ def surd_walk_first_repeat(P: int, Q: int, D: int, max_steps: int):
         quotients.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
+
+
+def two_adic_sqrt_bitwise(d: int, branch: int, k: int) -> int:
+    """A root t of t^2 = d mod 2^k with t = branch mod 8, one bit at a time.
+
+    d = 1 mod 8 and branch must be a root mod 16.  From a root t mod 2^j
+    (j >= 3) exactly one of t and t + 2^(j-1) is a root mod 2^(j+1).
+    """
+    t = branch
+    for j in range(3, k):
+        if (t * t - d) % (1 << (j + 1)):
+            t += 1 << (j - 1)
+        if (t * t - d) % (1 << (j + 1)):
+            raise AssertionError(f"bitwise lift of sqrt({d}) failed at 2^{j + 1}")
+    return t % (1 << k)
 
 
 def poly_roots(coeffs, dps: int = 100):

@@ -299,6 +299,29 @@ def test_bad_bit_guard_env_value(capsys, tmp_path, monkeypatch):
     assert "CFPERIOD_MAX_BITS must be an integer" in err
 
 
+def test_power_beyond_bit_guard_is_refused_before_computing(capsys, monkeypatch):
+    code, out, err = run(capsys, ["cf", "3^9999999999999"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "CFPERIOD_MAX_BITS" in err
+    assert "Traceback" not in err
+    monkeypatch.setenv("CFPERIOD_MAX_BITS", "40")
+    for expr in ("2^41", "(1/3)^-26", "(1+sqrt(2))^32", "(1+sqrt(2))^-32",
+                 "(2^20)^3"):
+        code, out, err = run(capsys, ["cf", expr])
+        assert code == 2 and "CFPERIOD_MAX_BITS" in err, expr
+        assert "Traceback" not in err
+    for expr in ("2^39", "(1/3)^-25", "1^99999999", "(1+sqrt(2))^20"):
+        code, _, err = run(capsys, ["cf", expr])
+        assert code == 0 and err == "", expr
+
+
+def test_cf_result_too_long_to_print_exits_two(capsys):
+    code, out, err = run(capsys, ["cf", "2^99999"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot print the result")
+    assert "Traceback" not in err
+
+
 def test_job_validation_errors(capsys, tmp_path):
     code, _, err = run(capsys, ["periods", str(tmp_path / "nope.json")])
     assert code == 2 and "cannot read job file" in err
@@ -456,7 +479,8 @@ def twoadic_job(tmp_path, n0, n1):
 
 
 def test_growth_two_adic_profile_is_exact(capsys, tmp_path):
-    code, out, err = run(capsys, ["growth", twoadic_job(tmp_path, 10, 25)])
+    # |v(N(A_n))| reaches about 3n, so the 2-adic root is lifted to ~600 bits
+    code, out, err = run(capsys, ["growth", twoadic_job(tmp_path, 20, 200)])
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == "n,log_abs,bound"
@@ -504,6 +528,27 @@ def test_growth_estimate_limit_reports_log_of_dominant_root(capsys, tmp_path):
     assert cli.ESTIMATOR_LABEL in last
     slope = float(last.split("=")[1].split()[0])
     assert abs(slope - math.log(1 + math.sqrt(2))) < 1e-6
+
+
+@pytest.mark.parametrize("eps", ["abc", "3/2", "1", "0", "-1/10", "1/0", 1.5,
+                                 True, None, ["1/10"]])
+def test_growth_bad_eps_exits_two_before_any_row(capsys, tmp_path, eps):
+    spec = json.loads(open(twoadic_job(tmp_path, 20, 40)).read())
+    spec["options"]["eps"] = eps
+    job = write_job(tmp_path, "badeps.json", spec)
+    code, out, err = run(capsys, ["growth", job])
+    assert code == 2 and out == ""
+    assert err.startswith("error: growth option 'eps' must be a rational")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", [0.1, "0.1", "1/10"])
+def test_growth_eps_accepts_json_numbers(capsys, tmp_path, eps):
+    spec = json.loads(open(twoadic_job(tmp_path, 20, 40)).read())
+    spec["options"]["eps"] = eps
+    code, out, err = run(capsys, ["growth", write_job(tmp_path, "eps.json", spec)])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "# growth_check: pass"
 
 
 def test_place_spec_errors(capsys, tmp_path):

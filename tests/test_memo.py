@@ -1,5 +1,7 @@
-"""The per-classification memo: one value per argument list, one scope only."""
-from cfperiod import memo
+"""The per-job memo: one value per argument list, one scope only."""
+import json
+
+from cfperiod import cli, memo
 from cfperiod.classifier import classify
 from cfperiod.polyalg import KPoly, RatPoly
 
@@ -53,3 +55,17 @@ def test_classify_leaves_no_memo_behind():
     for _name, r, _verdict, _step in members()[:3]:
         classify(r)
         assert memo._MEMO.get() is None
+
+
+def test_growth_leaves_no_memo_behind(tmp_path, capsys):
+    job = {"command": "growth", "d": 17, "coeffs": [["7/2", "0"], ["-3/2", "0"]],
+           "initials": [["2", "0"], ["7/2", "0"]], "range": [20, 60],
+           "options": {"place": {"kind": "finite", "p": 2, "branch": 1}}}
+    unit_place = {"kind": "finite", "p": 3}  # no root exceeds 1 there
+    for place, code in ((job["options"]["place"], 0), (unit_place, 2),
+                        ({"kind": "real", "embedding": 1}, 0)):
+        path = tmp_path / "growth.json"
+        path.write_text(json.dumps({**job, "options": {"place": place}}))
+        assert cli.main(["growth", str(path)]) == code
+        assert memo._MEMO.get() is None
+    capsys.readouterr()

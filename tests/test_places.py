@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfperiod.errors import (
     HypothesisViolated,
@@ -13,6 +15,7 @@ from cfperiod.errors import (
     ZeroInput,
 )
 from cfperiod.places import (
+    _branch_root,
     abs_at,
     arch_dominant_bounds,
     finite_dominant_slope,
@@ -26,6 +29,8 @@ from cfperiod.places import (
 )
 from cfperiod.qfield import conj, quad, sqrt_int, to_mpf, trace_norm
 from cfperiod.recurrence import LinRec
+
+from oracles import two_adic_sqrt_bitwise
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -136,6 +141,47 @@ def test_val_consistency_with_norm_random():
         want = _vp(nrm.numerator, p) - _vp(nrm.denominator, p)
         got = sum(w.f * val(x, w) for w in places_above(p, d))
         assert got == want, (d, p, x)
+
+
+# squarefree d = 1 mod 8, where 2 splits in Q(sqrt(d))
+SPLIT_AT_2 = st.integers(2, 10**5).map(lambda n: 8 * n + 1).filter(
+    lambda d: all(e == 1 for e in sympy.factorint(d).values()))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(SPLIT_AT_2, st.integers(0, 1), st.integers(3, 2000))
+def test_two_adic_branch_root_matches_bitwise_lift(d, side, k):
+    w = places_above(2, d)[side]
+    t = _branch_root(w, k)
+    assert (t * t - d) % 2 ** k == 0
+    want = two_adic_sqrt_bitwise(d, w.branch, k)
+    assert (t - want) % 2 ** (k - 1) == 0
+
+
+def _deep_at(w, depth, rng):
+    """x = (A + B sqrt(d)) / 2^s with A + B t = 0 mod 2^depth on w's branch."""
+    B = rng.randrange(1, 2 ** 20, 2) * rng.choice([1, -1])
+    t = two_adic_sqrt_bitwise(w.d, w.branch, depth)
+    A = -B * t % 2 ** depth + 2 ** depth * rng.randrange(-50, 51)
+    s = rng.randrange(0, 40)
+    return quad(F(A, 2 ** s), F(B, 2 ** s), w.d), s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SPLIT_AT_2, st.integers(50, 700), st.integers(50, 700),
+       st.randoms(use_true_random=False))
+def test_two_adic_split_valuations_deep(d, m1, m2, rng):
+    w, wbar = places_above(2, d)
+    x, sx = _deep_at(w, m1, rng)
+    y, sy = _deep_at(wbar, m2, rng)
+    assert val(x, w) >= m1 - 1 - sx
+    assert val(y, wbar) >= m2 - 1 - sy
+    for z in (x, y, x * y):
+        nrm = z.norm()
+        assert val(z, w) + val(z, wbar) == _vp(nrm.numerator, 2) - _vp(nrm.denominator, 2)
+    for place in (w, wbar):
+        assert val(x * y, place) == val(x, place) + val(y, place)
+        assert val(x / y, place) == val(x, place) - val(y, place)
 
 
 def test_abs_at_exact_forms():

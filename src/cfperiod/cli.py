@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 from . import memo
 from .classifier import classify, explain
-from .contfrac import check_convergent_bound, convergents, expand, period_length
+from .contfrac import (check_convergent_bound, convergents, cycle_lengths, expand,
+                       period_length)
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
@@ -445,14 +446,15 @@ def cmd_periods(args) -> int:
             rows[n] = (0, True)
             lines.append(f"{n},0,1,0,0,0")
             continue
-        a1 = floor_exact(a)
         try:
-            e = expand(a, max_steps=args.step_cap)
+            a1 = str(floor_exact(a))
+        except ValueError as exc:  # beyond the int -> str digit limit
+            raise UsageError(f"cannot print a1 at n={n}: {exc}") from None
+        try:
+            pre, ell = cycle_lengths(a, max_steps=args.step_cap)
         except StepCapExceeded as exc:
             # steps since the first reduced state is a certified lower bound
             ell, pre = exc.steps - exc.preperiod_seen, -1
-        else:
-            ell, pre = len(e.period), len(e.preperiod)
         closed = pre >= 0
         ms = int(round((time.perf_counter() - t0) * 1000)) if args.timing else 0
         rows[n] = (ell, closed)

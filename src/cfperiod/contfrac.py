@@ -8,14 +8,32 @@ is reduced (x > 1 and -1 < conj(x) < 0), a test decided on integers.  The
 first reduced state x_j with j >= 1 is therefore the first state on the cycle:
 j is the minimal preperiod (a_0 always counts in it), and the number of steps
 until (P, Q) at x_j recurs is the minimal period.
+
+`expand` walks in Python and keeps the quotients.  `cycle_lengths` needs only
+the two lengths: it walks x_0 to x_j in Python and runs the cycle from x_j in
+a small C kernel (`_cfwalk.c`).  On a reduced state 0 < P <= t and
+0 < Q, Q_prev <= 2t + 1, where t = isqrt(D), and the kernel steps with
+Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), never forming P^2 or D, so every
+intermediate stays below 4t + 2 and signed 128-bit arithmetic is exact for
+t < 2^124, that is D < 2^248.  The kernel checks those bounds at every step,
+and the last state it returns is checked against Q Q_prev = D - P^2 exactly.
+It is compiled with `cc` into the package's __pycache__ on first use, never at
+import; when that fails (no compiler, no __int128, a read-only directory, a
+load error), or for D beyond its range, `cycle_lengths` runs `expand` instead.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError, RationalInput, SingularMatrix, StepCapExceeded
+from .errors import (InternalInvariantError, PoleError, RationalInput,
+                     SingularMatrix, StepCapExceeded)
 from .qfield import QuadElem, Surd, to_surd
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -96,6 +114,29 @@ def _surd_reduced(P: int, Q: int, t: int) -> bool:
     return Q > 0 and P + t >= Q and P <= t and t < P + Q
 
 
+def _walk_to_reduced(P: int, Q: int, D: int, t: int, max_steps: int):
+    """Walk x_0 = (P + sqrt(D))/Q to the first reduced state x_j with j >= 1.
+
+    Returns (P_j, Q_j, [a_0, ..., a_{j-1}], seen), where seen is the index of
+    the first reduced state counting x_0 (0 or j): a walk capped on the cycle
+    reports it as preperiod_seen, so steps - seen bounds the period from
+    below.  Raises StepCapExceeded when x_j would be state max_steps or later.
+    """
+    x0_reduced = _surd_reduced(P, Q, t)
+    quotients: list[int] = []
+    j = 0
+    while True:
+        if j >= max_steps:  # x_0 .. x_{j-1} hold no reduced state, or j = 0
+            raise StepCapExceeded(steps=j, preperiod_seen=j)
+        a = _surd_floor(P, Q, t)
+        quotients.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        j += 1
+        if _surd_reduced(P, Q, t):
+            return P, Q, quotients, 0 if x0_reduced else j
+
+
 def expand(x, max_steps: int = DEFAULT_STEP_CAP) -> CFExpansion:
     """Full expansion of a rational or quadratic irrational.
 
@@ -112,21 +153,8 @@ def expand(x, max_steps: int = DEFAULT_STEP_CAP) -> CFExpansion:
     t = math.isqrt(D)
     # a_0 always belongs to the preperiod: the cycle is anchored at the first
     # reduced state x_j with j >= 1 (so a reduced x prints as [a0; (a1..am)]).
-    # A capped walk reports the first reduced index counting x_0 (0 or j) as
-    # preperiod_seen, so steps - preperiod_seen bounds the period from below.
-    x0_reduced = _surd_reduced(P, Q, t)
-    quotients: list[int] = []
-    j = 0
-    while True:
-        if j >= max_steps:  # x_0 .. x_{j-1} hold no reduced state, or j = 0
-            raise StepCapExceeded(steps=j, preperiod_seen=j)
-        a = _surd_floor(P, Q, t)
-        quotients.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        j += 1
-        if _surd_reduced(P, Q, t):
-            break
+    P, Q, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
+    j = len(quotients)
     # x_j and all its successors are reduced, so Q > 0 from here on
     P0, Q0 = P, Q
     append = quotients.append
@@ -137,7 +165,82 @@ def expand(x, max_steps: int = DEFAULT_STEP_CAP) -> CFExpansion:
         Q = (D - P * P) // Q
         if Q == Q0 and P == P0:
             return CFExpansion(tuple(quotients[:j]), tuple(quotients[j:]), x)
-    raise StepCapExceeded(steps=max_steps, preperiod_seen=0 if x0_reduced else j)
+    raise StepCapExceeded(steps=max_steps, preperiod_seen=seen)
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cfwalk.c")
+_KERNEL_T_LIMIT = 1 << 124  # the kernel is exact for t = isqrt(D) below this
+_INT64_MAX = (1 << 63) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _load_kernel(cache_dir: str):
+    """The kernel's cf_cycle, built from _cfwalk.c into cache_dir unless a
+    library built from the same source is there already; None if building
+    or loading fails."""
+    import hashlib
+
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        lib = os.path.join(cache_dir, f"_cfwalk-{digest}.so")
+        if not os.path.exists(lib):
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix="_cfwalk-", suffix=".tmp", dir=cache_dir)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _KERNEL_SOURCE],
+                               check=True, capture_output=True, timeout=300)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(lib).cf_cycle
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64)
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+@functools.cache
+def _kernel():
+    """The kernel from the package's __pycache__, or None; decided once per process."""
+    return _load_kernel(os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
+
+
+def _signed128(lo: int, hi: int) -> int:
+    v = lo | hi << 64
+    return v - (1 << 128) if v >> 127 else v
+
+
+def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
+    """(preperiod length, period length) of expand(x), without the quotients.
+
+    Raises StepCapExceeded with the same steps and preperiod_seen as expand.
+    """
+    if isinstance(x, (int, Fraction)) or (isinstance(x, QuadElem) and x.is_rational()):
+        return len(expand(x).preperiod), 0
+    surd = x if isinstance(x, Surd) else to_surd(x)
+    P, Q, D = surd.P, surd.Q, surd.D
+    t = math.isqrt(D)
+    kernel = _kernel() if t < _KERNEL_T_LIMIT else None
+    if kernel is None:
+        e = expand(surd, max_steps=max_steps)
+        return len(e.preperiod), len(e.period)
+    P, Q, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
+    j = len(quotients)
+    state = (ctypes.c_uint64 * 8)(*(w for v in (P, Q, (D - P * P) // Q, t)
+                                    for w in (v & _MASK64, v >> 64)))
+    # a budget past 2^63 - 1 steps could never be walked anyway
+    ell = kernel(state, min(max_steps - j, _INT64_MAX))
+    P, Q, R = (_signed128(state[i], state[i + 1]) for i in (0, 2, 4))
+    if ell == -2 or Q * R != D - P * P:
+        raise InternalInvariantError(
+            f"CF kernel left the reduced cycle of D={D} at (P, Q, Q_prev) = ({P}, {Q}, {R})")
+    if ell < 0:
+        raise StepCapExceeded(steps=max_steps, preperiod_seen=seen)
+    return j, ell
 
 
 def is_purely_periodic(x, max_steps: int = DEFAULT_STEP_CAP) -> bool:
@@ -166,14 +269,14 @@ def is_purely_periodic(x, max_steps: int = DEFAULT_STEP_CAP) -> bool:
 
 def period_length(x, max_steps: int = DEFAULT_STEP_CAP) -> int:
     """l(x): minimal period of the quotient sequence; 0 for rationals."""
-    return len(expand(x, max_steps=max_steps).period)
+    return cycle_lengths(x, max_steps=max_steps)[1]
 
 
 def period_lower_bound(x, cap: int) -> tuple[int, bool]:
     """(l(x), False) if the expansion closed within cap steps, else a
     certified lower bound (steps since the first reduced state, True)."""
     try:
-        return len(expand(x, max_steps=cap).period), False
+        return cycle_lengths(x, max_steps=cap)[1], False
     except StepCapExceeded as e:
         return e.steps - e.preperiod_seen, True
 

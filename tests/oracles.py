@@ -67,12 +67,22 @@ def surd_walk_first_repeat(P: int, Q: int, D: int, max_steps: int):
         return sqrt_above(a * Q - P) if Q > 0 else sqrt_below(a * Q - P)
 
     def floor_surd(P, Q):
-        a = math.floor((P + math.sqrt(D)) / Q)  # estimate, corrected below
-        while not exceeds(P, Q, a):
-            a -= 1
-        while exceeds(P, Q, a + 1):
-            a += 1
-        return a
+        # the float estimate can be off by about sqrt(D) / 2^52: bracket the
+        # floor by galloping from it, then bisect, all on exact comparisons
+        lo = math.floor((P + math.sqrt(D)) / Q)
+        step = 1
+        while not exceeds(P, Q, lo):
+            lo, step = lo - step, 2 * step
+        hi, step = lo + 1, 1
+        while exceeds(P, Q, hi):
+            lo, hi, step = hi, hi + step, 2 * step
+        while hi - lo > 1:  # x > lo and x < hi
+            mid = (lo + hi) // 2
+            if exceeds(P, Q, mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def reduced(P, Q):  # x > 1 and -1 < conj(x) < 0
         return (Q > 0 and exceeds(P, Q, 1)

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from cfperiod import cli
+from cfperiod import cli, contfrac
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
 from cfperiod.qfield import quad
@@ -320,6 +320,22 @@ def test_cf_result_too_long_to_print_exits_two(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot print the result")
     assert "Traceback" not in err
+
+
+def test_periods_a1_too_long_to_print_exits_two(capsys, tmp_path):
+    # a1 = floor((3+sqrt2)^7000) has about 4500 digits, past the int -> str limit
+    code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 7000, 7000),
+                                  "--step-cap", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot print a1 at n=7000: ")
+    assert "Traceback" not in err
+
+
+def test_periods_kernel_fault_exits_three(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(contfrac, "_kernel", lambda: lambda state, budget: -2)
+    code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 5, 5)])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: CF kernel left the reduced cycle")
 
 
 def test_job_validation_errors(capsys, tmp_path):

@@ -1,18 +1,24 @@
 """Continued fractions of rationals and quadratic irrationals."""
 import math
+import os
 import random
+import shutil
+import subprocess
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cfperiod import contfrac
 from cfperiod.contfrac import (
     DEFAULT_STEP_CAP,
     check_convergent_bound,
     check_fibonacci_bounds,
     complete_quotients,
     convergents,
+    cycle_lengths,
     expand,
     is_purely_periodic,
     is_reduced,
@@ -20,7 +26,7 @@ from cfperiod.contfrac import (
     period_length,
     period_lower_bound,
 )
-from cfperiod.errors import RationalInput, StepCapExceeded
+from cfperiod.errors import InternalInvariantError, RationalInput, StepCapExceeded
 from cfperiod.qfield import Surd, conj, quad, sqrt_int, to_surd
 
 from oracles import cf_quotients, surd_value, surd_walk_first_repeat
@@ -275,6 +281,161 @@ def test_expand_matches_first_repeat_reference(state):
         if got[0] == "capped":
             # the certified lower bound never exceeds the true period
             assert got[1] - got[2] <= len(per)
+
+
+# ---------------------------------------------------------------------------
+# cycle_lengths: the native kernel vs the reference walk and the Python route
+# ---------------------------------------------------------------------------
+
+T_LIMIT = 1 << 124  # the kernel runs for t = isqrt(D) below this
+
+
+@st.composite
+def wide_surd_states(draw):
+    """(P, Q, D) with D = m^2 + r and r | 4m, whose cycles are short at any
+    size of D; t = isqrt(D) is drawn near 2^63, where the kernel's 64-bit
+    division stops applying, and near 2^124, where the kernel hands over."""
+    g = draw(st.integers(1, 60))
+    center = draw(st.sampled_from([None, 1 << 63, T_LIMIT]))
+    m = draw(st.integers(1, 1 << 130)) if center is None else center + draw(st.integers(-64, 64))
+    m = max(g, m // g * g)
+    divisors = [1, 2, 4, g, 2 * g, 4 * g, m, 2 * m]
+    r = draw(st.sampled_from(divisors)) * draw(st.sampled_from([1, -1]))
+    D = m * m + r
+    assume(D >= 2 and math.isqrt(D) ** 2 != D)
+    # P = +-m + kq with q | r keeps Q = +-q a divisor of D - P^2
+    q = draw(st.sampled_from([d for d in divisors if r % d == 0]))
+    P = draw(st.sampled_from([m, -m])) + draw(st.integers(-1000, 1000)) * q
+    return P, q * draw(st.sampled_from([1, -1])), D
+
+
+def _lengths(P, Q, D, cap):
+    try:
+        return ("closed", *cycle_lengths(Surd(P, Q, D), max_steps=cap))
+    except StepCapExceeded as exc:
+        return "capped", exc.steps, exc.preperiod_seen
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states()))
+def test_cycle_lengths_match_reference_and_python_route(state):
+    P, Q, D = state
+    want = surd_walk_first_repeat(P, Q, D, max_steps=10**7)
+    assert want[0] == "closed"
+    _, pre, per = want
+    first_reduced = surd_walk_first_repeat(P, Q, D, max_steps=len(pre))[2]
+    closing = len(pre) + len(per)
+    kernel, budgets = contfrac._kernel(), []
+
+    def counted(state, budget):
+        budgets.append(budget)
+        return kernel(state, budget)
+
+    for cap in {0, 1, first_reduced, len(pre), closing - 1, closing, closing + 1}:
+        ref = surd_walk_first_repeat(P, Q, D, cap)
+        if ref[0] == "closed":
+            ref = ("closed", len(ref[1]), len(ref[2]))
+        with patch.object(contfrac, "_kernel", lambda: counted if kernel else None):
+            assert _lengths(P, Q, D, cap) == ref, cap
+        with patch.object(contfrac, "_kernel", lambda: None):
+            assert _lengths(P, Q, D, cap) == ref, cap
+    if kernel is not None:
+        assert bool(budgets) == (math.isqrt(D) < T_LIMIT)
+
+
+def test_cycle_lengths_match_expand_on_long_cycles():
+    # (3 + sqrt 2)^n: periods up to 105 440, D up to 127 bits at n = 30, so
+    # P + t crosses 2^64 and the kernel mixes its 64- and 128-bit divisions
+    x = quad(3, 1, 2)
+    for n in (7, 11, 15, 20, 30):
+        e = expand(x ** n)
+        closing = len(e.preperiod) + len(e.period)
+        assert cycle_lengths(x ** n) == (len(e.preperiod), len(e.period))
+        with pytest.raises(StepCapExceeded) as ei:
+            cycle_lengths(x ** n, max_steps=closing - 1)
+        assert (ei.value.steps, ei.value.preperiod_seen) == (closing - 1, len(e.preperiod))
+    assert len(e.period) == 105_440
+    assert cycle_lengths(F(10, 7)) == (3, 0)
+    assert cycle_lengths(quad(3, 0, 2)) == (1, 0)
+
+
+@pytest.mark.parametrize("mangle", ["breach", "bad_state"])
+def test_kernel_fault_is_an_internal_error(mangle):
+    def faulty(state, budget):
+        if mangle == "breach":
+            return -2
+        state[2] += 1  # Q no longer satisfies Q * Q_prev = D - P^2
+        return 1
+
+    with patch.object(contfrac, "_kernel", lambda: faulty):
+        with pytest.raises(InternalInvariantError):
+            cycle_lengths(sqrt_int(13))
+
+
+# ---------------------------------------------------------------------------
+# building and loading the kernel
+# ---------------------------------------------------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def _lengths_with(kernel):
+    # D = m^2 + 2m has period 2 at any size; t = 2^125 is past the kernel
+    xs = [sqrt_int(9949), quad(3, 1, 2) ** 16, Surd(5, 1, (1 << 120) + (1 << 61)),
+          Surd(0, 1, (1 << 250) + (1 << 126))]
+    with patch.object(contfrac, "_kernel", lambda: kernel):
+        return [cycle_lengths(x) for x in xs]
+
+
+def test_loader_without_compiler_falls_back(tmp_path, monkeypatch):
+    usual = _lengths_with(contfrac._kernel())
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    cache = tmp_path / "cache"
+    kernel = contfrac._load_kernel(str(cache))
+    assert kernel is None
+    assert list(cache.iterdir()) == []
+    assert _lengths_with(kernel) == usual
+
+
+def test_loader_failures_leave_nothing_behind(tmp_path, monkeypatch):
+    # a compiler that fails (as one without __int128 would), and a cache
+    # directory that cannot be created
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    cache = tmp_path / "cache"
+    assert contfrac._load_kernel(str(cache)) is None
+    assert list(cache.iterdir()) == []
+    (tmp_path / "file").write_text("")
+    assert contfrac._load_kernel(str(tmp_path / "file" / "cache")) is None
+
+
+@needs_cc
+def test_loader_builds_once_then_reuses_the_library(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    kernel = contfrac._load_kernel(str(cache))
+    assert kernel is not None
+    built = list(cache.iterdir())
+    assert len(built) == 1 and built[0].name.startswith("_cfwalk-")
+    assert _lengths_with(kernel) == _lengths_with(None)
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no compiler now
+    assert contfrac._load_kernel(str(cache)) is not None
+    assert list(cache.iterdir()) == built
+
+
+def test_default_kernel_cache_is_ignored_by_git():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(contfrac.__file__)))
+    probe = os.path.join(root, "cfperiod", "__pycache__", "_cfwalk-0.so")
+    try:
+        got = subprocess.run(["git", "check-ignore", "-q", probe], cwd=root,
+                             capture_output=True)
+    except OSError:
+        pytest.skip("git is not available")
+    if got.returncode == 128:
+        pytest.skip("not a git checkout")
+    assert got.returncode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,16 @@ timing columns 0 unless --timing is given.  Summary lines start with '#'.
 Exit codes: 0 success, 2 bad input, unmet precondition or a continued-fraction
 walk that hit its step cap, 3 internal bug.
 Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
-coordinate: `periods` skips a term with a larger numerator or denominator,
-and the element grammar refuses a power x^e whose coordinates could exceed it
-(checked before the power is computed); CFPERIOD_PRECISION_DIGITS sets working
-precision for certified real-place numerics (default 60).
+coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
+A, B or m is longer, and the element grammar refuses a power x^e whose
+coordinates could exceed it (checked before the power is computed);
+CFPERIOD_PRECISION_DIGITS sets working precision for certified real-place
+numerics (default 60).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -45,7 +47,7 @@ from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_bounds, finite_dominant_slope,
                      growth_check, places_above, real_places, root_abs_table, val)
-from .qfield import QuadElem, check_field_parameter, floor_exact, quad, split_square
+from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -117,9 +119,8 @@ def _log2_height(x) -> float:
     (|A| + |B|*sqrt(d))^e and denominators dividing m^e.
     """
     if isinstance(x, QuadElem):
-        m = math.lcm(x.a.denominator, x.b.denominator)
-        top = abs(x.a * m) + abs(x.b * m) * (math.isqrt(x.d) + 1)
-        return math.log2(max(int(top), m))
+        top = abs(x.A) + abs(x.B) * (math.isqrt(x.d) + 1)
+        return math.log2(max(top, x.m))
     return math.log2(max(abs(x.numerator), x.denominator))
 
 
@@ -230,7 +231,8 @@ class _ElementParser:
             s, k = split_square(inner.numerator * inner.denominator)
             if k == 1:
                 return Fraction(s, inner.denominator)
-            return quad(0, Fraction(s, inner.denominator), k)
+            # k is squarefree by construction: no trial division of a large k
+            return QuadElem(0, Fraction(s, inner.denominator), k)
         raise ParseError("expected a number, sqrt(...), or '('", tok[2])
 
 
@@ -289,7 +291,7 @@ def _job_elem(v, d: int) -> QuadElem:
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad element spec {v!r}: coordinates must be rationals "
                          f"such as \"-7\" or \"3/2\"") from None
-    return quad(a, b, d)
+    return QuadElem(a, b, d)
 
 
 def load_job(path: str) -> dict:
@@ -406,8 +408,7 @@ def cmd_classify(args) -> int:
 
 
 def _term_bits(x: QuadElem) -> int:
-    return max(x.a.numerator.bit_length(), x.a.denominator.bit_length(),
-               x.b.numerator.bit_length(), x.b.denominator.bit_length())
+    return max(x.A.bit_length(), x.B.bit_length(), x.m.bit_length())
 
 
 def _doubling_windows(n_lo: int, n_hi: int):
@@ -554,7 +555,7 @@ def cmd_schinzel(args) -> int:
         if k == 1:
             ell, flag = 0, "square"
         else:
-            ell, flag = period_length(quad(0, s, k)), ""
+            ell, flag = period_length(QuadElem(0, s, k)), ""
         lines.append(f"{n},{ell},{flag}")
         if running is None or ell > running:
             running = ell
@@ -661,7 +662,9 @@ def cmd_growth(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="cfperiod",
         description=__doc__,

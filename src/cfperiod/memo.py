@@ -10,7 +10,9 @@ unmemoized.  Nested scopes share the outermost memo, so a recursive
 classification of the subsequences of a degenerate input reuses the facts of
 its parent.  Nothing is kept between scopes: a batch of jobs pays for each one
 in full.
-Memoized functions must return immutable values.
+Memoized functions must return immutable values.  A function that learns
+another call's value on the way (factor_q finds that each factor it returns
+is irreducible) stores it with :func:`remember`.
 """
 from __future__ import annotations
 
@@ -50,21 +52,39 @@ def memoized(fn):
     arity = (len(params) if all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
              else -1)
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        memo = _MEMO.get()
-        if memo is None:
-            return fn(*args, **kwargs)
+    def memo_key(args, kwargs) -> tuple:
         values = args
         if kwargs or len(args) != arity:
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             values = bound.arguments.values()
-        key = (name,) + tuple((type(v), getattr(v, "d", None), v) for v in values)
+        return (name,) + tuple((type(v), getattr(v, "d", None), v) for v in values)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        memo = _MEMO.get()
+        if memo is None:
+            return fn(*args, **kwargs)
+        key = memo_key(args, kwargs)
         try:
             return memo[key]
         except KeyError:
             value = memo[key] = fn(*args, **kwargs)
             return value
 
+    wrapper.memo_key = memo_key
     return wrapper
+
+
+def remember(fn, value, *args, **kwargs) -> None:
+    """Inside a scope, store value as the result of fn(*args, **kwargs).
+
+    fn is a :func:`memoized` function, possibly wrapped again by a decorator
+    that sets ``__wrapped__``.  A value already stored is kept.  Outside a
+    scope nothing happens.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return
+    fn = inspect.unwrap(fn, stop=lambda f: hasattr(f, "memo_key"))
+    memo.setdefault(fn.memo_key(args, kwargs), value)

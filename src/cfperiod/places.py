@@ -163,9 +163,7 @@ def val(x: QuadElem, w: Place) -> int:
     if w.splitting == "ramified":
         return vn
     # split: ord = v_p(A + B t) - v_p(m) for x = (A + B sqrt(d)) / m
-    m = math.lcm(x.a.denominator, x.b.denominator)
-    A = int(x.a * m)
-    B = int(x.b * m)
+    A, B, m = x.A, x.B, x.m
     vm = _vp_int(m, p)
     bound = abs(vn) + 2 * vm + 4
     k = max(bound, 8)
@@ -222,8 +220,8 @@ def _support_candidates(xs) -> set[int]:
         if x == 0:
             continue
         nrm = x.norm()
-        for n in (x.a.denominator, x.b.denominator,
-                  abs(nrm.numerator), nrm.denominator):
+        # m = lcm of the denominators of a and b: the same primes
+        for n in (x.m, abs(nrm.numerator), nrm.denominator):
             if n > 1:
                 primes.update(factorint(n).keys())
     return primes
@@ -273,7 +271,7 @@ def height(xs, support) -> Height:
         for w in places_above(q, d):
             best = min(val(x, w) for x in nonzero)
             finite *= Fraction(q ** w.f) ** (-best)
-    arch = QuadElem(Fraction(1), Fraction(0), d)
+    arch = QuadElem(1, 0, d)
     for emb in (1, 2):
         best = None
         for x in nonzero:

@@ -19,7 +19,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
 ``memo.scope()`` (one classification or one growth job), so each fact is
-computed once there.
+computed once there; every irreducible factor a factorization returns is
+stored as its own factorization, so it is never factored again.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     ZeroRootInDenominator,
 )
-from .memo import memoized
+from .memo import memoized, remember
 from .qfield import QuadElem, to_mpf
 
 FACTOR_Q_MAX_DEGREE = 24
@@ -375,7 +376,7 @@ class RatPoly(_PolyBase):
         return tuple(ints)
 
     def lift(self, d: int) -> "KPoly":
-        return KPoly([QuadElem(c, Fraction(0), d) for c in self.coeffs], d)
+        return KPoly([QuadElem(c, 0, d) for c in self.coeffs], d)
 
     def __repr__(self):
         return f"RatPoly({self._format()})"
@@ -395,10 +396,10 @@ class KPoly(_PolyBase):
         raise AttributeError("KPoly is immutable")
 
     def _zero(self) -> QuadElem:
-        return QuadElem(Fraction(0), Fraction(0), self.d)
+        return QuadElem(0, 0, self.d)
 
     def _one(self) -> QuadElem:
-        return QuadElem(Fraction(1), Fraction(0), self.d)
+        return QuadElem(1, 0, self.d)
 
     def _try_coeff(self, c):
         if isinstance(c, QuadElem):
@@ -407,7 +408,7 @@ class KPoly(_PolyBase):
                 raise MixedFieldError(f"coefficient field d={c.d}, polynomial d={self.d}")
             return c
         if isinstance(c, (int, Fraction)):
-            return QuadElem(Fraction(c), Fraction(0), self.d)
+            return QuadElem(c, 0, self.d)
         return None
 
     def _same(self, other):
@@ -593,6 +594,9 @@ def factor_q(p: RatPoly, max_degree: int = FACTOR_Q_MAX_DEGREE) -> Factorization
         check = check * f ** m
     if check != p:
         raise InternalInvariantError(f"factor_q multiply-back failed for {p}")
+    for f, _m in factors:  # each factor is its own factorization
+        if f.degree <= FACTOR_Q_MAX_DEGREE:
+            remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
     return Factorization(unit, tuple(factors))
 
 
@@ -620,7 +624,7 @@ def _factor_k_squarefree(g: KPoly, max_degree: int) -> list[KPoly]:
     if g.degree == 1:
         return [g.monic()]
     d = g.d
-    sqrt_d = QuadElem(Fraction(0), Fraction(1), d)
+    sqrt_d = QuadElem(0, 1, d)
     for s in range(1, 65):
         # shift so that the norm N(x) = h(x) * conj(h)(x) becomes squarefree
         shift = KPoly([-(s * sqrt_d), 1], d)
@@ -675,6 +679,9 @@ def factor_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> Factorization:
         check = check * f ** m
     if check != p:
         raise InternalInvariantError(f"factor_k multiply-back failed for {p}")
+    for f, _m in items:  # each factor is its own factorization
+        if f.degree <= FACTOR_K_MAX_DEGREE:
+            remember(factor_k, Factorization(f.lc, ((f, 1),)), f)
     return Factorization(unit, tuple(items))
 
 

@@ -1,8 +1,18 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-Elements are a + b*sqrt(d) with rational a, b and a fixed squarefree d >= 2
-per field context.  Everything here is exact integer/rational arithmetic; no
-floating point ever enters a comparison, floor, or sign decision.
+An element is stored as integers: (A + B*sqrt(d))/m with gcd(A, B, m) = 1 and
+m > 0, so each element has exactly one representation and equality is
+equality of the integers.  Every arithmetic result is brought to that form by
+one gcd.  (Cohen, *A Course in Computational Algebraic Number Theory*, ch. 4,
+keeps number-field elements the same way: an integer vector over one common
+denominator.)  The rational coordinates a = A/m and b = B/m are read-only
+Fraction properties.
+
+The field parameter d, a squarefree integer >= 2, is checked where it comes
+in from outside: by quad() and by the CLI's job parsing.  QuadElem(a, b, d),
+the arithmetic and the constructors fed by split_square trust it.
+Everything here is exact integer/rational arithmetic; no floating point ever
+enters a comparison, floor, or sign decision.
 """
 from __future__ import annotations
 
@@ -68,29 +78,51 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """a + b*sqrt(d), exact.  b may be zero (rational embedding)."""
+    """(A + B*sqrt(d))/m, exact and immutable; B may be zero (rational embedding).
 
-    a: Fraction
-    b: Fraction
-    d: int
+    QuadElem(a, b, d) takes int or Fraction coordinates and means a + b*sqrt(d).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-        check_field_parameter(self.d)
+    __slots__ = ("A", "B", "m", "d")
+
+    def __new__(cls, a, b, d: int):
+        if type(a) is int and type(b) is int:
+            return _new(a, b, 1, d)
+        a, b = _as_fraction(a), _as_fraction(b)
+        qa, qb = a.denominator, b.denominator
+        m = math.lcm(qa, qb)  # of reduced denominators: gcd(A, B, m) = 1 already
+        return _new(a.numerator * (m // qa), b.numerator * (m // qb), m, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadElem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadElem is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return QuadElem, (self.a, self.b, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.m)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.m)
 
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other) -> "QuadElem | None":
-        if isinstance(other, QuadElem):
+        if type(other) is QuadElem:
             if other.d != self.d:
                 raise MixedFieldError(
                     f"mixed field parameters d={self.d} and d={other.d}")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(_as_fraction(other), Fraction(0), self.d)
+        if isinstance(other, int):
+            return _new(int(other), 0, 1, self.d)
+        if isinstance(other, Fraction):
+            return _new(other.numerator, 0, other.denominator, self.d)
         return None
 
     # -- ring operations -----------------------------------------------------
@@ -99,18 +131,32 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b, self.d)
+        m, om = self.m, o.m
+        if m == om:
+            A, B = self.A + o.A, self.B + o.B
+            if m == 1:
+                return _new(A, B, 1, self.d)
+        else:
+            A, B, m = self.A * om + o.A * m, self.B * om + o.B * m, m * om
+        return _reduced(A, B, m, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.d)
+        return _new(-self.A, -self.B, self.m, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b, self.d)
+        m, om = self.m, o.m
+        if m == om:
+            A, B = self.A - o.A, self.B - o.B
+            if m == 1:
+                return _new(A, B, 1, self.d)
+        else:
+            A, B, m = self.A * om - o.A * m, self.B * om - o.B * m, m * om
+        return _reduced(A, B, m, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -122,24 +168,35 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a * o.a + self.b * o.b * self.d,
-                        self.a * o.b + self.b * o.a, self.d)
+        A1, B1, A2, B2, d = self.A, self.B, o.A, o.B, self.d
+        A, B, m = A1 * A2 + d * B1 * B2, A1 * B2 + B1 * A2, self.m * o.m
+        if m == 1:
+            return _new(A, B, 1, d)
+        return _reduced(A, B, m, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadElem":
-        n = self.norm()
+        A, B, m, d = self.A, self.B, self.m, self.d
+        n = A * A - d * B * B
         if n == 0:
             raise DivisionByZero(f"inverse of zero element {self!r}")
-        return QuadElem(self.a / n, -self.b / n, self.d)
+        # 1/x = m (A - B sqrt d) / (A^2 - d B^2)
+        return _reduced(m * A, -m * B, n, d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.a == 0 and o.b == 0:
-            raise DivisionByZero(f"division of {self!r} by zero")
-        return self * o.inverse()
+        A1, B1, A2, B2, d = self.A, self.B, o.A, o.B, self.d
+        if B2 == 0:
+            if A2 == 0:
+                raise DivisionByZero(f"division of {self!r} by zero")
+            return _reduced(A1 * o.m, B1 * o.m, self.m * A2, d)
+        # x/y = x * m_y (A2 - B2 sqrt d) / (A2^2 - d B2^2), one gcd in all
+        n = A2 * A2 - d * B2 * B2
+        return _reduced(o.m * (A1 * A2 - d * B1 * B2), o.m * (B1 * A2 - A1 * B2),
+                        self.m * n, d)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -151,7 +208,7 @@ class QuadElem:
         if not isinstance(e, int):
             return NotImplemented
         base = self if e >= 0 else self.inverse()
-        result = QuadElem(Fraction(1), Fraction(0), self.d)
+        result = _new(1, 0, 1, self.d)
         k = abs(e)
         while k:
             if k & 1:
@@ -163,36 +220,34 @@ class QuadElem:
     # -- field-theoretic maps ------------------------------------------------
 
     def conj(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.d)
+        return _new(self.A, -self.B, self.m, self.d)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.A, self.m)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self.A * self.A - self.d * self.B * self.B, self.m * self.m)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.B == 0
 
     # -- exact order structure -----------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
+        A, B = self.A, self.B  # m > 0: the signs of a and b
+        if B == 0:
+            return (A > 0) - (A < 0)
+        if A == 0:
+            return 1 if B > 0 else -1
+        sa = 1 if A > 0 else -1
+        sb = 1 if B > 0 else -1
         if sa == sb:
             return sa
-        # opposite signs: |a| vs |b|*sqrt(d); equality impossible (d squarefree)
-        return sa if a * a > b * b * self.d else sb
+        # opposite signs: |A| vs |B|*sqrt(d); equality impossible (d squarefree)
+        return sa if A * A > B * B * self.d else sb
 
     def floor(self) -> int:
-        w = math.lcm(self.a.denominator, self.b.denominator)
-        u = int(self.a * w)
-        v = int(self.b * w)
+        u, v, w = self.A, self.B, self.m
         if v == 0:
             t = 0
         elif v > 0:
@@ -204,17 +259,16 @@ class QuadElem:
         return (u + t) // w
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except MixedFieldError:
-            raise
+        if isinstance(other, int):  # the common test against 0
+            return self.B == 0 and self.m == 1 and self.A == other
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == o.A and self.B == o.B and self.m == o.m
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        if self.B == 0:
+            return hash(self.A) if self.m == 1 else hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def _cmp(self, other) -> int:
@@ -236,34 +290,67 @@ class QuadElem:
         return self._cmp(other) >= 0
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bs = "" if self.b == 1 else ("-" if self.b == -1 else f"{self.b}*")
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bs = "" if b == 1 else ("-" if b == -1 else f"{b}*")
         tail = f"{bs}sqrt({self.d})"
-        if self.a == 0:
+        if a == 0:
             return tail
-        op = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
+        op = "+" if b > 0 else "-"
+        mag = abs(b)
         ms = "" if mag == 1 else f"{mag}*"
-        return f"{self.a} {op} {ms}sqrt({self.d})"
+        return f"{a} {op} {ms}sqrt({self.d})"
 
     def __repr__(self):
         return f"QuadElem({self.a!r}, {self.b!r}, {self.d})"
 
 
+_object_new = object.__new__
+_set_A = QuadElem.A.__set__
+_set_B = QuadElem.B.__set__
+_set_m = QuadElem.m.__set__
+_set_d = QuadElem.d.__set__
+
+
+def _new(A: int, B: int, m: int, d: int) -> QuadElem:
+    """The element (A + B*sqrt(d))/m; the caller guarantees the normal form."""
+    x = _object_new(QuadElem)
+    _set_A(x, A)
+    _set_B(x, B)
+    _set_m(x, m)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(A: int, B: int, m: int, d: int) -> QuadElem:
+    """(A + B*sqrt(d))/m for any m != 0, brought to gcd(A, B, m) = 1, m > 0."""
+    if m < 0:
+        A, B, m = -A, -B, -m
+    g = math.gcd(A, B, m)
+    if g != 1:
+        A, B, m = A // g, B // g, m // g
+    return _new(A, B, m, d)
+
+
 def quad(a, b, d: int) -> QuadElem:
-    """Convenience constructor accepting ints, Fractions, or 'p/q' strings."""
+    """Checked constructor accepting ints, Fractions, or 'p/q' strings.
+
+    Raises BadFieldParameter unless d is a squarefree integer >= 2.
+    """
     def conv(x):
         if isinstance(x, str):
             return Fraction(x)
         return _as_fraction(x)
-    return QuadElem(conv(a), conv(b), d)
+    a, b = conv(a), conv(b)
+    check_field_parameter(d)
+    return QuadElem(a, b, d)
 
 
 def sqrt_int(k: int) -> QuadElem:
@@ -271,11 +358,11 @@ def sqrt_int(k: int) -> QuadElem:
     if k < 0:
         raise NegativeInput(f"sqrt of negative integer {k}")
     if k == 0:
-        return QuadElem(Fraction(0), Fraction(0), 2)
+        return _new(0, 0, 1, 2)
     s, d0 = split_square(k)
     if d0 == 1:
-        return QuadElem(Fraction(s), Fraction(0), 2)
-    return QuadElem(Fraction(0), Fraction(s), d0)
+        return _new(s, 0, 1, 2)
+    return _new(0, s, 1, d0)
 
 
 # Free-function aliases for the element maps (mirrors the module contract).
@@ -323,7 +410,7 @@ class Surd:
 
     def value(self) -> QuadElem:
         s, d0 = split_square(self.D)
-        return QuadElem(Fraction(self.P, self.Q), Fraction(s, self.Q), d0)
+        return _reduced(self.P, s, self.Q, d0)
 
     def __str__(self):
         return f"({self.P} + sqrt({self.D}))/{self.Q}"
@@ -331,11 +418,9 @@ class Surd:
 
 def to_surd(x: QuadElem) -> Surd:
     """Canonical (P + sqrt(D))/Q form of an irrational element."""
-    if x.b == 0:
+    if x.B == 0:
         raise RationalInput(f"to_surd of rational element {x}")
-    w = math.lcm(x.a.denominator, x.b.denominator)
-    u = int(x.a * w)
-    v = int(x.b * w)
+    u, v, w = x.A, x.B, x.m
     d0 = v * v * x.d
     if v > 0:
         p0, q0 = u, w
@@ -355,5 +440,4 @@ def to_mpf(x, dps: int):
         if isinstance(x, (int, Fraction)):
             f = _as_fraction(x)
             return mpmath.mpf(f.numerator) / f.denominator
-        return (mpmath.mpf(x.a.numerator) / x.a.denominator
-                + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
+        return (mpmath.mpf(x.A) + mpmath.mpf(x.B) * mpmath.sqrt(x.d)) / x.m

@@ -9,7 +9,6 @@ conjugate-difference, and of its conjugate-sum.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,11 +57,10 @@ class SeqWindow:
 class LinRec:
     """A_n = c_1 A_{n-1} + ... + c_k A_{n-k}, c_k != 0; defined for all n in Z.
 
-    Term evaluation is exact, memoized, and safe under concurrent calls
-    (the memo table is guarded by a per-instance lock).
+    Term evaluation is exact and memoized per instance.
     """
 
-    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_lo", "_hi", "_lock")
+    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_lo", "_hi")
 
     def __init__(self, coeffs, initials, d: int):
         coeffs = tuple(self._coerce(c, d) for c in coeffs)
@@ -82,7 +80,6 @@ class LinRec:
         self._memo = {n: a for n, a in enumerate(initials)}
         self._lo = 0
         self._hi = len(initials) - 1
-        self._lock = threading.Lock()
 
     @staticmethod
     def _coerce(c, d: int) -> QuadElem:
@@ -90,24 +87,25 @@ class LinRec:
             if c.d != d:
                 raise MixedFieldError(f"coefficient field d={c.d}, recurrence d={d}")
             return c
-        return QuadElem(Fraction(c), Fraction(0), d)
+        return QuadElem(Fraction(c), 0, d)
 
     def term(self, n: int) -> QuadElem:
-        with self._lock:
-            memo, k, c = self._memo, self.order, self.coeffs
-            while self._hi < n:
-                m = self._hi + 1
-                memo[m] = sum((c[i] * memo[m - 1 - i] for i in range(k)),
-                              start=self._zero())
-                self._hi = m
-            while self._lo > n:
-                m = self._lo - 1  # solve the recurrence at index m + k for A_m
-                acc = memo[m + k]
-                for i in range(k - 1):
-                    acc = acc - c[i] * memo[m + k - 1 - i]
-                memo[m] = acc / c[k - 1]
-                self._lo = m
-            return memo[n]
+        memo, k, c = self._memo, self.order, self.coeffs
+        while self._hi < n:
+            m = self._hi + 1
+            acc = c[0] * memo[m - 1]
+            for i in range(1, k):
+                acc = acc + c[i] * memo[m - 1 - i]
+            memo[m] = acc
+            self._hi = m
+        while self._lo > n:
+            m = self._lo - 1  # solve the recurrence at index m + k for A_m
+            acc = memo[m + k]
+            for i in range(k - 1):
+                acc = acc - c[i] * memo[m + k - 1 - i]
+            memo[m] = acc / c[k - 1]
+            self._lo = m
+        return memo[n]
 
     def window(self, start: int, count: int) -> SeqWindow:
         return SeqWindow(start, tuple(self.term(start + i) for i in range(count)))
@@ -117,7 +115,7 @@ class LinRec:
         return KPoly(list(reversed([-c for c in self.coeffs])) + [1], self.d)
 
     def _zero(self) -> QuadElem:
-        return QuadElem(Fraction(0), Fraction(0), self.d)
+        return QuadElem(0, 0, self.d)
 
     def __repr__(self):
         cs = ", ".join(str(c) for c in self.coeffs)
@@ -200,8 +198,8 @@ def min_charpoly(w: SeqWindow, degree_bound: int, margin: int = BM_MARGIN):
     if all(v == 0 for v in vals):
         return ZERO_SEQUENCE
     d = vals[0].d
-    zero = QuadElem(Fraction(0), Fraction(0), d)
-    one = QuadElem(Fraction(1), Fraction(0), d)
+    zero = QuadElem(0, 0, d)
+    one = QuadElem(1, 0, d)
     L, C = _berlekamp_massey(vals, zero, one)
     if L > degree_bound:
         raise VerificationFailed(
@@ -257,7 +255,7 @@ def _power_map_charpoly(p: KPoly, power: int) -> KPoly:
     L = p.degree
     xs, ys = [], []
     for c in range(L + 1):
-        point = QuadElem(Fraction(c), Fraction(0), p.d)
+        point = QuadElem(c, 0, p.d)
         # y^power - point, degree constant in the specialization
         g = KPoly([-point] + [0] * (power - 1) + [1], p.d)
         xs.append(point)
@@ -265,7 +263,7 @@ def _power_map_charpoly(p: KPoly, power: int) -> KPoly:
     acc = KPoly([], p.d)
     for i in range(L + 1):
         num = KPoly([1], p.d)
-        den = QuadElem(Fraction(1), Fraction(0), p.d)
+        den = QuadElem(1, 0, p.d)
         for j in range(L + 1):
             if i == j:
                 continue
@@ -308,13 +306,14 @@ def split_degenerate(r: LinRec):
 
 
 def least_clearing_integer(x: QuadElem) -> int:
-    """Smallest positive m with m*x integral over Z (ring of integers of K)."""
+    """Smallest positive k with k*x integral over Z (ring of integers of K)."""
+    A, B, m = x.A, x.B, x.m
     if x.d % 4 == 1:
-        # O_K = Z[(1+sqrt(d))/2]: need 2ma, 2mb in Z with matching parity,
-        # equivalently m*2a, m*2b, m*(a-b) all integers
-        return math.lcm((2 * x.a).denominator, (2 * x.b).denominator,
-                        (x.a - x.b).denominator)
-    return math.lcm(x.a.denominator, x.b.denominator)
+        # O_K = Z[(1+sqrt(d))/2]: need 2ka, 2kb in Z with matching parity,
+        # equivalently k*2a, k*2b, k*(a-b) all integers; with a = A/m and
+        # b = B/m the least such k is m / gcd(2A, 2B, A - B, m)
+        return m // math.gcd(2 * A, 2 * B, A - B, m)
+    return m  # gcd(A, B, m) = 1: the common denominator of a and b
 
 
 def denominator_profile(r: LinRec, n_max: int, *, start: int = 0):

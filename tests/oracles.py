@@ -9,6 +9,9 @@ a first-repeat hash map on (P, Q), not with the reduced-state anchor that
 contfrac.expand uses.
 The reference 2-adic square root lifts one bit per step, not by Newton steps
 as places._branch_root does.
+The reference field arithmetic is the Fraction-backed QuadElem that
+qfield.QuadElem replaced: a frozen dataclass of two Fractions, re-checking d
+on every construction.  It shares only the exception classes with the package.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -16,9 +19,12 @@ off-circle roots stay far from the unit circle at 100 digits.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+
+from cfperiod.errors import BadFieldParameter, DivisionByZero, MixedFieldError
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -203,3 +209,226 @@ def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,
                              max_order: int, dps: int = 100) -> bool:
     """True iff some ratio of distinct roots is a root of unity, numerically."""
     return bool(ratio_witness_orders_numeric(coeff_pairs, d, over_q, max_order, dps))
+
+
+# ---------------------------------------------------------------------------
+# reference field arithmetic: a + b*sqrt(d) with Fraction coordinates
+# ---------------------------------------------------------------------------
+
+def check_squarefree(d: int) -> None:
+    """Raise BadFieldParameter unless d is a squarefree integer >= 2."""
+    if d < 2:
+        raise BadFieldParameter(f"field parameter d must be >= 2, got {d}")
+    n, p = d, 2
+    while p * p <= n:
+        if n % (p * p) == 0:
+            raise BadFieldParameter(f"field parameter d must be squarefree, got {d}")
+        if n % p == 0:
+            n //= p
+        p += 1 if p == 2 else 2
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+@dataclass(frozen=True)
+class QuadElem:
+    """a + b*sqrt(d), exact.  b may be zero (rational embedding)."""
+
+    a: Fraction
+    b: Fraction
+    d: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "b", _as_fraction(self.b))
+        check_squarefree(self.d)
+
+    def _coerce(self, other) -> "QuadElem | None":
+        if isinstance(other, QuadElem):
+            if other.d != self.d:
+                raise MixedFieldError(
+                    f"mixed field parameters d={self.d} and d={other.d}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadElem(_as_fraction(other), Fraction(0), self.d)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadElem(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadElem(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadElem(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadElem(self.a * o.a + self.b * o.b * self.d,
+                        self.a * o.b + self.b * o.a, self.d)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadElem":
+        n = self.norm()
+        if n == 0:
+            raise DivisionByZero(f"inverse of zero element {self!r}")
+        return QuadElem(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.a == 0 and o.b == 0:
+            raise DivisionByZero(f"division of {self!r} by zero")
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        base = self if e >= 0 else self.inverse()
+        result = QuadElem(Fraction(1), Fraction(0), self.d)
+        k = abs(e)
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def conj(self) -> "QuadElem":
+        return QuadElem(self.a, -self.b, self.d)
+
+    def trace(self) -> Fraction:
+        return 2 * self.a
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.b * self.b * self.d
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        sa = 1 if a > 0 else -1
+        sb = 1 if b > 0 else -1
+        if sa == sb:
+            return sa
+        # opposite signs: |a| vs |b|*sqrt(d); equality impossible (d squarefree)
+        return sa if a * a > b * b * self.d else sb
+
+    def floor(self) -> int:
+        w = math.lcm(self.a.denominator, self.b.denominator)
+        u = int(self.a * w)
+        v = int(self.b * w)
+        if v == 0:
+            t = 0
+        elif v > 0:
+            t = math.isqrt(v * v * self.d)
+        else:
+            # v*sqrt(d) is irrational, so floor = -isqrt(v^2 d) - 1
+            t = -math.isqrt(v * v * self.d) - 1
+        # u + t <= u + v*sqrt(d) < u + t + 1 pins floor((u + v sqrt d)/w)
+        return (u + t) // w
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def _cmp(self, other) -> int:
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare QuadElem with {type(other).__name__}")
+        return (self - o).sign()
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __abs__(self):
+        return self if self.sign() >= 0 else -self
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        bs = "" if self.b == 1 else ("-" if self.b == -1 else f"{self.b}*")
+        tail = f"{bs}sqrt({self.d})"
+        if self.a == 0:
+            return tail
+        op = "+" if self.b > 0 else "-"
+        mag = abs(self.b)
+        ms = "" if mag == 1 else f"{mag}*"
+        return f"{self.a} {op} {ms}sqrt({self.d})"
+
+    def __repr__(self):
+        return f"QuadElem({self.a!r}, {self.b!r}, {self.d})"
+
+
+def quad_to_surd(x: QuadElem) -> tuple[int, int, int]:
+    """(P, Q, D) of the canonical (P + sqrt(D))/Q form of an irrational x."""
+    w = math.lcm(x.a.denominator, x.b.denominator)
+    u = int(x.a * w)
+    v = int(x.b * w)
+    d0 = v * v * x.d
+    p0, q0 = (u, w) if v > 0 else (-u, -w)
+    if (d0 - p0 * p0) % q0 == 0:
+        return p0, q0, d0
+    s = abs(q0)
+    return p0 * s, q0 * s, d0 * s * s
+
+
+def quad_to_mpf(x: QuadElem, dps: int):
+    """x under the b > 0 embedding, from the Fraction coordinates."""
+    with mpmath.workdps(dps):
+        return (mpmath.mpf(x.a.numerator) / x.a.denominator
+                + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))

@@ -177,6 +177,38 @@ def test_step_cap_hit_exits_two_without_traceback(capsys, monkeypatch, walk, arg
     assert err == "error: step cap hit after 7 states\n"
 
 
+def _call(capsys, argv):
+    """main(argv) with an argparse rejection (SystemExit) read as its code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(capsys, tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["cf", "sqrt(2)"],
+             ["periods", pell_power_job(tmp_path, 1, 4), "--step-cap", "x"],
+             ["periods", pell_power_job(tmp_path, 1, 4)]]
+    cached = [_call(capsys, argv) for argv in calls]
+    assert [c[0] for c in cached] == [0, 2, 0]
+    assert "invalid int value: 'x'" in cached[1][2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [_call(capsys, argv) for argv in calls] == cached
+
+
+def test_cf_sqrt_of_a_large_squarefree_radicand(capsys):
+    # 2^200 + 1 = (2^100)^2 + 1: far past trial division of the radicand
+    code, out, err = run(capsys, ["cf", "sqrt(2^200+1)"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"value = sqrt({2**200 + 1})"
+    assert lines[1:4] == [f"expansion = [{2**100}; ({2**101})]",
+                          "preperiod_len = 1", "ell = 1"]
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ def _walk(P, Q, D, cap):
     return "closed", e.preperiod, e.period
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(surd_states())
 def test_expand_matches_first_repeat_reference(state):
     kind, P, Q, D = state
@@ -316,7 +316,7 @@ def _lengths(P, Q, D, cap):
         return "capped", exc.steps, exc.preperiod_seen
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states()))
 def test_cycle_lengths_match_reference_and_python_route(state):
     P, Q, D = state

@@ -1,9 +1,12 @@
 """The per-job memo: one value per argument list, one scope only."""
 import json
 
-from cfperiod import cli, memo
+import pytest
+
+from cfperiod import cli, memo, polyalg
 from cfperiod.classifier import classify
-from cfperiod.polyalg import KPoly, RatPoly
+from cfperiod.polyalg import KPoly, RatPoly, factor_k, factor_q
+from cfperiod.qfield import QuadElem
 
 from curated import members
 
@@ -69,3 +72,27 @@ def test_growth_leaves_no_memo_behind(tmp_path, capsys):
         assert cli.main(["growth", str(path)]) == code
         assert memo._MEMO.get() is None
     capsys.readouterr()
+
+
+def _no_sympy(_p):
+    raise AssertionError("factored again")
+
+
+@pytest.mark.parametrize("factor, p", [
+    # (x^2 - 2)(x^3 - x - 1)(x + 3)^2 over Q
+    (factor_q, RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2),
+    # (x^2 - 2 x - 1)(x^2 + x + 1)(x - 1 - sqrt 2) over Q(sqrt 2): the norm
+    # descent splits x^2 - 2 x - 1 into its two conjugate roots
+    (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
+     * KPoly([QuadElem(-1, -1, 2), 1], 2)),
+], ids=["factor_q", "factor_k"])
+def test_factors_are_remembered_as_irreducible(monkeypatch, factor, p):
+    with memo.scope():
+        factors = factor(p).distinct()
+        assert len(factors) >= 3
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, "_rat_to_sympy", _no_sympy)
+            remembered = [factor(f) for f in factors]
+    # the same facts as a fresh, unscoped factorization of each factor
+    assert remembered == [factor(f) for f in factors]
+    assert all(r.factors == ((f, 1),) for r, f in zip(remembered, factors))

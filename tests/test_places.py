@@ -148,7 +148,7 @@ SPLIT_AT_2 = st.integers(2, 10**5).map(lambda n: 8 * n + 1).filter(
     lambda d: all(e == 1 for e in sympy.factorint(d).values()))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(SPLIT_AT_2, st.integers(0, 1), st.integers(3, 2000))
 def test_two_adic_branch_root_matches_bitwise_lift(d, side, k):
     w = places_above(2, d)[side]
@@ -167,7 +167,7 @@ def _deep_at(w, depth, rng):
     return quad(F(A, 2 ** s), F(B, 2 ** s), w.d), s
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(SPLIT_AT_2, st.integers(50, 700), st.integers(50, 700),
        st.randoms(use_true_random=False))
 def test_two_adic_split_valuations_deep(d, m1, m2, rng):

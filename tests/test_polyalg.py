@@ -451,7 +451,7 @@ def _coeff_pairs(p):
     return p.d, [(c.a, c.b) for c in p.coeffs]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(chosen_root_polys())
 @example(KPoly([-(1 + R2), 1], 2) * KPoly([1 + R2, 1], 2))          # alpha, -alpha
 @example(KPoly([-R5, 1], 5) * KPoly([5, R5, 1], 5))                  # alpha, zeta_3 alpha

@@ -3,8 +3,11 @@ import math
 import random
 from fractions import Fraction as F
 
+import pickle
+
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfperiod.errors import (
     DivisionByZero,
@@ -27,6 +30,7 @@ from cfperiod.qfield import (
     trace_norm,
 )
 
+import oracles
 from oracles import surd_value
 
 R2 = sqrt_int(2)
@@ -258,3 +262,101 @@ def test_hash_eq_contract():
     assert hash(quad(F(1, 2), 0, 7)) == hash(F(1, 2))
     seen = {quad(1, 1, 2), quad(1, 1, 2), 1 + R2}
     assert len(seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer representation against the Fraction-backed reference
+# ---------------------------------------------------------------------------
+
+SQUAREFREE_D = [2, 3, 5, 6, 7, 10, 13, 17, 41, 65]
+BIG = 1 << 200
+
+integers = st.one_of(st.sampled_from([0, 1, -1, 2, -2]), st.integers(-BIG, BIG))
+denominators = st.one_of(st.sampled_from([1, -1, 2, -3, 6]),
+                         st.integers(1, BIG), st.integers(-BIG, -1))
+rationals = st.builds(F, integers, denominators)
+
+
+@st.composite
+def element_pairs(draw):
+    """(new, reference) pairs of one element; b = 0 about a third of the time."""
+    d = draw(st.sampled_from(SQUAREFREE_D))
+    a = draw(rationals)
+    b = draw(st.one_of(st.just(F(0)), rationals, rationals))
+    return QuadElem(a, b, d), oracles.QuadElem(a, b, d)
+
+
+def _agree(new, old):
+    """new is in normal form and is the element old, printed and hashed alike."""
+    assert type(new) is QuadElem
+    assert new.m > 0 and math.gcd(new.A, new.B, new.m) == 1
+    assert (new.a, new.b, new.d) == (old.a, old.b, old.d)
+    assert str(new) == str(old) and repr(new) == repr(old)
+    assert hash(new) == hash(old)
+    if old.b == 0:
+        assert new == old.a and hash(new) == hash(old.a)
+
+
+def _both(op, *args):
+    """op on the new elements and on the reference ones: same value or same error."""
+    new = [x[0] if isinstance(x, tuple) else x for x in args]
+    old = [x[1] if isinstance(x, tuple) else x for x in args]
+    try:
+        want = op(*old)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            op(*new)
+        return None
+    got = op(*new)
+    if isinstance(want, oracles.QuadElem):
+        _agree(got, want)
+    else:
+        assert type(got) is type(want) and got == want
+    return got
+
+
+@settings(max_examples=300)
+@given(element_pairs(), st.data())
+def test_integer_elements_match_the_fraction_reference(xp, data):
+    d = xp[0].d
+    a = data.draw(rationals)
+    b = data.draw(st.one_of(st.just(F(0)), rationals))
+    yp = (QuadElem(a, b, d), oracles.QuadElem(a, b, d))
+    r = data.draw(st.one_of(integers, rationals))
+    e = data.draw(st.integers(-4, 4))
+    _agree(*xp)
+    _agree(*yp)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y, lambda x, y: x < y, lambda x, y: x == y,
+               lambda x, y: x >= y):
+        _both(op, xp, yp)
+        _both(op, xp, r)
+        _both(op, r, xp)
+    _both(lambda x: x ** e, xp)
+    _both(lambda x: x.inverse(), xp)
+    for unary in (lambda x: -x, abs, lambda x: x.conj(), lambda x: x.norm(),
+                  lambda x: x.trace(), lambda x: x.floor(), lambda x: x.sign(),
+                  lambda x: x.is_rational(), bool):
+        _both(unary, xp)
+    new, old = xp
+    if old.b != 0:
+        s = to_surd(new)
+        assert (s.P, s.Q, s.D) == oracles.quad_to_surd(old)
+        _agree(s.value(), old)
+    with mpmath.workdps(120):
+        exact = surd_value(old.a, old.b, d, 120)
+        scale = abs(old.a) + abs(old.b) * mpmath.sqrt(d)
+        for got in (to_mpf(new, 50), oracles.quad_to_mpf(old, 50)):
+            assert abs(got - exact) <= scale * mpmath.mpf(10) ** -45
+
+
+def test_elements_are_immutable_and_pickle():
+    x = quad(F(1, 2), F(-3, 4), 5)
+    for name in ("a", "b", "d", "A", "B", "m", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.A
+    assert (x.A, x.B, x.m, x.d) == (2, -3, 4, 5)
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and (y.A, y.B, y.m) == (2, -3, 4)

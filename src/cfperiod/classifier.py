@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import memo
-from .errors import InternalInvariantError
+from .errors import DegreeTooLarge, InternalInvariantError
 from .polyalg import (
     KPoly,
     RatPoly,
     circle_profile,
-    conj_poly,
     decompose_q_k,
     factor_k,
     factor_q,
@@ -45,6 +44,10 @@ from .recurrence import (
     seq_min_charpoly,
     split_degenerate,
 )
+
+# the classify budget: P_D is factored over K and P_S over Q up to these degrees
+FACTOR_K_MAX_DEGREE = 12
+FACTOR_Q_MAX_DEGREE = 24
 
 
 @dataclass(frozen=True)
@@ -151,18 +154,12 @@ def classify(r: LinRec) -> Classification:
     Polynomial facts (minimal polynomials, factorizations, degeneracy
     witnesses) are computed once per call and reused by every stage.
     """
-    partial: dict = {}
-    try:
-        with memo.scope():
-            return _classify(r, partial)
-    except Exception as e:
-        e.partial_evidence = EvidenceReport(**partial)  # type: ignore[attr-defined]
-        raise
+    with memo.scope():
+        return _classify(r)
 
 
-def _classify(r: LinRec, partial: dict) -> Classification:
+def _classify(r: LinRec) -> Classification:
     p_a = seq_min_charpoly(r)
-    partial["p_a_min"] = p_a
 
     ok, _witness = nondegenerate_rec(r, "Q")
     if not ok:
@@ -176,21 +173,19 @@ def _classify(r: LinRec, partial: dict) -> Classification:
         )
 
     p_d, p_s = diff_sum_parts(r)
-    partial["p_d"] = p_d
-    partial["p_s"] = p_s
 
     if isinstance(p_d, ZeroSequence):
         return Classification("ClassA", evidence=EvidenceReport(
             p_a_min=p_a, p_d=p_d, p_s=p_s,
             notes=("difference sequence vanishes identically: every A_n is rational",)))
 
+    # refuse before P_D and P_S are factored; a degenerate input was split
+    # above, and its parts may fit the budget even when the whole does not
+    for p, cap in ((p_d, FACTOR_K_MAX_DEGREE), (p_s, FACTOR_Q_MAX_DEGREE)):
+        if not isinstance(p, ZeroSequence) and p.degree > cap:
+            raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {cap}")
     fixed, moved = decompose_q_k(p_d)
-    partial["conj_fixed"] = fixed
-    partial["conj_moved"] = moved
     s_direct, s_effective, s_factors, s_notes = _analyze_s(p_s, r)
-    partial["s_unital"] = s_direct
-    partial["s_unital_effective"] = s_effective
-    partial["s_factors"] = s_factors
 
     if fixed.degree >= 1:
         fixed_profile = circle_profile(fixed)
@@ -219,7 +214,7 @@ def _classify(r: LinRec, partial: dict) -> Classification:
 
     # set C: P_D nonzero with every factor moved by conjugation
     moved_items = factor_k(p_d).factors
-    moved_factors = tuple((pi, m, circle_profile(pi), circle_profile(conj_poly(pi)))
+    moved_factors = tuple((pi, m, circle_profile(pi), circle_profile(pi.conj()))
                           for pi, m in moved_items)
     ev = EvidenceReport(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed,
                         conj_moved=moved, moved_factors=moved_factors,

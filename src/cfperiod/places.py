@@ -32,7 +32,7 @@ from .errors import (
     ZeroInput,
 )
 from .memo import memoized
-from .polyalg import KPoly, certified_root_boxes, circle_profile, conj_poly, factor_k
+from .polyalg import KPoly, certified_root_boxes, circle_profile, factor_k
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, nondegenerate_rec, seq_min_charpoly
 
@@ -386,12 +386,12 @@ def arch_dominant_bounds(r: LinRec, v: Place, dps: int = ARCH_DPS):
     import mpmath
 
     p = _charpoly_or_raise(r)
-    prof_poly = p if v.embedding == 1 else conj_poly(p)
+    prof_poly = p if v.embedding == 1 else p.conj()
     if circle_profile(prof_poly).outside == 0:
         raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
     with mpmath.workdps(2 * dps):
         best_lo = best_hi = None
-        for pi, _m in factor_k(prof_poly, max_degree=max(prof_poly.degree, 12)).factors:
+        for pi, _m in factor_k(prof_poly).factors:
             lo, hi = _arch_max_root(pi, 1, dps)
             if best_hi is None or hi > best_hi:
                 best_lo, best_hi = lo, hi
@@ -407,16 +407,16 @@ def root_abs_table(r: LinRec, v: Place, dps: int = ARCH_DPS) -> list[str]:
     p = _charpoly_or_raise(r)
     lines = []
     if v.kind == "finite":
-        for pi, m in factor_k(p, max_degree=max(p.degree, 12)).factors:
+        for pi, m in factor_k(p).factors:
             slope = _newton_polygon_max_slope(pi, v)
             if slope is None:
                 continue
             lines.append(f"factor {pi} (mult {m}): max |root|_v = "
                          f"({v.p}^{v.f})^({slope})")
         return lines
-    prof = p if v.embedding == 1 else conj_poly(p)
+    prof = p if v.embedding == 1 else p.conj()
     with mpmath.workdps(dps):
-        for pi, m in factor_k(prof, max_degree=max(prof.degree, 12)).factors:
+        for pi, m in factor_k(prof).factors:
             mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi, dps=dps))
             shown = ", ".join(mpmath.nstr(x, 8) for x in mags)
             lines.append(f"factor {pi} (mult {m}): |roots|_v = {shown}")

@@ -4,7 +4,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 
 * factorization over Q (sympy-backed, certified by exact multiply-back and
   independent small-degree irreducibility re-checks) and over K (norm descent
-  through a squarefree-shift resultant, factors recovered by gcd);
+  through a squarefree-shift resultant, factors recovered by gcd), of any
+  degree: the degree budget is the classifier's;
 * the conjugation-fixed / conjugation-moved decomposition of a K-polynomial;
 * unit-circle root profiles with an exact on-circle decision (self-reciprocal
   factors + Sturm chains on the x + 1/x transform) and certified numeric
@@ -15,7 +16,10 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   and each pair of its irreducible factors yields one composed-ratio
   resultant over Z (``ratio_poly``), which is factored and whose cyclotomic
   factors name the witness orders.  At the base level of K the ratios range
-  over the roots of p only, through resultants over K built by interpolation.
+  over the roots of p only, through the one resultant over K with a parameter
+  x, ``interpolated_resultant`` (it also gives the power map of a degenerate
+  split).  The base level cannot go through the over-Q norm: that pool also
+  holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
 
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
 ``memo.scope()`` (one classification or one growth job), so each fact is
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegreeTooLarge,
     InternalInvariantError,
     NotIrreducible,
     PrecisionExhausted,
@@ -39,9 +42,6 @@ from .errors import (
 )
 from .memo import memoized, remember
 from .qfield import QuadElem, to_mpf
-
-FACTOR_Q_MAX_DEGREE = 24
-FACTOR_K_MAX_DEGREE = 12
 
 
 def _sign_of(c) -> int:
@@ -460,11 +460,6 @@ class KPoly(_PolyBase):
         return f"KPoly({self._format()}; d={self.d})"
 
 
-def conj_poly(p: KPoly) -> KPoly:
-    """Coefficient-wise field conjugation."""
-    return p.conj()
-
-
 # ---------------------------------------------------------------------------
 # factorization over Q (sympy-backed, certified here)
 # ---------------------------------------------------------------------------
@@ -478,21 +473,6 @@ class Factorization:
 
     def distinct(self) -> list:
         return [f for f, _m in self.factors]
-
-
-def poly_arith(p, q, op: str):
-    """Named dispatch over the exact polynomial kernel."""
-    table = {
-        "add": lambda: p + q,
-        "mul": lambda: p * q,
-        "divmod": lambda: divmod(p, q),
-        "gcd": lambda: p.gcd(q),
-        "squarefree_part": lambda: p.squarefree_part(),
-        "resultant": lambda: p.resultant(q),
-    }
-    if op not in table:
-        raise PreconditionViolated(f"unknown polynomial op {op!r}")
-    return table[op]()
 
 
 def _rat_to_sympy(p: RatPoly):
@@ -568,7 +548,7 @@ def _certify_irreducible_q(p: RatPoly) -> None:
 
 
 @memoized
-def factor_q(p: RatPoly, max_degree: int = FACTOR_Q_MAX_DEGREE) -> Factorization:
+def factor_q(p: RatPoly) -> Factorization:
     """Complete factorization over Q into monic irreducibles.
 
     Certified on every call: the factors multiply back to p exactly, and
@@ -576,8 +556,6 @@ def factor_q(p: RatPoly, max_degree: int = FACTOR_Q_MAX_DEGREE) -> Factorization
     """
     if p.is_zero:
         raise ValueError("factor_q of zero polynomial")
-    if p.degree > max_degree:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {max_degree}")
     if p.degree == 0:
         return Factorization(p.coeffs[0], ())
     coeff, sympy_factors = _rat_to_sympy(p).factor_list()
@@ -595,8 +573,7 @@ def factor_q(p: RatPoly, max_degree: int = FACTOR_Q_MAX_DEGREE) -> Factorization
     if check != p:
         raise InternalInvariantError(f"factor_q multiply-back failed for {p}")
     for f, _m in factors:  # each factor is its own factorization
-        if f.degree <= FACTOR_Q_MAX_DEGREE:
-            remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
+        remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
     return Factorization(unit, tuple(factors))
 
 
@@ -620,7 +597,7 @@ def _squarefree_decomposition(p):
     return out
 
 
-def _factor_k_squarefree(g: KPoly, max_degree: int) -> list[KPoly]:
+def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     if g.degree == 1:
         return [g.monic()]
     d = g.d
@@ -636,7 +613,7 @@ def _factor_k_squarefree(g: KPoly, max_degree: int) -> list[KPoly]:
         if not nq.is_squarefree():
             continue
         pieces = []
-        for f, _m in factor_q(nq, max_degree=max(2 * max_degree, FACTOR_Q_MAX_DEGREE)).factors:
+        for f, _m in factor_q(nq).factors:
             c = h.gcd(f.lift(d))
             if c.degree >= 1:
                 pieces.append(c.monic())
@@ -652,7 +629,7 @@ def _factor_k_squarefree(g: KPoly, max_degree: int) -> list[KPoly]:
 
 
 @memoized
-def factor_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> Factorization:
+def factor_k(p: KPoly) -> Factorization:
     """Factorization into monic irreducibles over K = Q(sqrt(d)).
 
     Norm-descent: a shifted copy p(x - s*sqrt(d)) with squarefree norm is
@@ -661,15 +638,13 @@ def factor_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> Factorization:
     """
     if p.is_zero:
         raise ValueError("factor_k of zero polynomial")
-    if p.degree > max_degree:
-        raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {max_degree}")
     unit = p.lc
     if p.degree == 0:
         return Factorization(unit, ())
     monic = p.monic()
     factors: dict[KPoly, int] = {}
     for g, mult in _squarefree_decomposition(monic):
-        for f in _factor_k_squarefree(g, max_degree):
+        for f in _factor_k_squarefree(g):
             factors[f] = factors.get(f, 0) + mult
     items = sorted(factors.items(),
                    key=lambda fm: (fm[0].degree,
@@ -680,18 +655,17 @@ def factor_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> Factorization:
     if check != p:
         raise InternalInvariantError(f"factor_k multiply-back failed for {p}")
     for f, _m in items:  # each factor is its own factorization
-        if f.degree <= FACTOR_K_MAX_DEGREE:
-            remember(factor_k, Factorization(f.lc, ((f, 1),)), f)
+        remember(factor_k, Factorization(f.lc, ((f, 1),)), f)
     return Factorization(unit, tuple(items))
 
 
-def decompose_q_k(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> tuple[KPoly, KPoly]:
+def decompose_q_k(p: KPoly) -> tuple[KPoly, KPoly]:
     """Split monic p into (conjugation-fixed part, conjugation-moved part)."""
     if p.is_zero or p.lc != p._one():
         raise PreconditionViolated(f"decompose_q_k needs a monic polynomial, got {p}")
     fixed = KPoly([1], p.d)
     moved = KPoly([1], p.d)
-    for f, m in factor_k(p, max_degree=max_degree).factors:
+    for f, m in factor_k(p).factors:
         if f.conj() == f:
             fixed = fixed * f ** m
         else:
@@ -713,7 +687,7 @@ def minpoly_over_q(pi: KPoly) -> RatPoly:
         if not prod.is_rational():
             raise InternalInvariantError("pi * conj(pi) not rational")
         cand = prod.to_ratpoly()
-    fac = factor_q(cand, max_degree=max(cand.degree, FACTOR_Q_MAX_DEGREE))
+    fac = factor_q(cand)
     if len(fac.factors) != 1 or fac.factors[0][1] != 1:
         raise NotIrreducible(f"{pi} is not irreducible over K")
     return cand
@@ -726,7 +700,7 @@ def root_integrality_flags(q: RatPoly) -> tuple[bool, bool, bool]:
     """
     if q.degree < 1:
         raise NotIrreducible(f"{q} is constant")
-    fac = factor_q(q, max_degree=max(q.degree, FACTOR_Q_MAX_DEGREE))
+    fac = factor_q(q)
     if len(fac.factors) != 1 or fac.factors[0][1] != 1:
         raise NotIrreducible(f"{q} is not irreducible over Q")
     ints = q.primitive_integer_coeffs()
@@ -740,9 +714,9 @@ def is_unital(p) -> bool:
     if isinstance(p, KPoly):
         if p.is_rational():
             return is_unital(p.to_ratpoly())
-        items = factor_k(p, max_degree=max(p.degree, FACTOR_K_MAX_DEGREE)).factors
+        items = factor_k(p).factors
         return all(root_integrality_flags(minpoly_over_q(f))[2] for f, _m in items)
-    items = factor_q(p, max_degree=max(p.degree, FACTOR_Q_MAX_DEGREE)).factors
+    items = factor_q(p).factors
     return all(root_integrality_flags(f)[2] for f, _m in items)
 
 
@@ -904,9 +878,9 @@ def circle_profile(p) -> CircleProfile:
     if isinstance(p, KPoly) and p.is_rational():
         p = p.to_ratpoly()
     if isinstance(p, KPoly):
-        items = factor_k(p, max_degree=max(p.degree, FACTOR_K_MAX_DEGREE)).factors
+        items = factor_k(p).factors
     else:
-        items = factor_q(p, max_degree=max(p.degree, FACTOR_Q_MAX_DEGREE)).factors
+        items = factor_q(p).factors
     inside = on = outside = 0
     for f, m in items:
         prof = _profile_irreducible(f)
@@ -916,12 +890,12 @@ def circle_profile(p) -> CircleProfile:
     return CircleProfile(inside, on, outside)
 
 
-def is_pisot_paper(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> bool:
+def is_pisot_paper(p: KPoly) -> bool:
     """Every irreducible factor pi is moved by conjugation, and the roots of
     pi and conj(pi) sit strictly on opposite sides of the unit circle."""
     if p.is_zero:
         raise ValueError("is_pisot_paper of zero polynomial")
-    for f, _m in factor_k(p, max_degree=max_degree).factors:
+    for f, _m in factor_k(p).factors:
         fc = f.conj()
         if fc == f:
             return False
@@ -930,10 +904,6 @@ def is_pisot_paper(p: KPoly, max_degree: int = FACTOR_K_MAX_DEGREE) -> bool:
                 or (pf.all_outside() and pc.all_inside())):
             return False
     return True
-
-
-def is_unital_pisot(p: KPoly) -> bool:
-    return is_pisot_paper(p) and is_unital(p)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,7 +1010,7 @@ def _pair_ratio_orders(fi: RatPoly, fj: RatPoly) -> set[int]:
     if r.degree == 0:
         return set()
     orders = set()
-    for f, _m in factor_q(r, max_degree=max(r.degree, FACTOR_Q_MAX_DEGREE)).factors:
+    for f, _m in factor_q(r).factors:
         is_unity, n = is_root_of_unity(f)
         if is_unity:
             if n == 1:
@@ -1049,45 +1019,39 @@ def _pair_ratio_orders(fi: RatPoly, fj: RatPoly) -> set[int]:
     return orders
 
 
-def _ratio_resultant_field(pi, pj):
-    """Res_y(pj(y), pi(x*y)) over K, by interpolation.
+def interpolated_resultant(f, g_at, degree: int):
+    """Res_y(f(y), g_x(y)) as a polynomial in x of exactly the given degree.
 
-    Serves the base-K level of nondegeneracy only, where the ratios range
-    over the roots of a K-polynomial and not over their conjugates.
+    g_at(x) builds g_x for an integer x; its degree in y must be the same at
+    every sample point x = 1, -1, 2, -2, ...  Zero is never sampled: a pair
+    like f(x*y) drops degree there, and its resultant is no longer the generic
+    one evaluated at 0.  The values are Lagrange-interpolated over the
+    coefficient field of f.
     """
-    di, dj = pi.degree, pj.degree
-    n = di * dj + 1
-    xs, ys = [], []
-    c = 1
-    while len(xs) < n:
-        # nonzero sample points only: at x=0 the specialized pair drops degree
-        # and its resultant no longer equals the generic one evaluated there
-        point = Fraction(c)
-        scaled = pi._make([coef * point ** k for k, coef in enumerate(pi.coeffs)])
-        val = pj.resultant(scaled)
-        xs.append(point)
-        ys.append(val)
-        c = -c if c > 0 else -c + 1  # 1, -1, 2, -2, ...
-    # Lagrange interpolation over the field
-    acc = pi._make([])
-    for i in range(n):
-        num = pi._make([pi._one()])
-        den = pi._one()
-        for j in range(n):
-            if i == j:
-                continue
-            num = num * pi._make([pi._coerce(-xs[j]), pi._one()])
-            den = den * pi._coerce(xs[i] - xs[j])
-        acc = acc + num.scale(ys[i] / den)
+    xs = [k * s for k in range(1, degree // 2 + 2) for s in (1, -1)][:degree + 1]
+    acc = f._make([])
+    for xi in xs:
+        num, den = f._make([f._one()]), 1
+        for xj in xs:
+            if xj != xi:
+                num = num * f._make([f._coerce(-xj), f._one()])
+                den *= xi - xj
+        acc = acc + num.scale(f.resultant(g_at(xi)) / den)
+    if acc.degree != degree:
+        raise InternalInvariantError(
+            f"resultant has degree {acc.degree}, expected {degree}")
     return acc
 
 
 def _base_k_witnesses(p: KPoly) -> set[int]:
     """Witness orders among the roots of an irrational K-polynomial p."""
-    base = [f for f, _m in factor_k(p, max_degree=max(p.degree, FACTOR_K_MAX_DEGREE)).factors]
+    base = [f for f, _m in factor_k(p).factors]
     witnesses: set[int] = set()
     for pi, pj in itertools.product(base, repeat=2):
-        r = _ratio_resultant_field(pi, pj)
+        # Res_y(pj(y), pi(x*y)) over K: the ratios of roots of pi to roots of pj
+        r = interpolated_resultant(
+            pj, lambda x: pi._make([c * x ** k for k, c in enumerate(pi.coeffs)]),
+            pi.degree * pj.degree)
         if pi == pj:
             # self-ratios contribute (x-1)^deg exactly once per root; strip them
             one_root = r._make([-r._one(), r._one()])
@@ -1112,7 +1076,7 @@ def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
     """Root-ratio degeneracy test.
 
     over="baseK": ratios among the roots of p itself.  over="Q": ratios among
-    the roots of p * conj_poly(p) (conjugate orbits).  A rational p has the
+    the roots of p * p.conj() (conjugate orbits).  A rational p has the
     same pool at both levels.  Roots at zero are ignored: they cannot take
     part in a unit-modulus ratio.
     Returns (non_degenerate, sorted root-of-unity witness orders).
@@ -1142,7 +1106,7 @@ def _witness_orders(p, over: str) -> tuple[int, ...]:
             raise InternalInvariantError("p * conj(p) not rational")
         p = norm.to_ratpoly()
     # the over-Q pool: the roots of the rational polynomial p
-    base = factor_q(p, max_degree=max(p.degree, FACTOR_Q_MAX_DEGREE)).distinct()
+    base = factor_q(p).distinct()
     witnesses: set[int] = set()
     for i, fi in enumerate(base):
         for fj in base[i:]:

@@ -20,7 +20,7 @@ from .errors import (
     WindowTooShort,
 )
 from .memo import memoized
-from .polyalg import KPoly, RatPoly, is_unital, nondegeneracy
+from .polyalg import KPoly, RatPoly, interpolated_resultant, is_unital, nondegeneracy
 from .qfield import QuadElem
 
 BM_MARGIN = 8
@@ -252,24 +252,10 @@ def nondegenerate_rec(r: LinRec, over: str = "baseK"):
 
 def _power_map_charpoly(p: KPoly, power: int) -> KPoly:
     """Monic polynomial whose roots are the power-th powers of p's roots."""
+    # Res_y(p(y), y^power - x) = (-1)^L prod (x - alpha^power) for monic p
     L = p.degree
-    xs, ys = [], []
-    for c in range(L + 1):
-        point = QuadElem(c, 0, p.d)
-        # y^power - point, degree constant in the specialization
-        g = KPoly([-point] + [0] * (power - 1) + [1], p.d)
-        xs.append(point)
-        ys.append(p.resultant(g))
-    acc = KPoly([], p.d)
-    for i in range(L + 1):
-        num = KPoly([1], p.d)
-        den = QuadElem(1, 0, p.d)
-        for j in range(L + 1):
-            if i == j:
-                continue
-            num = num * KPoly([-xs[j], 1], p.d)
-            den = den * (xs[i] - xs[j])
-        acc = acc + num.scale(ys[i] / den)
+    acc = interpolated_resultant(
+        p, lambda x: KPoly([-x] + [0] * (power - 1) + [1], p.d), L)
     if L % 2:
         acc = -acc
     if acc.is_zero or acc.lc != acc._one():

@@ -12,6 +12,12 @@ as places._branch_root does.
 The reference field arithmetic is the Fraction-backed QuadElem that
 qfield.QuadElem replaced: a frozen dataclass of two Fractions, re-checking d
 on every construction.  It shares only the exception classes with the package.
+The two reference resultants in x are the separate interpolation loops that
+polyalg.interpolated_resultant replaced, one sampling x = 1, -1, 2, ... for
+the root ratios and one sampling x = 0, 1, 2, ... for the power map.  They use
+the package's polynomial arithmetic and its resultant at a point; what they
+check independently is the sampling, the specialization and the
+interpolation.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -24,7 +30,9 @@ from fractions import Fraction
 
 import mpmath
 
-from cfperiod.errors import BadFieldParameter, DivisionByZero, MixedFieldError
+from cfperiod import polyalg, qfield
+from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalInvariantError,
+                             MixedFieldError)
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -432,3 +440,63 @@ def quad_to_mpf(x: QuadElem, dps: int):
     with mpmath.workdps(dps):
         return (mpmath.mpf(x.a.numerator) / x.a.denominator
                 + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
+
+
+def ratio_resultant_field(pi, pj):
+    """Res_y(pj(y), pi(x*y)) over K, by interpolation.
+
+    Serves the base-K level of nondegeneracy only, where the ratios range
+    over the roots of a K-polynomial and not over their conjugates.
+    """
+    di, dj = pi.degree, pj.degree
+    n = di * dj + 1
+    xs, ys = [], []
+    c = 1
+    while len(xs) < n:
+        # nonzero sample points only: at x=0 the specialized pair drops degree
+        # and its resultant no longer equals the generic one evaluated there
+        point = Fraction(c)
+        scaled = pi._make([coef * point ** k for k, coef in enumerate(pi.coeffs)])
+        val = pj.resultant(scaled)
+        xs.append(point)
+        ys.append(val)
+        c = -c if c > 0 else -c + 1  # 1, -1, 2, -2, ...
+    # Lagrange interpolation over the field
+    acc = pi._make([])
+    for i in range(n):
+        num = pi._make([pi._one()])
+        den = pi._one()
+        for j in range(n):
+            if i == j:
+                continue
+            num = num * pi._make([pi._coerce(-xs[j]), pi._one()])
+            den = den * pi._coerce(xs[i] - xs[j])
+        acc = acc + num.scale(ys[i] / den)
+    return acc
+
+
+def power_map_charpoly(p, power: int):
+    """Monic polynomial whose roots are the power-th powers of p's roots."""
+    L = p.degree
+    xs, ys = [], []
+    for c in range(L + 1):
+        point = qfield.QuadElem(c, 0, p.d)
+        # y^power - point, degree constant in the specialization
+        g = polyalg.KPoly([-point] + [0] * (power - 1) + [1], p.d)
+        xs.append(point)
+        ys.append(p.resultant(g))
+    acc = polyalg.KPoly([], p.d)
+    for i in range(L + 1):
+        num = polyalg.KPoly([1], p.d)
+        den = qfield.QuadElem(1, 0, p.d)
+        for j in range(L + 1):
+            if i == j:
+                continue
+            num = num * polyalg.KPoly([-xs[j], 1], p.d)
+            den = den * (xs[i] - xs[j])
+        acc = acc + num.scale(ys[i] / den)
+    if L % 2:
+        acc = -acc
+    if acc.is_zero or acc.lc != acc._one():
+        raise InternalInvariantError("power-map charpoly not monic")
+    return acc

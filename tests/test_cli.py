@@ -12,6 +12,7 @@ import pytest
 from cfperiod import cli, contfrac
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
+from cfperiod.polyalg import KPoly
 from cfperiod.qfield import quad
 
 from fractions import Fraction as F
@@ -647,3 +648,14 @@ def test_classify_job_golden(capsys, tmp_path):
         "sum part P_S: x^2 + (-1)*x + -1\n"
         "note: difference sequence vanishes identically: "
         "every A_n is rational\n")
+
+
+def test_classify_refuses_p_d_beyond_the_factor_cap(capsys, tmp_path):
+    # charpoly prod (x - k - sqrt 2), k = 1..7: P_D has the 14 roots k +- sqrt 2
+    p = KPoly.from_roots([quad(k, 1, 2) for k in range(1, 8)], 2)
+    coeffs = [[str(-c.a), str(-c.b)] for c in reversed(p.coeffs[:-1])]
+    job = write_job(tmp_path, "order7.json",
+                    {"command": "classify", "d": 2, "coeffs": coeffs,
+                     "initials": ["1"] * 6 + [["1", "1"]]})
+    code, out, err = run(capsys, ["classify", job])
+    assert (code, out, err) == (2, "", "error: degree 14 exceeds factor cap 12\n")

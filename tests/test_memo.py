@@ -1,4 +1,5 @@
 """The per-job memo: one value per argument list, one scope only."""
+import inspect
 import json
 
 import pytest
@@ -58,6 +59,22 @@ def test_classify_leaves_no_memo_behind():
     for _name, r, _verdict, _step in members()[:3]:
         classify(r)
         assert memo._MEMO.get() is None
+
+
+def test_classify_binds_no_signature(monkeypatch):
+    # every memoized call in a classification passes its arguments by
+    # position, so the memo key needs no Signature.bind
+    binds = []
+    bind = inspect.Signature.bind
+
+    def counting_bind(self, *args, **kwargs):
+        binds.append(self)
+        return bind(self, *args, **kwargs)
+
+    monkeypatch.setattr(inspect.Signature, "bind", counting_bind)
+    for _name, r, _verdict, _step in members():
+        classify(r)
+    assert len(binds) == 0
 
 
 def test_growth_leaves_no_memo_behind(tmp_path, capsys):

@@ -8,34 +8,31 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod.errors import DegreeTooLarge, PreconditionViolated
+from cfperiod.errors import PreconditionViolated
 from cfperiod.polyalg import (
-    FACTOR_K_MAX_DEGREE,
-    FACTOR_Q_MAX_DEGREE,
     KPoly,
     RatPoly,
     certified_root_boxes,
     circle_profile,
-    conj_poly,
     cyclotomic,
     decompose_q_k,
     factor_k,
     factor_q,
+    interpolated_resultant,
     is_pisot_paper,
     is_root_of_unity,
     is_unital,
-    is_unital_pisot,
     minpoly_over_q,
     nondegeneracy,
-    poly_arith,
     ratio_poly,
     root_integrality_flags,
 )
 from cfperiod.qfield import quad, sqrt_int
-from cfperiod.recurrence import seq_min_charpoly
+from cfperiod.recurrence import _power_map_charpoly, seq_min_charpoly
 
 from curated import members
-from oracles import circle_counts, poly_roots, ratio_witness_orders_numeric
+from oracles import (circle_counts, poly_roots, power_map_charpoly, ratio_resultant_field,
+                     ratio_witness_orders_numeric)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -174,12 +171,6 @@ def test_factor_q_multiply_back_random():
         assert back == p
 
 
-def test_factor_q_degree_cap():
-    assert FACTOR_Q_MAX_DEGREE == 24
-    with pytest.raises(DegreeTooLarge):
-        factor_q(RatPoly([1] + [0] * 24 + [1]))
-
-
 # ---------------------------------------------------------------------------
 # factoring over K
 # ---------------------------------------------------------------------------
@@ -217,15 +208,26 @@ def test_factor_k_multiply_back_random():
             assert back == p
 
 
-def test_factor_k_degree_cap():
-    assert FACTOR_K_MAX_DEGREE == 12
-    with pytest.raises(DegreeTooLarge):
-        factor_k(KPoly([1] + [0] * 12 + [1], 2))
+def test_factoring_has_no_degree_cap():
+    # the degree budget belongs to classify; the factoring routines take any
+    # degree and certify the result by multiplying back
+    p = RatPoly([1] + [0] * 24 + [1])  # x^25 + 1
+    f = factor_q(p)
+    back = RatPoly([f.unit])
+    for q, m in f.factors:
+        back = back * q**m
+    assert back == p and len(f.factors) == 3  # Phi_2 Phi_10 Phi_50
+    p = KPoly([1] + [0] * 12 + [1], 2)  # x^13 + 1 over Q(sqrt 2)
+    f = factor_k(p)
+    back = KPoly([f.unit], 2)
+    for q, m in f.factors:
+        back = back * q**m
+    assert back == p and f.distinct() == [KPoly([1, 1], 2), cyclotomic(26).lift(2)]
 
 
 def test_conj_poly_and_decompose():
     p = KPoly([-(1 + R2), 1], 2)
-    assert conj_poly(p) == KPoly([-(1 - R2), 1], 2)
+    assert p.conj() == KPoly([-(1 - R2), 1], 2)
     q = KPoly([-2, 1], 2) * KPoly([-R2, 1], 2)
     fixed, moved = decompose_q_k(q)
     assert fixed == KPoly([-2, 1], 2)
@@ -274,8 +276,10 @@ def test_pisot_predicates():
     assert is_pisot_paper(KPoly([-(3 + 2 * R2), 1], 2))
     assert not is_pisot_paper(KPoly([-R2, 1], 2))  # both conjugates outside
     assert not is_pisot_paper(KPoly([-2, 1], 2))  # conjugation-fixed
-    assert is_unital_pisot(KPoly([-(1 + R2), 1], 2))
-    assert not is_unital_pisot(KPoly([-(3 + R2), 1], 2))
+    p = KPoly([-(1 + R2), 1], 2)
+    assert is_pisot_paper(p) and is_unital(p)
+    p = KPoly([-(3 + R2), 1], 2)  # norm 7, both conjugates outside
+    assert not (is_pisot_paper(p) and is_unital(p))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +470,34 @@ def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
     assert ok == (not orders)
 
 
-def test_poly_arith_dispatch():
-    p = RatPoly([1, 2, 1])
-    q = RatPoly([1, 1])
-    assert poly_arith(p, q, "gcd") == q
-    assert poly_arith(p, q, "divmod") == (q, RatPoly([]))
-    assert poly_arith(p, p, "squarefree_part") in (q, p.squarefree_part())
-    with pytest.raises(PreconditionViolated):
-        poly_arith(p, q, "bogus")
+@st.composite
+def resultant_pairs(draw):
+    """(f, g) over Q(sqrt d), d in {2, 3, 5}, of degrees 1-4: f monic, g with
+    no zero root; half the time both are rational polynomials lifted to K."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    rational = draw(st.booleans())
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def poly(monic):
+        deg = draw(st.integers(1, 4))
+        a = ([draw(nonzero)] + [draw(st.integers(-3, 3)) for _ in range(deg - 1)]
+             + [1 if monic else draw(nonzero)])
+        if rational:
+            return RatPoly(a).lift(d)
+        b = [draw(st.integers(-2, 2)) for _ in range(deg)] + [0 if monic else draw(nonzero)]
+        return KPoly([quad(x, y, d) for x, y in zip(a, b)], d)
+
+    return poly(True), poly(False)
+
+
+@settings(max_examples=60)
+@given(resultant_pairs(), st.integers(1, 6))
+def test_interpolated_resultant_matches_the_separate_loops(pair, power):
+    f, g = pair
+    # root ratios: Res_y(g(y), f(x*y)), as the base-K degeneracy test builds it
+    got = interpolated_resultant(
+        g, lambda x: f._make([c * x ** k for k, c in enumerate(f.coeffs)]),
+        f.degree * g.degree)
+    assert got == ratio_resultant_field(f, g)
+    # power map: Res_y(f(y), y^power - x) for monic f
+    assert _power_map_charpoly(f, power) == power_map_charpoly(f, power)

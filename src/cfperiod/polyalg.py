@@ -3,23 +3,24 @@
 Dense coefficient lists, low degree, everything exact.  Highlights:
 
 * factorization over Q (sympy-backed, certified by exact multiply-back and
-  independent small-degree irreducibility re-checks) and over K (norm descent
-  through a squarefree-shift resultant, factors recovered by gcd), of any
-  degree: the degree budget is the classifier's;
+  independent small-degree irreducibility re-checks) and over K (norm descent:
+  a shifted copy with squarefree norm h * conj(h), factors recovered by gcd),
+  of any degree: the degree budget is the classifier's;
 * the conjugation-fixed / conjugation-moved decomposition of a K-polynomial;
 * unit-circle root profiles with an exact on-circle decision (self-reciprocal
   factors + Sturm chains on the x + 1/x transform) and certified numeric
   enclosures only for provably off-circle roots;
 * unital / Pisot-style predicates on factorizations;
+* ratio and power polynomials (roots alpha/beta and alpha^k) over Q and K
+  alike, built from Newton power sums with no resultant, each certified by
+  its constant term;
 * the root-ratio non-degeneracy test with exact root-of-unity witnesses, at
-  two levels.  Over Q the pool of roots is that of a rational polynomial N,
-  and each pair of its irreducible factors yields one composed-ratio
-  resultant over Z (``ratio_poly``), which is factored and whose cyclotomic
-  factors name the witness orders.  At the base level of K the ratios range
-  over the roots of p only, through the one resultant over K with a parameter
-  x, ``interpolated_resultant`` (it also gives the power map of a degenerate
-  split).  The base level cannot go through the over-Q norm: that pool also
-  holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
+  two levels.  The pool of roots is that of a rational polynomial N = p or
+  p * conj(p) over Q, or of p itself at the base level of K.  Each unordered
+  pair of irreducible factors of the pool gives one ratio polynomial r; the
+  cyclotomic factors of r (of r * conj(r) when r is irrational) name the
+  witness orders.  The base level cannot go through the over-Q norm: that
+  pool also holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
 
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
 ``memo.scope()`` (one classification or one growth job), so each fact is
@@ -238,31 +239,6 @@ class _PolyBase:
         if v is None:
             raise TypeError(f"cannot coerce {c!r} into {type(self).__name__} coefficient")
         return v
-
-    def resultant(self, other):
-        """Res(self, other) over the coefficient field, by Euclidean descent."""
-        f, g = self, self._same(other)
-        one = self._one()
-        if f.is_zero or g.is_zero:
-            if f.is_constant() and g.is_constant():
-                return one * 0
-            return self._zero()
-        acc = one
-        while True:
-            if g.degree == 0:
-                return acc * g.lc ** f.degree
-            if f.degree < g.degree:
-                if (f.degree * g.degree) % 2 == 1:
-                    acc = -acc
-                f, g = g, f
-                continue
-            r = f % g
-            if r.is_zero:
-                return self._zero()
-            if (f.degree * g.degree) % 2 == 1:
-                acc = -acc
-            acc = acc * g.lc ** (f.degree - r.degree)
-            f, g = g, r
 
     def sturm_count(self, lo, hi) -> int:
         """Number of distinct real roots in (lo, hi]; needs squarefree self."""
@@ -960,116 +936,84 @@ def is_root_of_unity(q: RatPoly) -> tuple[bool, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# composed-ratio resultants and non-degeneracy
+# ratio and power polynomials, non-degeneracy
 # ---------------------------------------------------------------------------
 
-def ratio_poly(p: RatPoly, q: RatPoly) -> RatPoly:
-    """Polynomial whose roots are the ratios (root of p) / (root of q).
+def _power_sums(p, count: int) -> list:
+    """[s_1, ..., s_count], s_k the k-th power sum of the roots of p."""
+    m = p.monic()
+    n = m.degree
+    c = m.coeffs[::-1]  # c[j] is the coefficient of x^(n-j); c[0] = 1
+    sums = []
+    for k in range(1, count + 1):
+        # Newton: s_k + c_1 s_(k-1) + ... + c_(k-1) s_1 + k c_k = 0, c_k = 0 past n
+        acc = k * c[k] if k <= n else m._zero()
+        for j in range(1, min(k, n + 1)):
+            acc = acc + c[j] * sums[k - j - 1]
+        sums.append(-acc)
+    return sums
 
-    Computed as Res_y(q(y), p(x*y)) over Z on the primitive integer forms and
-    returned in primitive integer form with positive leading coefficient.
+
+def _from_power_sums(sums: list, like, root_product):
+    """Monic polynomial over the field of `like` whose N = len(sums) roots have
+    the power sums s_1, ..., s_N, by Newton's identities (k is invertible in
+    characteristic 0).
+
+    Certified: the constant term must be (-1)^N times root_product, the
+    product of the roots as the caller computes it from its inputs' end
+    coefficients.
     """
-    if p.is_zero or q.is_zero or p.degree < 1 or q.degree < 1:
+    c = [like._one()]
+    for k in range(1, len(sums) + 1):
+        acc = sums[k - 1]
+        for j in range(1, k):
+            acc = acc + c[j] * sums[k - j - 1]
+        c.append(-acc / k)
+    out = like._make(c[::-1])
+    if out.constant_term() != (-1) ** len(sums) * root_product:
+        raise InternalInvariantError(
+            f"power-sum polynomial {out} has the wrong root product")
+    return out
+
+
+def _root_product(p):
+    return (-1) ** p.degree * p.coeffs[0] / p.lc
+
+
+def ratio_poly(p, q):
+    """Monic polynomial whose roots are the ratios alpha/beta, alpha a root of
+    p and beta a root of q, with multiplicity; over the field of p and q.
+
+    Built from power sums, s_k(alpha/beta) = s_k(alpha) * s_k(1/beta), where
+    1/beta runs over the roots of q.reverse() (Bostan, Flajolet, Salvy and
+    Schost, "Fast computation of special resultants", 2006).
+    """
+    if p.degree < 1 or q.degree < 1:
         raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
     if q.constant_term() == 0:
         raise ZeroRootInDenominator("denominator polynomial has root 0")
-    if not p.is_squarefree() or not q.is_squarefree():
-        raise PreconditionViolated("ratio_poly needs squarefree inputs")
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    # exponent pairs (deg_y, deg_x): q(y) and p(x*y)
-    qy = sympy.Poly.from_dict({(i, 0): c for i, c in enumerate(q.primitive_integer_coeffs())},
-                              y, x, domain=sympy.ZZ)
-    pxy = sympy.Poly.from_dict({(i, i): c for i, c in enumerate(p.primitive_integer_coeffs())},
-                               y, x, domain=sympy.ZZ)
-    res = qy.resultant(pxy)
-    out = RatPoly([int(c) for c in reversed(res.all_coeffs())])
-    if out.degree != p.degree * q.degree:
-        raise InternalInvariantError("ratio_poly degree mismatch")
-    return RatPoly(out.primitive_integer_coeffs())
+    n = p.degree * q.degree
+    sums = [a * b for a, b in zip(_power_sums(p, n), _power_sums(q.reverse(), n))]
+    return _from_power_sums(
+        sums, p, _root_product(p) ** q.degree / _root_product(q) ** p.degree)
 
 
-def _pair_ratio_orders(fi: RatPoly, fj: RatPoly) -> set[int]:
-    """Orders n such that some ratio of distinct roots of fi * fj is a primitive
-    n-th root of unity; fi, fj monic irreducible over Q, nonzero roots."""
-    if fi.degree == 1 and fj.degree == 1:
-        if fi == fj:
-            return set()  # a single root forms no ratio
-        a, b = -fi.coeffs[0], -fj.coeffs[0]
-        if a == b:
-            raise InternalInvariantError("distinct irreducible factors share a root")
-        # a rational ratio is a root of unity only as -1 (1 would be a shared root)
-        return {2} if a == -b else set()
-    r = ratio_poly(fi, fj)
-    if fi == fj:
-        # self-ratios contribute (x-1)^deg exactly once per root; strip them
-        one_root = RatPoly([-1, 1])
-        for _ in range(fi.degree):
-            r = r.exact_div(one_root)
-    if r.degree == 0:
-        return set()
-    orders = set()
-    for f, _m in factor_q(r).factors:
-        is_unity, n = is_root_of_unity(f)
-        if is_unity:
-            if n == 1:
-                raise InternalInvariantError("distinct irreducible factors share a root")
-            orders.add(n)
-    return orders
+def power_poly(p, k: int):
+    """Monic polynomial whose roots are the k-th powers of p's roots, with
+    multiplicity: s_j(alpha^k) = s_(jk)(alpha)."""
+    if p.degree < 1 or k < 1:
+        raise PreconditionViolated("power_poly needs a nonconstant polynomial and k >= 1")
+    sums = _power_sums(p, k * p.degree)
+    return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
 
 
-def interpolated_resultant(f, g_at, degree: int):
-    """Res_y(f(y), g_x(y)) as a polynomial in x of exactly the given degree.
-
-    g_at(x) builds g_x for an integer x; its degree in y must be the same at
-    every sample point x = 1, -1, 2, -2, ...  Zero is never sampled: a pair
-    like f(x*y) drops degree there, and its resultant is no longer the generic
-    one evaluated at 0.  The values are Lagrange-interpolated over the
-    coefficient field of f.
-    """
-    xs = [k * s for k in range(1, degree // 2 + 2) for s in (1, -1)][:degree + 1]
-    acc = f._make([])
-    for xi in xs:
-        num, den = f._make([f._one()]), 1
-        for xj in xs:
-            if xj != xi:
-                num = num * f._make([f._coerce(-xj), f._one()])
-                den *= xi - xj
-        acc = acc + num.scale(f.resultant(g_at(xi)) / den)
-    if acc.degree != degree:
-        raise InternalInvariantError(
-            f"resultant has degree {acc.degree}, expected {degree}")
-    return acc
-
-
-def _base_k_witnesses(p: KPoly) -> set[int]:
-    """Witness orders among the roots of an irrational K-polynomial p."""
-    base = [f for f, _m in factor_k(p).factors]
-    witnesses: set[int] = set()
-    for pi, pj in itertools.product(base, repeat=2):
-        # Res_y(pj(y), pi(x*y)) over K: the ratios of roots of pi to roots of pj
-        r = interpolated_resultant(
-            pj, lambda x: pi._make([c * x ** k for k, c in enumerate(pi.coeffs)]),
-            pi.degree * pj.degree)
-        if pi == pj:
-            # self-ratios contribute (x-1)^deg exactly once per root; strip them
-            one_root = r._make([-r._one(), r._one()])
-            for _ in range(pi.degree):
-                r = r.exact_div(one_root)
-        if r.is_zero:
-            raise InternalInvariantError("vanishing ratio resultant")
-        if r.degree == 0:
-            continue
-        r = r.monic()
-        # a root of r has degree <= 2 * deg r over Q
-        for n, _t in _orders_with_totient_at_most(2 * r.degree):
-            if r.gcd(cyclotomic(n).lift(r.d)).degree > 0:
-                if n == 1:
-                    raise InternalInvariantError(
-                        "distinct irreducible factors share a root")
-                witnesses.add(n)
-    return witnesses
+def _over_q(p: KPoly) -> RatPoly:
+    """p as a rational polynomial, or p * conj(p) when p is irrational."""
+    if not p.is_rational():
+        p = p * p.conj()
+        if not p.is_rational():
+            raise InternalInvariantError("p * conj(p) not rational")
+    return p.to_ratpoly()
 
 
 def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
@@ -1093,22 +1037,50 @@ def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
 
 @memoized
 def _witness_orders(p, over: str) -> tuple[int, ...]:
-    """Sorted witness orders; p is a RatPoly (over="Q") or an irrational KPoly."""
+    """Sorted witness orders; p is a RatPoly (over="Q") or an irrational KPoly.
+
+    The pool is the roots of p over its own field: those of p * conj(p) over
+    Q for a KPoly at over="Q".  Each unordered pair of its distinct
+    irreducible factors gives one ratio polynomial, read over Q: a ratio
+    polynomial r with irrational coefficients is replaced by r * conj(r),
+    whose extra roots are conjugates of r's, and conjugation maps a primitive
+    n-th root of unity to another one of order n.
+    """
     while p.degree >= 1 and p.coeffs[0] == 0:
         p = p._make(list(p.coeffs[1:]))
     if p.degree < 1:
         return ()
-    if isinstance(p, KPoly):
-        if over == "baseK":
-            return tuple(sorted(_base_k_witnesses(p)))
-        norm = p * p.conj()
-        if not norm.is_rational():
-            raise InternalInvariantError("p * conj(p) not rational")
-        p = norm.to_ratpoly()
-    # the over-Q pool: the roots of the rational polynomial p
-    base = factor_q(p).distinct()
+    if isinstance(p, KPoly) and over == "Q":
+        p = _over_q(p)
+    base = (factor_k(p) if isinstance(p, KPoly) else factor_q(p)).distinct()
     witnesses: set[int] = set()
     for i, fi in enumerate(base):
         for fj in base[i:]:
-            witnesses |= _pair_ratio_orders(fi, fj)
+            if fi.degree == 1 and fj.degree == 1:
+                if fi == fj:
+                    continue  # a single root forms no ratio
+                a, b = -fi.coeffs[0], -fj.coeffs[0]
+                if a == b:
+                    raise InternalInvariantError("distinct irreducible factors share a root")
+                # a real ratio is a root of unity only as -1 (1 would be a shared root)
+                if a == -b:
+                    witnesses.add(2)
+                continue
+            r = ratio_poly(fi, fj)
+            if fi == fj:
+                # self-ratios contribute (x-1)^deg exactly once per root; strip them
+                one_root = r._make([-r._one(), r._one()])
+                for _ in range(fi.degree):
+                    r = r.exact_div(one_root)
+            if isinstance(r, KPoly):
+                r = _over_q(r)
+            if r.degree == 0:
+                continue
+            for f, _m in factor_q(r).factors:
+                is_unity, n = is_root_of_unity(f)
+                if is_unity:
+                    if n == 1:
+                        raise InternalInvariantError(
+                            "distinct irreducible factors share a root")
+                    witnesses.add(n)
     return tuple(sorted(witnesses))

@@ -39,13 +39,8 @@ def check_field_parameter(d: int) -> None:
         return
     if d < 2:
         raise BadFieldParameter(f"field parameter d must be >= 2, got {d}")
-    n, p = d, 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            raise BadFieldParameter(f"field parameter d must be squarefree, got {d}")
-        if n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
+    if split_square(d)[1] != d:
+        raise BadFieldParameter(f"field parameter d must be squarefree, got {d}")
     _SQUAREFREE_OK.add(d)
 
 

@@ -20,7 +20,7 @@ from .errors import (
     WindowTooShort,
 )
 from .memo import memoized
-from .polyalg import KPoly, RatPoly, interpolated_resultant, is_unital, nondegeneracy
+from .polyalg import KPoly, nondegeneracy, power_poly
 from .qfield import QuadElem
 
 BM_MARGIN = 8
@@ -132,24 +132,6 @@ def conj_rec(r: LinRec) -> LinRec:
                   [a.conj() for a in r.initials], r.d)
 
 
-def combine(r: LinRec, s: LinRec, op: str):
-    """Termwise sum/difference; returns a window function (start, count)."""
-    if r.d != s.d:
-        raise MixedFieldError(f"cannot combine sequences over d={r.d} and d={s.d}")
-    if op == "sum":
-        sign = 1
-    elif op == "difference":
-        sign = -1
-    else:
-        raise PreconditionViolated(f"unknown combine op {op!r}")
-
-    def window(start: int, count: int) -> SeqWindow:
-        return SeqWindow(start, tuple(r.term(start + i) + sign * s.term(start + i)
-                                      for i in range(count)))
-
-    return window
-
-
 # ---------------------------------------------------------------------------
 # Berlekamp-Massey over the coefficient field
 # ---------------------------------------------------------------------------
@@ -219,14 +201,10 @@ def diff_sum_parts(r: LinRec):
 
     Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: RatPoly | ZERO_SEQUENCE).
     """
-    k = r.order
-    rc = conj_rec(r)
-    bound = 2 * k
-    count = 2 * bound + BM_MARGIN
-    dw = combine(r, rc, "difference")(0, count)
-    sw = combine(r, rc, "sum")(0, count)
-    p_d = min_charpoly(dw, bound)
-    p_s = min_charpoly(sw, bound)
+    bound = 2 * r.order
+    terms = r.window(0, 2 * bound + BM_MARGIN).values
+    p_d = min_charpoly(SeqWindow(0, tuple(a - a.conj() for a in terms)), bound)
+    p_s = min_charpoly(SeqWindow(0, tuple(a + a.conj() for a in terms)), bound)
     if not isinstance(p_s, ZeroSequence):
         if not p_s.is_rational():
             raise InternalInvariantError(
@@ -250,19 +228,6 @@ def nondegenerate_rec(r: LinRec, over: str = "baseK"):
     return nondegeneracy(p, over)
 
 
-def _power_map_charpoly(p: KPoly, power: int) -> KPoly:
-    """Monic polynomial whose roots are the power-th powers of p's roots."""
-    # Res_y(p(y), y^power - x) = (-1)^L prod (x - alpha^power) for monic p
-    L = p.degree
-    acc = interpolated_resultant(
-        p, lambda x: KPoly([-x] + [0] * (power - 1) + [1], p.d), L)
-    if L % 2:
-        acc = -acc
-    if acc.is_zero or acc.lc != acc._one():
-        raise InternalInvariantError("power-map charpoly not monic")
-    return acc
-
-
 def split_degenerate(r: LinRec):
     """(d, parts): parts[j] generates (A_{dn+j})_n, each non-degenerate over Q.
 
@@ -276,7 +241,7 @@ def split_degenerate(r: LinRec):
     p = seq_min_charpoly(r)
     if isinstance(p, ZeroSequence):
         return 1, [r]
-    q = _power_map_charpoly(p, d_step)
+    q = power_poly(p, d_step)
     order = q.degree
     coeffs = [-q.coeffs[order - 1 - i] for i in range(order)]
     parts = []
@@ -289,26 +254,3 @@ def split_degenerate(r: LinRec):
                 f"subsequence j={j} still degenerate (witness orders {wit})")
         parts.append(part)
     return d_step, parts
-
-
-def least_clearing_integer(x: QuadElem) -> int:
-    """Smallest positive k with k*x integral over Z (ring of integers of K)."""
-    A, B, m = x.A, x.B, x.m
-    if x.d % 4 == 1:
-        # O_K = Z[(1+sqrt(d))/2]: need 2ka, 2kb in Z with matching parity,
-        # equivalently k*2a, k*2b, k*(a-b) all integers; with a = A/m and
-        # b = B/m the least such k is m / gcd(2A, 2B, A - B, m)
-        return m // math.gcd(2 * A, 2 * B, A - B, m)
-    return m  # gcd(A, B, m) = 1: the common denominator of a and b
-
-
-def denominator_profile(r: LinRec, n_max: int, *, start: int = 0):
-    """(max clearing integer over the window, unital prediction from charpoly)."""
-    if n_max < 1:
-        raise PreconditionViolated("need a window of at least two terms")
-    worst = 1
-    for n in range(start, start + n_max + 1):
-        worst = max(worst, least_clearing_integer(r.term(n)))
-    p = seq_min_charpoly(r)
-    prediction = True if isinstance(p, ZeroSequence) else is_unital(p)
-    return worst, prediction

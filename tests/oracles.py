@@ -12,12 +12,12 @@ as places._branch_root does.
 The reference field arithmetic is the Fraction-backed QuadElem that
 qfield.QuadElem replaced: a frozen dataclass of two Fractions, re-checking d
 on every construction.  It shares only the exception classes with the package.
-The two reference resultants in x are the separate interpolation loops that
-polyalg.interpolated_resultant replaced, one sampling x = 1, -1, 2, ... for
-the root ratios and one sampling x = 0, 1, 2, ... for the power map.  They use
-the package's polynomial arithmetic and its resultant at a point; what they
-check independently is the sampling, the specialization and the
-interpolation.
+The reference ratio and power polynomials are resultants, where the package
+builds them from power sums.  Over Q, ratio_poly_zz is a sympy bivariate
+resultant over Z.  Over K, two interpolation loops sample x = 1, -1, 2, ...
+for the root ratios and x = 0, 1, 2, ... for the power map, and take each
+sample with the Euclidean resultant below; they share only the package's
+polynomial arithmetic.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -442,6 +442,53 @@ def quad_to_mpf(x: QuadElem, dps: int):
                 + (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(x.d))
 
 
+# ---------------------------------------------------------------------------
+# reference resultants: ratio and power polynomials
+# ---------------------------------------------------------------------------
+
+def resultant(f, g):
+    """Res(f, g) over the coefficient field of f, by Euclidean descent."""
+    g = f._same(g)
+    one = f._one()
+    if f.is_zero or g.is_zero:
+        if f.is_constant() and g.is_constant():
+            return one * 0
+        return f._zero()
+    acc = one
+    while True:
+        if g.degree == 0:
+            return acc * g.lc ** f.degree
+        if f.degree < g.degree:
+            if (f.degree * g.degree) % 2 == 1:
+                acc = -acc
+            f, g = g, f
+            continue
+        r = f % g
+        if r.is_zero:
+            return f._zero()
+        if (f.degree * g.degree) % 2 == 1:
+            acc = -acc
+        acc = acc * g.lc ** (f.degree - r.degree)
+        f, g = g, r
+
+
+def ratio_poly_zz(p, q):
+    """Res_y(q(y), p(x*y)) over Z on the primitive integer forms of two
+    rational polynomials, in primitive integer form with positive leading
+    coefficient: its roots are the ratios (root of p) / (root of q)."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    # exponent pairs (deg_y, deg_x): q(y) and p(x*y)
+    qy = sympy.Poly.from_dict({(i, 0): c for i, c in enumerate(q.primitive_integer_coeffs())},
+                              y, x, domain=sympy.ZZ)
+    pxy = sympy.Poly.from_dict({(i, i): c for i, c in enumerate(p.primitive_integer_coeffs())},
+                               y, x, domain=sympy.ZZ)
+    res = qy.resultant(pxy)
+    out = polyalg.RatPoly([int(c) for c in reversed(res.all_coeffs())])
+    return polyalg.RatPoly(out.primitive_integer_coeffs())
+
+
 def ratio_resultant_field(pi, pj):
     """Res_y(pj(y), pi(x*y)) over K, by interpolation.
 
@@ -457,7 +504,7 @@ def ratio_resultant_field(pi, pj):
         # and its resultant no longer equals the generic one evaluated there
         point = Fraction(c)
         scaled = pi._make([coef * point ** k for k, coef in enumerate(pi.coeffs)])
-        val = pj.resultant(scaled)
+        val = resultant(pj, scaled)
         xs.append(point)
         ys.append(val)
         c = -c if c > 0 else -c + 1  # 1, -1, 2, -2, ...
@@ -484,7 +531,7 @@ def power_map_charpoly(p, power: int):
         # y^power - point, degree constant in the specialization
         g = polyalg.KPoly([-point] + [0] * (power - 1) + [1], p.d)
         xs.append(point)
-        ys.append(p.resultant(g))
+        ys.append(resultant(p, g))
     acc = polyalg.KPoly([], p.d)
     for i in range(L + 1):
         num = polyalg.KPoly([1], p.d)

@@ -256,6 +256,19 @@ def test_periods_rational_rows_have_ell_zero(capsys, tmp_path):
     assert "# window [8..10] max_ell=0" in lines
 
 
+def test_periods_accepts_a_huge_squarefree_d(capsys, tmp_path):
+    # d = 2^200 + 1 is squarefree: factoring decides it, trial division up
+    # to sqrt(d) would not finish
+    d = 2 ** 200 + 1
+    job = write_job(tmp_path, "huge.json",
+                    {"command": "periods", "d": d, "coeffs": ["1"],
+                     "initials": [["0", "1"]], "range": [1, 2]})
+    code, out, err = run(capsys, ["periods", job])
+    assert code == 0 and err == ""
+    rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert [r[:2] for r in rows] == [["1", "1"], ["2", "1"]]  # sqrt(d) = [2^100; (2^101)]
+
+
 def test_periods_step_cap_marks_lower_bounds(capsys, tmp_path):
     code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 1, 10),
                                   "--step-cap", "50"])

@@ -18,21 +18,21 @@ from cfperiod.polyalg import (
     decompose_q_k,
     factor_k,
     factor_q,
-    interpolated_resultant,
     is_pisot_paper,
     is_root_of_unity,
     is_unital,
     minpoly_over_q,
     nondegeneracy,
+    power_poly,
     ratio_poly,
     root_integrality_flags,
 )
 from cfperiod.qfield import quad, sqrt_int
-from cfperiod.recurrence import _power_map_charpoly, seq_min_charpoly
+from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (circle_counts, poly_roots, power_map_charpoly, ratio_resultant_field,
-                     ratio_witness_orders_numeric)
+from oracles import (circle_counts, poly_roots, power_map_charpoly, ratio_poly_zz,
+                     ratio_resultant_field, ratio_witness_orders_numeric, resultant)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -97,13 +97,14 @@ def test_gcd_divides_both():
 
 
 def test_resultant_magnitude_against_sympy():
-    # |Res(p, q)| is convention-free; the sign is pinned separately below
+    # the reference resultant behind the ratio and power oracles;
+    # |Res(p, q)| is convention-free, the sign is pinned separately below
     rng = random.Random(34)
     x = sympy.symbols("x")
     for _ in range(40):
         p = _rand_ratpoly(rng, rng.randrange(1, 5))
         q = _rand_ratpoly(rng, rng.randrange(1, 5))
-        mine = p.resultant(q)
+        mine = resultant(p, q)
         sp = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p.coeffs))
         sq = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q.coeffs))
         ref = F(*sympy.resultant(sympy.Poly(sp, x), sympy.Poly(sq, x)).as_numer_denom())
@@ -117,7 +118,7 @@ def test_resultant_root_product_convention():
     for _ in range(25):
         p = _rand_ratpoly(rng, rng.randrange(1, 4))
         q = _rand_ratpoly(rng, rng.randrange(1, 4))
-        mine = p.resultant(q)
+        mine = resultant(p, q)
         with mpmath.workdps(80):
             acc = mpmath.mpmathify(p.lc) ** q.degree
             for alpha in poly_roots(p.coeffs, dps=80):
@@ -344,6 +345,35 @@ def test_ratio_poly_contains_all_ratios():
                     assert err < mpmath.mpf("1e-20") * (1 + abs(ratio))
 
 
+@st.composite
+def rational_ratio_pairs(draw):
+    """(p, q) over Q of degrees 1-5 with integer coefficients, q without a
+    zero root; a third of the time p is q itself."""
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def poly(constant):
+        deg = draw(st.integers(1, 5))
+        return RatPoly([draw(constant)] + [draw(st.integers(-3, 3)) for _ in range(deg - 1)]
+                       + [draw(nonzero)])
+
+    q = poly(nonzero)
+    if draw(st.integers(0, 2)) == 0:
+        return q, q
+    return poly(st.integers(-3, 3)), q
+
+
+@settings(max_examples=80)
+@given(rational_ratio_pairs())
+@example((FIB, FIB))
+@example((cyclotomic(12), cyclotomic(12)))
+@example((RatPoly([0, 1]), RatPoly([2, 1])))
+def test_ratio_poly_matches_the_integer_resultant(pair):
+    p, q = pair
+    r = ratio_poly(p, q)
+    assert r.lc == 1 and r.degree == p.degree * q.degree
+    assert RatPoly(r.primitive_integer_coeffs()) == ratio_poly_zz(p, q)
+
+
 # ---------------------------------------------------------------------------
 # circle profiles, root boxes, degeneracy
 # ---------------------------------------------------------------------------
@@ -391,8 +421,7 @@ def test_nondegeneracy_ignores_zero_roots():
     assert nondegeneracy(RatPoly([0, 0, 1])) == (True, [])  # x^2 alone
 
 
-# over-Q witness orders of the curated members' minimal polynomials, as the
-# interpolated-resultant implementation over K computed them
+# over-Q witness orders of the curated members' minimal polynomials, pinned
 CURATED_WITNESSES = {
     "fibonacci": [], "n+sqrt5": [], "(1+sqrt2)^n": [], "(3+sqrt2)^n": [],
     "sqrt5*2^n": [], "n^2*sqrt5": [], "sqrt2^n+(1+sqrt2)^n": [2],
@@ -414,10 +443,13 @@ def chosen_root_polys(draw):
     """Squarefree K- or Q-polynomials assembled from chosen roots.
 
     Blocks: one root alpha; a forced pair alpha, -alpha; alpha with
-    zeta_3 * alpha and zeta_3^2 * alpha (x^2 + alpha x + alpha^2); the
+    zeta_3 * alpha and zeta_3^2 * alpha (x^2 + alpha x + alpha^2); over K
+    only, alpha with zeta * alpha and alpha / zeta, where zeta + 1/zeta = t
+    lies in K and zeta has order n = 8, 12 or 5 for d = 2, 3 or 5 (Phi_n
+    splits over K, so the ratio polynomial has irrational coefficients); the
     conjugates +-c*sqrt(d) (over K the root c*sqrt(d) alone, its conjugate
     joins at the Q level); a zero root.  Every root is a real number times a
-    power of zeta_3, so a ratio of modulus 1 is a root of unity and the
+    root of unity, so a ratio of modulus 1 is a root of unity and the
     numeric oracle's angle test is exact on it.
     """
     d = draw(st.sampled_from([2, 3, 5]))
@@ -431,7 +463,8 @@ def chosen_root_polys(draw):
 
     p = KPoly([1], d)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["root", "neg", "zeta3", "conj", "zero"]))
+        kind = draw(st.sampled_from(["root", "neg", "zeta3", "conj", "zero"]
+                                    + ([] if rational else ["split"])))
         if kind == "root":
             p = p * (x - elem())
         elif kind == "neg":
@@ -440,6 +473,10 @@ def chosen_root_polys(draw):
         elif kind == "zeta3":
             a = elem()
             p = p * (x - a) * (x * x + x.scale(a) + a * a)
+        elif kind == "split":
+            a = elem()
+            t = {2: sqrt_d, 3: sqrt_d, 5: (sqrt_d - 1) / 2}[d]
+            p = p * (x - a) * (x * x - x.scale(t * a) + a * a)
         elif kind == "conj":
             c = draw(st.sampled_from([1, -1, 2]))
             p = p * (x * x - c * c * d if rational else x - sqrt_d * c)
@@ -463,11 +500,18 @@ def _coeff_pairs(p):
 @example(RatPoly([-3, 0, 1]))                                        # +-sqrt(3)
 @example(KPoly([0, -R5, 1], 5) * KPoly([2, 1], 5))                   # zero root
 @example(RatPoly([0, 1, 1, 1]))                                      # x(x^2 + x + 1)
+@example(KPoly([-1, 1], 2) * KPoly([1, -R2, 1], 2))                  # 1, zeta_8^(+-1)
+@example(KPoly([-1, 1], 5) * KPoly([1, (1 - R5) / 2, 1], 5))         # 1, zeta_5^(+-1)
 def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
     d, pairs = _coeff_pairs(p)
     ok, orders = nondegeneracy(p, over="Q")
     assert orders == ratio_witness_orders_numeric(pairs, d, True, 60)
     assert ok == (not orders)
+    if isinstance(p, KPoly):
+        # base level: the pool holds the roots of p only
+        ok, orders = nondegeneracy(p, over="baseK")
+        assert orders == ratio_witness_orders_numeric(pairs, d, False, 60)
+        assert ok == (not orders)
 
 
 @st.composite
@@ -492,12 +536,9 @@ def resultant_pairs(draw):
 
 @settings(max_examples=60)
 @given(resultant_pairs(), st.integers(1, 6))
-def test_interpolated_resultant_matches_the_separate_loops(pair, power):
+def test_ratio_and_power_poly_match_the_separate_loops(pair, power):
     f, g = pair
-    # root ratios: Res_y(g(y), f(x*y)), as the base-K degeneracy test builds it
-    got = interpolated_resultant(
-        g, lambda x: f._make([c * x ** k for k, c in enumerate(f.coeffs)]),
-        f.degree * g.degree)
-    assert got == ratio_resultant_field(f, g)
+    # root ratios: Res_y(g(y), f(x*y)) over K, made monic
+    assert ratio_poly(f, g) == ratio_resultant_field(f, g).monic()
     # power map: Res_y(f(y), y^power - x) for monic f
-    assert _power_map_charpoly(f, power) == power_map_charpoly(f, power)
+    assert power_poly(f, power) == power_map_charpoly(f, power)

@@ -18,11 +18,8 @@ from cfperiod.recurrence import (
     ZERO_SEQUENCE,
     LinRec,
     SeqWindow,
-    combine,
     conj_rec,
-    denominator_profile,
     diff_sum_parts,
-    least_clearing_integer,
     min_charpoly,
     nondegenerate_rec,
     seq_min_charpoly,
@@ -190,17 +187,6 @@ def test_conj_rec_matches_termwise_conjugation():
             assert rc.term(n) == conj(r.term(n))
 
 
-def test_combine_windows():
-    w = combine(FIB, FIB, "sum")(0, 5)
-    assert w.values == tuple(2 * FIB.term(i) for i in range(5))
-    diff = combine(PELL_POW, PELL_POW, "difference")(2, 6)
-    assert all(v == 0 for v in diff.values)
-    with pytest.raises(MixedFieldError):
-        combine(FIB, PELL_POW, "sum")
-    with pytest.raises(PreconditionViolated):
-        combine(FIB, FIB, "ratio")
-
-
 # ---------------------------------------------------------------------------
 # degeneracy handling
 # ---------------------------------------------------------------------------
@@ -232,25 +218,3 @@ def test_split_degenerate_on_nondegenerate_is_identity():
     assert len(parts) == 1
     for n in range(6):
         assert parts[0].term(n) == FIB.term(n)
-
-
-# ---------------------------------------------------------------------------
-# denominator bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_least_clearing_integer():
-    assert least_clearing_integer(quad(F(1, 2), F(1, 2), 5)) == 1  # integral: d = 1 mod 4
-    assert least_clearing_integer(quad(F(1, 2), F(1, 2), 2)) == 2
-    assert least_clearing_integer(quad(F(1, 3), 0, 5)) == 3
-    assert least_clearing_integer(quad(F(1, 2), F(1, 3), 2)) == 6
-    assert least_clearing_integer(quad(3, -7, 17)) == 1
-    assert least_clearing_integer(quad(F(1, 2), F(1, 1), 5)) == 2  # parity mismatch
-
-
-def test_denominator_profile():
-    assert denominator_profile(FIB, 12) == (1, True)
-    half = LinRec([F(1, 2), -1], [R2, quad(0, 0, 2)], 2)
-    mx, stab = denominator_profile(half, 10)
-    assert mx == 256 and not stab
-    shifted = LinRec([2, -1], [R5, 1 + R5], 5)
-    assert denominator_profile(shifted, 16) == (1, True)

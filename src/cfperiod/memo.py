@@ -23,6 +23,7 @@ import inspect
 
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "cfperiod_memo", default=None)
+_MISSING = object()
 
 
 @contextlib.contextmanager
@@ -66,11 +67,10 @@ def memoized(fn):
         if memo is None:
             return fn(*args, **kwargs)
         key = memo_key(args, kwargs)
-        try:
-            return memo[key]
-        except KeyError:
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:  # computed outside any handler: no exception chain
             value = memo[key] = fn(*args, **kwargs)
-            return value
+        return value
 
     wrapper.memo_key = memo_key
     return wrapper

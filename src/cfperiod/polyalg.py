@@ -2,10 +2,13 @@
 
 Dense coefficient lists, low degree, everything exact.  Highlights:
 
-* factorization over Q (sympy-backed, certified by exact multiply-back and
-  independent small-degree irreducibility re-checks) and over K (norm descent:
-  a shifted copy with squarefree norm h * conj(h), factors recovered by gcd),
-  of any degree: the degree budget is the classifier's;
+* factorization over Q on the primitive integer form (sympy's factorer over
+  Z, certified by the content scale-back, an exact multiply-back over Z and
+  independent small-degree irreducibility re-checks) and over K: a rational
+  polynomial from its factorization over Q, splitting each factor on its own;
+  the norm descent (a shifted copy with squarefree norm h * conj(h), factors
+  recovered by gcd) only for irrational inputs and for rational factors of
+  even degree >= 4.  Any degree: the degree budget is the classifier's;
 * the conjugation-fixed / conjugation-moved decomposition of a K-polynomial;
 * unit-circle root profiles with an exact on-circle decision (self-reciprocal
   factors + Sturm chains on the x + 1/x transform) and certified numeric
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,7 +346,6 @@ class RatPoly(_PolyBase):
         """Integer coefficients, content 1, positive leading; low-to-high."""
         if self.is_zero:
             raise ValueError("primitive form of zero polynomial")
-        import math
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
         g = math.gcd(*ints)
@@ -451,20 +454,29 @@ class Factorization:
         return [f for f, _m in self.factors]
 
 
-def _rat_to_sympy(p: RatPoly):
-    import sympy
+def _zz_factor(ints: list[int]):
+    """sympy's factorer over Z (Zassenhaus) on high-to-low coefficients:
+    (content, [(primitive factor with positive leading coefficient, mult)])."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_zz_factor
 
-    x = sympy.Symbol("x")
-    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(p.coeffs)], x, domain="QQ")
+    return dup_zz_factor(ints, ZZ)
 
 
-def _rat_from_sympy(sp) -> RatPoly:
-    return RatPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+def _zz_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _rational_roots(p: RatPoly) -> list[Fraction]:
-    """All rational roots (exact; divisor enumeration on the primitive form)."""
+    """All rational roots (exact; divisor enumeration on the primitive form).
+
+    A candidate num/den in lowest terms is a root iff den^n * p(num/den) = 0,
+    evaluated over Z by homogeneous Horner.
+    """
     from sympy import divisors
 
     roots = []
@@ -474,19 +486,23 @@ def _rational_roots(p: RatPoly) -> list[Fraction]:
         ints = ints[1:]
     for num in divisors(abs(ints[0])):
         for den in divisors(abs(ints[-1])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and p.eval(cand) == 0:
-                    roots.append(cand)
+            if math.gcd(num, den) != 1:
+                continue
+            for n in (num, -num):
+                acc, den_pow = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    den_pow *= den
+                    acc = acc * n + c * den_pow
+                if acc == 0:
+                    roots.append(Fraction(n, den))
     return roots
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    import math
-
+def _rational_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
-        return False
-    return (math.isqrt(q.numerator) ** 2 == q.numerator
-            and math.isqrt(q.denominator) ** 2 == q.denominator)
+        return None
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
 
 
 def _certify_irreducible_q(p: RatPoly) -> None:
@@ -507,17 +523,16 @@ def _certify_irreducible_q(p: RatPoly) -> None:
         dep = m.compose(RatPoly([-a3 / 4, 1]))
         P, Q, R = dep.coeffs[2], dep.coeffs[1], dep.coeffs[0]
         if Q == 0:
-            if _is_rational_square(P * P - 4 * R):
+            if _rational_sqrt(P * P - 4 * R) is not None:
                 raise NotIrreducible(f"{p} splits as a biquadratic")
-            if _is_rational_square(R):
-                import math
-                g = Fraction(math.isqrt(R.numerator), math.isqrt(R.denominator))
-                if _is_rational_square(2 * g - P) or _is_rational_square(-2 * g - P):
-                    raise NotIrreducible(f"{p} splits into quadratics")
+            g = _rational_sqrt(R)
+            if g is not None and (_rational_sqrt(2 * g - P) is not None
+                                  or _rational_sqrt(-2 * g - P) is not None):
+                raise NotIrreducible(f"{p} splits into quadratics")
             return
         resolvent = RatPoly([-Q * Q, P * P - 4 * R, 2 * P, 1])
         for z0 in _rational_roots(resolvent):
-            if z0 > 0 and _is_rational_square(z0):
+            if z0 > 0 and _rational_sqrt(z0) is not None:
                 raise NotIrreducible(f"{p} splits into quadratics (resolvent root {z0})")
         return
     # degree >= 5: no independent certificate here (see decision ledger)
@@ -527,27 +542,33 @@ def _certify_irreducible_q(p: RatPoly) -> None:
 def factor_q(p: RatPoly) -> Factorization:
     """Complete factorization over Q into monic irreducibles.
 
-    Certified on every call: the factors multiply back to p exactly, and
-    factors of degree <= 4 pass an independent irreducibility re-check.
+    Runs on the primitive integer form of p.  Certified on every call: the
+    content times the primitive form is p, the integer factors multiply back
+    to the primitive form exactly, and factors of degree <= 4 pass an
+    independent irreducibility re-check.
     """
     if p.is_zero:
         raise ValueError("factor_q of zero polynomial")
     if p.degree == 0:
         return Factorization(p.coeffs[0], ())
-    coeff, sympy_factors = _rat_to_sympy(p).factor_list()
-    unit = Fraction(int(coeff.p), int(coeff.q))
+    prim = p.primitive_integer_coeffs()
+    content = p.lc / prim[-1]
+    if [content * c for c in prim] != list(p.coeffs):
+        raise InternalInvariantError(f"factor_q content scale-back failed for {p}")
+    zz_unit, zz_factors = _zz_factor(list(reversed(prim)))
+    check = [zz_unit]
+    unit = content * zz_unit
     factors = []
-    for sf, mult in sympy_factors:
-        f = _rat_from_sympy(sf)
-        unit *= f.lc ** mult
-        factors.append((f.monic(), int(mult)))
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    check = RatPoly([unit])
-    for f, m in factors:
-        _certify_irreducible_q(f)
-        check = check * f ** m
-    if check != p:
+    for f, mult in zz_factors:
+        for _ in range(mult):
+            check = _zz_mul(check, f)
+        unit *= f[0] ** mult
+        factors.append((RatPoly([Fraction(c, f[0]) for c in reversed(f)]), mult))
+    if tuple(reversed(check)) != prim:
         raise InternalInvariantError(f"factor_q multiply-back failed for {p}")
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    for f, _m in factors:
+        _certify_irreducible_q(f)
     for f, _m in factors:  # each factor is its own factorization
         remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
     return Factorization(unit, tuple(factors))
@@ -604,13 +625,35 @@ def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     raise InternalInvariantError(f"no squarefree shift found for {g}")
 
 
+def _split_over_k(f: RatPoly, d: int) -> list[KPoly]:
+    """Monic irreducible factors over K of a monic Q-irreducible f.
+
+    Gal(K/Q) permutes them transitively, so f stays irreducible or splits
+    into two conjugates of half its degree: an odd degree never splits, and
+    x^2 + c1 x + c0 splits iff (c1^2 - 4 c0)/d = q^2 is a rational square,
+    into the roots (-c1 +- q sqrt(d))/2.
+    """
+    if f.degree % 2:
+        return [f.lift(d)]
+    if f.degree == 2:
+        c0, c1 = f.coeffs[0], f.coeffs[1]
+        q = _rational_sqrt((c1 * c1 - 4 * c0) / d)
+        if q is None:
+            return [f.lift(d)]
+        return [KPoly([QuadElem(c1 / 2, s * q / 2, d), 1], d) for s in (1, -1)]
+    return _factor_k_squarefree(f.lift(d))
+
+
 @memoized
 def factor_k(p: KPoly) -> Factorization:
     """Factorization into monic irreducibles over K = Q(sqrt(d)).
 
-    Norm-descent: a shifted copy p(x - s*sqrt(d)) with squarefree norm is
-    factored through factor_q of the norm, and K-factors are recovered as
-    gcds; the result is certified by exact multiplication.
+    A rational monic p is factored over Q and each Q-irreducible factor is
+    split on its own (_split_over_k).  Otherwise, after Yun's squarefree
+    decomposition, the norm descent: a shifted copy p(x - s*sqrt(d)) with
+    squarefree norm is factored through factor_q of the norm, and K-factors
+    are recovered as gcds.  Either way the result is certified by exact
+    multiplication.
     """
     if p.is_zero:
         raise ValueError("factor_k of zero polynomial")
@@ -618,10 +661,15 @@ def factor_k(p: KPoly) -> Factorization:
     if p.degree == 0:
         return Factorization(unit, ())
     monic = p.monic()
+    if monic.is_rational():
+        pieces = [(g, mult) for f, mult in factor_q(monic.to_ratpoly()).factors
+                  for g in _split_over_k(f, p.d)]
+    else:
+        pieces = [(g, mult) for f, mult in _squarefree_decomposition(monic)
+                  for g in _factor_k_squarefree(f)]
     factors: dict[KPoly, int] = {}
-    for g, mult in _squarefree_decomposition(monic):
-        for f in _factor_k_squarefree(g):
-            factors[f] = factors.get(f, 0) + mult
+    for g, mult in pieces:
+        factors[g] = factors.get(g, 0) + mult
     items = sorted(factors.items(),
                    key=lambda fm: (fm[0].degree,
                                    tuple((c.a, c.b) for c in fm[0].coeffs)))

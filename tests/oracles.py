@@ -18,6 +18,10 @@ resultant over Z.  Over K, two interpolation loops sample x = 1, -1, 2, ...
 for the root ratios and x = 0, 1, 2, ... for the power map, and take each
 sample with the Euclidean resultant below; they share only the package's
 polynomial arithmetic.
+The reference factorizations take the routes the package left: over Q,
+sympy's factor_list on rational coefficients instead of the integer factorer
+on the primitive form; over K, Yun plus the norm descent for every input
+instead of splitting a rational polynomial's factors over Q.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -547,3 +551,38 @@ def power_map_charpoly(p, power: int):
     if acc.is_zero or acc.lc != acc._one():
         raise InternalInvariantError("power-map charpoly not monic")
     return acc
+
+
+# ---------------------------------------------------------------------------
+# reference factoring routes
+# ---------------------------------------------------------------------------
+
+def factor_q_qq(p):
+    """Factorization over Q by sympy's factor_list on a QQ polynomial, with the
+    factors made monic and sorted as polyalg.factor_q sorts them."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                    x, domain="QQ")
+    coeff, sympy_factors = sp.factor_list()
+    unit = Fraction(int(coeff.p), int(coeff.q))
+    factors = []
+    for sf, mult in sympy_factors:
+        f = polyalg.RatPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())])
+        unit *= f.lc ** mult
+        factors.append((f.monic(), int(mult)))
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return polyalg.Factorization(unit, tuple(factors))
+
+
+def factor_k_norm(p):
+    """Factorization over K by Yun's squarefree decomposition and the norm
+    descent, for rational inputs too, sorted as polyalg.factor_k sorts."""
+    factors = {}
+    for g, mult in polyalg._squarefree_decomposition(p.monic()):
+        for f in polyalg._factor_k_squarefree(g):
+            factors[f] = factors.get(f, 0) + mult
+    items = sorted(factors.items(),
+                   key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
+    return polyalg.Factorization(p.lc, tuple(items))

@@ -55,6 +55,22 @@ def test_memo_separates_types_and_fields():
     assert len(calls) == 3
 
 
+def test_memo_raises_unchained_and_caches_nothing():
+    calls = []
+
+    @memo.memoized
+    def refuse(p):
+        calls.append(p)
+        return factor_q(p)
+
+    with memo.scope():
+        for _ in range(2):  # nothing was stored, so the second call runs again
+            with pytest.raises(ValueError) as info:
+                refuse(RatPoly([]))
+            assert info.value.__context__ is None
+    assert len(calls) == 2
+
+
 def test_classify_leaves_no_memo_behind():
     for _name, r, _verdict, _step in members()[:3]:
         classify(r)
@@ -91,7 +107,7 @@ def test_growth_leaves_no_memo_behind(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _no_sympy(_p):
+def _factored_again(*_args):
     raise AssertionError("factored again")
 
 
@@ -102,13 +118,19 @@ def _no_sympy(_p):
     # descent splits x^2 - 2 x - 1 into its two conjugate roots
     (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
      * KPoly([QuadElem(-1, -1, 2), 1], 2)),
-], ids=["factor_q", "factor_k"])
+    # (x^2 - 2 x - 1)(x^2 + x + 1)(x^3 - 2) over Q(sqrt 2): rational, so it
+    # is split from its factorization over Q
+    (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2) * KPoly([-2, 0, 0, 1], 2)),
+], ids=["factor_q", "factor_k", "factor_k_rational"])
 def test_factors_are_remembered_as_irreducible(monkeypatch, factor, p):
     with memo.scope():
         factors = factor(p).distinct()
         assert len(factors) >= 3
         with monkeypatch.context() as m:
-            m.setattr(polyalg, "_rat_to_sympy", _no_sympy)
+            # factor_q's one sympy call, and factor_q itself as factor_k's
+            # route to it (the test holds its own reference to factor_q)
+            m.setattr(polyalg, "_zz_factor", _factored_again)
+            m.setattr(polyalg, "factor_q", _factored_again)
             remembered = [factor(f) for f in factors]
     # the same facts as a fresh, unscoped factorization of each factor
     assert remembered == [factor(f) for f in factors]

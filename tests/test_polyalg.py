@@ -8,10 +8,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod.errors import PreconditionViolated
+from cfperiod import polyalg
+from cfperiod.errors import InternalInvariantError, NotIrreducible, PreconditionViolated
 from cfperiod.polyalg import (
     KPoly,
     RatPoly,
+    _rational_roots,
     certified_root_boxes,
     circle_profile,
     cyclotomic,
@@ -31,8 +33,9 @@ from cfperiod.qfield import quad, sqrt_int
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (circle_counts, poly_roots, power_map_charpoly, ratio_poly_zz,
-                     ratio_resultant_field, ratio_witness_orders_numeric, resultant)
+from oracles import (circle_counts, factor_k_norm, factor_q_qq, poly_roots, power_map_charpoly,
+                     ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
+                     resultant)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -224,6 +227,110 @@ def test_factoring_has_no_degree_cap():
     for q, m in f.factors:
         back = back * q**m
     assert back == p and f.distinct() == [KPoly([1, 1], 2), cyclotomic(26).lift(2)]
+
+
+def test_rational_roots_in_lowest_terms():
+    p = RatPoly.from_roots([F(2, 3), F(-1, 2), F(4), F(0)]) * RatPoly([1, 0, 3])
+    assert sorted(_rational_roots(p)) == [F(-1, 2), F(0), F(2, 3), F(4)]
+    assert _rational_roots(RatPoly([-2, 0, 9])) == []  # +-sqrt(2)/3
+
+
+def test_factor_q_certifies_the_integer_route(monkeypatch):
+    p = RatPoly([F(-1, 3), F(1, 6), F(1, 2)])  # (3x - 2)(x + 1)/6: roots 2/3, -1
+    assert factor_q(p).factors == ((RatPoly([F(-2, 3), 1]), 1), (RatPoly([1, 1]), 1))
+    prim = RatPoly.primitive_integer_coeffs
+    with monkeypatch.context() as m:  # a primitive form that is not p's
+        m.setattr(RatPoly, "primitive_integer_coeffs", lambda q: (1,) + prim(q)[1:])
+        with pytest.raises(InternalInvariantError, match="scale-back"):
+            factor_q(p)
+    with monkeypatch.context() as m:  # factors that do not multiply back
+        m.setattr(polyalg, "_zz_factor", lambda ints: (1, [([3, -2], 1), ([1, 2], 1)]))
+        with pytest.raises(InternalInvariantError, match="multiply-back"):
+            factor_q(p)
+    with monkeypatch.context() as m:  # a reducible quadratic returned whole
+        m.setattr(polyalg, "_zz_factor", lambda ints: (1, [(ints, 1)]))
+        with pytest.raises(NotIrreducible):
+            factor_q(p)
+
+
+@st.composite
+def rational_products(draw):
+    """Products of rational polynomials with repeated factors, non-monic
+    rational coefficients and zero roots."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    p = RatPoly([draw(st.fractions(min_value=F(1, 3), max_value=5, max_denominator=3))
+                 * draw(st.sampled_from([1, -1]))])
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 4))
+        f = RatPoly([draw(small) for _ in range(deg)] + [draw(st.sampled_from([1, 2, F(1, 2), -3]))])
+        p = p * f ** draw(st.integers(1, 3))
+    return p * RatPoly([0, 1]) ** draw(st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_products())
+@example(RatPoly([0, 0, -2, 0, 1]) * RatPoly([F(1, 2), 3]) ** 2)
+def test_factor_q_matches_sympy_over_qq(p):
+    assert factor_q(p) == factor_q_qq(p)
+
+
+SPLITTING_D = (2, 3, 5, 6, 7, 10)
+
+
+@st.composite
+def rational_k_products(draw):
+    """Rational KPolys over Q(sqrt(d)): products that include quadratics
+    (x-a)^2 - d b^2, which split over Q(sqrt(d)), and quartics
+    (x^2 + a)^2 - 4 d b^2 x^2, the norms of x^2 - 2 b sqrt(d) x + a, mostly
+    irreducible over Q."""
+    d = draw(st.sampled_from(SPLITTING_D))
+    small = st.integers(-3, 3)
+    p = RatPoly([draw(st.sampled_from([1, -2, F(3, 2)]))])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["split2", "any", "split4"]))
+        a, b = draw(small), draw(st.integers(1, 2))
+        if kind == "split2":
+            f = RatPoly([a * a - d * b * b, -2 * a, 1])
+        elif kind == "split4":
+            f = RatPoly([a * a, 0, 2 * a - 4 * d * b * b, 0, 1])
+        else:
+            f = RatPoly([draw(small) for _ in range(draw(st.integers(1, 5)))] + [1])
+        p = p * f ** draw(st.integers(1, 2))
+    return p.lift(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_k_products())
+@example(RatPoly([-2, 0, 1]).lift(3) ** 2 * KPoly([3, 1], 3))
+@example(RatPoly([1, 0, -10, 0, 1]).lift(2))
+@example(KPoly([-2, 0, 1], 2).scale(R2))  # irrational unit, rational monic part
+def test_factor_k_rational_route_matches_the_norm_descent(p):
+    assert factor_k(p) == factor_k_norm(p)
+
+
+X4 = RatPoly([1, 0, -10, 0, 1])  # x^4 - 10 x^2 + 1, roots +-sqrt(2) +-sqrt(3)
+
+
+@pytest.mark.parametrize("p, d, degrees", [
+    (X4, 2, [2, 2]), (X4, 3, [2, 2]), (X4, 6, [2, 2]), (X4, 5, [4]),
+    (RatPoly([-1, -2, 1]), 2, [1, 1]), (RatPoly([-1, -2, 1]), 3, [2]),
+    (RatPoly([-2, 0, 0, 1]), 2, [3]), (RatPoly([-2, 0, 0, 1]), 5, [3]),
+])
+def test_factor_k_of_rational_pinned(p, d, degrees):
+    f = factor_k(p.lift(d))
+    assert [g.degree for g in f.distinct()] == degrees
+    assert all(m == 1 for _g, m in f.factors)
+    if len(degrees) == 2:  # the two factors are conjugate
+        g, h = f.distinct()
+        assert g.conj() == h and g != h
+
+
+def test_factor_k_of_rational_keeps_multiplicities():
+    # (x^2 - 2)^2 (x + 3) over Q(sqrt 2)
+    f = factor_k(RatPoly([-2, 0, 1]).lift(2) ** 2 * KPoly([3, 1], 2))
+    assert f.unit == 1
+    assert f.factors == ((KPoly([-R2, 1], 2), 2), (KPoly([R2, 1], 2), 2),
+                         (KPoly([3, 1], 2), 1))
 
 
 def test_conj_poly_and_decompose():

@@ -46,7 +46,8 @@ from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_bounds, finite_dominant_slope,
-                     growth_check, places_above, real_places, root_abs_table, val)
+                     growth_check, log_abs, places_above, real_places,
+                     root_abs_table)
 from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
 
@@ -391,7 +392,7 @@ def cmd_cf(args) -> int:
             if total is not None and c.n == total - 1:
                 mark = "exact"
             else:
-                mark = "yes" if check_convergent_bound(x, c.n) else "NO"
+                mark = "yes" if check_convergent_bound(e, c.n) else "NO"
             lines.append(f"  n={c.n} p={c.p} q={c.q} bound_ok={mark}")
     except ValueError as exc:  # an integer beyond the int -> str digit limit
         raise UsageError(f"cannot print the result: {exc}") from None
@@ -588,14 +589,14 @@ def estimate_log_limit(values, margin: float = 0.05) -> LogLimitEstimate:
     return LogLimitEstimate(slope, slope > margin)
 
 
-def _log_abs_real(x: QuadElem, embedding: int, dps: int) -> float:
-    import mpmath
-
-    from .qfield import to_mpf
-
-    with mpmath.workdps(dps):
-        y = x if embedding == 1 else x.conj()
-        return float(mpmath.log(to_mpf(abs(y), dps)))
+def _log_abs_float(x: QuadElem, v: Place, dps: int) -> float:
+    """log|x|_v as printed, from places.log_abs: -ord_w(x) * f * log(p) at a
+    finite place, the float of the enclosure's centre at a real one."""
+    e = log_abs(x, v, dps)
+    if v.kind == "finite":
+        return e * v.f * math.log(v.p)
+    lo, hi = e
+    return float((lo + hi) / 2)
 
 
 def _growth_eps(options: dict) -> Fraction:
@@ -620,7 +621,8 @@ def cmd_growth(args) -> int:
     v = place_from_spec(options.get("place"), r.d)
     eps = _growth_eps(options)
     dps = precision_digits()
-    # one memo per job: the bound column and growth_check share each fact
+    # one memo per job: the rows, the bound column and growth_check share
+    # each fact, every log|A_n|_v among them
     with memo.scope():
         try:
             if v.kind == "finite":
@@ -637,17 +639,13 @@ def cmd_growth(args) -> int:
         factor = (1 - float(eps)) * log_a1
         for n in range(n_lo, n_hi + 1):
             a = r.term(n)
-            if a == 0:
-                continue
-            if v.kind == "finite":
-                la = -val(a, v) * v.f * math.log(v.p)
-            else:
-                la = _log_abs_real(a, v.embedding, dps)
-            lines.append(f"{n},{_fmt_float(la)},{_fmt_float(factor * n)}")
+            if a != 0:
+                lines.append(f"{n},{_fmt_float(_log_abs_float(a, v, dps))},"
+                             f"{_fmt_float(factor * n)}")
         passed = growth_check(r, v, eps, n_lo, n_hi, dps)
         lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
         if args.estimate_limit:
-            pts = [(n, _log_abs_real(diff, 1, dps))
+            pts = [(n, _log_abs_float(diff, real_places(r.d)[0], dps))
                    for n in range(n_lo, n_hi + 1)
                    if (diff := r.term(n) - r.term(n).conj()) != 0]
             est = estimate_log_limit(pts)

@@ -45,10 +45,6 @@ class CFExpansion:
     period: tuple[int, ...]  # empty for rationals
     value: object  # the originating QuadElem or Fraction
 
-    @property
-    def is_periodic(self) -> bool:
-        return bool(self.period)
-
     def quotients(self, count: int) -> list[int]:
         """First `count` partial quotients (unrolls the cycle as needed)."""
         out = list(self.preperiod[:count])
@@ -332,13 +328,12 @@ def mobius_apply(N, x):
     return num / den
 
 
-def check_convergent_bound(x, n: int, max_steps: int = DEFAULT_STEP_CAP) -> bool:
-    """Exact check of |x - p_n/q_n| <= 1/(a_{n+1} * q_n^2)."""
-    e = expand(x, max_steps=max_steps)
+def check_convergent_bound(e: CFExpansion, n: int) -> bool:
+    """Exact check of |x - p_n/q_n| <= 1/(a_{n+1} * q_n^2) for x = e.value."""
     a_next = e.quotients(n + 2)[n + 1]
     conv = convergents(e, n + 1)[n]
     bound = Fraction(1, a_next * conv.q * conv.q)
-    diff = (x - conv.as_fraction()) if isinstance(x, QuadElem) else Fraction(x) - conv.as_fraction()
+    diff = e.value - conv.as_fraction()  # e.value is a Fraction or a QuadElem
     if isinstance(diff, Fraction):
         return abs(diff) <= bound
     return (diff - bound).sign() <= 0 and (diff + bound).sign() >= 0
@@ -351,15 +346,14 @@ def _fib(n: int) -> int:
     return a
 
 
-def check_fibonacci_bounds(x, n: int, max_steps: int = DEFAULT_STEP_CAP) -> bool:
-    """Exact product/Fibonacci envelope for p_n and q_n.
+def check_fibonacci_bounds(e: CFExpansion, n: int) -> bool:
+    """Exact product/Fibonacci envelope for p_n and q_n of the expansion e.
 
     For n >= 1: prod(a_1..a_n) <= q_n <= F_{n+1} * prod(a_1..a_n), and when
     a_0 >= 1 also prod(a_0..a_n) <= p_n <= F_{n+2} * prod(a_0..a_n).
     """
     if n < 1:
         raise ValueError("fibonacci bounds need n >= 1")
-    e = expand(x, max_steps=max_steps)
     qs = e.quotients(n + 1)
     conv = convergents(e, n + 1)[n]
     prod_tail = math.prod(qs[1:])

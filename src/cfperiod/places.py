@@ -4,18 +4,19 @@ Finite places are identified by a rational prime together with its splitting
 behavior; split places carry a Hensel branch (a root t of x^2 = d mod p^k).
 At a split place the branch root is Newton-lifted to the precision a valuation
 needs (about log k steps, not k one-bit steps at p = 2) and checked exactly
-against d mod p^k; valuations, dominant-root bounds and everything below them
-are memoized inside one ``memo.scope()`` (one growth job), so the CLI's bound
-column and ``growth_check`` compute each fact once.
+against d mod p^k.
 Normalization: |x|_w = (p^f)^(-ord_w(x)) with residue degree f, so the product
 formula over the two real embeddings and all finite places holds with no
 exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
 keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 
-Growth of |A_n|_v along a recurrence is compared against the dominant root:
-at finite places both sides are exact rationals (Newton polygon slopes), at
-the real embeddings certified enclosures are used and strict >1 facts come
-from the exact circle profile.
+Growth of |A_n|_v along a recurrence is compared against the dominant root.
+Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
+finite place, a certified enclosure at 2*dps digits at a real one; the CLI's
+rows, ``growth_profile`` and ``growth_check`` all read it.  The dominant root
+is exact at finite places (Newton polygon slopes) and certified at the real
+ones, where strict >1 facts come from the exact circle profile.  One growth
+job runs in one ``memo.scope()``, which computes each of these facts once.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .memo import memoized
 from .polyalg import KPoly, certified_root_boxes, circle_profile, factor_k
-from .qfield import QuadElem, to_mpf
+from .qfield import QuadElem
 from .recurrence import LinRec, ZeroSequence, nondegenerate_rec, seq_min_charpoly
 
 ARCH_DPS = 60
@@ -192,14 +193,6 @@ class PlaceAbs:
             raise PreconditionViolated("exact rational value only at finite places")
         return Fraction(self.base) ** self.exponent
 
-    def to_mpf(self, dps: int = ARCH_DPS):
-        import mpmath
-
-        with mpmath.workdps(dps):
-            if self.kind == "finite":
-                return mpmath.mpf(self.base) ** self.exponent
-            return to_mpf(self.base, dps)
-
 
 def abs_at(x: QuadElem, v: Place) -> PlaceAbs:
     if v.kind == "real":
@@ -236,13 +229,6 @@ class Height:
 
     def value(self) -> QuadElem:
         return self.arch_part * self.finite_part
-
-    def to_mpf(self, dps: int = ARCH_DPS):
-        import mpmath
-
-        with mpmath.workdps(dps):
-            return to_mpf(self.arch_part, dps) * mpmath.mpf(
-                self.finite_part.numerator) / self.finite_part.denominator
 
 
 def height(xs, support) -> Height:
@@ -296,24 +282,48 @@ class LogAbs:
     enclosure: tuple | None    # (lo, hi) mpf log bounds at real embeddings
 
 
-def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int,
-                   dps: int = ARCH_DPS) -> list[LogAbs]:
-    """log|A_n|_v for n in [n_lo, n_hi]; zero terms are skipped (gaps)."""
+def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
+    """log|x|_v for x != 0, memoized: at a finite place the exact exponent
+    -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place a certified
+    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at 2*dps digits.
+    """
+    if v.kind == "finite":
+        return -val(x, v)
+    return _log_abs_real(x, v.embedding, dps)
+
+
+@memoized
+def _log_abs_real(x: QuadElem, embedding: int, dps: int):
+    """|sigma(x)| = |A + B*sqrt(d)|/m is evaluated without cancellation (when A
+    and B*sqrt(d) differ in sign, as |A^2 - d*B^2| / (|A| + |B|*sqrt(d))), so
+    its log is good to about 2*dps digits; the ends of the enclosure sit
+    (|log| + 1) * 10^-dps on either side of it."""
+    if x == 0:
+        raise ZeroInput("log of 0")
     import mpmath
 
+    A, B = x.A, (x.B if embedding == 1 else -x.B)
+    with mpmath.workdps(2 * dps):
+        top = abs(A) + abs(B) * mpmath.sqrt(x.d)
+        mag = abs(A * A - x.d * B * B) / (top * x.m) if A * B < 0 else top / x.m
+        lg = mpmath.log(mag)
+        eps = (abs(lg) + 1) * mpmath.mpf(10) ** (-dps)
+        return lg - eps, lg + eps
+
+
+def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int,
+                   dps: int = ARCH_DPS) -> list[LogAbs]:
+    """log|A_n|_v for n in [n_lo, n_hi] from log_abs; zero terms are skipped (gaps)."""
     out = []
     for n in range(n_lo, n_hi + 1):
         a = r.term(n)
         if a == 0:
             continue
+        e = log_abs(a, v, dps)
         if v.kind == "finite":
-            out.append(LogAbs(n, v.p ** v.f, -val(a, v), None))
+            out.append(LogAbs(n, v.p ** v.f, e, None))
         else:
-            with mpmath.workdps(2 * dps):
-                m = to_mpf(abs(a if v.embedding == 1 else a.conj()), 2 * dps)
-                lg = mpmath.log(m)
-                eps = (abs(lg) + 1) * mpmath.mpf(10) ** (-dps)
-            out.append(LogAbs(n, None, None, (lg - eps, lg + eps)))
+            out.append(LogAbs(n, None, None, e))
     return out
 
 
@@ -440,34 +450,21 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int,
         raise PreconditionViolated("growth check needs a non-degenerate sequence")
 
     burn = (n_hi - n_lo) // 5
-    start = n_lo + burn
-
-    if v.kind == "finite":
-        slope = finite_dominant_slope(r, v)
-        for n in range(start, n_hi + 1):
-            a = r.term(n)
-            if a == 0:
-                return False
-            # -ord(A_n) >= slope * n * (1 - eps), all exact rationals
-            if Fraction(-val(a, v)) < slope * n * (1 - eps):
-                return False
-        return True
-
     import mpmath
 
+    # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place, the low
+    # end of each enclosure against the high root bound at a real one
     with mpmath.workdps(2 * dps):
-        _lo, best_hi = arch_dominant_bounds(r, v, dps)
-        log_hi = mpmath.log(best_hi)
-        frac = mpmath.mpf(1) - mpmath.mpf(eps.numerator) / eps.denominator
-        for n in range(start, n_hi + 1):
+        if v.kind == "finite":
+            frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
+        else:
+            frac = mpmath.mpf(1) - mpmath.mpf(eps.numerator) / eps.denominator
+            log_a1 = mpmath.log(arch_dominant_bounds(r, v, dps)[1])
+        for n in range(n_lo + burn, n_hi + 1):
             a = r.term(n)
             if a == 0:
                 return False
-            y = a if v.embedding == 1 else a.conj()
-            m = to_mpf(abs(y), 2 * dps)
-            if m <= 0:
-                return False
-            lhs_lo = mpmath.log(m) - (abs(mpmath.log(m)) + 1) * mpmath.mpf(10) ** (-dps)
-            if lhs_lo < frac * n * log_hi:
+            e = log_abs(a, v, dps)
+            if (e if v.kind == "finite" else e[0]) < frac * n * log_a1:
                 return False
         return True

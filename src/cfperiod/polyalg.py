@@ -328,14 +328,6 @@ class RatPoly(_PolyBase):
         return p
 
     @classmethod
-    def x(cls) -> "RatPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def const(cls, c) -> "RatPoly":
-        return cls([c])
-
-    @classmethod
     def from_roots(cls, roots) -> "RatPoly":
         p = cls([1])
         for r in roots:
@@ -414,10 +406,6 @@ class KPoly(_PolyBase):
         return cls([0, 1], d)
 
     @classmethod
-    def const(cls, c, d: int) -> "KPoly":
-        return cls([c], d)
-
-    @classmethod
     def from_roots(cls, roots, d: int) -> "KPoly":
         p = cls([1], d)
         for r in roots:
@@ -471,30 +459,53 @@ def _zz_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _zz_eval(g: list[int], y: int) -> int:
+    """g(y) by Horner over Z; g low-to-high."""
+    acc = 0
+    for c in reversed(g):
+        acc = acc * y + c
+    return acc
+
+
 def _rational_roots(p: RatPoly) -> list[Fraction]:
-    """All rational roots (exact; divisor enumeration on the primitive form).
+    """The distinct rational roots of p, exactly, without factoring an integer.
 
-    A candidate num/den in lowest terms is a root iff den^n * p(num/den) = 0,
-    evaluated over Z by homogeneous Horner.
+    y = lc * x turns the primitive integer form f (degree n, leading
+    coefficient lc) into the monic g(y) = lc^(n-1) f(y/lc) over Z, whose
+    integer roots are lc times the rational roots of f, and |y| < 2^(k+1) when
+    |g_(n-j)| < 2^(kj) for all j (Fujiwara).  Modulo the first prime l at
+    which every root of g is simple, each integer root y reduces to one of
+    them, which Newton steps lift uniquely to l^e > 2^(k+2), whose symmetric
+    residue is y; each lifted candidate is tested exactly by Horner over Z.
     """
-    from sympy import divisors
+    from sympy import nextprime
 
-    roots = []
     ints = list(p.primitive_integer_coeffs())
-    while ints[0] == 0:
-        roots.append(Fraction(0))
-        ints = ints[1:]
-    for num in divisors(abs(ints[0])):
-        for den in divisors(abs(ints[-1])):
-            if math.gcd(num, den) != 1:
-                continue
-            for n in (num, -num):
-                acc, den_pow = ints[-1], 1
-                for c in reversed(ints[:-1]):
-                    den_pow *= den
-                    acc = acc * n + c * den_pow
-                if acc == 0:
-                    roots.append(Fraction(n, den))
+    zeros = next(i for i, c in enumerate(ints) if c)  # x^zeros divides f
+    roots, ints = [Fraction(0)] if zeros else [], ints[zeros:]
+    n, lc = len(ints) - 1, ints[-1]
+    if n == 0:
+        return roots
+    g = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    k = max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
+    ell = 1
+    for tried in itertools.count(1):
+        ell = nextprime(ell)
+        if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
+            g = [int(c) for c in RatPoly(g).squarefree_part().coeffs]
+        dg = [i * c for i, c in enumerate(g)][1:]
+        mod_roots = [r for r in range(ell) if _zz_eval(g, r) % ell == 0]
+        if all(_zz_eval(dg, r) % ell for r in mod_roots):
+            break
+    for y in mod_roots:
+        mod = ell
+        while mod < 1 << (k + 2):
+            mod *= mod
+            y = (y - _zz_eval(g, y) * pow(_zz_eval(dg, y), -1, mod)) % mod
+        if y > mod // 2:
+            y -= mod
+        if _zz_eval(g, y) == 0:
+            roots.append(Fraction(y, lc))
     return roots
 
 
@@ -753,10 +764,6 @@ class CircleProfile:
     inside: int
     on: int
     outside: int
-
-    @property
-    def total(self) -> int:
-        return self.inside + self.on + self.outside
 
     def max_at_least_one(self) -> bool:
         return self.on > 0 or self.outside > 0

@@ -28,7 +28,6 @@ from .errors import (
     RationalInput,
 )
 
-Rational = Fraction  # contract alias: reduced, positive denominator by construction
 
 _SQUAREFREE_OK: set[int] = set()
 

@@ -110,13 +110,6 @@ class LinRec:
     def window(self, start: int, count: int) -> SeqWindow:
         return SeqWindow(start, tuple(self.term(start + i) for i in range(count)))
 
-    def charpoly(self) -> KPoly:
-        """The defining (not necessarily minimal) characteristic polynomial."""
-        return KPoly(list(reversed([-c for c in self.coeffs])) + [1], self.d)
-
-    def _zero(self) -> QuadElem:
-        return QuadElem(0, 0, self.d)
-
     def __repr__(self):
         cs = ", ".join(str(c) for c in self.coeffs)
         ins = ", ".join(str(a) for a in self.initials)

@@ -22,6 +22,8 @@ The reference factorizations take the routes the package left: over Q,
 sympy's factor_list on rational coefficients instead of the integer factorer
 on the primitive form; over K, Yun plus the norm descent for every input
 instead of splitting a rational polynomial's factors over Q.
+The reference rational roots enumerate divisor pairs of the end coefficients
+(sympy's divisors), where the package isolates real roots by Sturm counts.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -586,3 +588,30 @@ def factor_k_norm(p):
     items = sorted(factors.items(),
                    key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
     return polyalg.Factorization(p.lc, tuple(items))
+
+
+def rational_roots_divisors(p):
+    """All rational roots (exact; divisor enumeration on the primitive form).
+
+    A candidate num/den in lowest terms is a root iff den^n * p(num/den) = 0,
+    evaluated over Z by homogeneous Horner.
+    """
+    from sympy import divisors
+
+    roots = []
+    ints = list(p.primitive_integer_coeffs())
+    while ints[0] == 0:
+        roots.append(Fraction(0))
+        ints = ints[1:]
+    for num in divisors(abs(ints[0])):
+        for den in divisors(abs(ints[-1])):
+            if math.gcd(num, den) != 1:
+                continue
+            for n in (num, -num):
+                acc, den_pow = ints[-1], 1
+                for c in reversed(ints[:-1]):
+                    den_pow *= den
+                    acc = acc * n + c * den_pow
+                if acc == 0:
+                    roots.append(Fraction(n, den))
+    return roots

@@ -243,9 +243,9 @@ def test_criterion_5_invariant_suites(capsys):
     corpus += box[:30]
     for x in corpus:
         for n in range(1, 7):
-            if not check_convergent_bound(x, n):
+            if not check_convergent_bound(expand(x), n):
                 failures.append(("convergent bound", x, n))
-            if not check_fibonacci_bounds(x, n):
+            if not check_fibonacci_bounds(expand(x), n):
                 failures.append(("fibonacci bounds", x, n))
 
     # (iii) product formula on 100 random elements supported on declared

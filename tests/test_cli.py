@@ -6,6 +6,7 @@ would see them.
 """
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -574,6 +575,27 @@ def test_growth_unit_place_rejected_with_root_table(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: no root with |.|_v > 1")
     assert "(7^1)^(0)" in err  # the surfaced root table shows |root|_v = 1
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, spec, extra", [
+    # Fibonacci at the first real place of Q(sqrt(5)); F_0 = 0 leaves a gap
+    ("growth_fib_real1.txt",
+     {"command": "growth", "d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"],
+      "range": [0, 60], "options": {"place": {"kind": "real", "embedding": 1},
+                                    "eps": "1/20"}}, []),
+    # A_n = (1-sqrt2)^n at the second real place, with the limit estimate
+    ("growth_pell_real2_estimate.txt",
+     {"command": "growth", "d": 2, "coeffs": ["2", "1"], "initials": ["1", ["1", "-1"]],
+      "range": [1, 40], "options": {"place": {"kind": "real", "embedding": 2},
+                                    "eps": "1/10"}}, ["--estimate-limit"]),
+])
+def test_growth_real_place_golden(capsys, tmp_path, golden, spec, extra):
+    code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_growth_estimate_limit_reports_log_of_dominant_root(capsys, tmp_path):

@@ -30,7 +30,7 @@ from cfperiod.places import (
 from cfperiod.qfield import conj, quad, sqrt_int, to_mpf, trace_norm
 from cfperiod.recurrence import LinRec
 
-from oracles import two_adic_sqrt_bitwise
+from oracles import surd_value, two_adic_sqrt_bitwise
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -38,6 +38,9 @@ R5 = sqrt_int(5)
 # the 2-adic showcase: A_n = 2^(-n) + 3^n inside Q(sqrt17), where 2 splits
 TWOADIC = LinRec([F(7, 2), F(-3, 2)], [quad(2, 0, 17), F(7, 2)], 17)
 FIB = LinRec([1, 1], [quad(0, 0, 5), quad(1, 0, 5)], 5)
+# A_n = (1+sqrt2)^n: at the second embedding A_n' = (1-sqrt2)^n is tiny, the
+# difference of two coordinates of about (1+sqrt2)^n / 2
+PELL = LinRec([2, 1], [quad(1, 0, 2), 1 + R2], 2)
 
 
 def _vp(n, p):
@@ -269,6 +272,33 @@ def test_two_adic_profile_is_exactly_n():
     for row in prof:
         assert (row.base, row.coeff) == (2, row.n)
         assert row.enclosure is None
+
+
+@pytest.mark.parametrize("r, v", [(FIB, real_places(5)[0]), (FIB, real_places(5)[1]),
+                                  (PELL, real_places(2)[0]), (PELL, real_places(2)[1])])
+def test_real_profile_encloses_the_log(r, v):
+    dps = 60
+    rows = growth_profile(r, v, 1, 120, dps)
+    assert [row.n for row in rows] == list(range(1, 121))
+    with mpmath.workdps(3 * dps):
+        for row in rows:
+            a = r.term(row.n)
+            ref = mpmath.log(abs(surd_value(a.a, a.b if v.embedding == 1 else -a.b,
+                                            r.d, 3 * dps)))
+            lo, hi = row.enclosure
+            assert lo < ref < hi, row.n
+
+
+def test_growth_check_fails_on_a_zero_tail_term():
+    # A_n = 2^n - 2^10 vanishes at n = 10, inside the tail of 5..30
+    r = LinRec([3, -2], [quad(-1023, 0, 2), quad(-1022, 0, 2)], 2)
+    assert r.term(10) == 0
+    assert not growth_check(r, real_places(2)[0], F(1, 10), 5, 30)
+    # A_n = 2^-n - 2^-10 at the inert place above 2 of Q(sqrt5): |1/2|_2 = 2^2
+    r = LinRec([F(3, 2), F(-1, 2)], [1 - F(1, 1024), F(1, 2) - F(1, 1024)], 5)
+    (w,) = places_above(2, 5)
+    assert r.term(10) == 0
+    assert not growth_check(r, w, F(1, 10), 5, 30)
 
 
 def test_finite_dominant_slope():

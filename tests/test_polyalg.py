@@ -35,7 +35,7 @@ from cfperiod.recurrence import seq_min_charpoly
 from curated import members
 from oracles import (circle_counts, factor_k_norm, factor_q_qq, poly_roots, power_map_charpoly,
                      ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
-                     resultant)
+                     rational_roots_divisors, resultant)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -233,6 +233,39 @@ def test_rational_roots_in_lowest_terms():
     p = RatPoly.from_roots([F(2, 3), F(-1, 2), F(4), F(0)]) * RatPoly([1, 0, 3])
     assert sorted(_rational_roots(p)) == [F(-1, 2), F(0), F(2, 3), F(4)]
     assert _rational_roots(RatPoly([-2, 0, 9])) == []  # +-sqrt(2)/3
+
+
+@st.composite
+def rational_root_polys(draw):
+    """Products of linear factors with rational roots (some repeated, some
+    zero) and an integer cofactor, scaled by a rational content."""
+    p = RatPoly([draw(st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4))])
+    for _ in range(draw(st.integers(0, 3))):
+        root = F(draw(st.integers(-60, 60)), draw(st.integers(1, 6)))
+        p = p * RatPoly([-root, 1]) ** draw(st.integers(1, 2))
+    deg = draw(st.integers(0, 3))
+    cofactor = [draw(st.integers(-20, 20)) for _ in range(deg)] + [draw(st.integers(1, 5))]
+    return p * RatPoly(cofactor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_root_polys())
+@example(RatPoly([-1, 0, 1]) ** 2 * RatPoly([0, 0, 1]))  # repeated roots +-1, 0
+@example(RatPoly([F(-1, 3), F(1, 6), F(1, 2)]))  # (3x - 2)(x + 1)/6
+def test_rational_roots_match_divisor_enumeration(p):
+    assert sorted(_rational_roots(p)) == sorted(set(rational_roots_divisors(p)))
+
+
+def test_rational_roots_factor_no_integer(monkeypatch):
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"divisors({n}) called")
+
+    monkeypatch.setattr(sympy, "divisors", refuse)
+    p, q = sympy.nextprime(10**18), sympy.nextprime(2 * 10**18)
+    f = RatPoly([p * q, 1, 0, 0, 1])  # x^4 + x + pq, irreducible over Q
+    assert factor_q(f).factors == ((f, 1),)
+    g = RatPoly.from_roots([F(10**20 + 3, 7), F(-5, 6), F(-5, 6)]) * RatPoly([1, 0, 1])
+    assert sorted(_rational_roots(g)) == [F(-5, 6), F(10**20 + 3, 7)]
 
 
 def test_factor_q_certifies_the_integer_route(monkeypatch):

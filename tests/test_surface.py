@@ -1,0 +1,79 @@
+"""The public names of src/cfperiod that no code in src/ reaches.
+
+A module-level public function or class is reached when module-level code
+names it (the CLI's ``if __name__ == "__main__"`` guard calls ``main``), or
+when a reached definition names it: by its bare name inside its own module,
+or in another module through ``from .module import name`` or
+``module.name``.  What is left is dead or used only by tests, and must be
+exactly the list under "Names used only by tests" in ROADMAP.md item 5, so a
+new unreached name, or one that code starts to use again, fails here.
+"""
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cfperiod"
+
+
+def _unreached_public_names() -> set[str]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defs, imported = {}, {}
+    for mod, tree in trees.items():
+        imported[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[(mod, node.name)] = node
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    # from .m import name -> (m, name); from . import m -> (m, None)
+                    imported[mod][alias.asname or alias.name] = (
+                        (node.module, alias.name) if node.module else (alias.name, None))
+
+    def names(mod, node):
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if (mod, sub.id) in defs:
+                    out.add((mod, sub.id))
+                target = imported[mod].get(sub.id)
+                if target and target[1]:
+                    out.add(target)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                target = imported[mod].get(sub.value.id)
+                if target and target[1] is None:
+                    out.add((target[0], sub.attr))
+        return out
+
+    todo = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)):
+                todo |= names(mod, node)
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo |= names(key[0], defs[key])
+    return {f"{mod}.{name}" for mod, name in defs
+            if (mod, name) not in reached and not name.startswith("_")}
+
+
+def _roadmap_list() -> set[str]:
+    lines = (ROOT / "ROADMAP.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "Names used only by tests" in line)
+    block = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.strip() or line.lstrip().startswith("- "):
+            break
+        block.append(line)
+    modules = {p.stem for p in SRC.glob("*.py")}
+    return {f"{m}.{n}" for m, n in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", " ".join(block))
+            if m in modules}
+
+
+def test_unreached_names_are_the_roadmap_list():
+    assert _unreached_public_names() == _roadmap_list()
+

@@ -20,10 +20,13 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 * the root-ratio non-degeneracy test with exact root-of-unity witnesses, at
   two levels.  The pool of roots is that of a rational polynomial N = p or
   p * conj(p) over Q, or of p itself at the base level of K.  Each unordered
-  pair of irreducible factors of the pool gives one ratio polynomial r; the
-  cyclotomic factors of r (of r * conj(r) when r is irrational) name the
-  witness orders.  The base level cannot go through the over-Q norm: that
-  pool also holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
+  pair of irreducible factors of the pool gives one ratio polynomial r, read
+  over Q (r * conj(r) when r is irrational), which is not factored: the
+  witness orders are the n with Phi_n | r, each candidate with phi(n) <= deg r
+  ruled out by one residue modulo a prime p = 1 (mod n) or certified by exact
+  division by Phi_n, built over Z.  The base level cannot go through the
+  over-Q norm: that pool also holds ratios across conjugates, such as
+  sqrt(2) / (-sqrt(2)) = -1.
 
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
 ``memo.scope()`` (one classification or one growth job), so each fact is
@@ -938,23 +941,100 @@ def is_pisot_paper(p: KPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomics and root-of-unity detection
+# cyclotomic factors
 # ---------------------------------------------------------------------------
 
-_CYCLOTOMIC_CACHE: dict[int, RatPoly] = {}
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
-def cyclotomic(n: int) -> RatPoly:
-    if n in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[n]
-    num = RatPoly([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    den = RatPoly([1])
-    for d in range(1, n):
-        if n % d == 0:
-            den = den * cyclotomic(d)
-    phi = num.exact_div(den)
-    _CYCLOTOMIC_CACHE[n] = phi
+def _cyclotomic_ints(n: int) -> list[int]:
+    """Phi_n over Z, low-to-high, as prod_{e | n} (x^e - 1)^mu(n/e).
+
+    mu(n/e) is nonzero only for e = n / (a product of k distinct primes of n),
+    where it is (-1)^k.  The factors with mu = +1 are multiplied in by
+    shift-and-subtract, and then those with mu = -1 are divided out by exact
+    synthetic division, so every quotient stays over Z.
+    """
+    primes = _prime_divisors(n)
+    up, down = [], []
+    for k in range(len(primes) + 1):
+        for sub in itertools.combinations(primes, k):
+            (down if k % 2 else up).append(n // math.prod(sub))
+    phi = [1]
+    for e in up:  # phi * (x^e - 1)
+        nxt = [0] * e + phi
+        for i, c in enumerate(phi):
+            nxt[i] -= c
+        phi = nxt
+    for e in down:  # phi / (x^e - 1): q_k = phi_(k+e) + q_(k+e), from the top
+        q = phi[e:]
+        for k in range(len(q) - 1 - e, -1, -1):
+            q[k] += q[k + e]
+        if any(phi[i] + (q[i] if i < len(q) else 0) for i in range(e)):
+            raise InternalInvariantError(f"x^{e} - 1 does not divide the product for Phi_{n}")
+        phi = q
     return phi
+
+
+@functools.lru_cache(maxsize=None)
+def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
+    """(p, w): the least prime p = 1 (mod n), and w = a^((p-1)/n) mod p for
+    the least a >= 1 that gives w exact multiplicative order n modulo p."""
+    from sympy import isprime
+
+    p = n + 1
+    while not isprime(p):
+        p += n
+    primes = _prime_divisors(n)
+    for a in range(1, p):
+        w = pow(a, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in primes):
+            return p, w
+    raise InternalInvariantError(f"no element of order {n} modulo the prime {p}")
+
+
+def _divides_monic(g: list[int], f: list[int]) -> bool:
+    """Whether the monic g divides f over Z (both low-to-high)."""
+    rem, dg = list(f), len(g) - 1
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = rem[k + dg]
+        if c:
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return not any(rem[:dg])
+
+
+def _cyclotomic_orders(r: RatPoly) -> list[int]:
+    """Every n >= 1 with Phi_n | r, for a nonconstant r over Q, without
+    factoring r.
+
+    The candidates are the n with phi(n) <= deg r.  On the primitive integer
+    form f of r: if w has exact order n modulo a prime p = 1 (mod n), then
+    Phi_n(w) = 0 (mod p), so Phi_n | f forces f(w) = 0 (mod p), and a nonzero
+    residue rules n out.  A candidate that survives is an order only if the
+    exact division of f by Phi_n over Z leaves no remainder.
+    """
+    f = r.primitive_integer_coeffs()
+    orders = []
+    for n, _t in _orders_with_totient_at_most(len(f) - 1):
+        p, w = _root_of_unity_mod_prime(n)
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * w + c) % p
+        if acc == 0 and _divides_monic(_cyclotomic_ints(n), f):
+            orders.append(n)
+    return orders
 
 
 def _totient_sieve(limit: int) -> list[int]:
@@ -973,21 +1053,6 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
     # phi(n) >= sqrt(n/2) gives the scan limit
     phi = _totient_sieve(2 * bound * bound + 2)
     return tuple((n, t) for n, t in enumerate(phi) if n >= 1 and t <= bound)
-
-
-def is_root_of_unity(q: RatPoly) -> tuple[bool, int | None]:
-    """Whether irreducible q is a cyclotomic polynomial; returns (flag, order)."""
-    if q.degree < 1:
-        raise PreconditionViolated(f"is_root_of_unity needs degree >= 1, got {q}")
-    qm = q.monic()
-    # every Phi_n is monic over Z with constant term +-1
-    if abs(qm.coeffs[0]) != 1 or any(c.denominator != 1 for c in qm.coeffs):
-        return False, None
-    m = q.degree
-    for n, t in _orders_with_totient_at_most(m):
-        if t == m and cyclotomic(n) == qm:
-            return True, n
-    return False, None
 
 
 # ---------------------------------------------------------------------------
@@ -1131,11 +1196,8 @@ def _witness_orders(p, over: str) -> tuple[int, ...]:
                 r = _over_q(r)
             if r.degree == 0:
                 continue
-            for f, _m in factor_q(r).factors:
-                is_unity, n = is_root_of_unity(f)
-                if is_unity:
-                    if n == 1:
-                        raise InternalInvariantError(
-                            "distinct irreducible factors share a root")
-                    witnesses.add(n)
+            for n in _cyclotomic_orders(r):
+                if n == 1:
+                    raise InternalInvariantError("distinct irreducible factors share a root")
+                witnesses.add(n)
     return tuple(sorted(witnesses))

@@ -17,6 +17,7 @@ enters a comparison, floor, or sign decision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .errors import (
 
 
 _SQUAREFREE_OK: set[int] = set()
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 def check_field_parameter(d: int) -> None:
@@ -261,9 +263,13 @@ class QuadElem:
         return self.A == o.A and self.B == o.B and self.m == o.m
 
     def __hash__(self):
-        if self.B == 0:
-            return hash(self.A) if self.m == 1 else hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # that of the Fraction a (rational) or of (a, b, d), from the integers
+        A, B, m = self.A, self.B, self.m
+        if B == 0:
+            return hash(A) if m == 1 else _fraction_hash(A, m)
+        if m == 1:
+            return hash((A, B, self.d))
+        return hash((_fraction_hash(A, m), _fraction_hash(B, m), self.d))
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -311,6 +317,17 @@ _set_A = QuadElem.A.__set__
 _set_B = QuadElem.B.__set__
 _set_m = QuadElem.m.__set__
 _set_d = QuadElem.d.__set__
+
+
+def _fraction_hash(n: int, m: int) -> int:
+    """hash(Fraction(n, m)) for m > 0, n/m in lowest terms or not, without
+    building the Fraction: Python's numeric hash |n| / m modulo the prime
+    sys.hash_info.modulus, with the sign of n."""
+    if m % _HASH_MODULUS == 0:  # no inverse: only the reduced form can say
+        return hash(Fraction(n, m))
+    h = hash(hash(abs(n)) * pow(m, -1, _HASH_MODULUS))
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
 
 
 def _new(A: int, B: int, m: int, d: int) -> QuadElem:

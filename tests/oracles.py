@@ -24,12 +24,17 @@ on the primitive form; over K, Yun plus the norm descent for every input
 instead of splitting a rational polynomial's factors over Q.
 The reference rational roots enumerate divisor pairs of the end coefficients
 (sympy's divisors), where the package isolates real roots by Sturm counts.
+The reference cyclotomic polynomials divide x^n - 1 by the Phi_d of its
+proper divisors over Fractions, and is_root_of_unity compares an irreducible
+factor with each Phi_n of its degree (orders from sympy's totient); the
+package builds Phi_n over Z and never factors the polynomial it tests.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +43,7 @@ import mpmath
 
 from cfperiod import polyalg, qfield
 from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalInvariantError,
-                             MixedFieldError)
+                             MixedFieldError, PreconditionViolated)
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -217,6 +222,51 @@ def ratio_witness_orders_numeric(coeff_pairs, d: int, over_q: bool,
                 if n is not None:
                     orders.add(n)
         return sorted(orders)
+
+
+_CYCLOTOMIC_CACHE: dict = {}
+
+
+def cyclotomic(n: int):
+    """Phi_n as a RatPoly: x^n - 1 divided exactly by the Phi_d, d | n, d < n."""
+    if n in _CYCLOTOMIC_CACHE:
+        return _CYCLOTOMIC_CACHE[n]
+    num = polyalg.RatPoly([-1] + [0] * (n - 1) + [1])  # x^n - 1
+    den = polyalg.RatPoly([1])
+    for d in range(1, n):
+        if n % d == 0:
+            den = den * cyclotomic(d)
+    phi = num.exact_div(den)
+    _CYCLOTOMIC_CACHE[n] = phi
+    return phi
+
+
+@functools.lru_cache(maxsize=None)
+def _orders_with_totient(m: int) -> tuple[int, ...]:
+    """Every n with phi(n) = m; phi(n) >= sqrt(n/2) bounds the scan."""
+    import sympy
+
+    return tuple(n for n in range(1, 2 * m * m + 3) if sympy.totient(n) == m)
+
+
+def is_root_of_unity(q) -> tuple[bool, int | None]:
+    """Whether irreducible q is a cyclotomic polynomial; returns (flag, order)."""
+    if q.degree < 1:
+        raise PreconditionViolated(f"is_root_of_unity needs degree >= 1, got {q}")
+    qm = q.monic()
+    # every Phi_n is monic over Z with constant term +-1
+    if abs(qm.coeffs[0]) != 1 or any(c.denominator != 1 for c in qm.coeffs):
+        return False, None
+    for n in _orders_with_totient(q.degree):
+        if cyclotomic(n) == qm:
+            return True, n
+    return False, None
+
+
+def cyclotomic_orders_by_factoring(r) -> list[int]:
+    """Sorted n with Phi_n | r: r factored over Q, each factor tested."""
+    return sorted(n for f, _m in polyalg.factor_q(r).factors
+                  for ok, n in [is_root_of_unity(f)] if ok)
 
 
 def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,

@@ -15,14 +15,14 @@ from fractions import Fraction as F
 
 import oracles
 from curated import DEGEN_PART_VERDICTS, members
+from oracles import cyclotomic
 
 from cfperiod.classifier import classify
 from cfperiod.contfrac import (check_convergent_bound, check_fibonacci_bounds,
                                complete_quotients, expand, is_purely_periodic,
                                is_reduced, period_length, period_lower_bound)
 from cfperiod.places import abs_at, growth_check, places_above, real_places, val
-from cfperiod.polyalg import (KPoly, RatPoly, circle_profile, cyclotomic,
-                              factor_k, nondegeneracy)
+from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k, nondegeneracy
 from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, trace_norm
 from cfperiod.recurrence import LinRec
 

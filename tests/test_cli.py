@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from cfperiod import cli, contfrac
+from cfperiod import cli, contfrac, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
 from cfperiod.polyalg import KPoly
@@ -694,3 +694,39 @@ def test_classify_refuses_p_d_beyond_the_factor_cap(capsys, tmp_path):
                      "initials": ["1"] * 6 + [["1", "1"]]})
     code, out, err = run(capsys, ["classify", job])
     assert (code, out, err) == (2, "", "error: degree 14 exceeds factor cap 12\n")
+
+
+def _order_k_sqrt2_job(tmp_path, k):
+    # A_n = A_(n-1) + ... + A_(n-k+1) + (1 + sqrt 2) A_(n-k); A_0 = 1 + sqrt 2, the rest 1
+    return write_job(tmp_path, f"order{k}.json",
+                     {"command": "classify", "d": 2, "coeffs": ["1"] * (k - 1) + [["1", "1"]],
+                      "initials": [["1", "1"]] + ["1"] * (k - 1)})
+
+
+@pytest.mark.parametrize("k, golden", [
+    (6, (0, (GOLDEN / "classify_order6_sqrt2.txt").read_text(), "")),
+    (7, (2, "", (GOLDEN / "classify_order7_sqrt2.err").read_text())),
+    (8, (2, "", "error: degree 16 exceeds factor cap 12\n")),
+])
+def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypatch,
+                                                      k, golden):
+    # the over-Q pool N = p * conj(p) has degree 2k and is irreducible; its
+    # self-ratio polynomial, of degree (2k)^2 - 2k, is searched for cyclotomic
+    # factors, never factored.  The largest polynomial factored is N, or at
+    # k = 6 the norm (degree 4k) that splits the degree-2k P_D over K.
+    factored, searched = [], []
+    zz_factor, cyclotomic_orders = polyalg._zz_factor, polyalg._cyclotomic_orders
+
+    def factoring(ints):
+        factored.append(len(ints) - 1)
+        return zz_factor(ints)
+
+    def searching(r):
+        searched.append(r.degree)
+        return cyclotomic_orders(r)
+
+    monkeypatch.setattr(polyalg, "_zz_factor", factoring)
+    monkeypatch.setattr(polyalg, "_cyclotomic_orders", searching)
+    assert run(capsys, ["classify", _order_k_sqrt2_job(tmp_path, k)]) == golden
+    assert max(searched) == (2 * k) ** 2 - 2 * k
+    assert 2 * k in factored and max(factored) <= 4 * k

@@ -16,12 +16,10 @@ from cfperiod.polyalg import (
     _rational_roots,
     certified_root_boxes,
     circle_profile,
-    cyclotomic,
     decompose_q_k,
     factor_k,
     factor_q,
     is_pisot_paper,
-    is_root_of_unity,
     is_unital,
     minpoly_over_q,
     nondegeneracy,
@@ -33,7 +31,8 @@ from cfperiod.qfield import quad, sqrt_int
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (circle_counts, factor_k_norm, factor_q_qq, poly_roots, power_map_charpoly,
+from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, factor_k_norm,
+                     factor_q_qq, is_root_of_unity, poly_roots, power_map_charpoly,
                      ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
                      rational_roots_divisors, resultant)
 
@@ -464,6 +463,70 @@ def test_is_root_of_unity():
     assert is_root_of_unity(FIB) == (False, None)
     assert is_root_of_unity(RatPoly([-1, 0, 0, 1])) == (False, None)  # reducible
     assert is_root_of_unity(RatPoly([1, -1, 1]))[0]  # Phi_6
+
+
+def test_integer_cyclotomics_match_the_fraction_recursion():
+    for n in range(1, 201):
+        assert RatPoly(polyalg._cyclotomic_ints(n)) == cyclotomic(n), n
+
+
+def test_order_n_residues_modulo_primes():
+    for n in range(1, 301):
+        p, w = polyalg._root_of_unity_mod_prime(n)
+        assert sympy.isprime(p) and (p - 1) % n == 0
+        assert sympy.n_order(w, p) == n
+
+
+# Lehmer's polynomial: self-reciprocal, constant term 1, no root of unity
+LEHMER = RatPoly([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """scale * prod Phi_n^mult * prod g: orders n <= 60 (cyclotomic degree at
+    most 64, so the factoring oracle stays quick), some repeated, and factors
+    g that are random over Z (with end coefficients +-1 or not) or Lehmer's."""
+    r = RatPoly([F(draw(st.sampled_from([1, -1, 2, -3, 5])), draw(st.integers(1, 12)))])
+    budget = 64
+    for n in draw(st.lists(st.integers(1, 60), max_size=4)):
+        mult = draw(st.integers(1, 2))
+        if int(sympy.totient(n)) * mult <= budget:
+            budget -= int(sympy.totient(n)) * mult
+            r = r * cyclotomic(n) ** mult
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["unit", "any", "lehmer"]))
+        if kind == "lehmer":
+            r = r * LEHMER
+            continue
+        ends = st.sampled_from([1, -1]) if kind == "unit" else st.integers(-9, 9).filter(bool)
+        deg = draw(st.integers(1, 6))
+        r = r * RatPoly([draw(ends)] + [draw(st.integers(-4, 4)) for _ in range(deg - 1)]
+                        + [draw(ends)])
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_products())
+@example(cyclotomic(7))                                  # phi(n) = deg r exactly
+@example(cyclotomic(59).scale(F(-3, 4)))
+@example(LEHMER * cyclotomic(1) * cyclotomic(12) ** 2)
+@example(LEHMER * RatPoly([1, 1, 1, 1, 1, 1]))           # 1 + x + ... + x^5 = Phi_2 Phi_3 Phi_6
+@example(RatPoly([-1, 0, 1]) * RatPoly([2, 0, 1]))
+def test_cyclotomic_orders_match_factoring(r):
+    if r.degree < 1:
+        return
+    assert polyalg._cyclotomic_orders(r) == cyclotomic_orders_by_factoring(r)
+
+
+def test_witness_orders_refuse_a_shared_root(monkeypatch):
+    # a broken factorization whose two "irreducible" factors share sqrt(2):
+    # their ratio polynomial has the root 1
+    f1 = RatPoly([-2, 0, 1])
+    f2 = f1 * RatPoly([-3, 1])
+    monkeypatch.setattr(polyalg, "factor_q",
+                        lambda p: polyalg.Factorization(F(1), ((f1, 1), (f2, 1))))
+    with pytest.raises(InternalInvariantError, match="share a root"):
+        nondegeneracy(f1 * f2, over="Q")
 
 
 def test_ratio_poly_contains_all_ratios():

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pickle
+import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfperiod.errors import (
     DivisionByZero,
@@ -295,6 +296,24 @@ def _agree(new, old):
     assert hash(new) == hash(old)
     if old.b == 0:
         assert new == old.a and hash(new) == hash(old.a)
+
+
+HASH_PRIME = sys.hash_info.modulus
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(SQUAREFREE_D), rationals, st.one_of(st.just(F(0)), rationals),
+       st.integers(1, BIG), rationals)
+@example(2, F(1, 2), F(1, HASH_PRIME), 3, F(5, HASH_PRIME))  # no inverse modulo the prime
+@example(3, F(HASH_PRIME, 7), F(0), HASH_PRIME, F(-1, 2 * HASH_PRIME))
+def test_hash_from_the_integers_agrees_with_equality(d, a, b, k, q):
+    x = QuadElem(a, b, d)
+    y = QuadElem(a * k, b * k, d) / k  # the same element by another route
+    assert x == y and hash(x) == hash(y)
+    assert hash(x) == hash(oracles.QuadElem(a, b, d))
+    assert hash(QuadElem(q, 0, d)) == hash(F(q)) == hash(quad(q, 0, d))
+    if b == 0:
+        assert hash(x) == hash(a)
 
 
 def _both(op, *args):

@@ -6,7 +6,9 @@ when a reached definition names it: by its bare name inside its own module,
 or in another module through ``from .module import name`` or
 ``module.name``.  What is left is dead or used only by tests, and must be
 exactly the list under "Names used only by tests" in ROADMAP.md item 5, so a
-new unreached name, or one that code starts to use again, fails here.
+new unreached name, or one that code starts to use again, fails here.  The
+names that item lists as moved to tests/oracles.py must be defined there and
+no longer in src/cfperiod, so a second implementation does not come back.
 """
 import ast
 import pathlib
@@ -61,9 +63,10 @@ def _unreached_public_names() -> set[str]:
             if (mod, name) not in reached and not name.startswith("_")}
 
 
-def _roadmap_list() -> set[str]:
+def _roadmap_list(marker: str = "Names used only by tests") -> set[str]:
+    """The `module.name` entries of the ROADMAP.md item 5 bullet that opens with marker."""
     lines = (ROOT / "ROADMAP.md").read_text().splitlines()
-    start = next(i for i, line in enumerate(lines) if "Names used only by tests" in line)
+    start = next(i for i, line in enumerate(lines) if marker in line)
     block = [lines[start]]
     for line in lines[start + 1:]:
         if not line.strip() or line.lstrip().startswith("- "):
@@ -77,3 +80,16 @@ def _roadmap_list() -> set[str]:
 def test_unreached_names_are_the_roadmap_list():
     assert _unreached_public_names() == _roadmap_list()
 
+
+
+def test_names_moved_to_the_oracles_left_src():
+    import oracles
+
+    moved = _roadmap_list("Moved to `tests/oracles.py`")
+    assert moved
+    for entry in sorted(moved):
+        mod, name = entry.split(".")
+        tree = ast.parse((SRC / f"{mod}.py").read_text())
+        assert name not in {node.name for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, entry
+        assert callable(getattr(oracles, name)), entry

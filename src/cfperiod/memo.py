@@ -13,6 +13,9 @@ in full.
 Memoized functions must return immutable values.  A function that learns
 another call's value on the way (factor_q finds that each factor it returns
 is irreducible) stores it with :func:`remember`.
+The scope also holds factor_q's pool of the irreducible polynomials it has
+certified (:func:`pool`), which it divides out of a later input before it
+factors the rest; the pool dies with the scope like the memo.
 """
 from __future__ import annotations
 
@@ -88,3 +91,13 @@ def remember(fn, value, *args, **kwargs) -> None:
         return
     fn = inspect.unwrap(fn, stop=lambda f: hasattr(f, "memo_key"))
     memo.setdefault(fn.memo_key(args, kwargs), value)
+
+
+
+def pool() -> dict | None:
+    """Inside a scope, the dict that factor_q keeps its pool in until the
+    scope exits (empty at first); outside a scope, None."""
+    memo = _MEMO.get()
+    if memo is None:
+        return None
+    return memo.setdefault(pool, {})

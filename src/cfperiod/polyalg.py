@@ -4,15 +4,18 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 
 * factorization over Q on the primitive integer form (sympy's factorer over
   Z, certified by the content scale-back, an exact multiply-back over Z and
-  independent small-degree irreducibility re-checks) and over K: a rational
-  polynomial from its factorization over Q, splitting each factor on its own;
-  the norm descent (a shifted copy with squarefree norm h * conj(h), factors
-  recovered by gcd) only for irrational inputs and for rational factors of
-  even degree >= 4.  Any degree: the degree budget is the classifier's;
+  independent small-degree irreducibility re-checks), which inside a scope
+  first divides out the irreducibles already certified there; and over K by
+  one route: the Q-factors of p (p rational) or of its norm p * conj(p)
+  are split over K, by a gcd with p or each on its own (a quadratic by its
+  discriminant, even degree >= 4 by the norm descent: a shifted copy with
+  squarefree norm h * conj(h), factors recovered by gcd), with the
+  multiplicities of the Q-factors, or for an irrational p by exact
+  division.  Any degree: the degree budget is the classifier's;
 * the conjugation-fixed / conjugation-moved decomposition of a K-polynomial;
-* unit-circle root profiles with an exact on-circle decision (self-reciprocal
-  factors + Sturm chains on the x + 1/x transform) and certified numeric
-  enclosures only for provably off-circle roots;
+* unit-circle root profiles, exact throughout: on-circle roots through
+  self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
+  off the circle counted by the inertia of the Schur-Cohn matrix;
 * unital / Pisot-style predicates on factorizations;
 * ratio and power polynomials (roots alpha/beta and alpha^k) over Q and K
   alike, built from Newton power sums with no resultant, each certified by
@@ -31,7 +34,12 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 factor_q, factor_k and the degeneracy witnesses are memoized inside a
 ``memo.scope()`` (one classification or one growth job), so each fact is
 computed once there; every irreducible factor a factorization returns is
-stored as its own factorization, so it is never factored again.
+stored as its own factorization, so it is never factored again, and joins
+the scope's pool of irreducibles, so a polynomial whose roots lie among
+those already factored is factored without sympy: in a classification,
+P_D and P_S, whose roots are among those of N = P_A * conj(P_A).
+Floating point (mpmath) serves only certified_root_boxes, for the numeric
+profiles of growth.
 """
 from __future__ import annotations
 
@@ -48,6 +56,7 @@ from .errors import (
     PreconditionViolated,
     ZeroRootInDenominator,
 )
+from . import memo
 from .memo import memoized, remember
 from .qfield import QuadElem, to_mpf
 
@@ -462,6 +471,28 @@ def _zz_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _zz_exact_div(f, g) -> list[int] | None:
+    """f / g over Z when g divides f there, else None (both low-to-high)."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None
+    rem, lc = list(f), g[-1]
+    quo = [0] * (len(f) - dg)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + dg], lc)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return None if any(rem[:dg]) else quo
+
+
+def _divides(a: int, b: int) -> bool:
+    return b % a == 0 if a else b == 0
+
+
 def _zz_eval(g: list[int], y: int) -> int:
     """g(y) by Horner over Z; g low-to-high."""
     acc = 0
@@ -556,10 +587,15 @@ def _certify_irreducible_q(p: RatPoly) -> None:
 def factor_q(p: RatPoly) -> Factorization:
     """Complete factorization over Q into monic irreducibles.
 
-    Runs on the primitive integer form of p.  Certified on every call: the
-    content times the primitive form is p, the integer factors multiply back
-    to the primitive form exactly, and factors of degree <= 4 pass an
-    independent irreducibility re-check.
+    Runs on the primitive integer form of p.  Inside a ``memo.scope()`` the
+    primitive irreducibles certified earlier in the scope (the pool) are
+    divided out first, exactly over Z, and sympy's factorer runs only on a
+    nonconstant cofactor.  Gauss's lemma lets a pooled f divide only when
+    lc(f) | lc and f(0) | the constant term, which skips most candidates
+    without a division.  Certified on every call: the content times the
+    primitive form is p, all integer factors multiply back to the primitive
+    form exactly, and factors of degree <= 4 pass an independent
+    irreducibility re-check.
     """
     if p.is_zero:
         raise ValueError("factor_q of zero polynomial")
@@ -569,44 +605,44 @@ def factor_q(p: RatPoly) -> Factorization:
     content = p.lc / prim[-1]
     if [content * c for c in prim] != list(p.coeffs):
         raise InternalInvariantError(f"factor_q content scale-back failed for {p}")
-    zz_unit, zz_factors = _zz_factor(list(reversed(prim)))
+    pool = memo.pool()  # primitive irreducibles, low-to-high, as dict keys
+    found, rest = [], list(prim)
+    for f in pool or ():
+        mult = 0
+        while _divides(f[-1], rest[-1]) and _divides(f[0], rest[0]):
+            quo = _zz_exact_div(rest, f)
+            if quo is None:
+                break
+            rest, mult = quo, mult + 1
+        if mult:
+            found.append((f, mult))
+    zz_unit = rest[0]
+    if len(rest) > 1:
+        zz_unit, zz_factors = _zz_factor(rest[::-1])
+        found += [(tuple(f[::-1]), mult) for f, mult in zz_factors]
     check = [zz_unit]
     unit = content * zz_unit
     factors = []
-    for f, mult in zz_factors:
+    for f, mult in found:
         for _ in range(mult):
             check = _zz_mul(check, f)
-        unit *= f[0] ** mult
-        factors.append((RatPoly([Fraction(c, f[0]) for c in reversed(f)]), mult))
-    if tuple(reversed(check)) != prim:
+        unit *= f[-1] ** mult
+        factors.append((RatPoly([Fraction(c, f[-1]) for c in f]), mult))
+    if tuple(check) != prim:
         raise InternalInvariantError(f"factor_q multiply-back failed for {p}")
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     for f, _m in factors:
         _certify_irreducible_q(f)
     for f, _m in factors:  # each factor is its own factorization
         remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
+    if pool is not None:
+        pool.update(dict.fromkeys(f for f, _m in found))
     return Factorization(unit, tuple(factors))
 
 
 # ---------------------------------------------------------------------------
 # factorization over K (norm descent)
 # ---------------------------------------------------------------------------
-
-def _squarefree_decomposition(p):
-    """Yun's algorithm; p monic, char 0.  Returns [(g_i, i)] with prod g_i^i = p."""
-    out = []
-    g = p.gcd(p.derivative())
-    w = p.exact_div(g)
-    i = 1
-    while w.degree > 0:
-        y = w.gcd(g)
-        f = w.exact_div(y)
-        if f.degree > 0:
-            out.append((f.monic(), i))
-        w, g = y, g.exact_div(y)
-        i += 1
-    return out
-
 
 def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     if g.degree == 1:
@@ -662,31 +698,34 @@ def _split_over_k(f: RatPoly, d: int) -> list[KPoly]:
 def factor_k(p: KPoly) -> Factorization:
     """Factorization into monic irreducibles over K = Q(sqrt(d)).
 
-    A rational monic p is factored over Q and each Q-irreducible factor is
-    split on its own (_split_over_k).  Otherwise, after Yun's squarefree
-    decomposition, the norm descent: a shifted copy p(x - s*sqrt(d)) with
-    squarefree norm is factored through factor_q of the norm, and K-factors
-    are recovered as gcds.  Either way the result is certified by exact
-    multiplication.
+    The roots of monic p are among those of q = p over Q when p is rational,
+    and of its norm q = p * conj(p) otherwise; q is factored with factor_q.
+    Each Q-irreducible f of q is split over K: when p is irrational and
+    c = gcd(p, f) is a proper factor of f, f = c * conj(c) with c
+    irreducible (f has at most two K-factors, and they are conjugate);
+    otherwise f is split on its own (_split_over_k).  A K-factor of a
+    rational p has the multiplicity of its Q-factor; in an irrational p it
+    is read by exact division.  The result is certified by multiplying back.
     """
     if p.is_zero:
         raise ValueError("factor_k of zero polynomial")
     unit = p.lc
     if p.degree == 0:
         return Factorization(unit, ())
-    monic = p.monic()
-    if monic.is_rational():
-        pieces = [(g, mult) for f, mult in factor_q(monic.to_ratpoly()).factors
-                  for g in _split_over_k(f, p.d)]
-    else:
-        pieces = [(g, mult) for f, mult in _squarefree_decomposition(monic)
-                  for g in _factor_k_squarefree(f)]
-    factors: dict[KPoly, int] = {}
-    for g, mult in pieces:
-        factors[g] = factors.get(g, 0) + mult
-    items = sorted(factors.items(),
-                   key=lambda fm: (fm[0].degree,
-                                   tuple((c.a, c.b) for c in fm[0].coeffs)))
+    rest = monic = p.monic()
+    rational, items = monic.is_rational(), []
+    for f, m in factor_q(_over_q(monic)).factors:
+        if rational:  # f^m divides p exactly, and so does each K-factor of f to the m
+            items += [(g, m) for g in _split_over_k(f, p.d)]
+            continue
+        c = monic.gcd(f.lift(p.d))
+        for g in ([c, c.conj()] if 0 < c.degree < f.degree else _split_over_k(f, p.d)):
+            mult = 0
+            while not (quo_rem := divmod(rest, g))[1]:
+                rest, mult = quo_rem[0], mult + 1
+            if mult:
+                items.append((g, mult))
+    items.sort(key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
     check = KPoly([unit], p.d)
     for f, m in items:
         check = check * f ** m
@@ -855,26 +894,71 @@ def certified_root_boxes(p, dps: int = 60, embed_conj: bool = False):
     raise PrecisionExhausted(f"could not certify roots of {p}")
 
 
-def _offcircle_counts(pi, dps: int = 60) -> tuple[int, int]:
-    """(inside, outside) for an irreducible factor with no unit-circle roots."""
-    for trial_dps in (dps, 2 * dps, 4 * dps, 8 * dps, 16 * dps, 32 * dps):
-        boxes = _certified_roots(_poly_to_mpc_coeffs(pi, trial_dps), trial_dps)
-        if boxes is None:
-            continue
-        inside = outside = 0
-        ok = True
-        for z, r in boxes:
-            m = abs(z)
-            if m + r < 1:
-                inside += 1
-            elif m - r > 1:
-                outside += 1
-            else:
-                ok = False
-                break
-        if ok:
-            return inside, outside
-    raise PrecisionExhausted(f"roots of {pi} not separated from the unit circle")
+def _offcircle_counts(pi) -> tuple[int, int]:
+    """(inside, outside) for an irreducible factor that is not self-reciprocal.
+
+    With a_0, ..., a_n the coefficients, L1 and L2 the lower-triangular
+    Toeplitz matrices with first columns (a_0, ..., a_(n-1)) and
+    (a_n, ..., a_1), the Schur-Cohn matrix M = L1 L1^T - L2 L2^T has as many
+    negative eigenvalues as pi has roots inside the unit circle and as many
+    positive ones as roots outside, provided pi and its reverse are coprime
+    (Marden, Geometry of Polynomials, 1966, sections 42-43).  They are for
+    pi: a root alpha with 1/alpha also a root would make the irreducible pi
+    divide its reverse, that is, self-reciprocal.  Entrywise,
+    M[i][j] = M[i-1][j-1] + a_i a_j - a_(n-i) a_(n-j), and its inertia is
+    read by exact symmetric elimination, so no precision is involved.
+    """
+    a, n = pi.coeffs, pi.degree
+    m = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = a[i] * a[j] - a[n - i] * a[n - j]
+            m[i][j] = m[j][i] = v + m[i - 1][j - 1] if i else v
+    return _inertia(m)
+
+
+def _inertia(m) -> tuple[int, int]:
+    """(negative, positive) eigenvalue counts of a nonsingular symmetric
+    matrix over Q or K (signs in the first real embedding).
+
+    Sylvester's law of inertia: a congruence keeps the counts, so each step
+    eliminates a pivot block and counts its signs.  A nonzero diagonal entry
+    is a 1x1 pivot.  When every diagonal entry is zero, a nonzero m[i][j]
+    gives the 2x2 pivot [[0, b], [b, 0]], with one eigenvalue of each sign.
+    A zero remaining block means m is singular, which raises.
+    """
+    neg = pos = 0
+    while m:
+        size = len(m)
+        k = next((i for i in range(size) if m[i][i]), None)
+        if k is not None:
+            order = [k] + [i for i in range(size) if i != k]
+        else:
+            pair = next(((i, j) for i in range(size) for j in range(i + 1, size) if m[i][j]),
+                        None)
+            if pair is None:
+                raise InternalInvariantError("singular Schur-Cohn matrix")
+            order = list(pair) + [i for i in range(size) if i not in pair]
+        m = [[m[i][j] for j in order] for i in order]
+        if k is not None:  # m <- m[1:, 1:] - m[1:, 0] m[0, 1:] / m[0][0]
+            s = _sign_of(m[0][0])
+            neg, pos = neg + (s < 0), pos + (s > 0)
+            head = m[0][1:]
+            inv = 1 / m[0][0]
+            rows = []
+            for r in m[1:]:
+                c = r[0] * inv
+                rows.append([x - c * y for x, y in zip(r[1:], head)])
+        else:  # m <- m[2:, 2:] - (m[2:, 0] m[1, 2:] + m[2:, 1] m[0, 2:]) / m[0][1]
+            neg, pos = neg + 1, pos + 1
+            h0, h1 = m[0][2:], m[1][2:]
+            inv = 1 / m[0][1]
+            rows = []
+            for r in m[2:]:
+                c0, c1 = r[0] * inv, r[1] * inv
+                rows.append([x - c0 * y1 - c1 * y0 for x, y0, y1 in zip(r[2:], h0, h1)])
+        m = rows
+    return neg, pos
 
 
 def _profile_irreducible(pi) -> CircleProfile:
@@ -902,10 +986,12 @@ def _profile_irreducible(pi) -> CircleProfile:
 def circle_profile(p) -> CircleProfile:
     """Counts of roots inside / on / outside the unit circle, with multiplicity.
 
-    On-circle roots are decided exactly: an irreducible factor has them iff it
-    is self-reciprocal, and then the count is 2 * (real roots of the x + 1/x
-    transform in (-2, 2)), a Sturm computation over the coefficient field.
-    Off-circle roots are separated by certified adaptive-precision disks.
+    Every count is exact.  An irreducible factor has roots on the circle iff
+    it is self-reciprocal, and then the count is 2 * (real roots of the
+    x + 1/x transform in (-2, 2)), a Sturm computation over the coefficient
+    field, with the other roots split evenly between inside and outside.
+    Any other factor has no root on the circle, and its roots inside and
+    outside are the negative and positive inertia of its Schur-Cohn matrix.
     """
     if p.is_zero:
         raise ValueError("circle_profile of zero polynomial")
@@ -1004,17 +1090,6 @@ def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
     raise InternalInvariantError(f"no element of order {n} modulo the prime {p}")
 
 
-def _divides_monic(g: list[int], f: list[int]) -> bool:
-    """Whether the monic g divides f over Z (both low-to-high)."""
-    rem, dg = list(f), len(g) - 1
-    for k in range(len(f) - 1 - dg, -1, -1):
-        c = rem[k + dg]
-        if c:
-            for j in range(dg):
-                rem[k + j] -= c * g[j]
-    return not any(rem[:dg])
-
-
 def _cyclotomic_orders(r: RatPoly) -> list[int]:
     """Every n >= 1 with Phi_n | r, for a nonconstant r over Q, without
     factoring r.
@@ -1032,27 +1107,36 @@ def _cyclotomic_orders(r: RatPoly) -> list[int]:
         acc = 0
         for c in reversed(f):
             acc = (acc * w + c) % p
-        if acc == 0 and _divides_monic(_cyclotomic_ints(n), f):
+        if acc == 0 and _zz_exact_div(f, _cyclotomic_ints(n)) is not None:
             orders.append(n)
     return orders
 
 
-def _totient_sieve(limit: int) -> list[int]:
-    """phi(n) for 0 <= n <= limit, by Euler's product over the primes p | n."""
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # untouched so far: p is prime
-            for k in range(p, limit + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
 @functools.lru_cache(maxsize=None)
 def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
-    """(n, phi(n)) for every n >= 1 with phi(n) <= bound."""
-    # phi(n) >= sqrt(n/2) gives the scan limit
-    phi = _totient_sieve(2 * bound * bound + 2)
-    return tuple((n, t) for n, t in enumerate(phi) if n >= 1 and t <= bound)
+    """(n, phi(n)) for every n >= 1 with phi(n) <= bound, in increasing n.
+
+    phi is multiplicative with phi(p^k) = (p - 1) p^(k-1), so the n are the
+    products of prime powers with coprime bases whose phis multiply to at
+    most bound; they are enumerated over the primes p <= bound + 1 in
+    increasing order, each taken to every power whose phi still fits.
+    """
+    primes = [p for p in range(2, bound + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    out = []
+
+    def extend(n, t, start):
+        out.append((n, t))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if t * (p - 1) > bound:
+                break
+            pk, tk = p, t * (p - 1)
+            while tk <= bound:
+                extend(n * pk, tk, i + 1)
+                pk, tk = pk * p, tk * p
+
+    extend(1, 1, 0)
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ on the primitive form; over K, Yun plus the norm descent for every input
 instead of splitting a rational polynomial's factors over Q.
 The reference rational roots enumerate divisor pairs of the end coefficients
 (sympy's divisors), where the package isolates real roots by Sturm counts.
+The reference off-circle counts are the numeric route the package left:
+certified polyroots disks at doubling precision, where the package reads the
+inertia of the Schur-Cohn matrix exactly.  The reference totients come from
+a sieve up to 2 b^2 + 2, where the package enumerates products of prime
+powers.  The reference squarefree decomposition is Yun's algorithm, which
+the package no longer needs.
 The reference cyclotomic polynomials divide x^n - 1 by the Phi_d of its
 proper divisors over Fractions, and is_root_of_unity compares an irreducible
 factor with each Phi_n of its degree (orders from sympy's totient); the
@@ -43,7 +49,7 @@ import mpmath
 
 from cfperiod import polyalg, qfield
 from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalInvariantError,
-                             MixedFieldError, PreconditionViolated)
+                             MixedFieldError, PrecisionExhausted, PreconditionViolated)
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -179,6 +185,35 @@ def circle_counts(coeffs, dps: int = 100, band: float = 1e-40):
     return inside, on, outside
 
 
+def offcircle_counts_numeric(pi, dps: int = 60) -> tuple[int, int]:
+    """(inside, outside) for a factor with no unit-circle roots, numerically:
+    each root of mpmath's polyroots gets a disk of radius 4 deg |pi(z)/pi'(z)|
+    (a root lies within deg |pi(z)/pi'(z)|; 4x is a margin), the disks must be
+    pairwise disjoint and clear of the circle, else the digits double, up to
+    32x, and PrecisionExhausted is raised.  Each |z| -+ r is compared with 1
+    at the working precision."""
+    for trial_dps in (dps, 2 * dps, 4 * dps, 8 * dps, 16 * dps, 32 * dps):
+        with mpmath.workdps(trial_dps):
+            coeffs = [mpmath.mpc(qfield.to_mpf(c, trial_dps)) if isinstance(c, qfield.QuadElem)
+                      else mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator)
+                      for c in reversed(pi.coeffs)]
+            deg = len(coeffs) - 1
+            dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+            try:
+                roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * trial_dps)
+                radii = [4 * deg * abs(mpmath.polyval(coeffs, z) / mpmath.polyval(dcoeffs, z))
+                         for z in roots]
+            except (mpmath.libmp.NoConvergence, ZeroDivisionError):
+                continue
+            if any(abs(z1 - z2) <= r1 + r2 for i, (z1, r1) in enumerate(zip(roots, radii))
+                   for z2, r2 in zip(roots[i + 1:], radii[i + 1:])):
+                continue
+            if all(abs(abs(z) - 1) > r for z, r in zip(roots, radii)):
+                inside = sum(1 for z in roots if abs(z) < 1)
+                return inside, deg - inside
+    raise PrecisionExhausted(f"roots of {pi} not separated from the unit circle")
+
+
 def root_of_unity_order_numeric(z, max_order: int, dps: int = 100) -> int | None:
     """Angle-rationalization order of z as a root of unity, or None.
 
@@ -239,6 +274,23 @@ def cyclotomic(n: int):
     phi = num.exact_div(den)
     _CYCLOTOMIC_CACHE[n] = phi
     return phi
+
+
+def totient_sieve(limit: int) -> list[int]:
+    """phi(n) for 0 <= n <= limit, by Euler's product over the primes p | n."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched so far: p is prime
+            for k in range(p, limit + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+def orders_with_totient_at_most_sieved(bound: int) -> list[tuple[int, int]]:
+    """(n, phi(n)) for every n >= 1 with phi(n) <= bound, from a sieve up to
+    2 bound^2 + 2 (phi(n) >= sqrt(n/2) bounds the scan)."""
+    phi = totient_sieve(2 * bound * bound + 2)
+    return [(n, t) for n, t in enumerate(phi) if n >= 1 and t <= bound]
 
 
 @functools.lru_cache(maxsize=None)
@@ -628,11 +680,27 @@ def factor_q_qq(p):
     return polyalg.Factorization(unit, tuple(factors))
 
 
+def squarefree_decomposition(p):
+    """Yun's algorithm; p monic, char 0.  Returns [(g_i, i)] with prod g_i^i = p."""
+    out = []
+    g = p.gcd(p.derivative())
+    w = p.exact_div(g)
+    i = 1
+    while w.degree > 0:
+        y = w.gcd(g)
+        f = w.exact_div(y)
+        if f.degree > 0:
+            out.append((f.monic(), i))
+        w, g = y, g.exact_div(y)
+        i += 1
+    return out
+
+
 def factor_k_norm(p):
     """Factorization over K by Yun's squarefree decomposition and the norm
     descent, for rational inputs too, sorted as polyalg.factor_k sorts."""
     factors = {}
-    for g, mult in polyalg._squarefree_decomposition(p.monic()):
+    for g, mult in squarefree_decomposition(p.monic()):
         for f in polyalg._factor_k_squarefree(g):
             factors[f] = factors.get(f, 0) + mult
     items = sorted(factors.items(),

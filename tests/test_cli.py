@@ -685,6 +685,22 @@ def test_classify_job_golden(capsys, tmp_path):
         "every A_n is rational\n")
 
 
+@pytest.mark.parametrize("e", [17, 20])
+def test_classify_near_the_unit_circle(capsys, tmp_path, e):
+    # A_n = -A_(n-1) - c A_(n-2), c = 1 + 10^-e: both roots of x^2 + x + c lie
+    # outside the circle by about 10^-e / 2, which floating point cannot see
+    c = f"{10 ** e + 1}/{10 ** e}"
+    job = write_job(tmp_path, "near.json",
+                    {"command": "classify", "d": 2, "coeffs": ["-1", f"-{c}"],
+                     "initials": [["1", "1"], "1"]})
+    code, out, err = run(capsys, ["classify", job])
+    assert (code, err) == (0, "")
+    if e == 20:
+        assert out == (GOLDEN / "classify_near_circle.txt").read_text()
+    assert out.startswith("verdict: ProvenUnbounded\nstep: B.1\n")
+    assert f"P_S factor x^2 + x + {c} (mult 1): roots 0/0/2," in out
+
+
 def test_classify_refuses_p_d_beyond_the_factor_cap(capsys, tmp_path):
     # charpoly prod (x - k - sqrt 2), k = 1..7: P_D has the 14 roots k +- sqrt 2
     p = KPoly.from_roots([quad(k, 1, 2) for k in range(1, 8)], 2)

@@ -1,13 +1,18 @@
 """The per-job memo: one value per argument list, one scope only."""
 import inspect
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfperiod import cli, memo, polyalg
 from cfperiod.classifier import classify
+from cfperiod.errors import InternalInvariantError
 from cfperiod.polyalg import KPoly, RatPoly, factor_k, factor_q
 from cfperiod.qfield import QuadElem
+from cfperiod.recurrence import LinRec
 
 from curated import members
 
@@ -135,3 +140,118 @@ def test_factors_are_remembered_as_irreducible(monkeypatch, factor, p):
     # the same facts as a fresh, unscoped factorization of each factor
     assert remembered == [factor(f) for f in factors]
     assert all(r.factors == ((f, 1),) for r, f in zip(remembered, factors))
+
+
+# ---------------------------------------------------------------------------
+# the scope's pool of irreducibles
+# ---------------------------------------------------------------------------
+
+def _count_zz_factor(monkeypatch):
+    degrees = []
+    zz_factor = polyalg._zz_factor
+
+    def counting(ints):
+        degrees.append(len(ints) - 1)
+        return zz_factor(ints)
+
+    monkeypatch.setattr(polyalg, "_zz_factor", counting)
+    return degrees
+
+
+@st.composite
+def pooled_products(draw):
+    """(seeds, p, d): p a rational multiple of a product of irreducibles with
+    multiplicities, and seed polynomials to factor first, each the product of
+    some of p's irreducibles (related) or of others (unrelated).  The
+    irreducibles are the factors over Q of random integer polynomials."""
+    small = st.integers(-4, 4)
+    bank = []
+    for _ in range(draw(st.integers(2, 4))):
+        deg = draw(st.integers(1, 4))
+        g = RatPoly([draw(small) for _ in range(deg)] + [draw(st.sampled_from([1, 2, -3]))])
+        bank += [f for f in factor_q(g).distinct() if f not in bank]
+    used = draw(st.lists(st.sampled_from(bank), min_size=1, max_size=4, unique=True))
+    p = RatPoly([draw(st.sampled_from([1, -2, Fraction(3, 5)]))])
+    for f in used:
+        p = p * f.scale(draw(st.sampled_from([1, 3, Fraction(1, 2)]))) ** draw(st.integers(1, 3))
+    seeds = []
+    for _ in range(draw(st.integers(0, 3))):
+        part = draw(st.lists(st.sampled_from(bank), min_size=1, max_size=3, unique=True))
+        seed = RatPoly([1])
+        for f in part:
+            seed = seed * f
+        seeds.append(seed)
+    return seeds, p, draw(st.sampled_from([2, 3, 5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pooled_products())
+@example(([RatPoly([-2, 0, 1])], RatPoly([-2, 0, 1]) ** 2 * RatPoly([-1, -1, 0, 1]), 2))
+@example(([RatPoly([-1, -1, 1]), RatPoly([0, 1])], RatPoly([0, 0, -1, -1, 1]) * 4, 5))
+def test_pooled_factorizations_equal_fresh_ones(case):
+    seeds, p, d = case
+    fresh_q, fresh_k = factor_q(p), factor_k(p.lift(d))
+    # an irrational K-polynomial whose norm holds p's factors
+    moved = p.lift(d) * KPoly([QuadElem(0, 1, d), 1], d)
+    fresh_moved = factor_k(moved)
+    with pytest.MonkeyPatch.context() as m:
+        degrees = _count_zz_factor(m)
+        with memo.scope():
+            pooled = set()
+            for seed in seeds:
+                pooled.update(factor_q(seed).distinct())
+            degrees.clear()
+            assert factor_q(p) == fresh_q
+            if set(fresh_q.distinct()) <= pooled:  # nothing left for sympy
+                assert degrees == []
+            assert factor_k(p.lift(d)) == fresh_k
+            assert factor_k(moved) == fresh_moved
+
+
+def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
+    degrees = _count_zz_factor(monkeypatch)
+    assert memo.pool() is None
+    with memo.scope():
+        factor_q(RatPoly([-2, 0, 1]))
+        assert memo.pool()
+    with memo.scope():
+        assert memo.pool() == {}
+        # x^2 - 2 is not pooled here: sympy sees the whole quintic
+        factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
+    assert degrees == [2, 5]
+
+
+def test_pooled_factors_are_multiplied_back(monkeypatch):
+    with memo.scope():
+        factor_q(RatPoly([-2, 0, 1]))
+        # sympy gets the cofactor x^3 - x - 1 and answers wrongly
+        monkeypatch.setattr(polyalg, "_zz_factor", lambda ints: (1, [([1, 0, 3], 1)]))
+        with pytest.raises(InternalInvariantError, match="multiply-back"):
+            factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
+
+
+def _order4_b1():
+    # charpoly (x^2 - 2x - 1)(x - 3)(x - 1/2) over Q(sqrt 2), irrational initial terms
+    p = RatPoly([-1, -2, 1]) * RatPoly([-3, 1]) * RatPoly([Fraction(-1, 2), 1])
+    return LinRec([-p.coeffs[3 - i] for i in range(4)],
+                  [QuadElem(1, 1, 2), 1, 2, QuadElem(0, 1, 2)], 2)
+
+
+def _order6_sqrt2():
+    # the order-6 input of the CLI golden: A_n = A_(n-1) + ... + (1 + sqrt 2) A_(n-6)
+    return LinRec([1] * 5 + [QuadElem(1, 1, 2)], [QuadElem(1, 1, 2)] + [1] * 5, 2)
+
+
+@pytest.mark.parametrize("r, degrees", [
+    *[pytest.param(r, None, id=name) for name, r, verdict, _s in members()
+      if verdict != "DegenerateInput"],
+    # P_D and P_S are products of the pool N's factors, which sympy saw first
+    pytest.param(_order4_b1(), [4], id="order4-B.1"),
+    # N once; P_D = N splits over K through the norm of a shifted copy, the
+    # one polynomial whose factors are not in the pool
+    pytest.param(_order6_sqrt2(), [12, 24], id="order6-sqrt2"),
+])
+def test_one_zassenhaus_call_per_classification(monkeypatch, r, degrees):
+    got = _count_zz_factor(monkeypatch)
+    classify(r)
+    assert len(got) == 1 if degrees is None else got == degrees

@@ -32,7 +32,8 @@ from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
 from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, factor_k_norm,
-                     factor_q_qq, is_root_of_unity, poly_roots, power_map_charpoly,
+                     factor_q_qq, is_root_of_unity, offcircle_counts_numeric,
+                     orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
                      ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
                      rational_roots_divisors, resultant)
 
@@ -437,14 +438,23 @@ def test_cyclotomic_product_identity():
 
 
 def test_totient_sieve_matches_sympy():
-    from cfperiod.polyalg import _orders_with_totient_at_most, _totient_sieve
+    from cfperiod.polyalg import _orders_with_totient_at_most
+    from oracles import totient_sieve
 
-    phi = _totient_sieve(5000)
+    phi = totient_sieve(5000)
     assert phi[1:] == [int(sympy.totient(n)) for n in range(1, 5001)]
     for bound in (1, 2, 6, 12):
         want = [(n, int(sympy.totient(n))) for n in range(1, 2 * bound * bound + 3)
                 if sympy.totient(n) <= bound]
         assert list(_orders_with_totient_at_most(bound)) == want
+
+
+def test_totient_orders_match_the_sieve():
+    # the prime-power enumeration against one sieve up to 2 * 300^2 + 2
+    sieved = orders_with_totient_at_most_sieved(300)
+    for bound in range(1, 301):
+        want = [(n, t) for n, t in sieved if t <= bound]
+        assert list(polyalg._orders_with_totient_at_most(bound)) == want, bound
 
 
 def test_is_root_of_unity_rejects_non_integral_candidates():
@@ -587,6 +597,76 @@ def test_circle_profile_pinned():
     assert _prof(circle_profile(KPoly([1, -R2, 1], 2))) == (0, 2, 0)
     assert _prof(circle_profile(KPoly([-(3 + 2 * R2), 1], 2))) == (0, 0, 1)
     assert _prof(circle_profile(RatPoly([-2, 1]) * RatPoly([-1, 2]))) == (1, 0, 1)
+
+
+NEAR = F(1, 10 ** 20)
+
+
+@pytest.mark.parametrize("p, profile", [
+    (RatPoly([-1, 3, 1]), (1, 0, 1)),                 # Schur-Cohn matrix [[0, -6], [-6, 0]]
+    (RatPoly([-1, -1, 0, 1]), (2, 0, 1)),             # x^3 - x - 1: the plastic number outside
+    (RatPoly([-1 - F(1, 10 ** 60), 0, 0, 1]), (0, 0, 3)),  # |roots| - 1 is about 3e-61
+    (RatPoly([1 + NEAR, 1, 1]), (0, 0, 2)),            # x^2 + x + 1 + 1e-20
+    (RatPoly([1 - NEAR, 1, 1]), (2, 0, 0)),
+    (FIB, (1, 0, 1)),                                 # unit polynomials: constant term +-1
+    (RatPoly([-1, -2, 1]), (1, 0, 1)),
+    (RatPoly([1, 1, 0, 0, 1]), (2, 0, 2)),            # x^4 + x + 1
+    (RatPoly([-1, 0, 1, 1]), (1, 0, 2)),              # x^3 + x^2 - 1, reverse of x^3 - x - 1
+    (RatPoly([-1, 0, 0, 0, -1, 1]), (2, 2, 1)),       # x^5 - x^4 - 1 = Phi_6 (x^3 - x - 1)
+    (RatPoly([-1, -1, 1]).lift(2), (1, 0, 1)),
+    (KPoly([-1, -R2, 1], 2), (1, 0, 1)),              # roots (sqrt 2 +- sqrt 6) / 2
+    (KPoly([1 + R2, 1, 1], 2), (0, 0, 2)),
+    (KPoly([1 - R2, 1, 1], 2), (1, 0, 1)),            # its conjugate
+])
+def test_offcircle_counts_pinned(p, profile):
+    assert _prof(circle_profile(p)) == profile
+
+
+def test_schur_cohn_zero_diagonal_takes_a_two_by_two_pivot():
+    assert polyalg._inertia([[F(0), F(-6)], [F(-6), F(0)]]) == (1, 1)
+    assert polyalg._inertia([[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(-2)]]) == (2, 1)
+
+
+@pytest.mark.parametrize("p", [RatPoly([1, -3, 1]), RatPoly([1, 1, 1]), KPoly([1, -R2, 1], 2)])
+def test_schur_cohn_refuses_a_self_reciprocal_factor(p):
+    # p and its reverse share every root, so the matrix is singular
+    with pytest.raises(InternalInvariantError, match="singular"):
+        polyalg._offcircle_counts(p)
+
+
+@st.composite
+def offcircle_factors(draw):
+    """An irreducible, non-self-reciprocal factor over Q (degree 2-8, half of
+    them with end coefficients +-1) or over K = Q(sqrt(d)), d in {2, 3, 5}
+    (degree 1-4), with its conjugate, the factor in the other embedding."""
+    field = draw(st.sampled_from([None, 2, 3, 5]))
+    while True:
+        if field is None:
+            deg = draw(st.integers(2, 8))
+            ends = (st.sampled_from([1, -1]) if draw(st.booleans())
+                    else st.integers(-9, 9).filter(bool))
+            p = RatPoly([draw(ends)] + [draw(st.integers(-5, 5)) for _ in range(deg - 1)]
+                        + [draw(ends)])
+            factors = factor_q(p).distinct()
+        else:
+            deg = draw(st.integers(1, 4))
+            p = KPoly([quad(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), field)
+                       for _ in range(deg)] + [1], field)
+            factors = factor_k(p).distinct()
+        factors = [f for f in factors if not polyalg._self_reciprocal(f)]
+        if factors:
+            f = draw(st.sampled_from(factors))
+            return [f] if field is None else [f, f.conj()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(offcircle_factors())
+@example([RatPoly([-1, 3, 1])])
+@example([RatPoly([1 + NEAR, 1, 1])])
+@example([KPoly([1 + R2, 1, 1], 2), KPoly([1 - R2, 1, 1], 2)])
+def test_schur_cohn_matches_the_numeric_route(factors):
+    for f in factors:
+        assert polyalg._offcircle_counts(f) == offcircle_counts_numeric(f)
 
 
 def test_certified_root_boxes_contain_true_roots():

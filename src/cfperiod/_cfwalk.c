@@ -1,12 +1,33 @@
-/* Reduced cycle of the continued-fraction walk of (P + sqrt(D))/Q.
+/* Period length of the reduced cycle of (P + sqrt(D))/Q, in about half a cycle.
 
    s holds P, Q, Q_prev and t = isqrt(D) as (low, high) 64-bit word pairs,
-   on a reduced state.  The walk steps with Q_{k+1} = Q_{k-1} + a_k(P_k - P_{k+1})
+   on a reduced state x_j.  A step is Q_{k+1} = Q_{k-1} + a_k(P_k - P_{k+1})
    and never forms P^2 or D: on a reduced state 0 < P <= t and
    0 < Q, Q_prev <= 2t + 1, so every intermediate is below 4t + 2, exact on
-   signed 128 bits whenever t < 2^124.  Returns the number of steps until
-   (P, Q) recurs, -1 when max_steps run out first, or -2 when a state leaves
-   the reduced bounds; s is overwritten with the last state reached. */
+   signed 128 bits whenever t < 2^124.  Every step, in either direction,
+   checks those bounds.
+
+   R(P_k, Q_k) = (P_k, Q_{k-1}) reverses the walk: stepping from
+   (P_k, Q_{k-1}) reaches (P_{k-1}, Q_{k-2}).  A centre is a fixed point of
+   R: at state k when Q_k = Q_{k-1}, or between states k and k+1 when
+   P_{k+1} = P_k.  Positions count half-steps from x_j (state k at 2k, the
+   edge k|k+1 at 2k + 1).  If a centre exists, R maps the cycle onto itself
+   as a reflection of Z/l, whose two axis points are l/2 steps apart, so l
+   is the distance between consecutive centres in half-steps.
+
+   First the walk probes backward from x_j for at most `probe` steps.  If it
+   meets a centre u_b <= 0, it walks forward to the next centre u_f and
+   l = u_f - u_b.  Otherwise it walks forward, checking for closure at x_j
+   and noting the first centre u_1 > 0; the next one gives l = u_2 - u_1.  A
+   cycle without a centre closes as a plain walk.  Once a centre u is known,
+   no further centre within u + max_steps proves l > max_steps, so the cap
+   is decided without walking it; positions stay below 3 * 2^61 when
+   max_steps and probe are at most 2^61.
+
+   Returns l, -1 when l > max_steps, or -2 when a state leaves the reduced
+   bounds.  s is overwritten with the last forward state: x_j again when the
+   walk closed, and a centre when l came from centres (Q == Q_prev, or
+   Q_prev | 2P when the centre is the edge just walked). */
 #include <stdint.h>
 
 typedef __int128 i128;
@@ -14,24 +35,60 @@ typedef __int128 i128;
 static i128 get(const uint64_t *w) { return (i128)(((unsigned __int128)w[1] << 64) | w[0]); }
 static void put(uint64_t *w, i128 v) { w[0] = (uint64_t)v; w[1] = (uint64_t)((unsigned __int128)v >> 64); }
 
-int64_t cf_cycle(uint64_t *s, int64_t max_steps)
+/* One step of (P, Q, R = Q_prev): 1 if P is unchanged (an edge centre),
+   0 if not, -2 when the new state leaves the reduced bounds. */
+static int step(i128 *P, i128 *Q, i128 *R, i128 t)
 {
-    i128 P = get(s), Q = get(s + 2), R = get(s + 4), t = get(s + 6);
-    const i128 P0 = P, Q0 = Q, lim = 2 * t + 1;
-    int64_t k = 0, rc = -1;
-    while (k < max_steps) {
-        i128 n = P + t, a;
-        if (n < 2 * Q)
-            a = 1;
-        else if (!(n >> 64))
-            a = (uint64_t)n / (uint64_t)Q;
-        else
-            a = n / Q;
-        i128 Pn = a * Q - P, Qn = R + a * (P - Pn);
-        R = Q, P = Pn, Q = Qn, k++;
-        if (P <= 0 || P > t || Q <= 0 || Q > lim) { rc = -2; break; }
-        if (P == P0 && Q == Q0) { rc = k; break; }
-    }
+    i128 n = *P + t, a;
+    if (n < 2 * *Q)
+        a = 1;
+    else if (!(n >> 64))
+        a = (uint64_t)n / (uint64_t)*Q;
+    else
+        a = n / *Q;
+    i128 Pn = a * *Q - *P, Qn = *R + a * (*P - Pn);
+    int edge = Pn == *P;
+    *R = *Q, *P = Pn, *Q = Qn;
+    if (Pn <= 0 || Pn > t || Qn <= 0 || Qn > 2 * t + 1)
+        return -2;
+    return edge;
+}
+
+/* Write the state back to s and return rc. */
+static int64_t leave(uint64_t *s, i128 P, i128 Q, i128 R, int64_t rc)
+{
     put(s, P), put(s + 2, Q), put(s + 4, R);
     return rc;
+}
+
+int64_t cf_cycle(uint64_t *s, int64_t max_steps, int64_t probe)
+{
+    i128 P = get(s), Q = get(s + 2), R = get(s + 4), t = get(s + 6);
+    const i128 P0 = P, Q0 = Q;
+    const int64_t none = INT64_MIN;
+    int64_t c = Q == R ? 0 : none;
+    i128 p = P, q = R, r = Q;  /* R(x_j): the backward walk */
+    for (int64_t i = 1; c == none && i <= probe; i++) {
+        int e = step(&p, &q, &r, t);
+        if (e < 0)
+            return leave(s, p, q, r, -2);
+        c = e ? 1 - 2 * i : q == r ? -2 * i : none;
+    }
+    int64_t limit = c == none ? 2 * max_steps : c + max_steps;
+    for (int64_t k = 1; 2 * k - 1 <= limit; k++) {
+        int e = step(&P, &Q, &R, t);
+        if (e < 0)
+            return leave(s, P, Q, R, -2);
+        int64_t u = e ? 2 * k - 1 : Q == R ? 2 * k : none;
+        if (u != none && c != none)
+            return leave(s, P, Q, R, u <= limit ? u - c : -1);
+        if (u != none) {
+            if (u >= max_steps)  /* 0 is no centre here, so l > u */
+                break;
+            c = u, limit = c + max_steps;
+        }
+        if (c == none && P == P0 && Q == Q0)
+            return leave(s, P, Q, R, k);
+    }
+    return leave(s, P, Q, R, -1);
 }

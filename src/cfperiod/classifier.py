@@ -25,13 +25,13 @@ from .errors import DegreeTooLarge, InternalInvariantError
 from .polyalg import (
     KPoly,
     RatPoly,
+    _over_q,
     circle_profile,
     decompose_q_k,
     factor_k,
     factor_q,
     is_pisot_paper,
     is_unital,
-    nondegeneracy,
     root_integrality_flags,
 )
 from .qfield import QuadElem
@@ -62,8 +62,7 @@ class EvidenceReport:
     fixed_profile: object = None    # CircleProfile of the conj-fixed part
     moved_factors: tuple = ()       # (pi, mult, profile(pi), profile(conj pi))
     s_factors: tuple = ()           # (q, mult, profile, integrality flags)
-    s_unital: object = None         # direct is_unital(P_S)
-    s_unital_effective: object = None   # after degenerate splitting of S
+    s_unital: object = None         # is_unital(P_S)
     notes: tuple = ()
 
     def __post_init__(self):
@@ -95,57 +94,22 @@ def _x_plus_one(d: int) -> KPoly:
     return KPoly([1, 1], d)
 
 
-def _s_rec_from(p_s: RatPoly, r: LinRec) -> LinRec:
-    """A recurrence generating S_n = A_n + conj(A_n) from its minimal polynomial."""
-    order = p_s.degree
-    coeffs = [-p_s.coeffs[order - 1 - i] for i in range(order)]
-    rc = conj_rec(r)
-    initials = [r.term(i) + rc.term(i) for i in range(order)]
-    return LinRec(coeffs, initials, r.d)
+def _analyze_s(p_s, p_a: KPoly):
+    """Unital data for the sum part: (unital(P_S), factor data tuple, notes).
 
-
-def _analyze_s(p_s, r: LinRec):
-    """Unital data for the sum part, honoring degenerate splitting of S.
-
-    Returns (direct, effective, factor data tuple, notes).  The boundedness
-    argument for the sum sequence needs non-degeneracy, so when S itself is
-    degenerate the unital test is re-run on its arithmetic subsequences; both
-    answers are reported when they differ.
+    S_n = A_n + conj(A_n) is an exponential polynomial over the roots of P_A
+    and conj(P_A), so P_S divides the pool N = P_A * conj(P_A) (P_A itself
+    when it is rational) of the over-Q degeneracy test the input has passed:
+    S is non-degenerate as well.  The division is checked exactly.
     """
     if isinstance(p_s, ZeroSequence):
-        return True, True, (), ("sum sequence is identically zero; unital holds vacuously",)
-    direct = is_unital(p_s)
-    factor_polys: list[tuple[RatPoly, int]] = list(factor_q(p_s).factors)
-    notes: list[str] = []
-    effective = direct
-    # P_S is the minimal polynomial of S, so S's degeneracy is that of P_S
-    ok, _wit = nondegeneracy(p_s, "Q")
-    if not ok:
-        d_step, parts = split_degenerate(_s_rec_from(p_s, r))
-        part_polys = []
-        for part in parts:
-            cp = seq_min_charpoly(part)
-            if isinstance(cp, ZeroSequence):
-                continue
-            part_polys.append(cp.to_ratpoly() if cp.is_rational() else None)
-        if any(q is None for q in part_polys):
-            raise InternalInvariantError("subsequence of a rational sequence not rational")
-        effective = all(is_unital(q) for q in part_polys)
-        seen = set()
-        factor_polys = []
-        for q in part_polys:
-            for f, m in factor_q(q).factors:
-                if f not in seen:
-                    seen.add(f)
-                    factor_polys.append((f, m))
-        notes.append(f"sum sequence degenerate; unital test applied to the {d_step} "
-                     f"arithmetic subsequences")
-        if effective != direct:
-            notes.append(f"direct unital test gives {direct}, after splitting {effective}; "
-                         f"the split result decides")
+        return True, (), ("sum sequence is identically zero; unital holds vacuously",)
+    if not (_over_q(p_a) % p_s).is_zero:
+        raise InternalInvariantError("P_S does not divide P_A * conj(P_A)")
+    unital = is_unital(p_s)
     s_factors = tuple((f, m, circle_profile(f), root_integrality_flags(f))
-                      for f, m in factor_polys)
-    return direct, effective, s_factors, tuple(notes)
+                      for f, m in factor_q(p_s).factors)
+    return unital, s_factors, ()
 
 
 def classify(r: LinRec) -> Classification:
@@ -185,14 +149,13 @@ def _classify(r: LinRec) -> Classification:
         if not isinstance(p, ZeroSequence) and p.degree > cap:
             raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {cap}")
     fixed, moved = decompose_q_k(p_d)
-    s_direct, s_effective, s_factors, s_notes = _analyze_s(p_s, r)
+    s_unital, s_factors, s_notes = _analyze_s(p_s, p_a)
 
     if fixed.degree >= 1:
         fixed_profile = circle_profile(fixed)
         ev = EvidenceReport(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed,
                             conj_moved=moved, fixed_profile=fixed_profile,
-                            s_factors=s_factors, s_unital=s_direct,
-                            s_unital_effective=s_effective, notes=s_notes)
+                            s_factors=s_factors, s_unital=s_unital, notes=s_notes)
         if fixed_profile.inside > 0 or fixed_profile.outside > 0:
             return Classification("ProvenUnbounded", "B.1", ev)
         d = r.d
@@ -201,12 +164,12 @@ def _classify(r: LinRec) -> Classification:
             pm_power = (len(fac.factors) == 1
                         and fac.factors[0][0] in (_x_minus_one(d), _x_plus_one(d))
                         and fac.factors[0][1] >= 2)
-            if pm_power and s_effective:
+            if pm_power and s_unital:
                 return Classification("ProvenUnbounded", "B.4", ev)
-            if not s_effective:
+            if not s_unital:
                 return Classification("ProvenUnbounded", "B.3", ev)
             return Classification("ProvenUnbounded", "B.2", ev)
-        if not s_effective:
+        if not s_unital:
             return Classification("ProvenUnbounded", "B.3", ev)
         beta = r.term(0) - conj_rec(r).term(0)
         sign = 1 if p_d == _x_minus_one(d) else -1
@@ -218,8 +181,7 @@ def _classify(r: LinRec) -> Classification:
                           for pi, m in moved_items)
     ev = EvidenceReport(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed,
                         conj_moved=moved, moved_factors=moved_factors,
-                        s_factors=s_factors, s_unital=s_direct,
-                        s_unital_effective=s_effective, notes=s_notes)
+                        s_factors=s_factors, s_unital=s_unital, notes=s_notes)
 
     for _pi, _m, prof, prof_conj in moved_factors:
         if prof.max_at_least_one() and prof_conj.max_at_least_one():
@@ -294,7 +256,7 @@ def explain(c: Classification, indent: str = "") -> str:
             lines.append(f"{indent}P_S factor {q} (mult {m}): roots {_fmt_profile(pr)}, "
                          f"alg-integer={flags[0]}, reciprocal-integer={flags[1]}")
         if e.s_unital is not None:
-            lines.append(f"{indent}unital(P_S): {e.s_unital_effective}")
+            lines.append(f"{indent}unital(P_S): {e.s_unital}")
         for note in e.notes:
             lines.append(f"{indent}note: {note}")
     if c.split_modulus is not None:

@@ -10,16 +10,36 @@ j is the minimal preperiod (a_0 always counts in it), and the number of steps
 until (P, Q) at x_j recurs is the minimal period.
 
 `expand` walks in Python and keeps the quotients.  `cycle_lengths` needs only
-the two lengths: it walks x_0 to x_j in Python and runs the cycle from x_j in
-a small C kernel (`_cfwalk.c`).  On a reduced state 0 < P <= t and
+the two lengths: it walks x_0 to x_j in Python and measures the cycle from x_j
+in a small C kernel (`_cfwalk.c`).  On a reduced state 0 < P <= t and
 0 < Q, Q_prev <= 2t + 1, where t = isqrt(D), and the kernel steps with
 Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), never forming P^2 or D, so every
 intermediate stays below 4t + 2 and signed 128-bit arithmetic is exact for
-t < 2^124, that is D < 2^248.  The kernel checks those bounds at every step,
-and the last state it returns is checked against Q Q_prev = D - P^2 exactly.
-It is compiled with `cc` into the package's __pycache__ on first use, never at
-import; when that fails (no compiler, no __int128, a read-only directory, a
-load error), or for D beyond its range, `cycle_lengths` runs `expand` instead.
+t < 2^124, that is D < 2^248.  The kernel checks those bounds at every step.
+
+The kernel finds l in about l/2 steps when the cycle has a centre (Perron's
+half-period conditions).  R(P_k, Q_k) = (P_k, Q_{k-1}) is the state
+-1/conj(x_k), whose expansion is the cycle read backward (Galois), so R
+reverses the walk.  A centre is a fixed point of R, an integer test: at
+state k when Q_k = Q_{k-1}, between states k and k+1 when P_{k+1} = P_k.  If
+one exists, R maps the cycle onto itself as a reflection of Z/l, which has
+exactly two axis points, l/2 steps apart; counting positions in half-steps
+(state k at 2k, the edge k|k+1 at 2k + 1), l is the distance between
+consecutive centres.  The kernel first probes backward from x_j for
+j + _PROBE_SLACK steps.  If it meets a centre u_b, it walks forward to the
+next centre u_f and l = u_f - u_b.  If not, it walks forward as a plain walk,
+checking for closure at x_j, and takes l between the first two centres it
+meets, after no more than l steps; a cycle without a centre (D = 229 has two)
+closes as before.  The cap is unchanged: StepCapExceeded(steps=max_steps,
+preperiod_seen=seen) iff j + l > max_steps, decided without walking the cap,
+since once a centre u is known, none by u + max_steps - j proves
+l > max_steps - j.  The state the kernel stops on is checked exactly: it
+satisfies Q Q_prev = D - P^2 and is x_j again or a centre.
+
+The kernel is compiled with `cc` into the package's __pycache__ on first use,
+never at import; when that fails (no compiler, no __int128, a read-only
+directory, a load error), or for D beyond its range, `cycle_lengths` runs
+`expand` instead.
 """
 from __future__ import annotations
 
@@ -166,8 +186,22 @@ def expand(x, max_steps: int = DEFAULT_STEP_CAP) -> CFExpansion:
 
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_cfwalk.c")
 _KERNEL_T_LIMIT = 1 << 124  # the kernel is exact for t = isqrt(D) below this
-_INT64_MAX = (1 << 63) - 1
+# budgets past 2^61 steps could never be walked anyway; below it the kernel's
+# half-step positions stay inside int64
+_KERNEL_STEP_LIMIT = 1 << 61
+# the kernel probes backward from x_j for j + _PROBE_SLACK steps: on the
+# scanned A_n rows the centre behind x_j is mostly within j + 1 steps, and the
+# probe costs about what the walk from x_0 to x_j already did
+_PROBE_SLACK = 2
 _MASK64 = (1 << 64) - 1
+
+
+def _bind(lib: str):
+    """cf_cycle from the shared library at lib, with its C signature."""
+    fn = ctypes.CDLL(lib).cf_cycle
+    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_int64)
+    fn.restype = ctypes.c_int64
+    return fn
 
 
 def _load_kernel(cache_dir: str):
@@ -191,12 +225,9 @@ def _load_kernel(cache_dir: str):
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(lib).cf_cycle
+        return _bind(lib)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64)
-    fn.restype = ctypes.c_int64
-    return fn
 
 
 @functools.cache
@@ -224,14 +255,16 @@ def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
     if kernel is None:
         e = expand(surd, max_steps=max_steps)
         return len(e.preperiod), len(e.period)
-    P, Q, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
+    Pj, Qj, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
     j = len(quotients)
-    state = (ctypes.c_uint64 * 8)(*(w for v in (P, Q, (D - P * P) // Q, t)
+    state = (ctypes.c_uint64 * 8)(*(w for v in (Pj, Qj, (D - Pj * Pj) // Qj, t)
                                     for w in (v & _MASK64, v >> 64)))
-    # a budget past 2^63 - 1 steps could never be walked anyway
-    ell = kernel(state, min(max_steps - j, _INT64_MAX))
+    ell = kernel(state, min(max_steps - j, _KERNEL_STEP_LIMIT),
+                 min(j + _PROBE_SLACK, _KERNEL_STEP_LIMIT))
     P, Q, R = (_signed128(state[i], state[i + 1]) for i in (0, 2, 4))
-    if ell == -2 or Q * R != D - P * P:
+    # a closed walk stops at x_j, one measured between centres on a centre
+    if ell == -2 or Q * R != D - P * P or ell > 0 and not (
+            P == Pj and Q == Qj or Q == R or 2 * P % R == 0):
         raise InternalInvariantError(
             f"CF kernel left the reduced cycle of D={D} at (P, Q, Q_prev) = ({P}, {Q}, {R})")
     if ell < 0:

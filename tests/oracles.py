@@ -7,6 +7,8 @@ polyroots, and root-of-unity detection is done by angle rationalization.
 The reference quadratic walk works on plain integers and finds its cycle with
 a first-repeat hash map on (P, Q), not with the reduced-state anchor that
 contfrac.expand uses.
+The reference cycle centres are read off the quotient period as palindromes
+of its rotations, where the C kernel tests Q_k = Q_{k-1} and P_{k+1} = P_k.
 The reference 2-adic square root lifts one bit per step, not by Newton steps
 as places._branch_root does.
 The reference field arithmetic is the Fraction-backed QuadElem that
@@ -137,6 +139,28 @@ def surd_walk_first_repeat(P: int, Q: int, D: int, max_steps: int):
         quotients.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q
+
+
+def cycle_centres(period) -> list[int]:
+    """Half-step positions u in [0, 2l) of the centres of a purely periodic
+    cycle with quotients a_0 .. a_{l-1} (state k at 2k, the edge between
+    states k and k + 1 at 2k + 1).
+
+    The state x_k = [a_k; a_{k+1}, ...] and -1/conj(x_k) = [a_{k-1}; a_{k-2},
+    ...] (Galois) agree when the quotients read the same both ways from k:
+    u = 2k when a_{k+i} = a_{k-1-i} for all i, u = 2k + 1 when
+    a_{k+i} = a_{k-i}.  Quadratic in l.
+    """
+    a = list(period)
+    n = len(a)
+    rev = a[::-1]  # rev[m:] + rev[:m] reads a backward from a_{n-1-m}
+    out = []
+    for u in range(2 * n):
+        k = u // 2
+        m = (n - k if u % 2 == 0 else n - 1 - k) % n
+        if a[k:] + a[:k] == rev[m:] + rev[:m]:
+            out.append(u)
+    return out
 
 
 def two_adic_sqrt_bitwise(d: int, branch: int, k: int) -> int:

@@ -379,7 +379,7 @@ def test_periods_a1_too_long_to_print_exits_two(capsys, tmp_path):
 
 
 def test_periods_kernel_fault_exits_three(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(contfrac, "_kernel", lambda: lambda state, budget: -2)
+    monkeypatch.setattr(contfrac, "_kernel", lambda: lambda state, budget, probe: -2)
     code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 5, 5)])
     assert code == 3 and out == ""
     assert err.startswith("internal error: CF kernel left the reduced cycle")

@@ -1,14 +1,16 @@
 """Continued fractions of rationals and quadratic irrationals."""
+import functools
 import math
 import os
 import random
 import shutil
 import subprocess
+import sys
 from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfperiod import contfrac
@@ -29,7 +31,7 @@ from cfperiod.contfrac import (
 from cfperiod.errors import InternalInvariantError, RationalInput, StepCapExceeded
 from cfperiod.qfield import Surd, conj, quad, sqrt_int, to_surd
 
-from oracles import cf_quotients, surd_value, surd_walk_first_repeat
+from oracles import cf_quotients, cycle_centres, surd_value, surd_walk_first_repeat
 
 R2 = sqrt_int(2)
 GOLDEN = quad(F(1, 2), F(1, 2), 5)
@@ -316,22 +318,62 @@ def _lengths(P, Q, D, cap):
         return "capped", exc.steps, exc.preperiod_seen
 
 
+def _caps(j, period):
+    """Caps around closing (j + l) and around each centre u of the cycle of
+    x_j, read both in half-steps (u) and in steps (u // 2)."""
+    closing = j + len(period)
+    caps = {0, 1, j, closing - 1, closing, closing + 1}
+    for u in cycle_centres(period):
+        for v in (u, u // 2):
+            caps |= {j + v - 1, j + v, j + v + 1}
+    return sorted(cap for cap in caps if cap >= 0)
+
+
+def _examples(cases):
+    """Decorator adding each case as an explicit Hypothesis example."""
+    return lambda test: functools.reduce(lambda f, case: example(case)(f), cases, test)
+
+
+# cycles the mirror-centre walk must get right: D = 229 has reduced cycles of
+# length 9 and 3 with no centre; l = 1 and l = 2; and (5/2)^6 + sqrt(2)
+# (l = 3 064), whose centre behind x_1 lies past the backward probe, so the
+# forward walk measures l between its first two centres
+MIRROR_CASES = [(5, 12, 229), (7, 10, 229), (0, 1, 229), (15, 2, 229), (0, 1, 2),
+                (1, 1, 2), (1, 2, 3), (0, 1, 3), (1, 2, 5), (1000000, 4096, 33554432)]
+
+
+def _near_word_limits():
+    """States (P, Q, D) with D = m^2 + r, r | 4m (periods of at most 4) and
+    t = isqrt(D) next to 2^63, where P + t crosses 2^64, and just below
+    2^124, where the kernel hands over to expand."""
+    out = []
+    for m in ((1 << 63) - 2, (1 << 63) + 1, T_LIMIT - 3):
+        for r in (1, -1, 2, 2 * m, -2 * m, 4 * m):
+            D = m * m + r
+            out += [(P, Q, D) for P, Q in ((0, 1), (m, 2), (-m, 1), (m + 5, -1), (3 * m, 4))
+                    if (D - P * P) % Q == 0]
+    return out
+
+
+KERNEL_CASES = MIRROR_CASES + _near_word_limits()
+
+
 @settings(max_examples=200)
 @given(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states()))
+@_examples(KERNEL_CASES)
 def test_cycle_lengths_match_reference_and_python_route(state):
     P, Q, D = state
     want = surd_walk_first_repeat(P, Q, D, max_steps=10**7)
     assert want[0] == "closed"
     _, pre, per = want
     first_reduced = surd_walk_first_repeat(P, Q, D, max_steps=len(pre))[2]
-    closing = len(pre) + len(per)
     kernel, budgets = contfrac._kernel(), []
 
-    def counted(state, budget):
+    def counted(state, budget, probe):
         budgets.append(budget)
-        return kernel(state, budget)
+        return kernel(state, budget, probe)
 
-    for cap in {0, 1, first_reduced, len(pre), closing - 1, closing, closing + 1}:
+    for cap in {first_reduced, *_caps(len(pre), per)}:
         ref = surd_walk_first_repeat(P, Q, D, cap)
         if ref[0] == "closed":
             ref = ("closed", len(ref[1]), len(ref[2]))
@@ -359,11 +401,37 @@ def test_cycle_lengths_match_expand_on_long_cycles():
     assert cycle_lengths(quad(3, 0, 2)) == (1, 0)
 
 
-@pytest.mark.parametrize("mangle", ["breach", "bad_state"])
+def test_kernel_half_walk_stops_on_a_centre():
+    # (3 + sqrt 2)^30 (l = 105 440) is measured between two centres, so the
+    # kernel stops on a centre about l/2 steps from x_j, not back at x_j
+    kernel = contfrac._kernel()
+    if kernel is None:
+        pytest.skip("no CF kernel")
+    states = []
+
+    def spy(state, budget, probe):
+        start = [contfrac._signed128(state[i], state[i + 1]) for i in (0, 2, 4)]
+        ell = kernel(state, budget, probe)
+        states.append((start, [contfrac._signed128(state[i], state[i + 1]) for i in (0, 2, 4)]))
+        return ell
+
+    with patch.object(contfrac, "_kernel", lambda: spy):
+        assert cycle_lengths(quad(3, 1, 2) ** 30) == (1, 105_440)
+    [((Pj, Qj, _), (P, Q, R))] = states
+    assert (P, Q) != (Pj, Qj)
+    assert Q == R or 2 * P % R == 0
+
+
+@pytest.mark.parametrize("mangle", ["breach", "bad_state", "off_centre"])
 def test_kernel_fault_is_an_internal_error(mangle):
-    def faulty(state, budget):
+    def faulty(state, budget, probe):
         if mangle == "breach":
             return -2
+        if mangle == "off_centre":
+            # x_2 = (1 + sqrt 13)/3 follows x_j = x_1 = (3 + sqrt 13)/4: on
+            # the cycle, but neither x_j nor a centre
+            state[0], state[2], state[4] = 1, 3, 4
+            return 3
         state[2] += 1  # Q no longer satisfies Q * Q_prev = D - P^2
         return 1
 
@@ -423,6 +491,46 @@ def test_loader_builds_once_then_reuses_the_library(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no compiler now
     assert contfrac._load_kernel(str(cache)) is not None
     assert list(cache.iterdir()) == built
+
+
+def _kernel_agrees_with_python_route(kernel, states):
+    for P, Q, D in states:
+        assert math.isqrt(D) < T_LIMIT
+        e = expand(Surd(P, Q, D))
+        for cap in _caps(len(e.preperiod), e.period):
+            with patch.object(contfrac, "_kernel", lambda: kernel):
+                got = _lengths(P, Q, D, cap)
+            with patch.object(contfrac, "_kernel", lambda: None):
+                assert got == _lengths(P, Q, D, cap), (P, Q, D, cap)
+
+
+def _cc(tmp_path, *flags):
+    lib = tmp_path / "_cfwalk.so"
+    got = subprocess.run(["cc", "-O2", "-shared", "-fPIC", *flags, "-o", str(lib),
+                          contfrac._KERNEL_SOURCE], capture_output=True, text=True, timeout=300)
+    assert got.returncode == 0, got.stderr
+    return lib
+
+
+@needs_cc
+def test_kernel_builds_without_warnings(tmp_path):
+    _cc(tmp_path, "-Wall", "-Wextra", "-Werror")
+
+
+@needs_cc
+def test_kernel_has_no_undefined_behaviour_on_the_mirror_cases(tmp_path):
+    # in a child process: a UBSan report aborts it, not the test run
+    lib = _cc(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = ("import test_contfrac as T\n"
+              "from cfperiod import contfrac\n"
+              f"T._kernel_agrees_with_python_route(contfrac._bind({str(lib)!r}), T.KERNEL_CASES)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(contfrac.__file__)), here]))
+    got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert got.returncode == 0, got.stderr[-2000:]
+    assert "runtime error" not in got.stderr
 
 
 def test_default_kernel_cache_is_ignored_by_git():

@@ -631,8 +631,9 @@ def cmd_growth(args) -> int:
                 _lo, hi = arch_dominant_bounds(r, v, dps)
                 log_a1 = math.log(float(hi))
         except HypothesisViolated as e:
+            table = root_abs_table(r, v, dps)  # raises itself on a sequence with no roots
             print(f"error: {e}", file=sys.stderr)
-            for line in root_abs_table(r, v, dps):
+            for line in table:
                 print("  " + line, file=sys.stderr)
             return 2
         lines = ["n,log_abs,bound"]

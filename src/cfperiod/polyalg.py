@@ -31,8 +31,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   over-Q norm: that pool also holds ratios across conjugates, such as
   sqrt(2) / (-sqrt(2)) = -1.
 
-factor_q, factor_k and the degeneracy witnesses are memoized inside a
-``memo.scope()`` (one classification or one growth job), so each fact is
+factor_q, factor_k, the degeneracy witnesses and the rational form
+N = p * conj(p) of a K-polynomial are memoized inside a ``memo.scope()`` (one classification or one growth job), so each fact is
 computed once there; every irreducible factor a factorization returns is
 stored as its own factorization, so it is never factored again, and joins
 the scope's pool of irreducibles, so a polynomial whose roots lie among
@@ -461,6 +461,14 @@ def _zz_factor(ints: list[int]):
     from sympy.polys.factortools import dup_zz_factor
 
     return dup_zz_factor(ints, ZZ)
+
+
+def _zz_gcd(f: list[int], g: list[int]):
+    """sympy's gcd over Z on high-to-low coefficients: (h, f / h, g / h)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_inner_gcd
+
+    return dup_inner_gcd(f, g, ZZ)
 
 
 def _zz_mul(a: list[int], b: list[int]) -> list[int]:
@@ -1090,17 +1098,24 @@ def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
     raise InternalInvariantError(f"no element of order {n} modulo the prime {p}")
 
 
-def _cyclotomic_orders(r: RatPoly) -> list[int]:
-    """Every n >= 1 with Phi_n | r, for a nonconstant r over Q, without
-    factoring r.
+def _cyclotomic_orders(r: RatPoly, ones: int = 0) -> list[int]:
+    """Every n >= 1 with Phi_n | f = r / (x - 1)^ones, for r over Q, without
+    factoring f.
 
-    The candidates are the n with phi(n) <= deg r.  On the primitive integer
-    form f of r: if w has exact order n modulo a prime p = 1 (mod n), then
-    Phi_n(w) = 0 (mod p), so Phi_n | f forces f(w) = 0 (mod p), and a nonzero
-    residue rules n out.  A candidate that survives is an order only if the
-    exact division of f by Phi_n over Z leaves no remainder.
+    f is formed on the primitive integer form of r by ones synthetic
+    divisions by x - 1 (running sums from the top), each of which must leave
+    no remainder.  The candidates are the n with phi(n) <= deg f.  If w has
+    exact order n modulo a prime p = 1 (mod n), then Phi_n(w) = 0 (mod p), so
+    Phi_n | f forces f(w) = 0 (mod p), and a nonzero residue rules n out.  A
+    candidate that survives is an order only if the exact division of f by
+    Phi_n over Z leaves no remainder.
     """
     f = r.primitive_integer_coeffs()
+    for _ in range(ones):
+        sums = list(itertools.accumulate(reversed(f)))  # the last one is f(1)
+        if sums.pop():
+            raise InternalInvariantError(f"(x - 1)^{ones} does not divide {r}")
+        f = sums[::-1]
     orders = []
     for n, _t in _orders_with_totient_at_most(len(f) - 1):
         p, w = _root_of_unity_mod_prime(n)
@@ -1211,6 +1226,7 @@ def power_poly(p, k: int):
     return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
 
 
+@memoized
 def _over_q(p: KPoly) -> RatPoly:
     """p as a rational polynomial, or p * conj(p) when p is irrational."""
     if not p.is_rational():
@@ -1271,16 +1287,14 @@ def _witness_orders(p, over: str) -> tuple[int, ...]:
                     witnesses.add(2)
                 continue
             r = ratio_poly(fi, fj)
-            if fi == fj:
-                # self-ratios contribute (x-1)^deg exactly once per root; strip them
-                one_root = r._make([-r._one(), r._one()])
-                for _ in range(fi.degree):
-                    r = r.exact_div(one_root)
+            # self-ratios contribute (x-1)^deg exactly once per root, twice
+            # to r * conj(r); they are stripped on the integer form
+            ones = fi.degree if fi == fj else 0
             if isinstance(r, KPoly):
+                if not r.is_rational():
+                    ones *= 2
                 r = _over_q(r)
-            if r.degree == 0:
-                continue
-            for n in _cyclotomic_orders(r):
+            for n in _cyclotomic_orders(r, ones):
                 if n == 1:
                     raise InternalInvariantError("distinct irreducible factors share a root")
                 witnesses.add(n)

@@ -1,29 +1,25 @@
 """Linear recurrence sequences over K = Q(sqrt(d)), indexed by all of Z.
 
 A sequence is given by its defining data (order-k recurrence with c_k != 0
-plus k initial terms); closed forms are never materialized.  Everything the
-classifier needs is recovered from finite windows by Berlekamp-Massey over
-the field: minimal characteristic polynomials of the sequence itself, of its
-conjugate-difference, and of its conjugate-sum.
+plus k initial terms); closed forms are never materialized.  The classifier
+reads the minimal characteristic polynomials of the sequence itself, of its
+conjugate-difference and of its conjugate-sum.  Each of them comes from a
+recurrence the sequence is known to satisfy (the defining one for A, and
+N = P_A * conj(P_A) for the other two) by one exact gcd: the minimal
+polynomial is the reverse of the reduced denominator of the sequence's
+rational generating function.  No recurrence is fitted to a window.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InternalInvariantError,
-    MixedFieldError,
-    PreconditionViolated,
-    VerificationFailed,
-    WindowTooShort,
-)
+from . import polyalg
+from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
-from .polyalg import KPoly, nondegeneracy, power_poly
+from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_mul, nondegeneracy,
+                      power_poly)
 from .qfield import QuadElem
-
-BM_MARGIN = 8
 
 
 class ZeroSequence:
@@ -41,17 +37,6 @@ class ZeroSequence:
 
 
 ZERO_SEQUENCE = ZeroSequence()
-
-
-@dataclass(frozen=True)
-class SeqWindow:
-    """Contiguous view values[i] = A_{start+i}."""
-
-    start: int
-    values: tuple
-
-    def __len__(self):
-        return len(self.values)
 
 
 class LinRec:
@@ -107,9 +92,6 @@ class LinRec:
             self._lo = m
         return memo[n]
 
-    def window(self, start: int, count: int) -> SeqWindow:
-        return SeqWindow(start, tuple(self.term(start + i) for i in range(count)))
-
     def __repr__(self):
         cs = ", ".join(str(c) for c in self.coeffs)
         ins = ", ".join(str(a) for a in self.initials)
@@ -126,91 +108,89 @@ def conj_rec(r: LinRec) -> LinRec:
 
 
 # ---------------------------------------------------------------------------
-# Berlekamp-Massey over the coefficient field
+# minimal polynomials from a recurrence the sequence satisfies
 # ---------------------------------------------------------------------------
 
-def _berlekamp_massey(seq, zero, one):
-    """Minimal LFSR (L, connection poly C with C[0]=1) generating seq."""
-    C = [one]
-    B = [one]
-    L, m, b = 0, 1, one
-    for n, s in enumerate(seq):
-        delta = s
-        for i in range(1, L + 1):
-            delta = delta + C[i] * seq[n - i]
-        if delta == 0:
-            m += 1
-            continue
-        coef = delta / b
-        T = list(C)
-        need = m + len(B)
-        if len(C) < need:
-            C.extend([zero] * (need - len(C)))
-        for i, bc in enumerate(B):
-            C[m + i] = C[m + i] - coef * bc
-        if 2 * L <= n:
-            L = n + 1 - L
-            B = T
-            b = delta
-            m = 1
-        else:
-            m += 1
-    C = (C + [zero] * (L + 1))[:L + 1]
-    return L, C
+def _minpoly_from_recurrence(q, terms):
+    """Minimal polynomial of a sequence that satisfies q, from its first deg q terms.
 
-
-def min_charpoly(w: SeqWindow, degree_bound: int, margin: int = BM_MARGIN):
-    """Minimal monic polynomial whose recurrence annihilates the window.
-
-    Returns a KPoly over the window's field (or ZERO_SEQUENCE).  The fitted
-    recurrence is re-verified on every window position past the fitting
-    prefix; a window that no recurrence of the bound explains is an error.
+    q is monic with q(0) != 0: a KPoly with QuadElem terms, or a RatPoly with
+    Fraction terms.  With k = deg q and rev(q) of degree k, the generating
+    function sum_n t_n x^n is G / rev(q), where G = rev(q) * sum_(n<k) t_n x^n
+    mod x^k, and the minimal polynomial is the reverse of the reduced
+    denominator rev(q) / gcd(rev(q), G), made monic (Everest, van der Poorten,
+    Shparlinski and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is
+    the zero sequence.  Over K the gcd is Euclid's.  Over Q it runs on the
+    primitive integer forms (``polyalg._zz_gcd``), after q and the sequence
+    are scaled to integers, which changes neither minimal polynomial.
+    Certified: the gcd's cofactors multiply back exactly, P divides q
+    exactly, and P's recurrence holds at positions deg P .. k - 1 of the
+    terms, which with P | q makes P annihilate the whole two-sided sequence.
+    Minimality rests on the exact gcd.
     """
-    if len(w) < 2 * degree_bound + margin:
-        raise WindowTooShort(
-            f"window of {len(w)} terms cannot certify degree bound {degree_bound}")
-    vals = list(w.values)
-    if all(v == 0 for v in vals):
+    k = q.degree
+    rational = isinstance(q, RatPoly)
+    if rational:
+        rev = q.primitive_integer_coeffs()[::-1]
+        scale = math.lcm(*(t.denominator for t in terms))
+        terms = [t.numerator * (scale // t.denominator) for t in terms]
+    else:
+        rev = q.coeffs[::-1]
+    num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
+    if not any(num):
         return ZERO_SEQUENCE
-    d = vals[0].d
-    zero = QuadElem(0, 0, d)
-    one = QuadElem(1, 0, d)
-    L, C = _berlekamp_massey(vals, zero, one)
-    if L > degree_bound:
-        raise VerificationFailed(
-            f"window needs order {L}, exceeding the stated bound {degree_bound}")
-    for n in range(L, len(vals)):
-        acc = vals[n]
-        for i in range(1, L + 1):
-            acc = acc + C[i] * vals[n - i]
-        if acc != 0:
-            raise VerificationFailed(f"recovered recurrence fails at offset {n}")
-    # charpoly X^L + C1 X^(L-1) + ... + CL, low-to-high
-    return KPoly(list(reversed(C)), d)
+    if rational:  # high-to-low for sympy: rev(q) reads as q's primitive form
+        f, g = list(rev[::-1]), num[::-1]
+        while not g[0]:
+            g.pop(0)
+        h, cs, cfg = polyalg._zz_gcd(f, g)
+        if _zz_mul(h, cs) != f or _zz_mul(h, cfg) != g:
+            raise InternalInvariantError("integer gcd cofactors do not multiply back")
+        # the reduced denominator from the top is P's primitive form, low-to-high
+        p = RatPoly([Fraction(c, cs[-1]) for c in cs])
+        divides = _zz_exact_div(f, cs) is not None
+    else:
+        rev, num = q._make(rev), q._make(num)
+        g = rev.gcd(num)
+        num.exact_div(g)  # raises unless g divides G as well
+        p = rev.exact_div(g).reverse().monic()
+        cs = p.coeffs
+        divides = (q % p).is_zero
+    if not divides:
+        raise InternalInvariantError(f"minimal polynomial {p} does not divide {q}")
+    order = len(cs) - 1
+    for n in range(order, k):
+        if sum(c * terms[n - order + i] for i, c in enumerate(cs)):
+            raise InternalInvariantError(
+                f"minimal polynomial {p} fails the recurrence at position {n}")
+    return p
 
 
 def diff_sum_parts(r: LinRec):
     """Minimal charpolys of D_n = A_n - conj(A_n) and S_n = A_n + conj(A_n).
 
+    Both satisfy the rational N = P_A * conj(P_A) (P_A itself when it is
+    rational), and so do the rational sequences D_n / sqrt(d) and S_n: P_S is
+    read over Q, and P_D over Q and then lifted to K.
     Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: RatPoly | ZERO_SEQUENCE).
     """
-    bound = 2 * r.order
-    terms = r.window(0, 2 * bound + BM_MARGIN).values
-    p_d = min_charpoly(SeqWindow(0, tuple(a - a.conj() for a in terms)), bound)
-    p_s = min_charpoly(SeqWindow(0, tuple(a + a.conj() for a in terms)), bound)
-    if not isinstance(p_s, ZeroSequence):
-        if not p_s.is_rational():
-            raise InternalInvariantError(
-                "sum-sequence charpoly has irrational coefficients")
-        p_s = p_s.to_ratpoly()
+    p_a = seq_min_charpoly(r)
+    if isinstance(p_a, ZeroSequence):
+        return ZERO_SEQUENCE, ZERO_SEQUENCE
+    n_poly = _over_q(p_a)
+    terms = [r.term(n) for n in range(n_poly.degree)]
+    p_d = _minpoly_from_recurrence(n_poly, [2 * a.b for a in terms])
+    p_s = _minpoly_from_recurrence(n_poly, [2 * a.a for a in terms])
+    if not isinstance(p_d, ZeroSequence):
+        p_d = p_d.lift(r.d)
     return p_d, p_s
 
 
 @memoized
 def seq_min_charpoly(r: LinRec):
     """Minimal characteristic polynomial of the sequence itself."""
-    count = 2 * r.order + BM_MARGIN
-    return min_charpoly(r.window(0, count), r.order)
+    q = KPoly([-c for c in reversed(r.coeffs)] + [1], r.d)
+    return _minpoly_from_recurrence(q, r.initials)
 
 
 def nondegenerate_rec(r: LinRec, over: str = "baseK"):

@@ -36,6 +36,11 @@ The reference cyclotomic polynomials divide x^n - 1 by the Phi_d of its
 proper divisors over Fractions, and is_root_of_unity compares an irreducible
 factor with each Phi_n of its degree (orders from sympy's totient); the
 package builds Phi_n over Z and never factors the polynomial it tests.
+The reference minimal polynomials are Berlekamp-Massey over K on a window
+of 2k + 8 terms (4k + 8 for the difference and sum sequences of an order-k
+recurrence), re-verified on every window position, where the package reduces
+the generating function of a recurrence the sequence satisfies by one exact
+gcd and fits nothing.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -51,7 +56,9 @@ import mpmath
 
 from cfperiod import polyalg, qfield
 from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalInvariantError,
-                             MixedFieldError, PrecisionExhausted, PreconditionViolated)
+                             MixedFieldError, PrecisionExhausted, PreconditionViolated,
+                             VerificationFailed, WindowTooShort)
+from cfperiod.recurrence import ZERO_SEQUENCE
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -757,3 +764,93 @@ def rational_roots_divisors(p):
                 if acc == 0:
                     roots.append(Fraction(n, den))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# reference minimal polynomials: Berlekamp-Massey over the coefficient field
+# ---------------------------------------------------------------------------
+
+BM_MARGIN = 8
+
+
+@dataclass(frozen=True)
+class SeqWindow:
+    """Contiguous view values[i] = A_{start+i}."""
+
+    start: int
+    values: tuple
+
+    def __len__(self):
+        return len(self.values)
+
+
+def _berlekamp_massey(seq, zero, one):
+    """Minimal LFSR (L, connection poly C with C[0]=1) generating seq."""
+    C = [one]
+    B = [one]
+    L, m, b = 0, 1, one
+    for n, s in enumerate(seq):
+        delta = s
+        for i in range(1, L + 1):
+            delta = delta + C[i] * seq[n - i]
+        if delta == 0:
+            m += 1
+            continue
+        coef = delta / b
+        T = list(C)
+        need = m + len(B)
+        if len(C) < need:
+            C.extend([zero] * (need - len(C)))
+        for i, bc in enumerate(B):
+            C[m + i] = C[m + i] - coef * bc
+        if 2 * L <= n:
+            L = n + 1 - L
+            B = T
+            b = delta
+            m = 1
+        else:
+            m += 1
+    C = (C + [zero] * (L + 1))[:L + 1]
+    return L, C
+
+
+def min_charpoly(w: SeqWindow, degree_bound: int, margin: int = BM_MARGIN):
+    """Minimal monic polynomial whose recurrence annihilates the window.
+
+    Returns a KPoly over the window's field (or ZERO_SEQUENCE).  The fitted
+    recurrence is re-verified on every window position past the fitting
+    prefix; a window that no recurrence of the bound explains is an error.
+    """
+    if len(w) < 2 * degree_bound + margin:
+        raise WindowTooShort(
+            f"window of {len(w)} terms cannot certify degree bound {degree_bound}")
+    vals = list(w.values)
+    if all(v == 0 for v in vals):
+        return ZERO_SEQUENCE
+    d = vals[0].d
+    zero = qfield.QuadElem(0, 0, d)
+    one = qfield.QuadElem(1, 0, d)
+    L, C = _berlekamp_massey(vals, zero, one)
+    if L > degree_bound:
+        raise VerificationFailed(
+            f"window needs order {L}, exceeding the stated bound {degree_bound}")
+    for n in range(L, len(vals)):
+        acc = vals[n]
+        for i in range(1, L + 1):
+            acc = acc + C[i] * vals[n - i]
+        if acc != 0:
+            raise VerificationFailed(f"recovered recurrence fails at offset {n}")
+    # charpoly X^L + C1 X^(L-1) + ... + CL, low-to-high
+    return polyalg.KPoly(list(reversed(C)), d)
+
+
+def diff_sum_parts_bm(r):
+    """(P_D, P_S) by Berlekamp-Massey on the first 4k + 8 terms of D and S,
+    bounded by 2k for an order-k recurrence r; P_S as a RatPoly."""
+    bound = 2 * r.order
+    terms = [r.term(n) for n in range(2 * bound + BM_MARGIN)]
+    p_d = min_charpoly(SeqWindow(0, tuple(a - a.conj() for a in terms)), bound)
+    p_s = min_charpoly(SeqWindow(0, tuple(a + a.conj() for a in terms)), bound)
+    if p_s is not ZERO_SEQUENCE:
+        p_s = p_s.to_ratpoly()
+    return p_d, p_s

@@ -1,6 +1,10 @@
 """Boundedness classification of recurrences over Q(sqrt(d))."""
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cfperiod.classifier import classify, explain
 from cfperiod.contfrac import period_lower_bound
 from cfperiod.polyalg import KPoly, RatPoly
@@ -125,3 +129,55 @@ def test_c_branch_unital_pisot_distinction():
     assert (c.verdict, c.step) == ("ProvenUnbounded", "C.1")
     assert c.evidence.s_unital is False
     assert c.evidence.p_s == RatPoly([7, -6, 1])
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: an index shift of the initial terms changes nothing
+# ---------------------------------------------------------------------------
+
+SHIFTS = (1, 2, -1, -3)
+
+
+def _shifted(rec, k):
+    """The same recurrence started at A_k: its n-th term is A_(n+k)."""
+    return LinRec(rec.coeffs, [rec.term(k + i) for i in range(rec.order)], rec.d)
+
+
+def _assert_shift_invariant(rec, k):
+    base, moved = classify(rec), classify(_shifted(rec, k))
+    assert (moved.verdict, moved.step) == (base.verdict, base.step)
+    assert moved.evidence.p_a_min == base.evidence.p_a_min
+    assert moved.evidence.p_d == base.evidence.p_d
+    assert moved.evidence.p_s == base.evidence.p_s
+    assert moved.split_modulus == base.split_modulus
+    if base.verdict == "DegenerateInput":
+        # the shifted j-th part runs over A_(dn+j+k): a shift of part (j + k) mod d
+        m = base.split_modulus
+        subs = dict(base.subresults)
+        for j, sub in moved.subresults:
+            want = subs[(j + k) % m]
+            assert (sub.verdict, sub.step) == (want.verdict, want.step), j
+
+
+@pytest.mark.parametrize("k", SHIFTS)
+def test_index_shift_keeps_curated_verdicts(k):
+    for name, rec, _verdict, _step in members():
+        _assert_shift_invariant(rec, k)
+
+
+@st.composite
+def small_recurrences(draw):
+    """Order 1-3 over Q(sqrt(d)) with small coefficients and initials."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    small = st.integers(-3, 3)
+    order = draw(st.integers(1, 3))
+    coeffs = [quad(draw(small), draw(small), d) for _ in range(order - 1)]
+    coeffs.append(quad(draw(small), draw(small), d) or quad(1, 0, d))
+    initials = [quad(draw(small), draw(small), d) for _ in range(order)]
+    return LinRec(coeffs, initials, d)
+
+
+@settings(max_examples=30)
+@given(small_recurrences(), st.sampled_from(SHIFTS))
+def test_index_shift_keeps_verdicts(rec, k):
+    _assert_shift_invariant(rec, k)

@@ -577,6 +577,17 @@ def test_growth_unit_place_rejected_with_root_table(capsys, tmp_path):
     assert "(7^1)^(0)" in err  # the surfaced root table shows |root|_v = 1
 
 
+@pytest.mark.parametrize("place", [{"kind": "real", "embedding": 1},
+                                   {"kind": "finite", "p": 2}],
+                         ids=["real", "2-adic"])
+def test_growth_zero_sequence_reports_once(capsys, tmp_path, place):
+    job = write_job(tmp_path, "zero.json",
+                    {"command": "growth", "d": 5, "coeffs": ["1", "1"],
+                     "initials": [["0", "0"], ["0", "0"]], "range": [1, 10],
+                     "options": {"place": place}})
+    assert run(capsys, ["growth", job]) == (2, "", "error: sequence has no roots\n")
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -737,9 +748,9 @@ def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypa
         factored.append(len(ints) - 1)
         return zz_factor(ints)
 
-    def searching(r):
-        searched.append(r.degree)
-        return cyclotomic_orders(r)
+    def searching(r, ones=0):
+        searched.append(r.degree - ones)
+        return cyclotomic_orders(r, ones)
 
     monkeypatch.setattr(polyalg, "_zz_factor", factoring)
     monkeypatch.setattr(polyalg, "_cyclotomic_orders", searching)

@@ -1,11 +1,16 @@
 """Linear recurrences over Q(sqrt(d)) and their minimal characteristic data."""
+import math
 import random
 import threading
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cfperiod import polyalg
 from cfperiod.errors import (
+    InternalInvariantError,
     MixedFieldError,
     PreconditionViolated,
     VerificationFailed,
@@ -14,18 +19,17 @@ from cfperiod.errors import (
 from cfperiod.polyalg import KPoly, RatPoly
 from cfperiod.qfield import conj, quad, sqrt_int
 from cfperiod.recurrence import (
-    BM_MARGIN,
     ZERO_SEQUENCE,
     LinRec,
-    SeqWindow,
     conj_rec,
     diff_sum_parts,
-    min_charpoly,
     nondegenerate_rec,
     seq_min_charpoly,
     split_degenerate,
     term,
 )
+
+from oracles import BM_MARGIN, SeqWindow, diff_sum_parts_bm, min_charpoly
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -94,7 +98,8 @@ def test_constructor_validation():
 
 
 # ---------------------------------------------------------------------------
-# minimal characteristic polynomials (Berlekamp-Massey over K)
+# minimal characteristic polynomials: the Berlekamp-Massey oracle, and the
+# gcd route of the package
 # ---------------------------------------------------------------------------
 
 def test_min_charpoly_fibonacci_window():
@@ -218,3 +223,98 @@ def test_split_degenerate_on_nondegenerate_is_identity():
     assert len(parts) == 1
     for n in range(6):
         assert parts[0].term(n) == FIB.term(n)
+
+
+# ---------------------------------------------------------------------------
+# the gcd route against the Berlekamp-Massey oracle
+# ---------------------------------------------------------------------------
+
+def _sequence(q, initials, count):
+    """The first count terms of the sequence of monic q with these initials."""
+    k, cs = q.degree, [-c for c in q.coeffs[:-1]]
+    terms = list(initials)
+    while len(terms) < count:
+        terms.append(sum(c * terms[len(terms) - k + i] for i, c in enumerate(cs)))
+    return terms[:count]
+
+
+@st.composite
+def satisfied_recurrences(draw):
+    """(d, coeffs, initials): a recurrence of order 1-6 over Q(sqrt(d)) whose
+    initials come from the recurrence of a sub-product of its charpoly.
+
+    The charpoly multiplies linear factors x - alpha (alpha != 0), root
+    pairs (x - alpha)(x - conj(alpha)), monic quadratics with a nonzero
+    constant term, and repeats of earlier factors.  With rational_only every
+    factor is rational, so rational initials give D = 0 and initials in
+    sqrt(d) * Q give S = 0.
+    """
+    d = draw(st.sampled_from((2, 3, 5, 6, 7, 13)))
+    rational_only = draw(st.booleans())
+    small = st.integers(-3, 3)
+
+    def elem(nonzero=False):
+        e = quad(draw(small), 0 if rational_only else draw(small), d)
+        return e if e or not nonzero else quad(1, 0, d)
+
+    factors = []
+    order = draw(st.integers(1, 6))
+    while sum(f.degree for f in factors) < order:
+        kind = draw(st.sampled_from(("root", "pair", "quadratic", "repeat")))
+        if kind == "repeat" and factors:
+            f = draw(st.sampled_from(factors))
+        elif kind == "pair":
+            alpha = quad(draw(small), draw(small), d) or quad(1, 0, d)
+            f = KPoly([-alpha, 1], d) * KPoly([-alpha.conj(), 1], d)
+        elif kind == "quadratic":
+            f = KPoly([elem(nonzero=True), elem(), 1], d)
+        else:
+            f = KPoly([-elem(nonzero=True), 1], d)
+        if sum(g.degree for g in factors) + f.degree <= 6:
+            factors.append(f)
+    q = math.prod(factors, start=KPoly([1], d))
+    kept = draw(st.sets(st.sampled_from(range(len(factors))), min_size=1))
+    sub = math.prod((factors[i] for i in sorted(kept)), start=KPoly([1], d))
+    kind = draw(st.sampled_from(("any", "rational", "irrational", "zero")))
+    if kind == "zero":
+        initials = [quad(0, 0, d)] * q.degree
+    else:
+        ra, rb = {"any": (1, 1), "rational": (1, 0), "irrational": (0, 1)}[kind]
+        seed = [quad(ra * draw(small), rb * draw(small), d) for _ in range(sub.degree)]
+        seed[0] = seed[0] or quad(ra, rb, d)  # a nonzero first term: a nonzero sequence
+        initials = _sequence(sub, seed, q.degree)
+    return d, [-c for c in reversed(q.coeffs[:-1])], initials
+
+
+def _bm_min_charpoly(r):
+    return min_charpoly(SeqWindow(0, tuple(r.term(n) for n in range(2 * r.order + BM_MARGIN))),
+                        r.order)
+
+
+@settings(max_examples=300)
+@given(satisfied_recurrences())
+@example((5, [quad(1, 0, 5), quad(1, 0, 5)], [quad(0, 0, 5), quad(0, 0, 5)]))  # zero
+@example((2, [quad(3, 0, 2), quad(-2, 0, 2)], [quad(1, 0, 2), quad(2, 0, 2)]))  # D = 0
+@example((2, [quad(3, 0, 2), quad(-2, 0, 2)], [R2, 2 * R2]))                    # S = 0
+@example((2, [quad(2, 0, 2), quad(1, 0, 2)], [quad(1, 0, 2), 1 + R2]))          # alpha, conj
+@example((5, [quad(3, 0, 5), quad(-3, 0, 5), quad(1, 0, 5)],                   # (x - 1)^3
+          [quad(0, 0, 5), R5, 4 * R5]))
+@example((3, [quad(3, 0, 3), quad(-1, 0, 3), quad(-2, 0, 3)],                  # inflated
+          [quad(0, 0, 3), quad(1, 0, 3), quad(1, 0, 3)]))
+def test_min_charpolys_match_berlekamp_massey(case):
+    d, coeffs, initials = case
+    r = LinRec(coeffs, initials, d)
+    assert seq_min_charpoly(r) == _bm_min_charpoly(r)
+    assert diff_sum_parts(r) == diff_sum_parts_bm(r)
+
+
+def test_wrong_integer_gcd_cofactors_are_refused(monkeypatch):
+    zz_gcd = polyalg._zz_gcd
+
+    def wrong(f, g):
+        h, cff, cfg = zz_gcd(f, g)
+        return h, cff[:-1] + [cff[-1] + 1], cfg
+
+    monkeypatch.setattr(polyalg, "_zz_gcd", wrong)
+    with pytest.raises(InternalInvariantError, match="multiply back"):
+        diff_sum_parts(PELL_POW)

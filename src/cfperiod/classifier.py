@@ -15,23 +15,28 @@ and emits one of:
 
 Degenerate inputs are detected over Q (ratios range over field conjugates of
 the roots) so that the splitting also repairs conjugate-pair ratios.
+
+Steps B.1-C.6 read one table of the factors of P_D (over K) and P_S (over Q):
+multiplicity, whether conjugation fixes it, circle profile, integrality flags.
+The paper's C.2 (a moved factor with a root on the circle) is implied by C.1:
+such a factor pi is not linear (+-1 is rational, so fixed), so its roots z
+and 1/z (= complex conjugate) make it self-reciprocal, and so is conj(pi),
+whose roots pair up as w, 1/w and cannot all lie inside.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import memo
 from .errors import DegreeTooLarge, InternalInvariantError
 from .polyalg import (
+    CircleProfile,
     KPoly,
-    RatPoly,
     _over_q,
-    circle_profile,
-    decompose_q_k,
+    _profile_irreducible,
     factor_k,
     factor_q,
-    is_pisot_paper,
-    is_unital,
     root_integrality_flags,
 )
 from .qfield import QuadElem
@@ -62,7 +67,7 @@ class EvidenceReport:
     fixed_profile: object = None    # CircleProfile of the conj-fixed part
     moved_factors: tuple = ()       # (pi, mult, profile(pi), profile(conj pi))
     s_factors: tuple = ()           # (q, mult, profile, integrality flags)
-    s_unital: object = None         # is_unital(P_S)
+    s_unital: object = None         # every root of P_S a unit
     notes: tuple = ()
 
     def __post_init__(self):
@@ -86,16 +91,8 @@ class Classification:
     subresults: tuple = ()          # DegenerateInput: ((j, Classification), ...)
 
 
-def _x_minus_one(d: int) -> KPoly:
-    return KPoly([-1, 1], d)
-
-
-def _x_plus_one(d: int) -> KPoly:
-    return KPoly([1, 1], d)
-
-
-def _analyze_s(p_s, p_a: KPoly):
-    """Unital data for the sum part: (unital(P_S), factor data tuple, notes).
+def _s_rows(p_s, p_a: KPoly) -> tuple:
+    """(q, mult, profile, integrality flags) for each factor of P_S over Q.
 
     S_n = A_n + conj(A_n) is an exponential polynomial over the roots of P_A
     and conj(P_A), so P_S divides the pool N = P_A * conj(P_A) (P_A itself
@@ -103,13 +100,11 @@ def _analyze_s(p_s, p_a: KPoly):
     S is non-degenerate as well.  The division is checked exactly.
     """
     if isinstance(p_s, ZeroSequence):
-        return True, (), ("sum sequence is identically zero; unital holds vacuously",)
+        return ()
     if not (_over_q(p_a) % p_s).is_zero:
         raise InternalInvariantError("P_S does not divide P_A * conj(P_A)")
-    unital = is_unital(p_s)
-    s_factors = tuple((f, m, circle_profile(f), root_integrality_flags(f))
-                      for f, m in factor_q(p_s).factors)
-    return unital, s_factors, ()
+    return tuple((q, m, _profile_irreducible(q), root_integrality_flags(q))
+                 for q, m in factor_q(p_s).factors)
 
 
 def classify(r: LinRec) -> Classification:
@@ -148,59 +143,62 @@ def _classify(r: LinRec) -> Classification:
     for p, cap in ((p_d, FACTOR_K_MAX_DEGREE), (p_s, FACTOR_Q_MAX_DEGREE)):
         if not isinstance(p, ZeroSequence) and p.degree > cap:
             raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {cap}")
-    fixed, moved = decompose_q_k(p_d)
-    s_unital, s_factors, s_notes = _analyze_s(p_s, p_a)
+    d_rows = []  # (pi, mult, profile, conjugation fixes pi)
+    for pi, m in factor_k(p_d).factors:
+        fx = pi.conj() == pi  # then pi is rational and Q-irreducible: profiled as P_S's are
+        d_rows.append((pi, m, _profile_irreducible(pi.to_ratpoly() if fx else pi), fx))
+    s_rows, d = _s_rows(p_s, p_a), r.d
+    fixed = math.prod((pi ** m for pi, m, _pr, fx in d_rows if fx), start=KPoly([1], d))
+    moved = math.prod((pi ** m for pi, m, _pr, fx in d_rows if not fx), start=KPoly([1], d))
+    common = dict(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed, conj_moved=moved,
+                  s_factors=s_rows, s_unital=all(flags[2] for *_q, flags in s_rows),
+                  notes=(("sum sequence is identically zero; unital holds vacuously",)
+                         if isinstance(p_s, ZeroSequence) else ()))
 
     if fixed.degree >= 1:
-        fixed_profile = circle_profile(fixed)
-        ev = EvidenceReport(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed,
-                            conj_moved=moved, fixed_profile=fixed_profile,
-                            s_factors=s_factors, s_unital=s_unital, notes=s_notes)
+        fixed_rows = [(m, pr) for _pi, m, pr, fx in d_rows if fx]
+        fixed_profile = CircleProfile(sum(m * pr.inside for m, pr in fixed_rows),
+                                      sum(m * pr.on for m, pr in fixed_rows),
+                                      sum(m * pr.outside for m, pr in fixed_rows))
+        ev = EvidenceReport(fixed_profile=fixed_profile, **common)
         if fixed_profile.inside > 0 or fixed_profile.outside > 0:
             return Classification("ProvenUnbounded", "B.1", ev)
-        d = r.d
-        if p_d != _x_minus_one(d) and p_d != _x_plus_one(d):
-            fac = factor_k(p_d)
-            pm_power = (len(fac.factors) == 1
-                        and fac.factors[0][0] in (_x_minus_one(d), _x_plus_one(d))
-                        and fac.factors[0][1] >= 2)
-            if pm_power and s_unital:
-                return Classification("ProvenUnbounded", "B.4", ev)
-            if not s_unital:
-                return Classification("ProvenUnbounded", "B.3", ev)
-            return Classification("ProvenUnbounded", "B.2", ev)
-        if not s_unital:
+        if not ev.s_unital:
             return Classification("ProvenUnbounded", "B.3", ev)
+        (pi, m, _pr, _fx), *others = d_rows
+        x_minus_one, x_plus_one = KPoly([-1, 1], d), KPoly([1, 1], d)
+        if others or pi not in (x_minus_one, x_plus_one):
+            return Classification("ProvenUnbounded", "B.2", ev)
+        if m >= 2:
+            return Classification("ProvenUnbounded", "B.4", ev)
         beta = r.term(0) - conj_rec(r).term(0)
-        sign = 1 if p_d == _x_minus_one(d) else -1
+        sign = 1 if pi == x_minus_one else -1
         return Classification("ClassB_b", evidence=ev, beta=beta, sign=sign)
 
-    # set C: P_D nonzero with every factor moved by conjugation
-    moved_items = factor_k(p_d).factors
-    moved_factors = tuple((pi, m, circle_profile(pi), circle_profile(pi.conj()))
-                          for pi, m in moved_items)
-    ev = EvidenceReport(p_a_min=p_a, p_d=p_d, p_s=p_s, conj_fixed=fixed,
-                        conj_moved=moved, moved_factors=moved_factors,
-                        s_factors=s_factors, s_unital=s_unital, notes=s_notes)
+    # set C: P_D nonzero with every factor moved by conjugation; P_D is
+    # rational, so the conjugate of each factor is a factor too
+    profiles = {pi: pr for pi, _m, pr, _fx in d_rows}
+    if any(pi.conj() not in profiles for pi in profiles):
+        raise InternalInvariantError("the conjugate of a P_D factor is not a factor")
+    moved_factors = tuple((pi, m, pr, profiles[pi.conj()]) for pi, m, pr, _fx in d_rows)
+    ev = EvidenceReport(moved_factors=moved_factors, **common)
 
-    for _pi, _m, prof, prof_conj in moved_factors:
-        if prof.max_at_least_one() and prof_conj.max_at_least_one():
-            return Classification("ProvenUnbounded", "C.1", ev)
-    for _pi, _m, prof, _pc in moved_factors:
-        if prof.on > 0:
-            return Classification("ProvenUnbounded", "C.2", ev)
-    if not is_pisot_paper(p_d):
-        # remaining failure mode: a conjugate pair with all roots inside;
-        # reversing the sequence (n -> -n) turns it into a C.1 configuration
+    if any((pr.on or pr.outside) and (pc.on or pc.outside)
+           for _pi, _m, pr, pc in moved_factors):
+        return Classification("ProvenUnbounded", "C.1", ev)
+    # Pisot type: the roots of pi and of conj(pi) lie strictly on opposite
+    # sides of the circle.  What C.1 leaves failing this is a pair with every
+    # root inside; reversing the sequence (n -> -n) makes it a C.1 pair
+    if not all(pr.on == pc.on == 0
+               and (pr.outside == pc.inside == 0 or pr.inside == pc.outside == 0)
+               for _pi, _m, pr, pc in moved_factors):
         return Classification("ProvenUnbounded", "C.3", ev)
-    if not is_unital(p_d):
+    if not all(root_integrality_flags(f)[2] for f, _m in factor_q(p_d.to_ratpoly()).factors):
         return Classification("ProvenUnbounded", "C.4", ev)
-    for _q, _m, prof, flags in s_factors:
-        if (prof.on > 0 or prof.outside > 0) and not flags[0]:
-            return Classification("ProvenUnbounded", "C.5", ev)
-    for _q, _m, prof, flags in s_factors:
-        if (prof.on > 0 or prof.inside > 0) and not flags[1]:
-            return Classification("ProvenUnbounded", "C.6", ev)
+    if any((pr.on or pr.outside) and not flags[0] for _q, _m, pr, flags in s_rows):
+        return Classification("ProvenUnbounded", "C.5", ev)
+    if any((pr.on or pr.inside) and not flags[1] for _q, _m, pr, flags in s_rows):
+        return Classification("ProvenUnbounded", "C.6", ev)
     # note: class c does NOT need all of P_S unital -- only the side conditions
     # above (a factor like X-2 with no root on or inside the circle is fine)
     return Classification("ClassC_c", evidence=ev)

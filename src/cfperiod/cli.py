@@ -85,6 +85,16 @@ def precision_digits() -> int:
 #                   atom := INT | "sqrt" "(" expr ")" | "(" expr ")"
 # ---------------------------------------------------------------------------
 
+def _int_literal(digits: str, position: int | None = None) -> int:
+    """int(digits), or a ParseError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = sum(ch.isdigit() for ch in digits)
+        raise ParseError(f"integer literal of {n} digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits", position) from None
+
+
 def _tokenize(src: str):
     toks = []
     i = 0
@@ -93,11 +103,11 @@ def _tokenize(src: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
-            toks.append(("int", int(src[i:j]), i))
+            toks.append(("int", _int_literal(src[i:j], i), i))
             i = j
             continue
         if src.startswith("sqrt", i):
@@ -246,7 +256,7 @@ def parse_range(src: str) -> tuple[int, int]:
     m = re.fullmatch(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*", src)
     if not m:
         raise ParseError(f"range must look like 'n0..n1', got {src!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = _int_literal(m.group(1)), _int_literal(m.group(2))
     if hi < lo:
         raise ParseError(f"empty range {src!r}")
     return lo, hi
@@ -266,8 +276,8 @@ def parse_int_poly(src: str) -> list[int]:
         if not m or (not m.group(2) and not m.group(3)):
             raise ParseError(f"bad term {t!r} in {src!r}")
         sign = -1 if m.group(1) == "-" else 1
-        c = int(m.group(2)) if m.group(2) else 1
-        e = 0 if not m.group(3) else (int(m.group(4)) if m.group(4) else 1)
+        c = _int_literal(m.group(2)) if m.group(2) else 1
+        e = 0 if not m.group(3) else (_int_literal(m.group(4)) if m.group(4) else 1)
         coeffs[e] = coeffs.get(e, 0) + sign * c
     deg = max(coeffs)
     out = [coeffs.get(i, 0) for i in range(deg + 1)]
@@ -298,7 +308,7 @@ def _job_elem(v, d: int) -> QuadElem:
 def load_job(path: str) -> dict:
     try:
         with open(path) as fh:
-            job = json.load(fh)
+            job = json.load(fh, parse_int=_int_literal)
     except OSError as e:
         raise UsageError(f"cannot read job file: {e}")
     except json.JSONDecodeError as e:

@@ -12,11 +12,11 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   squarefree norm h * conj(h), factors recovered by gcd), with the
   multiplicities of the Q-factors, or for an irrational p by exact
   division.  Any degree: the degree budget is the classifier's;
-* the conjugation-fixed / conjugation-moved decomposition of a K-polynomial;
 * unit-circle root profiles, exact throughout: on-circle roots through
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
-* unital / Pisot-style predicates on factorizations;
+* the integrality flags of a Q-irreducible factor (roots, reciprocals and
+  both algebraic integers), read off its primitive integer form;
 * ratio and power polynomials (roots alpha/beta and alpha^k) over Q and K
   alike, built from Newton power sums with no resultant, each certified by
   its constant term;
@@ -31,9 +31,10 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   over-Q norm: that pool also holds ratios across conjugates, such as
   sqrt(2) / (-sqrt(2)) = -1.
 
-factor_q, factor_k, the degeneracy witnesses and the rational form
-N = p * conj(p) of a K-polynomial are memoized inside a ``memo.scope()`` (one classification or one growth job), so each fact is
-computed once there; every irreducible factor a factorization returns is
+factor_q, factor_k, the degeneracy witnesses, the circle profile of an
+irreducible factor and the rational form N = p * conj(p) of a K-polynomial
+are memoized inside a ``memo.scope()`` (one classification or one growth
+job), so each fact is computed once there; every irreducible factor a factorization returns is
 stored as its own factorization, so it is never factored again, and joins
 the scope's pool of irreducibles, so a polynomial whose roots lie among
 those already factored is factored without sympy: in a classification,
@@ -744,40 +745,6 @@ def factor_k(p: KPoly) -> Factorization:
     return Factorization(unit, tuple(items))
 
 
-def decompose_q_k(p: KPoly) -> tuple[KPoly, KPoly]:
-    """Split monic p into (conjugation-fixed part, conjugation-moved part)."""
-    if p.is_zero or p.lc != p._one():
-        raise PreconditionViolated(f"decompose_q_k needs a monic polynomial, got {p}")
-    fixed = KPoly([1], p.d)
-    moved = KPoly([1], p.d)
-    for f, m in factor_k(p).factors:
-        if f.conj() == f:
-            fixed = fixed * f ** m
-        else:
-            moved = moved * f ** m
-    if fixed * moved != p:
-        raise InternalInvariantError("decompose_q_k parts do not multiply back")
-    return fixed, moved
-
-
-def minpoly_over_q(pi: KPoly) -> RatPoly:
-    """Minimal rational polynomial of the roots of an irreducible K-factor."""
-    if pi.is_zero or pi.degree < 1:
-        raise PreconditionViolated(f"minpoly_over_q needs degree >= 1, got {pi}")
-    pi = pi.monic()
-    if pi.conj() == pi:
-        cand = pi.to_ratpoly()
-    else:
-        prod = pi * pi.conj()
-        if not prod.is_rational():
-            raise InternalInvariantError("pi * conj(pi) not rational")
-        cand = prod.to_ratpoly()
-    fac = factor_q(cand)
-    if len(fac.factors) != 1 or fac.factors[0][1] != 1:
-        raise NotIrreducible(f"{pi} is not irreducible over K")
-    return cand
-
-
 def root_integrality_flags(q: RatPoly) -> tuple[bool, bool, bool]:
     """(roots are algebraic integers, reciprocals are too, both = units).
 
@@ -794,17 +761,6 @@ def root_integrality_flags(q: RatPoly) -> tuple[bool, bool, bool]:
     return is_int, is_recip, is_int and is_recip
 
 
-def is_unital(p) -> bool:
-    """Every root of p is a unit (root and reciprocal both algebraic integers)."""
-    if isinstance(p, KPoly):
-        if p.is_rational():
-            return is_unital(p.to_ratpoly())
-        items = factor_k(p).factors
-        return all(root_integrality_flags(minpoly_over_q(f))[2] for f, _m in items)
-    items = factor_q(p).factors
-    return all(root_integrality_flags(f)[2] for f, _m in items)
-
-
 # ---------------------------------------------------------------------------
 # unit-circle profiles
 # ---------------------------------------------------------------------------
@@ -814,15 +770,6 @@ class CircleProfile:
     inside: int
     on: int
     outside: int
-
-    def max_at_least_one(self) -> bool:
-        return self.on > 0 or self.outside > 0
-
-    def all_inside(self) -> bool:
-        return self.on == 0 and self.outside == 0
-
-    def all_outside(self) -> bool:
-        return self.on == 0 and self.inside == 0
 
 
 def _self_reciprocal(pi) -> bool:
@@ -969,6 +916,7 @@ def _inertia(m) -> tuple[int, int]:
     return neg, pos
 
 
+@memoized
 def _profile_irreducible(pi) -> CircleProfile:
     deg = pi.degree
     if deg == 1:
@@ -1016,22 +964,6 @@ def circle_profile(p) -> CircleProfile:
         on += m * prof.on
         outside += m * prof.outside
     return CircleProfile(inside, on, outside)
-
-
-def is_pisot_paper(p: KPoly) -> bool:
-    """Every irreducible factor pi is moved by conjugation, and the roots of
-    pi and conj(pi) sit strictly on opposite sides of the unit circle."""
-    if p.is_zero:
-        raise ValueError("is_pisot_paper of zero polynomial")
-    for f, _m in factor_k(p).factors:
-        fc = f.conj()
-        if fc == f:
-            return False
-        pf, pc = _profile_irreducible(f), _profile_irreducible(fc)
-        if not ((pf.all_inside() and pc.all_outside())
-                or (pf.all_outside() and pc.all_inside())):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cfperiod.qfield import quad, sqrt_int
 from cfperiod.recurrence import LinRec
 
 R2 = sqrt_int(2)
+R3 = sqrt_int(3)
 R5 = sqrt_int(5)
 
 
@@ -39,6 +40,22 @@ def members():
             LinRec([F(1, 2), -1], [R2, quad(0, 0, 2)], 2),
             "ProvenUnbounded",
             "B.2",
+        ),
+        # a conjugate pair with every root inside the circle
+        ("((1+sqrt2)/8)^n", LinRec([(1 + R2) / 8], [quad(1, 0, 2)], 2), "ProvenUnbounded", "C.3"),
+        # Pisot-type but not a unit: norm 2
+        ("(2+sqrt2)^n", LinRec([2 + R2], [quad(1, 0, 2)], 2), "ProvenUnbounded", "C.4"),
+        (
+            "(1+sqrt2)^n+(3/2)^n",  # P_S factor x - 3/2 outside, not an algebraic integer
+            LinRec([F(5, 2) + R2, -F(3, 2) * (1 + R2)], [quad(2, 0, 2), F(5, 2) + R2], 2),
+            "ProvenUnbounded",
+            "C.5",
+        ),
+        (
+            "(2+sqrt3)^n+(2/3)^n",  # P_S factor x - 2/3 inside, reciprocal not an integer
+            LinRec([F(8, 3) + R3, -F(2, 3) * (2 + R3)], [quad(2, 0, 3), F(8, 3) + R3], 3),
+            "ProvenUnbounded",
+            "C.6",
         ),
     ]
 

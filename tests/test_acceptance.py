@@ -190,7 +190,7 @@ def test_criterion_4_unbounded_grow_stable_stay_flat(capsys):
         if max(ells.values()) != ells[5]:
             failures.append((name, max(ells.values()), ells[5]))
     elapsed = time.perf_counter() - t0
-    ok = not failures and rising == 5 and flat == 3 and elapsed < 120.0
+    ok = not failures and rising == 9 and flat == 3 and elapsed < 120.0
     report(capsys, 4, ok,
            f"running max of ell rose >=2 times across doubling windows for "
            f"all {rising} unbounded members (n<=25, cap {STEP_CAP}) and for "

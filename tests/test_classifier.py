@@ -1,13 +1,15 @@
 """Boundedness classification of recurrences over Q(sqrt(d))."""
+import pathlib
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from cfperiod import polyalg
 from cfperiod.classifier import classify, explain
 from cfperiod.contfrac import period_lower_bound
-from cfperiod.polyalg import KPoly, RatPoly
+from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k
 from cfperiod.qfield import quad, sqrt_int
 from cfperiod.recurrence import LinRec
 
@@ -25,6 +27,17 @@ def test_curated_verdicts_and_steps():
     for name, rec, verdict, step in members():
         c = classify(rec)
         assert (c.verdict, c.step) == (verdict, step), name
+
+
+def curated_report() -> str:
+    """explain() of every curated member, each under a `== name ==` header."""
+    return "".join(f"== {name} ==\n{explain(classify(rec))}\n\n"
+                   for name, rec, _verdict, _step in members())
+
+
+def test_curated_explanations_golden():
+    golden = pathlib.Path(__file__).parent / "golden" / "classify_curated.txt"
+    assert curated_report() == golden.read_text()
 
 
 def test_degenerate_member_subresults():
@@ -181,3 +194,95 @@ def small_recurrences(draw):
 @given(small_recurrences(), st.sampled_from(SHIFTS))
 def test_index_shift_keeps_verdicts(rec, k):
     _assert_shift_invariant(rec, k)
+
+
+# ---------------------------------------------------------------------------
+# the factor table: fixed and moved parts, integrality flags, Pisot pairs
+# ---------------------------------------------------------------------------
+
+def test_fixed_and_moved_parts_are_products_of_factors():
+    # sqrt2 * 2^n + (1+sqrt2)^n: P_D = (x - 2)(x^2 - 2x - 1), the root 2 fixed
+    c = classify(LinRec([3 + R2, -(2 + 2 * R2)], [1 + R2, 1 + 3 * R2], 2))
+    assert (c.verdict, c.step) == ("ProvenUnbounded", "B.1")
+    assert c.evidence.conj_fixed == KPoly([-2, 1], 2)
+    assert c.evidence.conj_moved == KPoly([-1, -2, 1], 2)
+    assert (c.evidence.fixed_profile.inside, c.evidence.fixed_profile.on,
+            c.evidence.fixed_profile.outside) == (0, 0, 1)
+    # rational coefficients do not make a factor fixed: x^2 - 2x - 1 splits
+    # over Q(sqrt 2) into two factors that conjugation swaps
+    c = classify(LinRec([2, 1], [quad(1, 0, 2), 1 + R2], 2))
+    assert c.evidence.conj_fixed == KPoly([1], 2)
+    assert c.evidence.conj_moved == c.evidence.p_d == KPoly([-1, -2, 1], 2)
+    pi = KPoly([-(1 + R2), 1], 2)
+    assert pi.conj() == KPoly([-(1 - R2), 1], 2)
+    assert {f for f, *_ in c.evidence.moved_factors} == {pi, pi.conj()}
+    # P_D is the minimal polynomial of the root over Q: x^2 - 6x + 1 for 3 + 2 sqrt2
+    c = classify(LinRec([3 + 2 * R2], [quad(1, 0, 2)], 2))
+    assert c.verdict == "ClassC_c"  # unit of norm 1, Pisot pair
+    assert c.evidence.p_d == KPoly([1, -6, 1], 2)
+
+
+@settings(max_examples=30)
+@given(small_recurrences())
+def test_fixed_part_is_rational_and_parts_multiply_back(rec):
+    ev = classify(rec).evidence
+    if ev.conj_fixed is not None:
+        assert ev.conj_fixed.is_rational()
+        assert ev.conj_fixed * ev.conj_moved == ev.p_d
+        assert all(pi.conj() != pi for pi, *_ in ev.moved_factors)
+
+
+def test_unital_flags_of_the_sum_part():
+    # F_n + sqrt5: P_S = x^2 - x - 1, every root a unit
+    c = classify(LinRec([2, 0, -1], [R5, 1 + R5, 1 + R5], 5))
+    assert c.verdict == "ClassB_b"
+    assert c.evidence.s_unital is True
+    # 2^n + sqrt2 (P_S = x - 2) and 2^n + 1 + sqrt2 (P_S = (x - 1)(x - 2))
+    for a0 in (1 + R2, 2 + R2):
+        c = classify(LinRec([3, -2], [a0, a0 + 1], 2))
+        assert (c.verdict, c.step) == ("ProvenUnbounded", "B.3")
+        assert c.evidence.s_unital is False
+    c = classify(LinRec([3 + 2 * R2], [quad(1, 0, 2)], 2))  # P_S = x^2 - 6x + 1
+    assert c.evidence.s_unital is True
+
+
+def test_moved_factor_on_the_circle_is_c1():
+    # x^2 - (1+sqrt2)/2 x + 1 and its conjugate both have their roots on the
+    # circle (the C.2 shape); (1+sqrt2)/2 is no algebraic integer, so no
+    # root is a root of unity and the input is not degenerate
+    c = classify(LinRec([(1 + R2) / 2, -1], [quad(1, 0, 2), R2], 2))
+    assert (c.verdict, c.step) == ("ProvenUnbounded", "C.1")
+    assert [(pr.on, pc.on) for _pi, _m, pr, pc in c.evidence.moved_factors] == [(2, 2), (2, 2)]
+    # x^2 - (1+sqrt2) x + 1: roots off the circle, its conjugate's on it
+    c = classify(LinRec([1 + R2, -1], [quad(1, 0, 2), R2], 2))
+    assert (c.verdict, c.step) == ("ProvenUnbounded", "C.1")
+
+
+@st.composite
+def self_reciprocal_irreducibles(draw):
+    """Monic palindromes of degree 2 or 4 over Q(sqrt(d)), irreducible over K."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    elem = st.builds(lambda a, b, m: quad(F(a, m), F(b, m), d),
+                     st.integers(-6, 6), st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    if draw(st.booleans()):
+        a = draw(elem)
+        pi = KPoly([1, a, 1], d)
+    else:
+        a, b = draw(elem), draw(elem)
+        pi = KPoly([1, a, b, a, 1], d)
+    fac = factor_k(pi).factors
+    if len(fac) != 1 or fac[0][1] != 1:
+        reject()
+    return pi
+
+
+@settings(max_examples=60)
+@given(self_reciprocal_irreducibles())
+def test_conjugate_of_a_self_reciprocal_factor_reaches_the_circle(pi):
+    # why C.2 has no branch: a moved factor with a root on the circle is
+    # self-reciprocal, so is its conjugate, and neither has every root inside
+    pc = pi.conj()
+    assert polyalg._self_reciprocal(pc)
+    for prof in (circle_profile(pi), circle_profile(pc)):
+        assert prof.on + prof.outside > 0
+        assert prof.inside == prof.outside

@@ -82,6 +82,9 @@ def test_parse_element_errors():
         cli.parse_element("1/0")
     with pytest.raises(DivisionByZero):
         cli.parse_element("0^-1")
+    # str.isdigit() holds for a superscript two, which int() refuses
+    with pytest.raises(ParseError, match="unexpected character"):
+        cli.parse_element("\u00b2")
 
 
 def test_parse_int_poly():
@@ -103,6 +106,26 @@ def test_parse_range():
         cli.parse_range("5..1")
     with pytest.raises(ParseError):
         cli.parse_range("abc")
+
+
+LONG = "7" * 5000  # past the interpreter's 4300-digit limit on int <-> str
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", LONG],
+    ["schinzel", "--poly", f"{LONG}x+1", "--range", "1..3"],
+    ["schinzel", "--poly", "2x^2+1", "--range", f"1..{LONG}"],
+    ["periods", "{job}"],
+    ["classify", "{job}"],
+    ["growth", "{job}"],
+], ids=["cf", "schinzel-poly", "schinzel-range", "periods-job", "classify-job", "growth-job"])
+def test_long_integer_literal_exits_two(capsys, tmp_path, argv):
+    job = tmp_path / "long.json"
+    job.write_text('{"d": 2, "coeffs": [' + LONG + '], "initials": [1], "range": [1, 2]}')
+    code, _out, err = run(capsys, [a.replace("{job}", str(job)) for a in argv])
+    assert code == 2
+    assert err.startswith("error:") and "5000 digits" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +651,7 @@ def test_growth_estimate_limit_reports_log_of_dominant_root(capsys, tmp_path):
 @pytest.mark.parametrize("eps", ["abc", "3/2", "1", "0", "-1/10", "1/0", 1.5,
                                  True, None, ["1/10"]])
 def test_growth_bad_eps_exits_two_before_any_row(capsys, tmp_path, eps):
-    spec = json.loads(open(twoadic_job(tmp_path, 20, 40)).read())
+    spec = json.loads(pathlib.Path(twoadic_job(tmp_path, 20, 40)).read_text())
     spec["options"]["eps"] = eps
     job = write_job(tmp_path, "badeps.json", spec)
     code, out, err = run(capsys, ["growth", job])
@@ -639,7 +662,7 @@ def test_growth_bad_eps_exits_two_before_any_row(capsys, tmp_path, eps):
 
 @pytest.mark.parametrize("eps", [0.1, "0.1", "1/10"])
 def test_growth_eps_accepts_json_numbers(capsys, tmp_path, eps):
-    spec = json.loads(open(twoadic_job(tmp_path, 20, 40)).read())
+    spec = json.loads(pathlib.Path(twoadic_job(tmp_path, 20, 40)).read_text())
     spec["options"]["eps"] = eps
     code, out, err = run(capsys, ["growth", write_job(tmp_path, "eps.json", spec)])
     assert code == 0 and err == ""

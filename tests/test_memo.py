@@ -1,4 +1,5 @@
 """The per-job memo: one value per argument list, one scope only."""
+import functools
 import inspect
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import cli, memo, polyalg
+from cfperiod import classifier, cli, memo, polyalg
 from cfperiod.classifier import classify
 from cfperiod.errors import InternalInvariantError
 from cfperiod.polyalg import KPoly, RatPoly, factor_k, factor_q
@@ -255,3 +256,43 @@ def test_one_zassenhaus_call_per_classification(monkeypatch, r, degrees):
     got = _count_zz_factor(monkeypatch)
     classify(r)
     assert len(got) == 1 if degrees is None else got == degrees
+
+
+def _computations(monkeypatch, name):
+    """The argument tuples of the calls of polyalg.<name> that miss the memo."""
+    fn = getattr(polyalg, name)
+    raw = getattr(fn, "__wrapped__", fn)
+    seen = []
+
+    @functools.wraps(raw)
+    def counting(*args):
+        seen.append(args)
+        return raw(*args)
+
+    # the same name, so a memoized function shares the values stored before
+    wrapper = memo.memoized(counting) if raw is not fn else counting
+    for mod in (polyalg, classifier):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("r", [
+    *[pytest.param(r, id=name) for name, r, _verdict, _s in members()],
+    pytest.param(_order4_b1(), id="order4-B.1"),
+    pytest.param(_order6_sqrt2(), id="order6-sqrt2"),
+])
+def test_each_polynomial_fact_is_computed_once_per_classification(monkeypatch, r):
+    profiled = _computations(monkeypatch, "_profile_irreducible")
+    factored_k = _computations(monkeypatch, "factor_k")
+    factored_q = _computations(monkeypatch, "factor_q")
+    c = classify(r)
+    for seen in (profiled, factored_k, factored_q):
+        keys = [tuple((type(a), a) for a in args) for args in seen]
+        assert len(keys) == len(set(keys))
+    if c.verdict not in ("ClassA", "DegenerateInput"):
+        assert profiled  # every row of the table has its profile
+        # P_D is factored over K once, and its rows' profiles are not refactored
+        assert factored_k.count((c.evidence.p_d,)) <= 1
+        for pi, *_ in c.evidence.moved_factors:
+            assert (pi,) not in factored_k

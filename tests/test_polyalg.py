@@ -16,12 +16,8 @@ from cfperiod.polyalg import (
     _rational_roots,
     certified_root_boxes,
     circle_profile,
-    decompose_q_k,
     factor_k,
     factor_q,
-    is_pisot_paper,
-    is_unital,
-    minpoly_over_q,
     nondegeneracy,
     power_poly,
     ratio_poly,
@@ -366,33 +362,8 @@ def test_factor_k_of_rational_keeps_multiplicities():
                          (KPoly([3, 1], 2), 1))
 
 
-def test_conj_poly_and_decompose():
-    p = KPoly([-(1 + R2), 1], 2)
-    assert p.conj() == KPoly([-(1 - R2), 1], 2)
-    q = KPoly([-2, 1], 2) * KPoly([-R2, 1], 2)
-    fixed, moved = decompose_q_k(q)
-    assert fixed == KPoly([-2, 1], 2)
-    assert moved == KPoly([-R2, 1], 2)
-    # rational coefficients do not force conjugation-fixed factors
-    fixed, moved = decompose_q_k(KPoly([-2, 0, 1], 2))
-    assert fixed == KPoly([1], 2)
-    assert moved == KPoly([-2, 0, 1], 2)
-    # product of the two parts is the (monic) input
-    rng = random.Random(43)
-    for _ in range(25):
-        p = _rand_kpoly(rng, rng.randrange(1, 4), 2).monic()
-        fixed, moved = decompose_q_k(p)
-        assert fixed * moved == p
-
-
-def test_minpoly_over_q():
-    assert minpoly_over_q(KPoly([-R2, 1], 2)) == RatPoly([-2, 0, 1])
-    assert minpoly_over_q(KPoly([-(3 + 2 * R2), 1], 2)) == RatPoly([1, -6, 1])
-    assert minpoly_over_q(KPoly([-2, 1], 2)) == RatPoly([-2, 1])
-
-
 # ---------------------------------------------------------------------------
-# integrality / unital predicates
+# integrality flags
 # ---------------------------------------------------------------------------
 
 def test_root_integrality_flags():
@@ -400,27 +371,8 @@ def test_root_integrality_flags():
     assert root_integrality_flags(RatPoly([-2, 1])) == (True, False, False)
     assert root_integrality_flags(RatPoly([-1, 2])) == (False, True, False)
     assert root_integrality_flags(FIB) == (True, True, True)
-
-
-def test_is_unital():
-    assert is_unital(FIB)
-    assert is_unital(RatPoly([1, -6, 1]))
-    assert not is_unital(RatPoly([-2, 1]))
-    assert not is_unital(RatPoly([2, -3, 1]))
-    assert is_unital(KPoly([-(1 + R2), 1], 2))
-    assert not is_unital(KPoly([-(3 + R2), 1], 2))  # norm 7
-    assert is_unital(RatPoly([F(1, 3), -2, F(1, 3)]))  # primitive form 1,-6,1
-
-
-def test_pisot_predicates():
-    assert is_pisot_paper(KPoly([-(1 + R2), 1], 2))
-    assert is_pisot_paper(KPoly([-(3 + 2 * R2), 1], 2))
-    assert not is_pisot_paper(KPoly([-R2, 1], 2))  # both conjugates outside
-    assert not is_pisot_paper(KPoly([-2, 1], 2))  # conjugation-fixed
-    p = KPoly([-(1 + R2), 1], 2)
-    assert is_pisot_paper(p) and is_unital(p)
-    p = KPoly([-(3 + R2), 1], 2)  # norm 7, both conjugates outside
-    assert not (is_pisot_paper(p) and is_unital(p))
+    # read off the primitive integer form x^2 - 6x + 1, not the monic one
+    assert root_integrality_flags(RatPoly([F(1, 3), -2, F(1, 3)])) == (True, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +661,8 @@ CURATED_WITNESSES = {
     "fibonacci": [], "n+sqrt5": [], "(1+sqrt2)^n": [], "(3+sqrt2)^n": [],
     "sqrt5*2^n": [], "n^2*sqrt5": [], "sqrt2^n+(1+sqrt2)^n": [2],
     "(-1)^n*(2+sqrt2)": [], "(5/2)^n+(-1)^n*sqrt2": [], "sqrt2*osc_n": [],
+    "((1+sqrt2)/8)^n": [], "(2+sqrt2)^n": [], "(1+sqrt2)^n+(3/2)^n": [],
+    "(2+sqrt3)^n+(2/3)^n": [],
 }
 
 

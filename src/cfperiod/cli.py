@@ -249,7 +249,10 @@ class _ElementParser:
 
 def parse_element(src: str):
     """Evaluate the element grammar to a Fraction or a QuadElem, exactly."""
-    return _ElementParser(src).parse()
+    try:
+        return _ElementParser(src).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def parse_range(src: str) -> tuple[int, int]:
@@ -290,6 +293,11 @@ def parse_int_poly(src: str) -> list[int]:
 # JSON jobs
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false are not (bool is an int subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _job_elem(v, d: int) -> QuadElem:
     if isinstance(v, (int, str)):
         parts = (v, 0)
@@ -313,6 +321,8 @@ def load_job(path: str) -> dict:
         raise UsageError(f"cannot read job file: {e}")
     except json.JSONDecodeError as e:
         raise UsageError(f"bad JSON in {path}: {e}")
+    except RecursionError:
+        raise UsageError(f"JSON in {path} is nested too deeply") from None
     if not isinstance(job, dict):
         raise UsageError("job file must contain a JSON object")
     return job
@@ -323,7 +333,7 @@ def rec_from_job(job: dict) -> LinRec:
         if key not in job:
             raise UsageError(f"job is missing {key!r}")
     d = job["d"]
-    if not isinstance(d, int) or isinstance(d, bool):
+    if not _is_int(d):
         raise UsageError("job field 'd' must be an integer")
     check_field_parameter(d)
     for key in ("coeffs", "initials"):
@@ -337,7 +347,7 @@ def rec_from_job(job: dict) -> LinRec:
 def _job_range(job: dict) -> tuple[int, int]:
     rng = job.get("range")
     if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-            or not all(isinstance(x, int) for x in rng) or rng[1] < rng[0]):
+            or not all(_is_int(x) for x in rng) or rng[1] < rng[0]):
         raise UsageError("job field 'range' must be [n0, n1] with n0 <= n1")
     return rng[0], rng[1]
 
@@ -347,19 +357,19 @@ def place_from_spec(spec, d: int) -> Place:
         raise UsageError("place spec must be an object with a 'kind' field")
     if spec["kind"] == "real":
         emb = spec.get("embedding")
-        if emb not in (1, 2):
+        if not _is_int(emb) or emb not in (1, 2):
             raise UsageError("real place needs \"embedding\": 1 or 2")
         return real_places(d)[emb - 1]
     if spec["kind"] == "finite":
         p = spec.get("p")
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise UsageError("finite place needs an integer \"p\"")
         ws = places_above(p, d)
         if len(ws) == 1:
             return ws[0]
         branch = spec.get("branch")
         for w in ws:
-            if w.branch == branch:
+            if _is_int(branch) and w.branch == branch:
                 return w
         raise UsageError(
             f"p = {p} splits; pick \"branch\" from {[w.branch for w in ws]}")

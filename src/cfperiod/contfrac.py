@@ -52,8 +52,7 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InternalInvariantError, PoleError, RationalInput,
-                     SingularMatrix, StepCapExceeded)
+from .errors import InternalInvariantError, StepCapExceeded
 from .qfield import QuadElem, Surd, to_surd
 
 DEFAULT_STEP_CAP = 10_000_000
@@ -272,56 +271,9 @@ def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
     return j, ell
 
 
-def is_purely_periodic(x, max_steps: int = DEFAULT_STEP_CAP) -> bool:
-    """Whether the state x_0 itself recurs in the quadratic walk.
-
-    Independent of expand()'s preperiod convention; used as the dual route to
-    the reducedness sign test.
-    """
-    surd = x if isinstance(x, Surd) else to_surd(x)
-    P, Q, D = surd.P, surd.Q, surd.D
-    start = (P, Q)
-    t = math.isqrt(D)
-    seen = set()
-    for _ in range(max_steps):
-        a = _surd_floor(P, Q, t)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        key = (P, Q)
-        if key == start:
-            return True
-        if key in seen:
-            return False
-        seen.add(key)
-    raise StepCapExceeded(steps=max_steps, preperiod_seen=max_steps)
-
-
 def period_length(x, max_steps: int = DEFAULT_STEP_CAP) -> int:
     """l(x): minimal period of the quotient sequence; 0 for rationals."""
     return cycle_lengths(x, max_steps=max_steps)[1]
-
-
-def period_lower_bound(x, cap: int) -> tuple[int, bool]:
-    """(l(x), False) if the expansion closed within cap steps, else a
-    certified lower bound (steps since the first reduced state, True)."""
-    try:
-        return cycle_lengths(x, max_steps=cap)[1], False
-    except StepCapExceeded as e:
-        return e.steps - e.preperiod_seen, True
-
-
-def complete_quotients(x, count: int) -> list[Surd]:
-    """States x_0 .. x_{count} of the quadratic walk (x_0 is x itself)."""
-    surd = x if isinstance(x, Surd) else to_surd(x)
-    P, Q, D = surd.P, surd.Q, surd.D
-    t = math.isqrt(D)
-    out = [Surd(P, Q, D)]
-    for _ in range(count):
-        a = _surd_floor(P, Q, t)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        out.append(Surd(P, Q, D))
-    return out
 
 
 def convergents(e: CFExpansion, count: int) -> list[Convergent]:
@@ -337,30 +289,6 @@ def convergents(e: CFExpansion, count: int) -> list[Convergent]:
     return out
 
 
-def is_reduced(x) -> bool:
-    """x > 1 with conjugate in (-1, 0); purely-periodic criterion."""
-    if isinstance(x, Surd):
-        return _surd_reduced(x.P, x.Q, math.isqrt(x.D))
-    if isinstance(x, (int, Fraction)) or x.is_rational():
-        raise RationalInput(f"is_reduced needs a quadratic irrational, got {x}")
-    xc = x.conj()
-    return x.sign() > 0 and (x - 1).sign() > 0 and xc.sign() < 0 and (xc + 1).sign() > 0
-
-
-def mobius_apply(N, x):
-    """(a*x + b)/(c*x + d) for an integer matrix N = ((a, b), (c, d))."""
-    (a, b), (c, d) = N
-    if a * d - b * c == 0:
-        raise SingularMatrix(f"mobius matrix {N} has zero determinant")
-    if isinstance(x, int):
-        x = Fraction(x)
-    num = a * x + b
-    den = c * x + d
-    if (den == 0) if isinstance(den, Fraction) else (not den):
-        raise PoleError(f"mobius denominator vanishes at {x}")
-    return num / den
-
-
 def check_convergent_bound(e: CFExpansion, n: int) -> bool:
     """Exact check of |x - p_n/q_n| <= 1/(a_{n+1} * q_n^2) for x = e.value."""
     a_next = e.quotients(n + 2)[n + 1]
@@ -371,27 +299,3 @@ def check_convergent_bound(e: CFExpansion, n: int) -> bool:
         return abs(diff) <= bound
     return (diff - bound).sign() <= 0 and (diff + bound).sign() >= 0
 
-
-def _fib(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def check_fibonacci_bounds(e: CFExpansion, n: int) -> bool:
-    """Exact product/Fibonacci envelope for p_n and q_n of the expansion e.
-
-    For n >= 1: prod(a_1..a_n) <= q_n <= F_{n+1} * prod(a_1..a_n), and when
-    a_0 >= 1 also prod(a_0..a_n) <= p_n <= F_{n+2} * prod(a_0..a_n).
-    """
-    if n < 1:
-        raise ValueError("fibonacci bounds need n >= 1")
-    qs = e.quotients(n + 1)
-    conv = convergents(e, n + 1)[n]
-    prod_tail = math.prod(qs[1:])
-    ok = prod_tail <= conv.q <= _fib(n + 1) * prod_tail
-    if qs[0] >= 1:
-        prod_all = math.prod(qs)
-        ok = ok and prod_all <= conv.p <= _fib(n + 2) * prod_all
-    return ok

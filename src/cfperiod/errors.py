@@ -46,14 +46,6 @@ class ZeroInput(UsageError):
 
 # --- continued fractions -----------------------------------------------------
 
-class PoleError(UsageError):
-    pass
-
-
-class SingularMatrix(UsageError):
-    pass
-
-
 class StepCapExceeded(CFPeriodError):
     """Raised when a continued-fraction walk hits its state cap.
 
@@ -85,21 +77,7 @@ class PrecisionExhausted(InternalError):
     pass
 
 
-# --- recurrences -------------------------------------------------------------
-
-class WindowTooShort(UsageError):
-    pass
-
-
-class VerificationFailed(InternalError):
-    pass
-
-
 # --- places / growth ---------------------------------------------------------
-
-class SupportIncomplete(UsageError):
-    pass
-
 
 class HypothesisViolated(UsageError):
     pass

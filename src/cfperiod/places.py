@@ -1,4 +1,4 @@
-"""Places of K = Q(sqrt(d)): absolute values, heights, and growth checks.
+"""Places of K = Q(sqrt(d)): valuations, log absolute values, and growth checks.
 
 Finite places are identified by a rational prime together with its splitting
 behavior; split places carry a Hensel branch (a root t of x^2 = d mod p^k).
@@ -20,7 +20,6 @@ job runs in one ``memo.scope()``, which computes each of these facts once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,6 @@ from .errors import (
     InternalInvariantError,
     PrecisionExhausted,
     PreconditionViolated,
-    SupportIncomplete,
     ZeroInput,
 )
 from .memo import memoized
@@ -178,94 +176,6 @@ def val(x: QuadElem, w: Place) -> int:
                 return v - vm
         k *= 2
     raise PrecisionExhausted(f"could not settle ord at {w} for {x}")
-
-
-@dataclass(frozen=True)
-class PlaceAbs:
-    """|x|_v as an exact statement: finite (p^f)^exponent, real |sigma(x)|."""
-
-    kind: str                    # "finite" | "real"
-    base: object                 # int p^f, or exact QuadElem magnitude
-    exponent: int                # finite: -ord_w(x); real: 1
-
-    def as_fraction(self) -> Fraction:
-        if self.kind != "finite":
-            raise PreconditionViolated("exact rational value only at finite places")
-        return Fraction(self.base) ** self.exponent
-
-
-def abs_at(x: QuadElem, v: Place) -> PlaceAbs:
-    if v.kind == "real":
-        y = x if v.embedding == 1 else x.conj()
-        return PlaceAbs("real", abs(y), 1)
-    return PlaceAbs("finite", v.p ** v.f, -val(x, v))
-
-
-# ---------------------------------------------------------------------------
-# heights
-# ---------------------------------------------------------------------------
-
-def _support_candidates(xs) -> set[int]:
-    from sympy import factorint
-
-    primes: set[int] = set()
-    for x in xs:
-        if x == 0:
-            continue
-        nrm = x.norm()
-        # m = lcm of the denominators of a and b: the same primes
-        for n in (x.m, abs(nrm.numerator), nrm.denominator):
-            if n > 1:
-                primes.update(factorint(n).keys())
-    return primes
-
-
-@dataclass(frozen=True)
-class Height:
-    """H = finite_part * arch_part, with the Archimedean part an exact surd."""
-
-    finite_part: Fraction
-    arch_part: QuadElem
-
-    def value(self) -> QuadElem:
-        return self.arch_part * self.finite_part
-
-
-def height(xs, support) -> Height:
-    """Projective height: product over places of the max coordinate |x_i|_v.
-
-    Runs over both real embeddings and every finite place above the declared
-    support primes; any coordinate with valuation support outside the list
-    raises SupportIncomplete.
-    """
-    xs = list(xs)
-    if not xs or all(x == 0 for x in xs):
-        raise ZeroInput("height needs a coordinate vector with a nonzero entry")
-    d = next(x.d for x in xs if isinstance(x, QuadElem))
-    support = sorted(set(int(p) for p in support))
-    nonzero = [x for x in xs if x != 0]
-    for q in sorted(_support_candidates(nonzero)):
-        if q in support:
-            continue
-        for w in places_above(q, d):
-            if any(val(x, w) != 0 for x in nonzero):
-                raise SupportIncomplete(
-                    f"coordinate has nonzero valuation at {w}, outside the "
-                    f"declared support {support}")
-    finite = Fraction(1)
-    for q in support:
-        for w in places_above(q, d):
-            best = min(val(x, w) for x in nonzero)
-            finite *= Fraction(q ** w.f) ** (-best)
-    arch = QuadElem(1, 0, d)
-    for emb in (1, 2):
-        best = None
-        for x in nonzero:
-            mag = abs(x if emb == 1 else x.conj())
-            if best is None or mag > best:
-                best = mag
-        arch = arch * best
-    return Height(finite, arch)
 
 
 # ---------------------------------------------------------------------------

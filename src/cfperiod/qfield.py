@@ -45,13 +45,6 @@ def check_field_parameter(d: int) -> None:
     _SQUAREFREE_OK.add(d)
 
 
-def integer_sqrt_floor(n: int) -> int:
-    """floor(sqrt(n)) for n >= 0, exactly."""
-    if n < 0:
-        raise NegativeInput(f"integer_sqrt_floor of negative {n}")
-    return math.isqrt(n)
-
-
 def split_square(k: int) -> tuple[int, int]:
     """Write k > 0 as s^2 * d0 with d0 squarefree; returns (s, d0)."""
     if k <= 0:
@@ -364,38 +357,10 @@ def quad(a, b, d: int) -> QuadElem:
     return QuadElem(a, b, d)
 
 
-def sqrt_int(k: int) -> QuadElem:
-    """sqrt(k) for integer k >= 0 as an exact element (rational if square)."""
-    if k < 0:
-        raise NegativeInput(f"sqrt of negative integer {k}")
-    if k == 0:
-        return _new(0, 0, 1, 2)
-    s, d0 = split_square(k)
-    if d0 == 1:
-        return _new(s, 0, 1, 2)
-    return _new(0, s, 1, d0)
-
-
-# Free-function aliases for the element maps (mirrors the module contract).
-
-def conj(x: QuadElem) -> QuadElem:
-    return x.conj()
-
-
-def trace_norm(x: QuadElem) -> tuple[Fraction, Fraction]:
-    return x.trace(), x.norm()
-
-
 def floor_exact(x) -> int:
     if isinstance(x, (int, Fraction)):
         return math.floor(x)
     return x.floor()
-
-
-def sign(x) -> int:
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    return x.sign()
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,6 @@ class LinRec:
         return f"LinRec(order={self.order}, d={self.d}, coeffs=[{cs}], initials=[{ins}])"
 
 
-def term(r: LinRec, n: int) -> QuadElem:
-    return r.term(n)
-
-
 def conj_rec(r: LinRec) -> LinRec:
     return LinRec([c.conj() for c in r.coeffs],
                   [a.conj() for a in r.initials], r.d)

@@ -5,8 +5,10 @@ degenerate member additionally pins its per-subsequence verdicts.
 """
 from fractions import Fraction as F
 
-from cfperiod.qfield import quad, sqrt_int
+from cfperiod.qfield import quad
 from cfperiod.recurrence import LinRec
+
+from oracles import sqrt_int
 
 R2 = sqrt_int(2)
 R3 = sqrt_int(3)

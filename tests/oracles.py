@@ -41,6 +41,15 @@ of 2k + 8 terms (4k + 8 for the difference and sum sequences of an order-k
 recurrence), re-verified on every window position, where the package reduces
 the generating function of a recurrence the sequence satisfies by one exact
 gcd and fits nothing.
+The continued-fraction helpers take routes the package does not:
+purely_periodic reads pure periodicity off the first-repeat walk, where the
+package tests reducedness on integers; complete_quotients steps an element in
+the field by 1/(x - floor(x)), not a (P, Q) state.  period_lower_bound reads
+a certified lower bound off a capped cycle_lengths, as the periods command
+does inline, and check_fibonacci_bounds is the exact product/Fibonacci
+envelope of the convergents.  sqrt_int builds sqrt(k) for test fixtures.
+WindowTooShort and VerificationFailed are raised only by the Berlekamp-Massey
+reference.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -55,10 +64,24 @@ from fractions import Fraction
 import mpmath
 
 from cfperiod import polyalg, qfield
-from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalInvariantError,
-                             MixedFieldError, PrecisionExhausted, PreconditionViolated,
-                             VerificationFailed, WindowTooShort)
+from cfperiod.contfrac import CFExpansion, convergents, cycle_lengths
+from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalError,
+                             InternalInvariantError, MixedFieldError, NegativeInput,
+                             PrecisionExhausted, PreconditionViolated, StepCapExceeded,
+                             UsageError)
 from cfperiod.recurrence import ZERO_SEQUENCE
+
+
+def sqrt_int(k: int) -> qfield.QuadElem:
+    """sqrt(k) for integer k >= 0 as an exact element (rational if square)."""
+    if k < 0:
+        raise NegativeInput(f"sqrt of negative integer {k}")
+    if k == 0:
+        return qfield.QuadElem(0, 0, 2)
+    s, d0 = qfield.split_square(k)
+    if d0 == 1:
+        return qfield.QuadElem(s, 0, 2)
+    return qfield.QuadElem(0, s, d0)
 
 
 def surd_value(a: Fraction, b: Fraction, d: int, dps: int) -> mpmath.mpf:
@@ -356,6 +379,65 @@ def degenerate_ratio_numeric(coeff_pairs, d: int, over_q: bool,
                              max_order: int, dps: int = 100) -> bool:
     """True iff some ratio of distinct roots is a root of unity, numerically."""
     return bool(ratio_witness_orders_numeric(coeff_pairs, d, over_q, max_order, dps))
+
+
+# ---------------------------------------------------------------------------
+# continued-fraction checks
+# ---------------------------------------------------------------------------
+
+def period_lower_bound(x, cap: int) -> tuple[int, bool]:
+    """(l(x), False) if the expansion closed within cap steps, else a
+    certified lower bound (steps since the first reduced state, True)."""
+    try:
+        return cycle_lengths(x, max_steps=cap)[1], False
+    except StepCapExceeded as e:
+        return e.steps - e.preperiod_seen, True
+
+
+def purely_periodic(x, max_steps: int = 10**7) -> bool:
+    """Whether x_0 itself recurs in the walk of the irrational element x,
+    read off surd_walk_first_repeat: x_0 = a_0 + 1/x_1 recurs iff the walk
+    closes at x_1, with preperiod (a_0,), and the cycle ends in a_0 again."""
+    s = qfield.to_surd(x)
+    kind, pre, period = surd_walk_first_repeat(s.P, s.Q, s.D, max_steps)
+    if kind != "closed":
+        raise AssertionError(f"walk of {x} did not close within {max_steps} steps")
+    return len(pre) == 1 and pre[0] == period[-1]
+
+
+def complete_quotients(x, count: int) -> list:
+    """x_0 .. x_count of the element x, stepped in the field:
+    x_{k+1} = 1 / (x_k - floor(x_k))."""
+    out = [x]
+    for _ in range(count):
+        x = 1 / (x - x.floor())
+        out.append(x)
+    return out
+
+
+def _fib(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def check_fibonacci_bounds(e: CFExpansion, n: int) -> bool:
+    """Exact product/Fibonacci envelope for p_n and q_n of the expansion e.
+
+    For n >= 1: prod(a_1..a_n) <= q_n <= F_{n+1} * prod(a_1..a_n), and when
+    a_0 >= 1 also prod(a_0..a_n) <= p_n <= F_{n+2} * prod(a_0..a_n).
+    """
+    if n < 1:
+        raise ValueError("fibonacci bounds need n >= 1")
+    qs = e.quotients(n + 1)
+    conv = convergents(e, n + 1)[n]
+    prod_tail = math.prod(qs[1:])
+    ok = prod_tail <= conv.q <= _fib(n + 1) * prod_tail
+    if qs[0] >= 1:
+        prod_all = math.prod(qs)
+        ok = ok and prod_all <= conv.p <= _fib(n + 2) * prod_all
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +853,14 @@ def rational_roots_divisors(p):
 # ---------------------------------------------------------------------------
 
 BM_MARGIN = 8
+
+
+class WindowTooShort(UsageError):
+    pass
+
+
+class VerificationFailed(InternalError):
+    pass
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,14 @@ from fractions import Fraction as F
 
 import oracles
 from curated import DEGEN_PART_VERDICTS, members
-from oracles import cyclotomic
+from oracles import (check_fibonacci_bounds, complete_quotients, cyclotomic,
+                     period_lower_bound, purely_periodic)
 
 from cfperiod.classifier import classify
-from cfperiod.contfrac import (check_convergent_bound, check_fibonacci_bounds,
-                               complete_quotients, expand, is_purely_periodic,
-                               is_reduced, period_length, period_lower_bound)
-from cfperiod.places import abs_at, growth_check, places_above, real_places, val
+from cfperiod.contfrac import _surd_reduced, check_convergent_bound, expand, period_length
+from cfperiod.places import growth_check, places_above, real_places, val
 from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k, nondegeneracy
-from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, trace_norm
+from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, to_surd
 from cfperiod.recurrence import LinRec
 
 STEP_CAP = 250_000
@@ -207,7 +206,13 @@ def test_criterion_5_invariant_suites(capsys):
     failures = []
 
     # (i) reduced <=> purely periodic, two independent routes, 200 random
-    # surds (P + sqrt(D))/Q with |P|, Q <= 1000, D <= 10000
+    # surds (P + sqrt(D))/Q with |P|, Q <= 1000, D <= 10000: the package's
+    # integer reducedness test against pure periodicity read off the
+    # first-repeat reference walk
+    def reduced(x):
+        s = to_surd(x)
+        return _surd_reduced(s.P, s.Q, math.isqrt(s.D))
+
     rng = random.Random(20240815)
     box = []
     both_true = 0
@@ -219,16 +224,16 @@ def test_criterion_5_invariant_suites(capsys):
         qq = rng.randint(1, 1000)
         x = quad(F(rng.randint(-1000, 1000), qq), F(s, qq), k)
         box.append(x)
-        r, p = is_reduced(x), is_purely_periodic(x)
+        r, p = reduced(x), purely_periodic(x)
         if r != p:
             failures.append(("surd equivalence", x))
         both_true += r and p
-    # walk complete quotients of a sample so the reduced side is exercised
-    # hundreds of times, not only by lucky draws from the box
+    # step complete quotients of a sample in the field, so the reduced side
+    # is exercised hundreds of times, not only by lucky draws from the box
     reduced_states = 0
     for x in box[:25]:
         for s in complete_quotients(x, 8):
-            r, p = is_reduced(s), is_purely_periodic(s)
+            r, p = reduced(s), purely_periodic(s)
             if r != p:
                 failures.append(("quotient equivalence", s))
             reduced_states += r and p
@@ -268,8 +273,8 @@ def test_criterion_5_invariant_suites(capsys):
         finite = F(1)
         for p in support:
             for w in places_above(p, d):
-                finite *= abs_at(x, w).as_fraction()
-        _t, nrm = trace_norm(x)
+                finite *= F(w.p ** w.f) ** -val(x, w)
+        nrm = x.norm()
         if finite * abs(nrm) != 1:
             failures.append(("product formula exact", d, k))
         with mpmath.workdps(100):

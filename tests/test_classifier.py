@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from cfperiod import polyalg
 from cfperiod.classifier import classify, explain
-from cfperiod.contfrac import period_lower_bound
 from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k
-from cfperiod.qfield import quad, sqrt_int
+from cfperiod.qfield import quad
 from cfperiod.recurrence import LinRec
 
 from curated import DEGEN_PART_VERDICTS, members
+from oracles import period_lower_bound, sqrt_int
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -179,9 +179,9 @@ def test_index_shift_keeps_curated_verdicts(k):
 
 
 @st.composite
-def small_recurrences(draw):
+def small_recurrences(draw, fields=(2, 3, 5)):
     """Order 1-3 over Q(sqrt(d)) with small coefficients and initials."""
-    d = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.sampled_from(fields))
     small = st.integers(-3, 3)
     order = draw(st.integers(1, 3))
     coeffs = [quad(draw(small), draw(small), d) for _ in range(order - 1)]
@@ -194,6 +194,46 @@ def small_recurrences(draw):
 @given(small_recurrences(), st.sampled_from(SHIFTS))
 def test_index_shift_keeps_verdicts(rec, k):
     _assert_shift_invariant(rec, k)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: reading the sequence backward, n -> -n, keeps the verdict
+# ---------------------------------------------------------------------------
+
+def _reversed(rec):
+    """A'_n = A_(-n): coefficients (-c_(k-1)/c_k, ..., -c_1/c_k, 1/c_k) and
+    initial terms A_0, A_(-1), ..., A_(-k+1)."""
+    c, k = rec.coeffs, rec.order
+    coeffs = [-c[i] / c[k - 1] for i in range(k - 2, -1, -1)] + [1 / c[k - 1]]
+    return LinRec(coeffs, [rec.term(-i) for i in range(k)], rec.d)
+
+
+def _assert_same_verdict(base, back):
+    """Whether l(A_n) is bounded over n in Z cannot depend on the direction:
+    the verdict is equal (the step tag may differ), a split keeps its modulus,
+    and part j of the reversed sequence, A_(-dn-j), is part -j mod d read
+    backward."""
+    assert back.verdict == base.verdict
+    assert back.split_modulus == base.split_modulus
+    if base.verdict == "DegenerateInput":
+        m = base.split_modulus
+        subs = dict(base.subresults)
+        assert sorted(j for j, _sub in back.subresults) == sorted(subs)
+        for j, sub in back.subresults:
+            _assert_same_verdict(subs[-j % m], sub)
+
+
+def test_reversal_keeps_curated_verdicts():
+    for name, rec, _verdict, _step in members():
+        back = _reversed(rec)
+        assert [back.term(n) for n in range(-3, 4)] == [rec.term(-n) for n in range(-3, 4)]
+        _assert_same_verdict(classify(rec), classify(back))
+
+
+@settings(max_examples=150)
+@given(small_recurrences(fields=(2, 3, 5, 7)))
+def test_reversal_keeps_verdicts(rec):
+    _assert_same_verdict(classify(rec), classify(_reversed(rec)))
 
 
 # ---------------------------------------------------------------------------

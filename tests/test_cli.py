@@ -4,11 +4,19 @@ Everything goes through cli.main(argv) so exit codes, stdout/stderr routing,
 and the deterministic-output contract are exercised exactly as a shell user
 would see them.
 """
+import contextlib
+import functools
+import io
 import json
 import math
+import os
 import pathlib
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfperiod import cli, contfrac, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
@@ -445,6 +453,33 @@ def test_bad_job_fields_exit_two(capsys, tmp_path, fields, hint):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_input_exits_two(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["classify", str(deep)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+    code, out, err = run(capsys, ["cf", "(" * 5_000 + "2" + ")" * 5_000])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"range": [True, 3]},
+    {"options": {"place": {"kind": "finite", "p": True}}},
+    {"options": {"place": {"kind": "real", "embedding": True}}},
+    {"options": {"place": {"kind": "finite", "p": 2, "branch": True}}},
+], ids=["range", "p", "embedding", "branch"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, fields):
+    spec = json.loads(pathlib.Path(twoadic_job(tmp_path, 1, 12)).read_text())
+    job = write_job(tmp_path, "bool.json", {**spec, **fields})
+    code, out, err = run(capsys, ["growth", job])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # props
 # ---------------------------------------------------------------------------
@@ -780,3 +815,112 @@ def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypa
     assert run(capsys, ["classify", _order_k_sqrt2_job(tmp_path, k)]) == golden
     assert max(searched) == (2 * k) ** 2 - 2 * k
     assert 2 * k in factored and max(factored) <= 4 * k
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any job file, and any string over the element grammar's alphabet,
+# exits 0 or 2 and never raises
+# ---------------------------------------------------------------------------
+
+# Every integer in a job and every radicand stays below 10^12: factoring an
+# unbounded radicand or d has no budget yet, a known hang rather than a
+# traceback.  Ranges stay in [-8, 8], `periods` runs with a step cap of 40,
+# `cf` walks at most 2 000 steps (it has no --step-cap) and coordinates are
+# capped at 2 000 bits, so that every example is short.
+FUZZ_LIMIT = 10**12
+FUZZ_ENV = {"CFPERIOD_MAX_BITS": "2000"}
+
+
+def _json_values(ints):
+    scalars = (st.none() | st.booleans() | ints | st.floats() | st.text(max_size=8)
+               | st.sampled_from(["0", "1", "-7", "3/2", "1/0", "2/-3"]))
+    return st.recursive(scalars, lambda kids: st.lists(kids, max_size=3)
+                        | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+                        max_leaves=6)
+
+
+_ANY = _json_values(st.integers(-3, 3) | st.integers(-FUZZ_LIMIT, FUZZ_LIMIT))
+_SMALL = _json_values(st.integers(-8, 8))
+_BASE_JOBS = [
+    ("classify", {"d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"]}),
+    ("periods", {"d": 2, "coeffs": ["6", "-7"], "initials": ["1", ["3", "1"]],
+                 "range": [0, 4]}),
+    ("growth", {"d": 17, "coeffs": ["7/2", "-3/2"], "initials": ["2", "7/2"],
+                "range": [1, 12], "options": {"place": {"kind": "finite", "p": 2,
+                                                        "branch": 1}}}),
+    ("growth", {"d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"], "range": [1, 12],
+                "options": {"place": {"kind": "real", "embedding": 2}, "eps": "1/10"}}),
+]
+
+
+def _paths(node, path=()):
+    """The path of every value inside a parsed JSON value, node itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _job_files(draw):
+    """(command, text of a job file): a valid job with one or two values
+    anywhere in it replaced by arbitrary JSON or dropped, or now and then
+    text that is no job at all."""
+    command, base = draw(st.sampled_from(_BASE_JOBS))
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return command, draw(st.integers(0, 3_000).map(lambda n: "[" * n + "]" * n))
+    if kind == 1:
+        return command, draw(st.text(max_size=20))
+    job = json.loads(json.dumps(dict(base, command=command)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(job))[1:]))
+        parent = functools.reduce(lambda node, key: node[key], path[:-1], job)
+        if draw(st.integers(0, 4)) == 0:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_SMALL if path[0] == "range" else _ANY)
+    return command, json.dumps(job)
+
+
+def _assert_exit_zero_or_two(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2), (code, err.getvalue())
+    assert code == 0 or err.getvalue().startswith("error: "), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(_job_files())
+@example(("classify", "[" * 100_000 + "]" * 100_000))
+@example(("growth", json.dumps(dict(_BASE_JOBS[2][1], options={
+    "place": {"kind": "finite", "p": True}}))))
+def test_fuzzed_job_files_exit_zero_or_two(case):
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, FUZZ_ENV):
+        path = os.path.join(tmp, "job.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        extra = ["--step-cap", "40"] if command == "periods" else []
+        _assert_exit_zero_or_two([command, path] + extra)
+
+
+_LITERAL = st.integers(0, FUZZ_LIMIT - 1).map(str)
+_RADICAND = st.tuples(st.sampled_from(["", "-"]), _LITERAL,
+                      st.sampled_from(["", "/3", "/4"])).map("".join)
+# "sqrt" comes with its literal radicand, or last: "sqrt" followed by "(" and
+# an expression could build a radicand of any size
+_CF_TOKEN = (_LITERAL | st.sampled_from(list("+-*/^()"))
+             | _RADICAND.map(lambda r: f"sqrt({r})"))
+_CF_TAIL = st.sampled_from(["", " sqrt", " sqrt(", " sqrt()", " $"])
+
+
+@settings(max_examples=300)
+@given(st.lists(_CF_TOKEN, max_size=12).map(" ".join), _CF_TAIL)
+@example("(" * 5_000 + "2" + ")" * 5_000, "")
+def test_fuzzed_elements_exit_zero_or_two(text, tail):
+    capped = functools.partial(contfrac.expand, max_steps=2_000)
+    with mock.patch.object(cli, "expand", capped), mock.patch.dict(os.environ, FUZZ_ENV):
+        _assert_exit_zero_or_two(["cf", "--", text + tail])

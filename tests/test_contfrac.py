@@ -17,24 +17,26 @@ from cfperiod import contfrac
 from cfperiod.contfrac import (
     DEFAULT_STEP_CAP,
     check_convergent_bound,
-    check_fibonacci_bounds,
-    complete_quotients,
     convergents,
     cycle_lengths,
     expand,
-    is_purely_periodic,
-    is_reduced,
-    mobius_apply,
     period_length,
-    period_lower_bound,
 )
 from cfperiod.errors import InternalInvariantError, RationalInput, StepCapExceeded
-from cfperiod.qfield import Surd, conj, quad, sqrt_int, to_surd
+from cfperiod.qfield import Surd, quad, to_surd
 
-from oracles import cf_quotients, cycle_centres, surd_value, surd_walk_first_repeat
+from oracles import (cf_quotients, check_fibonacci_bounds, complete_quotients,
+                     cycle_centres, period_lower_bound, purely_periodic, sqrt_int,
+                     surd_value, surd_walk_first_repeat)
 
 R2 = sqrt_int(2)
 GOLDEN = quad(F(1, 2), F(1, 2), 5)
+
+
+def _reduced(x) -> bool:
+    """The package's reducedness test, the one expand and cycle_lengths use."""
+    s = to_surd(x)
+    return contfrac._surd_reduced(s.P, s.Q, math.isqrt(s.D))
 
 
 def _rand_surd(rng, pmax=1000, qmax=1000, dmax=10000):
@@ -79,7 +81,7 @@ def test_leading_quotient_lives_in_preperiod():
     e = expand(GOLDEN)
     assert e.preperiod == (1,)
     assert e.period == (1,)
-    assert is_purely_periodic(GOLDEN)
+    assert purely_periodic(GOLDEN)
 
 
 def test_sqrt_of_square_plus_one_has_period_one():
@@ -118,10 +120,9 @@ def test_reduced_iff_purely_periodic_random():
         x = _rand_surd(rng)
         # raw samples are almost never reduced; tails of the expansion are,
         # so test both the sample and one of its complete quotients
-        s = complete_quotients(x, 4)[3]
-        for y in (x, (s.P + sqrt_int(s.D)) / s.Q):
-            r = is_reduced(y)
-            p = is_purely_periodic(y)
+        for y in (x, complete_quotients(x, 3)[3]):
+            r = _reduced(y)
+            p = purely_periodic(y)
             assert r == p, to_surd(y)
             seen_true += r
             seen_false += not r
@@ -129,12 +130,12 @@ def test_reduced_iff_purely_periodic_random():
 
 
 def test_reduced_textbook_cases():
-    assert is_reduced(GOLDEN)
-    assert is_reduced(1 + R2)
-    assert not is_reduced(R2)  # conjugate -sqrt(2) < -1
-    assert not is_reduced(R2 - 1)  # value < 1
+    assert _reduced(GOLDEN)
+    assert _reduced(1 + R2)
+    assert not _reduced(R2)  # conjugate -sqrt(2) < -1
+    assert not _reduced(R2 - 1)  # value < 1
     with pytest.raises(RationalInput):
-        is_reduced(quad(3, 0, 2))
+        _reduced(quad(3, 0, 2))
 
 
 def test_complete_quotients_are_eventually_reduced():
@@ -142,17 +143,20 @@ def test_complete_quotients_are_eventually_reduced():
     for _ in range(30):
         x = _rand_surd(rng, pmax=100, qmax=100, dmax=2000)
         e = expand(x)
-        cq = complete_quotients(x, len(e.preperiod) + len(e.period) + 2)
-        for s in cq:
-            assert s.Q != 0 and (s.D - s.P * s.P) % s.Q == 0
-        for s in cq[len(e.preperiod):]:
-            assert is_reduced((s.P + sqrt_int(s.D)) / s.Q)
+        n = len(e.preperiod) + len(e.period) + 2
+        cq = complete_quotients(x, n)
+        # the field step and the (P, Q) walk read the same quotients
+        assert [y.floor() for y in cq] == e.quotients(n + 1)
+        # x_j, j = len(preperiod), is the first reduced state after x_0
+        for k, y in enumerate(cq[1:], 1):
+            assert _reduced(y) == (k >= len(e.preperiod)), (to_surd(x), k)
 
 
 def test_complete_quotients_sqrt2():
     cq = complete_quotients(R2, 3)
-    assert (cq[0].P, cq[0].Q, cq[0].D) == (0, 1, 2)
-    assert all((s.P, s.Q, s.D) == (1, 1, 2) for s in cq[1:])
+    s = to_surd(cq[0])
+    assert (s.P, s.Q, s.D) == (0, 1, 2)
+    assert all(y == 1 + R2 for y in cq[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -547,43 +551,15 @@ def test_default_kernel_cache_is_ignored_by_git():
 
 
 # ---------------------------------------------------------------------------
-# Mobius action
+# the step as a Mobius move
 # ---------------------------------------------------------------------------
-
-def test_mobius_apply_basic():
-    assert mobius_apply(((1, 1), (0, 1)), R2) == 1 + R2
-    assert mobius_apply(((0, 1), (1, 0)), 1 + R2) == (1 + R2) ** -1
-    x = mobius_apply(((2, 3), (1, 4)), R2)
-    assert x == (2 * R2 + 3) / (R2 + 4)
-
-
-def test_mobius_composition():
-    rng = random.Random(919)
-    for _ in range(50):
-        M = ((rng.randrange(-9, 10), rng.randrange(-9, 10)),
-             (rng.randrange(-9, 10), rng.randrange(-9, 10)))
-        N = ((rng.randrange(-9, 10), rng.randrange(-9, 10)),
-             (rng.randrange(-9, 10), rng.randrange(-9, 10)))
-        if M[0][0] * M[1][1] - M[0][1] * M[1][0] == 0:
-            continue
-        if N[0][0] * N[1][1] - N[0][1] * N[1][0] == 0:
-            continue
-        MN = (
-            (M[0][0] * N[0][0] + M[0][1] * N[1][0],
-             M[0][0] * N[0][1] + M[0][1] * N[1][1]),
-            (M[1][0] * N[0][0] + M[1][1] * N[1][0],
-             M[1][0] * N[0][1] + M[1][1] * N[1][1]),
-        )
-        x = _rand_surd(rng, pmax=20, qmax=20, dmax=200)
-        assert mobius_apply(M, mobius_apply(N, x)) == mobius_apply(MN, x)
-
 
 def test_cf_step_is_a_mobius_move():
     x = sqrt_int(7)
     e = expand(x)
     y = x
     for a in list(e.preperiod) + list(e.period):
-        y = mobius_apply(((0, 1), (1, -a)), y)  # 1/(y - a)
+        y = 1 / (y - a)  # the Mobius move ((0, 1), (1, -a))
         s = to_surd(y)
         assert (s.D - s.P * s.P) % s.Q == 0
 
@@ -608,11 +584,10 @@ def test_conjugate_period_is_reversal():
     checked = 0
     for _ in range(200):
         z = _rand_surd(rng, pmax=50, qmax=50, dmax=800)
-        s = complete_quotients(z, 4)[3]  # tails are reduced
-        x = (s.P + sqrt_int(s.D)) / s.Q
-        if not is_reduced(x):
+        x = complete_quotients(z, 3)[3]  # tails are reduced
+        if not _reduced(x):
             continue
-        y = -1 / conj(x)
+        y = -1 / x.conj()
         a = expand(x)
         b = expand(y)
         n = len(a.period)

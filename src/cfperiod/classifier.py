@@ -188,10 +188,10 @@ def _classify(r: LinRec) -> Classification:
         return Classification("ProvenUnbounded", "C.1", ev)
     # Pisot type: the roots of pi and of conj(pi) lie strictly on opposite
     # sides of the circle.  What C.1 leaves failing this is a pair with every
-    # root inside; reversing the sequence (n -> -n) makes it a C.1 pair
-    if not all(pr.on == pc.on == 0
-               and (pr.outside == pc.inside == 0 or pr.inside == pc.outside == 0)
-               for _pi, _m, pr, pc in moved_factors):
+    # root inside; reversing the sequence (n -> -n) makes it a C.1 pair, so
+    # C.3 is C.1 with inside and outside swapped
+    if any((pr.on or pr.inside) and (pc.on or pc.inside)
+           for _pi, _m, pr, pc in moved_factors):
         return Classification("ProvenUnbounded", "C.3", ev)
     if not all(root_integrality_flags(f)[2] for f, _m in factor_q(p_d.to_ratpoly()).factors):
         return Classification("ProvenUnbounded", "C.4", ev)

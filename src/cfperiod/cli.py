@@ -20,9 +20,7 @@ walk that hit its step cap, 3 internal bug.
 Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
 coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
 A, B or m is longer, and the element grammar refuses a power x^e whose
-coordinates could exceed it (checked before the power is computed);
-CFPERIOD_PRECISION_DIGITS sets working precision for certified real-place
-numerics (default 60).
+coordinates could exceed it (checked before the power is computed).
 """
 from __future__ import annotations
 
@@ -52,29 +50,21 @@ from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
-DEFAULT_PRECISION = 60
 DEFAULT_STEP_CAP = 250_000
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def max_bits_guard() -> int:
+    """CFPERIOD_MAX_BITS, or DEFAULT_MAX_BITS when it is unset or empty."""
+    raw = os.environ.get("CFPERIOD_MAX_BITS")
     if raw is None or raw == "":
-        return default
+        return DEFAULT_MAX_BITS
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}")
+        raise UsageError(f"CFPERIOD_MAX_BITS must be an integer, got {raw!r}")
     if value <= 0:
-        raise UsageError(f"{name} must be positive, got {value}")
+        raise UsageError(f"CFPERIOD_MAX_BITS must be positive, got {value}")
     return value
-
-
-def max_bits_guard() -> int:
-    return _env_int("CFPERIOD_MAX_BITS", DEFAULT_MAX_BITS)
-
-
-def precision_digits() -> int:
-    return _env_int("CFPERIOD_PRECISION_DIGITS", DEFAULT_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -609,10 +599,10 @@ def estimate_log_limit(values, margin: float = 0.05) -> LogLimitEstimate:
     return LogLimitEstimate(slope, slope > margin)
 
 
-def _log_abs_float(x: QuadElem, v: Place, dps: int) -> float:
+def _log_abs_float(x: QuadElem, v: Place) -> float:
     """log|x|_v as printed, from places.log_abs: -ord_w(x) * f * log(p) at a
     finite place, the float of the enclosure's centre at a real one."""
-    e = log_abs(x, v, dps)
+    e = log_abs(x, v)
     if v.kind == "finite":
         return e * v.f * math.log(v.p)
     lo, hi = e
@@ -640,7 +630,6 @@ def cmd_growth(args) -> int:
         raise UsageError(f"job field 'options' must be a JSON object, got {options!r}")
     v = place_from_spec(options.get("place"), r.d)
     eps = _growth_eps(options)
-    dps = precision_digits()
     # one memo per job: the rows, the bound column and growth_check share
     # each fact, every log|A_n|_v among them
     with memo.scope():
@@ -648,10 +637,10 @@ def cmd_growth(args) -> int:
             if v.kind == "finite":
                 log_a1 = float(finite_dominant_slope(r, v)) * v.f * math.log(v.p)
             else:
-                _lo, hi = arch_dominant_bounds(r, v, dps)
+                _lo, hi = arch_dominant_bounds(r, v)
                 log_a1 = math.log(float(hi))
         except HypothesisViolated as e:
-            table = root_abs_table(r, v, dps)  # raises itself on a sequence with no roots
+            table = root_abs_table(r, v)  # raises itself on a sequence with no roots
             print(f"error: {e}", file=sys.stderr)
             for line in table:
                 print("  " + line, file=sys.stderr)
@@ -661,12 +650,12 @@ def cmd_growth(args) -> int:
         for n in range(n_lo, n_hi + 1):
             a = r.term(n)
             if a != 0:
-                lines.append(f"{n},{_fmt_float(_log_abs_float(a, v, dps))},"
+                lines.append(f"{n},{_fmt_float(_log_abs_float(a, v))},"
                              f"{_fmt_float(factor * n)}")
-        passed = growth_check(r, v, eps, n_lo, n_hi, dps)
+        passed = growth_check(r, v, eps, n_lo, n_hi)
         lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
         if args.estimate_limit:
-            pts = [(n, _log_abs_float(diff, real_places(r.d)[0], dps))
+            pts = [(n, _log_abs_float(diff, real_places(r.d)[0]))
                    for n in range(n_lo, n_hi + 1)
                    if (diff := r.term(n) - r.term(n).conj()) != 0]
             est = estimate_log_limit(pts)

@@ -6,10 +6,11 @@ minimal polynomial, its factors, the dominant-root bounds and each term's
 valuation).  Inside ``with scope():`` every function decorated with
 :func:`memoized` computes its value once per distinct argument list and hands
 the stored value back on later calls; outside a scope the functions run
-unmemoized.  Nested scopes share the outermost memo, so a recursive
-classification of the subsequences of a degenerate input reuses the facts of
-its parent.  Nothing is kept between scopes: a batch of jobs pays for each one
-in full.
+unmemoized.  A memoized function has no parameter defaults and is called by
+position only, so the arguments as passed are the key.  Nested scopes share
+the outermost memo, so a recursive classification of the subsequences of a
+degenerate input reuses the facts of its parent.  Nothing is kept between
+scopes: a batch of jobs pays for each one in full.
 Memoized functions must return immutable values.  A function that learns
 another call's value on the way (factor_q finds that each factor it returns
 is irreducible) stores it with :func:`remember`.
@@ -43,44 +44,34 @@ def scope():
 
 
 def memoized(fn):
-    """Key on every argument after binding, defaults included.
+    """Key on the positional arguments; fn has no defaults.
 
     Each argument enters the key together with its type and field parameter,
     so a RatPoly never meets an equal-looking KPoly and two KPolys over
     different fields are never compared.
     """
-    sig = inspect.signature(fn)
     name = fn.__qualname__
-    params = sig.parameters.values()
-    # a call that passes every parameter by position needs no binding
-    arity = (len(params) if all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-             else -1)
 
-    def memo_key(args, kwargs) -> tuple:
-        values = args
-        if kwargs or len(args) != arity:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            values = bound.arguments.values()
-        return (name,) + tuple((type(v), getattr(v, "d", None), v) for v in values)
+    def memo_key(args) -> tuple:
+        return (name,) + tuple((type(v), getattr(v, "d", None), v) for v in args)
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         memo = _MEMO.get()
         if memo is None:
-            return fn(*args, **kwargs)
-        key = memo_key(args, kwargs)
+            return fn(*args)
+        key = memo_key(args)
         value = memo.get(key, _MISSING)
         if value is _MISSING:  # computed outside any handler: no exception chain
-            value = memo[key] = fn(*args, **kwargs)
+            value = memo[key] = fn(*args)
         return value
 
     wrapper.memo_key = memo_key
     return wrapper
 
 
-def remember(fn, value, *args, **kwargs) -> None:
-    """Inside a scope, store value as the result of fn(*args, **kwargs).
+def remember(fn, value, *args) -> None:
+    """Inside a scope, store value as the result of fn(*args).
 
     fn is a :func:`memoized` function, possibly wrapped again by a decorator
     that sets ``__wrapped__``.  A value already stored is kept.  Outside a
@@ -90,8 +81,7 @@ def remember(fn, value, *args, **kwargs) -> None:
     if memo is None:
         return
     fn = inspect.unwrap(fn, stop=lambda f: hasattr(f, "memo_key"))
-    memo.setdefault(fn.memo_key(args, kwargs), value)
-
+    memo.setdefault(fn.memo_key(args), value)
 
 
 def pool() -> dict | None:

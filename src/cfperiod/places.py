@@ -12,11 +12,13 @@ keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 
 Growth of |A_n|_v along a recurrence is compared against the dominant root.
 Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
-finite place, a certified enclosure at 2*dps digits at a real one; the CLI's
-rows, ``growth_profile`` and ``growth_check`` all read it.  The dominant root
-is exact at finite places (Newton polygon slopes) and certified at the real
-ones, where strict >1 facts come from the exact circle profile.  One growth
-job runs in one ``memo.scope()``, which computes each of these facts once.
+finite place, a certified enclosure at a real one; the CLI's rows,
+``growth_profile`` and ``growth_check`` all read it.  The dominant root is
+exact at finite places (Newton polygon slopes) and certified at the real
+ones, where strict >1 facts come from the exact circle profile.  Real-place
+numerics run at one fixed precision, ARCH_DPS = 60 digits; log enclosures
+are formed at twice that.  One growth job runs in one ``memo.scope()``,
+which computes each of these facts once.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from fractions import Fraction
 from .errors import (
     HypothesisViolated,
     InternalInvariantError,
-    PrecisionExhausted,
     PreconditionViolated,
     ZeroInput,
 )
@@ -161,21 +162,18 @@ def val(x: QuadElem, w: Place) -> int:
         return vn // 2
     if w.splitting == "ramified":
         return vn
-    # split: ord = v_p(A + B t) - v_p(m) for x = (A + B sqrt(d)) / m
+    # split: ord = v_p(A + B t) - v_p(m) for x = (A + B sqrt(d)) / m.  A + B
+    # sqrt(d) is integral at both places above p, so its ord here is at most
+    # v_p(A^2 - d B^2) = vn + 2 vm < k - 2: one root mod p^k settles it (at
+    # p = 2 that root is the branch's only mod 2^(k-1), hence slack 2)
     A, B, m = x.A, x.B, x.m
     vm = _vp_int(m, p)
-    bound = abs(vn) + 2 * vm + 4
-    k = max(bound, 8)
-    slack = 2 if p == 2 else 1
-    for _ in range(6):
-        t = _branch_root(w, k)
-        s = (A + B * t) % p ** k
-        if s != 0:
-            v = _vp_int(s, p)
-            if v < k - slack:
-                return v - vm
-        k *= 2
-    raise PrecisionExhausted(f"could not settle ord at {w} for {x}")
+    k = max(abs(vn) + 2 * vm + 4, 8)
+    s = (A + B * _branch_root(w, k)) % p ** k
+    v = _vp_int(s, p) if s else k
+    if v >= k - (2 if p == 2 else 1):
+        raise InternalInvariantError(f"ord at {w} for {x} not settled mod {p}^{k}")
+    return v - vm
 
 
 # ---------------------------------------------------------------------------
@@ -192,44 +190,44 @@ class LogAbs:
     enclosure: tuple | None    # (lo, hi) mpf log bounds at real embeddings
 
 
-def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
+def log_abs(x: QuadElem, v: Place):
     """log|x|_v for x != 0, memoized: at a finite place the exact exponent
     -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place a certified
-    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at 2*dps digits.
+    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at
+    2 * ARCH_DPS digits.
     """
     if v.kind == "finite":
         return -val(x, v)
-    return _log_abs_real(x, v.embedding, dps)
+    return _log_abs_real(x, v.embedding)
 
 
 @memoized
-def _log_abs_real(x: QuadElem, embedding: int, dps: int):
+def _log_abs_real(x: QuadElem, embedding: int):
     """|sigma(x)| = |A + B*sqrt(d)|/m is evaluated without cancellation (when A
     and B*sqrt(d) differ in sign, as |A^2 - d*B^2| / (|A| + |B|*sqrt(d))), so
-    its log is good to about 2*dps digits; the ends of the enclosure sit
-    (|log| + 1) * 10^-dps on either side of it."""
+    its log is good to about 2 * ARCH_DPS digits; the ends of the enclosure
+    sit (|log| + 1) * 10^-ARCH_DPS on either side of it."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
     A, B = x.A, (x.B if embedding == 1 else -x.B)
-    with mpmath.workdps(2 * dps):
+    with mpmath.workdps(2 * ARCH_DPS):
         top = abs(A) + abs(B) * mpmath.sqrt(x.d)
         mag = abs(A * A - x.d * B * B) / (top * x.m) if A * B < 0 else top / x.m
         lg = mpmath.log(mag)
-        eps = (abs(lg) + 1) * mpmath.mpf(10) ** (-dps)
+        eps = (abs(lg) + 1) * mpmath.mpf(10) ** (-ARCH_DPS)
         return lg - eps, lg + eps
 
 
-def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int,
-                   dps: int = ARCH_DPS) -> list[LogAbs]:
+def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int) -> list[LogAbs]:
     """log|A_n|_v for n in [n_lo, n_hi] from log_abs; zero terms are skipped (gaps)."""
     out = []
     for n in range(n_lo, n_hi + 1):
         a = r.term(n)
         if a == 0:
             continue
-        e = log_abs(a, v, dps)
+        e = log_abs(a, v)
         if v.kind == "finite":
             out.append(LogAbs(n, v.p ** v.f, e, None))
         else:
@@ -261,22 +259,6 @@ def _newton_polygon_max_slope(p: KPoly, w: Place) -> Fraction | None:
     return max(slopes)
 
 
-def _arch_max_root(p: KPoly, embedding: int, dps: int):
-    """(lo, hi) certified bounds for the largest root magnitude under sigma."""
-    import mpmath
-
-    boxes = certified_root_boxes(p, dps=dps, embed_conj=(embedding == 2))
-    with mpmath.workdps(dps):
-        lo = hi = None
-        for z, rad in boxes:
-            m = abs(z)
-            if lo is None or m - rad > lo:
-                lo = m - rad
-            if hi is None or m + rad > hi:
-                hi = m + rad
-        return lo, hi
-
-
 def _charpoly_or_raise(r: LinRec) -> KPoly:
     p = seq_min_charpoly(r)
     if isinstance(p, ZeroSequence) or p.degree < 1:
@@ -297,11 +279,13 @@ def finite_dominant_slope(r: LinRec, w: Place) -> Fraction:
 
 
 @memoized
-def arch_dominant_bounds(r: LinRec, v: Place, dps: int = ARCH_DPS):
+def arch_dominant_bounds(r: LinRec, v: Place):
     """(lo, hi) certified bounds on max |sigma_v(alpha)| over charpoly roots.
 
     Strict dominance (|alpha_1|_v > 1) is certified through the exact circle
-    profile before any numerics; HypothesisViolated otherwise.
+    profile before any numerics; HypothesisViolated otherwise.  Per factor,
+    lo and hi are the largest |z| - r and |z| + r over its root disks; the
+    factor with the largest hi gives the bounds.
     """
     import mpmath
 
@@ -309,18 +293,20 @@ def arch_dominant_bounds(r: LinRec, v: Place, dps: int = ARCH_DPS):
     prof_poly = p if v.embedding == 1 else p.conj()
     if circle_profile(prof_poly).outside == 0:
         raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
-    with mpmath.workdps(2 * dps):
-        best_lo = best_hi = None
+    best_lo = best_hi = None
+    with mpmath.workdps(ARCH_DPS):
         for pi, _m in factor_k(prof_poly).factors:
-            lo, hi = _arch_max_root(pi, 1, dps)
+            boxes = certified_root_boxes(pi, ARCH_DPS)
+            lo = max(abs(z) - rad for z, rad in boxes)
+            hi = max(abs(z) + rad for z, rad in boxes)
             if best_hi is None or hi > best_hi:
                 best_lo, best_hi = lo, hi
-        if best_hi is None or best_hi <= 1:
-            raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
-        return best_lo, best_hi
+    if best_hi is None or best_hi <= 1:
+        raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
+    return best_lo, best_hi
 
 
-def root_abs_table(r: LinRec, v: Place, dps: int = ARCH_DPS) -> list[str]:
+def root_abs_table(r: LinRec, v: Place) -> list[str]:
     """Human-readable |root|_v lines per irreducible charpoly factor."""
     import mpmath
 
@@ -335,16 +321,15 @@ def root_abs_table(r: LinRec, v: Place, dps: int = ARCH_DPS) -> list[str]:
                          f"({v.p}^{v.f})^({slope})")
         return lines
     prof = p if v.embedding == 1 else p.conj()
-    with mpmath.workdps(dps):
+    with mpmath.workdps(ARCH_DPS):
         for pi, m in factor_k(prof).factors:
-            mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi, dps=dps))
+            mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi, ARCH_DPS))
             shown = ", ".join(mpmath.nstr(x, 8) for x in mags)
             lines.append(f"factor {pi} (mult {m}): |roots|_v = {shown}")
     return lines
 
 
-def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int,
-                 dps: int = ARCH_DPS) -> bool:
+def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bool:
     """Empirical check of |A_n|_v >= |alpha_1|_v^(n(1-eps)) on the range tail.
 
     alpha_1 is a dominant root of the minimal charpoly at v; the first 20% of
@@ -364,17 +349,17 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int,
 
     # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place, the low
     # end of each enclosure against the high root bound at a real one
-    with mpmath.workdps(2 * dps):
+    with mpmath.workdps(2 * ARCH_DPS):
         if v.kind == "finite":
             frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
         else:
             frac = mpmath.mpf(1) - mpmath.mpf(eps.numerator) / eps.denominator
-            log_a1 = mpmath.log(arch_dominant_bounds(r, v, dps)[1])
+            log_a1 = mpmath.log(arch_dominant_bounds(r, v)[1])
         for n in range(n_lo + burn, n_hi + 1):
             a = r.term(n)
             if a == 0:
                 return False
-            e = log_abs(a, v, dps)
+            e = log_abs(a, v)
             if (e if v.kind == "finite" else e[0]) < frac * n * log_a1:
                 return False
         return True

@@ -826,24 +826,23 @@ def _certified_roots(coeffs_mpc, dps: int):
         return list(zip(roots, radii))
 
 
-def _poly_to_mpc_coeffs(p, dps: int, embed_conj: bool = False):
+def _poly_to_mpc_coeffs(p, dps: int):
     import mpmath
 
     with mpmath.workdps(dps):
         out = []
         for c in reversed(p.coeffs):
             if isinstance(c, QuadElem):
-                cc = c.conj() if embed_conj else c
-                out.append(mpmath.mpc(to_mpf(cc, dps)))
+                out.append(mpmath.mpc(to_mpf(c, dps)))
             else:
                 out.append(mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator))
         return out
 
 
-def certified_root_boxes(p, dps: int = 60, embed_conj: bool = False):
+def certified_root_boxes(p, dps: int = 60):
     """Certified (root, radius) pairs at adaptive precision (squarefree p)."""
     for trial_dps in (dps, 2 * dps, 4 * dps, 8 * dps, 16 * dps):
-        got = _certified_roots(_poly_to_mpc_coeffs(p, trial_dps, embed_conj), trial_dps)
+        got = _certified_roots(_poly_to_mpc_coeffs(p, trial_dps), trial_dps)
         if got is not None:
             return got
     raise PrecisionExhausted(f"could not certify roots of {p}")

@@ -661,10 +661,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
       "range": [1, 40], "options": {"place": {"kind": "real", "embedding": 2},
                                     "eps": "1/10"}}, ["--estimate-limit"]),
 ])
-def test_growth_real_place_golden(capsys, tmp_path, golden, spec, extra):
-    code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
-    assert code == 0 and err == ""
-    assert out == (GOLDEN / golden).read_text()
+def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, extra):
+    job = write_job(tmp_path, "g.json", spec)
+    # real-place numerics run at one fixed precision, which no environment
+    # variable changes (8 digits used to move 60 of the Fibonacci rows)
+    for digits in (None, "8"):
+        if digits:
+            monkeypatch.setenv("CFPERIOD_PRECISION_DIGITS", digits)
+        code, out, err = run(capsys, ["growth", job] + extra)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_text()
 
 
 def test_growth_estimate_limit_reports_log_of_dominant_root(capsys, tmp_path):

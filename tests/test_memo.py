@@ -1,13 +1,16 @@
 """The per-job memo: one value per argument list, one scope only."""
 import functools
+import importlib
 import inspect
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cfperiod
 from cfperiod import classifier, cli, memo, polyalg
 from cfperiod.classifier import classify
 from cfperiod.errors import InternalInvariantError
@@ -22,42 +25,59 @@ def _counting():
     calls = []
 
     @memo.memoized
-    def degree_plus(p, k=1):
+    def degree_plus(p, k):
         calls.append((p, k))
         return p.degree + k
 
     return degree_plus, calls
 
 
-def test_memo_keys_on_bound_arguments_within_one_scope():
+def test_memo_keys_on_positional_arguments_within_one_scope():
     f, calls = _counting()
     p = RatPoly([-1, -1, 1])
     with memo.scope():
-        assert f(p) == f(p, 1) == f(p, k=1) == 3
+        assert f(p, 1) == f(p, 1) == 3
         assert f(p, 2) == 4
         with memo.scope():  # nested scopes share the outer memo
-            assert f(p) == 3
+            assert f(p, 1) == 3
+        with pytest.raises(TypeError):  # called by position only
+            f(p, k=1)
     assert calls == [(p, 1), (p, 2)]
+
+
+def test_memoized_functions_take_positional_arguments_without_defaults():
+    # the memo keys on the arguments as passed, so a default would give one
+    # call two keys
+    found = set()
+    for info in pkgutil.iter_modules(cfperiod.__path__):
+        mod = importlib.import_module(f"cfperiod.{info.name}")
+        for name, fn in vars(mod).items():
+            if hasattr(fn, "memo_key") and fn.__module__ == mod.__name__:
+                found.add(f"{info.name}.{name}")
+                for param in inspect.signature(fn.__wrapped__).parameters.values():
+                    assert param.kind is param.POSITIONAL_OR_KEYWORD, (name, param)
+                    assert param.default is param.empty, (name, param)
+    assert {"places.arch_dominant_bounds", "polyalg.factor_q", "places.val"} <= found
 
 
 def test_memo_is_dropped_when_the_scope_ends():
     f, calls = _counting()
     p = RatPoly([1, 1])
-    f(p)
-    f(p)  # outside a scope nothing is kept
+    f(p, 1)
+    f(p, 1)  # outside a scope nothing is kept
     with memo.scope():
-        f(p)
+        f(p, 1)
     with memo.scope():
-        f(p)
+        f(p, 1)
     assert len(calls) == 4
 
 
 def test_memo_separates_types_and_fields():
     f, calls = _counting()
     with memo.scope():
-        f(RatPoly([1, 1]))
-        f(KPoly([1, 1], 2))  # equal coefficients, other type: its own entry
-        f(KPoly([1, 1], 3))  # other field: never compared with d = 2
+        f(RatPoly([1, 1]), 1)
+        f(KPoly([1, 1], 2), 1)  # equal coefficients, other type: its own entry
+        f(KPoly([1, 1], 3), 1)  # other field: never compared with d = 2
     assert len(calls) == 3
 
 
@@ -81,22 +101,6 @@ def test_classify_leaves_no_memo_behind():
     for _name, r, _verdict, _step in members()[:3]:
         classify(r)
         assert memo._MEMO.get() is None
-
-
-def test_classify_binds_no_signature(monkeypatch):
-    # every memoized call in a classification passes its arguments by
-    # position, so the memo key needs no Signature.bind
-    binds = []
-    bind = inspect.Signature.bind
-
-    def counting_bind(self, *args, **kwargs):
-        binds.append(self)
-        return bind(self, *args, **kwargs)
-
-    monkeypatch.setattr(inspect.Signature, "bind", counting_bind)
-    for _name, r, _verdict, _step in members():
-        classify(r)
-    assert len(binds) == 0
 
 
 def test_growth_leaves_no_memo_behind(tmp_path, capsys):

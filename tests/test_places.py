@@ -232,14 +232,13 @@ def test_two_adic_profile_is_exactly_n():
 @pytest.mark.parametrize("r, v", [(FIB, real_places(5)[0]), (FIB, real_places(5)[1]),
                                   (PELL, real_places(2)[0]), (PELL, real_places(2)[1])])
 def test_real_profile_encloses_the_log(r, v):
-    dps = 60
-    rows = growth_profile(r, v, 1, 120, dps)
+    rows = growth_profile(r, v, 1, 120)
     assert [row.n for row in rows] == list(range(1, 121))
-    with mpmath.workdps(3 * dps):
+    with mpmath.workdps(180):
         for row in rows:
             a = r.term(row.n)
             ref = mpmath.log(abs(surd_value(a.a, a.b if v.embedding == 1 else -a.b,
-                                            r.d, 3 * dps)))
+                                            r.d, 180)))
             lo, hi = row.enclosure
             assert lo < ref < hi, row.n
 

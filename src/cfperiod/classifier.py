@@ -43,9 +43,7 @@ from .qfield import QuadElem
 from .recurrence import (
     LinRec,
     ZeroSequence,
-    conj_rec,
     diff_sum_parts,
-    nondegenerate_rec,
     seq_min_charpoly,
     split_degenerate,
 )
@@ -120,9 +118,8 @@ def classify(r: LinRec) -> Classification:
 def _classify(r: LinRec) -> Classification:
     p_a = seq_min_charpoly(r)
 
-    ok, _witness = nondegenerate_rec(r, "Q")
-    if not ok:
-        d_step, parts = split_degenerate(r)
+    d_step, parts = split_degenerate(r)
+    if d_step > 1:  # a witness order is at least 2
         subs = tuple((j, classify(part)) for j, part in enumerate(parts))
         return Classification(
             "DegenerateInput",
@@ -171,7 +168,8 @@ def _classify(r: LinRec) -> Classification:
             return Classification("ProvenUnbounded", "B.2", ev)
         if m >= 2:
             return Classification("ProvenUnbounded", "B.4", ev)
-        beta = r.term(0) - conj_rec(r).term(0)
+        a0 = r.term(0)
+        beta = a0 - a0.conj()
         sign = 1 if pi == x_minus_one else -1
         return Classification("ClassB_b", evidence=ev, beta=beta, sign=sign)
 

@@ -19,8 +19,10 @@ Exit codes: 0 success, 2 bad input, unmet precondition or a continued-fraction
 walk that hit its step cap, 3 internal bug.
 Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
 coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
-A, B or m is longer, and the element grammar refuses a power x^e whose
-coordinates could exceed it (checked before the power is computed).
+A, B or m is longer; the element grammar refuses a power x^e whose
+coordinates could exceed it, and `schinzel` a --poly of higher degree or
+whose values f(n) on the range could, each before computing them.  That
+bounds the size of f(n), not the time spent factoring it into s^2 * k.
 """
 from __future__ import annotations
 
@@ -272,11 +274,11 @@ def parse_int_poly(src: str) -> list[int]:
         c = _int_literal(m.group(2)) if m.group(2) else 1
         e = 0 if not m.group(3) else (_int_literal(m.group(4)) if m.group(4) else 1)
         coeffs[e] = coeffs.get(e, 0) + sign * c
-    deg = max(coeffs)
-    out = [coeffs.get(i, 0) for i in range(deg + 1)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    deg = max((e for e, c in coeffs.items() if c), default=0)
+    bits = max_bits_guard()
+    if deg > bits:  # refused before a list of deg + 1 coefficients is built
+        raise UsageError(f"polynomial degree {deg} exceeds CFPERIOD_MAX_BITS = {bits}")
+    return [coeffs.get(i, 0) for i in range(deg + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +554,10 @@ def cmd_schinzel(args) -> int:
     coeffs = parse_int_poly(args.poly)
     n_lo, n_hi = parse_range(args.range)
     deg = len(coeffs) - 1
+    # |f(n)| <= sum |c_i| * |n|^deg: refuse before any f(n) is computed
+    bits, size = max_bits_guard(), sum(map(abs, coeffs)).bit_length()
+    if size + deg * max(abs(n_lo), abs(n_hi), 2).bit_length() > bits:
+        raise UsageError(f"f(n) on the range could exceed CFPERIOD_MAX_BITS = {bits} bits")
     lead = coeffs[-1]
     covered = (deg % 2 == 1) or (lead > 0 and split_square(lead)[1] != 1)
     lines = ["n,ell,flag", f"# hypothesis: {'covered' if covered else 'not covered'}"]
@@ -734,6 +740,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as []
+            raise UsageError("an option was given '--' as its value")
         return args.func(args)
     except (UsageError, StepCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)

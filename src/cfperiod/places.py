@@ -32,9 +32,9 @@ from .errors import (
     ZeroInput,
 )
 from .memo import memoized
-from .polyalg import KPoly, certified_root_boxes, circle_profile, factor_k
+from .polyalg import KPoly, certified_root_boxes, circle_profile, factor_k, witness_orders
 from .qfield import QuadElem
-from .recurrence import LinRec, ZeroSequence, nondegenerate_rec, seq_min_charpoly
+from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
 ARCH_DPS = 60
 
@@ -340,8 +340,7 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bo
     eps = Fraction(eps)
     if not (0 < eps < 1):
         raise PreconditionViolated("eps must lie strictly between 0 and 1")
-    ok, _w = nondegenerate_rec(r, "baseK")
-    if not ok:
+    if witness_orders(_charpoly_or_raise(r)):
         raise PreconditionViolated("growth check needs a non-degenerate sequence")
 
     burn = (n_hi - n_lo) // 5

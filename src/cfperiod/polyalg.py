@@ -20,16 +20,16 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 * ratio and power polynomials (roots alpha/beta and alpha^k) over Q and K
   alike, built from Newton power sums with no resultant, each certified by
   its constant term;
-* the root-ratio non-degeneracy test with exact root-of-unity witnesses, at
-  two levels.  The pool of roots is that of a rational polynomial N = p or
-  p * conj(p) over Q, or of p itself at the base level of K.  Each unordered
-  pair of irreducible factors of the pool gives one ratio polynomial r, read
-  over Q (r * conj(r) when r is irrational), which is not factored: the
-  witness orders are the n with Phi_n | r, each candidate with phi(n) <= deg r
-  ruled out by one residue modulo a prime p = 1 (mod n) or certified by exact
-  division by Phi_n, built over Z.  The base level cannot go through the
-  over-Q norm: that pool also holds ratios across conjugates, such as
-  sqrt(2) / (-sqrt(2)) = -1.
+* the root-ratio non-degeneracy test with exact root-of-unity witnesses,
+  witness_orders(p), whose pool of roots is the polynomial given: the
+  rational N = _over_q(p) = p * conj(p) for the test over Q, p itself at
+  the base level of K.  Each unordered pair of irreducible factors of the
+  pool gives one ratio polynomial r, read over Q (r * conj(r) when r is
+  irrational), which is not factored: the witness orders are the n with
+  Phi_n | r, each candidate with phi(n) <= deg r ruled out by one residue
+  modulo a prime p = 1 (mod n) or certified by exact division by Phi_n,
+  built over Z.  The base level cannot go through the over-Q norm: that
+  pool also holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
 
 factor_q, factor_k, the degeneracy witnesses, the circle profile of an
 irreducible factor and the rational form N = p * conj(p) of a K-polynomial
@@ -521,8 +521,6 @@ def _rational_roots(p: RatPoly) -> list[Fraction]:
     them, which Newton steps lift uniquely to l^e > 2^(k+2), whose symmetric
     residue is y; each lifted candidate is tested exactly by Horner over Z.
     """
-    from sympy import nextprime
-
     ints = list(p.primitive_integer_coeffs())
     zeros = next(i for i, c in enumerate(ints) if c)  # x^zeros divides f
     roots, ints = [Fraction(0)] if zeros else [], ints[zeros:]
@@ -531,9 +529,8 @@ def _rational_roots(p: RatPoly) -> list[Fraction]:
         return roots
     g = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
     k = max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
-    ell = 1
-    for tried in itertools.count(1):
-        ell = nextprime(ell)
+    primes = (q for q in itertools.count(2) if _is_prime(q))
+    for tried, ell in enumerate(primes, 1):
         if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
             g = [int(c) for c in RatPoly(g).squarefree_part().coeffs]
         dg = [i * c for i, c in enumerate(g)][1:]
@@ -983,6 +980,11 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
+def _is_prime(n: int) -> bool:
+    """Primality by trial division: every n tested here is small."""
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def _cyclotomic_ints(n: int) -> list[int]:
     """Phi_n over Z, low-to-high, as prod_{e | n} (x^e - 1)^mu(n/e).
 
@@ -1016,10 +1018,8 @@ def _cyclotomic_ints(n: int) -> list[int]:
 def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
     """(p, w): the least prime p = 1 (mod n), and w = a^((p-1)/n) mod p for
     the least a >= 1 that gives w exact multiplicative order n modulo p."""
-    from sympy import isprime
-
     p = n + 1
-    while not isprime(p):
+    while not _is_prime(p):
         p += n
     primes = _prime_divisors(n)
     for a in range(1, p):
@@ -1067,7 +1067,7 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
     most bound; they are enumerated over the primes p <= bound + 1 in
     increasing order, each taken to every power whose phi still fits.
     """
-    primes = [p for p in range(2, bound + 2) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    primes = [p for p in range(2, bound + 2) if _is_prime(p)]
     out = []
 
     def extend(n, t, start):
@@ -1167,42 +1167,29 @@ def _over_q(p: KPoly) -> RatPoly:
     return p.to_ratpoly()
 
 
-def nondegeneracy(p, over: str = "baseK") -> tuple[bool, list[int]]:
-    """Root-ratio degeneracy test.
-
-    over="baseK": ratios among the roots of p itself.  over="Q": ratios among
-    the roots of p * p.conj() (conjugate orbits).  A rational p has the
-    same pool at both levels.  Roots at zero are ignored: they cannot take
-    part in a unit-modulus ratio.
-    Returns (non_degenerate, sorted root-of-unity witness orders).
-    """
-    if over not in ("baseK", "Q"):
-        raise PreconditionViolated(f"unknown Galois level {over!r}")
-    if p.is_zero or p.degree < 1:
-        raise PreconditionViolated("nondegeneracy needs a nonconstant polynomial")
-    if isinstance(p, KPoly) and p.is_rational():
-        p = p.to_ratpoly()
-    witnesses = _witness_orders(p, "Q" if isinstance(p, RatPoly) else over)
-    return (not witnesses), list(witnesses)
-
-
 @memoized
-def _witness_orders(p, over: str) -> tuple[int, ...]:
-    """Sorted witness orders; p is a RatPoly (over="Q") or an irrational KPoly.
+def witness_orders(p) -> tuple[int, ...]:
+    """Sorted root-of-unity witness orders of the roots of p; () when p is
+    non-degenerate.
 
-    The pool is the roots of p over its own field: those of p * conj(p) over
-    Q for a KPoly at over="Q".  Each unordered pair of its distinct
-    irreducible factors gives one ratio polynomial, read over Q: a ratio
-    polynomial r with irrational coefficients is replaced by r * conj(r),
-    whose extra roots are conjugates of r's, and conjugation maps a primitive
-    n-th root of unity to another one of order n.
+    The pool is the roots of p over its own field: pass _over_q(p) for the
+    ratios among the roots of p * conj(p), conjugate orbits included, and p
+    for the base level of K.  A rational KPoly is read as a RatPoly.  Roots
+    at zero are ignored: they cannot take part in a unit-modulus ratio.
+    Each unordered pair of the pool's distinct irreducible factors gives one
+    ratio polynomial, read over Q: a ratio polynomial r with irrational
+    coefficients is replaced by r * conj(r), whose extra roots are conjugates
+    of r's, and conjugation maps a primitive n-th root of unity to another
+    one of order n.
     """
-    while p.degree >= 1 and p.coeffs[0] == 0:
+    if p.is_zero or p.degree < 1:
+        raise PreconditionViolated("witness_orders needs a nonconstant polynomial")
+    if isinstance(p, KPoly) and p.is_rational():
+        return witness_orders(p.to_ratpoly())
+    while p.coeffs[0] == 0:
         p = p._make(list(p.coeffs[1:]))
     if p.degree < 1:
         return ()
-    if isinstance(p, KPoly) and over == "Q":
-        p = _over_q(p)
     base = (factor_k(p) if isinstance(p, KPoly) else factor_q(p)).distinct()
     witnesses: set[int] = set()
     for i, fi in enumerate(base):

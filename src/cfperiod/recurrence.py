@@ -8,6 +8,9 @@ recurrence the sequence is known to satisfy (the defining one for A, and
 N = P_A * conj(P_A) for the other two) by one exact gcd: the minimal
 polynomial is the reverse of the reduced denominator of the sequence's
 rational generating function.  No recurrence is fitted to a window.
+A sequence whose N has two roots with a root-of-unity ratio is degenerate;
+split_degenerate reads the orders of those ratios (polyalg.witness_orders
+on N) and splits it into arithmetic subsequences that are not.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from fractions import Fraction
 from . import polyalg
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
-from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_mul, nondegeneracy,
-                      power_poly)
+from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_mul, power_poly,
+                      witness_orders)
 from .qfield import QuadElem
 
 
@@ -96,11 +99,6 @@ class LinRec:
         cs = ", ".join(str(c) for c in self.coeffs)
         ins = ", ".join(str(a) for a in self.initials)
         return f"LinRec(order={self.order}, d={self.d}, coeffs=[{cs}], initials=[{ins}])"
-
-
-def conj_rec(r: LinRec) -> LinRec:
-    return LinRec([c.conj() for c in r.coeffs],
-                  [a.conj() for a in r.initials], r.d)
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +187,19 @@ def seq_min_charpoly(r: LinRec):
     return _minpoly_from_recurrence(q, r.initials)
 
 
-def nondegenerate_rec(r: LinRec, over: str = "baseK"):
-    """Root-ratio non-degeneracy of the sequence's own minimal polynomial."""
-    p = seq_min_charpoly(r)
-    if isinstance(p, ZeroSequence) or p.degree == 0:
-        return True, []
-    return nondegeneracy(p, over)
-
-
 def split_degenerate(r: LinRec):
     """(d, parts): parts[j] generates (A_{dn+j})_n, each non-degenerate over Q.
 
-    d is the lcm of the root-of-unity witness orders of the over-Q test
-    (d = 1 and parts = [r] when the sequence is already non-degenerate).
+    d is the lcm of the root-of-unity witness orders of the over-Q test, on
+    the roots of N = P_A * conj(P_A) (d = 1 and parts = [r] when the
+    sequence is already non-degenerate or is the zero sequence, which has no
+    roots).
     """
-    ok, witnesses = nondegenerate_rec(r, "Q")
-    if ok:
+    p = seq_min_charpoly(r)
+    witnesses = () if isinstance(p, ZeroSequence) else witness_orders(_over_q(p))
+    if not witnesses:
         return 1, [r]
     d_step = math.lcm(*witnesses)
-    p = seq_min_charpoly(r)
-    if isinstance(p, ZeroSequence):
-        return 1, [r]
     q = power_poly(p, d_step)
     order = q.degree
     coeffs = [-q.coeffs[order - 1 - i] for i in range(order)]
@@ -217,9 +207,10 @@ def split_degenerate(r: LinRec):
     for j in range(d_step):
         initials = [r.term(d_step * i + j) for i in range(order)]
         part = LinRec(coeffs, initials, r.d)
-        ok_part, wit = nondegenerate_rec(part, "Q")
-        if not ok_part:
+        p_part = seq_min_charpoly(part)  # a part may be the zero sequence
+        wit = () if isinstance(p_part, ZeroSequence) else witness_orders(_over_q(p_part))
+        if wit:
             raise InternalInvariantError(
-                f"subsequence j={j} still degenerate (witness orders {wit})")
+                f"subsequence j={j} still degenerate (witness orders {list(wit)})")
         parts.append(part)
     return d_step, parts

@@ -713,7 +713,7 @@ def ratio_poly_zz(p, q):
 def ratio_resultant_field(pi, pj):
     """Res_y(pj(y), pi(x*y)) over K, by interpolation.
 
-    Serves the base-K level of nondegeneracy only, where the ratios range
+    Serves the base level of K of witness_orders only, where the ratios range
     over the roots of a K-polynomial and not over their conjugates.
     """
     di, dj = pi.degree, pj.degree

@@ -21,7 +21,7 @@ from oracles import (check_fibonacci_bounds, complete_quotients, cyclotomic,
 from cfperiod.classifier import classify
 from cfperiod.contfrac import _surd_reduced, check_convergent_bound, expand, period_length
 from cfperiod.places import growth_check, places_above, real_places, val
-from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k, nondegeneracy
+from cfperiod.polyalg import KPoly, RatPoly, _over_q, circle_profile, factor_k, witness_orders
 from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, to_surd
 from cfperiod.recurrence import LinRec
 
@@ -427,22 +427,22 @@ def test_criterion_7_oracle_agreement(capsys):
         if (prof.inside, prof.on, prof.outside) != oracles.circle_counts(cs):
             failures.append(("circle", str(p)))
 
-    # --- nondegeneracy vs. numeric ratio-of-roots scan, 50 inputs ---
-    ratio_inputs = []  # (poly, over)
+    # --- witness orders vs. numeric ratio-of-roots scan, 50 inputs ---
+    ratio_inputs = []  # (poly, over Q): over Q the pool is _over_q(poly)
     for _ in range(6):
         a = rng.randint(1, 5)
-        ratio_inputs.append((RatPoly([-a * a, 0, 1]), "baseK"))
+        ratio_inputs.append((RatPoly([-a * a, 0, 1]), False))
         ratio_inputs.append(
-            (RatPoly([-a, 1]) * RatPoly([a * a, a, 1]), "baseK"))
+            (RatPoly([-a, 1]) * RatPoly([a * a, a, 1]), False))
     for _ in range(6):
         d = rng.choice([2, 5])
         theta = quad(F(rng.randint(1, 2)), F(rng.randint(0, 1)), d)
         ratio_inputs.append((KPoly([-theta, 1], d)
-                             * KPoly([theta, 1], d), "baseK"))
+                             * KPoly([theta, 1], d), False))
         ratio_inputs.append((KPoly([-theta, 1], d)
-                             * KPoly([theta * theta, theta, 1], d), "baseK"))
+                             * KPoly([theta * theta, theta, 1], d), False))
     for _ in range(16):
-        ratio_inputs.append((random_ratpoly(2, 4), "baseK"))
+        ratio_inputs.append((random_ratpoly(2, 4), False))
     for _ in range(10):
         d = rng.choice([2, 5])
         deg = rng.randint(2, 3)
@@ -451,19 +451,19 @@ def test_criterion_7_oracle_agreement(capsys):
         p = KPoly(cs, d)
         if p.degree != deg:
             continue
-        ratio_inputs.append((p, rng.choice(["baseK", "Q"])))
+        ratio_inputs.append((p, rng.choice([False, True])))
 
-    for p, over in ratio_inputs:
-        mine = nondegeneracy(p, over=over)[0]
+    for p, over_q in ratio_inputs:
+        mine = not witness_orders(_over_q(p) if over_q else p)
         if isinstance(p, RatPoly):
             pairs = [(c, F(0)) for c in p.coeffs]
             d = 2
         else:
             pairs = [(c.a, c.b) for c in p.coeffs]
             d = p.d
-        brute = oracles.degenerate_ratio_numeric(pairs, d, over == "Q", 60)
+        brute = oracles.degenerate_ratio_numeric(pairs, d, over_q, 60)
         if mine != (not brute):
-            failures.append(("ratio", str(p), over, mine, brute))
+            failures.append(("ratio", str(p), over_q, mine, brute))
 
     report(capsys, 7, not failures,
            f"circle profiles match the 100-digit root finder on "

@@ -12,6 +12,7 @@ import math
 import os
 import pathlib
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -583,6 +584,24 @@ def test_schinzel_negative_values_skipped(capsys):
                    "# running_max: n=12 ell=1\n")
 
 
+@pytest.mark.parametrize("poly, span, cap", [
+    ("x^10000000000", "1..2", None),  # a dense list of 10^10 coefficients
+    ("x^3000000", "3..3", None),      # f(3) of 4.8 million bits
+    ("x^300", "3..3", "100"),         # degree above the cap
+    ("x^20", "1000..1001", "100"),    # degree within it, f(1000) of 200 bits
+])
+def test_schinzel_size_beyond_bit_guard_is_refused_before_computing(
+        capsys, monkeypatch, poly, span, cap):
+    if cap:
+        monkeypatch.setenv("CFPERIOD_MAX_BITS", cap)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["schinzel", "--poly", poly, "--range", span])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "CFPERIOD_MAX_BITS" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
@@ -824,8 +843,8 @@ def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# fuzzing: any job file, and any string over the element grammar's alphabet,
-# exits 0 or 2 and never raises
+# fuzzing: any job file, any string over the element grammar's alphabet, and
+# any schinzel polynomial and range exit 0 or 2 and never raise
 # ---------------------------------------------------------------------------
 
 # Every integer in a job and every radicand stays below 10^12: factoring an
@@ -930,3 +949,45 @@ def test_fuzzed_elements_exit_zero_or_two(text, tail):
     capped = functools.partial(contfrac.expand, max_steps=2_000)
     with mock.patch.object(cli, "expand", capped), mock.patch.dict(os.environ, FUZZ_ENV):
         _assert_exit_zero_or_two(["cf", "--", text + tail])
+
+
+@pytest.mark.parametrize("argv", [["schinzel", "--poly=--", "--range=1..2"],
+                                  ["props", "--alpha=--", "--family", "p61"],
+                                  ["cf", "--out=--", "2"]])
+def test_option_given_double_dash_exits_two(capsys, argv):
+    # argparse before Python 3.12 hands "--opt=--" over as an empty list
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+# a signed term c x^e with any of its parts left out, or a single character
+_POLY_TERM = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["+", "-", " + ", "- "]),
+    st.sampled_from(["", "", "2", "10"]) | st.integers(0, 10**6).map(str),
+    st.sampled_from(["", "x", "x", "X"]),
+    st.sampled_from(["", "", "^2", "^3", "^0", "^12"]) | st.integers(0, 10**6).map("^{}".format))
+_POLY_TOKEN = st.one_of(*[_POLY_TERM] * 5, st.sampled_from(list("0123456789xX^+- ")))
+_SCHINZEL_RANGE = st.one_of(
+    st.text(alphabet="0123456789.- ", max_size=6),
+    *[st.tuples(lo, st.integers(-2, 12)).map(lambda t: f"{t[0]}..{sum(t)}")
+      for lo in (st.integers(-20, 20), st.integers(-20, 20), st.integers(-10**6, 10**6))])
+
+
+@settings(max_examples=200)
+@given(st.lists(_POLY_TOKEN, min_size=1, max_size=6).map("".join), _SCHINZEL_RANGE)
+@example("x^10000000000", "1..2")
+@example("x^3000000", "3..3")
+@example("x^300", "3..3")
+@example("--", "1..2")
+def test_fuzzed_schinzel_exits_zero_or_two(poly, span):
+    """Any --poly over digits, x, X, ^, +, - and spaces, and any --range,
+    exits 0 or 2 with an error message, never a traceback.
+
+    Coordinates are capped at 40 bits, so every accepted f(n) is below 2^40
+    and factors and walks quickly: the small cap keeps the factoring budget
+    (ROADMAP items 3 and 5) out of this test, as the element fuzzing keeps
+    its radicands below 10^12 for the same reason.  The values go in as
+    --poly=... and --range=..., since argparse reads a leading - as an option.
+    """
+    with mock.patch.dict(os.environ, {"CFPERIOD_MAX_BITS": "40"}):
+        _assert_exit_zero_or_two(["schinzel", f"--poly={poly}", f"--range={span}"])

@@ -18,10 +18,10 @@ from cfperiod.polyalg import (
     circle_profile,
     factor_k,
     factor_q,
-    nondegeneracy,
     power_poly,
     ratio_poly,
     root_integrality_flags,
+    witness_orders,
 )
 from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
@@ -395,6 +395,13 @@ def test_totient_sieve_matches_sympy():
         assert list(_orders_with_totient_at_most(bound)) == want
 
 
+def test_trial_division_primality_matches_sympy():
+    # every prime polyalg picks (the l of _rational_roots, the p = 1 (mod n)
+    # of _root_of_unity_mod_prime, the primes of the totient enumeration)
+    # comes from this one test
+    assert [n for n in range(-5, 200_001) if polyalg._is_prime(n) != sympy.isprime(n)] == []
+
+
 def test_totient_orders_match_the_sieve():
     # the prime-power enumeration against one sieve up to 2 * 300^2 + 2
     sieved = orders_with_totient_at_most_sieved(300)
@@ -482,7 +489,7 @@ def test_witness_orders_refuse_a_shared_root(monkeypatch):
     monkeypatch.setattr(polyalg, "factor_q",
                         lambda p: polyalg.Factorization(F(1), ((f1, 1), (f2, 1))))
     with pytest.raises(InternalInvariantError, match="share a root"):
-        nondegeneracy(f1 * f2, over="Q")
+        witness_orders(f1 * f2)
 
 
 def test_ratio_poly_contains_all_ratios():
@@ -630,24 +637,22 @@ def test_certified_root_boxes_contain_true_roots():
 
 
 def test_nondegeneracy_pinned():
-    assert nondegeneracy(FIB) == (True, [])
-    ok, wit = nondegeneracy(RatPoly([-1, 1, -1, 1]))  # (x^2+1)(x-1)
-    assert not ok and wit == [2, 4]
-    ok, wit = nondegeneracy(KPoly([-R2, 1], 2), over="Q")
-    assert not ok and wit == [2]
-    assert nondegeneracy(KPoly([-R2, 1], 2))[0]  # single root, base level
-    assert nondegeneracy(RatPoly([2, -3, 1]))[0]  # ratio 2 not a root of unity
-    with pytest.raises(PreconditionViolated):
-        nondegeneracy(FIB, over="galois")
+    assert witness_orders(FIB) == ()
+    assert witness_orders(RatPoly([-1, 1, -1, 1])) == (2, 4)  # (x^2+1)(x-1)
+    assert witness_orders(polyalg._over_q(KPoly([-R2, 1], 2))) == (2,)
+    assert witness_orders(KPoly([-R2, 1], 2)) == ()  # single root, base level
+    assert witness_orders(RatPoly([2, -3, 1])) == ()  # ratio 2 not a root of unity
+    for constant in (RatPoly([0]), RatPoly([3]), KPoly([R2], 2)):
+        with pytest.raises(PreconditionViolated):
+            witness_orders(constant)
 
 
 def test_nondegeneracy_ignores_zero_roots():
     # x(x + sqrt2): the zero root forms no ratio at all
-    assert nondegeneracy(KPoly([0, R2, 1], 2)) == (True, [])
+    assert witness_orders(KPoly([0, R2, 1], 2)) == ()
     # x(x-1)(x+1): the +-1 pair still witnesses order 2
-    ok, wit = nondegeneracy(RatPoly([0, -1, 0, 1]))
-    assert not ok and wit == [2]
-    assert nondegeneracy(RatPoly([0, 0, 1])) == (True, [])  # x^2 alone
+    assert witness_orders(RatPoly([0, -1, 0, 1])) == (2,)
+    assert witness_orders(RatPoly([0, 0, 1])) == ()  # x^2 alone
 
 
 # over-Q witness orders of the curated members' minimal polynomials, pinned
@@ -664,8 +669,8 @@ def test_nondegeneracy_curated_witnesses_pinned():
     got = {}
     for name, r, _verdict, _step in members():
         p = seq_min_charpoly(r)
-        got[name] = nondegeneracy(p, over="Q")[1]
-        assert nondegeneracy(p, over="baseK") == (True, [])
+        got[name] = list(witness_orders(polyalg._over_q(p)))
+        assert witness_orders(p) == ()
     assert got == CURATED_WITNESSES
 
 
@@ -735,14 +740,11 @@ def _coeff_pairs(p):
 @example(KPoly([-1, 1], 5) * KPoly([1, (1 - R5) / 2, 1], 5))         # 1, zeta_5^(+-1)
 def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
     d, pairs = _coeff_pairs(p)
-    ok, orders = nondegeneracy(p, over="Q")
-    assert orders == ratio_witness_orders_numeric(pairs, d, True, 60)
-    assert ok == (not orders)
+    pool = polyalg._over_q(p) if isinstance(p, KPoly) else p
+    assert list(witness_orders(pool)) == ratio_witness_orders_numeric(pairs, d, True, 60)
     if isinstance(p, KPoly):
         # base level: the pool holds the roots of p only
-        ok, orders = nondegeneracy(p, over="baseK")
-        assert orders == ratio_witness_orders_numeric(pairs, d, False, 60)
-        assert ok == (not orders)
+        assert list(witness_orders(p)) == ratio_witness_orders_numeric(pairs, d, False, 60)
 
 
 @st.composite

@@ -19,9 +19,7 @@ from cfperiod.qfield import quad
 from cfperiod.recurrence import (
     ZERO_SEQUENCE,
     LinRec,
-    conj_rec,
     diff_sum_parts,
-    nondegenerate_rec,
     seq_min_charpoly,
     split_degenerate,
 )
@@ -177,30 +175,15 @@ def test_diff_sum_parts_pure_k_component():
     assert pd == KPoly([1, F(-1, 2), 1], 2)
 
 
-def test_conj_rec_matches_termwise_conjugation():
-    rng = random.Random(1301)
-    for _ in range(20):
-        k = rng.randrange(1, 3)
-        coeffs = [F(rng.randrange(-3, 4)) for _ in range(k - 1)]
-        coeffs.append(F(rng.choice([1, -1, 2, -2])))
-        initials = [quad(rng.randrange(-4, 5), rng.randrange(-3, 4), 2) for _ in range(k)]
-        r = LinRec(coeffs, initials, 2)
-        rc = conj_rec(r)
-        for n in range(-5, 12):
-            assert rc.term(n) == r.term(n).conj()
-
-
 # ---------------------------------------------------------------------------
 # degeneracy handling
 # ---------------------------------------------------------------------------
 
 def test_nondegenerate_rec_pinned():
-    assert nondegenerate_rec(FIB) == (True, [])
-    assert nondegenerate_rec(LinRec([-1], [quad(1, 0, 2)], 2)) == (True, [])
-    ok, wits = nondegenerate_rec(DEGEN, over="Q")
-    assert not ok
-    assert wits == [2]
-    assert nondegenerate_rec(PELL_POW, over="Q")[0]
+    assert polyalg.witness_orders(seq_min_charpoly(FIB)) == ()
+    assert polyalg.witness_orders(seq_min_charpoly(LinRec([-1], [quad(1, 0, 2)], 2))) == ()
+    assert polyalg.witness_orders(polyalg._over_q(seq_min_charpoly(DEGEN))) == (2,)
+    assert polyalg.witness_orders(polyalg._over_q(seq_min_charpoly(PELL_POW))) == ()
 
 
 def test_split_degenerate_terms_interleave():
@@ -215,12 +198,22 @@ def test_split_degenerate_terms_interleave():
         assert seq_min_charpoly(part) == KPoly([6 + 4 * R2, -(5 + 2 * R2), 1], 2)
 
 
+def test_split_degenerate_allows_a_zero_part():
+    # 1 + (-1)^n: the odd-index part is the zero sequence, which has no roots
+    modulus, parts = split_degenerate(LinRec([0, 1], [quad(2, 0, 2), quad(0, 0, 2)], 2))
+    assert modulus == 2
+    assert seq_min_charpoly(parts[0]) == KPoly([-1, 1], 2)
+    assert seq_min_charpoly(parts[1]) is ZERO_SEQUENCE
+
+
 def test_split_degenerate_on_nondegenerate_is_identity():
-    modulus, parts = split_degenerate(FIB)
-    assert modulus == 1
-    assert len(parts) == 1
-    for n in range(6):
-        assert parts[0].term(n) == FIB.term(n)
+    zero = LinRec([1, 1], [quad(0, 0, 5), quad(0, 0, 5)], 5)
+    for r in (FIB, zero):
+        modulus, parts = split_degenerate(r)
+        assert modulus == 1
+        assert parts == [r]
+        for n in range(6):
+            assert parts[0].term(n) == r.term(n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ new unreached name, or one that code starts to use again, fails here.  The
 names that item lists as moved to tests/oracles.py must be defined there and
 no longer in src/cfperiod, so a second implementation does not come back.
 Every name a module in src/cfperiod imports must also be read there, so a
-deletion does not leave its imports behind.
+deletion does not leave its imports behind.  sympy and mpmath stay out of
+``import cfperiod.cli``, and sympy is imported inside function bodies only.
 """
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cfperiod"
@@ -119,3 +123,37 @@ def test_src_imports_only_what_it_uses():
     unused = {p.name: _unused_imports(ast.parse(p.read_text()))
               for p in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_cli_import_loads_neither_sympy_nor_mpmath():
+    # the cold start (ROADMAP item 3) rests on both imports staying lazy
+    code = ("import sys, cfperiod.cli; "
+            "print(sorted({'sympy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_sympy_is_imported_inside_functions_only():
+    """Every sympy import in src/cfperiod sits in a function body, and in
+    polyalg only the integer factorer and gcd import from sympy."""
+    importers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(fn):
+                    if _imports_sympy(sub):
+                        inside.add(sub)
+                        importers.setdefault(path.stem, set()).add(fn.name)
+        outside = [n.lineno for n in ast.walk(tree) if _imports_sympy(n) and n not in inside]
+        assert outside == [], f"{path.name}: sympy imported outside a function"
+    assert importers["polyalg"] == {"_zz_factor", "_zz_gcd"}
+
+
+def _imports_sympy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"

@@ -23,6 +23,7 @@ A, B or m is longer; the element grammar refuses a power x^e whose
 coordinates could exceed it, and `schinzel` a --poly of higher degree or
 whose values f(n) on the range could, each before computing them.  That
 bounds the size of f(n), not the time spent factoring it into s^2 * k.
+`schinzel` also refuses a --range of more than 1000000 rows, with exit 2.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
 DEFAULT_STEP_CAP = 250_000
+MAX_SCAN_ROWS = 1_000_000
 
 
 def max_bits_guard() -> int:
@@ -553,6 +555,9 @@ def cmd_props(args) -> int:
 def cmd_schinzel(args) -> int:
     coeffs = parse_int_poly(args.poly)
     n_lo, n_hi = parse_range(args.range)
+    rows = n_hi - n_lo + 1
+    if rows > MAX_SCAN_ROWS:
+        raise UsageError(f"--range has {rows} rows, above the limit of {MAX_SCAN_ROWS}")
     deg = len(coeffs) - 1
     # |f(n)| <= sum |c_i| * |n|^deg: refuse before any f(n) is computed
     bits, size = max_bits_guard(), sum(map(abs, coeffs)).bit_length()

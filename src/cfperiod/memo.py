@@ -11,11 +11,10 @@ position only, so the arguments as passed are the key.  Nested scopes share
 the outermost memo, so a recursive classification of the subsequences of a
 degenerate input reuses the facts of its parent.  Nothing is kept between
 scopes: a batch of jobs pays for each one in full.
-Memoized functions must return immutable values.  A function that learns
-another call's value on the way (factor_q finds that each factor it returns
-is irreducible) stores it with :func:`remember`.
-The scope also holds factor_q's pool of the irreducible polynomials it has
-certified (:func:`pool`), which it divides out of a later input before it
+Memoized functions must return immutable values.
+The scope also holds factor_q's pool (:func:`pool`), the scope's one record
+of the irreducible polynomials certified in it: factor_q answers a pooled
+polynomial at once and divides the pool out of a later input before it
 factors the rest; the pool dies with the scope like the memo.
 """
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import inspect
 
 _MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "cfperiod_memo", default=None)
@@ -68,20 +66,6 @@ def memoized(fn):
 
     wrapper.memo_key = memo_key
     return wrapper
-
-
-def remember(fn, value, *args) -> None:
-    """Inside a scope, store value as the result of fn(*args).
-
-    fn is a :func:`memoized` function, possibly wrapped again by a decorator
-    that sets ``__wrapped__``.  A value already stored is kept.  Outside a
-    scope nothing happens.
-    """
-    memo = _MEMO.get()
-    if memo is None:
-        return
-    fn = inspect.unwrap(fn, stop=lambda f: hasattr(f, "memo_key"))
-    memo.setdefault(fn.memo_key(args), value)
 
 
 def pool() -> dict | None:

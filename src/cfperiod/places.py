@@ -285,7 +285,8 @@ def arch_dominant_bounds(r: LinRec, v: Place):
     Strict dominance (|alpha_1|_v > 1) is certified through the exact circle
     profile before any numerics; HypothesisViolated otherwise.  Per factor,
     lo and hi are the largest |z| - r and |z| + r over its root disks; the
-    factor with the largest hi gives the bounds.
+    factor with the largest hi gives the bounds.  Boxes that put every root
+    in the closed unit disk contradict the exact count: InternalInvariantError.
     """
     import mpmath
 
@@ -302,7 +303,8 @@ def arch_dominant_bounds(r: LinRec, v: Place):
             if best_hi is None or hi > best_hi:
                 best_lo, best_hi = lo, hi
     if best_hi is None or best_hi <= 1:
-        raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
+        raise InternalInvariantError(
+            f"root boxes at {v} lie in the unit disk, but the exact count has a root outside")
     return best_lo, best_hi
 
 

@@ -5,11 +5,12 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 * factorization over Q on the primitive integer form (sympy's factorer over
   Z, certified by the content scale-back, an exact multiply-back over Z and
   independent small-degree irreducibility re-checks), which inside a scope
-  first divides out the irreducibles already certified there; and over K by
-  one route: the Q-factors of p (p rational) or of its norm p * conj(p)
-  are split over K, by a gcd with p or each on its own (a quadratic by its
-  discriminant, even degree >= 4 by the norm descent: a shifted copy with
-  squarefree norm h * conj(h), factors recovered by gcd), with the
+  answers a polynomial already certified there at once and divides those
+  irreducibles out first; and over K by one route: the Q-factors of p
+  (p rational) or of its norm p * conj(p) are split over K, by a gcd with p
+  or each on its own (a quadratic by its discriminant, even degree >= 4 as
+  the shifted copy h whose norm h * conj(h) is squarefree, an irrational
+  polynomial that factor_k splits by the same gcd), with the
   multiplicities of the Q-factors, or for an irrational p by exact
   division.  Any degree: the degree budget is the classifier's;
 * unit-circle root profiles, exact throughout: on-circle roots through
@@ -34,11 +35,12 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 factor_q, factor_k, the degeneracy witnesses, the circle profile of an
 irreducible factor and the rational form N = p * conj(p) of a K-polynomial
 are memoized inside a ``memo.scope()`` (one classification or one growth
-job), so each fact is computed once there; every irreducible factor a factorization returns is
-stored as its own factorization, so it is never factored again, and joins
-the scope's pool of irreducibles, so a polynomial whose roots lie among
-those already factored is factored without sympy: in a classification,
-P_D and P_S, whose roots are among those of N = P_A * conj(P_A).
+job), so each fact is computed once there.  Every irreducible factor_q
+certifies joins the scope's pool (memo.pool), the scope's one record of
+certified irreducibles, so a pooled polynomial is not certified again and
+one whose roots lie among those already factored is factored without
+sympy: in a classification, P_D and P_S, whose roots are among those of
+N = P_A * conj(P_A).
 Floating point (mpmath) serves only certified_root_boxes, for the numeric
 profiles of growth.
 """
@@ -58,7 +60,7 @@ from .errors import (
     ZeroRootInDenominator,
 )
 from . import memo
-from .memo import memoized, remember
+from .memo import memoized
 from .qfield import QuadElem, to_mpf
 
 
@@ -601,7 +603,8 @@ def factor_q(p: RatPoly) -> Factorization:
     without a division.  Certified on every call: the content times the
     primitive form is p, all integer factors multiply back to the primitive
     form exactly, and factors of degree <= 4 pass an independent
-    irreducibility re-check.
+    irreducibility re-check.  A p whose primitive form is pooled is its own
+    factorization, certified when it entered the pool.
     """
     if p.is_zero:
         raise ValueError("factor_q of zero polynomial")
@@ -612,6 +615,8 @@ def factor_q(p: RatPoly) -> Factorization:
     if [content * c for c in prim] != list(p.coeffs):
         raise InternalInvariantError(f"factor_q content scale-back failed for {p}")
     pool = memo.pool()  # primitive irreducibles, low-to-high, as dict keys
+    if pool and prim in pool:  # certified when it entered the pool
+        return Factorization(p.lc, ((p.monic(), 1),))
     found, rest = [], list(prim)
     for f in pool or ():
         mult = 0
@@ -639,39 +644,26 @@ def factor_q(p: RatPoly) -> Factorization:
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     for f, _m in factors:
         _certify_irreducible_q(f)
-    for f, _m in factors:  # each factor is its own factorization
-        remember(factor_q, Factorization(Fraction(1), ((f, 1),)), f)
     if pool is not None:
         pool.update(dict.fromkeys(f for f, _m in found))
     return Factorization(unit, tuple(factors))
 
 
 # ---------------------------------------------------------------------------
-# factorization over K (norm descent)
+# factorization over K (one gcd route)
 # ---------------------------------------------------------------------------
 
 def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
-    if g.degree == 1:
-        return [g.monic()]
+    """Monic K-factors of a rational squarefree g (Trager): factor_k's gcd route
+    on the first shift h(x) = g(x - s sqrt(d)) with squarefree norm, shifted back."""
     d = g.d
     sqrt_d = QuadElem(0, 1, d)
     for s in range(1, 65):
-        # shift so that the norm N(x) = h(x) * conj(h)(x) becomes squarefree
-        shift = KPoly([-(s * sqrt_d), 1], d)
-        h = g.compose(shift)
-        norm = h * h.conj()
-        if not norm.is_rational():
-            raise InternalInvariantError("norm polynomial not rational")
-        nq = norm.to_ratpoly()
-        if not nq.is_squarefree():
+        h = g.compose(KPoly([-(s * sqrt_d), 1], d))
+        if not _over_q(h).is_squarefree():
             continue
-        pieces = []
-        for f, _m in factor_q(nq).factors:
-            c = h.gcd(f.lift(d))
-            if c.degree >= 1:
-                pieces.append(c.monic())
         unshift = KPoly([s * sqrt_d, 1], d)
-        factors = [c.compose(unshift).monic() for c in pieces]
+        factors = [c.compose(unshift).monic() for c in factor_k(h).distinct()]
         prod = KPoly([1], d)
         for f in factors:
             prod = prod * f
@@ -687,7 +679,8 @@ def _split_over_k(f: RatPoly, d: int) -> list[KPoly]:
     Gal(K/Q) permutes them transitively, so f stays irreducible or splits
     into two conjugates of half its degree: an odd degree never splits, and
     x^2 + c1 x + c0 splits iff (c1^2 - 4 c0)/d = q^2 is a rational square,
-    into the roots (-c1 +- q sqrt(d))/2.
+    into the roots (-c1 +- q sqrt(d))/2.  An even degree >= 4 is split by
+    factor_k's gcd route on a shifted copy (_factor_k_squarefree).
     """
     if f.degree % 2:
         return [f.lift(d)]
@@ -737,8 +730,6 @@ def factor_k(p: KPoly) -> Factorization:
         check = check * f ** m
     if check != p:
         raise InternalInvariantError(f"factor_k multiply-back failed for {p}")
-    for f, _m in items:  # each factor is its own factorization
-        remember(factor_k, Factorization(f.lc, ((f, 1),)), f)
     return Factorization(unit, tuple(items))
 
 

@@ -23,7 +23,11 @@ polynomial arithmetic.
 The reference factorizations take the routes the package left: over Q,
 sympy's factor_list on rational coefficients instead of the integer factorer
 on the primitive form; over K, Yun plus the norm descent for every input
-instead of splitting a rational polynomial's factors over Q.
+instead of splitting a rational polynomial's factors over Q.  The norm
+descent is the package's former one, kept here whole: each squarefree part,
+linear or irrational ones included, goes through the norm of its first
+squarefree shift, whose Q-factors give the K-factors by gcd; it reaches
+polyalg.factor_q but neither factor_k nor _factor_k_squarefree.
 The reference rational roots enumerate divisor pairs of the end coefficients
 (sympy's divisors), where the package isolates real roots by Sturm counts.
 The reference off-circle counts are the numeric route the package left:
@@ -809,12 +813,46 @@ def squarefree_decomposition(p):
     return out
 
 
+def norm_descent(g):
+    """Monic irreducible factors over K of a squarefree g, rational or not:
+    the norm of the first shift h(x) = g(x - s sqrt(d)) that is squarefree
+    is factored over Q, and each factor's gcd with h is shifted back."""
+    if g.degree == 1:
+        return [g.monic()]
+    d = g.d
+    sqrt_d = qfield.QuadElem(0, 1, d)
+    for s in range(1, 65):
+        # shift so that the norm N(x) = h(x) * conj(h)(x) becomes squarefree
+        shift = polyalg.KPoly([-(s * sqrt_d), 1], d)
+        h = g.compose(shift)
+        norm = h * h.conj()
+        if not norm.is_rational():
+            raise InternalInvariantError("norm polynomial not rational")
+        nq = norm.to_ratpoly()
+        if not nq.is_squarefree():
+            continue
+        pieces = []
+        for f, _m in polyalg.factor_q(nq).factors:
+            c = h.gcd(f.lift(d))
+            if c.degree >= 1:
+                pieces.append(c.monic())
+        unshift = polyalg.KPoly([s * sqrt_d, 1], d)
+        factors = [c.compose(unshift).monic() for c in pieces]
+        prod = polyalg.KPoly([1], d)
+        for f in factors:
+            prod = prod * f
+        if prod != g.monic():
+            raise InternalInvariantError(f"factor_k multiply-back failed for {g}")
+        return factors
+    raise InternalInvariantError(f"no squarefree shift found for {g}")
+
+
 def factor_k_norm(p):
     """Factorization over K by Yun's squarefree decomposition and the norm
     descent, for rational inputs too, sorted as polyalg.factor_k sorts."""
     factors = {}
     for g, mult in squarefree_decomposition(p.monic()):
-        for f in polyalg._factor_k_squarefree(g):
+        for f in norm_descent(g):
             factors[f] = factors.get(f, 0) + mult
     items = sorted(factors.items(),
                    key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))

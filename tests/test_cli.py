@@ -602,6 +602,16 @@ def test_schinzel_size_beyond_bit_guard_is_refused_before_computing(
     assert "Traceback" not in err
 
 
+def test_schinzel_range_wider_than_the_row_limit_is_refused(capsys):
+    # 10^6 + 1 rows of a constant polynomial, one above cli.MAX_SCAN_ROWS
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["schinzel", "--poly", "5", "--range", "0..1000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "1000001 rows" in err and "1000000" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------

@@ -124,27 +124,25 @@ def _factored_again(*_args):
 @pytest.mark.parametrize("factor, p", [
     # (x^2 - 2)(x^3 - x - 1)(x + 3)^2 over Q
     (factor_q, RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2),
-    # (x^2 - 2 x - 1)(x^2 + x + 1)(x - 1 - sqrt 2) over Q(sqrt 2): the norm
-    # descent splits x^2 - 2 x - 1 into its two conjugate roots
+    # (x^2 - 2 x - 1)(x^2 + x + 1)(x - 1 - sqrt 2) over Q(sqrt 2): irrational,
+    # so each factor over Q of its norm is split by a gcd with it
     (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
      * KPoly([QuadElem(-1, -1, 2), 1], 2)),
     # (x^2 - 2 x - 1)(x^2 + x + 1)(x^3 - 2) over Q(sqrt 2): rational, so it
     # is split from its factorization over Q
     (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2) * KPoly([-2, 0, 0, 1], 2)),
 ], ids=["factor_q", "factor_k", "factor_k_rational"])
-def test_factors_are_remembered_as_irreducible(monkeypatch, factor, p):
+def test_returned_factors_are_refactored_from_the_pool(monkeypatch, factor, p):
     with memo.scope():
         factors = factor(p).distinct()
         assert len(factors) >= 3
         with monkeypatch.context() as m:
-            # factor_q's one sympy call, and factor_q itself as factor_k's
-            # route to it (the test holds its own reference to factor_q)
+            # factor_q's one sympy call: each factor, or its norm, is pooled
             m.setattr(polyalg, "_zz_factor", _factored_again)
-            m.setattr(polyalg, "factor_q", _factored_again)
-            remembered = [factor(f) for f in factors]
+            again = [factor(f) for f in factors]
     # the same facts as a fresh, unscoped factorization of each factor
-    assert remembered == [factor(f) for f in factors]
-    assert all(r.factors == ((f, 1),) for r, f in zip(remembered, factors))
+    assert again == [factor(f) for f in factors]
+    assert all(r.factors == ((f, 1),) for r, f in zip(again, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +222,18 @@ def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
         # x^2 - 2 is not pooled here: sympy sees the whole quintic
         factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
     assert degrees == [2, 5]
+
+
+@pytest.mark.parametrize("c", [1, 3, Fraction(-1, 2)])
+def test_a_pooled_polynomial_is_answered_by_the_pool(monkeypatch, c):
+    p = RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2
+    with memo.scope():
+        factors = factor_q(p).distinct()
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, "_zz_factor", _factored_again)
+            m.setattr(polyalg, "_certify_irreducible_q", _factored_again)
+            pooled = [factor_q(f.scale(c)) for f in factors]
+    assert pooled == [factor_q(f.scale(c)) for f in factors]
 
 
 def test_pooled_factors_are_multiplied_back(monkeypatch):

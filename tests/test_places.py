@@ -1,4 +1,5 @@
 """Places of Q(sqrt(d)): valuations, product formula, growth."""
+import json
 import random
 from fractions import Fraction as F
 
@@ -8,8 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfperiod import cli, places
 from cfperiod.errors import (
     HypothesisViolated,
+    InternalInvariantError,
     PreconditionViolated,
     ZeroInput,
 )
@@ -269,6 +272,22 @@ def test_arch_dominant_bounds_bracket_golden_ratio():
         slack = mpmath.mpf("1e-35")
         assert lo - slack <= phi <= hi + slack
         assert hi - lo < mpmath.mpf("1e-30")
+
+
+def test_root_boxes_against_the_exact_count_are_an_internal_error(
+        monkeypatch, tmp_path, capsys):
+    # boxes inside the unit disk, where the exact circle profile has a root outside
+    monkeypatch.setattr(places, "certified_root_boxes",
+                        lambda p, dps: [(mpmath.mpc("0.5"), mpmath.mpf("0.1"))])
+    with pytest.raises(InternalInvariantError, match="exact count"):
+        arch_dominant_bounds(FIB, real_places(5)[0])
+    job = tmp_path / "fib.json"
+    job.write_text(json.dumps({"command": "growth", "d": 5, "coeffs": ["1", "1"],
+                               "initials": ["0", "1"], "range": [20, 40],
+                               "options": {"place": {"kind": "real", "embedding": 1}}}))
+    assert cli.main(["growth", str(job)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("internal error: root boxes")
 
 
 def test_growth_check_operational_parameters():

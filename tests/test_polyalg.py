@@ -322,13 +322,32 @@ def rational_k_products(draw):
     return p.lift(d)
 
 
+NORM_DESCENT_EXAMPLES = (
+    RatPoly([-2, 0, 1]).lift(3) ** 2 * KPoly([3, 1], 3),
+    RatPoly([1, 0, -10, 0, 1]).lift(2),
+    KPoly([-2, 0, 1], 2).scale(R2),  # irrational unit, rational monic part
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(rational_k_products())
-@example(RatPoly([-2, 0, 1]).lift(3) ** 2 * KPoly([3, 1], 3))
-@example(RatPoly([1, 0, -10, 0, 1]).lift(2))
-@example(KPoly([-2, 0, 1], 2).scale(R2))  # irrational unit, rational monic part
+@example(NORM_DESCENT_EXAMPLES[0])
+@example(NORM_DESCENT_EXAMPLES[1])
+@example(NORM_DESCENT_EXAMPLES[2])
 def test_factor_k_rational_route_matches_the_norm_descent(p):
     assert factor_k(p) == factor_k_norm(p)
+
+
+def test_the_norm_descent_reference_reaches_no_factoring_over_k(monkeypatch):
+    # the reference must stay a second route, not call the code it checks
+    expected = [factor_k(p) for p in NORM_DESCENT_EXAMPLES]
+
+    def refuse(*_args):
+        raise AssertionError("the reference reached polyalg's factoring over K")
+
+    monkeypatch.setattr(polyalg, "factor_k", refuse)
+    monkeypatch.setattr(polyalg, "_factor_k_squarefree", refuse)
+    assert [factor_k_norm(p) for p in NORM_DESCENT_EXAMPLES] == expected
 
 
 X4 = RatPoly([1, 0, -10, 0, 1])  # x^4 - 10 x^2 + 1, roots +-sqrt(2) +-sqrt(3)

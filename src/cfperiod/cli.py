@@ -507,47 +507,43 @@ def _trace_int(x: QuadElem) -> int:
     return int(t)
 
 
+# per family: the norms alpha may have, the (r, s) rows with A = alpha^r +
+# alpha^s, the condition on conj(A), the expected (preperiod, period) from
+# tr A and floor(alpha^r), and the lines after the rows
+_PROPS_FAMILIES = {
+    "p61": ((-1,),
+            lambda args: [(r, s) for r in range(1, args.smax + 1, 2)
+                          for s in range(r + 2, args.smax + 1, 2) if s - r > r],
+            lambda c: -1 < c < 0,
+            lambda t, f: ((t,), (f, t)),
+            ()),
+    "p62": ((-1, 1),
+            lambda args: [(r, 2 * r) for r in range(2, args.rmax + 1, 2)],
+            lambda c: 0 < c < 1,
+            lambda t, f: ((t - 1,), (1, f - 2, 1, t - 2)),
+            ("# note: the verified p62 repeating block is (1, floor(alpha^r)-2, 1, tr-2)",)),
+}
+
+
 def cmd_props(args) -> int:
+    norms, rows_of, condition, blocks, notes = _PROPS_FAMILIES[args.family]
+    alpha = _props_alpha(args.alpha, norms)
     lines = ["family,r,s,cond,ell,verdict"]
     fails = 0
-    rows = 0
-    if args.family == "p61":
-        alpha = _props_alpha(args.alpha, (-1,))
-        smax = args.smax
-        pairs = [(rr, ss) for rr in range(1, smax + 1, 2)
-                 for ss in range(rr + 2, smax + 1, 2) if ss - rr > rr]
-        for rr, ss in pairs:
-            a = alpha ** rr + alpha ** ss
-            cond = -1 < a.conj() < 0
-            t = _trace_int(a)
-            e = expand(a)
-            want_pre, want_cycle = (t,), (floor_exact(alpha ** rr), t)
-            match = e.preperiod == want_pre and e.period == want_cycle
-            verdict = "pass" if (cond and match) else (
-                "cond_fail" if not cond else "fail")
-            fails += verdict == "fail"
-            rows += 1
-            lines.append(f"p61,{rr},{ss},{'ok' if cond else 'no'},"
-                         f"{len(e.period)},{verdict}")
-    else:
-        alpha = _props_alpha(args.alpha, (-1, 1))
-        for rr in range(2, args.rmax + 1, 2):
-            a = alpha ** rr + alpha ** (2 * rr)
-            cond = 0 < a.conj() < 1
-            t = _trace_int(a)
-            e = expand(a)
-            want_pre = (t - 1,)
-            want_cycle = (1, floor_exact(alpha ** rr) - 2, 1, t - 2)
-            match = e.preperiod == want_pre and e.period == want_cycle
-            verdict = "pass" if (cond and match) else (
-                "cond_fail" if not cond else "fail")
-            fails += verdict == "fail"
-            rows += 1
-            lines.append(f"p62,{rr},{2 * rr},{'ok' if cond else 'no'},"
-                         f"{len(e.period)},{verdict}")
-        lines.append("# note: the verified p62 repeating block is "
-                     "(1, floor(alpha^r)-2, 1, tr-2)")
-    lines.append(f"# summary: {rows} rows, {fails} failures")
+    pairs = rows_of(args)
+    for rr, ss in pairs:
+        a = alpha ** rr + alpha ** ss
+        cond = condition(a.conj())
+        t = _trace_int(a)
+        e = expand(a)
+        match = (e.preperiod, e.period) == blocks(t, floor_exact(alpha ** rr))
+        verdict = "pass" if (cond and match) else (
+            "cond_fail" if not cond else "fail")
+        fails += verdict == "fail"
+        lines.append(f"{args.family},{rr},{ss},{'ok' if cond else 'no'},"
+                     f"{len(e.period)},{verdict}")
+    lines.extend(notes)
+    lines.append(f"# summary: {len(pairs)} rows, {fails} failures")
     _emit(lines, args.out)
     return 0
 
@@ -649,7 +645,8 @@ def cmd_growth(args) -> int:
                 log_a1 = float(finite_dominant_slope(r, v)) * v.f * math.log(v.p)
             else:
                 _lo, hi = arch_dominant_bounds(r, v)
-                log_a1 = math.log(float(hi))
+                # past the double range, int(hi) loses less than 1e-300 of hi
+                log_a1 = math.log(float(hi) if math.isfinite(float(hi)) else int(hi))
         except HypothesisViolated as e:
             table = root_abs_table(r, v)  # raises itself on a sequence with no roots
             print(f"error: {e}", file=sys.stderr)

@@ -15,25 +15,28 @@ Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
 finite place, a certified enclosure at a real one; the CLI's rows,
 ``growth_profile`` and ``growth_check`` all read it.  The dominant root is
 exact at finite places (Newton polygon slopes) and certified at the real
-ones, where strict >1 facts come from the exact circle profile.  Real-place
-numerics run at one fixed precision, ARCH_DPS = 60 digits; log enclosures
-are formed at twice that.  One growth job runs in one ``memo.scope()``,
-which computes each of these facts once.
+ones, where strict >1 facts come from the exact circle profile.  All
+real-place numerics live here and read elements through qfield.to_mpf:
+log enclosures at 2 * ARCH_DPS digits, and root boxes at ARCH_DPS = 60
+digits, escalated up to 16 times that until certified.  One growth job runs
+in one ``memo.scope()``, which computes each of these facts once.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     HypothesisViolated,
     InternalInvariantError,
+    PrecisionExhausted,
     PreconditionViolated,
     ZeroInput,
 )
 from .memo import memoized
-from .polyalg import KPoly, certified_root_boxes, circle_profile, factor_k, witness_orders
-from .qfield import QuadElem
+from .polyalg import KPoly, circle_profile, factor_k, witness_orders
+from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
 ARCH_DPS = 60
@@ -203,20 +206,16 @@ def log_abs(x: QuadElem, v: Place):
 
 @memoized
 def _log_abs_real(x: QuadElem, embedding: int):
-    """|sigma(x)| = |A + B*sqrt(d)|/m is evaluated without cancellation (when A
-    and B*sqrt(d) differ in sign, as |A^2 - d*B^2| / (|A| + |B|*sqrt(d))), so
-    its log is good to about 2 * ARCH_DPS digits; the ends of the enclosure
-    sit (|log| + 1) * 10^-ARCH_DPS on either side of it."""
+    """sigma(x) is to_mpf of x (or of its conjugate) at 2 * ARCH_DPS digits,
+    free of cancellation, so its log is good to about that many digits; the
+    ends of the enclosure sit (|log| + 1) * 10^-ARCH_DPS on either side of it."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
-    A, B = x.A, (x.B if embedding == 1 else -x.B)
     with mpmath.workdps(2 * ARCH_DPS):
-        top = abs(A) + abs(B) * mpmath.sqrt(x.d)
-        mag = abs(A * A - x.d * B * B) / (top * x.m) if A * B < 0 else top / x.m
-        lg = mpmath.log(mag)
-        eps = (abs(lg) + 1) * mpmath.mpf(10) ** (-ARCH_DPS)
+        lg = mpmath.log(abs(to_mpf(x if embedding == 1 else x.conj(), 2 * ARCH_DPS)))
+        eps = (abs(lg) + 1) / 10 ** ARCH_DPS
         return lg - eps, lg + eps
 
 
@@ -278,6 +277,54 @@ def finite_dominant_slope(r: LinRec, w: Place) -> Fraction:
     return slope
 
 
+def _certified_roots(p, dps: int):
+    """(root, radius) pairs for a squarefree p at dps digits, or None when the
+    solver fails or two disks meet.  The disk of radius deg * |p(z)/p'(z)|
+    holds a root of p; a root z of mpmath's polyroots gets four times that,
+    with |p(z)| raised and |p'(z)| lowered by (2 deg + 4) 10^(1 - dps) *
+    sum |c_i| |z|^i for the rounding of the coefficients and of Horner's rule
+    (else a linear factor, its root a zero of the rounded p, gets radius 0)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpc(to_mpf(c, dps)) for c in reversed(p.coeffs)]
+        deg = len(coeffs) - 1
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=dps * 2)
+        except Exception:  # treat any solver failure as "retry with more digits"
+            return None
+        dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+        unit = (2 * deg + 4) * mpmath.mpf(10) ** (1 - dps)
+
+        def _eval(cs, z):
+            """(|value|, rounding bound) of the polynomial cs at z, by Horner."""
+            acc, mag, az = mpmath.mpc(0), mpmath.mpf(0), abs(z)
+            for c in cs:
+                acc, mag = acc * z + c, mag * az + abs(c)
+            return abs(acc), unit * mag
+
+        boxes = []
+        for z in roots:
+            (pv, pe), (dv, de) = _eval(coeffs, z), _eval(dcoeffs, z)
+            if dv <= de:
+                return None
+            boxes.append((z, 4 * deg * (pv + pe) / (dv - de)))
+        for (z1, r1), (z2, r2) in itertools.combinations(boxes, 2):
+            if abs(z1 - z2) <= r1 + r2:
+                return None
+        return boxes
+
+
+def certified_root_boxes(p):
+    """Certified (root, radius) pairs for a squarefree p, at ARCH_DPS digits,
+    escalated to 2, 4, 8 and 16 times that until the disks are disjoint."""
+    for scale in (1, 2, 4, 8, 16):
+        got = _certified_roots(p, scale * ARCH_DPS)
+        if got is not None:
+            return got
+    raise PrecisionExhausted(f"could not certify roots of {p}")
+
+
 @memoized
 def arch_dominant_bounds(r: LinRec, v: Place):
     """(lo, hi) certified bounds on max |sigma_v(alpha)| over charpoly roots.
@@ -297,7 +344,7 @@ def arch_dominant_bounds(r: LinRec, v: Place):
     best_lo = best_hi = None
     with mpmath.workdps(ARCH_DPS):
         for pi, _m in factor_k(prof_poly).factors:
-            boxes = certified_root_boxes(pi, ARCH_DPS)
+            boxes = certified_root_boxes(pi)
             lo = max(abs(z) - rad for z, rad in boxes)
             hi = max(abs(z) + rad for z, rad in boxes)
             if best_hi is None or hi > best_hi:
@@ -325,7 +372,7 @@ def root_abs_table(r: LinRec, v: Place) -> list[str]:
     prof = p if v.embedding == 1 else p.conj()
     with mpmath.workdps(ARCH_DPS):
         for pi, m in factor_k(prof).factors:
-            mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi, ARCH_DPS))
+            mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi))
             shown = ", ".join(mpmath.nstr(x, 8) for x in mags)
             lines.append(f"factor {pi} (mult {m}): |roots|_v = {shown}")
     return lines

@@ -41,8 +41,8 @@ certified irreducibles, so a pooled polynomial is not certified again and
 one whose roots lie among those already factored is factored without
 sympy: in a classification, P_D and P_S, whose roots are among those of
 N = P_A * conj(P_A).
-Floating point (mpmath) serves only certified_root_boxes, for the numeric
-profiles of growth.
+No floating point is used here: mpmath is not imported, and the numeric
+root boxes of growth live in ``places``.
 """
 from __future__ import annotations
 
@@ -55,13 +55,12 @@ from fractions import Fraction
 from .errors import (
     InternalInvariantError,
     NotIrreducible,
-    PrecisionExhausted,
     PreconditionViolated,
     ZeroRootInDenominator,
 )
 from . import memo
 from .memo import memoized
-from .qfield import QuadElem, to_mpf
+from .qfield import QuadElem
 
 
 def _sign_of(c) -> int:
@@ -781,59 +780,6 @@ def _chebyshev_like_transform(pi):
         g = g + v_cur.scale(coeffs[h + k])
         v_prev, v_cur = v_cur, y * v_cur - v_prev
     return g
-
-
-def _certified_roots(coeffs_mpc, dps: int):
-    """(roots, radii) with pairwise-one-root disk certification, or None."""
-    import mpmath
-
-    with mpmath.workdps(dps):
-        deg = len(coeffs_mpc) - 1
-        try:
-            roots = mpmath.polyroots(coeffs_mpc, maxsteps=200, extraprec=dps * 2)
-        except Exception:  # treat any solver failure as "retry with more digits"
-            return None
-
-        def _eval(cs, z):
-            acc = mpmath.mpc(0)
-            for c in cs:
-                acc = acc * z + c
-            return acc
-
-        dcoeffs = [c * (deg - i) for i, c in enumerate(coeffs_mpc[:-1])]
-        radii = []
-        for z in roots:
-            dv = _eval(dcoeffs, z)
-            if dv == 0:
-                return None
-            # disk of radius deg*|p(z)/p'(z)| contains a root; 4x safety margin
-            radii.append(4 * deg * abs(_eval(coeffs_mpc, z) / dv))
-        for (z1, r1), (z2, r2) in itertools.combinations(zip(roots, radii), 2):
-            if abs(z1 - z2) <= r1 + r2:
-                return None
-        return list(zip(roots, radii))
-
-
-def _poly_to_mpc_coeffs(p, dps: int):
-    import mpmath
-
-    with mpmath.workdps(dps):
-        out = []
-        for c in reversed(p.coeffs):
-            if isinstance(c, QuadElem):
-                out.append(mpmath.mpc(to_mpf(c, dps)))
-            else:
-                out.append(mpmath.mpc(mpmath.mpf(c.numerator) / c.denominator))
-        return out
-
-
-def certified_root_boxes(p, dps: int = 60):
-    """Certified (root, radius) pairs at adaptive precision (squarefree p)."""
-    for trial_dps in (dps, 2 * dps, 4 * dps, 8 * dps, 16 * dps):
-        got = _certified_roots(_poly_to_mpc_coeffs(p, trial_dps), trial_dps)
-        if got is not None:
-            return got
-    raise PrecisionExhausted(f"could not certify roots of {p}")
 
 
 def _offcircle_counts(pi) -> tuple[int, int]:

@@ -12,7 +12,9 @@ The field parameter d, a squarefree integer >= 2, is checked where it comes
 in from outside: by quad() and by the CLI's job parsing.  QuadElem(a, b, d),
 the arithmetic and the constructors fed by split_square trust it.
 Everything here is exact integer/rational arithmetic; no floating point ever
-enters a comparison, floor, or sign decision.
+enters a comparison, floor, or sign decision.  The one float image of an
+element, to_mpf, is free of cancellation; the real-place numerics of
+``places`` read every element through it.
 """
 from __future__ import annotations
 
@@ -409,11 +411,16 @@ def to_surd(x: QuadElem) -> Surd:
 
 
 def to_mpf(x, dps: int):
-    """Certified-precision float image of x under the b > 0 embedding."""
+    """The float image of x under the b > 0 embedding, good to a few units in
+    the last of dps digits: when A and B*sqrt(d) differ in sign, it is
+    (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels."""
     import mpmath
 
     with mpmath.workdps(dps):
         if isinstance(x, (int, Fraction)):
             f = _as_fraction(x)
             return mpmath.mpf(f.numerator) / f.denominator
-        return (mpmath.mpf(x.A) + mpmath.mpf(x.B) * mpmath.sqrt(x.d)) / x.m
+        A, B, root = x.A, x.B, mpmath.sqrt(x.d)
+        if A * B < 0:
+            return (A * A - x.d * B * B) / (x.m * (A - B * root))
+        return (A + B * root) / x.m

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 import time
 from unittest import mock
@@ -273,6 +274,40 @@ def test_periods_output_is_deterministic(capsys, tmp_path):
     code, out, _ = run(capsys, ["periods", job, "--out", str(dest)])
     assert code == 0 and out == ""
     assert dest.read_text() == first
+
+
+def test_periods_timing_fills_only_the_timing_column(capsys, tmp_path, monkeypatch):
+    # n = 0 is a zero term, whose row has no timing either
+    job = write_job(tmp_path, "c1.json",
+                    {"command": "periods", "d": 2, "coeffs": ["6", "-7"],
+                     "initials": ["0", ["3", "1"]], "range": [0, 40]})
+    code, plain, err = run(capsys, ["periods", job])
+    assert code == 0 and err == ""
+    plain = plain.splitlines()
+    column = plain[0].split(",").index("wall_time_ms")
+
+    def timing_column():
+        code, timed, err = run(capsys, ["periods", job, "--timing"])
+        assert code == 0 and err == ""
+        timed = timed.splitlines()
+        assert len(timed) == len(plain)
+        ms = []
+        for want, got in zip(plain, timed):
+            if want.startswith(("n,", "#")):
+                assert got == want
+                continue
+            want, got = want.split(","), got.split(",")
+            assert re.fullmatch(r"[0-9]+", got[column]) and want[column] == "0", got
+            ms.append(got[column])
+            got[column] = "0"
+            assert got == want
+        return ms
+
+    timing_column()
+    # a clock that advances 3 ms a reading shows up in every timed row
+    clock = iter(range(0, 10**6, 3))
+    monkeypatch.setattr(cli, "time", mock.Mock(perf_counter=lambda: next(clock) / 1000))
+    assert timing_column() == ["0"] + ["3"] * 40
 
 
 def test_periods_rational_rows_have_ell_zero(capsys, tmp_path):
@@ -700,6 +735,39 @@ def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, e
         code, out, err = run(capsys, ["growth", job] + extra)
         assert code == 0 and err == ""
         assert out == (GOLDEN / golden).read_text()
+
+
+def test_growth_check_sees_a_dominant_root_just_above_one(capsys, tmp_path):
+    # alpha = 1 + (sqrt2-1)^60 with A_0 = 1 - 5e-38: log|A_n| falls short of
+    # (1 - 1e-16) n log(alpha) on every row (300-digit reference), by less
+    # than the cancellation in A + B*sqrt(2) at 60 digits
+    job = write_job(tmp_path, "near1.json",
+                    {"command": "growth", "d": 2,
+                     "coeffs": [["46292552162781456490002", "-32733777552734744709300"]],
+                     "initials": ["19999999999999999999999999999999999999/"
+                                  "20000000000000000000000000000000000000"],
+                     "range": [20, 40],
+                     "options": {"place": {"kind": "real", "embedding": 1},
+                                 "eps": "1/10000000000000000"}})
+    code, out, err = run(capsys, ["growth", job])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "# growth_check: fail"
+
+
+def test_growth_bound_past_the_double_range_is_finite(capsys, tmp_path):
+    # A_n = (10^400 + sqrt2)^n: the dominant root does not fit in a double
+    job = write_job(tmp_path, "huge.json",
+                    {"command": "growth", "d": 2, "coeffs": [["1" + "0" * 400, "1"]],
+                     "initials": ["1"], "range": [20, 25],
+                     "options": {"place": {"kind": "real", "embedding": 1}}})
+    code, out, err = run(capsys, ["growth", job])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [int(n) for n, _log_abs, _bound in rows] == list(range(20, 26))
+    for n, log_abs, bound in rows:
+        assert math.isclose(float(log_abs), int(n) * 400 * math.log(10), rel_tol=1e-11)
+        assert math.isclose(float(bound), 0.9 * int(n) * 400 * math.log(10), rel_tol=1e-11)
+    assert out.splitlines()[-1] == "# growth_check: pass"
 
 
 def test_growth_estimate_limit_reports_log_of_dominant_root(capsys, tmp_path):

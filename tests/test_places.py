@@ -274,11 +274,24 @@ def test_arch_dominant_bounds_bracket_golden_ratio():
         assert hi - lo < mpmath.mpf("1e-30")
 
 
+@pytest.mark.parametrize("k", [40, 60, 80])
+def test_arch_dominant_bounds_bracket_a_root_just_above_one(k):
+    # alpha = 1 + (sqrt2-1)^k is a linear factor: the computed root is an exact
+    # zero of the rounded coefficients, off alpha by their rounding, so a radius
+    # that leaves the rounding out misses alpha
+    alpha = 1 + (R2 - 1) ** k
+    lo, hi = arch_dominant_bounds(LinRec([alpha], [quad(1, 0, 2)], 2), real_places(2)[0])
+    with mpmath.workdps(300):
+        ref = 1 + (mpmath.sqrt(2) - 1) ** k
+        assert lo < ref < hi
+        assert hi - lo < mpmath.mpf("1e-55")
+
+
 def test_root_boxes_against_the_exact_count_are_an_internal_error(
         monkeypatch, tmp_path, capsys):
     # boxes inside the unit disk, where the exact circle profile has a root outside
     monkeypatch.setattr(places, "certified_root_boxes",
-                        lambda p, dps: [(mpmath.mpc("0.5"), mpmath.mpf("0.1"))])
+                        lambda p: [(mpmath.mpc("0.5"), mpmath.mpf("0.1"))])
     with pytest.raises(InternalInvariantError, match="exact count"):
         arch_dominant_bounds(FIB, real_places(5)[0])
     job = tmp_path / "fib.json"

@@ -14,7 +14,6 @@ from cfperiod.polyalg import (
     KPoly,
     RatPoly,
     _rational_roots,
-    certified_root_boxes,
     circle_profile,
     factor_k,
     factor_q,
@@ -23,6 +22,7 @@ from cfperiod.polyalg import (
     root_integrality_flags,
     witness_orders,
 )
+from cfperiod.places import certified_root_boxes
 from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
 

@@ -247,6 +247,18 @@ def test_to_mpf_tracks_precision():
         assert abs(mpmath.mpf(lo) - ref) < mpmath.mpf(10) ** -25
 
 
+def test_to_mpf_does_not_cancel():
+    # (1+sqrt2)^-60 = A - B*sqrt(2), 1.1e-23, with A and B*sqrt(2) near 4.6e22:
+    # the plain sum loses every one of 30 digits to cancellation
+    x = (1 + R2) ** -60
+    assert x.A * x.B < 0
+    got = to_mpf(x, 30)
+    with mpmath.workdps(100):
+        ref = (mpmath.sqrt(2) - 1) ** 60
+        assert abs(got - ref) < ref * mpmath.mpf(10) ** -28
+        assert to_mpf(-x, 30) == -got
+
+
 def test_hash_eq_contract():
     assert hash(quad(3, 0, 5)) == hash(3)
     assert hash(quad(F(1, 2), 0, 7)) == hash(F(1, 2))

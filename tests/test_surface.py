@@ -11,7 +11,8 @@ names that item lists as moved to tests/oracles.py must be defined there and
 no longer in src/cfperiod, so a second implementation does not come back.
 Every name a module in src/cfperiod imports must also be read there, so a
 deletion does not leave its imports behind.  sympy and mpmath stay out of
-``import cfperiod.cli``, and sympy is imported inside function bodies only.
+``import cfperiod.cli``, both are imported inside function bodies only, and
+mpmath not at all by the modules behind ``classify``.
 """
 import ast
 import os
@@ -135,9 +136,9 @@ def test_cli_import_loads_neither_sympy_nor_mpmath():
     assert out.strip() == "[]"
 
 
-def test_sympy_is_imported_inside_functions_only():
-    """Every sympy import in src/cfperiod sits in a function body, and in
-    polyalg only the integer factorer and gcd import from sympy."""
+def _importers(package: str) -> dict[str, set[str]]:
+    """{module: names of the functions that import package} over src/cfperiod,
+    after checking that no module imports it outside a function body."""
     importers = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -145,15 +146,29 @@ def test_sympy_is_imported_inside_functions_only():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for sub in ast.walk(fn):
-                    if _imports_sympy(sub):
+                    if _imports(sub, package):
                         inside.add(sub)
                         importers.setdefault(path.stem, set()).add(fn.name)
-        outside = [n.lineno for n in ast.walk(tree) if _imports_sympy(n) and n not in inside]
-        assert outside == [], f"{path.name}: sympy imported outside a function"
-    assert importers["polyalg"] == {"_zz_factor", "_zz_gcd"}
+        outside = [n.lineno for n in ast.walk(tree) if _imports(n, package) and n not in inside]
+        assert outside == [], f"{path.name}: {package} imported outside a function"
+    return importers
 
 
-def _imports_sympy(node) -> bool:
+def test_sympy_is_imported_inside_functions_only():
+    """Every sympy import in src/cfperiod sits in a function body, and in
+    polyalg only the integer factorer and gcd import from sympy."""
+    assert _importers("sympy")["polyalg"] == {"_zz_factor", "_zz_gcd"}
+
+
+def test_mpmath_is_imported_inside_functions_only():
+    """Every mpmath import in src/cfperiod sits in a function body, and no
+    module behind ``classify`` imports it: real-place numerics live in places,
+    which reads elements through qfield.to_mpf."""
+    importers = _importers("mpmath")
+    assert importers.keys() & {"polyalg", "recurrence", "classifier", "contfrac", "memo"} == set()
+
+
+def _imports(node, package: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "sympy" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"
+        return any(alias.name.split(".")[0] == package for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package

@@ -46,7 +46,7 @@ from .contfrac import (check_convergent_bound, convergents, cycle_lengths, expan
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
-from .places import (Place, arch_dominant_bounds, finite_dominant_slope,
+from .places import (Place, arch_dominant_log, finite_dominant_slope,
                      growth_check, log_abs, places_above, real_places,
                      root_abs_table)
 from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
@@ -644,9 +644,7 @@ def cmd_growth(args) -> int:
             if v.kind == "finite":
                 log_a1 = float(finite_dominant_slope(r, v)) * v.f * math.log(v.p)
             else:
-                _lo, hi = arch_dominant_bounds(r, v)
-                # past the double range, int(hi) loses less than 1e-300 of hi
-                log_a1 = math.log(float(hi) if math.isfinite(float(hi)) else int(hi))
+                log_a1 = float(arch_dominant_log(r, v))
         except HypothesisViolated as e:
             table = root_abs_table(r, v)  # raises itself on a sequence with no roots
             print(f"error: {e}", file=sys.stderr)

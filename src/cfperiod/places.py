@@ -15,7 +15,8 @@ Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
 finite place, a certified enclosure at a real one; the CLI's rows,
 ``growth_profile`` and ``growth_check`` all read it.  The dominant root is
 exact at finite places (Newton polygon slopes) and certified at the real
-ones, where strict >1 facts come from the exact circle profile.  All
+ones, where strict >1 facts come from the exact circle profile and
+arch_dominant_log forms its log once for growth_check and the CLI.  All
 real-place numerics live here and read elements through qfield.to_mpf:
 log enclosures at 2 * ARCH_DPS digits, and root boxes at ARCH_DPS = 60
 digits, escalated up to 16 times that until certified.  One growth job runs
@@ -355,6 +356,18 @@ def arch_dominant_bounds(r: LinRec, v: Place):
     return best_lo, best_hi
 
 
+@memoized
+def arch_dominant_log(r: LinRec, v: Place):
+    """log|alpha_1|_v at a real place, formed at 2 * ARCH_DPS digits from the
+    high bound of arch_dominant_bounds: growth_check compares against it, and
+    the CLI's bound column prints its float, which keeps its relative
+    precision when hi lies within 2^-53 of 1."""
+    import mpmath
+
+    with mpmath.workdps(2 * ARCH_DPS):
+        return mpmath.log(arch_dominant_bounds(r, v)[1])
+
+
 def root_abs_table(r: LinRec, v: Place) -> list[str]:
     """Human-readable |root|_v lines per irreducible charpoly factor."""
     import mpmath
@@ -402,7 +415,7 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bo
             frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
         else:
             frac = mpmath.mpf(1) - mpmath.mpf(eps.numerator) / eps.denominator
-            log_a1 = mpmath.log(arch_dominant_bounds(r, v)[1])
+            log_a1 = arch_dominant_log(r, v)
         for n in range(n_lo + burn, n_hi + 1):
             a = r.term(n)
             if a == 0:

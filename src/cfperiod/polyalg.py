@@ -13,6 +13,9 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   polynomial that factor_k splits by the same gcd), with the
   multiplicities of the Q-factors, or for an irrational p by exact
   division.  Any degree: the degree budget is the classifier's;
+* one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
+  certified by both cofactors multiplying back, behind the minimal
+  polynomials over Q and every squarefree test; Euclid runs over K only;
 * unit-circle root profiles, exact throughout: on-circle roots through
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
@@ -96,9 +99,6 @@ class _PolyBase:
 
     def constant_term(self):
         return self.coeffs[0] if self.coeffs else self._zero()
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     @staticmethod
     def _strip(coeffs: list) -> tuple:
@@ -215,25 +215,8 @@ class _PolyBase:
         c = self._try_coeff(s)
         return self._make([a * c for a in self.coeffs])
 
-    def gcd(self, other):
-        a, b = self, self._same(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
-
     def derivative(self):
         return self._make([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def squarefree_part(self):
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return self.exact_div(g).monic()
-
-    def is_squarefree(self) -> bool:
-        return self.degree <= 0 or self.gcd(self.derivative()).degree == 0
 
     def eval(self, x):
         acc = self._zero()
@@ -341,13 +324,6 @@ class RatPoly(_PolyBase):
         object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
         return p
 
-    @classmethod
-    def from_roots(cls, roots) -> "RatPoly":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
-
     def primitive_integer_coeffs(self) -> tuple[int, ...]:
         """Integer coefficients, content 1, positive leading; low-to-high."""
         if self.is_zero:
@@ -415,16 +391,12 @@ class KPoly(_PolyBase):
         object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
         return p
 
-    @classmethod
-    def x(cls, d: int) -> "KPoly":
-        return cls([0, 1], d)
-
-    @classmethod
-    def from_roots(cls, roots, d: int) -> "KPoly":
-        p = cls([1], d)
-        for r in roots:
-            p = p * cls([-r, 1], d)
-        return p
+    def gcd(self, other) -> "KPoly":
+        """Monic gcd over K by Euclid (over Q every gcd is _zz_gcd_certified)."""
+        a, b = self, self._same(other)
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
 
     def conj(self) -> "KPoly":
         return self._make([c.conj() for c in self.coeffs])
@@ -471,6 +443,27 @@ def _zz_gcd(f: list[int], g: list[int]):
     from sympy.polys.euclidtools import dup_inner_gcd
 
     return dup_inner_gcd(f, g, ZZ)
+
+
+def _zz_gcd_certified(f, g) -> tuple[list[int], list[int], list[int]]:
+    """(h, f / h, g / h) with h = gcd(f, g) over Z, for nonzero integer f and g
+    low-to-high (zero top coefficients are dropped).  Every gcd over Q runs
+    here, on primitive integer forms: on those h is primitive with a
+    positive leading coefficient, the monic gcd over Q up to that scale.
+    Certified: both cofactors multiply back to f and g exactly."""
+    f, g = list(f), list(g)
+    for c in (f, g):
+        while not c[-1]:
+            c.pop()
+    h, cf, cg = (c[::-1] for c in _zz_gcd(f[::-1], g[::-1]))
+    if _zz_mul(h, cf) != f or _zz_mul(h, cg) != g:
+        raise InternalInvariantError("integer gcd cofactors do not multiply back")
+    return h, cf, cg
+
+
+def _zz_squarefree_part(f) -> list[int]:
+    """f / gcd(f, f') over Z for a nonconstant integer f, low-to-high."""
+    return _zz_gcd_certified(f, [i * c for i, c in enumerate(f)][1:])[1]
 
 
 def _zz_mul(a: list[int], b: list[int]) -> list[int]:
@@ -533,7 +526,7 @@ def _rational_roots(p: RatPoly) -> list[Fraction]:
     primes = (q for q in itertools.count(2) if _is_prime(q))
     for tried, ell in enumerate(primes, 1):
         if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
-            g = [int(c) for c in RatPoly(g).squarefree_part().coeffs]
+            g = _zz_squarefree_part(g)  # still monic: gcd(g, g') is monic over Z
         dg = [i * c for i, c in enumerate(g)][1:]
         mod_roots = [r for r in range(ell) if _zz_eval(g, r) % ell == 0]
         if all(_zz_eval(dg, r) % ell for r in mod_roots):
@@ -659,7 +652,8 @@ def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     sqrt_d = QuadElem(0, 1, d)
     for s in range(1, 65):
         h = g.compose(KPoly([-(s * sqrt_d), 1], d))
-        if not _over_q(h).is_squarefree():
+        norm = _over_q(h).primitive_integer_coeffs()
+        if len(_zz_squarefree_part(norm)) < len(norm):
             continue
         unshift = KPoly([s * sqrt_d, 1], d)
         factors = [c.compose(unshift).monic() for c in factor_k(h).distinct()]

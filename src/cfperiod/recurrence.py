@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import polyalg
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
-from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_mul, power_poly,
+from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_gcd_certified, power_poly,
                       witness_orders)
 from .qfield import QuadElem
 
@@ -114,13 +113,13 @@ def _minpoly_from_recurrence(q, terms):
     mod x^k, and the minimal polynomial is the reverse of the reduced
     denominator rev(q) / gcd(rev(q), G), made monic (Everest, van der Poorten,
     Shparlinski and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is
-    the zero sequence.  Over K the gcd is Euclid's.  Over Q it runs on the
-    primitive integer forms (``polyalg._zz_gcd``), after q and the sequence
-    are scaled to integers, which changes neither minimal polynomial.
-    Certified: the gcd's cofactors multiply back exactly, P divides q
-    exactly, and P's recurrence holds at positions deg P .. k - 1 of the
-    terms, which with P | q makes P annihilate the whole two-sided sequence.
-    Minimality rests on the exact gcd.
+    the zero sequence.  Over K the gcd is Euclid's.  Over Q it is the
+    certified integer gcd (``polyalg._zz_gcd_certified``, whose cofactors
+    multiply back exactly) on integer lists, after q and the sequence are
+    scaled to integers, which changes neither minimal polynomial.
+    Certified: P divides q exactly, and P's recurrence holds at positions
+    deg P .. k - 1 of the terms, which with P | q makes P annihilate the
+    whole two-sided sequence.  Minimality rests on the exact gcd.
     """
     k = q.degree
     rational = isinstance(q, RatPoly)
@@ -133,16 +132,10 @@ def _minpoly_from_recurrence(q, terms):
     num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
     if not any(num):
         return ZERO_SEQUENCE
-    if rational:  # high-to-low for sympy: rev(q) reads as q's primitive form
-        f, g = list(rev[::-1]), num[::-1]
-        while not g[0]:
-            g.pop(0)
-        h, cs, cfg = polyalg._zz_gcd(f, g)
-        if _zz_mul(h, cs) != f or _zz_mul(h, cfg) != g:
-            raise InternalInvariantError("integer gcd cofactors do not multiply back")
-        # the reduced denominator from the top is P's primitive form, low-to-high
+    if rational:  # the reduced denominator from the top is P's primitive form
+        cs = _zz_gcd_certified(rev, num)[1][::-1]
         p = RatPoly([Fraction(c, cs[-1]) for c in cs])
-        divides = _zz_exact_div(f, cs) is not None
+        divides = _zz_exact_div(rev[::-1], cs) is not None
     else:
         rev, num = q._make(rev), q._make(num)
         g = rev.gcd(num)

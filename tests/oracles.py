@@ -28,6 +28,10 @@ descent is the package's former one, kept here whole: each squarefree part,
 linear or irrational ones included, goes through the norm of its first
 squarefree shift, whose Q-factors give the K-factors by gcd; it reaches
 polyalg.factor_q but neither factor_k nor _factor_k_squarefree.
+The reference gcd over Q is Euclid on Fractions (euclid_gcd, and with it
+squarefree_part and is_squarefree), where the package takes sympy's integer
+gcd on primitive integer forms and certifies its cofactors; from_roots
+builds test polynomials from their roots.
 The reference rational roots enumerate divisor pairs of the end coefficients
 (sympy's divisors), where the package isolates real roots by Sturm counts.
 The reference off-circle counts are the numeric route the package left:
@@ -668,6 +672,40 @@ def quad_to_mpf(x: QuadElem, dps: int):
 
 
 # ---------------------------------------------------------------------------
+# reference polynomials: products of linear factors, Euclid's gcd over a field
+# ---------------------------------------------------------------------------
+
+def from_roots(roots, d: int | None = None):
+    """prod (x - r) over the roots: a RatPoly, or a KPoly over Q(sqrt(d))."""
+    make = polyalg.RatPoly if d is None else functools.partial(polyalg.KPoly, d=d)
+    p = make([1])
+    for r in roots:
+        p = p * make([-r, 1])
+    return p
+
+
+def euclid_gcd(f, g):
+    """Monic gcd by Euclid over the coefficient field (Fractions over Q):
+    the route polyalg keeps over K only, where over Q it takes the certified
+    integer gcd."""
+    g = f._same(g)
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
+
+
+def squarefree_part(p):
+    """p / gcd(p, p'), monic, by euclid_gcd."""
+    if p.degree <= 0:
+        return p.monic()
+    return p.exact_div(euclid_gcd(p, p.derivative())).monic()
+
+
+def is_squarefree(p) -> bool:
+    return p.degree <= 0 or euclid_gcd(p, p.derivative()).degree == 0
+
+
+# ---------------------------------------------------------------------------
 # reference resultants: ratio and power polynomials
 # ---------------------------------------------------------------------------
 
@@ -676,7 +714,7 @@ def resultant(f, g):
     g = f._same(g)
     one = f._one()
     if f.is_zero or g.is_zero:
-        if f.is_constant() and g.is_constant():
+        if f.degree <= 0 and g.degree <= 0:
             return one * 0
         return f._zero()
     acc = one
@@ -800,11 +838,11 @@ def factor_q_qq(p):
 def squarefree_decomposition(p):
     """Yun's algorithm; p monic, char 0.  Returns [(g_i, i)] with prod g_i^i = p."""
     out = []
-    g = p.gcd(p.derivative())
+    g = euclid_gcd(p, p.derivative())
     w = p.exact_div(g)
     i = 1
     while w.degree > 0:
-        y = w.gcd(g)
+        y = euclid_gcd(w, g)
         f = w.exact_div(y)
         if f.degree > 0:
             out.append((f.monic(), i))
@@ -829,7 +867,7 @@ def norm_descent(g):
         if not norm.is_rational():
             raise InternalInvariantError("norm polynomial not rational")
         nq = norm.to_ratpoly()
-        if not nq.is_squarefree():
+        if not is_squarefree(nq):
             continue
         pieces = []
         for f, _m in polyalg.factor_q(nq).factors:

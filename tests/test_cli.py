@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 from cfperiod import cli, contfrac, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
-from cfperiod.polyalg import KPoly
 from cfperiod.qfield import quad
 
 from fractions import Fraction as F
+
+from oracles import from_roots
 
 
 def run(capsys, argv):
@@ -752,6 +753,16 @@ def test_growth_check_sees_a_dominant_root_just_above_one(capsys, tmp_path):
     code, out, err = run(capsys, ["growth", job])
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "# growth_check: fail"
+    # the bound column is (1 - eps) n log(alpha), about 2e-22 n, not 0
+    import mpmath
+
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert [int(n) for n, _log_abs, _bound in rows] == list(range(20, 41))
+    with mpmath.workdps(300):
+        log_alpha = mpmath.log(1 + (mpmath.sqrt(2) - 1) ** 60)
+        for n, _log_abs, bound in rows:
+            ref = float((1 - mpmath.mpf(10) ** -16) * int(n) * log_alpha)
+            assert float(bound) != 0 and math.isclose(float(bound), ref, rel_tol=1e-11)
 
 
 def test_growth_bound_past_the_double_range_is_finite(capsys, tmp_path):
@@ -875,7 +886,7 @@ def test_classify_near_the_unit_circle(capsys, tmp_path, e):
 
 def test_classify_refuses_p_d_beyond_the_factor_cap(capsys, tmp_path):
     # charpoly prod (x - k - sqrt 2), k = 1..7: P_D has the 14 roots k +- sqrt 2
-    p = KPoly.from_roots([quad(k, 1, 2) for k in range(1, 8)], 2)
+    p = from_roots([quad(k, 1, 2) for k in range(1, 8)], 2)
     coeffs = [[str(-c.a), str(-c.b)] for c in reversed(p.coeffs[:-1])]
     job = write_job(tmp_path, "order7.json",
                     {"command": "classify", "d": 2, "coeffs": coeffs,

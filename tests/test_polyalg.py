@@ -27,11 +27,12 @@ from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, factor_k_norm,
-                     factor_q_qq, is_root_of_unity, offcircle_counts_numeric,
-                     orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
-                     ratio_poly_zz, ratio_resultant_field, ratio_witness_orders_numeric,
-                     rational_roots_divisors, resultant, sqrt_int)
+from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, euclid_gcd,
+                     factor_k_norm, factor_q_qq, from_roots, is_root_of_unity,
+                     offcircle_counts_numeric, orders_with_totient_at_most_sieved, poly_roots,
+                     power_map_charpoly, ratio_poly_zz, ratio_resultant_field,
+                     ratio_witness_orders_numeric, rational_roots_divisors, resultant, sqrt_int,
+                     squarefree_part)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -90,9 +91,51 @@ def test_gcd_divides_both():
         g = _rand_ratpoly(rng, rng.randrange(1, 3))
         p = g * _rand_ratpoly(rng, rng.randrange(0, 3))
         q = g * _rand_ratpoly(rng, rng.randrange(0, 3))
-        h = p.gcd(q)
+        h = RatPoly(polyalg._zz_gcd_certified(p.primitive_integer_coeffs(),
+                                              q.primitive_integer_coeffs())[0])
         assert (p % h).is_zero and (q % h).is_zero
         assert h.degree >= g.degree
+
+
+def _zz_times(*polys):
+    out = [1]
+    for p in polys:
+        out = [sum(out[j] * p[i - j] for j in range(len(out)) if 0 <= i - j < len(p))
+               for i in range(len(out) + len(p) - 1)]
+    return out
+
+
+@st.composite
+def integer_gcd_pairs(draw):
+    """(f, g) over Z, low-to-high: a shared factor (1 for a coprime pair),
+    possibly squared, times two cofactors with non-monic leading
+    coefficients up to 2^200, and f possibly times x (a zero constant term)."""
+    coeff = st.integers(-9, 9) | st.integers(-2**200, 2**200)
+
+    def poly(max_deg):
+        lead = draw(st.integers(1, 9) | st.integers(1, 2**200)) * draw(st.sampled_from([1, -1]))
+        return draw(st.lists(coeff, max_size=max_deg)) + [lead]
+
+    shared = poly(2)
+    f = _zz_times(*[shared] * draw(st.integers(1, 2)), poly(3))
+    g = _zz_times(shared, poly(3))
+    if draw(st.booleans()):
+        f = [0] + f
+    return f, g
+
+
+@settings(max_examples=120)
+@given(integer_gcd_pairs())
+@example(([-1, 0, 1], [2, 3]))                                # coprime
+@example(([0, 1, 2, 1], [3, 6, 3]))                           # x (x + 1)^2, 3 (x + 1)^2
+@example(([4, -12, 9], [2**200 * -2, 2**200 * 3]))            # (3x - 2)^2, 2^200 (3x - 2)
+def test_integer_gcd_matches_euclid_over_q(pair):
+    f, g = pair
+    h, cf, cg = polyalg._zz_gcd_certified(f, g)
+    assert RatPoly(h).monic() == euclid_gcd(RatPoly(f), RatPoly(g))
+    assert _zz_times(h, cf) == f and _zz_times(h, cg) == g
+    for p in (p for p in pair if len(p) > 1):
+        assert RatPoly(polyalg._zz_squarefree_part(p)).monic() == squarefree_part(RatPoly(p))
 
 
 def test_resultant_magnitude_against_sympy():
@@ -108,7 +151,7 @@ def test_resultant_magnitude_against_sympy():
         sq = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(q.coeffs))
         ref = F(*sympy.resultant(sympy.Poly(sp, x), sympy.Poly(sq, x)).as_numer_denom())
         assert abs(mine) == abs(ref)
-        assert (mine == 0) == (p.gcd(q).degree > 0)
+        assert (mine == 0) == (euclid_gcd(p, q).degree > 0)
 
 
 def test_resultant_root_product_convention():
@@ -136,7 +179,7 @@ def test_eval_compose_consistency():
 
 def test_sturm_count_real_roots():
     # (x-1)(x-2)(x-3) has exactly 3 real roots, 2 of them below 2.5
-    p = RatPoly.from_roots([F(1), F(2), F(3)])
+    p = from_roots([F(1), F(2), F(3)])
     assert p.sturm_count(F(0), F(4)) == 3
     assert p.sturm_count(F(0), F(5, 2)) == 2
     assert RatPoly([1, 0, 1]).sturm_count(F(-10), F(10)) == 0
@@ -220,7 +263,7 @@ def test_factoring_has_no_degree_cap():
 
 
 def test_rational_roots_in_lowest_terms():
-    p = RatPoly.from_roots([F(2, 3), F(-1, 2), F(4), F(0)]) * RatPoly([1, 0, 3])
+    p = from_roots([F(2, 3), F(-1, 2), F(4), F(0)]) * RatPoly([1, 0, 3])
     assert sorted(_rational_roots(p)) == [F(-1, 2), F(0), F(2, 3), F(4)]
     assert _rational_roots(RatPoly([-2, 0, 9])) == []  # +-sqrt(2)/3
 
@@ -254,7 +297,7 @@ def test_rational_roots_factor_no_integer(monkeypatch):
     p, q = sympy.nextprime(10**18), sympy.nextprime(2 * 10**18)
     f = RatPoly([p * q, 1, 0, 0, 1])  # x^4 + x + pq, irreducible over Q
     assert factor_q(f).factors == ((f, 1),)
-    g = RatPoly.from_roots([F(10**20 + 3, 7), F(-5, 6), F(-5, 6)]) * RatPoly([1, 0, 1])
+    g = from_roots([F(10**20 + 3, 7), F(-5, 6), F(-5, 6)]) * RatPoly([1, 0, 1])
     assert sorted(_rational_roots(g)) == [F(-5, 6), F(10**20 + 3, 7)]
 
 
@@ -373,6 +416,22 @@ def test_factor_k_of_rational_keeps_multiplicities():
     assert f.unit == 1
     assert f.factors == ((KPoly([-R2, 1], 2), 2), (KPoly([R2, 1], 2), 2),
                          (KPoly([3, 1], 2), 1))
+
+
+def test_wrong_integer_gcd_cofactors_are_refused_in_the_shift_search(monkeypatch):
+    # x^4 - 10x^2 + 1, whose roots are +-sqrt2 +- sqrt3, splits over Q(sqrt 2)
+    # into two quadratics through the squarefree test of a shifted norm
+    p = RatPoly([1, 0, -10, 0, 1]).lift(2)
+    assert [f.degree for f in factor_k(p).distinct()] == [2, 2]
+    zz_gcd = polyalg._zz_gcd
+
+    def wrong(f, g):
+        h, cff, cfg = zz_gcd(f, g)
+        return h, cff[:-1] + [cff[-1] + 1], cfg
+
+    monkeypatch.setattr(polyalg, "_zz_gcd", wrong)
+    with pytest.raises(InternalInvariantError, match="multiply back"):
+        factor_k(p)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +575,8 @@ def test_ratio_poly_contains_all_ratios():
     for _ in range(20):
         p = _rand_ratpoly(rng, rng.randrange(1, 4))
         q = _rand_ratpoly(rng, rng.randrange(1, 3))
-        p = p.squarefree_part()
-        q = q.squarefree_part()
+        p = squarefree_part(p)
+        q = squarefree_part(q)
         if abs(q.constant_term()) < F(1, 1000) or abs(p.constant_term()) < F(1, 1000):
             continue
         r = ratio_poly(p, q)
@@ -709,7 +768,7 @@ def chosen_root_polys(draw):
     """
     d = draw(st.sampled_from([2, 3, 5]))
     rational = draw(st.booleans())
-    x = KPoly.x(d)
+    x = KPoly([0, 1], d)
     sqrt_d = quad(0, 1, d)
 
     def elem():
@@ -737,7 +796,7 @@ def chosen_root_polys(draw):
             p = p * (x * x - c * c * d if rational else x - sqrt_d * c)
         else:
             p = p * x
-    p = p.squarefree_part()
+    p = squarefree_part(p)
     return p.to_ratpoly() if rational else p
 
 

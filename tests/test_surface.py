@@ -160,6 +160,29 @@ def test_sympy_is_imported_inside_functions_only():
     assert _importers("sympy")["polyalg"] == {"_zz_factor", "_zz_gcd"}
 
 
+def _callers(name: str) -> set[str]:
+    """`module.function` for every function in src/cfperiod that calls name,
+    bare or as an attribute."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for sub in ast.walk(fn):
+                    if isinstance(sub, ast.Call) and name in (
+                            getattr(sub.func, "id", None), getattr(sub.func, "attr", None)):
+                        out.add(f"{path.stem}.{fn.name}")
+    return out
+
+
+def test_every_gcd_over_q_is_the_certified_integer_gcd():
+    """sympy's integer gcd has one caller, the function that certifies its
+    cofactors, and RatPoly runs no Euclid; KPoly keeps Euclid over K."""
+    from cfperiod.polyalg import KPoly, RatPoly
+
+    assert _callers("_zz_gcd") == {"polyalg._zz_gcd_certified"}
+    assert not hasattr(RatPoly, "gcd") and hasattr(KPoly, "gcd")
+
+
 def test_mpmath_is_imported_inside_functions_only():
     """Every mpmath import in src/cfperiod sits in a function body, and no
     module behind ``classify`` imports it: real-place numerics live in places,

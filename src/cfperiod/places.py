@@ -4,7 +4,8 @@ Finite places are identified by a rational prime together with its splitting
 behavior; split places carry a Hensel branch (a root t of x^2 = d mod p^k).
 At a split place the branch root is Newton-lifted to the precision a valuation
 needs (about log k steps, not k one-bit steps at p = 2) and checked exactly
-against d mod p^k.
+against d mod p^k; a memo scope keeps the highest lift per place, and later
+valuations continue from it.
 Normalization: |x|_w = (p^f)^(-ord_w(x)) with residue degree f, so the product
 formula over the two real embeddings and all finite places holds with no
 exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
@@ -17,10 +18,13 @@ finite place, a certified enclosure at a real one; the CLI's rows,
 exact at finite places (Newton polygon slopes) and certified at the real
 ones, where strict >1 facts come from the exact circle profile and
 arch_dominant_log forms its log once for growth_check and the CLI.  All
-real-place numerics live here and read elements through qfield.to_mpf:
-log enclosures at 2 * ARCH_DPS digits, and root boxes at ARCH_DPS = 60
-digits, escalated up to 16 times that until certified.  One growth job runs
-in one ``memo.scope()``, which computes each of these facts once.
+real-place numerics live here and read elements through qfield.to_mpf.  A
+log enclosure is mpf_log of to_mpf's tuple, its ends and growth_check's
+per-row comparison are mpmath.libmp operations, each rounded to nearest at
+2 * ARCH_DPS digits: no row enters a precision context.  Root boxes run in
+mpmath.workdps at ARCH_DPS = 60 digits, escalated up to 16 times that until
+certified.  One growth job runs in one ``memo.scope()``, which computes each
+of these facts once.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     ZeroInput,
 )
-from .memo import memoized
+from .memo import memoized, pool
 from .polyalg import KPoly, circle_profile, factor_k, witness_orders
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
@@ -124,26 +128,32 @@ def _branch_root(w: Place, k: int) -> int:
     t - ((t^2 - d)/2) / t, a root mod 2^(2j-2) in the same class mod 2^(j-1)
     (the division needs 1/t mod 2^(j-1) only);
     at odd p a root mod p^j goes to t - (t^2 - d) / (2t), a root mod p^(2j).
+    Inside a memo scope the highest lift so far is kept per place, and a
+    later call continues from it (k grows with n along a growth job).
     The result is checked exactly against d mod p^k.
     """
     p, d = w.p, w.d
     pk = p ** k
+    lifts = pool("branch lifts")
+    if lifts is None:  # outside a scope nothing is kept
+        lifts = {}
     if p == 2:
         # the branch rep is a root mod 16 (places_above reads it off those);
         # u = 1/t mod 2^(j-1) is lifted alongside by u <- u (2 - t u), and an
         # odd t is its own inverse mod 8
-        t = u = w.branch
-        j = 4
+        t, u, j = lifts.get(w, (w.branch, w.branch, 4))
         while j < k:
             j = 2 * j - 2
             mod = 1 << j
             t = (t - ((t * t - d) >> 1) * u) % mod
             u = u * (2 - t * u) % mod
+        lifts[w] = t, u, j
     else:
-        t, mod = w.branch % p, p
+        t, mod = lifts.get(w, (w.branch % p, p))
         while mod < pk:
             mod = min(mod * mod, pk)
             t = (t - (t * t - d) * pow(2 * t, -1, mod)) % mod
+        lifts[w] = t, mod
     t %= pk
     if (t * t - d) % pk:
         raise InternalInvariantError(f"branch lift at {w} failed mod {p}^{k}")
@@ -208,16 +218,22 @@ def log_abs(x: QuadElem, v: Place):
 @memoized
 def _log_abs_real(x: QuadElem, embedding: int):
     """sigma(x) is to_mpf of x (or of its conjugate) at 2 * ARCH_DPS digits,
-    free of cancellation, so its log is good to about that many digits; the
-    ends of the enclosure sit (|log| + 1) * 10^-ARCH_DPS on either side of it."""
+    free of cancellation, so its log, mpf_log of that tuple at the same
+    precision, is good to about that many digits; the ends of the enclosure
+    sit (|log| + 1) * 10^-ARCH_DPS on either side of it.  No precision
+    context is entered."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
-    with mpmath.workdps(2 * ARCH_DPS):
-        lg = mpmath.log(abs(to_mpf(x if embedding == 1 else x.conj(), 2 * ARCH_DPS)))
-        eps = (abs(lg) + 1) / 10 ** ARCH_DPS
-        return lg - eps, lg + eps
+    libmp = mpmath.libmp
+    prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
+    sigma = to_mpf(x if embedding == 1 else x.conj(), 2 * ARCH_DPS)._mpf_
+    lg = libmp.mpf_log(libmp.mpf_abs(sigma), prec, rnd)
+    eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
+                        libmp.from_int(10 ** ARCH_DPS), prec, rnd)
+    make = mpmath.mp.make_mpf
+    return make(libmp.mpf_sub(lg, eps, prec, rnd)), make(libmp.mpf_add(lg, eps, prec, rnd))
 
 
 def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int) -> list[LogAbs]:
@@ -358,14 +374,16 @@ def arch_dominant_bounds(r: LinRec, v: Place):
 
 @memoized
 def arch_dominant_log(r: LinRec, v: Place):
-    """log|alpha_1|_v at a real place, formed at 2 * ARCH_DPS digits from the
+    """log|alpha_1|_v at a real place, mpf_log at 2 * ARCH_DPS digits of the
     high bound of arch_dominant_bounds: growth_check compares against it, and
     the CLI's bound column prints its float, which keeps its relative
     precision when hi lies within 2^-53 of 1."""
     import mpmath
 
-    with mpmath.workdps(2 * ARCH_DPS):
-        return mpmath.log(arch_dominant_bounds(r, v)[1])
+    libmp = mpmath.libmp
+    hi = arch_dominant_bounds(r, v)[1]._mpf_
+    return mpmath.mp.make_mpf(
+        libmp.mpf_log(hi, libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest))
 
 
 def root_abs_table(r: LinRec, v: Place) -> list[str]:
@@ -405,22 +423,30 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bo
     if witness_orders(_charpoly_or_raise(r)):
         raise PreconditionViolated("growth check needs a non-degenerate sequence")
 
-    burn = (n_hi - n_lo) // 5
-    import mpmath
+    # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place; at a
+    # real one the low end of each enclosure against the high root bound, on
+    # libmp tuples at 2 * ARCH_DPS digits with each product rounded to nearest
+    if v.kind == "finite":
+        frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
+    else:
+        import mpmath
 
-    # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place, the low
-    # end of each enclosure against the high root bound at a real one
-    with mpmath.workdps(2 * ARCH_DPS):
+        libmp = mpmath.libmp
+        prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
+        frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
+            libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
+            prec, rnd), prec, rnd)
+        log_a1 = arch_dominant_log(r, v)._mpf_
+    burn = (n_hi - n_lo) // 5
+    for n in range(n_lo + burn, n_hi + 1):
+        a = r.term(n)
+        if a == 0:
+            return False
+        e = log_abs(a, v)
         if v.kind == "finite":
-            frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
-        else:
-            frac = mpmath.mpf(1) - mpmath.mpf(eps.numerator) / eps.denominator
-            log_a1 = arch_dominant_log(r, v)
-        for n in range(n_lo + burn, n_hi + 1):
-            a = r.term(n)
-            if a == 0:
+            if e < frac * n * log_a1:
                 return False
-            e = log_abs(a, v)
-            if (e if v.kind == "finite" else e[0]) < frac * n * log_a1:
-                return False
-        return True
+        elif libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(libmp.mpf_mul_int(frac, n, prec, rnd),
+                                                     log_a1, prec, rnd)):
+            return False
+    return True

@@ -18,6 +18,7 @@ element, to_mpf, is free of cancellation; the real-place numerics of
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -410,17 +411,39 @@ def to_surd(x: QuadElem) -> Surd:
     return Surd(p0 * s, q0 * s, d0 * s * s)
 
 
+@functools.cache
+def _sqrt_tuple(d: int, prec: int) -> tuple:
+    """sqrt(d) to nearest at prec bits, an mpmath.libmp tuple: a constant of
+    the field, computed on first use and kept, like mpmath's own ln 2."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    return libmp.mpf_sqrt(libmp.from_int(d), prec, libmp.round_nearest)
+
+
 def to_mpf(x, dps: int):
     """The float image of x under the b > 0 embedding, good to a few units in
     the last of dps digits: when A and B*sqrt(d) differ in sign, it is
-    (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels."""
+    (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels.  Each step
+    is one mpmath.libmp operation rounded to nearest at dps_to_prec(dps) bits,
+    on exact integers and the field's cached sqrt(d); no precision context is
+    entered, and the result is wrapped into an mpf once."""
     import mpmath
 
-    with mpmath.workdps(dps):
-        if isinstance(x, (int, Fraction)):
-            f = _as_fraction(x)
-            return mpmath.mpf(f.numerator) / f.denominator
-        A, B, root = x.A, x.B, mpmath.sqrt(x.d)
+    libmp = mpmath.libmp
+    from_int, rnd = libmp.from_int, libmp.round_nearest
+    prec = libmp.dps_to_prec(dps)
+    if isinstance(x, (int, Fraction)):
+        f = _as_fraction(x)
+        v = libmp.mpf_div(from_int(f.numerator, prec, rnd), from_int(f.denominator), prec, rnd)
+    else:
+        A, B = x.A, x.B
+        bt = libmp.mpf_mul(from_int(B), _sqrt_tuple(x.d, prec), prec, rnd)
         if A * B < 0:
-            return (A * A - x.d * B * B) / (x.m * (A - B * root))
-        return (A + B * root) / x.m
+            den = libmp.mpf_mul(from_int(x.m), libmp.mpf_sub(from_int(A), bt, prec, rnd),
+                                prec, rnd)
+            v = libmp.mpf_div(from_int(A * A - x.d * B * B), den, prec, rnd)
+        else:
+            v = libmp.mpf_div(libmp.mpf_add(from_int(A), bt, prec, rnd), from_int(x.m),
+                              prec, rnd)
+    return mpmath.mp.make_mpf(v)

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import cli, places
+from cfperiod import cli, memo, places
 from cfperiod.errors import (
     HypothesisViolated,
     InternalInvariantError,
@@ -30,7 +30,7 @@ from cfperiod.places import (
 from cfperiod.qfield import quad, to_mpf
 from cfperiod.recurrence import LinRec
 
-from oracles import sqrt_int, surd_value, two_adic_sqrt_bitwise
+from oracles import quad_to_mpf, sqrt_int, surd_value, two_adic_sqrt_bitwise
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -161,6 +161,32 @@ def test_two_adic_branch_root_matches_bitwise_lift(d, side, k):
     assert (t - want) % 2 ** (k - 1) == 0
 
 
+# the split places above 2 of Q(sqrt(d)), d = 1 mod 8, and above 7 of Q(sqrt2)
+SPLIT_PLACES = st.one_of(
+    st.tuples(SPLIT_AT_2, st.integers(0, 1)).map(lambda dt: places_above(2, dt[0])[dt[1]]),
+    st.integers(0, 1).map(lambda side: places_above(7, 2)[side]))
+
+
+@settings(max_examples=60)
+@given(SPLIT_PLACES, st.lists(st.integers(3, 2000), min_size=1, max_size=8))
+def test_branch_root_continues_from_the_lift_kept_in_the_scope(w, ks):
+    # within one scope every k is served from the highest lift so far, and the
+    # root agrees with a lift from the branch class (exactly at odd p, on the
+    # 2^(k-1) digits that class fixes at p = 2)
+    fresh = {k: _branch_root(w, k) for k in ks}
+    assert memo.pool("branch lifts") is None
+    slack = 1 if w.p == 2 else 0
+    with memo.scope():
+        for k in ks:
+            t = _branch_root(w, k)
+            assert (t * t - w.d) % w.p ** k == 0
+            assert (t - fresh[k]) % w.p ** (k - slack) == 0
+        (kept,) = memo.pool("branch lifts").values()
+        assert kept[-1] >= (max(ks) if w.p == 2 else w.p ** max(ks))
+    with memo.scope():
+        assert memo.pool("branch lifts") == {}
+
+
 def _deep_at(w, depth, rng):
     """x = (A + B sqrt(d)) / 2^s with A + B t = 0 mod 2^depth on w's branch."""
     B = rng.randrange(1, 2 ** 20, 2) * rng.choice([1, -1])
@@ -244,6 +270,81 @@ def test_real_profile_encloses_the_log(r, v):
                                             r.d, 180)))
             lo, hi = row.enclosure
             assert lo < ref < hi, row.n
+
+
+def _cancellation_bits(x) -> int:
+    """Bits that A + B*sqrt(d) loses to cancellation when A*B < 0, about
+    log2 of max(|A|, |B| sqrt(d)) / |A + B sqrt(d)|."""
+    if x.A * x.B >= 0:
+        return 0
+    big = max(x.A * x.A, x.d * x.B * x.B)
+    return big.bit_length() - abs(x.A * x.A - x.d * x.B * x.B).bit_length() + 2
+
+
+COORD = st.one_of(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 2000, 2 ** 2000))
+# (d, k): x * (1+sqrt2)^-k in Q(sqrt2), x alone in the other fields
+FIELD_SHIFT = st.one_of(st.tuples(st.just(2), st.integers(10, 55)),
+                        st.tuples(st.sampled_from([3, 5, 7, 13, 9973]), st.just(0)))
+
+
+@settings(max_examples=200)
+@given(FIELD_SHIFT, COORD, COORD, st.integers(1, 2 ** 64), st.sampled_from([1, 2]))
+def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
+    # (1+sqrt2)^-k puts A*B < 0 with 2.5 k bits of cancellation at the first
+    # embedding, and none at the second
+    (d, k) = dk
+    x = quad(F(A, m), F(B, m), d) * (1 + R2) ** -k if d == 2 else quad(F(A, m), F(B, m), d)
+    assume(x != 0)
+    y = x if embedding == 1 else x.conj()
+    # the oracle adds two terms at 3 * ARCH_DPS digits: it keeps over 130 of
+    # them while A + B*sqrt(d) cancels fewer than 160 bits
+    assume(_cancellation_bits(y) < 160)
+    lo, hi = places._log_abs_real(x, embedding)
+    dps = 3 * places.ARCH_DPS
+    with mpmath.workdps(dps):
+        ref = quad_to_mpf(y, dps)
+        assert lo < mpmath.log(abs(ref)) < hi
+        for digits in (30, 60, 120):
+            assert abs(to_mpf(y, digits) - ref) <= abs(ref) * mpmath.mpf(10) ** -digits
+
+
+def _count_precision_contexts(monkeypatch) -> list[str]:
+    """Names of the mpmath.workdps / workprec contexts entered from now on."""
+    entered = []
+    for name in ("workdps", "workprec"):
+        def counted(*args, _name=name, _real=getattr(mpmath, name), **kwargs):
+            entered.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mpmath, name, counted)
+    return entered
+
+
+@pytest.mark.parametrize("embedding", [1, 2])
+def test_real_growth_rows_enter_no_precision_context(monkeypatch, tmp_path, capsys,
+                                                     embedding):
+    # A_n = (1 + sqrt2)^n at embedding 1 and (1 - sqrt2)^n at embedding 2, so
+    # |A_n|_v grows and is never 0: the root boxes enter a fixed number of
+    # contexts per job, the rows and growth_check none
+    entered = _count_precision_contexts(monkeypatch)
+    prec = mpmath.mp.prec
+    counts = []
+    for n_hi in (60, 180):
+        job = tmp_path / "pell.json"
+        job.write_text(json.dumps(
+            {"command": "growth", "d": 2, "coeffs": ["2", "1"],
+             "initials": ["1", ["1", "1" if embedding == 1 else "-1"]],
+             "range": [0, n_hi],
+             "options": {"place": {"kind": "real", "embedding": embedding}}}))
+        entered.clear()
+        assert cli.main(["growth", str(job)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == n_hi + 3 and out[-1] == "# growth_check: pass"
+        counts.append(len(entered))
+        assert mpmath.mp.prec == prec
+    assert counts[0] == counts[1]
+    with pytest.raises(ZeroInput):
+        places._log_abs_real(quad(0, 0, 2), embedding)
+    assert mpmath.mp.prec == prec
 
 
 def test_growth_check_fails_on_a_zero_tail_term():

@@ -12,7 +12,7 @@ no longer in src/cfperiod, so a second implementation does not come back.
 Every name a module in src/cfperiod imports must also be read there, so a
 deletion does not leave its imports behind.  sympy and mpmath stay out of
 ``import cfperiod.cli``, both are imported inside function bodies only, and
-mpmath not at all by the modules behind ``classify``.
+mpmath only by qfield and places, never on the ``classify`` path.
 """
 import ast
 import os
@@ -184,11 +184,26 @@ def test_every_gcd_over_q_is_the_certified_integer_gcd():
 
 
 def test_mpmath_is_imported_inside_functions_only():
-    """Every mpmath import in src/cfperiod sits in a function body, and no
-    module behind ``classify`` imports it: real-place numerics live in places,
-    which reads elements through qfield.to_mpf."""
+    """Every mpmath import in src/cfperiod sits in a function body, and only
+    qfield and places import it: real-place numerics live in places, which
+    reads elements through qfield.to_mpf, and to_mpf takes sqrt(d) from one
+    cached function.  No module behind ``classify`` imports it."""
     importers = _importers("mpmath")
-    assert importers.keys() & {"polyalg", "recurrence", "classifier", "contfrac", "memo"} == set()
+    assert importers.keys() == {"qfield", "places"}
+    assert importers["qfield"] == {"to_mpf", "_sqrt_tuple"}
+
+
+def test_qfield_and_places_load_mpmath_on_first_use():
+    # importing either module loads no mpmath and computes no sqrt(d); the
+    # first float image loads it and caches one sqrt(d) per (d, precision)
+    code = ("import sys, cfperiod.qfield as q, cfperiod.places; "
+            "print('mpmath' in sys.modules, q._sqrt_tuple.cache_info().currsize); "
+            "q.to_mpf(q.quad(1, 1, 2), 30); q.to_mpf(q.quad(1, -1, 2), 30); "
+            "print('mpmath' in sys.modules, q._sqrt_tuple.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["False 0", "True 1"]
 
 
 def _imports(node, package: str) -> bool:

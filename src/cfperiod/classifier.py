@@ -35,6 +35,7 @@ from .polyalg import (
     KPoly,
     _over_q,
     _profile_irreducible,
+    _zz_exact_div,
     factor_k,
     factor_q,
     root_integrality_flags,
@@ -95,11 +96,13 @@ def _s_rows(p_s, p_a: KPoly) -> tuple:
     S_n = A_n + conj(A_n) is an exponential polynomial over the roots of P_A
     and conj(P_A), so P_S divides the pool N = P_A * conj(P_A) (P_A itself
     when it is rational) of the over-Q degeneracy test the input has passed:
-    S is non-degenerate as well.  The division is checked exactly.
+    S is non-degenerate as well.  The division is checked exactly, on the
+    primitive integer forms (Gauss's lemma).
     """
     if isinstance(p_s, ZeroSequence):
         return ()
-    if not (_over_q(p_a) % p_s).is_zero:
+    if _zz_exact_div(_over_q(p_a).primitive_integer_coeffs(),
+                     p_s.primitive_integer_coeffs()) is None:
         raise InternalInvariantError("P_S does not divide P_A * conj(P_A)")
     return tuple((q, m, _profile_irreducible(q), root_integrality_flags(q))
                  for q, m in factor_q(p_s).factors)

@@ -46,7 +46,7 @@ from .contfrac import (check_convergent_bound, convergents, cycle_lengths, expan
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
-from .places import (Place, arch_dominant_log, finite_dominant_slope,
+from .places import (Place, arch_dominant_log, enclosure_centre, finite_dominant_slope,
                      growth_check, log_abs, places_above, real_places,
                      root_abs_table)
 from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
@@ -612,8 +612,7 @@ def _log_abs_float(x: QuadElem, v: Place) -> float:
     e = log_abs(x, v)
     if v.kind == "finite":
         return e * v.f * math.log(v.p)
-    lo, hi = e
-    return float((lo + hi) / 2)
+    return enclosure_centre(*e)
 
 
 def _growth_eps(options: dict) -> Fraction:

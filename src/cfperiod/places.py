@@ -28,6 +28,7 @@ of these facts once.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,6 +216,14 @@ def log_abs(x: QuadElem, v: Place):
     return _log_abs_real(x, v.embedding)
 
 
+@functools.cache
+def _ten_to_arch_dps():
+    """10^ARCH_DPS as an exact mpmath.libmp tuple, built once."""
+    import mpmath
+
+    return mpmath.libmp.from_int(10 ** ARCH_DPS)
+
+
 @memoized
 def _log_abs_real(x: QuadElem, embedding: int):
     """sigma(x) is to_mpf of x (or of its conjugate) at 2 * ARCH_DPS digits,
@@ -231,9 +240,20 @@ def _log_abs_real(x: QuadElem, embedding: int):
     sigma = to_mpf(x if embedding == 1 else x.conj(), 2 * ARCH_DPS)._mpf_
     lg = libmp.mpf_log(libmp.mpf_abs(sigma), prec, rnd)
     eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
-                        libmp.from_int(10 ** ARCH_DPS), prec, rnd)
+                        _ten_to_arch_dps(), prec, rnd)
     make = mpmath.mp.make_mpf
     return make(libmp.mpf_sub(lg, eps, prec, rnd)), make(libmp.mpf_add(lg, eps, prec, rnd))
+
+
+def enclosure_centre(lo, hi) -> float:
+    """float((lo + hi) / 2) for the ends of a log_abs enclosure, formed on
+    their tuples: lo + hi rounded to nearest at the context precision, then
+    halved exactly, with no mpf arithmetic."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    total = libmp.mpf_add(lo._mpf_, hi._mpf_, mpmath.mp.prec, libmp.round_nearest)
+    return libmp.to_float(libmp.mpf_shift(total, -1), rnd=libmp.round_nearest)
 
 
 def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int) -> list[LogAbs]:

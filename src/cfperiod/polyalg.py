@@ -2,17 +2,20 @@
 
 Dense coefficient lists, low degree, everything exact.  Highlights:
 
-* factorization over Q on the primitive integer form (sympy's factorer over
-  Z, certified by the content scale-back, an exact multiply-back over Z and
-  independent small-degree irreducibility re-checks), which inside a scope
-  answers a polynomial already certified there at once and divides those
-  irreducibles out first; and over K by one route: the Q-factors of p
-  (p rational) or of its norm p * conj(p) are split over K, by a gcd with p
-  or each on its own (a quadratic by its discriminant, even degree >= 4 as
-  the shifted copy h whose norm h * conj(h) is squarefree, an irrational
-  polynomial that factor_k splits by the same gcd), with the
-  multiplicities of the Q-factors, or for an irrational p by exact
-  division.  Any degree: the degree budget is the classifier's;
+* factorization over Q on the primitive integer form, by one route: inside
+  a scope a polynomial already certified there is answered at once, and
+  those irreducibles are divided out first; then the rational roots, found
+  without factoring an integer, are divided out as linear factors to their
+  full multiplicity; sympy's factorer over Z sees only a cofactor of degree
+  >= 2 with no rational root.  Certified by the content scale-back, an exact
+  multiply-back over Z and independent small-degree irreducibility
+  re-checks.  Over K, too, by one route: the Q-factors of p (p rational)
+  or of its norm p * conj(p) are split over K, by a gcd with p or each on
+  its own (a quadratic by its discriminant, even degree >= 4 as the shifted
+  copy h whose norm h * conj(h) is squarefree, an irrational polynomial
+  that factor_k splits by the same gcd), with the multiplicities of the
+  Q-factors, or for an irrational p by exact division.  Any degree: the
+  degree budget is the classifier's;
 * one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
   certified by both cofactors multiplying back, behind the minimal
   polynomials over Q and every squarefree test; Euclid runs over K only;
@@ -21,9 +24,11 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   off the circle counted by the inertia of the Schur-Cohn matrix;
 * the integrality flags of a Q-irreducible factor (roots, reciprocals and
   both algebraic integers), read off its primitive integer form;
-* ratio and power polynomials (roots alpha/beta and alpha^k) over Q and K
-  alike, built from Newton power sums with no resultant, each certified by
-  its constant term;
+* ratio and power polynomials (roots alpha/beta and alpha^k), built from
+  Newton power sums with no resultant, each certified by its constant term:
+  over Q on integers (the roots scaled by the leading coefficient to
+  algebraic integers, whose power sums are integers and whose Newton
+  identities divide exactly by k), over K on QuadElems;
 * the root-ratio non-degeneracy test with exact root-of-unity witnesses,
   witness_orders(p), whose pool of roots is the polynomial given: the
   rational N = _over_q(p) = p * conj(p) for the test over Q, p itself at
@@ -52,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -504,24 +510,31 @@ def _zz_eval(g: list[int], y: int) -> int:
     return acc
 
 
-def _rational_roots(p: RatPoly) -> list[Fraction]:
-    """The distinct rational roots of p, exactly, without factoring an integer.
+def _zz_monic_scaled(f) -> list[int]:
+    """g(y) = lc^(n-1) f(y/lc) for an integer f of degree n >= 1 with leading
+    coefficient lc (low-to-high): monic over Z, its roots lc times f's."""
+    n, lc = len(f) - 1, f[-1]
+    return [c * lc ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
 
-    y = lc * x turns the primitive integer form f (degree n, leading
-    coefficient lc) into the monic g(y) = lc^(n-1) f(y/lc) over Z, whose
-    integer roots are lc times the rational roots of f, and |y| < 2^(k+1) when
-    |g_(n-j)| < 2^(kj) for all j (Fujiwara).  Modulo the first prime l at
-    which every root of g is simple, each integer root y reduces to one of
-    them, which Newton steps lift uniquely to l^e > 2^(k+2), whose symmetric
-    residue is y; each lifted candidate is tested exactly by Horner over Z.
+
+def _rational_roots(f) -> list[Fraction]:
+    """The distinct rational roots of an integer f (low-to-high, nonzero top
+    coefficient), exactly, without factoring an integer.
+
+    y = lc * x turns f (degree n, leading coefficient lc) into the monic
+    g = _zz_monic_scaled(f) over Z, whose integer roots are lc times the
+    rational roots of f, and |y| < 2^(k+1) when |g_(n-j)| < 2^(kj) for all j
+    (Fujiwara).  Modulo the first prime l at which every root of g is simple,
+    each integer root y reduces to one of them, which Newton steps lift
+    uniquely to l^e > 2^(k+2), whose symmetric residue is y; each lifted
+    candidate is tested exactly by Horner over Z.
     """
-    ints = list(p.primitive_integer_coeffs())
-    zeros = next(i for i, c in enumerate(ints) if c)  # x^zeros divides f
-    roots, ints = [Fraction(0)] if zeros else [], ints[zeros:]
+    zeros = next(i for i, c in enumerate(f) if c)  # x^zeros divides f
+    roots, ints = [Fraction(0)] if zeros else [], list(f[zeros:])
     n, lc = len(ints) - 1, ints[-1]
     if n == 0:
         return roots
-    g = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    g = _zz_monic_scaled(ints)
     k = max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
     primes = (q for q in itertools.count(2) if _is_prime(q))
     for tried, ell in enumerate(primes, 1):
@@ -555,7 +568,7 @@ def _certify_irreducible_q(p: RatPoly) -> None:
     deg = p.degree
     if deg <= 1:
         return
-    if _rational_roots(p):
+    if _rational_roots(p.primitive_integer_coeffs()):
         raise NotIrreducible(f"{p} has a rational root")
     if deg <= 3:
         return
@@ -576,7 +589,7 @@ def _certify_irreducible_q(p: RatPoly) -> None:
                 raise NotIrreducible(f"{p} splits into quadratics")
             return
         resolvent = RatPoly([-Q * Q, P * P - 4 * R, 2 * P, 1])
-        for z0 in _rational_roots(resolvent):
+        for z0 in _rational_roots(resolvent.primitive_integer_coeffs()):
             if z0 > 0 and _rational_sqrt(z0) is not None:
                 raise NotIrreducible(f"{p} splits into quadratics (resolvent root {z0})")
         return
@@ -587,16 +600,19 @@ def _certify_irreducible_q(p: RatPoly) -> None:
 def factor_q(p: RatPoly) -> Factorization:
     """Complete factorization over Q into monic irreducibles.
 
-    Runs on the primitive integer form of p.  Inside a ``memo.scope()`` the
-    primitive irreducibles certified earlier in the scope (the pool) are
-    divided out first, exactly over Z, and sympy's factorer runs only on a
-    nonconstant cofactor.  Gauss's lemma lets a pooled f divide only when
-    lc(f) | lc and f(0) | the constant term, which skips most candidates
-    without a division.  Certified on every call: the content times the
-    primitive form is p, all integer factors multiply back to the primitive
-    form exactly, and factors of degree <= 4 pass an independent
-    irreducibility re-check.  A p whose primitive form is pooled is its own
-    factorization, certified when it entered the pool.
+    Runs on the primitive integer form of p, in three steps.  Inside a
+    ``memo.scope()`` the primitive irreducibles certified earlier in the
+    scope (the pool) are divided out first, exactly over Z; Gauss's lemma
+    lets a pooled f divide only when lc(f) | lc and f(0) | the constant
+    term, which skips most candidates without a division.  Then each
+    rational root a/b of the cofactor (_rational_roots) is divided out as
+    b x - a, exactly over Z and to its full multiplicity; a root that does
+    not divide raises.  sympy's factorer runs last, only on a cofactor of
+    degree >= 2.  Certified on every call: the content times the primitive
+    form is p, all integer factors multiply back to the primitive form
+    exactly, and factors of degree <= 4 pass an independent irreducibility
+    re-check.  A p whose primitive form is pooled is its own factorization,
+    certified when it entered the pool.
     """
     if p.is_zero:
         raise ValueError("factor_q of zero polynomial")
@@ -619,8 +635,15 @@ def factor_q(p: RatPoly) -> Factorization:
             rest, mult = quo, mult + 1
         if mult:
             found.append((f, mult))
+    for root in _rational_roots(rest) if len(rest) > 1 else ():
+        f, mult = (-root.numerator, root.denominator), 0
+        while (quo := _zz_exact_div(rest, f)) is not None:
+            rest, mult = quo, mult + 1
+        if not mult:
+            raise InternalInvariantError(f"rational root {root} does not divide {p}")
+        found.append((f, mult))
     zz_unit = rest[0]
-    if len(rest) > 1:
+    if len(rest) > 2:
         zz_unit, zz_factors = _zz_factor(rest[::-1])
         found += [(tuple(f[::-1]), mult) for f, mult in zz_factors]
     check = [zz_unit]
@@ -960,23 +983,22 @@ def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
     raise InternalInvariantError(f"no element of order {n} modulo the prime {p}")
 
 
-def _cyclotomic_orders(r: RatPoly, ones: int = 0) -> list[int]:
-    """Every n >= 1 with Phi_n | f = r / (x - 1)^ones, for r over Q, without
-    factoring f.
+def _cyclotomic_orders(f, ones: int = 0) -> list[int]:
+    """Every n >= 1 with Phi_n | f / (x - 1)^ones, for a nonzero integer f
+    (low-to-high; over Q, its primitive integer form), without factoring.
 
-    f is formed on the primitive integer form of r by ones synthetic
-    divisions by x - 1 (running sums from the top), each of which must leave
-    no remainder.  The candidates are the n with phi(n) <= deg f.  If w has
-    exact order n modulo a prime p = 1 (mod n), then Phi_n(w) = 0 (mod p), so
-    Phi_n | f forces f(w) = 0 (mod p), and a nonzero residue rules n out.  A
-    candidate that survives is an order only if the exact division of f by
-    Phi_n over Z leaves no remainder.
+    The quotient is formed by ones synthetic divisions by x - 1 (running sums
+    from the top), each of which must leave no remainder.  The candidates are
+    the n with phi(n) <= its degree.  If w has exact order n modulo a prime
+    p = 1 (mod n), then Phi_n(w) = 0 (mod p), so Phi_n | f forces
+    f(w) = 0 (mod p), and a nonzero residue rules n out.  A candidate that
+    survives is an order only if the exact division by Phi_n over Z leaves
+    no remainder.
     """
-    f = r.primitive_integer_coeffs()
     for _ in range(ones):
         sums = list(itertools.accumulate(reversed(f)))  # the last one is f(1)
         if sums.pop():
-            raise InternalInvariantError(f"(x - 1)^{ones} does not divide {r}")
+            raise InternalInvariantError(f"(x - 1)^{ones} does not divide {list(f)}")
         f = sums[::-1]
     orders = []
     for n, _t in _orders_with_totient_at_most(len(f) - 1):
@@ -1021,7 +1043,7 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 def _power_sums(p, count: int) -> list:
-    """[s_1, ..., s_count], s_k the k-th power sum of the roots of p."""
+    """[s_1, ..., s_count], s_k the k-th power sum of the roots of p over K."""
     m = p.monic()
     n = m.degree
     c = m.coeffs[::-1]  # c[j] is the coefficient of x^(n-j); c[0] = 1
@@ -1036,9 +1058,9 @@ def _power_sums(p, count: int) -> list:
 
 
 def _from_power_sums(sums: list, like, root_product):
-    """Monic polynomial over the field of `like` whose N = len(sums) roots have
-    the power sums s_1, ..., s_N, by Newton's identities (k is invertible in
-    characteristic 0).
+    """Monic polynomial over the field of `like` (a KPoly) whose N = len(sums)
+    roots have the power sums s_1, ..., s_N, by Newton's identities (k is
+    invertible in characteristic 0).
 
     Certified: the constant term must be (-1)^N times root_product, the
     product of the roots as the caller computes it from its inputs' end
@@ -1061,18 +1083,108 @@ def _root_product(p):
     return (-1) ** p.degree * p.coeffs[0] / p.lc
 
 
+def _zz_power_sums(g: list[int], count: int) -> list[int]:
+    """[s_1, ..., s_count] for a monic integer g (low-to-high), whose roots are
+    algebraic integers, so every power sum is an integer: Newton's identities
+    s_k = -(k c_k + c_1 s_(k-1) + ... + c_(k-1) s_1) need no division."""
+    n = len(g) - 1
+    c = g[::-1]  # c[j] is the coefficient of y^(n-j); c[0] = 1
+    sums = []
+    for k in range(1, count + 1):
+        acc = sum(map(operator.mul, c[1:min(k, n + 1)], reversed(sums)))
+        sums.append(-(acc + (k * c[k] if k <= n else 0)))
+    return sums
+
+
+def _zz_from_power_sums(sums: list[int]) -> list[int]:
+    """The monic integer polynomial (low-to-high) whose N = len(sums) roots,
+    algebraic integers, have the power sums s_1, ..., s_N, by Newton's
+    identities k c_k = -(s_k + c_1 s_(k-1) + ... + c_(k-1) s_1): the
+    coefficients are integers, so each division by k must be exact, and a
+    remainder raises."""
+    c = [1]
+    for k in range(1, len(sums) + 1):
+        acc = sums[k - 1] + sum(map(operator.mul, c[1:k], reversed(sums[:k - 1])))
+        q, rem = divmod(-acc, k)
+        if rem:
+            raise InternalInvariantError(f"Newton step {k} leaves the remainder {rem}")
+        c.append(q)
+    return c[::-1]
+
+
+def _zz_certified_unscale(big: list[int], end: int, scale: int) -> list[int]:
+    """The primitive integer form of big(scale * x), low-to-high, after
+    checking that big(0), the constant term of the monic Newton output, is
+    end: (-1)^deg times the product of its roots as the caller computes it
+    from its inputs' end coefficients."""
+    if big[0] != end:
+        raise InternalInvariantError(
+            f"power-sum polynomial has the constant term {big[0]}, expected {end}")
+    out, power = [], 1
+    for c in big:
+        out.append(c * power)
+        power *= scale
+    g = math.gcd(*out)
+    return [c // g for c in out] if out[-1] > 0 else [-c // g for c in out]
+
+
+def _zz_ratio_poly(f, g) -> list[int]:
+    """The primitive integer form (low-to-high) of the polynomial whose roots
+    are the ratios alpha/beta, alpha a root of the integer f and beta one of
+    the integer g (g(0) != 0), with multiplicity.
+
+    With a = lc(f) and c = g(0), the monic integer forms of a*alpha and of
+    c/beta (_zz_monic_scaled of f and of g reversed) have integer power sums,
+    and their products are the power sums of the N = deg f * deg g scaled
+    ratios a*c*alpha/beta, all algebraic integers: Newton's identities over Z
+    give their monic integer polynomial R, and R(a*c*x) is the result up to
+    its content.  Certified: R(0) = (-1)^N * F(0)^deg g * G(0)^deg f, with F
+    and G the two monic forms.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
+    count = n * m
+    sums = [x * y for x, y in zip(_zz_power_sums(fs, count), _zz_power_sums(gs, count))]
+    end = (-1) ** count * fs[0] ** m * gs[0] ** n
+    return _zz_certified_unscale(_zz_from_power_sums(sums), end, f[-1] * g[0])
+
+
+def _zz_power_poly(f, k: int) -> list[int]:
+    """The primitive integer form (low-to-high) of the polynomial whose roots
+    are the k-th powers of the integer f's roots, with multiplicity.
+
+    The monic F = _zz_monic_scaled(f) has roots a*alpha (a = lc(f)), whose
+    k-th powers have the power sums s_(jk)(F), integers: Newton's identities
+    over Z give their monic integer polynomial R, and R(a^k x) is the result
+    up to its content.  Certified: R(0) = (-1)^n * ((-1)^n F(0))^k, n = deg f.
+    """
+    n = len(f) - 1
+    fs = _zz_monic_scaled(f)
+    sums = _zz_power_sums(fs, k * n)[k - 1::k]
+    end = (-1) ** n * ((-1) ** n * fs[0]) ** k
+    return _zz_certified_unscale(_zz_from_power_sums(sums), end, f[-1] ** k)
+
+
+def _monic_from_ints(f) -> RatPoly:
+    return RatPoly([Fraction(c, f[-1]) for c in f])
+
+
 def ratio_poly(p, q):
     """Monic polynomial whose roots are the ratios alpha/beta, alpha a root of
     p and beta a root of q, with multiplicity; over the field of p and q.
 
     Built from power sums, s_k(alpha/beta) = s_k(alpha) * s_k(1/beta), where
     1/beta runs over the roots of q.reverse() (Bostan, Flajolet, Salvy and
-    Schost, "Fast computation of special resultants", 2006).
+    Schost, "Fast computation of special resultants", 2006): over Q on
+    integers (_zz_ratio_poly), over K on QuadElems.
     """
     if p.degree < 1 or q.degree < 1:
         raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
     if q.constant_term() == 0:
         raise ZeroRootInDenominator("denominator polynomial has root 0")
+    if isinstance(p, RatPoly) and isinstance(q, RatPoly):
+        return _monic_from_ints(_zz_ratio_poly(p.primitive_integer_coeffs(),
+                                               q.primitive_integer_coeffs()))
     n = p.degree * q.degree
     sums = [a * b for a, b in zip(_power_sums(p, n), _power_sums(q.reverse(), n))]
     return _from_power_sums(
@@ -1081,9 +1193,12 @@ def ratio_poly(p, q):
 
 def power_poly(p, k: int):
     """Monic polynomial whose roots are the k-th powers of p's roots, with
-    multiplicity: s_j(alpha^k) = s_(jk)(alpha)."""
+    multiplicity: s_j(alpha^k) = s_(jk)(alpha), over Q on integers
+    (_zz_power_poly), over K on QuadElems."""
     if p.degree < 1 or k < 1:
         raise PreconditionViolated("power_poly needs a nonconstant polynomial and k >= 1")
+    if isinstance(p, RatPoly):
+        return _monic_from_ints(_zz_power_poly(p.primitive_integer_coeffs(), k))
     sums = _power_sums(p, k * p.degree)
     return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
 
@@ -1135,14 +1250,16 @@ def witness_orders(p) -> tuple[int, ...]:
                 if a == -b:
                     witnesses.add(2)
                 continue
-            r = ratio_poly(fi, fj)
             # self-ratios contribute (x-1)^deg exactly once per root, twice
             # to r * conj(r); they are stripped on the integer form
             ones = fi.degree if fi == fj else 0
-            if isinstance(r, KPoly):
+            if isinstance(fi, RatPoly):
+                r = _zz_ratio_poly(fi.primitive_integer_coeffs(), fj.primitive_integer_coeffs())
+            else:
+                r = ratio_poly(fi, fj)
                 if not r.is_rational():
                     ones *= 2
-                r = _over_q(r)
+                r = _over_q(r).primitive_integer_coeffs()
             for n in _cyclotomic_orders(r, ones):
                 if n == 1:
                     raise InternalInvariantError("distinct irreducible factors share a root")

@@ -16,7 +16,9 @@ qfield.QuadElem replaced: a frozen dataclass of two Fractions, re-checking d
 on every construction.  It shares only the exception classes with the package.
 The reference ratio and power polynomials are resultants, where the package
 builds them from power sums.  Over Q, ratio_poly_zz is a sympy bivariate
-resultant over Z.  Over K, two interpolation loops sample x = 1, -1, 2, ...
+resultant over Z, and newton_ratio_poly and newton_power_poly run Newton's
+identities on Fractions, the route the package left for integer power sums
+of the scaled monic forms.  Over K, two interpolation loops sample x = 1, -1, 2, ...
 for the root ratios and x = 0, 1, 2, ... for the power map, and take each
 sample with the Euclidean resultant below; they share only the package's
 polynomial arithmetic.
@@ -750,6 +752,47 @@ def ratio_poly_zz(p, q):
     res = qy.resultant(pxy)
     out = polyalg.RatPoly([int(c) for c in reversed(res.all_coeffs())])
     return polyalg.RatPoly(out.primitive_integer_coeffs())
+
+
+def _fraction_power_sums(coeffs, count: int) -> list[Fraction]:
+    """[s_1, ..., s_count] for the roots of the polynomial with rational
+    coefficients `coeffs` (low-to-high), by Newton's identities on Fractions."""
+    c = [Fraction(x) / coeffs[-1] for x in reversed(coeffs)]  # monic, high-to-low
+    n, sums = len(c) - 1, []
+    for k in range(1, count + 1):
+        acc = k * c[k] if k <= n else Fraction(0)
+        for j in range(1, min(k, n + 1)):
+            acc += c[j] * sums[k - j - 1]
+        sums.append(-acc)
+    return sums
+
+
+def _fraction_from_power_sums(sums) -> "polyalg.RatPoly":
+    """The monic polynomial whose roots have the power sums s_1, ..., s_N,
+    by Newton's identities with a Fraction division by each k."""
+    c = [Fraction(1)]
+    for k in range(1, len(sums) + 1):
+        acc = sums[k - 1]
+        for j in range(1, k):
+            acc += c[j] * sums[k - j - 1]
+        c.append(-acc / k)
+    return polyalg.RatPoly(c[::-1])
+
+
+def newton_ratio_poly(p, q):
+    """The ratio polynomial of two rational polynomials (q(0) != 0) on
+    Fractions, the package's former route over Q: s_k(alpha/beta) =
+    s_k(alpha) * s_k(1/beta), with 1/beta a root of q reversed."""
+    count = p.degree * q.degree
+    sums = [a * b for a, b in zip(_fraction_power_sums(p.coeffs, count),
+                                  _fraction_power_sums(q.coeffs[::-1], count))]
+    return _fraction_from_power_sums(sums)
+
+
+def newton_power_poly(p, k: int):
+    """The k-th power polynomial of a rational polynomial on Fractions, the
+    package's former route over Q: s_j(alpha^k) = s_(jk)(alpha)."""
+    return _fraction_from_power_sums(_fraction_power_sums(p.coeffs, k * p.degree)[k - 1::k])
 
 
 def ratio_resultant_field(pi, pj):

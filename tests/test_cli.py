@@ -920,9 +920,9 @@ def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypa
         factored.append(len(ints) - 1)
         return zz_factor(ints)
 
-    def searching(r, ones=0):
-        searched.append(r.degree - ones)
-        return cyclotomic_orders(r, ones)
+    def searching(f, ones=0):
+        searched.append(len(f) - 1 - ones)
+        return cyclotomic_orders(f, ones)
 
     monkeypatch.setattr(polyalg, "_zz_factor", factoring)
     monkeypatch.setattr(polyalg, "_cyclotomic_orders", searching)

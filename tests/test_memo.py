@@ -19,6 +19,7 @@ from cfperiod.qfield import QuadElem
 from cfperiod.recurrence import LinRec
 
 from curated import members
+from oracles import rational_roots_divisors
 
 
 def _counting():
@@ -149,16 +150,17 @@ def test_returned_factors_are_refactored_from_the_pool(monkeypatch, factor, p):
 # the scope's pool of irreducibles
 # ---------------------------------------------------------------------------
 
-def _count_zz_factor(monkeypatch):
-    degrees = []
+def _zz_factor_inputs(monkeypatch):
+    """The integer polynomials (high-to-low) sympy's factorer gets from now on."""
+    inputs = []
     zz_factor = polyalg._zz_factor
 
-    def counting(ints):
-        degrees.append(len(ints) - 1)
+    def recording(ints):
+        inputs.append(ints)
         return zz_factor(ints)
 
-    monkeypatch.setattr(polyalg, "_zz_factor", counting)
-    return degrees
+    monkeypatch.setattr(polyalg, "_zz_factor", recording)
+    return inputs
 
 
 @st.composite
@@ -198,21 +200,21 @@ def test_pooled_factorizations_equal_fresh_ones(case):
     moved = p.lift(d) * KPoly([QuadElem(0, 1, d), 1], d)
     fresh_moved = factor_k(moved)
     with pytest.MonkeyPatch.context() as m:
-        degrees = _count_zz_factor(m)
+        inputs = _zz_factor_inputs(m)
         with memo.scope():
             pooled = set()
             for seed in seeds:
                 pooled.update(factor_q(seed).distinct())
-            degrees.clear()
+            inputs.clear()
             assert factor_q(p) == fresh_q
             if set(fresh_q.distinct()) <= pooled:  # nothing left for sympy
-                assert degrees == []
+                assert inputs == []
             assert factor_k(p.lift(d)) == fresh_k
             assert factor_k(moved) == fresh_moved
 
 
 def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
-    degrees = _count_zz_factor(monkeypatch)
+    inputs = _zz_factor_inputs(monkeypatch)
     assert memo.pool() is None
     with memo.scope():
         factor_q(RatPoly([-2, 0, 1]))
@@ -221,7 +223,7 @@ def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
         assert memo.pool() == {}
         # x^2 - 2 is not pooled here: sympy sees the whole quintic
         factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
-    assert degrees == [2, 5]
+    assert [len(f) - 1 for f in inputs] == [2, 5]
 
 
 @pytest.mark.parametrize("c", [1, 3, Fraction(-1, 2)])
@@ -257,19 +259,53 @@ def _order6_sqrt2():
     return LinRec([1] * 5 + [QuadElem(1, 1, 2)], [QuadElem(1, 1, 2)] + [1] * 5, 2)
 
 
+# The degree of each polynomial sympy factors in a curated classification.
+# Rational roots are divided out before sympy, so a member whose pool
+# N = P_A * conj(P_A) has only linear factors sends it nothing, and one with
+# a quadratic factor sends that quadratic once.
+ZZ_FACTOR_DEGREES = {
+    "fibonacci": [2],
+    "n+sqrt5": [],
+    "(1+sqrt2)^n": [2],
+    "(3+sqrt2)^n": [2],
+    "sqrt5*2^n": [],
+    "n^2*sqrt5": [],
+    "(-1)^n*(2+sqrt2)": [],
+    "(5/2)^n+(-1)^n*sqrt2": [],
+    "sqrt2*osc_n": [2],
+    "((1+sqrt2)/8)^n": [2],
+    "(2+sqrt2)^n": [2],
+    "(1+sqrt2)^n+(3/2)^n": [2],
+    "(2+sqrt3)^n+(2/3)^n": [2],
+}
+
+
 @pytest.mark.parametrize("r, degrees", [
-    *[pytest.param(r, None, id=name) for name, r, verdict, _s in members()
+    *[pytest.param(r, ZZ_FACTOR_DEGREES[name], id=name) for name, r, verdict, _s in members()
       if verdict != "DegenerateInput"],
-    # P_D and P_S are products of the pool N's factors, which sympy saw first
-    pytest.param(_order4_b1(), [4], id="order4-B.1"),
+    # P_D and P_S are products of the pool N's factors; the roots 3 and 1/2
+    # are divided out before sympy, which sees the quadratic x^2 - 2x - 1
+    pytest.param(_order4_b1(), [2], id="order4-B.1"),
     # N once; P_D = N splits over K through the norm of a shifted copy, the
     # one polynomial whose factors are not in the pool
     pytest.param(_order6_sqrt2(), [12, 24], id="order6-sqrt2"),
 ])
 def test_one_zassenhaus_call_per_classification(monkeypatch, r, degrees):
-    got = _count_zz_factor(monkeypatch)
+    inputs = _zz_factor_inputs(monkeypatch)
     classify(r)
-    assert len(got) == 1 if degrees is None else got == degrees
+    assert [len(f) - 1 for f in inputs] == degrees
+
+
+@pytest.mark.parametrize("r", [
+    *[pytest.param(r, id=name) for name, r, _verdict, _s in members()],
+    pytest.param(_order4_b1(), id="order4-B.1"),
+    pytest.param(_order6_sqrt2(), id="order6-sqrt2"),
+])
+def test_no_zassenhaus_call_sees_a_rational_root(monkeypatch, r):
+    inputs = _zz_factor_inputs(monkeypatch)
+    classify(r)
+    for f in inputs:  # the reference enumerates divisor pairs
+        assert rational_roots_divisors(RatPoly(f[::-1])) == [], f
 
 
 def _computations(monkeypatch, name):

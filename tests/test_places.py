@@ -300,6 +300,8 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
     # them while A + B*sqrt(d) cancels fewer than 160 bits
     assume(_cancellation_bits(y) < 160)
     lo, hi = places._log_abs_real(x, embedding)
+    # the printed centre, formed on the tuples, is the mpf centre's float
+    assert places.enclosure_centre(lo, hi) == float((lo + hi) / 2)
     dps = 3 * places.ARCH_DPS
     with mpmath.workdps(dps):
         ref = quad_to_mpf(y, dps)

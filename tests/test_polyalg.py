@@ -29,8 +29,9 @@ from cfperiod.recurrence import seq_min_charpoly
 from curated import members
 from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, euclid_gcd,
                      factor_k_norm, factor_q_qq, from_roots, is_root_of_unity,
-                     offcircle_counts_numeric, orders_with_totient_at_most_sieved, poly_roots,
-                     power_map_charpoly, ratio_poly_zz, ratio_resultant_field,
+                     newton_power_poly, newton_ratio_poly, offcircle_counts_numeric,
+                     orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
+                     ratio_poly_zz, ratio_resultant_field,
                      ratio_witness_orders_numeric, rational_roots_divisors, resultant, sqrt_int,
                      squarefree_part)
 
@@ -264,8 +265,8 @@ def test_factoring_has_no_degree_cap():
 
 def test_rational_roots_in_lowest_terms():
     p = from_roots([F(2, 3), F(-1, 2), F(4), F(0)]) * RatPoly([1, 0, 3])
-    assert sorted(_rational_roots(p)) == [F(-1, 2), F(0), F(2, 3), F(4)]
-    assert _rational_roots(RatPoly([-2, 0, 9])) == []  # +-sqrt(2)/3
+    assert sorted(_rational_roots(p.primitive_integer_coeffs())) == [F(-1, 2), F(0), F(2, 3), F(4)]
+    assert _rational_roots([-2, 0, 9]) == []  # +-sqrt(2)/3
 
 
 @st.composite
@@ -286,7 +287,8 @@ def rational_root_polys(draw):
 @example(RatPoly([-1, 0, 1]) ** 2 * RatPoly([0, 0, 1]))  # repeated roots +-1, 0
 @example(RatPoly([F(-1, 3), F(1, 6), F(1, 2)]))  # (3x - 2)(x + 1)/6
 def test_rational_roots_match_divisor_enumeration(p):
-    assert sorted(_rational_roots(p)) == sorted(set(rational_roots_divisors(p)))
+    assert (sorted(_rational_roots(p.primitive_integer_coeffs()))
+            == sorted(set(rational_roots_divisors(p))))
 
 
 def test_rational_roots_factor_no_integer(monkeypatch):
@@ -298,7 +300,7 @@ def test_rational_roots_factor_no_integer(monkeypatch):
     f = RatPoly([p * q, 1, 0, 0, 1])  # x^4 + x + pq, irreducible over Q
     assert factor_q(f).factors == ((f, 1),)
     g = from_roots([F(10**20 + 3, 7), F(-5, 6), F(-5, 6)]) * RatPoly([1, 0, 1])
-    assert sorted(_rational_roots(g)) == [F(-5, 6), F(10**20 + 3, 7)]
+    assert sorted(_rational_roots(g.primitive_integer_coeffs())) == [F(-5, 6), F(10**20 + 3, 7)]
 
 
 def test_factor_q_certifies_the_integer_route(monkeypatch):
@@ -309,14 +311,17 @@ def test_factor_q_certifies_the_integer_route(monkeypatch):
         m.setattr(RatPoly, "primitive_integer_coeffs", lambda q: (1,) + prim(q)[1:])
         with pytest.raises(InternalInvariantError, match="scale-back"):
             factor_q(p)
+    # p's rational roots never reach sympy; (x^2 - 2)(x^2 - 3) has none, so
+    # sympy factors it whole, and a wrong answer must not pass
+    q = RatPoly([6, 0, -5, 0, 1])
     with monkeypatch.context() as m:  # factors that do not multiply back
-        m.setattr(polyalg, "_zz_factor", lambda ints: (1, [([3, -2], 1), ([1, 2], 1)]))
+        m.setattr(polyalg, "_zz_factor", lambda ints: (1, [([1, 0, -2], 1), ([1, 0, -2], 1)]))
         with pytest.raises(InternalInvariantError, match="multiply-back"):
-            factor_q(p)
-    with monkeypatch.context() as m:  # a reducible quadratic returned whole
+            factor_q(q)
+    with monkeypatch.context() as m:  # a reducible quartic returned whole
         m.setattr(polyalg, "_zz_factor", lambda ints: (1, [(ints, 1)]))
         with pytest.raises(NotIrreducible):
-            factor_q(p)
+            factor_q(q)
 
 
 @st.composite
@@ -333,11 +338,29 @@ def rational_products(draw):
     return p * RatPoly([0, 1]) ** draw(st.integers(0, 2))
 
 
-@settings(max_examples=80, deadline=None)
-@given(rational_products())
+@settings(max_examples=140, deadline=None)
+@given(rational_products() | rational_root_polys())
 @example(RatPoly([0, 0, -2, 0, 1]) * RatPoly([F(1, 2), 3]) ** 2)
+@example(RatPoly([F(-1, 3), 1]) ** 2 * RatPoly([0, 1]) ** 3 * RatPoly([F(-10**20 - 3, 7), 1])
+         * RatPoly([-2, 0, 1]))
+@example(RatPoly([-1, 3]) * RatPoly([1, 1, 0, 0, 0, 1]))  # x^5 + x + 1 splits, no root
+@example(RatPoly([6, 0, -5, 0, 1]))                        # no rational root at all
 def test_factor_q_matches_sympy_over_qq(p):
     assert factor_q(p) == factor_q_qq(p)
+
+
+def test_factor_q_checks_the_rational_roots(monkeypatch):
+    p = RatPoly([-1, 3]) ** 2 * RatPoly([2, 1]) * RatPoly([-2, 0, 1])  # (3x-1)^2 (x+2)(x^2-2)
+    roots = polyalg._rational_roots
+    with monkeypatch.context() as m:  # a non-root must not be divided out
+        m.setattr(polyalg, "_rational_roots", lambda f: roots(f) + [F(2)])
+        with pytest.raises(InternalInvariantError, match="does not divide"):
+            factor_q(p)
+    for drop in (0, 1):  # a dropped root reaches sympy, which finds it
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, "_rational_roots",
+                      lambda f: [r for i, r in enumerate(roots(f)) if i != drop])
+            assert factor_q(p) == factor_q_qq(p)
 
 
 SPLITTING_D = (2, 3, 5, 6, 7, 10)
@@ -556,7 +579,8 @@ def cyclotomic_products(draw):
 def test_cyclotomic_orders_match_factoring(r):
     if r.degree < 1:
         return
-    assert polyalg._cyclotomic_orders(r) == cyclotomic_orders_by_factoring(r)
+    assert (polyalg._cyclotomic_orders(r.primitive_integer_coeffs())
+            == cyclotomic_orders_by_factoring(r))
 
 
 def test_witness_orders_refuse_a_shared_root(monkeypatch):
@@ -616,6 +640,68 @@ def test_ratio_poly_matches_the_integer_resultant(pair):
     r = ratio_poly(p, q)
     assert r.lc == 1 and r.degree == p.degree * q.degree
     assert RatPoly(r.primitive_integer_coeffs()) == ratio_poly_zz(p, q)
+
+
+@st.composite
+def power_sum_cases(draw):
+    """(p, q, k) over Q: p and q products of factors of degree 1-3 with
+    rational, non-monic and sometimes 30-digit coefficients, some repeated,
+    p with zero roots now and then, q without; a quarter of the time q is p
+    (self-ratios), when p has no zero root."""
+    small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    large = st.integers(-10**30, 10**30)
+    lead = st.sampled_from([1, -1, 2, F(1, 3), -5, 10**20 + 1])
+
+    def product(max_factors):
+        out = RatPoly([draw(lead)])
+        for _ in range(draw(st.integers(1, max_factors))):
+            deg = draw(st.integers(1, 3))
+            cs = draw(st.lists(small | large, min_size=deg, max_size=deg))
+            if not cs[0]:
+                cs[0] = draw(st.sampled_from([1, -7, F(2, 5)]))
+            out = out * RatPoly(cs + [draw(lead)]) ** draw(st.integers(1, 2))
+        return out
+
+    p, k = product(2), draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        return p, p, k
+    return p * RatPoly([0, 1]) ** draw(st.integers(0, 2)), product(1), k
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(power_sum_cases())
+@example((FIB, FIB, 3))
+@example((RatPoly([0, 0, -1, 3]), RatPoly([-1, 3]) ** 2, 2))       # zero and repeated roots
+@example((RatPoly([10**25 + 7, -3, 2 * 10**24]), RatPoly([F(1, 7), 5]), 4))
+def test_integer_power_sums_match_the_fraction_route(case):
+    p, q, k = case
+    assert ratio_poly(p, q) == newton_ratio_poly(p, q)
+    assert power_poly(p, k) == newton_power_poly(p, k)
+    # the degeneracy test reads the primitive integer form directly
+    assert (polyalg._zz_ratio_poly(p.primitive_integer_coeffs(), q.primitive_integer_coeffs())
+            == list(newton_ratio_poly(p, q).primitive_integer_coeffs()))
+
+
+def test_integer_newton_is_certified(monkeypatch):
+    newton, power_sums = polyalg._zz_from_power_sums, polyalg._zz_power_sums
+    p, q = RatPoly([1, -3, 1]), RatPoly([-2, 3, 5])
+    with monkeypatch.context() as m:  # a constant term off by one
+        m.setattr(polyalg, "_zz_from_power_sums", lambda sums: [newton(sums)[0] + 1]
+                  + newton(sums)[1:])
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            ratio_poly(p, q)
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            power_poly(q, 3)
+    with monkeypatch.context() as m:  # the last power sum off by its index
+        m.setattr(polyalg, "_zz_from_power_sums",
+                  lambda sums: newton(sums[:-1] + [sums[-1] + len(sums)]))
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            ratio_poly(p, q)
+    with monkeypatch.context() as m:  # s_1 of x^2 - 3x + 1 read as 4: 2 c_2 = -9
+        m.setattr(polyalg, "_zz_power_sums",
+                  lambda g, count: [s + (i == 0) for i, s in enumerate(power_sums(g, count))])
+        with pytest.raises(InternalInvariantError, match="remainder"):
+            power_poly(p, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ the roots) so that the splitting also repairs conjugate-pair ratios.
 
 Steps B.1-C.6 read one table of the factors of P_D (over K) and P_S (over Q):
 multiplicity, whether conjugation fixes it, circle profile, integrality flags.
+Over Q the table is read from primitive integer forms (polyalg's one form
+over Q): P_S and P_D are each converted once, their factors and the
+integrality flags of C.4-C.6 come from factor_q's forms, and a Q-factor is
+made a monic RatPoly only for its circle profile and the printed report.
 The paper's C.2 (a moved factor with a root on the circle) is implied by C.1:
 such a factor pi is not linear (+-1 is rational, so fixed), so its roots z
 and 1/z (= complex conjugate) make it self-reciprocal, and so is conj(pi),
@@ -33,6 +37,7 @@ from .errors import DegreeTooLarge, InternalInvariantError
 from .polyalg import (
     CircleProfile,
     KPoly,
+    _monic_from_ints,
     _over_q,
     _profile_irreducible,
     _zz_exact_div,
@@ -97,15 +102,20 @@ def _s_rows(p_s, p_a: KPoly) -> tuple:
     and conj(P_A), so P_S divides the pool N = P_A * conj(P_A) (P_A itself
     when it is rational) of the over-Q degeneracy test the input has passed:
     S is non-degenerate as well.  The division is checked exactly, on the
-    primitive integer forms (Gauss's lemma).
+    primitive integer forms (Gauss's lemma).  Each factor is read over Q
+    as its form; its row holds the monic q that its profile reads and the
+    report prints.
     """
     if isinstance(p_s, ZeroSequence):
         return ()
-    if _zz_exact_div(_over_q(p_a).primitive_integer_coeffs(),
-                     p_s.primitive_integer_coeffs()) is None:
+    form = p_s.primitive_integer_coeffs()
+    if _zz_exact_div(_over_q(p_a), form) is None:
         raise InternalInvariantError("P_S does not divide P_A * conj(P_A)")
-    return tuple((q, m, _profile_irreducible(q), root_integrality_flags(q))
-                 for q, m in factor_q(p_s).factors)
+    rows = []
+    for f, m in factor_q(form):
+        q = _monic_from_ints(f)
+        rows.append((q, m, _profile_irreducible(q), root_integrality_flags(f)))
+    return tuple(rows)
 
 
 def classify(r: LinRec) -> Classification:
@@ -194,7 +204,7 @@ def _classify(r: LinRec) -> Classification:
     if any((pr.on or pr.inside) and (pc.on or pc.inside)
            for _pi, _m, pr, pc in moved_factors):
         return Classification("ProvenUnbounded", "C.3", ev)
-    if not all(root_integrality_flags(f)[2] for f, _m in factor_q(p_d.to_ratpoly()).factors):
+    if not all(root_integrality_flags(f)[2] for f, _m in factor_q(_over_q(p_d))):
         return Classification("ProvenUnbounded", "C.4", ev)
     if any((pr.on or pr.outside) and not flags[0] for _q, _m, pr, flags in s_rows):
         return Classification("ProvenUnbounded", "C.5", ev)

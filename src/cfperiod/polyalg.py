@@ -2,20 +2,27 @@
 
 Dense coefficient lists, low degree, everything exact.  Highlights:
 
-* factorization over Q on the primitive integer form, by one route: inside
-  a scope a polynomial already certified there is answered at once, and
-  those irreducibles are divided out first; then the rational roots, found
-  without factoring an integer, are divided out as linear factors to their
-  full multiplicity; sympy's factorer over Z sees only a cofactor of degree
-  >= 2 with no rational root.  Certified by the content scale-back, an exact
-  multiply-back over Z and independent small-degree irreducibility
-  re-checks.  Over K, too, by one route: the Q-factors of p (p rational)
-  or of its norm p * conj(p) are split over K, by a gcd with p or each on
-  its own (a quadratic by its discriminant, even degree >= 4 as the shifted
-  copy h whose norm h * conj(h) is squarefree, an irrational polynomial
-  that factor_k splits by the same gcd), with the multiplicities of the
-  Q-factors, or for an irrational p by exact division.  Any degree: the
-  degree budget is the classifier's;
+* one form over Q: a polynomial over Q passes between functions as its
+  primitive integer form, a low-to-high tuple of ints with content 1 and a
+  positive leading coefficient.  RatPoly.primitive_integer_coeffs is the one
+  conversion from Fractions, certified by the content scale-back, and
+  _monic_from_ints the one way back, taken only where Fractions are read:
+  lifting a Q-factor to K, the circle profile of a Q-factor, the quartic
+  irreducibility re-check and the polynomials a report prints;
+* factorization over Q of a form, by one route: inside a scope a form
+  already certified there is answered at once, and those irreducibles are
+  divided out first; then the rational roots, found without factoring an
+  integer, are divided out as linear factors to their full multiplicity;
+  sympy's factorer over Z sees only a cofactor of degree >= 2 with no
+  rational root.  Certified by refusing an input that is not a primitive
+  form, an exact multiply-back over Z and independent small-degree
+  irreducibility re-checks.  Over K, too, by one route: the Q-factors of
+  p (p rational) or of its norm p * conj(p) are split over K, by a gcd
+  with p or each on its own (a quadratic by its discriminant, even degree
+  >= 4 as the shifted copy h whose norm h * conj(h) is squarefree, an
+  irrational polynomial that factor_k splits by the same gcd), with the
+  multiplicities of the Q-factors, or for an irrational p by exact
+  division.  Any degree: the degree budget is the classifier's;
 * one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
   certified by both cofactors multiplying back, behind the minimal
   polynomials over Q and every squarefree test; Euclid runs over K only;
@@ -23,16 +30,18 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
 * the integrality flags of a Q-irreducible factor (roots, reciprocals and
-  both algebraic integers), read off its primitive integer form;
+  both algebraic integers), read off its form;
 * ratio and power polynomials (roots alpha/beta and alpha^k), built from
-  Newton power sums with no resultant, each certified by its constant term:
-  over Q on integers (the roots scaled by the leading coefficient to
-  algebraic integers, whose power sums are integers and whose Newton
-  identities divide exactly by k), over K on QuadElems;
+  Newton power sums with no resultant, one loop for both fields, each
+  certified by its constant term: over K on QuadElems (ratio_poly and
+  power_poly), over Q only as forms inside the degeneracy test
+  (_zz_ratio_poly: the roots scaled by the leading coefficient to algebraic
+  integers, whose power sums are integers and whose Newton identities
+  divide exactly by k);
 * the root-ratio non-degeneracy test with exact root-of-unity witnesses,
-  witness_orders(p), whose pool of roots is the polynomial given: the
-  rational N = _over_q(p) = p * conj(p) for the test over Q, p itself at
-  the base level of K.  Each unordered pair of irreducible factors of the
+  witness_orders(p), whose pool of roots is the polynomial given: the form
+  of N = p * conj(p), _over_q(p), for the test over Q, p itself at the
+  base level of K.  Each unordered pair of irreducible factors of the
   pool gives one ratio polynomial r, read over Q (r * conj(r) when r is
   irrational), which is not factored: the witness orders are the n with
   Phi_n | r, each candidate with phi(n) <= deg r ruled out by one residue
@@ -41,8 +50,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   pool also holds ratios across conjugates, such as sqrt(2) / (-sqrt(2)) = -1.
 
 factor_q, factor_k, the degeneracy witnesses, the circle profile of an
-irreducible factor and the rational form N = p * conj(p) of a K-polynomial
-are memoized inside a ``memo.scope()`` (one classification or one growth
+irreducible factor and the form of N = p * conj(p) of a K-polynomial are
+memoized inside a ``memo.scope()`` (one classification or one growth
 job), so each fact is computed once there.  Every irreducible factor_q
 certifies joins the scope's pool (memo.pool), the scope's one record of
 certified irreducibles, so a pooled polynomial is not certified again and
@@ -331,16 +340,20 @@ class RatPoly(_PolyBase):
         return p
 
     def primitive_integer_coeffs(self) -> tuple[int, ...]:
-        """Integer coefficients, content 1, positive leading; low-to-high."""
+        """The primitive integer form: integer coefficients, content 1,
+        positive leading; low-to-high.  The one conversion from Fractions to
+        the form every polynomial over Q is passed in, certified by the
+        content scale-back: lc / form[-1] times the form is self."""
         if self.is_zero:
             raise ValueError("primitive form of zero polynomial")
         den = math.lcm(*(c.denominator for c in self.coeffs))
         ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        if ints[-1] < 0:
-            ints = [-c for c in ints]
-        return tuple(ints)
+        g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        ints = tuple(c // g for c in ints)
+        content = self.lc / ints[-1]
+        if [content * c for c in ints] != list(self.coeffs):
+            raise InternalInvariantError(f"content scale-back failed for {self}")
+        return ints
 
     def lift(self, d: int) -> "KPoly":
         return KPoly([QuadElem(c, 0, d) for c in self.coeffs], d)
@@ -563,105 +576,106 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return root if root * root == q else None
 
 
-def _certify_irreducible_q(p: RatPoly) -> None:
-    """Independent irreducibility re-check for degree <= 4 (raises on failure)."""
-    deg = p.degree
+def _monic_from_ints(f) -> RatPoly:
+    """The monic RatPoly of an integer form f (low-to-high): the one place a
+    form over Q is read as Fractions, where an algorithm or a report needs
+    them."""
+    return RatPoly([Fraction(c, f[-1]) for c in f])
+
+
+def _certify_irreducible_q(f) -> None:
+    """Independent irreducibility re-check of a primitive integer form f of
+    degree <= 4 (raises on failure)."""
+    deg = len(f) - 1
     if deg <= 1:
         return
-    if _rational_roots(p.primitive_integer_coeffs()):
-        raise NotIrreducible(f"{p} has a rational root")
+    if _rational_roots(f):
+        raise NotIrreducible(f"{_monic_from_ints(f)} has a rational root")
     if deg <= 3:
         return
     if deg == 4:
         # depress: x -> y - a3/4, then quadratic splits come from the
         # resolvent cubic z^3 + 2Pz^2 + (P^2-4R)z - Q^2 having a positive
         # rational square root z0 = u^2 (Q != 0), or the biquadratic cases.
-        m = p.monic()
+        m = _monic_from_ints(f)
         a3 = m.coeffs[2 + 1]
         dep = m.compose(RatPoly([-a3 / 4, 1]))
         P, Q, R = dep.coeffs[2], dep.coeffs[1], dep.coeffs[0]
         if Q == 0:
             if _rational_sqrt(P * P - 4 * R) is not None:
-                raise NotIrreducible(f"{p} splits as a biquadratic")
+                raise NotIrreducible(f"{m} splits as a biquadratic")
             g = _rational_sqrt(R)
             if g is not None and (_rational_sqrt(2 * g - P) is not None
                                   or _rational_sqrt(-2 * g - P) is not None):
-                raise NotIrreducible(f"{p} splits into quadratics")
+                raise NotIrreducible(f"{m} splits into quadratics")
             return
         resolvent = RatPoly([-Q * Q, P * P - 4 * R, 2 * P, 1])
         for z0 in _rational_roots(resolvent.primitive_integer_coeffs()):
             if z0 > 0 and _rational_sqrt(z0) is not None:
-                raise NotIrreducible(f"{p} splits into quadratics (resolvent root {z0})")
+                raise NotIrreducible(f"{m} splits into quadratics (resolvent root {z0})")
         return
     # degree >= 5: no independent certificate here (see decision ledger)
 
 
 @memoized
-def factor_q(p: RatPoly) -> Factorization:
-    """Complete factorization over Q into monic irreducibles.
+def factor_q(f: tuple[int, ...]) -> tuple:
+    """Complete factorization over Q of a primitive integer form f:
+    ((g, mult), ...), each g an irreducible primitive integer form, sorted
+    by degree and then by the coefficients of the monic g; () for f = (1,).
 
-    Runs on the primitive integer form of p, in three steps.  Inside a
-    ``memo.scope()`` the primitive irreducibles certified earlier in the
-    scope (the pool) are divided out first, exactly over Z; Gauss's lemma
-    lets a pooled f divide only when lc(f) | lc and f(0) | the constant
-    term, which skips most candidates without a division.  Then each
-    rational root a/b of the cofactor (_rational_roots) is divided out as
-    b x - a, exactly over Z and to its full multiplicity; a root that does
-    not divide raises.  sympy's factorer runs last, only on a cofactor of
-    degree >= 2.  Certified on every call: the content times the primitive
-    form is p, all integer factors multiply back to the primitive form
-    exactly, and factors of degree <= 4 pass an independent irreducibility
-    re-check.  A p whose primitive form is pooled is its own factorization,
+    Three steps.  Inside a ``memo.scope()`` the irreducibles certified
+    earlier in the scope (the pool) are divided out first, exactly over Z;
+    Gauss's lemma lets a pooled g divide only when lc(g) | lc and g(0) | the
+    constant term, which skips most candidates without a division.  Then
+    each rational root a/b of the cofactor (_rational_roots) is divided out
+    as b x - a, exactly over Z and to its full multiplicity; a root that
+    does not divide raises.  sympy's factorer runs last, only on a cofactor
+    of degree >= 2.  Certified on every call: f must be a primitive form
+    (content 1, positive leading coefficient), all integer factors multiply
+    back to f exactly, and factors of degree <= 4 pass an independent
+    irreducibility re-check.  A pooled f is its own factorization,
     certified when it entered the pool.
     """
-    if p.is_zero:
-        raise ValueError("factor_q of zero polynomial")
-    if p.degree == 0:
-        return Factorization(p.coeffs[0], ())
-    prim = p.primitive_integer_coeffs()
-    content = p.lc / prim[-1]
-    if [content * c for c in prim] != list(p.coeffs):
-        raise InternalInvariantError(f"factor_q content scale-back failed for {p}")
+    if not f or f[-1] <= 0 or math.gcd(*f) != 1:
+        raise InternalInvariantError(f"factor_q of {list(f)}, not a primitive integer form")
+    if len(f) == 1:
+        return ()
     pool = memo.pool()  # primitive irreducibles, low-to-high, as dict keys
-    if pool and prim in pool:  # certified when it entered the pool
-        return Factorization(p.lc, ((p.monic(), 1),))
-    found, rest = [], list(prim)
-    for f in pool or ():
+    if pool and f in pool:  # certified when it entered the pool
+        return ((f, 1),)
+    found, rest = [], list(f)
+    for g in pool or ():
         mult = 0
-        while _divides(f[-1], rest[-1]) and _divides(f[0], rest[0]):
-            quo = _zz_exact_div(rest, f)
+        while _divides(g[-1], rest[-1]) and _divides(g[0], rest[0]):
+            quo = _zz_exact_div(rest, g)
             if quo is None:
                 break
             rest, mult = quo, mult + 1
         if mult:
-            found.append((f, mult))
+            found.append((g, mult))
     for root in _rational_roots(rest) if len(rest) > 1 else ():
-        f, mult = (-root.numerator, root.denominator), 0
-        while (quo := _zz_exact_div(rest, f)) is not None:
+        g, mult = (-root.numerator, root.denominator), 0
+        while (quo := _zz_exact_div(rest, g)) is not None:
             rest, mult = quo, mult + 1
         if not mult:
-            raise InternalInvariantError(f"rational root {root} does not divide {p}")
-        found.append((f, mult))
-    zz_unit = rest[0]
+            raise InternalInvariantError(f"rational root {root} does not divide {list(f)}")
+        found.append((g, mult))
+    check = rest[:1]
     if len(rest) > 2:
         zz_unit, zz_factors = _zz_factor(rest[::-1])
-        found += [(tuple(f[::-1]), mult) for f, mult in zz_factors]
-    check = [zz_unit]
-    unit = content * zz_unit
-    factors = []
-    for f, mult in found:
+        check = [zz_unit]
+        found += [(tuple(g[::-1]), mult) for g, mult in zz_factors]
+    for g, mult in found:
         for _ in range(mult):
-            check = _zz_mul(check, f)
-        unit *= f[-1] ** mult
-        factors.append((RatPoly([Fraction(c, f[-1]) for c in f]), mult))
-    if tuple(check) != prim:
-        raise InternalInvariantError(f"factor_q multiply-back failed for {p}")
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    for f, _m in factors:
-        _certify_irreducible_q(f)
+            check = _zz_mul(check, g)
+    if tuple(check) != f:
+        raise InternalInvariantError(f"factor_q multiply-back failed for {list(f)}")
+    found.sort(key=lambda gm: (len(gm[0]), tuple(Fraction(c, gm[0][-1]) for c in gm[0])))
+    for g, _m in found:
+        _certify_irreducible_q(g)
     if pool is not None:
-        pool.update(dict.fromkeys(f for f, _m in found))
-    return Factorization(unit, tuple(factors))
+        pool.update(dict.fromkeys(g for g, _m in found))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +689,7 @@ def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     sqrt_d = QuadElem(0, 1, d)
     for s in range(1, 65):
         h = g.compose(KPoly([-(s * sqrt_d), 1], d))
-        norm = _over_q(h).primitive_integer_coeffs()
+        norm = _over_q(h)
         if len(_zz_squarefree_part(norm)) < len(norm):
             continue
         unshift = KPoly([s * sqrt_d, 1], d)
@@ -729,7 +743,8 @@ def factor_k(p: KPoly) -> Factorization:
         return Factorization(unit, ())
     rest = monic = p.monic()
     rational, items = monic.is_rational(), []
-    for f, m in factor_q(_over_q(monic)).factors:
+    for form, m in factor_q(_over_q(monic)):
+        f = _monic_from_ints(form)
         if rational:  # f^m divides p exactly, and so does each K-factor of f to the m
             items += [(g, m) for g in _split_over_k(f, p.d)]
             continue
@@ -749,19 +764,17 @@ def factor_k(p: KPoly) -> Factorization:
     return Factorization(unit, tuple(items))
 
 
-def root_integrality_flags(q: RatPoly) -> tuple[bool, bool, bool]:
+def root_integrality_flags(f) -> tuple[bool, bool, bool]:
     """(roots are algebraic integers, reciprocals are too, both = units).
 
-    q must be irreducible over Q; read off the primitive integer form.
+    f is the primitive integer form of a polynomial irreducible over Q, and
+    the flags are read off its end coefficients.
     """
-    if q.degree < 1:
-        raise NotIrreducible(f"{q} is constant")
-    fac = factor_q(q)
-    if len(fac.factors) != 1 or fac.factors[0][1] != 1:
-        raise NotIrreducible(f"{q} is not irreducible over Q")
-    ints = q.primitive_integer_coeffs()
-    is_int = abs(ints[-1]) == 1
-    is_recip = ints[0] != 0 and abs(ints[0]) == 1
+    if len(f) < 2:
+        raise NotIrreducible(f"{list(f)} is constant")
+    if factor_q(f) != ((f, 1),):
+        raise NotIrreducible(f"{_monic_from_ints(f)} is not irreducible over Q")
+    is_int, is_recip = f[-1] == 1, abs(f[0]) == 1
     return is_int, is_recip, is_int and is_recip
 
 
@@ -901,12 +914,11 @@ def circle_profile(p) -> CircleProfile:
     """
     if p.is_zero:
         raise ValueError("circle_profile of zero polynomial")
-    if isinstance(p, KPoly) and p.is_rational():
-        p = p.to_ratpoly()
-    if isinstance(p, KPoly):
+    if isinstance(p, KPoly) and not p.is_rational():
         items = factor_k(p).factors
     else:
-        items = factor_q(p).factors
+        form = _over_q(p) if isinstance(p, KPoly) else p.primitive_integer_coeffs()
+        items = [(_monic_from_ints(f), m) for f, m in factor_q(form)]
     inside = on = outside = 0
     for f, m in items:
         prof = _profile_irreducible(f)
@@ -1034,7 +1046,8 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
                 extend(n * pk, tk, i + 1)
                 pk, tk = pk * p, tk * p
 
-    extend(1, 1, 0)
+    if bound >= 1:
+        extend(1, 1, 0)
     return tuple(sorted(out))
 
 
@@ -1042,18 +1055,19 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
 # ratio and power polynomials, non-degeneracy
 # ---------------------------------------------------------------------------
 
-def _power_sums(p, count: int) -> list:
-    """[s_1, ..., s_count], s_k the k-th power sum of the roots of p over K."""
-    m = p.monic()
-    n = m.degree
-    c = m.coeffs[::-1]  # c[j] is the coefficient of x^(n-j); c[0] = 1
+def _power_sums(c, count: int) -> list:
+    """[s_1, ..., s_count], s_k the k-th power sum of the roots of the monic
+    polynomial with coefficients c (low-to-high; ints or QuadElems), by
+    Newton's identities s_k = -(k c_k + c_1 s_(k-1) + ... + c_(k-1) s_1),
+    c_j the coefficient of x^(n-j) and c_k = 0 past n.  They need no
+    division, so a monic integer polynomial, whose roots are algebraic
+    integers, has integer power sums."""
+    n = len(c) - 1
+    c = c[::-1]
     sums = []
     for k in range(1, count + 1):
-        # Newton: s_k + c_1 s_(k-1) + ... + c_(k-1) s_1 + k c_k = 0, c_k = 0 past n
-        acc = k * c[k] if k <= n else m._zero()
-        for j in range(1, min(k, n + 1)):
-            acc = acc + c[j] * sums[k - j - 1]
-        sums.append(-acc)
+        acc = sum(map(operator.mul, c[1:min(k, n + 1)], reversed(sums)))
+        sums.append(-(acc + (k * c[k] if k <= n else 0)))
     return sums
 
 
@@ -1083,19 +1097,6 @@ def _root_product(p):
     return (-1) ** p.degree * p.coeffs[0] / p.lc
 
 
-def _zz_power_sums(g: list[int], count: int) -> list[int]:
-    """[s_1, ..., s_count] for a monic integer g (low-to-high), whose roots are
-    algebraic integers, so every power sum is an integer: Newton's identities
-    s_k = -(k c_k + c_1 s_(k-1) + ... + c_(k-1) s_1) need no division."""
-    n = len(g) - 1
-    c = g[::-1]  # c[j] is the coefficient of y^(n-j); c[0] = 1
-    sums = []
-    for k in range(1, count + 1):
-        acc = sum(map(operator.mul, c[1:min(k, n + 1)], reversed(sums)))
-        sums.append(-(acc + (k * c[k] if k <= n else 0)))
-    return sums
-
-
 def _zz_from_power_sums(sums: list[int]) -> list[int]:
     """The monic integer polynomial (low-to-high) whose N = len(sums) roots,
     algebraic integers, have the power sums s_1, ..., s_N, by Newton's
@@ -1110,22 +1111,6 @@ def _zz_from_power_sums(sums: list[int]) -> list[int]:
             raise InternalInvariantError(f"Newton step {k} leaves the remainder {rem}")
         c.append(q)
     return c[::-1]
-
-
-def _zz_certified_unscale(big: list[int], end: int, scale: int) -> list[int]:
-    """The primitive integer form of big(scale * x), low-to-high, after
-    checking that big(0), the constant term of the monic Newton output, is
-    end: (-1)^deg times the product of its roots as the caller computes it
-    from its inputs' end coefficients."""
-    if big[0] != end:
-        raise InternalInvariantError(
-            f"power-sum polynomial has the constant term {big[0]}, expected {end}")
-    out, power = [], 1
-    for c in big:
-        out.append(c * power)
-        power *= scale
-    g = math.gcd(*out)
-    return [c // g for c in out] if out[-1] > 0 else [-c // g for c in out]
 
 
 def _zz_ratio_poly(f, g) -> list[int]:
@@ -1144,73 +1129,58 @@ def _zz_ratio_poly(f, g) -> list[int]:
     n, m = len(f) - 1, len(g) - 1
     fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
     count = n * m
-    sums = [x * y for x, y in zip(_zz_power_sums(fs, count), _zz_power_sums(gs, count))]
-    end = (-1) ** count * fs[0] ** m * gs[0] ** n
-    return _zz_certified_unscale(_zz_from_power_sums(sums), end, f[-1] * g[0])
+    sums = [x * y for x, y in zip(_power_sums(fs, count), _power_sums(gs, count))]
+    big, end = _zz_from_power_sums(sums), (-1) ** count * fs[0] ** m * gs[0] ** n
+    if big[0] != end:
+        raise InternalInvariantError(
+            f"power-sum polynomial has the constant term {big[0]}, expected {end}")
+    out, power, scale = [], 1, f[-1] * g[0]
+    for c in big:  # R(a*c*x)
+        out.append(c * power)
+        power *= scale
+    h = math.gcd(*out)
+    return [c // h for c in out] if out[-1] > 0 else [-c // h for c in out]
 
 
-def _zz_power_poly(f, k: int) -> list[int]:
-    """The primitive integer form (low-to-high) of the polynomial whose roots
-    are the k-th powers of the integer f's roots, with multiplicity.
-
-    The monic F = _zz_monic_scaled(f) has roots a*alpha (a = lc(f)), whose
-    k-th powers have the power sums s_(jk)(F), integers: Newton's identities
-    over Z give their monic integer polynomial R, and R(a^k x) is the result
-    up to its content.  Certified: R(0) = (-1)^n * ((-1)^n F(0))^k, n = deg f.
-    """
-    n = len(f) - 1
-    fs = _zz_monic_scaled(f)
-    sums = _zz_power_sums(fs, k * n)[k - 1::k]
-    end = (-1) ** n * ((-1) ** n * fs[0]) ** k
-    return _zz_certified_unscale(_zz_from_power_sums(sums), end, f[-1] ** k)
-
-
-def _monic_from_ints(f) -> RatPoly:
-    return RatPoly([Fraction(c, f[-1]) for c in f])
-
-
-def ratio_poly(p, q):
-    """Monic polynomial whose roots are the ratios alpha/beta, alpha a root of
-    p and beta a root of q, with multiplicity; over the field of p and q.
+def ratio_poly(p: KPoly, q: KPoly) -> KPoly:
+    """Monic polynomial over K whose roots are the ratios alpha/beta, alpha a
+    root of p and beta a root of q, with multiplicity.
 
     Built from power sums, s_k(alpha/beta) = s_k(alpha) * s_k(1/beta), where
     1/beta runs over the roots of q.reverse() (Bostan, Flajolet, Salvy and
-    Schost, "Fast computation of special resultants", 2006): over Q on
-    integers (_zz_ratio_poly), over K on QuadElems.
+    Schost, "Fast computation of special resultants", 2006).  Over Q the
+    ratio polynomials live only inside witness_orders, as primitive integer
+    forms (_zz_ratio_poly).
     """
     if p.degree < 1 or q.degree < 1:
         raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
     if q.constant_term() == 0:
         raise ZeroRootInDenominator("denominator polynomial has root 0")
-    if isinstance(p, RatPoly) and isinstance(q, RatPoly):
-        return _monic_from_ints(_zz_ratio_poly(p.primitive_integer_coeffs(),
-                                               q.primitive_integer_coeffs()))
     n = p.degree * q.degree
-    sums = [a * b for a, b in zip(_power_sums(p, n), _power_sums(q.reverse(), n))]
+    sums = [a * b for a, b in zip(_power_sums(p.monic().coeffs, n),
+                                  _power_sums(q.reverse().monic().coeffs, n))]
     return _from_power_sums(
         sums, p, _root_product(p) ** q.degree / _root_product(q) ** p.degree)
 
 
-def power_poly(p, k: int):
-    """Monic polynomial whose roots are the k-th powers of p's roots, with
-    multiplicity: s_j(alpha^k) = s_(jk)(alpha), over Q on integers
-    (_zz_power_poly), over K on QuadElems."""
+def power_poly(p: KPoly, k: int) -> KPoly:
+    """Monic polynomial over K whose roots are the k-th powers of p's roots,
+    with multiplicity: s_j(alpha^k) = s_(jk)(alpha)."""
     if p.degree < 1 or k < 1:
         raise PreconditionViolated("power_poly needs a nonconstant polynomial and k >= 1")
-    if isinstance(p, RatPoly):
-        return _monic_from_ints(_zz_power_poly(p.primitive_integer_coeffs(), k))
-    sums = _power_sums(p, k * p.degree)
+    sums = _power_sums(p.monic().coeffs, k * p.degree)
     return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
 
 
 @memoized
-def _over_q(p: KPoly) -> RatPoly:
-    """p as a rational polynomial, or p * conj(p) when p is irrational."""
+def _over_q(p: KPoly) -> tuple[int, ...]:
+    """The primitive integer form of p when p is rational, and of
+    p * conj(p) otherwise."""
     if not p.is_rational():
         p = p * p.conj()
         if not p.is_rational():
             raise InternalInvariantError("p * conj(p) not rational")
-    return p.to_ratpoly()
+    return p.to_ratpoly().primitive_integer_coeffs()
 
 
 @memoized
@@ -1218,49 +1188,44 @@ def witness_orders(p) -> tuple[int, ...]:
     """Sorted root-of-unity witness orders of the roots of p; () when p is
     non-degenerate.
 
-    The pool is the roots of p over its own field: pass _over_q(p) for the
-    ratios among the roots of p * conj(p), conjugate orbits included, and p
-    for the base level of K.  A rational KPoly is read as a RatPoly.  Roots
-    at zero are ignored: they cannot take part in a unit-modulus ratio.
-    Each unordered pair of the pool's distinct irreducible factors gives one
-    ratio polynomial, read over Q: a ratio polynomial r with irrational
-    coefficients is replaced by r * conj(r), whose extra roots are conjugates
-    of r's, and conjugation maps a primitive n-th root of unity to another
-    one of order n.
+    The pool is the roots of p over its own field: pass the primitive
+    integer form _over_q(p) for the ratios among the roots of p * conj(p),
+    conjugate orbits included, and the KPoly p for the base level of K.  A
+    rational KPoly is read as its form.  Roots at zero are ignored: they
+    cannot take part in a unit-modulus ratio.  Each unordered pair of the
+    pool's distinct irreducible factors gives one ratio polynomial, read
+    over Q as a primitive integer form: a ratio polynomial r with irrational
+    coefficients is replaced by r * conj(r), whose extra roots are
+    conjugates of r's, and conjugation maps a primitive n-th root of unity
+    to another one of order n.  An order 1 left in a ratio polynomial is a
+    root shared by two distinct factors, which raises.
     """
-    if p.is_zero or p.degree < 1:
+    rational = not isinstance(p, KPoly)
+    if not rational and p.is_rational():
+        return witness_orders(_over_q(p))
+    coeffs = p if rational else p.coeffs
+    if len(coeffs) < 2:
         raise PreconditionViolated("witness_orders needs a nonconstant polynomial")
-    if isinstance(p, KPoly) and p.is_rational():
-        return witness_orders(p.to_ratpoly())
-    while p.coeffs[0] == 0:
-        p = p._make(list(p.coeffs[1:]))
-    if p.degree < 1:
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    if zeros == len(coeffs) - 1:
         return ()
-    base = (factor_k(p) if isinstance(p, KPoly) else factor_q(p)).distinct()
+    if rational:
+        base = [f for f, _m in factor_q(p[zeros:])]
+    else:
+        base = factor_k(p._make(coeffs[zeros:])).distinct()
     witnesses: set[int] = set()
     for i, fi in enumerate(base):
         for fj in base[i:]:
-            if fi.degree == 1 and fj.degree == 1:
-                if fi == fj:
-                    continue  # a single root forms no ratio
-                a, b = -fi.coeffs[0], -fj.coeffs[0]
-                if a == b:
-                    raise InternalInvariantError("distinct irreducible factors share a root")
-                # a real ratio is a root of unity only as -1 (1 would be a shared root)
-                if a == -b:
-                    witnesses.add(2)
-                continue
-            # self-ratios contribute (x-1)^deg exactly once per root, twice
-            # to r * conj(r); they are stripped on the integer form
-            ones = fi.degree if fi == fj else 0
-            if isinstance(fi, RatPoly):
-                r = _zz_ratio_poly(fi.primitive_integer_coeffs(), fj.primitive_integer_coeffs())
+            # a self-ratio polynomial holds (x - 1)^deg once, and twice in
+            # r * conj(r); it is stripped on the integer form
+            if rational:
+                r, ones = _zz_ratio_poly(fi, fj), len(fi) - 1
             else:
-                r = ratio_poly(fi, fj)
+                r, ones = ratio_poly(fi, fj), fi.degree
                 if not r.is_rational():
                     ones *= 2
-                r = _over_q(r).primitive_integer_coeffs()
-            for n in _cyclotomic_orders(r, ones):
+                r = _over_q(r)
+            for n in _cyclotomic_orders(r, ones if fi == fj else 0):
                 if n == 1:
                     raise InternalInvariantError("distinct irreducible factors share a root")
                 witnesses.add(n)

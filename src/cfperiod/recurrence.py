@@ -8,6 +8,10 @@ recurrence the sequence is known to satisfy (the defining one for A, and
 N = P_A * conj(P_A) for the other two) by one exact gcd: the minimal
 polynomial is the reverse of the reduced denominator of the sequence's
 rational generating function.  No recurrence is fitted to a window.
+Over Q the recurrence is N's primitive integer form (polyalg._over_q), the
+one form in which a polynomial over Q passes between polyalg, recurrence
+and classifier, and the gcd runs on integers; the minimal polynomials come
+back as monic RatPolys, which the report prints.
 A sequence whose N has two roots with a root-of-unity ratio is degenerate;
 split_degenerate reads the orders of those ratios (polyalg.witness_orders
 on N) and splits it into arithmetic subsequences that are not.
@@ -19,8 +23,8 @@ from fractions import Fraction
 
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
-from .polyalg import (KPoly, RatPoly, _over_q, _zz_exact_div, _zz_gcd_certified, power_poly,
-                      witness_orders)
+from .polyalg import (KPoly, _monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
+                      power_poly, witness_orders)
 from .qfield import QuadElem
 
 
@@ -107,35 +111,35 @@ class LinRec:
 def _minpoly_from_recurrence(q, terms):
     """Minimal polynomial of a sequence that satisfies q, from its first deg q terms.
 
-    q is monic with q(0) != 0: a KPoly with QuadElem terms, or a RatPoly with
-    Fraction terms.  With k = deg q and rev(q) of degree k, the generating
-    function sum_n t_n x^n is G / rev(q), where G = rev(q) * sum_(n<k) t_n x^n
-    mod x^k, and the minimal polynomial is the reverse of the reduced
-    denominator rev(q) / gcd(rev(q), G), made monic (Everest, van der Poorten,
-    Shparlinski and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is
-    the zero sequence.  Over K the gcd is Euclid's.  Over Q it is the
-    certified integer gcd (``polyalg._zz_gcd_certified``, whose cofactors
-    multiply back exactly) on integer lists, after q and the sequence are
-    scaled to integers, which changes neither minimal polynomial.
+    q has q(0) != 0: a monic KPoly with QuadElem terms, or a primitive
+    integer form (a low-to-high tuple of ints) with Fraction terms, whose
+    minimal polynomial is returned as a monic RatPoly.  With k = deg q and
+    rev(q) of degree k, the generating function sum_n t_n x^n is G / rev(q),
+    where G = rev(q) * sum_(n<k) t_n x^n mod x^k, and the minimal polynomial
+    is the reverse of the reduced denominator rev(q) / gcd(rev(q), G), made
+    monic (Everest, van der Poorten, Shparlinski and Ward, Recurrence
+    Sequences, 2003, section 1.1); G = 0 is the zero sequence.  Over K the
+    gcd is Euclid's.  Over Q it is the certified integer gcd
+    (``polyalg._zz_gcd_certified``, whose cofactors multiply back exactly)
+    on integer lists, after the sequence is scaled to integers, which
+    changes no minimal polynomial.
     Certified: P divides q exactly, and P's recurrence holds at positions
     deg P .. k - 1 of the terms, which with P | q makes P annihilate the
     whole two-sided sequence.  Minimality rests on the exact gcd.
     """
-    k = q.degree
-    rational = isinstance(q, RatPoly)
+    rational = isinstance(q, tuple)
+    rev = q[::-1] if rational else q.coeffs[::-1]
+    k = len(rev) - 1
     if rational:
-        rev = q.primitive_integer_coeffs()[::-1]
         scale = math.lcm(*(t.denominator for t in terms))
         terms = [t.numerator * (scale // t.denominator) for t in terms]
-    else:
-        rev = q.coeffs[::-1]
     num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
     if not any(num):
         return ZERO_SEQUENCE
     if rational:  # the reduced denominator from the top is P's primitive form
         cs = _zz_gcd_certified(rev, num)[1][::-1]
-        p = RatPoly([Fraction(c, cs[-1]) for c in cs])
-        divides = _zz_exact_div(rev[::-1], cs) is not None
+        p = _monic_from_ints(cs)
+        divides = _zz_exact_div(q, cs) is not None
     else:
         rev, num = q._make(rev), q._make(num)
         g = rev.gcd(num)
@@ -158,14 +162,15 @@ def diff_sum_parts(r: LinRec):
 
     Both satisfy the rational N = P_A * conj(P_A) (P_A itself when it is
     rational), and so do the rational sequences D_n / sqrt(d) and S_n: P_S is
-    read over Q, and P_D over Q and then lifted to K.
+    read over Q from N's primitive integer form, and P_D over Q and then
+    lifted to K.
     Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: RatPoly | ZERO_SEQUENCE).
     """
     p_a = seq_min_charpoly(r)
     if isinstance(p_a, ZeroSequence):
         return ZERO_SEQUENCE, ZERO_SEQUENCE
     n_poly = _over_q(p_a)
-    terms = [r.term(n) for n in range(n_poly.degree)]
+    terms = [r.term(n) for n in range(len(n_poly) - 1)]
     p_d = _minpoly_from_recurrence(n_poly, [2 * a.b for a in terms])
     p_s = _minpoly_from_recurrence(n_poly, [2 * a.a for a in terms])
     if not isinstance(p_d, ZeroSequence):

@@ -30,6 +30,9 @@ descent is the package's former one, kept here whole: each squarefree part,
 linear or irrational ones included, goes through the norm of its first
 squarefree shift, whose Q-factors give the K-factors by gcd; it reaches
 polyalg.factor_q but neither factor_k nor _factor_k_squarefree.
+factor_q_monic calls polyalg.factor_q on a RatPoly's primitive integer form
+and reads the factor forms back as the leading coefficient times monic
+RatPolys, the shape factor_q_qq returns.
 The reference gcd over Q is Euclid on Fractions (euclid_gcd, and with it
 squarefree_part and is_squarefree), where the package takes sympy's integer
 gcd on primitive integer forms and certifies its cofactors; from_roots
@@ -381,7 +384,7 @@ def is_root_of_unity(q) -> tuple[bool, int | None]:
 
 def cyclotomic_orders_by_factoring(r) -> list[int]:
     """Sorted n with Phi_n | r: r factored over Q, each factor tested."""
-    return sorted(n for f, _m in polyalg.factor_q(r).factors
+    return sorted(n for f, _m in factor_q_monic(r).factors
                   for ok, n in [is_root_of_unity(f)] if ok)
 
 
@@ -878,6 +881,15 @@ def factor_q_qq(p):
     return polyalg.Factorization(unit, tuple(factors))
 
 
+def factor_q_monic(p):
+    """polyalg.factor_q on the primitive integer form of a RatPoly, read back
+    as factor_q_qq reads sympy's answer: p's leading coefficient times the
+    monic factors, in factor_q's order."""
+    factors = tuple((polyalg._monic_from_ints(f), m)
+                    for f, m in polyalg.factor_q(p.primitive_integer_coeffs()))
+    return polyalg.Factorization(p.lc, factors)
+
+
 def squarefree_decomposition(p):
     """Yun's algorithm; p monic, char 0.  Returns [(g_i, i)] with prod g_i^i = p."""
     out = []
@@ -913,7 +925,7 @@ def norm_descent(g):
         if not is_squarefree(nq):
             continue
         pieces = []
-        for f, _m in polyalg.factor_q(nq).factors:
+        for f, _m in factor_q_monic(nq).factors:
             c = h.gcd(f.lift(d))
             if c.degree >= 1:
                 pieces.append(c.monic())

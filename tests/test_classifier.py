@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from cfperiod import polyalg
+from cfperiod import classifier, polyalg
 from cfperiod.classifier import classify, explain
+from cfperiod.errors import InternalInvariantError
 from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k
 from cfperiod.qfield import quad
 from cfperiod.recurrence import LinRec
@@ -284,6 +285,18 @@ def test_unital_flags_of_the_sum_part():
         assert c.evidence.s_unital is False
     c = classify(LinRec([3 + 2 * R2], [quad(1, 0, 2)], 2))  # P_S = x^2 - 6x + 1
     assert c.evidence.s_unital is True
+
+
+def test_sum_part_rows_check_that_p_s_divides_n():
+    # P_S is factored over Q only after P_S | N = P_A * conj(P_A) is checked
+    # exactly on the forms: x - 3 does not divide x^2 - x - 1
+    fib = KPoly([-1, -1, 1], 5)
+    with pytest.raises(InternalInvariantError, match="P_S does not divide"):
+        classifier._s_rows(RatPoly([-3, 1]), fib)
+    # a row holds the monic factor, which the report prints, and its flags
+    rows = classifier._s_rows(RatPoly([F(-1, 2), F(-1, 2), F(1, 2)]), fib)
+    assert [(q, m, flags) for q, m, _pr, flags in rows] == [
+        (RatPoly([-1, -1, 1]), 1, (True, True, True))]
 
 
 def test_moved_factor_on_the_circle_is_c1():

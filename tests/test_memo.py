@@ -14,12 +14,12 @@ import cfperiod
 from cfperiod import classifier, cli, memo, polyalg
 from cfperiod.classifier import classify
 from cfperiod.errors import InternalInvariantError
-from cfperiod.polyalg import KPoly, RatPoly, factor_k, factor_q
+from cfperiod.polyalg import KPoly, RatPoly, factor_k
 from cfperiod.qfield import QuadElem
 from cfperiod.recurrence import LinRec
 
 from curated import members
-from oracles import rational_roots_divisors
+from oracles import factor_q_monic, rational_roots_divisors
 
 
 def _counting():
@@ -88,7 +88,7 @@ def test_memo_raises_unchained_and_caches_nothing():
     @memo.memoized
     def refuse(p):
         calls.append(p)
-        return factor_q(p)
+        return factor_q_monic(p)
 
     with memo.scope():
         for _ in range(2):  # nothing was stored, so the second call runs again
@@ -124,7 +124,7 @@ def _factored_again(*_args):
 
 @pytest.mark.parametrize("factor, p", [
     # (x^2 - 2)(x^3 - x - 1)(x + 3)^2 over Q
-    (factor_q, RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2),
+    (factor_q_monic, RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2),
     # (x^2 - 2 x - 1)(x^2 + x + 1)(x - 1 - sqrt 2) over Q(sqrt 2): irrational,
     # so each factor over Q of its norm is split by a gcd with it
     (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
@@ -174,7 +174,7 @@ def pooled_products(draw):
     for _ in range(draw(st.integers(2, 4))):
         deg = draw(st.integers(1, 4))
         g = RatPoly([draw(small) for _ in range(deg)] + [draw(st.sampled_from([1, 2, -3]))])
-        bank += [f for f in factor_q(g).distinct() if f not in bank]
+        bank += [f for f in factor_q_monic(g).distinct() if f not in bank]
     used = draw(st.lists(st.sampled_from(bank), min_size=1, max_size=4, unique=True))
     p = RatPoly([draw(st.sampled_from([1, -2, Fraction(3, 5)]))])
     for f in used:
@@ -195,7 +195,7 @@ def pooled_products(draw):
 @example(([RatPoly([-1, -1, 1]), RatPoly([0, 1])], RatPoly([0, 0, -1, -1, 1]) * 4, 5))
 def test_pooled_factorizations_equal_fresh_ones(case):
     seeds, p, d = case
-    fresh_q, fresh_k = factor_q(p), factor_k(p.lift(d))
+    fresh_q, fresh_k = factor_q_monic(p), factor_k(p.lift(d))
     # an irrational K-polynomial whose norm holds p's factors
     moved = p.lift(d) * KPoly([QuadElem(0, 1, d), 1], d)
     fresh_moved = factor_k(moved)
@@ -204,9 +204,9 @@ def test_pooled_factorizations_equal_fresh_ones(case):
         with memo.scope():
             pooled = set()
             for seed in seeds:
-                pooled.update(factor_q(seed).distinct())
+                pooled.update(factor_q_monic(seed).distinct())
             inputs.clear()
-            assert factor_q(p) == fresh_q
+            assert factor_q_monic(p) == fresh_q
             if set(fresh_q.distinct()) <= pooled:  # nothing left for sympy
                 assert inputs == []
             assert factor_k(p.lift(d)) == fresh_k
@@ -217,12 +217,12 @@ def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
     inputs = _zz_factor_inputs(monkeypatch)
     assert memo.pool() is None
     with memo.scope():
-        factor_q(RatPoly([-2, 0, 1]))
+        factor_q_monic(RatPoly([-2, 0, 1]))
         assert memo.pool()
     with memo.scope():
         assert memo.pool() == {}
         # x^2 - 2 is not pooled here: sympy sees the whole quintic
-        factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
+        factor_q_monic(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
     assert [len(f) - 1 for f in inputs] == [2, 5]
 
 
@@ -230,21 +230,21 @@ def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
 def test_a_pooled_polynomial_is_answered_by_the_pool(monkeypatch, c):
     p = RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2
     with memo.scope():
-        factors = factor_q(p).distinct()
+        factors = factor_q_monic(p).distinct()
         with monkeypatch.context() as m:
             m.setattr(polyalg, "_zz_factor", _factored_again)
             m.setattr(polyalg, "_certify_irreducible_q", _factored_again)
-            pooled = [factor_q(f.scale(c)) for f in factors]
-    assert pooled == [factor_q(f.scale(c)) for f in factors]
+            pooled = [factor_q_monic(f.scale(c)) for f in factors]
+    assert pooled == [factor_q_monic(f.scale(c)) for f in factors]
 
 
 def test_pooled_factors_are_multiplied_back(monkeypatch):
     with memo.scope():
-        factor_q(RatPoly([-2, 0, 1]))
+        factor_q_monic(RatPoly([-2, 0, 1]))
         # sympy gets the cofactor x^3 - x - 1 and answers wrongly
         monkeypatch.setattr(polyalg, "_zz_factor", lambda ints: (1, [([1, 0, 3], 1)]))
         with pytest.raises(InternalInvariantError, match="multiply-back"):
-            factor_q(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
+            factor_q_monic(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
 
 
 def _order4_b1():

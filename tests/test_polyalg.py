@@ -1,4 +1,5 @@
 """Polynomials over Q and over Q(sqrt(d)): factoring, circles, degeneracy."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
 from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, euclid_gcd,
-                     factor_k_norm, factor_q_qq, from_roots, is_root_of_unity,
+                     factor_k_norm, factor_q_monic, factor_q_qq, from_roots, is_root_of_unity,
                      newton_power_poly, newton_ratio_poly, offcircle_counts_numeric,
                      orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
                      ratio_poly_zz, ratio_resultant_field,
@@ -42,6 +43,13 @@ FIB = RatPoly([-1, -1, 1])  # x^2 - x - 1
 
 def _prof(c):
     return (c.inside, c.on, c.outside)
+
+
+def _ratio_over_q(p, q):
+    """The degeneracy test's integer ratio polynomial of two RatPolys, read
+    back monic."""
+    return polyalg._monic_from_ints(polyalg._zz_ratio_poly(p.primitive_integer_coeffs(),
+                                                           q.primitive_integer_coeffs()))
 
 
 def _rand_ratpoly(rng, deg, cmax=9):
@@ -191,11 +199,11 @@ def test_sturm_count_real_roots():
 # ---------------------------------------------------------------------------
 
 def test_factor_q_pinned():
-    f = factor_q(FIB)
+    f = factor_q_monic(FIB)
     assert f.unit == 1 and f.factors == ((FIB, 1),)
-    f = factor_q(RatPoly([-1, 0, 4, -4, 1]))
+    f = factor_q_monic(RatPoly([-1, 0, 4, -4, 1]))
     assert f.factors == ((RatPoly([-1, 1]), 2), (RatPoly([-1, -2, 1]), 1))
-    f = factor_q(RatPoly([6, 0, -5, 0, 1]))  # (x^2-2)(x^2-3)
+    f = factor_q_monic(RatPoly([6, 0, -5, 0, 1]))  # (x^2-2)(x^2-3)
     got = {p for p, _ in f.factors}
     assert got == {RatPoly([-2, 0, 1]), RatPoly([-3, 0, 1])}
 
@@ -207,7 +215,7 @@ def test_factor_q_multiply_back_random():
         p = parts[0]
         for q in parts[1:]:
             p = p * q
-        f = factor_q(p)
+        f = factor_q_monic(p)
         back = RatPoly([f.unit])
         for q, m in f.factors:
             assert q.lc == 1
@@ -250,7 +258,7 @@ def test_factoring_has_no_degree_cap():
     # the degree budget belongs to classify; the factoring routines take any
     # degree and certify the result by multiplying back
     p = RatPoly([1] + [0] * 24 + [1])  # x^25 + 1
-    f = factor_q(p)
+    f = factor_q_monic(p)
     back = RatPoly([f.unit])
     for q, m in f.factors:
         back = back * q**m
@@ -298,30 +306,42 @@ def test_rational_roots_factor_no_integer(monkeypatch):
     monkeypatch.setattr(sympy, "divisors", refuse)
     p, q = sympy.nextprime(10**18), sympy.nextprime(2 * 10**18)
     f = RatPoly([p * q, 1, 0, 0, 1])  # x^4 + x + pq, irreducible over Q
-    assert factor_q(f).factors == ((f, 1),)
+    assert factor_q_monic(f).factors == ((f, 1),)
     g = from_roots([F(10**20 + 3, 7), F(-5, 6), F(-5, 6)]) * RatPoly([1, 0, 1])
     assert sorted(_rational_roots(g.primitive_integer_coeffs())) == [F(-5, 6), F(10**20 + 3, 7)]
 
 
 def test_factor_q_certifies_the_integer_route(monkeypatch):
     p = RatPoly([F(-1, 3), F(1, 6), F(1, 2)])  # (3x - 2)(x + 1)/6: roots 2/3, -1
-    assert factor_q(p).factors == ((RatPoly([F(-2, 3), 1]), 1), (RatPoly([1, 1]), 1))
-    prim = RatPoly.primitive_integer_coeffs
-    with monkeypatch.context() as m:  # a primitive form that is not p's
-        m.setattr(RatPoly, "primitive_integer_coeffs", lambda q: (1,) + prim(q)[1:])
+    assert factor_q_monic(p).factors == ((RatPoly([F(-2, 3), 1]), 1), (RatPoly([1, 1]), 1))
+    lcm = math.lcm
+    with monkeypatch.context() as m:  # a common denominator too small: a form that is not p's
+        m.setattr(math, "lcm", lambda *dens: lcm(*dens) // 2)
         with pytest.raises(InternalInvariantError, match="scale-back"):
-            factor_q(p)
+            p.primitive_integer_coeffs()
     # p's rational roots never reach sympy; (x^2 - 2)(x^2 - 3) has none, so
     # sympy factors it whole, and a wrong answer must not pass
     q = RatPoly([6, 0, -5, 0, 1])
     with monkeypatch.context() as m:  # factors that do not multiply back
         m.setattr(polyalg, "_zz_factor", lambda ints: (1, [([1, 0, -2], 1), ([1, 0, -2], 1)]))
         with pytest.raises(InternalInvariantError, match="multiply-back"):
-            factor_q(q)
+            factor_q_monic(q)
     with monkeypatch.context() as m:  # a reducible quartic returned whole
         m.setattr(polyalg, "_zz_factor", lambda ints: (1, [(ints, 1)]))
         with pytest.raises(NotIrreducible):
-            factor_q(q)
+            factor_q_monic(q)
+
+
+def test_factor_q_takes_and_returns_primitive_forms():
+    # (2x - 3)(x - 2): the factors are ordered by their monic coefficients,
+    # x - 2 before x - 3/2, not by the forms themselves
+    assert factor_q((6, -7, 2)) == (((-2, 1), 1), ((-3, 2), 1))
+    assert factor_q((-1, 0, 4, -4, 1)) == (((-1, 1), 2), ((-1, -2, 1), 1))
+    assert factor_q((1,)) == ()
+    # content 2, a negative leading coefficient, the zero polynomial
+    for f in ((2, 4), (4, 0, 2), (1, -1), (-2, 0, -1), ()):
+        with pytest.raises(InternalInvariantError, match="primitive"):
+            factor_q(f)
 
 
 @st.composite
@@ -346,7 +366,7 @@ def rational_products(draw):
 @example(RatPoly([-1, 3]) * RatPoly([1, 1, 0, 0, 0, 1]))  # x^5 + x + 1 splits, no root
 @example(RatPoly([6, 0, -5, 0, 1]))                        # no rational root at all
 def test_factor_q_matches_sympy_over_qq(p):
-    assert factor_q(p) == factor_q_qq(p)
+    assert factor_q_monic(p) == factor_q_qq(p)
 
 
 def test_factor_q_checks_the_rational_roots(monkeypatch):
@@ -355,12 +375,12 @@ def test_factor_q_checks_the_rational_roots(monkeypatch):
     with monkeypatch.context() as m:  # a non-root must not be divided out
         m.setattr(polyalg, "_rational_roots", lambda f: roots(f) + [F(2)])
         with pytest.raises(InternalInvariantError, match="does not divide"):
-            factor_q(p)
+            factor_q_monic(p)
     for drop in (0, 1):  # a dropped root reaches sympy, which finds it
         with monkeypatch.context() as m:
             m.setattr(polyalg, "_rational_roots",
                       lambda f: [r for i, r in enumerate(roots(f)) if i != drop])
-            assert factor_q(p) == factor_q_qq(p)
+            assert factor_q_monic(p) == factor_q_qq(p)
 
 
 SPLITTING_D = (2, 3, 5, 6, 7, 10)
@@ -462,12 +482,19 @@ def test_wrong_integer_gcd_cofactors_are_refused_in_the_shift_search(monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_root_integrality_flags():
-    assert root_integrality_flags(RatPoly([1, -6, 1])) == (True, True, True)
-    assert root_integrality_flags(RatPoly([-2, 1])) == (True, False, False)
-    assert root_integrality_flags(RatPoly([-1, 2])) == (False, True, False)
-    assert root_integrality_flags(FIB) == (True, True, True)
+    def flags(p):
+        return root_integrality_flags(p.primitive_integer_coeffs())
+
+    assert flags(RatPoly([1, -6, 1])) == (True, True, True)
+    assert flags(RatPoly([-2, 1])) == (True, False, False)
+    assert flags(RatPoly([-1, 2])) == (False, True, False)
+    assert flags(FIB) == (True, True, True)
     # read off the primitive integer form x^2 - 6x + 1, not the monic one
-    assert root_integrality_flags(RatPoly([F(1, 3), -2, F(1, 3)])) == (True, True, True)
+    assert flags(RatPoly([F(1, 3), -2, F(1, 3)])) == (True, True, True)
+    # the form must be irreducible: x^2 - 3x + 2 = (x - 1)(x - 2), x^2, 1
+    for f in ((2, -3, 1), (0, 0, 1), (1,)):
+        with pytest.raises(NotIrreducible):
+            root_integrality_flags(f)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +533,7 @@ def test_trial_division_primality_matches_sympy():
 def test_totient_orders_match_the_sieve():
     # the prime-power enumeration against one sieve up to 2 * 300^2 + 2
     sieved = orders_with_totient_at_most_sieved(300)
-    for bound in range(1, 301):
+    for bound in range(0, 301):
         want = [(n, t) for n, t in sieved if t <= bound]
         assert list(polyalg._orders_with_totient_at_most(bound)) == want, bound
 
@@ -586,12 +613,11 @@ def test_cyclotomic_orders_match_factoring(r):
 def test_witness_orders_refuse_a_shared_root(monkeypatch):
     # a broken factorization whose two "irreducible" factors share sqrt(2):
     # their ratio polynomial has the root 1
-    f1 = RatPoly([-2, 0, 1])
-    f2 = f1 * RatPoly([-3, 1])
-    monkeypatch.setattr(polyalg, "factor_q",
-                        lambda p: polyalg.Factorization(F(1), ((f1, 1), (f2, 1))))
+    f1 = (-2, 0, 1)
+    f2 = (6, -2, -3, 1)  # (x^2 - 2)(x - 3)
+    monkeypatch.setattr(polyalg, "factor_q", lambda f: ((f1, 1), (f2, 1)))
     with pytest.raises(InternalInvariantError, match="share a root"):
-        witness_orders(f1 * f2)
+        witness_orders((RatPoly(f1) * RatPoly(f2)).primitive_integer_coeffs())
 
 
 def test_ratio_poly_contains_all_ratios():
@@ -603,7 +629,7 @@ def test_ratio_poly_contains_all_ratios():
         q = squarefree_part(q)
         if abs(q.constant_term()) < F(1, 1000) or abs(p.constant_term()) < F(1, 1000):
             continue
-        r = ratio_poly(p, q)
+        r = _ratio_over_q(p, q)
         with mpmath.workdps(60):
             rroots = poly_roots(r.coeffs, dps=60)
             for za in poly_roots(p.coeffs, dps=60):
@@ -637,7 +663,7 @@ def rational_ratio_pairs(draw):
 @example((RatPoly([0, 1]), RatPoly([2, 1])))
 def test_ratio_poly_matches_the_integer_resultant(pair):
     p, q = pair
-    r = ratio_poly(p, q)
+    r = _ratio_over_q(p, q)
     assert r.lc == 1 and r.degree == p.degree * q.degree
     assert RatPoly(r.primitive_integer_coeffs()) == ratio_poly_zz(p, q)
 
@@ -675,33 +701,36 @@ def power_sum_cases(draw):
 @example((RatPoly([10**25 + 7, -3, 2 * 10**24]), RatPoly([F(1, 7), 5]), 4))
 def test_integer_power_sums_match_the_fraction_route(case):
     p, q, k = case
-    assert ratio_poly(p, q) == newton_ratio_poly(p, q)
-    assert power_poly(p, k) == newton_power_poly(p, k)
+    assert _ratio_over_q(p, q) == newton_ratio_poly(p, q)
+    # over Q power polynomials leave the package; over K on lifted inputs
+    assert power_poly(p.lift(2), k) == newton_power_poly(p, k).lift(2)
     # the degeneracy test reads the primitive integer form directly
     assert (polyalg._zz_ratio_poly(p.primitive_integer_coeffs(), q.primitive_integer_coeffs())
             == list(newton_ratio_poly(p, q).primitive_integer_coeffs()))
 
 
 def test_integer_newton_is_certified(monkeypatch):
-    newton, power_sums = polyalg._zz_from_power_sums, polyalg._zz_power_sums
-    p, q = RatPoly([1, -3, 1]), RatPoly([-2, 3, 5])
+    newton, power_sums = polyalg._zz_from_power_sums, polyalg._power_sums
+    ratio = polyalg._zz_ratio_poly
+    p, q = (1, -3, 1), (-2, 3, 5)
     with monkeypatch.context() as m:  # a constant term off by one
         m.setattr(polyalg, "_zz_from_power_sums", lambda sums: [newton(sums)[0] + 1]
                   + newton(sums)[1:])
         with pytest.raises(InternalInvariantError, match="constant term"):
-            ratio_poly(p, q)
+            ratio(p, q)
         with pytest.raises(InternalInvariantError, match="constant term"):
-            power_poly(q, 3)
+            ratio(q, q)
     with monkeypatch.context() as m:  # the last power sum off by its index
         m.setattr(polyalg, "_zz_from_power_sums",
                   lambda sums: newton(sums[:-1] + [sums[-1] + len(sums)]))
         with pytest.raises(InternalInvariantError, match="constant term"):
-            ratio_poly(p, q)
-    with monkeypatch.context() as m:  # s_1 of x^2 - 3x + 1 read as 4: 2 c_2 = -9
-        m.setattr(polyalg, "_zz_power_sums",
-                  lambda g, count: [s + (i == 0) for i, s in enumerate(power_sums(g, count))])
+            ratio(p, q)
+    with monkeypatch.context() as m:  # s_1 of x^2 - 3x + 1 read as 4 and of
+        # y^2 + 3y - 10 (5x^2 + 3x - 2 reversed, scaled) as -2: 2 c_2 = -139
+        m.setattr(polyalg, "_power_sums",
+                  lambda c, count: [s + (i == 0) for i, s in enumerate(power_sums(c, count))])
         with pytest.raises(InternalInvariantError, match="remainder"):
-            power_poly(p, 1)
+            ratio(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +793,7 @@ def offcircle_factors(draw):
                     else st.integers(-9, 9).filter(bool))
             p = RatPoly([draw(ends)] + [draw(st.integers(-5, 5)) for _ in range(deg - 1)]
                         + [draw(ends)])
-            factors = factor_q(p).distinct()
+            factors = factor_q_monic(p).distinct()
         else:
             deg = draw(st.integers(1, 4))
             p = KPoly([quad(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), field)
@@ -801,12 +830,13 @@ def test_certified_root_boxes_contain_true_roots():
 
 
 def test_nondegeneracy_pinned():
-    assert witness_orders(FIB) == ()
-    assert witness_orders(RatPoly([-1, 1, -1, 1])) == (2, 4)  # (x^2+1)(x-1)
+    assert witness_orders(FIB.primitive_integer_coeffs()) == ()
+    assert witness_orders((-1, 1, -1, 1)) == (2, 4)  # (x^2+1)(x-1)
     assert witness_orders(polyalg._over_q(KPoly([-R2, 1], 2))) == (2,)
     assert witness_orders(KPoly([-R2, 1], 2)) == ()  # single root, base level
-    assert witness_orders(RatPoly([2, -3, 1])) == ()  # ratio 2 not a root of unity
-    for constant in (RatPoly([0]), RatPoly([3]), KPoly([R2], 2)):
+    assert witness_orders((2, -3, 1)) == ()  # ratio 2 not a root of unity
+    # 0 and 3 over Q as forms, sqrt(2) over K
+    for constant in ((), (1,), KPoly([R2], 2)):
         with pytest.raises(PreconditionViolated):
             witness_orders(constant)
 
@@ -815,8 +845,8 @@ def test_nondegeneracy_ignores_zero_roots():
     # x(x + sqrt2): the zero root forms no ratio at all
     assert witness_orders(KPoly([0, R2, 1], 2)) == ()
     # x(x-1)(x+1): the +-1 pair still witnesses order 2
-    assert witness_orders(RatPoly([0, -1, 0, 1])) == (2,)
-    assert witness_orders(RatPoly([0, 0, 1])) == ()  # x^2 alone
+    assert witness_orders((0, -1, 0, 1)) == (2,)
+    assert witness_orders((0, 0, 1)) == ()  # x^2 alone
 
 
 # over-Q witness orders of the curated members' minimal polynomials, pinned
@@ -904,7 +934,7 @@ def _coeff_pairs(p):
 @example(KPoly([-1, 1], 5) * KPoly([1, (1 - R5) / 2, 1], 5))         # 1, zeta_5^(+-1)
 def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
     d, pairs = _coeff_pairs(p)
-    pool = polyalg._over_q(p) if isinstance(p, KPoly) else p
+    pool = polyalg._over_q(p) if isinstance(p, KPoly) else p.primitive_integer_coeffs()
     assert list(witness_orders(pool)) == ratio_witness_orders_numeric(pairs, d, True, 60)
     if isinstance(p, KPoly):
         # base level: the pool holds the roots of p only

@@ -21,8 +21,7 @@ Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
 coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
 A, B or m is longer; the element grammar refuses a power x^e whose
 coordinates could exceed it, and `schinzel` a --poly of higher degree or
-whose values f(n) on the range could, each before computing them.  That
-bounds the size of f(n), not the time spent factoring it into s^2 * k.
+whose values f(n) on the range could, each before computing them.
 `schinzel` also refuses a --range of more than 1000000 rows, with exit 2.
 """
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_log, enclosure_centre, finite_dominant_slope,
-                     growth_check, log_abs, places_above, real_places,
+                     growth_rows, log_abs, places_above, real_places,
                      root_abs_table)
-from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
+from .qfield import QuadElem, Surd, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
@@ -560,7 +559,7 @@ def cmd_schinzel(args) -> int:
     if size + deg * max(abs(n_lo), abs(n_hi), 2).bit_length() > bits:
         raise UsageError(f"f(n) on the range could exceed CFPERIOD_MAX_BITS = {bits} bits")
     lead = coeffs[-1]
-    covered = (deg % 2 == 1) or (lead > 0 and split_square(lead)[1] != 1)
+    covered = (deg % 2 == 1) or (lead > 0 and math.isqrt(lead) ** 2 != lead)
     lines = ["n,ell,flag", f"# hypothesis: {'covered' if covered else 'not covered'}"]
     running = None
     increases = []
@@ -569,11 +568,11 @@ def cmd_schinzel(args) -> int:
         if v < 0:
             lines.append(f"{n},,negative_skipped")
             continue
-        s, k = split_square(v) if v else (0, 1)
-        if k == 1:
+        # sqrt(f(n)) is the canonical surd (0 + sqrt(f(n)))/1, so f(n) is never factored
+        if math.isqrt(v) ** 2 == v:
             ell, flag = 0, "square"
         else:
-            ell, flag = period_length(QuadElem(0, s, k)), ""
+            ell, flag = period_length(Surd(0, 1, v)), ""
         lines.append(f"{n},{ell},{flag}")
         if running is None or ell > running:
             running = ell
@@ -606,10 +605,9 @@ def estimate_log_limit(values, margin: float = 0.05) -> LogLimitEstimate:
     return LogLimitEstimate(slope, slope > margin)
 
 
-def _log_abs_float(x: QuadElem, v: Place) -> float:
-    """log|x|_v as printed, from places.log_abs: -ord_w(x) * f * log(p) at a
-    finite place, the float of the enclosure's centre at a real one."""
-    e = log_abs(x, v)
+def _log_abs_float(e, v: Place) -> float:
+    """log|x|_v as printed from e = places.log_abs(x, v): -ord_w(x) * f * log(p)
+    at a finite place, the float of the enclosure's centre at a real one."""
     if v.kind == "finite":
         return e * v.f * math.log(v.p)
     return enclosure_centre(*e)
@@ -636,8 +634,8 @@ def cmd_growth(args) -> int:
         raise UsageError(f"job field 'options' must be a JSON object, got {options!r}")
     v = place_from_spec(options.get("place"), r.d)
     eps = _growth_eps(options)
-    # one memo per job: the rows, the bound column and growth_check share
-    # each fact, every log|A_n|_v among them
+    # one memo per job: the bound column and the verdict share the minimal
+    # polynomial, its factors and the dominant-root bounds
     with memo.scope():
         try:
             if v.kind == "finite":
@@ -650,17 +648,16 @@ def cmd_growth(args) -> int:
             for line in table:
                 print("  " + line, file=sys.stderr)
             return 2
+        rows, passed = growth_rows(r, v, eps, n_lo, n_hi)
         lines = ["n,log_abs,bound"]
         factor = (1 - float(eps)) * log_a1
-        for n in range(n_lo, n_hi + 1):
-            a = r.term(n)
-            if a != 0:
-                lines.append(f"{n},{_fmt_float(_log_abs_float(a, v))},"
-                             f"{_fmt_float(factor * n)}")
-        passed = growth_check(r, v, eps, n_lo, n_hi)
+        for n, e in rows:
+            lines.append(f"{n},{_fmt_float(_log_abs_float(e, v))},"
+                         f"{_fmt_float(factor * n)}")
         lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
         if args.estimate_limit:
-            pts = [(n, _log_abs_float(diff, real_places(r.d)[0]))
+            w = real_places(r.d)[0]
+            pts = [(n, _log_abs_float(log_abs(diff, w), w))
                    for n in range(n_lo, n_hi + 1)
                    if (diff := r.term(n) - r.term(n).conj()) != 0]
             est = estimate_log_limit(pts)

@@ -1,9 +1,10 @@
 """A memo of polynomial and valuation facts that lives for one job only.
 
 The job is one classification (``classify``) or one growth job
-(``cfperiod growth``, whose bound column and ``growth_check`` share the
-minimal polynomial, its factors, the dominant-root bounds and each term's
-valuation).  Inside ``with scope():`` every function decorated with
+(``cfperiod growth``, whose bound column and verdict share the minimal
+polynomial, its factors and the dominant-root bounds; the job's one pass over
+its range computes each term's valuation or log enclosure once, and the memo
+keeps none of them).  Inside ``with scope():`` every function decorated with
 :func:`memoized` computes its value once per distinct argument list and hands
 the stored value back on later calls; outside a scope the functions run
 unmemoized.  A memoized function has no parameter defaults and is called by

@@ -13,18 +13,21 @@ keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 
 Growth of |A_n|_v along a recurrence is compared against the dominant root.
 Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
-finite place, a certified enclosure at a real one; the CLI's rows,
-``growth_profile`` and ``growth_check`` all read it.  The dominant root is
-exact at finite places (Newton polygon slopes) and certified at the real
-ones, where strict >1 facts come from the exact circle profile and
-arch_dominant_log forms its log once for growth_check and the CLI.  All
-real-place numerics live here and read elements through qfield.to_mpf.  A
-log enclosure is mpf_log of to_mpf's tuple, its ends and growth_check's
-per-row comparison are mpmath.libmp operations, each rounded to nearest at
-2 * ARCH_DPS digits: no row enters a precision context.  Root boxes run in
-mpmath.workdps at ARCH_DPS = 60 digits, escalated up to 16 times that until
-certified.  One growth job runs in one ``memo.scope()``, which computes each
-of these facts once.
+finite place, a certified enclosure at a real one.  ``growth_rows`` walks a
+growth job's range once, calls log_abs once per nonzero term, and returns
+the CLI's rows together with the verdict it reads off the same values;
+``growth_profile`` reads log_abs too.  The dominant root is exact at finite
+places (Newton polygon slopes) and certified at the real ones, where strict
+>1 facts come from the exact circle profile and arch_dominant_log forms its
+log once for the verdict and the CLI.  All real-place numerics live here and
+read elements through qfield.to_mpf.  A log enclosure is mpf_log of
+to_mpf's tuple, its ends and the verdict's per-row comparison are
+mpmath.libmp operations, each rounded to nearest at 2 * ARCH_DPS digits: no
+row enters a precision context.  Root boxes run in mpmath.workdps at
+ARCH_DPS = 60 digits, escalated up to 16 times that until certified.  One
+growth job runs in one ``memo.scope()``, which keeps the minimal
+polynomial, its factors, the dominant-root bounds and the branch lifts, but
+no term's valuation or enclosure.
 """
 from __future__ import annotations
 
@@ -161,7 +164,6 @@ def _branch_root(w: Place, k: int) -> int:
     return t
 
 
-@memoized
 def val(x: QuadElem, w: Place) -> int:
     """ord_w(x) for a finite place, in the f-normalization described above."""
     if w.kind != "finite":
@@ -206,7 +208,7 @@ class LogAbs:
 
 
 def log_abs(x: QuadElem, v: Place):
-    """log|x|_v for x != 0, memoized: at a finite place the exact exponent
+    """log|x|_v for x != 0: at a finite place the exact exponent
     -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place a certified
     enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at
     2 * ARCH_DPS digits.
@@ -224,7 +226,6 @@ def _ten_to_arch_dps():
     return mpmath.libmp.from_int(10 ** ARCH_DPS)
 
 
-@memoized
 def _log_abs_real(x: QuadElem, embedding: int):
     """sigma(x) is to_mpf of x (or of its conjugate) at 2 * ARCH_DPS digits,
     free of cancellation, so its log, mpf_log of that tuple at the same
@@ -395,7 +396,7 @@ def arch_dominant_bounds(r: LinRec, v: Place):
 @memoized
 def arch_dominant_log(r: LinRec, v: Place):
     """log|alpha_1|_v at a real place, mpf_log at 2 * ARCH_DPS digits of the
-    high bound of arch_dominant_bounds: growth_check compares against it, and
+    high bound of arch_dominant_bounds: growth_rows compares against it, and
     the CLI's bound column prints its float, which keeps its relative
     precision when hi lies within 2^-53 of 1."""
     import mpmath
@@ -429,12 +430,16 @@ def root_abs_table(r: LinRec, v: Place) -> list[str]:
     return lines
 
 
-def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bool:
-    """Empirical check of |A_n|_v >= |alpha_1|_v^(n(1-eps)) on the range tail.
+def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
+    """(rows, passed): the rows (n, log_abs(A_n, v)) of the nonzero terms of
+    [n_lo, n_hi], and whether |A_n|_v >= |alpha_1|_v^(n(1-eps)) held on the
+    range tail.
 
-    alpha_1 is a dominant root of the minimal charpoly at v; the first 20% of
-    the range is discarded as burn-in.  At finite places the comparison is an
-    exact rational inequality on valuations; at the real embeddings certified
+    One pass computes each row's log_abs once, and the verdict reads that
+    value.  alpha_1 is a dominant root of the minimal charpoly at v; the
+    first 20% of the range is discarded as burn-in, and a zero term in the
+    tail fails the check.  At finite places the comparison is an exact
+    rational inequality on valuations; at the real embeddings certified
     enclosures are compared conservatively.
     """
     eps = Fraction(eps)
@@ -446,7 +451,8 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bo
     # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place; at a
     # real one the low end of each enclosure against the high root bound, on
     # libmp tuples at 2 * ARCH_DPS digits with each product rounded to nearest
-    if v.kind == "finite":
+    finite = v.kind == "finite"
+    if finite:
         frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
     else:
         import mpmath
@@ -457,16 +463,20 @@ def growth_check(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int) -> bo
             libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
             prec, rnd), prec, rnd)
         log_a1 = arch_dominant_log(r, v)._mpf_
-    burn = (n_hi - n_lo) // 5
-    for n in range(n_lo + burn, n_hi + 1):
+    tail = n_lo + (n_hi - n_lo) // 5
+    rows, passed = [], True
+    for n in range(n_lo, n_hi + 1):
         a = r.term(n)
         if a == 0:
-            return False
+            passed = passed and n < tail
+            continue
         e = log_abs(a, v)
-        if v.kind == "finite":
-            if e < frac * n * log_a1:
-                return False
-        elif libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(libmp.mpf_mul_int(frac, n, prec, rnd),
-                                                     log_a1, prec, rnd)):
-            return False
-    return True
+        rows.append((n, e))
+        if not passed or n < tail:
+            continue
+        if finite:
+            passed = e >= frac * n * log_a1
+        else:
+            passed = not libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(
+                libmp.mpf_mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+    return rows, passed

@@ -902,7 +902,7 @@ def _profile_irreducible(pi) -> CircleProfile:
     return CircleProfile(inside, 0, outside)
 
 
-def circle_profile(p) -> CircleProfile:
+def circle_profile(p: KPoly) -> CircleProfile:
     """Counts of roots inside / on / outside the unit circle, with multiplicity.
 
     Every count is exact.  An irreducible factor has roots on the circle iff
@@ -914,11 +914,10 @@ def circle_profile(p) -> CircleProfile:
     """
     if p.is_zero:
         raise ValueError("circle_profile of zero polynomial")
-    if isinstance(p, KPoly) and not p.is_rational():
+    if not p.is_rational():
         items = factor_k(p).factors
     else:
-        form = _over_q(p) if isinstance(p, KPoly) else p.primitive_integer_coeffs()
-        items = [(_monic_from_ints(f), m) for f, m in factor_q(form)]
+        items = [(_monic_from_ints(f), m) for f, m in factor_q(_over_q(p))]
     inside = on = outside = 0
     for f, m in items:
         prof = _profile_irreducible(f)

@@ -61,6 +61,9 @@ the field by 1/(x - floor(x)), not a (P, Q) state.  period_lower_bound reads
 a certified lower bound off a capped cycle_lengths, as the periods command
 does inline, and check_fibonacci_bounds is the exact product/Fibonacci
 envelope of the convergents.  sqrt_int builds sqrt(k) for test fixtures.
+schinzel_rows_by_factoring is the schinzel scan by the route the CLI left:
+each f(n) factored into s^2 * k and walked as the element s * sqrt(k), where
+the CLI walks the surd sqrt(f(n)) and tests squares by an integer root.
 WindowTooShort and VerificationFailed are raised only by the Berlekamp-Massey
 reference.
 The tolerances are calibrated for the test generators in this tree (integer
@@ -405,6 +408,34 @@ def period_lower_bound(x, cap: int) -> tuple[int, bool]:
         return cycle_lengths(x, max_steps=cap)[1], False
     except StepCapExceeded as e:
         return e.steps - e.preperiod_seen, True
+
+
+def schinzel_rows_by_factoring(coeffs, n_lo: int, n_hi: int) -> list[str]:
+    """The output lines of `cfperiod schinzel` for the integer polynomial with
+    low-to-high coefficients coeffs over [n_lo, n_hi], by the route the CLI
+    left: each f(n) > 0 is factored into s^2 * k (sympy's factorint behind
+    split_square), a square is k = 1, and the period is read off the element
+    s * sqrt(k); the leading coefficient is covered when it is not a square."""
+    deg, lead = len(coeffs) - 1, coeffs[-1]
+    covered = (deg % 2 == 1) or (lead > 0 and qfield.split_square(lead)[1] != 1)
+    lines = ["n,ell,flag", f"# hypothesis: {'covered' if covered else 'not covered'}"]
+    running, increases = None, []
+    for n in range(n_lo, n_hi + 1):
+        v = sum(c * n ** i for i, c in enumerate(coeffs))
+        if v < 0:
+            lines.append(f"{n},,negative_skipped")
+            continue
+        s, k = qfield.split_square(v) if v else (0, 1)
+        if k == 1:
+            ell, flag = 0, "square"
+        else:
+            ell, flag = cycle_lengths(qfield.QuadElem(0, s, k))[1], ""
+        lines.append(f"{n},{ell},{flag}")
+        if running is None or ell > running:
+            running = ell
+            increases.append((n, ell))
+    lines.extend(f"# running_max: n={n} ell={ell}" for n, ell in increases)
+    return lines
 
 
 def purely_periodic(x, max_steps: int = 10**7) -> bool:

@@ -20,7 +20,7 @@ from oracles import (check_fibonacci_bounds, complete_quotients, cyclotomic,
 
 from cfperiod.classifier import classify
 from cfperiod.contfrac import _surd_reduced, check_convergent_bound, expand, period_length
-from cfperiod.places import growth_check, places_above, real_places, val
+from cfperiod.places import growth_rows, places_above, real_places, val
 from cfperiod.polyalg import KPoly, RatPoly, _over_q, circle_profile, factor_k, witness_orders
 from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, to_surd
 from cfperiod.recurrence import LinRec
@@ -334,7 +334,7 @@ def test_criterion_6_growth_examples(capsys):
     # place, and the valuation there is exactly -n
     twoadic = LinRec([F(7, 2), F(-3, 2)], [quad(2, 0, 17), F(7, 2)], 17)
     w2 = places_above(2, 17)[0]
-    if not growth_check(twoadic, w2, eps, 20, 200):
+    if not growth_rows(twoadic, w2, eps, 20, 200)[1]:
         failures.append("2-adic check")
     for n in range(20, 201):
         if val(twoadic.term(n), w2) != -n:
@@ -343,11 +343,11 @@ def test_criterion_6_growth_examples(capsys):
 
     # tr((1+sqrt2)^n) + n: integer sequence with dominant root 1+sqrt2
     trace_plus_n = LinRec([4, -4, 0, 1], [2, 3, 8, 17], 2)
-    if not growth_check(trace_plus_n, real_places(2)[0], eps, 20, 200):
+    if not growth_rows(trace_plus_n, real_places(2)[0], eps, 20, 200)[1]:
         failures.append("trace+n archimedean check")
 
     fib = LinRec([1, 1], [0, 1], 5)
-    if not growth_check(fib, real_places(5)[0], eps, 20, 200):
+    if not growth_rows(fib, real_places(5)[0], eps, 20, 200)[1]:
         failures.append("fibonacci archimedean check")
 
     elapsed = time.perf_counter() - t0
@@ -421,6 +421,7 @@ def test_criterion_7_oracle_agreement(capsys):
     for p in circle_inputs:
         if isinstance(p, RatPoly):
             cs = list(p.coeffs)
+            p = p.lift(2)  # circle_profile takes KPolys
         else:
             cs = embedded_coeffs(p)
         prof = circle_profile(p)

@@ -12,6 +12,8 @@ import math
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from unittest import mock
@@ -27,7 +29,7 @@ from cfperiod.qfield import quad
 
 from fractions import Fraction as F
 
-from oracles import from_roots
+from oracles import from_roots, schinzel_rows_by_factoring, surd_walk_first_repeat
 
 
 def run(capsys, argv):
@@ -648,6 +650,89 @@ def test_schinzel_range_wider_than_the_row_limit_is_refused(capsys):
     assert "Traceback" not in err
 
 
+def _poly_arg(coeffs) -> str:
+    """--poly text of low-to-high integer coefficients, every term signed."""
+    return "".join(f"{c:+d}x^{i}" for i, c in enumerate(coeffs))
+
+
+@st.composite
+def schinzel_polys(draw):
+    """Low-to-high coefficients of an integer polynomial of degree 1-3: a
+    free draw, a square (a x + b)^2, or (x - r) g(x), which is 0 at n = r
+    and changes sign there."""
+    kind = draw(st.sampled_from(["free", "square", "root"]))
+    if kind == "free":
+        coeffs = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=4))
+        coeffs[-1] = coeffs[-1] or 1
+        return coeffs
+    if kind == "square":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(-6, 6))
+        return [b * b, 2 * a * b, a * a]
+    r = draw(st.integers(-8, 8))
+    g = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=3))
+    g[-1] = g[-1] or 1
+    coeffs = [0] * (len(g) + 1)
+    for i, c in enumerate(g):
+        coeffs[i] -= r * c
+        coeffs[i + 1] += c
+    return coeffs
+
+
+@settings(max_examples=150)
+@given(schinzel_polys(), st.integers(-15, 15), st.integers(0, 20))
+@example([1, 0, 2], 1, 59)   # 2x^2 + 1 over 1..60
+@example([0, 0, 1], 1, 9)    # x^2: every row a square
+@example([-10, 1], 5, 7)     # x - 10: negative rows, a zero, squares
+@example([1, 0, -4], -3, 6)  # 1 - 4x^2: a negative square leading coefficient
+def test_schinzel_rows_match_the_factoring_route(coeffs, n_lo, width):
+    # the surd sqrt(f(n)) with an integer-root square test against f(n)
+    # factored into s^2 * k and walked as s * sqrt(k)
+    n_hi = n_lo + width
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["schinzel", f"--poly={_poly_arg(coeffs)}",
+                         f"--range={n_lo}..{n_hi}"])
+    assert (code, err.getvalue()) == (0, "")
+    want = schinzel_rows_by_factoring(coeffs, n_lo, n_hi)
+    assert out.getvalue() == "\n".join(want) + "\n"
+    for n, ell, flag in (line.split(",") for line in want[2:] if line[0] != "#"):
+        v = sum(c * int(n) ** i for i, c in enumerate(coeffs))
+        if flag == "" and v < 10 ** 6:
+            kind, _pre, period = surd_walk_first_repeat(0, 1, v, 10 ** 5)
+            assert kind == "closed" and len(period) == int(ell), (n, v)
+
+
+_NO_SYMPY = """
+import importlib.abc, sys
+
+class NoSympy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "sympy":
+            raise ModuleNotFoundError(f"import of {name} blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoSympy())
+from cfperiod import cli
+code = cli.main(sys.argv[2:])
+assert sys.argv[1] != "block" or "sympy" not in sys.modules
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("poly", ["2x^2+1", "x^2+1"], ids=["covered", "not-covered"])
+def test_schinzel_runs_without_sympy(poly):
+    # ROADMAP item 3's gate for schinzel: no f(n) is factored, so a run with
+    # the sympy import made to fail prints what an unblocked run prints
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    argv = ["schinzel", "--poly", poly, "--range", "1..60"]
+    runs = [subprocess.run([sys.executable, "-c", _NO_SYMPY, mode] + argv, env=env,
+                           capture_output=True, text=True) for mode in ("block", "plain")]
+    assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.splitlines()[1] == (
+        "# hypothesis: covered" if poly == "2x^2+1" else "# hypothesis: not covered")
+
+
 # ---------------------------------------------------------------------------
 # growth
 # ---------------------------------------------------------------------------
@@ -1073,9 +1158,9 @@ def test_fuzzed_schinzel_exits_zero_or_two(poly, span):
     exits 0 or 2 with an error message, never a traceback.
 
     Coordinates are capped at 40 bits, so every accepted f(n) is below 2^40
-    and factors and walks quickly: the small cap keeps the factoring budget
-    (ROADMAP items 3 and 5) out of this test, as the element fuzzing keeps
-    its radicands below 10^12 for the same reason.  The values go in as
+    and walks quickly; schinzel factors no f(n), while the element fuzzing
+    keeps its radicands below 10^12 because those are still factored with
+    no budget (ROADMAP items 3 and 5).  The values go in as
     --poly=... and --range=..., since argparse reads a leading - as an option.
     """
     with mock.patch.dict(os.environ, {"CFPERIOD_MAX_BITS": "40"}):

@@ -58,7 +58,7 @@ def test_memoized_functions_take_positional_arguments_without_defaults():
                 for param in inspect.signature(fn.__wrapped__).parameters.values():
                     assert param.kind is param.POSITIONAL_OR_KEYWORD, (name, param)
                     assert param.default is param.empty, (name, param)
-    assert {"places.arch_dominant_bounds", "polyalg.factor_q", "places.val"} <= found
+    assert {"places.arch_dominant_bounds", "polyalg.factor_q", "places.arch_dominant_log"} <= found
 
 
 def test_memo_is_dropped_when_the_scope_ends():

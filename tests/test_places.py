@@ -20,8 +20,8 @@ from cfperiod.places import (
     _branch_root,
     arch_dominant_bounds,
     finite_dominant_slope,
-    growth_check,
     growth_profile,
+    growth_rows,
     places_above,
     real_places,
     root_abs_table,
@@ -326,7 +326,7 @@ def test_real_growth_rows_enter_no_precision_context(monkeypatch, tmp_path, caps
                                                      embedding):
     # A_n = (1 + sqrt2)^n at embedding 1 and (1 - sqrt2)^n at embedding 2, so
     # |A_n|_v grows and is never 0: the root boxes enter a fixed number of
-    # contexts per job, the rows and growth_check none
+    # contexts per job, the rows and their verdict none
     entered = _count_precision_contexts(monkeypatch)
     prec = mpmath.mp.prec
     counts = []
@@ -349,16 +349,49 @@ def test_real_growth_rows_enter_no_precision_context(monkeypatch, tmp_path, caps
     assert mpmath.mp.prec == prec
 
 
+@pytest.mark.parametrize("spec, verdict", [
+    # Fibonacci at the first real place of Q(sqrt5)
+    ({"d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"], "range": [20, 200],
+      "options": {"place": {"kind": "real", "embedding": 1}}}, "pass"),
+    # A_n = 2^(-n) + 3^n in Q(sqrt17) at the 2-adic place where |A_n|_2 = 2^n
+    ({"d": 17, "coeffs": [["7/2", "0"], ["-3/2", "0"]],
+      "initials": [["2", "0"], ["7/2", "0"]], "range": [20, 200],
+      "options": {"place": {"kind": "finite", "p": 2, "branch": 1}}}, "pass"),
+    # A_n = 2^n - 2^10: a zero tail term gets no row and no log
+    ({"d": 2, "coeffs": ["3", "-2"], "initials": ["-1023", "-1022"], "range": [5, 30],
+      "options": {"place": {"kind": "real", "embedding": 1}}}, "fail"),
+], ids=["fibonacci-real", "2-adic", "zero-tail-term"])
+def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, verdict):
+    # the rows and the verdict read one log_abs per nonzero term of the range
+    calls = []
+
+    def counted(x, v, _real=places.log_abs):
+        calls.append(x)
+        return _real(x, v)
+
+    monkeypatch.setattr(places, "log_abs", counted)
+    monkeypatch.setattr(cli, "log_abs", counted)
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"command": "growth", **spec}))
+    assert cli.main(["growth", str(job)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"# growth_check: {verdict}"
+    r = cli.rec_from_job(spec)
+    n_lo, n_hi = spec["range"]
+    nonzero = [r.term(n) for n in range(n_lo, n_hi + 1) if r.term(n) != 0]
+    assert calls == nonzero and len(out) == len(nonzero) + 2
+
+
 def test_growth_check_fails_on_a_zero_tail_term():
     # A_n = 2^n - 2^10 vanishes at n = 10, inside the tail of 5..30
     r = LinRec([3, -2], [quad(-1023, 0, 2), quad(-1022, 0, 2)], 2)
     assert r.term(10) == 0
-    assert not growth_check(r, real_places(2)[0], F(1, 10), 5, 30)
+    assert not growth_rows(r, real_places(2)[0], F(1, 10), 5, 30)[1]
     # A_n = 2^-n - 2^-10 at the inert place above 2 of Q(sqrt5): |1/2|_2 = 2^2
     r = LinRec([F(3, 2), F(-1, 2)], [1 - F(1, 1024), F(1, 2) - F(1, 1024)], 5)
     (w,) = places_above(2, 5)
     assert r.term(10) == 0
-    assert not growth_check(r, w, F(1, 10), 5, 30)
+    assert not growth_rows(r, w, F(1, 10), 5, 30)[1]
 
 
 def test_finite_dominant_slope():
@@ -408,25 +441,25 @@ def test_root_boxes_against_the_exact_count_are_an_internal_error(
 
 def test_growth_check_operational_parameters():
     w = [p for p in places_above(2, 17) if val(TWOADIC.term(5), p) == -5][0]
-    assert growth_check(TWOADIC, w, F(1, 10), 10, 200)
-    assert growth_check(FIB, real_places(5)[0], F(1, 20), 20, 300)
+    assert growth_rows(TWOADIC, w, F(1, 10), 10, 200)[1]
+    assert growth_rows(FIB, real_places(5)[0], F(1, 20), 20, 300)[1]
 
 
 def test_growth_check_rejects_bad_epsilon():
     with pytest.raises(PreconditionViolated):
-        growth_check(FIB, real_places(5)[0], F(0), 20, 100)
+        growth_rows(FIB, real_places(5)[0], F(0), 20, 100)
     with pytest.raises(PreconditionViolated):
-        growth_check(FIB, real_places(5)[0], F(2), 20, 100)
+        growth_rows(FIB, real_places(5)[0], F(2), 20, 100)
 
 
 def test_growth_check_hypothesis_violations():
     pell = LinRec([2, 1], [quad(1, 0, 2), 1 + R2], 2)
     # conjugate embedding: |1 - sqrt2| < 1, no dominant root
     with pytest.raises(HypothesisViolated):
-        growth_check(pell, real_places(2)[1], F(1, 10), 20, 60)
+        growth_rows(pell, real_places(2)[1], F(1, 10), 20, 60)
     # unit at a finite place: all slopes are zero
     with pytest.raises(HypothesisViolated):
-        growth_check(pell, places_above(7, 2)[0], F(1, 10), 20, 60)
+        growth_rows(pell, places_above(7, 2)[0], F(1, 10), 20, 60)
 
 
 def test_root_abs_table_lists_all_factors():

@@ -187,11 +187,10 @@ def test_polynomials_over_q_pass_as_primitive_integer_forms():
     """factor_q, _over_q and the over-Q degeneracy test take and return
     primitive integer forms, so a RatPoly is converted to one only where a
     polynomial over Q enters as Fractions: a K-polynomial read over Q, the
-    resolvent cubic of the quartic re-check, a RatPoly given to
-    circle_profile and P_S in the classifier's table."""
+    resolvent cubic of the quartic re-check and P_S in the classifier's
+    table.  circle_profile takes KPolys only."""
     assert _callers("primitive_integer_coeffs") == {
-        "polyalg._over_q", "polyalg._certify_irreducible_q", "polyalg.circle_profile",
-        "classifier._s_rows"}
+        "polyalg._over_q", "polyalg._certify_irreducible_q", "classifier._s_rows"}
 
 
 def test_mpmath_is_imported_inside_functions_only():

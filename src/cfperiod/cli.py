@@ -22,7 +22,8 @@ coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
 A, B or m is longer; the element grammar refuses a power x^e whose
 coordinates could exceed it, and `schinzel` a --poly of higher degree or
 whose values f(n) on the range could, each before computing them.
-`schinzel` also refuses a --range of more than 1000000 rows, with exit 2.
+`periods`, `growth` and `schinzel` refuse a range of more than 1000000 rows,
+with exit 2, before computing any term.
 """
 from __future__ import annotations
 
@@ -258,6 +259,13 @@ def parse_range(src: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_scan_rows(n_lo: int, n_hi: int, source: str) -> None:
+    """Refuse a scan of more than MAX_SCAN_ROWS rows before any row is computed."""
+    rows = n_hi - n_lo + 1
+    if rows > MAX_SCAN_ROWS:
+        raise UsageError(f"{source} has {rows} rows, above the limit of {MAX_SCAN_ROWS}")
+
+
 def parse_int_poly(src: str) -> list[int]:
     """"2x^2+1" -> ascending coefficients [1, 0, 2]; x or X accepted."""
     s = src.replace(" ", "")
@@ -342,6 +350,7 @@ def _job_range(job: dict) -> tuple[int, int]:
     if (not isinstance(rng, (list, tuple)) or len(rng) != 2
             or not all(_is_int(x) for x in rng) or rng[1] < rng[0]):
         raise UsageError("job field 'range' must be [n0, n1] with n0 <= n1")
+    _check_scan_rows(rng[0], rng[1], "job field 'range'")
     return rng[0], rng[1]
 
 
@@ -550,9 +559,7 @@ def cmd_props(args) -> int:
 def cmd_schinzel(args) -> int:
     coeffs = parse_int_poly(args.poly)
     n_lo, n_hi = parse_range(args.range)
-    rows = n_hi - n_lo + 1
-    if rows > MAX_SCAN_ROWS:
-        raise UsageError(f"--range has {rows} rows, above the limit of {MAX_SCAN_ROWS}")
+    _check_scan_rows(n_lo, n_hi, "--range")
     deg = len(coeffs) - 1
     # |f(n)| <= sum |c_i| * |n|^deg: refuse before any f(n) is computed
     bits, size = max_bits_guard(), sum(map(abs, coeffs)).bit_length()

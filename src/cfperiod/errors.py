@@ -69,10 +69,6 @@ class NotIrreducible(UsageError):
     pass
 
 
-class ZeroRootInDenominator(UsageError):
-    pass
-
-
 class PrecisionExhausted(InternalError):
     pass
 

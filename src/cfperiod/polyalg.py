@@ -32,12 +32,13 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 * the integrality flags of a Q-irreducible factor (roots, reciprocals and
   both algebraic integers), read off its form;
 * ratio and power polynomials (roots alpha/beta and alpha^k), built from
-  Newton power sums with no resultant, one loop for both fields, each
-  certified by its constant term: over K on QuadElems (ratio_poly and
-  power_poly), over Q only as forms inside the degeneracy test
-  (_zz_ratio_poly: the roots scaled by the leading coefficient to algebraic
-  integers, whose power sums are integers and whose Newton identities
-  divide exactly by k);
+  Newton power sums with no resultant, by one route over Z for both fields,
+  each certified by its constant term: the roots are scaled to algebraic
+  integers, whose power sums lie in Z or Z[sqrt(d)] and whose Newton
+  identities divide exactly by k (_zz_from_power_sums).  _zz_ratio_poly
+  serves the degeneracy test on both pools, a K pair read over Q through
+  the traces of its power sums, and _zz_power_poly the split of a
+  degenerate sequence, on N = p * conj(p);
 * the root-ratio non-degeneracy test with exact root-of-unity witnesses,
   witness_orders(p), whose pool of roots is the polynomial given: the form
   of N = p * conj(p), _over_q(p), for the test over Q, p itself at the
@@ -74,7 +75,6 @@ from .errors import (
     InternalInvariantError,
     NotIrreducible,
     PreconditionViolated,
-    ZeroRootInDenominator,
 )
 from . import memo
 from .memo import memoized
@@ -1070,32 +1070,6 @@ def _power_sums(c, count: int) -> list:
     return sums
 
 
-def _from_power_sums(sums: list, like, root_product):
-    """Monic polynomial over the field of `like` (a KPoly) whose N = len(sums)
-    roots have the power sums s_1, ..., s_N, by Newton's identities (k is
-    invertible in characteristic 0).
-
-    Certified: the constant term must be (-1)^N times root_product, the
-    product of the roots as the caller computes it from its inputs' end
-    coefficients.
-    """
-    c = [like._one()]
-    for k in range(1, len(sums) + 1):
-        acc = sums[k - 1]
-        for j in range(1, k):
-            acc = acc + c[j] * sums[k - j - 1]
-        c.append(-acc / k)
-    out = like._make(c[::-1])
-    if out.constant_term() != (-1) ** len(sums) * root_product:
-        raise InternalInvariantError(
-            f"power-sum polynomial {out} has the wrong root product")
-    return out
-
-
-def _root_product(p):
-    return (-1) ** p.degree * p.coeffs[0] / p.lc
-
-
 def _zz_from_power_sums(sums: list[int]) -> list[int]:
     """The monic integer polynomial (low-to-high) whose N = len(sums) roots,
     algebraic integers, have the power sums s_1, ..., s_N, by Newton's
@@ -1112,63 +1086,75 @@ def _zz_from_power_sums(sums: list[int]) -> list[int]:
     return c[::-1]
 
 
-def _zz_ratio_poly(f, g) -> list[int]:
-    """The primitive integer form (low-to-high) of the polynomial whose roots
-    are the ratios alpha/beta, alpha a root of the integer f and beta one of
-    the integer g (g(0) != 0), with multiplicity.
-
-    With a = lc(f) and c = g(0), the monic integer forms of a*alpha and of
-    c/beta (_zz_monic_scaled of f and of g reversed) have integer power sums,
-    and their products are the power sums of the N = deg f * deg g scaled
-    ratios a*c*alpha/beta, all algebraic integers: Newton's identities over Z
-    give their monic integer polynomial R, and R(a*c*x) is the result up to
-    its content.  Certified: R(0) = (-1)^N * F(0)^deg g * G(0)^deg f, with F
-    and G the two monic forms.
-    """
-    n, m = len(f) - 1, len(g) - 1
-    fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
-    count = n * m
-    sums = [x * y for x, y in zip(_power_sums(fs, count), _power_sums(gs, count))]
-    big, end = _zz_from_power_sums(sums), (-1) ** count * fs[0] ** m * gs[0] ** n
+def _zz_unscaled(sums: list[int], end: int, scale: int) -> list[int]:
+    """The primitive integer form of R(scale * x), R the monic integer
+    polynomial whose roots have the power sums `sums`.  Certified: R(0) must
+    be end, which the caller reads off its inputs' end coefficients."""
+    big = _zz_from_power_sums(sums)
     if big[0] != end:
         raise InternalInvariantError(
             f"power-sum polynomial has the constant term {big[0]}, expected {end}")
-    out, power, scale = [], 1, f[-1] * g[0]
-    for c in big:  # R(a*c*x)
+    out, power = [], 1
+    for c in big:
         out.append(c * power)
         power *= scale
     h = math.gcd(*out)
     return [c // h for c in out] if out[-1] > 0 else [-c // h for c in out]
 
 
-def ratio_poly(p: KPoly, q: KPoly) -> KPoly:
-    """Monic polynomial over K whose roots are the ratios alpha/beta, alpha a
-    root of p and beta a root of q, with multiplicity.
+def _zz_ratio_poly(f, g) -> list[int]:
+    """The primitive integer form (low-to-high) of the polynomial r whose
+    roots are the ratios alpha/beta, alpha a root of f and beta one of g
+    (g(0) != 0), with multiplicity; of r * conj(r) when r is irrational.
 
-    Built from power sums, s_k(alpha/beta) = s_k(alpha) * s_k(1/beta), where
-    1/beta runs over the roots of q.reverse() (Bostan, Flajolet, Salvy and
-    Schost, "Fast computation of special resultants", 2006).  Over Q the
-    ratio polynomials live only inside witness_orders, as primitive integer
-    forms (_zz_ratio_poly).
+    f and g lie over Z, or over Z[sqrt(d)] (_zz_sqrt_d_form), with lc(f) = a
+    and g(0) = c ints.  The monic forms F and G of a*alpha and c/beta
+    (_zz_monic_scaled of f and of g reversed) have power sums over the same
+    ring, whose products are those of the N = deg f * deg g algebraic
+    integers a*c*alpha/beta.  Rational products are integers, and Newton's
+    identities over Z give the monic R of those roots, R(a*c*x) being r up
+    to content; otherwise the traces of 2N products are the power sums of
+    R * conj(R), taken in its place.  Certified: R(0) = (-1)^N *
+    F(0)^deg g * G(0)^deg f, or its norm for R * conj(R).
     """
-    if p.degree < 1 or q.degree < 1:
-        raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
-    if q.constant_term() == 0:
-        raise ZeroRootInDenominator("denominator polynomial has root 0")
-    n = p.degree * q.degree
-    sums = [a * b for a, b in zip(_power_sums(p.monic().coeffs, n),
-                                  _power_sums(q.reverse().monic().coeffs, n))]
-    return _from_power_sums(
-        sums, p, _root_product(p) ** q.degree / _root_product(q) ** p.degree)
+    n, m = len(f) - 1, len(g) - 1
+    fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
+    count, end = n * m, (-1) ** (n * m) * fs[0] ** m * gs[0] ** n
+    if isinstance(end, int):
+        sums = list(map(operator.mul, _power_sums(fs, count), _power_sums(gs, count)))
+    else:  # a pair over K: the products lie in Z[sqrt(d)]
+        sums = list(map(operator.mul, _power_sums(fs, 2 * count), _power_sums(gs, 2 * count)))
+        if all(s.is_rational() for s in sums[:count]):
+            sums = [int(s.a) for s in sums[:count]]
+        else:
+            count, end = 2 * count, end.norm()
+            sums = [int(s.trace()) for s in sums]
+    return _zz_unscaled(sums, end, f[-1] * g[0])
 
 
-def power_poly(p: KPoly, k: int) -> KPoly:
-    """Monic polynomial over K whose roots are the k-th powers of p's roots,
-    with multiplicity: s_j(alpha^k) = s_(jk)(alpha)."""
-    if p.degree < 1 or k < 1:
-        raise PreconditionViolated("power_poly needs a nonconstant polynomial and k >= 1")
-    sums = _power_sums(p.monic().coeffs, k * p.degree)
-    return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
+def _zz_power_poly(f, k: int) -> list[int]:
+    """The primitive integer form (low-to-high) of the polynomial whose roots
+    are alpha^k for the roots alpha of the integer f, with multiplicity.
+
+    With a = lc(f), the roots a*alpha of F = _zz_monic_scaled(f) are
+    algebraic integers, and s_j((a*alpha)^k) = s_(jk)(a*alpha), so Newton's
+    identities over Z give the monic integer R with the roots (a*alpha)^k,
+    and R(a^k x) is the result up to its content.  Certified: R(0) =
+    (-1)^n * ((-1)^n * F(0))^k, n = deg f.
+    """
+    n = len(f) - 1
+    fs = _zz_monic_scaled(f)
+    sums = _power_sums(fs, k * n)[k - 1::k]
+    return _zz_unscaled(sums, (-1) ** n * ((-1) ** n * fs[0]) ** k, f[-1] ** k)
+
+
+def _zz_sqrt_d_form(p: KPoly) -> list:
+    """p scaled to the least multiple with coefficients in Z[sqrt(d)] whose
+    leading coefficient is a positive int, low-to-high: the QuadElems below
+    have integer coordinates, and the roots are p's."""
+    monic = p.monic()
+    den = math.lcm(*(c.m for c in monic.coeffs))
+    return [c * den for c in monic.coeffs[:-1]] + [den]
 
 
 @memoized
@@ -1193,11 +1179,13 @@ def witness_orders(p) -> tuple[int, ...]:
     rational KPoly is read as its form.  Roots at zero are ignored: they
     cannot take part in a unit-modulus ratio.  Each unordered pair of the
     pool's distinct irreducible factors gives one ratio polynomial, read
-    over Q as a primitive integer form: a ratio polynomial r with irrational
-    coefficients is replaced by r * conj(r), whose extra roots are
-    conjugates of r's, and conjugation maps a primitive n-th root of unity
-    to another one of order n.  An order 1 left in a ratio polynomial is a
-    root shared by two distinct factors, which raises.
+    over Q as a primitive integer form by _zz_ratio_poly (a K-factor scaled
+    into Z[sqrt(d)] to an int leading coefficient as the numerator, to an
+    int constant term as the denominator): an irrational ratio polynomial
+    r comes back as r * conj(r), whose extra roots are conjugates of r's,
+    and conjugation maps a primitive n-th root of unity to another one of
+    order n.  An order 1 left in a ratio polynomial is a root shared by two
+    distinct factors, which raises.
     """
     rational = not isinstance(p, KPoly)
     if not rational and p.is_rational():
@@ -1208,23 +1196,18 @@ def witness_orders(p) -> tuple[int, ...]:
     zeros = next(i for i, c in enumerate(coeffs) if c)
     if zeros == len(coeffs) - 1:
         return ()
-    if rational:
-        base = [f for f, _m in factor_q(p[zeros:])]
+    if rational:  # (numerator, denominator) forms of each factor
+        base = [(f, f) for f, _m in factor_q(p[zeros:])]
     else:
-        base = factor_k(p._make(coeffs[zeros:])).distinct()
+        base = [(_zz_sqrt_d_form(g), _zz_sqrt_d_form(g.reverse())[::-1])
+                for g in factor_k(p._make(coeffs[zeros:])).distinct()]
     witnesses: set[int] = set()
-    for i, fi in enumerate(base):
-        for fj in base[i:]:
-            # a self-ratio polynomial holds (x - 1)^deg once, and twice in
-            # r * conj(r); it is stripped on the integer form
-            if rational:
-                r, ones = _zz_ratio_poly(fi, fj), len(fi) - 1
-            else:
-                r, ones = ratio_poly(fi, fj), fi.degree
-                if not r.is_rational():
-                    ones *= 2
-                r = _over_q(r)
-            for n in _cyclotomic_orders(r, ones if fi == fj else 0):
+    for i, (fi, _gi) in enumerate(base):
+        for j in range(i, len(base)):
+            r = _zz_ratio_poly(fi, base[j][1])
+            # a self-ratio polynomial holds (x - 1)^deg f once, and twice in
+            # r * conj(r), of twice the degree; it is stripped on the form
+            for n in _cyclotomic_orders(r, (len(r) - 1) // (len(fi) - 1) if i == j else 0):
                 if n == 1:
                     raise InternalInvariantError("distinct irreducible factors share a root")
                 witnesses.add(n)

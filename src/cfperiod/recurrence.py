@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
 from .polyalg import (KPoly, _monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
-                      power_poly, witness_orders)
+                      _zz_power_poly, witness_orders)
 from .qfield import QuadElem
 
 
@@ -191,14 +191,15 @@ def split_degenerate(r: LinRec):
     d is the lcm of the root-of-unity witness orders of the over-Q test, on
     the roots of N = P_A * conj(P_A) (d = 1 and parts = [r] when the
     sequence is already non-degenerate or is the zero sequence, which has no
-    roots).
+    roots).  Each part is built on N's power polynomial over Z, with roots
+    alpha^d for the roots alpha of N (polyalg._zz_power_poly).
     """
     p = seq_min_charpoly(r)
     witnesses = () if isinstance(p, ZeroSequence) else witness_orders(_over_q(p))
     if not witnesses:
         return 1, [r]
     d_step = math.lcm(*witnesses)
-    q = power_poly(p, d_step)
+    q = _monic_from_ints(_zz_power_poly(_over_q(p), d_step))
     order = q.degree
     coeffs = [-q.coeffs[order - 1 - i] for i in range(order)]
     parts = []

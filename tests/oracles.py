@@ -21,7 +21,12 @@ identities on Fractions, the route the package left for integer power sums
 of the scaled monic forms.  Over K, two interpolation loops sample x = 1, -1, 2, ...
 for the root ratios and x = 0, 1, 2, ... for the power map, and take each
 sample with the Euclidean resultant below; they share only the package's
-polynomial arithmetic.
+polynomial arithmetic.  ratio_poly and power_poly are the package's former
+routes over K: Newton's identities on QuadElems, dividing by each k, where
+the package runs them over Z on forms scaled into Z[sqrt(d)] and reads an
+irrational ratio polynomial r as the traces of its power sums, those of
+r * conj(r).  witness_orders_by_ratio_poly is the base-level witness test
+on that former route.
 The reference factorizations take the routes the package left: over Q,
 sympy's factor_list on rational coefficients instead of the integer factorer
 on the primitive form; over K, Yun plus the norm descent for every input
@@ -65,7 +70,7 @@ schinzel_rows_by_factoring is the schinzel scan by the route the CLI left:
 each f(n) factored into s^2 * k and walked as the element s * sqrt(k), where
 the CLI walks the surd sqrt(f(n)) and tests squares by an integer root.
 WindowTooShort and VerificationFailed are raised only by the Berlekamp-Massey
-reference.
+reference, and ZeroRootInDenominator only by ratio_poly.
 The tolerances are calibrated for the test generators in this tree (integer
 coefficients of modest height), where on-circle roots are exact and
 off-circle roots stay far from the unit circle at 100 digits.
@@ -827,6 +832,83 @@ def newton_power_poly(p, k: int):
     """The k-th power polynomial of a rational polynomial on Fractions, the
     package's former route over Q: s_j(alpha^k) = s_(jk)(alpha)."""
     return _fraction_from_power_sums(_fraction_power_sums(p.coeffs, k * p.degree)[k - 1::k])
+
+
+class ZeroRootInDenominator(UsageError):
+    pass
+
+
+def _from_power_sums(sums: list, like, root_product):
+    """Monic polynomial over the field of `like` (a KPoly) whose N = len(sums)
+    roots have the power sums s_1, ..., s_N, by Newton's identities (k is
+    invertible in characteristic 0).
+
+    Certified: the constant term must be (-1)^N times root_product, the
+    product of the roots as the caller computes it from its inputs' end
+    coefficients.
+    """
+    c = [like._one()]
+    for k in range(1, len(sums) + 1):
+        acc = sums[k - 1]
+        for j in range(1, k):
+            acc = acc + c[j] * sums[k - j - 1]
+        c.append(-acc / k)
+    out = like._make(c[::-1])
+    if out.constant_term() != (-1) ** len(sums) * root_product:
+        raise InternalInvariantError(
+            f"power-sum polynomial {out} has the wrong root product")
+    return out
+
+
+def _root_product(p):
+    return (-1) ** p.degree * p.coeffs[0] / p.lc
+
+
+def ratio_poly(p, q):
+    """Monic polynomial over K whose roots are the ratios alpha/beta, alpha a
+    root of p and beta a root of q, with multiplicity.
+
+    Built from power sums, s_k(alpha/beta) = s_k(alpha) * s_k(1/beta), where
+    1/beta runs over the roots of q.reverse() (Bostan, Flajolet, Salvy and
+    Schost, "Fast computation of special resultants", 2006), with Newton's
+    identities over K dividing QuadElems.
+    """
+    if p.degree < 1 or q.degree < 1:
+        raise PreconditionViolated("ratio_poly needs two nonconstant polynomials")
+    if q.constant_term() == 0:
+        raise ZeroRootInDenominator("denominator polynomial has root 0")
+    n = p.degree * q.degree
+    sums = [a * b for a, b in zip(polyalg._power_sums(p.monic().coeffs, n),
+                                  polyalg._power_sums(q.reverse().monic().coeffs, n))]
+    return _from_power_sums(
+        sums, p, _root_product(p) ** q.degree / _root_product(q) ** p.degree)
+
+
+def power_poly(p, k: int):
+    """Monic polynomial over K whose roots are the k-th powers of p's roots,
+    with multiplicity: s_j(alpha^k) = s_(jk)(alpha)."""
+    if p.degree < 1 or k < 1:
+        raise PreconditionViolated("power_poly needs a nonconstant polynomial and k >= 1")
+    sums = polyalg._power_sums(p.monic().coeffs, k * p.degree)
+    return _from_power_sums(sums[k - 1::k], p, _root_product(p) ** k)
+
+
+def witness_orders_by_ratio_poly(p) -> tuple[int, ...]:
+    """polyalg.witness_orders at the base level of K by the route the package
+    left: each pair of p's distinct K-factors gives ratio_poly over K, read
+    over Q by polyalg._over_q, with the self-ratio's root 1 stripped once
+    from r and twice from r * conj(r)."""
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    if zeros == p.degree:
+        return ()
+    base = polyalg.factor_k(p._make(p.coeffs[zeros:])).distinct()
+    witnesses = set()
+    for i, fi in enumerate(base):
+        for fj in base[i:]:
+            r = ratio_poly(fi, fj)
+            ones = fi.degree * (1 if r.is_rational() else 2) if fi == fj else 0
+            witnesses.update(polyalg._cyclotomic_orders(list(polyalg._over_q(r)), ones))
+    return tuple(sorted(witnesses))
 
 
 def ratio_resultant_field(pi, pj):

@@ -263,6 +263,25 @@ def test_fixed_and_moved_parts_are_products_of_factors():
     assert c.evidence.p_d == KPoly([1, -6, 1], 2)
 
 
+def test_only_the_shift_search_splits_a_rational_p_d(monkeypatch):
+    # A_n = T_n + 2 conj(T_n), T_n the power sums of x^2 - (3 + sqrt2) x + 1 + sqrt2:
+    # P_A = P_D = x^4 - 6x^3 + 9x^2 - 2x - 1 is rational and Q-irreducible, so
+    # no K-factor of P_A is at hand, and one shifted search of degree 4
+    # splits it over K (ROADMAP item 1 (b))
+    degrees = []
+    split = polyalg._factor_k_squarefree
+    monkeypatch.setattr(polyalg, "_factor_k_squarefree",
+                        lambda g: degrees.append(g.degree) or split(g))
+    r = LinRec([6, -9, 2, 1], [6, 9 - R2, 27 - 4 * R2, 90 - 17 * R2], 2)
+    c = classify(r)
+    assert (c.verdict, c.step) == ("ProvenUnbounded", "C.1")
+    assert c.evidence.p_a_min == c.evidence.p_d == KPoly([-1, -2, 9, -6, 1], 2)
+    assert polyalg.factor_q((-1, -2, 9, -6, 1)) == (((-1, -2, 9, -6, 1), 1),)
+    assert {f for f, *_ in c.evidence.moved_factors} == {
+        KPoly([1 + s * R2, -3 - s * R2, 1], 2) for s in (1, -1)}
+    assert degrees == [4]
+
+
 @settings(max_examples=30)
 @given(small_recurrences())
 def test_fixed_part_is_rational_and_parts_multiply_back(rec):

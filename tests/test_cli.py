@@ -26,6 +26,7 @@ from cfperiod import cli, contfrac, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
 from cfperiod.qfield import quad
+from cfperiod.recurrence import LinRec
 
 from fractions import Fraction as F
 
@@ -648,6 +649,24 @@ def test_schinzel_range_wider_than_the_row_limit_is_refused(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "1000001 rows" in err and "1000000" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, job", [("periods", "pell_power_job"),
+                                          ("growth", "twoadic_job")])
+@pytest.mark.parametrize("n1", [1_000_000, 10**12])
+def test_scan_range_wider_than_the_row_limit_is_refused(capsys, tmp_path, monkeypatch,
+                                                        command, job, n1):
+    # periods and growth share schinzel's row limit, checked before any term
+    def refuse(self, n):
+        raise AssertionError(f"term {n} computed")
+
+    monkeypatch.setattr(LinRec, "term", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, globals()[job](tmp_path, 0, n1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"error: job field 'range' has {n1 + 1} rows, "
+                   f"above the limit of {cli.MAX_SCAN_ROWS}\n")
 
 
 def _poly_arg(coeffs) -> str:

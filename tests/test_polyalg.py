@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfperiod import polyalg
@@ -18,8 +18,6 @@ from cfperiod.polyalg import (
     circle_profile,
     factor_k,
     factor_q,
-    power_poly,
-    ratio_poly,
     root_integrality_flags,
     witness_orders,
 )
@@ -31,10 +29,11 @@ from curated import members
 from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, euclid_gcd,
                      factor_k_norm, factor_q_monic, factor_q_qq, from_roots, is_root_of_unity,
                      newton_power_poly, newton_ratio_poly, offcircle_counts_numeric,
-                     orders_with_totient_at_most_sieved, poly_roots, power_map_charpoly,
-                     ratio_poly_zz, ratio_resultant_field,
-                     ratio_witness_orders_numeric, rational_roots_divisors, resultant, sqrt_int,
-                     squarefree_part)
+                     orders_with_totient_at_most_sieved, poly_roots,
+                     power_map_charpoly, power_poly, ratio_poly, ratio_poly_zz,
+                     ratio_resultant_field, ratio_witness_orders_numeric,
+                     rational_roots_divisors, resultant, sqrt_int, squarefree_part,
+                     witness_orders_by_ratio_poly)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -50,6 +49,19 @@ def _ratio_over_q(p, q):
     back monic."""
     return polyalg._monic_from_ints(polyalg._zz_ratio_poly(p.primitive_integer_coeffs(),
                                                            q.primitive_integer_coeffs()))
+
+
+def _ratio_over_k(f, g):
+    """The degeneracy test's integer ratio polynomial of two KPolys: the
+    numerator and the denominator forms witness_orders builds."""
+    return polyalg._zz_ratio_poly(polyalg._zz_sqrt_d_form(f),
+                                  polyalg._zz_sqrt_d_form(g.reverse())[::-1])
+
+
+def _power_over_q(q, f):
+    """The power polynomial q of f read over Q as the integer route builds
+    it, on N = f * conj(f): the form of q * conj(q) when f is irrational."""
+    return list(polyalg._over_q(q if f.is_rational() else q * q.conj()))
 
 
 def _rand_ratpoly(rng, deg, cmax=9):
@@ -694,6 +706,34 @@ def power_sum_cases(draw):
     return p * RatPoly([0, 1]) ** draw(st.integers(0, 2)), product(1), k
 
 
+@st.composite
+def k_power_sum_cases(draw):
+    """(f, g, k) over K = Q(sqrt(d)), d in {2, 3, 5, 13}: f and g products of
+    one or two factors of degree 1-2 with fractional, 30-digit or irrational
+    coefficients, a lifted rational factor now and then, f with a zero root
+    now and then, g without; a quarter of the time g is f (self-ratios),
+    when f has no zero root."""
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coord = small | st.integers(-10**30, 10**30)
+    lead = st.sampled_from([1, -1, 2, F(1, 3), 10**20 + 1])
+
+    def product():
+        out = KPoly([1], d)
+        for _ in range(draw(st.integers(1, 2))):
+            deg, rational = draw(st.integers(1, 2)), draw(st.integers(0, 3)) == 0
+            cs = [quad(draw(coord), 0 if rational else draw(small), d) for _ in range(deg)]
+            if not cs[0]:
+                cs[0] = quad(1, 0 if rational else 1, d)
+            out = out * KPoly(cs + [draw(lead)], d)
+        return out
+
+    f, k = product(), draw(st.integers(1, 4))
+    if draw(st.integers(0, 3)) == 0:
+        return f, f, k
+    return f * KPoly([0, 1], d) ** draw(st.integers(0, 1)), product(), k
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(power_sum_cases())
 @example((FIB, FIB, 3))
@@ -702,17 +742,36 @@ def power_sum_cases(draw):
 def test_integer_power_sums_match_the_fraction_route(case):
     p, q, k = case
     assert _ratio_over_q(p, q) == newton_ratio_poly(p, q)
-    # over Q power polynomials leave the package; over K on lifted inputs
+    # the power polynomial of a form; over K, on lifted inputs, the former route
+    assert (polyalg._zz_power_poly(p.primitive_integer_coeffs(), k)
+            == list(newton_power_poly(p, k).primitive_integer_coeffs()))
     assert power_poly(p.lift(2), k) == newton_power_poly(p, k).lift(2)
     # the degeneracy test reads the primitive integer form directly
     assert (polyalg._zz_ratio_poly(p.primitive_integer_coeffs(), q.primitive_integer_coeffs())
             == list(newton_ratio_poly(p, q).primitive_integer_coeffs()))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k_power_sum_cases())
+@example((KPoly([-R2, 1], 2), KPoly([-R2, 1], 2), 2))             # rational ratio: 1
+@example((KPoly([-R2, 1], 2), KPoly([1 + R2, 1], 2), 3))          # irrational ratio
+@example((KPoly([1, -R2, 1], 2), KPoly([1, -R2, 1], 2), 8))       # zeta_8^(+-1)
+def test_integer_power_sums_match_the_route_over_k(case):
+    f, g, k = case
+    # ratio polynomials over K read over Q: r, or r * conj(r) when r is irrational
+    assert _ratio_over_k(f, g) == list(polyalg._over_q(ratio_poly(f, g)))
+    # power polynomials of N = f * conj(f): roots alpha^k over both embeddings
+    assert polyalg._zz_power_poly(polyalg._over_q(f), k) == _power_over_q(power_poly(f, k), f)
+
+
 def test_integer_newton_is_certified(monkeypatch):
     newton, power_sums = polyalg._zz_from_power_sums, polyalg._power_sums
     ratio = polyalg._zz_ratio_poly
     p, q = (1, -3, 1), (-2, 3, 5)
+    # a K pair in the trace case: (x - 1 - sqrt2)(x - 3) and 2x^2 - sqrt2 x - 1,
+    # whose ratio polynomial is irrational, so Newton runs on 2N traces
+    f, g = KPoly([3 + 3 * R2, -4 - R2, 1], 2), KPoly([-1, -R2, 2], 2)
+    assert len(_ratio_over_k(f, g)) - 1 == 2 * f.degree * g.degree
     with monkeypatch.context() as m:  # a constant term off by one
         m.setattr(polyalg, "_zz_from_power_sums", lambda sums: [newton(sums)[0] + 1]
                   + newton(sums)[1:])
@@ -720,11 +779,19 @@ def test_integer_newton_is_certified(monkeypatch):
             ratio(p, q)
         with pytest.raises(InternalInvariantError, match="constant term"):
             ratio(q, q)
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            _ratio_over_k(f, g)
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            polyalg._zz_power_poly(p, 3)
     with monkeypatch.context() as m:  # the last power sum off by its index
         m.setattr(polyalg, "_zz_from_power_sums",
                   lambda sums: newton(sums[:-1] + [sums[-1] + len(sums)]))
         with pytest.raises(InternalInvariantError, match="constant term"):
             ratio(p, q)
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            _ratio_over_k(f, g)
+        with pytest.raises(InternalInvariantError, match="constant term"):
+            polyalg._zz_power_poly(q, 2)
     with monkeypatch.context() as m:  # s_1 of x^2 - 3x + 1 read as 4 and of
         # y^2 + 3y - 10 (5x^2 + 3x - 2 reversed, scaled) as -2: 2 c_2 = -139
         m.setattr(polyalg, "_power_sums",
@@ -947,6 +1014,39 @@ def test_nondegeneracy_over_q_matches_numeric_witnesses(p):
 
 
 @st.composite
+def k_pools(draw):
+    """A K-polynomial for the base-level witness test: half the time an
+    irrational one from the chosen-root generator (with its K-only zeta_8,
+    zeta_12 and zeta_5 blocks), otherwise x - c with c irrational times up
+    to two factors of degree 1-3 over Q(sqrt(d)) with fractional, non-monic
+    coefficients, some of them rational or repeated."""
+    if draw(st.booleans()):
+        return draw(chosen_root_polys().filter(
+            lambda p: isinstance(p, KPoly) and not p.is_rational()))
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    lead = st.sampled_from([1, -1, 2, F(1, 3)])
+    out = KPoly([-quad(draw(coord), draw(coord.filter(bool)), d), 1], d)
+    for _ in range(draw(st.integers(0, 2))):
+        cs = [quad(draw(coord), draw(coord), d) for _ in range(draw(st.integers(1, 3)))]
+        out = out * KPoly(cs + [draw(lead)], d) ** draw(st.sampled_from([1, 1, 2]))
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k_pools())
+@example(KPoly([-1, 1], 2) * KPoly([1, -R2, 1], 2))                  # 1, zeta_8^(+-1)
+@example(KPoly([-1, 1], 3) * KPoly([1, -sqrt_int(3), 1], 3))         # 1, zeta_12^(+-1)
+@example(KPoly([-R2, 1], 2) * KPoly([R2, 1], 2))                     # sqrt2, -sqrt2
+@example(KPoly([0, -R2, 1], 2) * KPoly([2, 1], 2))                   # zero root
+def test_base_level_witnesses_match_the_former_route(p):
+    # the integer route equals the ratio polynomials over K read over Q; a
+    # rational p (a conjugate pair multiplied out) is read over Q instead
+    assume(not p.is_rational())
+    assert witness_orders(p) == witness_orders_by_ratio_poly(p)
+
+
+@st.composite
 def resultant_pairs(draw):
     """(f, g) over Q(sqrt d), d in {2, 3, 5}, of degrees 1-4: f monic, g with
     no zero root; half the time both are rational polynomials lifted to K."""
@@ -970,7 +1070,13 @@ def resultant_pairs(draw):
 @given(resultant_pairs(), st.integers(1, 6))
 def test_ratio_and_power_poly_match_the_separate_loops(pair, power):
     f, g = pair
-    # root ratios: Res_y(g(y), f(x*y)) over K, made monic
-    assert ratio_poly(f, g) == ratio_resultant_field(f, g).monic()
-    # power map: Res_y(f(y), y^power - x) for monic f
-    assert power_poly(f, power) == power_map_charpoly(f, power)
+    # root ratios: Res_y(g(y), f(x*y)) over K, made monic; the package reads
+    # them over Q on integers
+    ratios = ratio_resultant_field(f, g).monic()
+    assert ratio_poly(f, g) == ratios
+    assert _ratio_over_k(f, g) == list(polyalg._over_q(ratios))
+    # power map: Res_y(f(y), y^power - x) for monic f; the package takes it
+    # on N = f * conj(f), on integers
+    powers = power_map_charpoly(f, power)
+    assert power_poly(f, power) == powers
+    assert polyalg._zz_power_poly(polyalg._over_q(f), power) == _power_over_q(powers, f)

@@ -21,7 +21,9 @@ multiplicity, whether conjugation fixes it, circle profile, integrality flags.
 Over Q the table is read from primitive integer forms (polyalg's one form
 over Q): P_S and P_D are each converted once, their factors and the
 integrality flags of C.4-C.6 come from factor_q's forms, and a Q-factor is
-made a monic RatPoly only for its circle profile and the printed report.
+read as a monic rational KPoly only for its circle profile and the printed
+report.  A conjugation-fixed factor of P_D is such a KPoly too, so it
+shares its profile with an equal P_S factor.
 The paper's C.2 (a moved factor with a root on the circle) is implied by C.1:
 such a factor pi is not linear (+-1 is rational, so fixed), so its roots z
 and 1/z (= complex conjugate) make it self-reciprocal, and so is conj(pi),
@@ -65,7 +67,7 @@ class EvidenceReport:
 
     p_a_min: object = None          # KPoly | ZeroSequence | None
     p_d: object = None              # KPoly | ZeroSequence | None
-    p_s: object = None              # RatPoly | ZeroSequence | None
+    p_s: object = None              # rational KPoly | ZeroSequence | None
     conj_fixed: object = None       # conj-fixed part of P_D
     conj_moved: object = None
     fixed_profile: object = None    # CircleProfile of the conj-fixed part
@@ -103,17 +105,17 @@ def _s_rows(p_s, p_a: KPoly) -> tuple:
     when it is rational) of the over-Q degeneracy test the input has passed:
     S is non-degenerate as well.  The division is checked exactly, on the
     primitive integer forms (Gauss's lemma).  Each factor is read over Q
-    as its form; its row holds the monic q that its profile reads and the
-    report prints.
+    as its form; its row holds the monic rational KPoly q that its profile
+    reads and the report prints.
     """
     if isinstance(p_s, ZeroSequence):
         return ()
-    form = p_s.primitive_integer_coeffs()
+    form = _over_q(p_s)
     if _zz_exact_div(_over_q(p_a), form) is None:
         raise InternalInvariantError("P_S does not divide P_A * conj(P_A)")
     rows = []
     for f, m in factor_q(form):
-        q = _monic_from_ints(f)
+        q = _monic_from_ints(f, p_s.d)
         rows.append((q, m, _profile_irreducible(q), root_integrality_flags(f)))
     return tuple(rows)
 
@@ -154,9 +156,9 @@ def _classify(r: LinRec) -> Classification:
         if not isinstance(p, ZeroSequence) and p.degree > cap:
             raise DegreeTooLarge(f"degree {p.degree} exceeds factor cap {cap}")
     d_rows = []  # (pi, mult, profile, conjugation fixes pi)
-    for pi, m in factor_k(p_d).factors:
-        fx = pi.conj() == pi  # then pi is rational and Q-irreducible: profiled as P_S's are
-        d_rows.append((pi, m, _profile_irreducible(pi.to_ratpoly() if fx else pi), fx))
+    for pi, m in factor_k(p_d):
+        fx = pi.conj() == pi  # then pi is rational and Q-irreducible
+        d_rows.append((pi, m, _profile_irreducible(pi), fx))
     s_rows, d = _s_rows(p_s, p_a), r.d
     fixed = math.prod((pi ** m for pi, m, _pr, fx in d_rows if fx), start=KPoly([1], d))
     moved = math.prod((pi ** m for pi, m, _pr, fx in d_rows if not fx), start=KPoly([1], d))

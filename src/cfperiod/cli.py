@@ -20,10 +20,12 @@ walk that hit its step cap, 3 internal bug.
 Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
 coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
 A, B or m is longer; the element grammar refuses a power x^e whose
-coordinates could exceed it, and `schinzel` a --poly of higher degree or
-whose values f(n) on the range could, each before computing them.
+coordinates could exceed it, `schinzel` a --poly of higher degree or
+whose values f(n) on the range could, and `props` an --smax or --rmax whose
+largest power of alpha could, each before computing them.
 `periods`, `growth` and `schinzel` refuse a range of more than 1000000 rows,
-with exit 2, before computing any term.
+and `props` an --smax or --rmax that gives more, with exit 2, before
+computing any term.
 """
 from __future__ import annotations
 
@@ -259,9 +261,8 @@ def parse_range(src: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_scan_rows(n_lo: int, n_hi: int, source: str) -> None:
+def _check_scan_rows(rows: int, source: str) -> None:
     """Refuse a scan of more than MAX_SCAN_ROWS rows before any row is computed."""
-    rows = n_hi - n_lo + 1
     if rows > MAX_SCAN_ROWS:
         raise UsageError(f"{source} has {rows} rows, above the limit of {MAX_SCAN_ROWS}")
 
@@ -350,7 +351,7 @@ def _job_range(job: dict) -> tuple[int, int]:
     if (not isinstance(rng, (list, tuple)) or len(rng) != 2
             or not all(_is_int(x) for x in rng) or rng[1] < rng[0]):
         raise UsageError("job field 'range' must be [n0, n1] with n0 <= n1")
-    _check_scan_rows(rng[0], rng[1], "job field 'range'")
+    _check_scan_rows(rng[1] - rng[0] + 1, "job field 'range'")
     return rng[0], rng[1]
 
 
@@ -515,17 +516,28 @@ def _trace_int(x: QuadElem) -> int:
     return int(t)
 
 
-# per family: the norms alpha may have, the (r, s) rows with A = alpha^r +
+def _p61_size(smax: int) -> tuple[int, int]:
+    """(rows, largest exponent) of p61 up to smax, counted in closed form:
+    r = 2k + 1 pairs with the odd s in [2r + 1, smax], M - 2k of them for
+    M = (smax - 1) // 2, while 2k + 1 <= M; the largest s is 2M + 1."""
+    m = max(0, (smax - 1) // 2)
+    return (m + 1) // 2 * (m - (m - 1) // 2), 2 * m + 1
+
+
+# per family: the norms alpha may have, the option that bounds the rows, the
+# (rows, largest exponent) it allows, the (r, s) rows with A = alpha^r +
 # alpha^s, the condition on conj(A), the expected (preperiod, period) from
 # tr A and floor(alpha^r), and the lines after the rows
 _PROPS_FAMILIES = {
     "p61": ((-1,),
+            "smax", _p61_size,
             lambda args: [(r, s) for r in range(1, args.smax + 1, 2)
                           for s in range(r + 2, args.smax + 1, 2) if s - r > r],
             lambda c: -1 < c < 0,
             lambda t, f: ((t,), (f, t)),
             ()),
     "p62": ((-1, 1),
+            "rmax", lambda rmax: (max(0, rmax // 2), 4 * max(0, rmax // 2)),
             lambda args: [(r, 2 * r) for r in range(2, args.rmax + 1, 2)],
             lambda c: 0 < c < 1,
             lambda t, f: ((t - 1,), (1, f - 2, 1, t - 2)),
@@ -534,8 +546,16 @@ _PROPS_FAMILIES = {
 
 
 def cmd_props(args) -> int:
-    norms, rows_of, condition, blocks, notes = _PROPS_FAMILIES[args.family]
+    norms, option, size, rows_of, condition, blocks, notes = _PROPS_FAMILIES[args.family]
     alpha = _props_alpha(args.alpha, norms)
+    # refused before the rows are listed or any power of alpha is computed
+    bound = getattr(args, option)
+    rows, top = size(bound)
+    _check_scan_rows(rows, f"--{option} {bound}")
+    bits = max_bits_guard()
+    if rows and top * _log2_height(alpha) > bits:
+        raise UsageError(f"alpha^{top} at --{option} {bound} could exceed "
+                         f"CFPERIOD_MAX_BITS = {bits} bits per coordinate")
     lines = ["family,r,s,cond,ell,verdict"]
     fails = 0
     pairs = rows_of(args)
@@ -559,7 +579,7 @@ def cmd_props(args) -> int:
 def cmd_schinzel(args) -> int:
     coeffs = parse_int_poly(args.poly)
     n_lo, n_hi = parse_range(args.range)
-    _check_scan_rows(n_lo, n_hi, "--range")
+    _check_scan_rows(n_hi - n_lo + 1, "--range")
     deg = len(coeffs) - 1
     # |f(n)| <= sum |c_i| * |n|^deg: refuse before any f(n) is computed
     bits, size = max_bits_guard(), sum(map(abs, coeffs)).bit_length()

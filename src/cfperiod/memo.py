@@ -48,7 +48,7 @@ def memoized(fn):
     """Key on the positional arguments; fn has no defaults.
 
     Each argument enters the key together with its type and field parameter,
-    so a RatPoly never meets an equal-looking KPoly and two KPolys over
+    so a primitive integer form never meets a KPoly and two KPolys over
     different fields are never compared.
     """
     name = fn.__qualname__

@@ -381,7 +381,7 @@ def arch_dominant_bounds(r: LinRec, v: Place):
         raise HypothesisViolated(f"no root with |.|_v > 1 at {v}")
     best_lo = best_hi = None
     with mpmath.workdps(ARCH_DPS):
-        for pi, _m in factor_k(prof_poly).factors:
+        for pi, _m in factor_k(prof_poly):
             boxes = certified_root_boxes(pi)
             lo = max(abs(z) - rad for z, rad in boxes)
             hi = max(abs(z) + rad for z, rad in boxes)
@@ -414,7 +414,7 @@ def root_abs_table(r: LinRec, v: Place) -> list[str]:
     p = _charpoly_or_raise(r)
     lines = []
     if v.kind == "finite":
-        for pi, m in factor_k(p).factors:
+        for pi, m in factor_k(p):
             slope = _newton_polygon_max_slope(pi, v)
             if slope is None:
                 continue
@@ -423,7 +423,7 @@ def root_abs_table(r: LinRec, v: Place) -> list[str]:
         return lines
     prof = p if v.embedding == 1 else p.conj()
     with mpmath.workdps(ARCH_DPS):
-        for pi, m in factor_k(prof).factors:
+        for pi, m in factor_k(prof):
             mags = sorted(abs(z) for z, _rad in certified_root_boxes(pi))
             shown = ", ".join(mpmath.nstr(x, 8) for x in mags)
             lines.append(f"factor {pi} (mult {m}): |roots|_v = {shown}")

@@ -4,11 +4,11 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 
 * one form over Q: a polynomial over Q passes between functions as its
   primitive integer form, a low-to-high tuple of ints with content 1 and a
-  positive leading coefficient.  RatPoly.primitive_integer_coeffs is the one
-  conversion from Fractions, certified by the content scale-back, and
-  _monic_from_ints the one way back, taken only where Fractions are read:
-  lifting a Q-factor to K, the circle profile of a Q-factor, the quartic
-  irreducibility re-check and the polynomials a report prints;
+  positive leading coefficient, and KPoly is the one polynomial class.
+  _over_q is the one way from field coefficients to a form, certified by
+  the content scale-back, and _monic_from_ints(f, d) the one way back, a
+  rational KPoly, taken only where field arithmetic or a report needs it:
+  splitting a Q-factor over K and the factors a report profiles and prints;
 * factorization over Q of a form, by one route: inside a scope a form
   already certified there is answered at once, and those irreducibles are
   divided out first; then the rational roots, found without factoring an
@@ -16,13 +16,14 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   sympy's factorer over Z sees only a cofactor of degree >= 2 with no
   rational root.  Certified by refusing an input that is not a primitive
   form, an exact multiply-back over Z and independent small-degree
-  irreducibility re-checks.  Over K, too, by one route: the Q-factors of
-  p (p rational) or of its norm p * conj(p) are split over K, by a gcd
-  with p or each on its own (a quadratic by its discriminant, even degree
-  >= 4 as the shifted copy h whose norm h * conj(h) is squarefree, an
-  irrational polynomial that factor_k splits by the same gcd), with the
-  multiplicities of the Q-factors, or for an irrational p by exact
-  division.  Any degree: the degree budget is the classifier's;
+  irreducibility re-checks on integers.  Over K, too, by one route: the
+  Q-factors of p (p rational) or of its norm p * conj(p) are split over K,
+  by a gcd with p or each on its own (c2 x^2 + c1 x + c0 splits iff
+  (c1^2 - 4 c0 c2) d is a square, an even degree >= 4 as the shifted copy
+  h whose norm h * conj(h) is squarefree, an irrational polynomial that
+  factor_k splits by the same gcd), with the multiplicities of the
+  Q-factors, or for an irrational p by exact division.  Any degree: the
+  degree budget is the classifier's;
 * one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
   certified by both cofactors multiplying back, behind the minimal
   polynomials over Q and every squarefree test; Euclid runs over K only;
@@ -304,64 +305,6 @@ class _PolyBase:
         return self._format()
 
 
-class RatPoly(_PolyBase):
-    """Dense polynomial with Fraction coefficients, low-to-high order."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs",
-                           self._strip([self._coerce(c) for c in coeffs]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatPoly is immutable")
-
-    @staticmethod
-    def _zero() -> Fraction:
-        return Fraction(0)
-
-    @staticmethod
-    def _one() -> Fraction:
-        return Fraction(1)
-
-    @staticmethod
-    def _try_coeff(c):
-        if isinstance(c, Fraction):
-            return c
-        if isinstance(c, int):
-            return Fraction(c)
-        if isinstance(c, str):
-            return Fraction(c)
-        return None
-
-    def _make(self, coeffs) -> "RatPoly":
-        p = RatPoly.__new__(RatPoly)
-        object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
-        return p
-
-    def primitive_integer_coeffs(self) -> tuple[int, ...]:
-        """The primitive integer form: integer coefficients, content 1,
-        positive leading; low-to-high.  The one conversion from Fractions to
-        the form every polynomial over Q is passed in, certified by the
-        content scale-back: lc / form[-1] times the form is self."""
-        if self.is_zero:
-            raise ValueError("primitive form of zero polynomial")
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
-        ints = tuple(c // g for c in ints)
-        content = self.lc / ints[-1]
-        if [content * c for c in ints] != list(self.coeffs):
-            raise InternalInvariantError(f"content scale-back failed for {self}")
-        return ints
-
-    def lift(self, d: int) -> "KPoly":
-        return KPoly([QuadElem(c, 0, d) for c in self.coeffs], d)
-
-    def __repr__(self):
-        return f"RatPoly({self._format()})"
-
-
 class KPoly(_PolyBase):
     """Dense polynomial with QuadElem coefficients over a fixed Q(sqrt(d))."""
 
@@ -397,8 +340,6 @@ class KPoly(_PolyBase):
                 from .errors import MixedFieldError
                 raise MixedFieldError(f"mixed polynomial fields d={self.d}, d={other.d}")
             return other
-        if isinstance(other, RatPoly):
-            return other.lift(self.d)
         c = self._try_coeff(other)
         if c is None:
             return None
@@ -423,11 +364,6 @@ class KPoly(_PolyBase):
     def is_rational(self) -> bool:
         return all(c.is_rational() for c in self.coeffs)
 
-    def to_ratpoly(self) -> RatPoly:
-        if not self.is_rational():
-            raise ValueError(f"{self} has irrational coefficients")
-        return RatPoly([c.a for c in self.coeffs])
-
     def __repr__(self):
         return f"KPoly({self._format()}; d={self.d})"
 
@@ -435,17 +371,6 @@ class KPoly(_PolyBase):
 # ---------------------------------------------------------------------------
 # factorization over Q (sympy-backed, certified here)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(factor^mult) with monic irreducible factors."""
-
-    unit: object
-    factors: tuple  # ((poly, mult), ...)
-
-    def distinct(self) -> list:
-        return [f for f, _m in self.factors]
-
 
 def _zz_factor(ints: list[int]):
     """sympy's factorer over Z (Zassenhaus) on high-to-low coefficients:
@@ -569,52 +494,54 @@ def _rational_roots(f) -> list[Fraction]:
     return roots
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    return root if root * root == q else None
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _monic_from_ints(f) -> RatPoly:
-    """The monic RatPoly of an integer form f (low-to-high): the one place a
-    form over Q is read as Fractions, where an algorithm or a report needs
-    them."""
-    return RatPoly([Fraction(c, f[-1]) for c in f])
+def _monic_from_ints(f, d: int) -> KPoly:
+    """The monic rational KPoly over Q(sqrt(d)) of an integer form f
+    (low-to-high): the one way from a form over Q back to field
+    coefficients, taken where field arithmetic or a report needs them."""
+    return KPoly([Fraction(c, f[-1]) for c in f], d)
 
 
 def _certify_irreducible_q(f) -> None:
     """Independent irreducibility re-check of a primitive integer form f of
-    degree <= 4 (raises on failure)."""
+    degree <= 4 (raises on failure), on integers throughout."""
     deg = len(f) - 1
     if deg <= 1:
         return
     if _rational_roots(f):
-        raise NotIrreducible(f"{_monic_from_ints(f)} has a rational root")
+        raise NotIrreducible(f"{list(f)} has a rational root")
     if deg <= 3:
         return
     if deg == 4:
-        # depress: x -> y - a3/4, then quadratic splits come from the
-        # resolvent cubic z^3 + 2Pz^2 + (P^2-4R)z - Q^2 having a positive
-        # rational square root z0 = u^2 (Q != 0), or the biquadratic cases.
-        m = _monic_from_ints(f)
-        a3 = m.coeffs[2 + 1]
-        dep = m.compose(RatPoly([-a3 / 4, 1]))
-        P, Q, R = dep.coeffs[2], dep.coeffs[1], dep.coeffs[0]
+        # u = 4 a4 x + a3 depresses f over Z: 256 a4^3 f = u^4 + P u^2 + Q u + R.
+        # With no rational root, f splits iff it splits into quadratics: for
+        # Q = 0 when P^2 - 4R is a square (a biquadratic) or R = g^2 with
+        # 2g - P or -2g - P a square, otherwise when the resolvent cubic
+        # z^3 + 2Pz^2 + (P^2 - 4R)z - Q^2 has a positive root that is a
+        # square.  Those are rational squares for the monic depressed
+        # quartic in y = u / (4 a4), whose P, Q and R are these over
+        # (4 a4)^2, (4 a4)^3 and (4 a4)^4; so each test here, scaled by an
+        # even power of 4 a4, asks for an integer square, and the resolvent,
+        # monic over Z, has integer roots only.
+        a0, a1, a2, a3, a4 = f
+        P = 16 * a4 * a2 - 6 * a3 * a3
+        Q = 64 * a4 * a4 * a1 - 32 * a4 * a3 * a2 + 8 * a3 ** 3
+        R = 256 * a4 ** 3 * a0 - 64 * a4 * a4 * a3 * a1 + 16 * a4 * a3 * a3 * a2 - 3 * a3 ** 4
         if Q == 0:
-            if _rational_sqrt(P * P - 4 * R) is not None:
-                raise NotIrreducible(f"{m} splits as a biquadratic")
-            g = _rational_sqrt(R)
-            if g is not None and (_rational_sqrt(2 * g - P) is not None
-                                  or _rational_sqrt(-2 * g - P) is not None):
-                raise NotIrreducible(f"{m} splits into quadratics")
+            if _is_square(P * P - 4 * R):
+                raise NotIrreducible(f"{list(f)} splits as a biquadratic")
+            g = math.isqrt(max(R, 0))
+            if g * g == R and (_is_square(2 * g - P) or _is_square(-2 * g - P)):
+                raise NotIrreducible(f"{list(f)} splits into quadratics")
             return
-        resolvent = RatPoly([-Q * Q, P * P - 4 * R, 2 * P, 1])
-        for z0 in _rational_roots(resolvent.primitive_integer_coeffs()):
-            if z0 > 0 and _rational_sqrt(z0) is not None:
-                raise NotIrreducible(f"{m} splits into quadratics (resolvent root {z0})")
+        for z0 in _rational_roots([-Q * Q, P * P - 4 * R, 2 * P, 1]):
+            if z0 > 0 and _is_square(z0.numerator):
+                raise NotIrreducible(f"{list(f)} splits into quadratics (resolvent root {z0})")
         return
-    # degree >= 5: no independent certificate here (see decision ledger)
+    # degree >= 5: no independent certificate here (ROADMAP item 10)
 
 
 @memoized
@@ -693,7 +620,7 @@ def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
         if len(_zz_squarefree_part(norm)) < len(norm):
             continue
         unshift = KPoly([s * sqrt_d, 1], d)
-        factors = [c.compose(unshift).monic() for c in factor_k(h).distinct()]
+        factors = [c.compose(unshift).monic() for c, _m in factor_k(h)]
         prod = KPoly([1], d)
         for f in factors:
             prod = prod * f
@@ -703,29 +630,33 @@ def _factor_k_squarefree(g: KPoly) -> list[KPoly]:
     raise InternalInvariantError(f"no squarefree shift found for {g}")
 
 
-def _split_over_k(f: RatPoly, d: int) -> list[KPoly]:
-    """Monic irreducible factors over K of a monic Q-irreducible f.
+def _split_over_k(f, d: int) -> list[KPoly]:
+    """Monic irreducible factors over K of a Q-irreducible primitive form f.
 
     Gal(K/Q) permutes them transitively, so f stays irreducible or splits
     into two conjugates of half its degree: an odd degree never splits, and
-    x^2 + c1 x + c0 splits iff (c1^2 - 4 c0)/d = q^2 is a rational square,
-    into the roots (-c1 +- q sqrt(d))/2.  An even degree >= 4 is split by
-    factor_k's gcd route on a shifted copy (_factor_k_squarefree).
+    c2 x^2 + c1 x + c0 splits iff (c1^2 - 4 c0 c2) d = t^2 is a square, into
+    the roots (-c1 d +- t sqrt(d)) / (2 c2 d).  An even degree >= 4 is split
+    by factor_k's gcd route on a shifted copy (_factor_k_squarefree).
     """
-    if f.degree % 2:
-        return [f.lift(d)]
-    if f.degree == 2:
-        c0, c1 = f.coeffs[0], f.coeffs[1]
-        q = _rational_sqrt((c1 * c1 - 4 * c0) / d)
-        if q is None:
-            return [f.lift(d)]
-        return [KPoly([QuadElem(c1 / 2, s * q / 2, d), 1], d) for s in (1, -1)]
-    return _factor_k_squarefree(f.lift(d))
+    if len(f) % 2 == 0:
+        return [_monic_from_ints(f, d)]
+    if len(f) == 3:
+        c0, c1, c2 = f
+        disc = (c1 * c1 - 4 * c0 * c2) * d
+        if not _is_square(disc):
+            return [_monic_from_ints(f, d)]
+        t = math.isqrt(disc)
+        return [KPoly([QuadElem(Fraction(c1, 2 * c2), Fraction(s * t, 2 * c2 * d), d), 1], d)
+                for s in (1, -1)]
+    return _factor_k_squarefree(_monic_from_ints(f, d))
 
 
 @memoized
-def factor_k(p: KPoly) -> Factorization:
-    """Factorization into monic irreducibles over K = Q(sqrt(d)).
+def factor_k(p: KPoly) -> tuple:
+    """Complete factorization over K = Q(sqrt(d)) of a nonzero p:
+    ((g, mult), ...), each g a monic irreducible KPoly, sorted by degree and
+    then by the coefficients of g; p is p.lc times the product.
 
     The roots of monic p are among those of q = p over Q when p is rational,
     and of its norm q = p * conj(p) otherwise; q is factored with factor_q.
@@ -738,30 +669,28 @@ def factor_k(p: KPoly) -> Factorization:
     """
     if p.is_zero:
         raise ValueError("factor_k of zero polynomial")
-    unit = p.lc
     if p.degree == 0:
-        return Factorization(unit, ())
+        return ()
     rest = monic = p.monic()
     rational, items = monic.is_rational(), []
-    for form, m in factor_q(_over_q(monic)):
-        f = _monic_from_ints(form)
+    for f, m in factor_q(_over_q(monic)):
         if rational:  # f^m divides p exactly, and so does each K-factor of f to the m
             items += [(g, m) for g in _split_over_k(f, p.d)]
             continue
-        c = monic.gcd(f.lift(p.d))
-        for g in ([c, c.conj()] if 0 < c.degree < f.degree else _split_over_k(f, p.d)):
+        c = monic.gcd(_monic_from_ints(f, p.d))
+        for g in ([c, c.conj()] if 0 < c.degree < len(f) - 1 else _split_over_k(f, p.d)):
             mult = 0
             while not (quo_rem := divmod(rest, g))[1]:
                 rest, mult = quo_rem[0], mult + 1
             if mult:
                 items.append((g, mult))
     items.sort(key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
-    check = KPoly([unit], p.d)
+    check = KPoly([p.lc], p.d)
     for f, m in items:
         check = check * f ** m
     if check != p:
         raise InternalInvariantError(f"factor_k multiply-back failed for {p}")
-    return Factorization(unit, tuple(items))
+    return tuple(items)
 
 
 def root_integrality_flags(f) -> tuple[bool, bool, bool]:
@@ -773,7 +702,7 @@ def root_integrality_flags(f) -> tuple[bool, bool, bool]:
     if len(f) < 2:
         raise NotIrreducible(f"{list(f)} is constant")
     if factor_q(f) != ((f, 1),):
-        raise NotIrreducible(f"{_monic_from_ints(f)} is not irreducible over Q")
+        raise NotIrreducible(f"{list(f)} is not irreducible over Q")
     is_int, is_recip = f[-1] == 1, abs(f[0]) == 1
     return is_int, is_recip, is_int and is_recip
 
@@ -892,8 +821,7 @@ def _profile_irreducible(pi) -> CircleProfile:
         if deg % 2:
             raise InternalInvariantError(f"odd self-reciprocal irreducible {pi}")
         g = _chebyshev_like_transform(pi.monic())
-        two = Fraction(2)
-        on = 2 * g.sturm_count(-two, two)
+        on = 2 * g.sturm_count(-2, 2)
         if (deg - on) % 2:
             raise InternalInvariantError("off-circle roots of self-reciprocal not paired")
         half = (deg - on) // 2
@@ -905,21 +833,19 @@ def _profile_irreducible(pi) -> CircleProfile:
 def circle_profile(p: KPoly) -> CircleProfile:
     """Counts of roots inside / on / outside the unit circle, with multiplicity.
 
-    Every count is exact.  An irreducible factor has roots on the circle iff
-    it is self-reciprocal, and then the count is 2 * (real roots of the
-    x + 1/x transform in (-2, 2)), a Sturm computation over the coefficient
-    field, with the other roots split evenly between inside and outside.
-    Any other factor has no root on the circle, and its roots inside and
-    outside are the negative and positive inertia of its Schur-Cohn matrix.
+    Every count is exact, summed over p's irreducible factors over K
+    (factor_k), rational p included.  An irreducible factor has roots on the
+    circle iff it is self-reciprocal, and then the count is 2 * (real roots
+    of the x + 1/x transform in (-2, 2)), a Sturm computation over the
+    coefficient field, with the other roots split evenly between inside and
+    outside.  Any other factor has no root on the circle, and its roots
+    inside and outside are the negative and positive inertia of its
+    Schur-Cohn matrix.
     """
     if p.is_zero:
         raise ValueError("circle_profile of zero polynomial")
-    if not p.is_rational():
-        items = factor_k(p).factors
-    else:
-        items = [(_monic_from_ints(f), m) for f, m in factor_q(_over_q(p))]
     inside = on = outside = 0
-    for f, m in items:
+    for f, m in factor_k(p):
         prof = _profile_irreducible(f)
         inside += m * prof.inside
         on += m * prof.on
@@ -1159,13 +1085,24 @@ def _zz_sqrt_d_form(p: KPoly) -> list:
 
 @memoized
 def _over_q(p: KPoly) -> tuple[int, ...]:
-    """The primitive integer form of p when p is rational, and of
-    p * conj(p) otherwise."""
+    """The primitive integer form of a nonzero p when p is rational, and of
+    p * conj(p) otherwise: the one way from field coefficients to a form,
+    read off the integers A / m of the QuadElems.  Certified by the content
+    scale-back: lc(p) / form[-1] times the form is p's coefficients."""
     if not p.is_rational():
         p = p * p.conj()
         if not p.is_rational():
             raise InternalInvariantError("p * conj(p) not rational")
-    return p.to_ratpoly().primitive_integer_coeffs()
+    if p.is_zero:
+        raise ValueError("primitive form of zero polynomial")
+    den = math.lcm(*(c.m for c in p.coeffs))
+    ints = [c.A * (den // c.m) for c in p.coeffs]
+    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    form = tuple(c // g for c in ints)
+    lc, top = p.lc, form[-1]  # c = lc.A * f / (lc.m * top), cross-multiplied
+    if any(c.A * lc.m * top != lc.A * c.m * f for c, f in zip(p.coeffs, form)):
+        raise InternalInvariantError(f"content scale-back failed for {p}")
+    return form
 
 
 @memoized
@@ -1200,7 +1137,7 @@ def witness_orders(p) -> tuple[int, ...]:
         base = [(f, f) for f, _m in factor_q(p[zeros:])]
     else:
         base = [(_zz_sqrt_d_form(g), _zz_sqrt_d_form(g.reverse())[::-1])
-                for g in factor_k(p._make(coeffs[zeros:])).distinct()]
+                for g, _m in factor_k(p._make(coeffs[zeros:]))]
     witnesses: set[int] = set()
     for i, (fi, _gi) in enumerate(base):
         for j in range(i, len(base)):

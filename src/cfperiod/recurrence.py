@@ -11,7 +11,8 @@ rational generating function.  No recurrence is fitted to a window.
 Over Q the recurrence is N's primitive integer form (polyalg._over_q), the
 one form in which a polynomial over Q passes between polyalg, recurrence
 and classifier, and the gcd runs on integers; the minimal polynomials come
-back as monic RatPolys, which the report prints.
+back as forms, read as monic rational KPolys over the sequence's field
+(polyalg._monic_from_ints), which the report prints.
 A sequence whose N has two roots with a root-of-unity ratio is degenerate;
 split_degenerate reads the orders of those ratios (polyalg.witness_orders
 on N) and splits it into arithmetic subsequences that are not.
@@ -111,14 +112,16 @@ class LinRec:
 def _minpoly_from_recurrence(q, terms):
     """Minimal polynomial of a sequence that satisfies q, from its first deg q terms.
 
-    q has q(0) != 0: a monic KPoly with QuadElem terms, or a primitive
-    integer form (a low-to-high tuple of ints) with Fraction terms, whose
-    minimal polynomial is returned as a monic RatPoly.  With k = deg q and
+    q has q(0) != 0: a monic KPoly with QuadElem terms, whose minimal
+    polynomial is returned as a monic KPoly, or a primitive integer form (a
+    low-to-high tuple of ints) with Fraction terms, whose minimal polynomial
+    is returned as a primitive integer form.  With k = deg q and
     rev(q) of degree k, the generating function sum_n t_n x^n is G / rev(q),
     where G = rev(q) * sum_(n<k) t_n x^n mod x^k, and the minimal polynomial
     is the reverse of the reduced denominator rev(q) / gcd(rev(q), G), made
-    monic (Everest, van der Poorten, Shparlinski and Ward, Recurrence
-    Sequences, 2003, section 1.1); G = 0 is the zero sequence.  Over K the
+    monic over K and primitive over Q (Everest, van der Poorten, Shparlinski
+    and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is the zero
+    sequence.  Over K the
     gcd is Euclid's.  Over Q it is the certified integer gcd
     (``polyalg._zz_gcd_certified``, whose cofactors multiply back exactly)
     on integer lists, after the sequence is scaled to integers, which
@@ -136,9 +139,9 @@ def _minpoly_from_recurrence(q, terms):
     num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
     if not any(num):
         return ZERO_SEQUENCE
-    if rational:  # the reduced denominator from the top is P's primitive form
+    if rational:  # the reduced denominator from the top is P's form up to sign
         cs = _zz_gcd_certified(rev, num)[1][::-1]
-        p = _monic_from_ints(cs)
+        p = cs = tuple(cs) if cs[-1] > 0 else tuple(-c for c in cs)
         divides = _zz_exact_div(q, cs) is not None
     else:
         rev, num = q._make(rev), q._make(num)
@@ -161,21 +164,19 @@ def diff_sum_parts(r: LinRec):
     """Minimal charpolys of D_n = A_n - conj(A_n) and S_n = A_n + conj(A_n).
 
     Both satisfy the rational N = P_A * conj(P_A) (P_A itself when it is
-    rational), and so do the rational sequences D_n / sqrt(d) and S_n: P_S is
-    read over Q from N's primitive integer form, and P_D over Q and then
-    lifted to K.
-    Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: RatPoly | ZERO_SEQUENCE).
+    rational), and so do the rational sequences D_n / sqrt(d) and S_n: both
+    are read over Q from N's primitive integer form, as forms, and returned
+    as monic rational KPolys over the sequence's field.
+    Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: KPoly | ZERO_SEQUENCE).
     """
     p_a = seq_min_charpoly(r)
     if isinstance(p_a, ZeroSequence):
         return ZERO_SEQUENCE, ZERO_SEQUENCE
     n_poly = _over_q(p_a)
     terms = [r.term(n) for n in range(len(n_poly) - 1)]
-    p_d = _minpoly_from_recurrence(n_poly, [2 * a.b for a in terms])
-    p_s = _minpoly_from_recurrence(n_poly, [2 * a.a for a in terms])
-    if not isinstance(p_d, ZeroSequence):
-        p_d = p_d.lift(r.d)
-    return p_d, p_s
+    return tuple(p if isinstance(p, ZeroSequence) else _monic_from_ints(p, r.d)
+                 for p in (_minpoly_from_recurrence(n_poly, [2 * a.b for a in terms]),
+                           _minpoly_from_recurrence(n_poly, [2 * a.a for a in terms])))
 
 
 @memoized
@@ -199,7 +200,7 @@ def split_degenerate(r: LinRec):
     if not witnesses:
         return 1, [r]
     d_step = math.lcm(*witnesses)
-    q = _monic_from_ints(_zz_power_poly(_over_q(p), d_step))
+    q = _monic_from_ints(_zz_power_poly(_over_q(p), d_step), r.d)
     order = q.degree
     coeffs = [-q.coeffs[order - 1 - i] for i in range(order)]
     parts = []

@@ -37,7 +37,15 @@ squarefree shift, whose Q-factors give the K-factors by gcd; it reaches
 polyalg.factor_q but neither factor_k nor _factor_k_squarefree.
 factor_q_monic calls polyalg.factor_q on a RatPoly's primitive integer form
 and reads the factor forms back as the leading coefficient times monic
-RatPolys, the shape factor_q_qq returns.
+RatPolys, the shape factor_q_qq returns.  The reference quartic
+irreducibility re-check is the package's former one on Fractions: the monic
+quartic depressed by composition, with rational square roots, where the
+package depresses over Z and asks for integer squares.
+RatPoly is the Fraction polynomial class the package left: there a
+polynomial over Q is a primitive integer form, read as a rational KPoly
+where field arithmetic needs it.  The Fraction references are built on it,
+and Factorization, a unit with ((factor, multiplicity), ...), is the shape
+the reference factorizations return.
 The reference gcd over Q is Euclid on Fractions (euclid_gcd, and with it
 squarefree_part and is_squarefree), where the package takes sympy's integer
 gcd on primitive integer forms and certifies its cofactors; from_roots
@@ -85,11 +93,12 @@ from fractions import Fraction
 import mpmath
 
 from cfperiod import polyalg, qfield
+from cfperiod.polyalg import _PolyBase
 from cfperiod.contfrac import CFExpansion, convergents, cycle_lengths
 from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalError,
                              InternalInvariantError, MixedFieldError, NegativeInput,
-                             PrecisionExhausted, PreconditionViolated, StepCapExceeded,
-                             UsageError)
+                             NotIrreducible, PrecisionExhausted, PreconditionViolated,
+                             StepCapExceeded, UsageError)
 from cfperiod.recurrence import ZERO_SEQUENCE
 
 
@@ -341,8 +350,8 @@ def cyclotomic(n: int):
     """Phi_n as a RatPoly: x^n - 1 divided exactly by the Phi_d, d | n, d < n."""
     if n in _CYCLOTOMIC_CACHE:
         return _CYCLOTOMIC_CACHE[n]
-    num = polyalg.RatPoly([-1] + [0] * (n - 1) + [1])  # x^n - 1
-    den = polyalg.RatPoly([1])
+    num = RatPoly([-1] + [0] * (n - 1) + [1])  # x^n - 1
+    den = RatPoly([1])
     for d in range(1, n):
         if n % d == 0:
             den = den * cyclotomic(d)
@@ -713,12 +722,89 @@ def quad_to_mpf(x: QuadElem, dps: int):
 
 
 # ---------------------------------------------------------------------------
-# reference polynomials: products of linear factors, Euclid's gcd over a field
+# reference polynomials: Fraction coefficients, products of linear factors,
+# Euclid's gcd over a field
 # ---------------------------------------------------------------------------
+
+class RatPoly(_PolyBase):
+    """Dense polynomial with Fraction coefficients, low-to-high order."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        object.__setattr__(self, "coeffs",
+                           self._strip([self._coerce(c) for c in coeffs]))
+
+    def __setattr__(self, *a):
+        raise AttributeError("RatPoly is immutable")
+
+    @staticmethod
+    def _zero() -> Fraction:
+        return Fraction(0)
+
+    @staticmethod
+    def _one() -> Fraction:
+        return Fraction(1)
+
+    @staticmethod
+    def _try_coeff(c):
+        if isinstance(c, Fraction):
+            return c
+        if isinstance(c, int):
+            return Fraction(c)
+        if isinstance(c, str):
+            return Fraction(c)
+        return None
+
+    def _make(self, coeffs) -> "RatPoly":
+        p = RatPoly.__new__(RatPoly)
+        object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
+        return p
+
+    def primitive_integer_coeffs(self) -> tuple[int, ...]:
+        """The primitive integer form: integer coefficients, content 1,
+        positive leading; low-to-high.  The one conversion from Fractions to
+        the form every polynomial over Q is passed in, certified by the
+        content scale-back: lc / form[-1] times the form is self."""
+        if self.is_zero:
+            raise ValueError("primitive form of zero polynomial")
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [int(c * den) for c in self.coeffs]
+        g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+        ints = tuple(c // g for c in ints)
+        content = self.lc / ints[-1]
+        if [content * c for c in ints] != list(self.coeffs):
+            raise InternalInvariantError(f"content scale-back failed for {self}")
+        return ints
+
+    def lift(self, d: int) -> "polyalg.KPoly":
+        return polyalg.KPoly([qfield.QuadElem(c, 0, d) for c in self.coeffs], d)
+
+    def __repr__(self):
+        return f"RatPoly({self._format()})"
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """unit * prod(factor^mult) with monic irreducible factors."""
+
+    unit: object
+    factors: tuple  # ((poly, mult), ...)
+
+    def distinct(self) -> list:
+        return [f for f, _m in self.factors]
+
+
+def to_ratpoly(p) -> RatPoly:
+    """A rational KPoly's coefficients as a RatPoly."""
+    if not p.is_rational():
+        raise ValueError(f"{p} has irrational coefficients")
+    return RatPoly([c.a for c in p.coeffs])
+
 
 def from_roots(roots, d: int | None = None):
     """prod (x - r) over the roots: a RatPoly, or a KPoly over Q(sqrt(d))."""
-    make = polyalg.RatPoly if d is None else functools.partial(polyalg.KPoly, d=d)
+    make = RatPoly if d is None else functools.partial(polyalg.KPoly, d=d)
     p = make([1])
     for r in roots:
         p = p * make([-r, 1])
@@ -789,8 +875,8 @@ def ratio_poly_zz(p, q):
     pxy = sympy.Poly.from_dict({(i, i): c for i, c in enumerate(p.primitive_integer_coeffs())},
                                y, x, domain=sympy.ZZ)
     res = qy.resultant(pxy)
-    out = polyalg.RatPoly([int(c) for c in reversed(res.all_coeffs())])
-    return polyalg.RatPoly(out.primitive_integer_coeffs())
+    out = RatPoly([int(c) for c in reversed(res.all_coeffs())])
+    return RatPoly(out.primitive_integer_coeffs())
 
 
 def _fraction_power_sums(coeffs, count: int) -> list[Fraction]:
@@ -806,7 +892,7 @@ def _fraction_power_sums(coeffs, count: int) -> list[Fraction]:
     return sums
 
 
-def _fraction_from_power_sums(sums) -> "polyalg.RatPoly":
+def _fraction_from_power_sums(sums) -> "RatPoly":
     """The monic polynomial whose roots have the power sums s_1, ..., s_N,
     by Newton's identities with a Fraction division by each k."""
     c = [Fraction(1)]
@@ -815,7 +901,7 @@ def _fraction_from_power_sums(sums) -> "polyalg.RatPoly":
         for j in range(1, k):
             acc += c[j] * sums[k - j - 1]
         c.append(-acc / k)
-    return polyalg.RatPoly(c[::-1])
+    return RatPoly(c[::-1])
 
 
 def newton_ratio_poly(p, q):
@@ -901,7 +987,7 @@ def witness_orders_by_ratio_poly(p) -> tuple[int, ...]:
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     if zeros == p.degree:
         return ()
-    base = polyalg.factor_k(p._make(p.coeffs[zeros:])).distinct()
+    base = [g for g, _m in polyalg.factor_k(p._make(p.coeffs[zeros:]))]
     witnesses = set()
     for i, fi in enumerate(base):
         for fj in base[i:]:
@@ -987,20 +1073,58 @@ def factor_q_qq(p):
     unit = Fraction(int(coeff.p), int(coeff.q))
     factors = []
     for sf, mult in sympy_factors:
-        f = polyalg.RatPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())])
+        f = RatPoly([Fraction(int(c.p), int(c.q)) for c in reversed(sf.all_coeffs())])
         unit *= f.lc ** mult
         factors.append((f.monic(), int(mult)))
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return polyalg.Factorization(unit, tuple(factors))
+    return Factorization(unit, tuple(factors))
 
 
 def factor_q_monic(p):
     """polyalg.factor_q on the primitive integer form of a RatPoly, read back
     as factor_q_qq reads sympy's answer: p's leading coefficient times the
     monic factors, in factor_q's order."""
-    factors = tuple((polyalg._monic_from_ints(f), m)
+    factors = tuple((RatPoly([Fraction(c, f[-1]) for c in f]), m)
                     for f, m in polyalg.factor_q(p.primitive_integer_coeffs()))
-    return polyalg.Factorization(p.lc, factors)
+    return Factorization(p.lc, factors)
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
+
+
+def certify_irreducible_q_fraction(f) -> None:
+    """polyalg._certify_irreducible_q on Fractions, the package's former
+    route: a quartic is made monic, depressed by composing with
+    x - a3/4, and its biquadratic and resolvent tests ask for rational
+    square roots, where the package depresses over Z by u = 4 a4 x + a3
+    and asks for integer squares."""
+    deg = len(f) - 1
+    if deg <= 1:
+        return
+    m = RatPoly([Fraction(c, f[-1]) for c in f])
+    if polyalg._rational_roots(f):
+        raise NotIrreducible(f"{m} has a rational root")
+    if deg != 4:
+        return
+    a3 = m.coeffs[3]
+    dep = m.compose(RatPoly([-a3 / 4, 1]))
+    P, Q, R = dep.coeffs[2], dep.coeffs[1], dep.coeffs[0]
+    if Q == 0:
+        if _rational_sqrt(P * P - 4 * R) is not None:
+            raise NotIrreducible(f"{m} splits as a biquadratic")
+        g = _rational_sqrt(R)
+        if g is not None and (_rational_sqrt(2 * g - P) is not None
+                              or _rational_sqrt(-2 * g - P) is not None):
+            raise NotIrreducible(f"{m} splits into quadratics")
+        return
+    resolvent = RatPoly([-Q * Q, P * P - 4 * R, 2 * P, 1])
+    for z0 in polyalg._rational_roots(resolvent.primitive_integer_coeffs()):
+        if z0 > 0 and _rational_sqrt(z0) is not None:
+            raise NotIrreducible(f"{m} splits into quadratics (resolvent root {z0})")
 
 
 def squarefree_decomposition(p):
@@ -1034,7 +1158,7 @@ def norm_descent(g):
         norm = h * h.conj()
         if not norm.is_rational():
             raise InternalInvariantError("norm polynomial not rational")
-        nq = norm.to_ratpoly()
+        nq = to_ratpoly(norm)
         if not is_squarefree(nq):
             continue
         pieces = []
@@ -1062,7 +1186,7 @@ def factor_k_norm(p):
             factors[f] = factors.get(f, 0) + mult
     items = sorted(factors.items(),
                    key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
-    return polyalg.Factorization(p.lc, tuple(items))
+    return Factorization(p.lc, tuple(items))
 
 
 def rational_roots_divisors(p):
@@ -1180,11 +1304,9 @@ def min_charpoly(w: SeqWindow, degree_bound: int, margin: int = BM_MARGIN):
 
 def diff_sum_parts_bm(r):
     """(P_D, P_S) by Berlekamp-Massey on the first 4k + 8 terms of D and S,
-    bounded by 2k for an order-k recurrence r; P_S as a RatPoly."""
+    bounded by 2k for an order-k recurrence r."""
     bound = 2 * r.order
     terms = [r.term(n) for n in range(2 * bound + BM_MARGIN)]
     p_d = min_charpoly(SeqWindow(0, tuple(a - a.conj() for a in terms)), bound)
     p_s = min_charpoly(SeqWindow(0, tuple(a + a.conj() for a in terms)), bound)
-    if p_s is not ZERO_SEQUENCE:
-        p_s = p_s.to_ratpoly()
     return p_d, p_s

@@ -15,13 +15,13 @@ from fractions import Fraction as F
 
 import oracles
 from curated import DEGEN_PART_VERDICTS, members
-from oracles import (check_fibonacci_bounds, complete_quotients, cyclotomic,
+from oracles import (RatPoly, check_fibonacci_bounds, complete_quotients, cyclotomic,
                      period_lower_bound, purely_periodic)
 
 from cfperiod.classifier import classify
 from cfperiod.contfrac import _surd_reduced, check_convergent_bound, expand, period_length
 from cfperiod.places import growth_rows, places_above, real_places, val
-from cfperiod.polyalg import KPoly, RatPoly, _over_q, circle_profile, factor_k, witness_orders
+from cfperiod.polyalg import KPoly, _over_q, circle_profile, factor_k, witness_orders
 from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, to_surd
 from cfperiod.recurrence import LinRec
 
@@ -296,7 +296,7 @@ def test_criterion_5_invariant_suites(capsys):
             if deg == 1:
                 return f
             fac = factor_k(f)
-            if len(fac.factors) == 1 and fac.factors[0][1] == 1:
+            if len(fac) == 1 and fac[0][1] == 1:
                 return f
 
     for k in range(100):
@@ -305,9 +305,8 @@ def test_criterion_5_invariant_suites(capsys):
         p = parts[0]
         for f in parts[1:]:
             p = p * f
-        fac = factor_k(p)
-        back = KPoly([fac.unit], d)
-        for f, mult in fac.factors:
+        back = KPoly([p.lc], d)
+        for f, mult in factor_k(p):
             for _ in range(mult):
                 back = back * f
         if back != p:

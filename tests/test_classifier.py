@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cfperiod import classifier, polyalg
 from cfperiod.classifier import classify, explain
 from cfperiod.errors import InternalInvariantError
-from cfperiod.polyalg import KPoly, RatPoly, circle_profile, factor_k
+from cfperiod.polyalg import KPoly, circle_profile, factor_k
 from cfperiod.qfield import quad
 from cfperiod.recurrence import LinRec
 
@@ -142,7 +142,7 @@ def test_c_branch_unital_pisot_distinction():
     c = classify(LinRec([6, -7], [quad(1, 0, 2), 3 + R2], 2))
     assert (c.verdict, c.step) == ("ProvenUnbounded", "C.1")
     assert c.evidence.s_unital is False
-    assert c.evidence.p_s == RatPoly([7, -6, 1])
+    assert c.evidence.p_s == KPoly([7, -6, 1], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +311,11 @@ def test_sum_part_rows_check_that_p_s_divides_n():
     # exactly on the forms: x - 3 does not divide x^2 - x - 1
     fib = KPoly([-1, -1, 1], 5)
     with pytest.raises(InternalInvariantError, match="P_S does not divide"):
-        classifier._s_rows(RatPoly([-3, 1]), fib)
+        classifier._s_rows(KPoly([-3, 1], 5), fib)
     # a row holds the monic factor, which the report prints, and its flags
-    rows = classifier._s_rows(RatPoly([F(-1, 2), F(-1, 2), F(1, 2)]), fib)
+    rows = classifier._s_rows(KPoly([F(-1, 2), F(-1, 2), F(1, 2)], 5), fib)
     assert [(q, m, flags) for q, m, _pr, flags in rows] == [
-        (RatPoly([-1, -1, 1]), 1, (True, True, True))]
+        (KPoly([-1, -1, 1], 5), 1, (True, True, True))]
 
 
 def test_moved_factor_on_the_circle_is_c1():
@@ -342,7 +342,7 @@ def self_reciprocal_irreducibles(draw):
     else:
         a, b = draw(elem), draw(elem)
         pi = KPoly([1, a, b, a, 1], d)
-    fac = factor_k(pi).factors
+    fac = factor_k(pi)
     if len(fac) != 1 or fac[0][1] != 1:
         reject()
     return pi

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from cfperiod import cli, contfrac, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
-from cfperiod.qfield import quad
+from cfperiod.qfield import QuadElem, quad
 from cfperiod.recurrence import LinRec
 
 from fractions import Fraction as F
@@ -571,6 +571,42 @@ def test_props_alpha_validation(capsys):
     code, _, err = run(capsys, ["props", "--alpha", "2+sqrt(3)",
                                 "--family", "p61"])
     assert code == 2 and "norm" in err
+
+
+def _refuse_power(self, e):
+    raise AssertionError(f"power {e} computed")
+
+
+@pytest.mark.parametrize("family, option, rows", [
+    ("p61", "--smax", (5 * 10**11 // 2) ** 2),  # ((M + 1) / 2)^2 for odd M = (smax - 1) // 2
+    ("p62", "--rmax", 10**12 // 2),
+])
+def test_props_bound_above_the_row_limit_is_refused(capsys, monkeypatch, family, option, rows):
+    # the rows are counted in closed form, before the (r, s) list is built
+    # or any power of alpha is computed
+    monkeypatch.setattr(QuadElem, "__pow__", _refuse_power)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["props", "--alpha", "1+sqrt(2)", "--family", family,
+                                  option, str(10**12)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (f"error: {option} {10**12} has {rows} rows, "
+                   f"above the limit of {cli.MAX_SCAN_ROWS}\n")
+
+
+def test_props_power_above_the_bit_cap_is_refused(capsys, monkeypatch):
+    # log2 H(1 + sqrt 2) = log2 3: alpha^24 (--rmax 12) fits in 40 bits,
+    # alpha^28 (--rmax 14) could not
+    monkeypatch.setenv("CFPERIOD_MAX_BITS", "40")
+    code, out, _err = run(capsys, ["props", "--alpha", "1+sqrt(2)", "--family", "p62",
+                                   "--rmax", "12"])
+    assert code == 0 and out.splitlines()[-1] == "# summary: 6 rows, 0 failures"
+    monkeypatch.setattr(QuadElem, "__pow__", _refuse_power)
+    code, out, err = run(capsys, ["props", "--alpha", "1+sqrt(2)", "--family", "p62",
+                                  "--rmax", "14"])
+    assert code == 2 and out == ""
+    assert err == ("error: alpha^28 at --rmax 14 could exceed "
+                   "CFPERIOD_MAX_BITS = 40 bits per coordinate\n")
 
 
 # ---------------------------------------------------------------------------

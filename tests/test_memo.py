@@ -14,12 +14,12 @@ import cfperiod
 from cfperiod import classifier, cli, memo, polyalg
 from cfperiod.classifier import classify
 from cfperiod.errors import InternalInvariantError
-from cfperiod.polyalg import KPoly, RatPoly, factor_k
+from cfperiod.polyalg import KPoly, factor_k
 from cfperiod.qfield import QuadElem
 from cfperiod.recurrence import LinRec
 
 from curated import members
-from oracles import factor_q_monic, rational_roots_divisors
+from oracles import Factorization, RatPoly, factor_q_monic, rational_roots_divisors
 
 
 def _counting():
@@ -122,16 +122,21 @@ def _factored_again(*_args):
     raise AssertionError("factored again")
 
 
+def _factor_k(p):
+    """factor_k's factors with p's unit, in factor_q_monic's shape."""
+    return Factorization(p.lc, factor_k(p))
+
+
 @pytest.mark.parametrize("factor, p", [
     # (x^2 - 2)(x^3 - x - 1)(x + 3)^2 over Q
     (factor_q_monic, RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]) * RatPoly([3, 1]) ** 2),
     # (x^2 - 2 x - 1)(x^2 + x + 1)(x - 1 - sqrt 2) over Q(sqrt 2): irrational,
     # so each factor over Q of its norm is split by a gcd with it
-    (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
+    (_factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2)
      * KPoly([QuadElem(-1, -1, 2), 1], 2)),
     # (x^2 - 2 x - 1)(x^2 + x + 1)(x^3 - 2) over Q(sqrt 2): rational, so it
     # is split from its factorization over Q
-    (factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2) * KPoly([-2, 0, 0, 1], 2)),
+    (_factor_k, KPoly([-1, -2, 1], 2) * KPoly([1, 1, 1], 2) * KPoly([-2, 0, 0, 1], 2)),
 ], ids=["factor_q", "factor_k", "factor_k_rational"])
 def test_returned_factors_are_refactored_from_the_pool(monkeypatch, factor, p):
     with memo.scope():

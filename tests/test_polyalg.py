@@ -13,7 +13,6 @@ from cfperiod import polyalg
 from cfperiod.errors import InternalInvariantError, NotIrreducible, PreconditionViolated
 from cfperiod.polyalg import (
     KPoly,
-    RatPoly,
     _rational_roots,
     circle_profile,
     factor_k,
@@ -26,14 +25,15 @@ from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (circle_counts, cyclotomic, cyclotomic_orders_by_factoring, euclid_gcd,
-                     factor_k_norm, factor_q_monic, factor_q_qq, from_roots, is_root_of_unity,
+from oracles import (RatPoly, certify_irreducible_q_fraction, circle_counts, cyclotomic,
+                     cyclotomic_orders_by_factoring, euclid_gcd, factor_k_norm,
+                     factor_q_monic, factor_q_qq, from_roots, is_root_of_unity,
                      newton_power_poly, newton_ratio_poly, offcircle_counts_numeric,
                      orders_with_totient_at_most_sieved, poly_roots,
                      power_map_charpoly, power_poly, ratio_poly, ratio_poly_zz,
                      ratio_resultant_field, ratio_witness_orders_numeric,
                      rational_roots_divisors, resultant, sqrt_int, squarefree_part,
-                     witness_orders_by_ratio_poly)
+                     to_ratpoly, witness_orders_by_ratio_poly)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -47,8 +47,8 @@ def _prof(c):
 def _ratio_over_q(p, q):
     """The degeneracy test's integer ratio polynomial of two RatPolys, read
     back monic."""
-    return polyalg._monic_from_ints(polyalg._zz_ratio_poly(p.primitive_integer_coeffs(),
-                                                           q.primitive_integer_coeffs()))
+    r = polyalg._zz_ratio_poly(p.primitive_integer_coeffs(), q.primitive_integer_coeffs())
+    return RatPoly([F(c, r[-1]) for c in r])
 
 
 def _ratio_over_k(f, g):
@@ -241,13 +241,13 @@ def test_factor_q_multiply_back_random():
 
 def test_factor_k_pinned():
     f = factor_k(KPoly([-2, 0, 1], 2))
-    assert f.factors == ((KPoly([-R2, 1], 2), 1), (KPoly([R2, 1], 2), 1))
+    assert f == ((KPoly([-R2, 1], 2), 1), (KPoly([R2, 1], 2), 1))
     f = factor_k(KPoly([-1, -1, 1], 5))
     phi = quad(F(1, 2), F(1, 2), 5)
-    assert {p for p, _ in f.factors} == {KPoly([-phi, 1], 5), KPoly([-phi.conj(), 1], 5)}
+    assert {p for p, _ in f} == {KPoly([-phi, 1], 5), KPoly([-phi.conj(), 1], 5)}
     # stays irreducible when sqrt(3) is not in Q(sqrt(2))
     f = factor_k(KPoly([-3, 0, 1], 2))
-    assert f.factors == ((KPoly([-3, 0, 1], 2), 1),)
+    assert f == ((KPoly([-3, 0, 1], 2), 1),)
 
 
 def test_factor_k_multiply_back_random():
@@ -259,8 +259,8 @@ def test_factor_k_multiply_back_random():
             for q in parts[1:]:
                 p = p * q
             f = factor_k(p)
-            back = KPoly([f.unit], d)
-            for q, m in f.factors:
+            back = KPoly([p.lc], d)
+            for q, m in f:
                 assert q.lc == 1
                 back = back * q**m
             assert back == p
@@ -277,10 +277,10 @@ def test_factoring_has_no_degree_cap():
     assert back == p and len(f.factors) == 3  # Phi_2 Phi_10 Phi_50
     p = KPoly([1] + [0] * 12 + [1], 2)  # x^13 + 1 over Q(sqrt 2)
     f = factor_k(p)
-    back = KPoly([f.unit], 2)
-    for q, m in f.factors:
+    back = KPoly([p.lc], 2)
+    for q, m in f:
         back = back * q**m
-    assert back == p and f.distinct() == [KPoly([1, 1], 2), cyclotomic(26).lift(2)]
+    assert back == p and [q for q, _m in f] == [KPoly([1, 1], 2), cyclotomic(26).lift(2)]
 
 
 def test_rational_roots_in_lowest_terms():
@@ -326,11 +326,11 @@ def test_rational_roots_factor_no_integer(monkeypatch):
 def test_factor_q_certifies_the_integer_route(monkeypatch):
     p = RatPoly([F(-1, 3), F(1, 6), F(1, 2)])  # (3x - 2)(x + 1)/6: roots 2/3, -1
     assert factor_q_monic(p).factors == ((RatPoly([F(-2, 3), 1]), 1), (RatPoly([1, 1]), 1))
-    lcm = math.lcm
+    lcm, lifted = math.lcm, p.lift(2)
     with monkeypatch.context() as m:  # a common denominator too small: a form that is not p's
         m.setattr(math, "lcm", lambda *dens: lcm(*dens) // 2)
         with pytest.raises(InternalInvariantError, match="scale-back"):
-            p.primitive_integer_coeffs()
+            polyalg._over_q(lifted)
     # p's rational roots never reach sympy; (x^2 - 2)(x^2 - 3) has none, so
     # sympy factors it whole, and a wrong answer must not pass
     q = RatPoly([6, 0, -5, 0, 1])
@@ -395,6 +395,75 @@ def test_factor_q_checks_the_rational_roots(monkeypatch):
             assert factor_q_monic(p) == factor_q_qq(p)
 
 
+def _primitive(f) -> tuple[int, ...]:
+    g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return tuple(c // g for c in f)
+
+
+def _substituted(f, k: int, t: int) -> list[int]:
+    """f(k x + t) over Z, low-to-high."""
+    out, power = [0] * len(f), [1]
+    for c in f:
+        for i, b in enumerate(power):
+            out[i] += c * b
+        power = polyalg._zz_mul(power, [t, k])
+    return out
+
+
+@st.composite
+def quartic_forms(draw):
+    """Primitive integer quartics: random ones (mostly irreducible), products
+    of two quadratics (splits found by the resolvent cubic), g(x^2) (the
+    biquadratic test) and x^4 + (2g - h) x^2 + g^2 (the R = g^2 test, a
+    split when h is a square), each non-monic or 30 digits now and then, and
+    substituted x -> k x + t, which keeps reducibility and moves Q = 0 off
+    a3 = 0."""
+    coeff = draw(st.sampled_from([st.integers(-6, 6), st.integers(-10**30, 10**30)]))
+    lead = coeff.filter(bool)
+    kind = draw(st.sampled_from(["random", "product", "biquadratic", "square"]))
+    if kind == "random":
+        f = [draw(coeff) for _ in range(4)] + [draw(lead)]
+    elif kind == "product":
+        f = polyalg._zz_mul([draw(coeff), draw(coeff), draw(lead)],
+                            [draw(coeff), draw(coeff), draw(lead)])
+    elif kind == "biquadratic":
+        f = [draw(coeff), 0, draw(coeff), 0, draw(lead)]
+    else:
+        g, s = draw(st.integers(-6, 6)), draw(st.integers(0, 6))
+        h = s * s if draw(st.booleans()) else draw(st.integers(-6, 40))
+        f = [g * g, 0, 2 * g - h, 0, 1]
+    f = _substituted(f, draw(st.sampled_from([1, 1, 2, -3])), draw(st.integers(-3, 3)))
+    assume(any(f[:-1]))
+    return _primitive(f)
+
+
+def _irreducible_by(check, f) -> bool:
+    try:
+        check(f)
+    except NotIrreducible:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(quartic_forms())
+@example((1, 0, 0, 0, 1))            # x^4 + 1: irreducible, Q = 0
+@example((4, 0, 0, 0, 1))            # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): R = g^2
+@example((6, 0, -5, 0, 1))           # (x^2 - 2)(x^2 - 3): biquadratic
+@example((1, 0, -10, 0, 1))          # x^4 - 10x^2 + 1: irreducible, Q = 0
+@example((1, -2, 3, 4, 5))           # irreducible, non-monic
+@example((6, -2, 7, -1, 2))          # (2x^2 - x + 3)(x^2 + 2): a resolvent root
+@example((1, -6, 2, 16, 8))          # (x^2 - 2)(x^2 - 3) at x -> 2x + 1, halved
+@example((5, 4, 6, 4, 1))            # x^4 + 4 at x -> x + 1
+def test_integer_quartic_recheck_matches_the_fraction_route(f):
+    # the integer depression u = 4 a4 x + a3 gives the Fraction route's
+    # verdict, and both agree with sympy on irreducibility over Q
+    got = _irreducible_by(polyalg._certify_irreducible_q, f)
+    assert got == _irreducible_by(certify_irreducible_q_fraction, f)
+    x = sympy.Symbol("x")
+    assert got == sympy.Poly(list(reversed(f)), x).is_irreducible
+
+
 SPLITTING_D = (2, 3, 5, 6, 7, 10)
 
 
@@ -433,7 +502,7 @@ NORM_DESCENT_EXAMPLES = (
 @example(NORM_DESCENT_EXAMPLES[1])
 @example(NORM_DESCENT_EXAMPLES[2])
 def test_factor_k_rational_route_matches_the_norm_descent(p):
-    assert factor_k(p) == factor_k_norm(p)
+    assert factor_k(p) == factor_k_norm(p).factors
 
 
 def test_the_norm_descent_reference_reaches_no_factoring_over_k(monkeypatch):
@@ -445,7 +514,7 @@ def test_the_norm_descent_reference_reaches_no_factoring_over_k(monkeypatch):
 
     monkeypatch.setattr(polyalg, "factor_k", refuse)
     monkeypatch.setattr(polyalg, "_factor_k_squarefree", refuse)
-    assert [factor_k_norm(p) for p in NORM_DESCENT_EXAMPLES] == expected
+    assert [factor_k_norm(p).factors for p in NORM_DESCENT_EXAMPLES] == expected
 
 
 X4 = RatPoly([1, 0, -10, 0, 1])  # x^4 - 10 x^2 + 1, roots +-sqrt(2) +-sqrt(3)
@@ -458,26 +527,24 @@ X4 = RatPoly([1, 0, -10, 0, 1])  # x^4 - 10 x^2 + 1, roots +-sqrt(2) +-sqrt(3)
 ])
 def test_factor_k_of_rational_pinned(p, d, degrees):
     f = factor_k(p.lift(d))
-    assert [g.degree for g in f.distinct()] == degrees
-    assert all(m == 1 for _g, m in f.factors)
+    assert [g.degree for g, _m in f] == degrees
+    assert all(m == 1 for _g, m in f)
     if len(degrees) == 2:  # the two factors are conjugate
-        g, h = f.distinct()
+        (g, _m), (h, _n) = f
         assert g.conj() == h and g != h
 
 
 def test_factor_k_of_rational_keeps_multiplicities():
     # (x^2 - 2)^2 (x + 3) over Q(sqrt 2)
     f = factor_k(RatPoly([-2, 0, 1]).lift(2) ** 2 * KPoly([3, 1], 2))
-    assert f.unit == 1
-    assert f.factors == ((KPoly([-R2, 1], 2), 2), (KPoly([R2, 1], 2), 2),
-                         (KPoly([3, 1], 2), 1))
+    assert f == ((KPoly([-R2, 1], 2), 2), (KPoly([R2, 1], 2), 2), (KPoly([3, 1], 2), 1))
 
 
 def test_wrong_integer_gcd_cofactors_are_refused_in_the_shift_search(monkeypatch):
     # x^4 - 10x^2 + 1, whose roots are +-sqrt2 +- sqrt3, splits over Q(sqrt 2)
     # into two quadratics through the squarefree test of a shifted norm
     p = RatPoly([1, 0, -10, 0, 1]).lift(2)
-    assert [f.degree for f in factor_k(p).distinct()] == [2, 2]
+    assert [f.degree for f, _m in factor_k(p)] == [2, 2]
     zz_gcd = polyalg._zz_gcd
 
     def wrong(f, g):
@@ -487,6 +554,40 @@ def test_wrong_integer_gcd_cofactors_are_refused_in_the_shift_search(monkeypatch
     monkeypatch.setattr(polyalg, "_zz_gcd", wrong)
     with pytest.raises(InternalInvariantError, match="multiply back"):
         factor_k(p)
+
+
+@st.composite
+def quadratic_forms(draw):
+    """(f, d): primitive integer quadratics, half of them c ((e x - a)^2 -
+    d b^2), which split over Q(sqrt(d)) into conjugates, with coefficients of
+    up to 30 digits now and then."""
+    d = draw(st.sampled_from(SPLITTING_D + (13,)))
+    coeff = draw(st.sampled_from([st.integers(-9, 9), st.integers(-10**30, 10**30)]))
+    if draw(st.booleans()):
+        a, b, e = draw(coeff), draw(coeff.filter(bool)), draw(coeff.filter(bool))
+        c = draw(st.sampled_from([1, 2, -3]))
+        f = [c * (a * a - d * b * b), -2 * c * a * e, c * e * e]
+    else:
+        f = [draw(coeff), draw(coeff), draw(coeff.filter(bool))]
+    return _primitive(f), d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(quadratic_forms())
+@example(((-2, 0, 1), 2))            # +-sqrt(2)
+@example(((-3, 0, 1), 2))            # sqrt(3) is not in Q(sqrt(2))
+@example(((-1, -2, 1), 2))           # 1 +- sqrt(2)
+@example(((-1, -1, 1), 5))           # the golden ratio and its conjugate
+@example(((-5, 0, 2), 10))           # +-sqrt(10) / 2, non-monic
+def test_integer_quadratic_split_matches_the_norm_descent(case):
+    # c2 x^2 + c1 x + c0 splits over K iff (c1^2 - 4 c0 c2) d is a square
+    f, d = case
+    p = KPoly(f, d)
+    assert factor_k(p) == factor_k_norm(p).factors
+    disc = (f[1] ** 2 - 4 * f[0] * f[2]) * d
+    if not polyalg._rational_roots(f):
+        split = len(factor_k(p)) == 2
+        assert split == (disc >= 0 and math.isqrt(disc) ** 2 == disc)
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +971,7 @@ def offcircle_factors(draw):
             deg = draw(st.integers(1, 4))
             p = KPoly([quad(draw(st.integers(-4, 4)), draw(st.integers(-2, 2)), field)
                        for _ in range(deg)] + [1], field)
-            factors = factor_k(p).distinct()
+            factors = [f for f, _m in factor_k(p)]
         factors = [f for f in factors if not polyalg._self_reciprocal(f)]
         if factors:
             f = draw(st.sampled_from(factors))
@@ -985,7 +1086,7 @@ def chosen_root_polys(draw):
         else:
             p = p * x
     p = squarefree_part(p)
-    return p.to_ratpoly() if rational else p
+    return to_ratpoly(p) if rational else p
 
 
 def _coeff_pairs(p):

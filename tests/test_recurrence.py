@@ -14,7 +14,7 @@ from cfperiod.errors import (
     MixedFieldError,
     PreconditionViolated,
 )
-from cfperiod.polyalg import KPoly, RatPoly
+from cfperiod.polyalg import KPoly
 from cfperiod.qfield import quad
 from cfperiod.recurrence import (
     ZERO_SEQUENCE,
@@ -156,16 +156,16 @@ def test_min_charpoly_divides_defining_random():
 def test_diff_sum_parts_pinned():
     pd, ps = diff_sum_parts(FIB)
     assert pd is ZERO_SEQUENCE
-    assert ps == RatPoly([-1, -1, 1])
+    assert ps == KPoly([-1, -1, 1], 5)
 
     shifted = LinRec([2, -1], [R5, 1 + R5], 5)  # n + sqrt5
     pd, ps = diff_sum_parts(shifted)
     assert pd == KPoly([-1, 1], 5)
-    assert ps == RatPoly([1, -2, 1])
+    assert ps == KPoly([1, -2, 1], 5)
 
     pd, ps = diff_sum_parts(PELL_POW)
     assert pd == KPoly([-1, -2, 1], 2)
-    assert ps == RatPoly([-1, -2, 1])
+    assert ps == KPoly([-1, -2, 1], 2)
 
 
 def test_diff_sum_parts_pure_k_component():

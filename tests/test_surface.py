@@ -174,23 +174,40 @@ def _callers(name: str) -> set[str]:
     return out
 
 
+def _polynomial_classes() -> set[str]:
+    """`module.Class` for every class in src/cfperiod derived from _PolyBase."""
+    return {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "_PolyBase" for base in node.bases)}
+
+
 def test_every_gcd_over_q_is_the_certified_integer_gcd():
     """sympy's integer gcd has one caller, the function that certifies its
-    cofactors, and RatPoly runs no Euclid; KPoly keeps Euclid over K."""
-    from cfperiod.polyalg import KPoly, RatPoly
+    cofactors, and KPoly, the one polynomial class in src/, keeps Euclid
+    over K."""
+    from cfperiod.polyalg import KPoly
 
     assert _callers("_zz_gcd") == {"polyalg._zz_gcd_certified"}
-    assert not hasattr(RatPoly, "gcd") and hasattr(KPoly, "gcd")
+    assert _polynomial_classes() == {"polyalg.KPoly"} and hasattr(KPoly, "gcd")
 
 
 def test_polynomials_over_q_pass_as_primitive_integer_forms():
     """factor_q, _over_q and the over-Q degeneracy test take and return
-    primitive integer forms, so a RatPoly is converted to one only where a
-    polynomial over Q enters as Fractions: a K-polynomial read over Q, the
-    resolvent cubic of the quartic re-check and P_S in the classifier's
-    table.  circle_profile takes KPolys only."""
-    assert _callers("primitive_integer_coeffs") == {
-        "polyalg._over_q", "polyalg._certify_irreducible_q", "classifier._s_rows"}
+    primitive integer forms, and no Fraction polynomial is left to convert:
+    _over_q reads a form off a KPoly's integers, and _monic_from_ints is the
+    one reader of a form as a (rational) KPoly, where field arithmetic or a
+    report needs one: a Q-factor split over K, P_D and P_S, the P_S rows of
+    the classifier's table and the recurrence of a degenerate input's parts."""
+    names = {node.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not names & {"RatPoly", "Factorization", "primitive_integer_coeffs",
+                        "to_ratpoly", "lift"}
+    assert _callers("primitive_integer_coeffs") == set()
+    assert _callers("_monic_from_ints") == {
+        "polyalg._split_over_k", "polyalg.factor_k", "recurrence.diff_sum_parts",
+        "recurrence.split_degenerate", "classifier._s_rows"}
 
 
 def test_mpmath_is_imported_inside_functions_only():

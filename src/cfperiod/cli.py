@@ -17,6 +17,10 @@ timing columns 0 unless --timing is given.  Summary lines start with '#'.
 
 Exit codes: 0 success, 2 bad input, unmet precondition or a continued-fraction
 walk that hit its step cap, 3 internal bug.
+Step caps: `periods` walks each row up to --step-cap states (default
+DEFAULT_STEP_CAP = 250000) and marks a row that hits it truncated; `cf`,
+`props` and `schinzel` walk each expansion up to contfrac.DEFAULT_STEP_CAP =
+10^7 states and exit 2 past it.
 Environment: CFPERIOD_MAX_BITS (default 2^20) caps the bit size of a
 coordinate: `periods` skips a term (A + B*sqrt(d))/m, gcd(A, B, m) = 1, whose
 A, B or m is longer; the element grammar refuses a power x^e whose

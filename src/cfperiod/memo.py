@@ -16,9 +16,7 @@ Memoized functions must return immutable values.
 The scope also holds factor_q's pool (:func:`pool`), the scope's one record
 of the irreducible polynomials certified in it: factor_q answers a pooled
 polynomial at once and divides the pool out of a later input before it
-factors the rest; the pool dies with the scope like the memo.  ``places``
-keeps its highest Hensel lift per split place there too (``pool`` under
-another owner's name), so a growth job lifts each branch root once.
+factors the rest; the pool dies with the scope like the memo.
 """
 from __future__ import annotations
 
@@ -71,11 +69,10 @@ def memoized(fn):
     return wrapper
 
 
-def pool(owner: str = "factor_q") -> dict | None:
-    """Inside a scope, the dict that owner keeps its state in until the scope
-    exits (empty at first): factor_q's pool, or places' highest branch lifts;
-    outside a scope, None."""
+def pool() -> dict | None:
+    """Inside a scope, factor_q's pool, a dict kept until the scope exits
+    (empty at first); outside a scope, None."""
     memo = _MEMO.get()
     if memo is None:
         return None
-    return memo.setdefault((pool, owner), {})
+    return memo.setdefault(pool, {})

@@ -1,11 +1,10 @@
 """Places of K = Q(sqrt(d)): valuations, log absolute values, and growth checks.
 
 Finite places are identified by a rational prime together with its splitting
-behavior; split places carry a Hensel branch (a root t of x^2 = d mod p^k).
-At a split place the branch root is Newton-lifted to the precision a valuation
-needs (about log k steps, not k one-bit steps at p = 2) and checked exactly
-against d mod p^k; a memo scope keeps the highest lift per place, and later
-valuations continue from it.
+behavior; a split place carries its branch, the residue of one p-adic root t
+of d (t mod p, or t mod 8 at p = 2).  At a split place no root is lifted:
+ord_w is read off the norm and that one residue, which is checked exactly
+against d mod p (mod 16 at p = 2).
 Normalization: |x|_w = (p^f)^(-ord_w(x)) with residue degree f, so the product
 formula over the two real embeddings and all finite places holds with no
 exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
@@ -26,8 +25,8 @@ mpmath.libmp operations, each rounded to nearest at 2 * ARCH_DPS digits: no
 row enters a precision context.  Root boxes run in mpmath.workdps at
 ARCH_DPS = 60 digits, escalated up to 16 times that until certified.  One
 growth job runs in one ``memo.scope()``, which keeps the minimal
-polynomial, its factors, the dominant-root bounds and the branch lifts, but
-no term's valuation or enclosure.
+polynomial, its factors and the dominant-root bounds, but no term's
+valuation or enclosure.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from .errors import (
     PreconditionViolated,
     ZeroInput,
 )
-from .memo import memoized, pool
+from .memo import memoized
 from .polyalg import KPoly, circle_profile, factor_k, witness_orders
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
@@ -74,13 +73,6 @@ def real_places(d: int) -> list[Place]:
     return [Place(d, "real", embedding=1), Place(d, "real", embedding=2)]
 
 
-def _sqrt_mod_prime_power(d: int, p: int, k: int) -> list[int]:
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    roots = sqrt_mod(d % p ** k, p ** k, all_roots=True)
-    return sorted(int(t) for t in roots)
-
-
 def places_above(p: int, d: int) -> list[Place]:
     """The finite places of Q(sqrt(d)) lying above the rational prime p."""
     from sympy import isprime
@@ -93,20 +85,18 @@ def places_above(p: int, d: int) -> list[Place]:
         if d % 8 == 5:
             return [Place(d, "finite", p=2, splitting="inert", f=2)]
         # d = 1 mod 8: split; the two branches are the residues mod 8 of the
-        # two 2-adic square roots (read off roots mod 16 to kill ghost roots)
-        reps = sorted({t % 8 for t in _sqrt_mod_prime_power(d, 2, 4)})
-        if len(reps) != 2:
-            raise InternalInvariantError(f"expected 2 branch classes mod 8, got {reps}")
-        return [Place(d, "finite", p=2, splitting="split", branch=t, f=1)
-                for t in reps]
+        # two 2-adic square roots, the odd b with b^2 = d mod 16
+        return [Place(d, "finite", p=2, splitting="split", branch=b, f=1)
+                for b in (1, 3, 5, 7) if (b * b - d) % 16 == 0]
     if d % p == 0:
         return [Place(d, "finite", p=p, splitting="ramified", f=1)]
     ls = pow(d % p, (p - 1) // 2, p)
     if ls == p - 1:
         return [Place(d, "finite", p=p, splitting="inert", f=2)]
-    roots = _sqrt_mod_prime_power(d, p, 1)
-    return [Place(d, "finite", p=p, splitting="split", branch=t, f=1)
-            for t in sorted(roots)]
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
+    return [Place(d, "finite", p=p, splitting="split", branch=int(t), f=1)
+            for t in sorted(sqrt_mod(d % p, p, all_roots=True))]
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -125,45 +115,6 @@ def _vp_fraction(q: Fraction, p: int) -> int:
     return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
 
 
-def _branch_root(w: Place, k: int) -> int:
-    """t with t^2 = d mod p^k on w's branch (split places only).
-
-    Newton lifting: at p = 2 a root t mod 2^j (j >= 3) goes to
-    t - ((t^2 - d)/2) / t, a root mod 2^(2j-2) in the same class mod 2^(j-1)
-    (the division needs 1/t mod 2^(j-1) only);
-    at odd p a root mod p^j goes to t - (t^2 - d) / (2t), a root mod p^(2j).
-    Inside a memo scope the highest lift so far is kept per place, and a
-    later call continues from it (k grows with n along a growth job).
-    The result is checked exactly against d mod p^k.
-    """
-    p, d = w.p, w.d
-    pk = p ** k
-    lifts = pool("branch lifts")
-    if lifts is None:  # outside a scope nothing is kept
-        lifts = {}
-    if p == 2:
-        # the branch rep is a root mod 16 (places_above reads it off those);
-        # u = 1/t mod 2^(j-1) is lifted alongside by u <- u (2 - t u), and an
-        # odd t is its own inverse mod 8
-        t, u, j = lifts.get(w, (w.branch, w.branch, 4))
-        while j < k:
-            j = 2 * j - 2
-            mod = 1 << j
-            t = (t - ((t * t - d) >> 1) * u) % mod
-            u = u * (2 - t * u) % mod
-        lifts[w] = t, u, j
-    else:
-        t, mod = lifts.get(w, (w.branch % p, p))
-        while mod < pk:
-            mod = min(mod * mod, pk)
-            t = (t - (t * t - d) * pow(2 * t, -1, mod)) % mod
-        lifts[w] = t, mod
-    t %= pk
-    if (t * t - d) % pk:
-        raise InternalInvariantError(f"branch lift at {w} failed mod {p}^{k}")
-    return t
-
-
 def val(x: QuadElem, w: Place) -> int:
     """ord_w(x) for a finite place, in the f-normalization described above."""
     if w.kind != "finite":
@@ -179,18 +130,30 @@ def val(x: QuadElem, w: Place) -> int:
         return vn // 2
     if w.splitting == "ramified":
         return vn
-    # split: ord = v_p(A + B t) - v_p(m) for x = (A + B sqrt(d)) / m.  A + B
-    # sqrt(d) is integral at both places above p, so its ord here is at most
-    # v_p(A^2 - d B^2) = vn + 2 vm < k - 2: one root mod p^k settles it (at
-    # p = 2 that root is the branch's only mod 2^(k-1), hence slack 2)
-    A, B, m = x.A, x.B, x.m
+    # split: x = (A + B sqrt(d)) / m.  With p^g the highest power of p that
+    # divides both A and B, y = p^-g (A + B sqrt(d)) = A' + B' sqrt(d) maps to
+    # (A' + B' t, A' - B' t) in Z_p x Z_p, t the root of d on w's branch, and
+    # the ords of the two sum to s = v_p(A'^2 - d B'^2).  At odd p at most one
+    # is divisible by p (else p | 2A' and 2B't), so ord_w(y) is s or 0 by
+    # A' + B' t mod p.  At p = 2, s = 0 when A' + B' is odd; otherwise A' and
+    # B' are odd, s >= 3, and the two differ by 2B't of ord 1: one has ord 1
+    # and the other s - 1, told apart by A' + B' t mod 4
+    A, B, m, b = x.A, x.B, x.m, w.branch
+    if (b * b - x.d) % (16 if p == 2 else p):
+        raise InternalInvariantError(f"branch {b} at {w} is not a root of {x.d}")
     vm = _vp_int(m, p)
-    k = max(abs(vn) + 2 * vm + 4, 8)
-    s = (A + B * _branch_root(w, k)) % p ** k
-    v = _vp_int(s, p) if s else k
-    if v >= k - (2 if p == 2 else 1):
-        raise InternalInvariantError(f"ord at {w} for {x} not settled mod {p}^{k}")
-    return v - vm
+    g = min(_vp_int(c, p) for c in (A, B) if c)
+    A, B = A // p ** g, B // p ** g
+    s = vn + 2 * vm - 2 * g
+    if p != 2:
+        vy = s if (A + B * b) % p == 0 else 0
+    elif (A + B) % 2:
+        vy = 0
+    elif s in (1, 2):
+        raise InternalInvariantError(f"v_2 of the norm of {x} is {s} at a split place")
+    else:
+        vy = s - 1 if (A + B * b) % 4 == 0 else 1
+    return g + vy - vm
 
 
 # ---------------------------------------------------------------------------

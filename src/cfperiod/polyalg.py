@@ -97,7 +97,8 @@ class _PolyBase:
 
     __slots__ = ("coeffs",)
 
-    # subclasses: _zero(), _one(), _coerce_coeff(c), _make(coeffs)
+    # subclasses: _zero(), _one(), _try_coeff(c) (c as a coefficient, or None
+    # when c is not one), _make(coeffs)
 
     @property
     def degree(self) -> int:

@@ -9,8 +9,11 @@ a first-repeat hash map on (P, Q), not with the reduced-state anchor that
 contfrac.expand uses.
 The reference cycle centres are read off the quotient period as palindromes
 of its rotations, where the C kernel tests Q_k = Q_{k-1} and P_{k+1} = P_k.
-The reference 2-adic square root lifts one bit per step, not by Newton steps
-as places._branch_root does.
+The reference valuation at a split place, val_by_branch_lift, is the route
+places.val left: the branch root Newton-lifted to p^k (branch_root_newton)
+and A + B t read mod p^k, where the package reads ord_w off the norm and the
+branch residue alone.  The reference 2-adic square root lifts one bit per
+step, not by Newton steps as branch_root_newton does.
 The reference field arithmetic is the Fraction-backed QuadElem that
 qfield.QuadElem replaced: a frozen dataclass of two Fractions, re-checking d
 on every construction.  It shares only the exception classes with the package.
@@ -236,6 +239,59 @@ def two_adic_sqrt_bitwise(d: int, branch: int, k: int) -> int:
         if (t * t - d) % (1 << (j + 1)):
             raise AssertionError(f"bitwise lift of sqrt({d}) failed at 2^{j + 1}")
     return t % (1 << k)
+
+
+def branch_root_newton(d: int, p: int, branch: int, k: int) -> int:
+    """A root t of t^2 = d mod p^k on a split place's branch, by Newton steps.
+
+    At p = 2 (branch a root mod 16) a root t mod 2^j goes to
+    t - ((t^2 - d)/2) / t, a root mod 2^(2j-2) in the same class mod 2^(j-1),
+    with 1/t mod 2^(j-1) lifted alongside by u <- u (2 - t u); at odd p a
+    root mod p^j goes to t - (t^2 - d) / (2t), a root mod p^(2j).
+    """
+    pk = p ** k
+    if p == 2:
+        t, u, j = branch, branch, 4  # an odd t is its own inverse mod 8
+        while j < k:
+            j = 2 * j - 2
+            mod = 1 << j
+            t = (t - ((t * t - d) >> 1) * u) % mod
+            u = u * (2 - t * u) % mod
+    else:
+        t, mod = branch % p, p
+        while mod < pk:
+            mod = min(mod * mod, pk)
+            t = (t - (t * t - d) * pow(2 * t, -1, mod)) % mod
+    t %= pk
+    if (t * t - d) % pk:
+        raise AssertionError(f"branch lift of sqrt({d}) failed mod {p}^{k}")
+    return t
+
+
+def _vp(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def val_by_branch_lift(x, w) -> int:
+    """ord_w(x) at a split place w, by the route places.val left.
+
+    For x = (A + B sqrt(d)) / m, ord_w(x) = v_p(A + B t) - v_p(m) with t the
+    branch root lifted to p^k.  A + B sqrt(d) is integral at both places
+    above p, so that ord is at most v_p(A^2 - d B^2) < k - 2, and a root mod
+    p^k settles it (at p = 2 the root is the branch's only mod 2^(k-1)).
+    """
+    p, A, B, m = w.p, x.A, x.B, x.m
+    vm = _vp(m, p)
+    k = max(abs(_vp(A * A - w.d * B * B, p) - 2 * vm) + 2 * vm + 4, 8)
+    s = (A + B * branch_root_newton(w.d, p, w.branch, k)) % p ** k
+    v = _vp(s, p) if s else k
+    if v >= k - (2 if p == 2 else 1):
+        raise AssertionError(f"ord at {w} for {x} not settled mod {p}^{k}")
+    return v - vm
 
 
 def poly_roots(coeffs, dps: int = 100):

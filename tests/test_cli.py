@@ -878,6 +878,25 @@ def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, e
         assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("golden, spec", [
+    # roots (3 - sqrt2)/7, of ord -1 on branch 4 above 7 in Q(sqrt2), and the unit 1 + sqrt2
+    ("growth_split7_sqrt2.txt",
+     {"command": "growth", "d": 2, "coeffs": [["10/7", "6/7"], ["-1/7", "-2/7"]],
+      "initials": ["1", ["0", "1"]], "range": [1, 400],
+      "options": {"place": {"kind": "finite", "p": 7, "branch": 4}}}),
+    # roots (sqrt17 - 1)/8, of ord -2 on branch 7 above 2 in Q(sqrt17), and the
+    # unit 4 + sqrt17: terms of 2-adic size 2^(2n), far past a few digits of the root
+    ("growth_2adic_sqrt17.txt",
+     {"command": "growth", "d": 17, "coeffs": [["31/8", "9/8"], ["-13/8", "-3/8"]],
+      "initials": ["1", ["1", "1"]], "range": [1, 2000],
+      "options": {"place": {"kind": "finite", "p": 2, "branch": 7}}}),
+])
+def test_growth_finite_place_golden(capsys, tmp_path, golden, spec):
+    code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_growth_check_sees_a_dominant_root_just_above_one(capsys, tmp_path):
     # alpha = 1 + (sqrt2-1)^60 with A_0 = 1 - 5e-38: log|A_n| falls short of
     # (1 - 1e-16) n log(alpha) on every row (300-digit reference), by less

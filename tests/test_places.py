@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import cli, memo, places
+from cfperiod import cli, places
 from cfperiod.errors import (
     HypothesisViolated,
     InternalInvariantError,
@@ -17,7 +17,7 @@ from cfperiod.errors import (
     ZeroInput,
 )
 from cfperiod.places import (
-    _branch_root,
+    Place,
     arch_dominant_bounds,
     finite_dominant_slope,
     growth_profile,
@@ -30,7 +30,8 @@ from cfperiod.places import (
 from cfperiod.qfield import quad, to_mpf
 from cfperiod.recurrence import LinRec
 
-from oracles import quad_to_mpf, sqrt_int, surd_value, two_adic_sqrt_bitwise
+from oracles import (branch_root_newton, quad_to_mpf, sqrt_int, surd_value,
+                     two_adic_sqrt_bitwise, val_by_branch_lift)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -155,45 +156,80 @@ SPLIT_AT_2 = st.integers(2, 10**5).map(lambda n: 8 * n + 1).filter(
 @given(SPLIT_AT_2, st.integers(0, 1), st.integers(3, 2000))
 def test_two_adic_branch_root_matches_bitwise_lift(d, side, k):
     w = places_above(2, d)[side]
-    t = _branch_root(w, k)
+    t = branch_root_newton(d, 2, w.branch, k)
     assert (t * t - d) % 2 ** k == 0
     want = two_adic_sqrt_bitwise(d, w.branch, k)
     assert (t - want) % 2 ** (k - 1) == 0
 
 
-# the split places above 2 of Q(sqrt(d)), d = 1 mod 8, and above 7 of Q(sqrt2)
+SQUAREFREE = st.integers(2, 10**4).filter(
+    lambda d: all(e == 1 for e in sympy.factorint(d).values()))
+
+# the split places above 2 of Q(sqrt(d)), d = 1 mod 8, and above 7, 17, 23 and 31
 SPLIT_PLACES = st.one_of(
     st.tuples(SPLIT_AT_2, st.integers(0, 1)).map(lambda dt: places_above(2, dt[0])[dt[1]]),
-    st.integers(0, 1).map(lambda side: places_above(7, 2)[side]))
-
-
-@settings(max_examples=60)
-@given(SPLIT_PLACES, st.lists(st.integers(3, 2000), min_size=1, max_size=8))
-def test_branch_root_continues_from_the_lift_kept_in_the_scope(w, ks):
-    # within one scope every k is served from the highest lift so far, and the
-    # root agrees with a lift from the branch class (exactly at odd p, on the
-    # 2^(k-1) digits that class fixes at p = 2)
-    fresh = {k: _branch_root(w, k) for k in ks}
-    assert memo.pool("branch lifts") is None
-    slack = 1 if w.p == 2 else 0
-    with memo.scope():
-        for k in ks:
-            t = _branch_root(w, k)
-            assert (t * t - w.d) % w.p ** k == 0
-            assert (t - fresh[k]) % w.p ** (k - slack) == 0
-        (kept,) = memo.pool("branch lifts").values()
-        assert kept[-1] >= (max(ks) if w.p == 2 else w.p ** max(ks))
-    with memo.scope():
-        assert memo.pool("branch lifts") == {}
+    st.tuples(st.sampled_from([7, 17, 23, 31]), SQUAREFREE, st.integers(0, 1))
+    .filter(lambda pds: sympy.legendre_symbol(pds[1], pds[0]) == 1)
+    .map(lambda pds: places_above(pds[0], pds[1])[pds[2]]))
 
 
 def _deep_at(w, depth, rng):
-    """x = (A + B sqrt(d)) / 2^s with A + B t = 0 mod 2^depth on w's branch."""
+    """x = (A + B sqrt(d)) / p^s with A + B t = 0 mod p^depth on w's branch."""
+    p = w.p
     B = rng.randrange(1, 2 ** 20, 2) * rng.choice([1, -1])
-    t = two_adic_sqrt_bitwise(w.d, w.branch, depth)
-    A = -B * t % 2 ** depth + 2 ** depth * rng.randrange(-50, 51)
+    if p == 2:
+        t = two_adic_sqrt_bitwise(w.d, w.branch, depth)
+    else:
+        t = branch_root_newton(w.d, p, w.branch, depth)
+    A = -B * t % p ** depth + p ** depth * rng.randrange(-50, 51)
     s = rng.randrange(0, 40)
-    return quad(F(A, 2 ** s), F(B, 2 ** s), w.d), s
+    return quad(F(A, p ** s), F(B, p ** s), w.d), s
+
+
+@settings(max_examples=300)
+@given(SPLIT_PLACES, st.integers(0, 1), st.integers(0, 700), st.integers(0, 30),
+       st.randoms(use_true_random=False))
+def test_val_matches_the_branch_lift_route(w, side, depth, g, rng):
+    # x cancels to depth (at most 300 at odd p) on one of the two branches
+    # above p (w's or its conjugate's), has a power of p in m, and p^g
+    # divides both A and B
+    p = w.p
+    depth = depth if p == 2 else depth % 301
+    x, _s = _deep_at(places_above(p, w.d)[side], depth, rng)
+    x = x * F(p ** g * rng.randrange(1, 100), rng.randrange(1, 100))
+    assume(x != 0)
+    assert val(x, w) == val_by_branch_lift(x, w)
+
+
+@pytest.mark.parametrize("p, d, branch", [(2, 17, 3), (2, 17, 5), (7, 2, 2), (17, 2, 5)])
+def test_val_refuses_a_branch_that_is_no_root_of_d(p, d, branch):
+    w = Place(d, "finite", p=p, splitting="split", branch=branch)
+    with pytest.raises(InternalInvariantError):
+        val(quad(1, 1, d), w)
+
+
+def test_two_adic_places_and_growth_call_no_sqrt_mod(monkeypatch, capsys, tmp_path):
+    # the branches above 2 are read off the odd residues mod 16, so sympy's
+    # sqrt_mod is never reached at p = 2; they are the classes mod 8 of its
+    # roots mod 16, the former route
+    sqrt_mod = sympy.ntheory.residue_ntheory.sqrt_mod
+    want = {d: sorted({int(t) % 8 for t in sqrt_mod(d, 16, all_roots=True)})
+            for d in (17, 33, 41, 57, 65, 73, 89, 105)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sqrt_mod called")
+
+    monkeypatch.setattr(sympy.ntheory.residue_ntheory, "sqrt_mod", refuse)
+    for d, branches in want.items():
+        assert places_above(2, d) == [Place(d, "finite", p=2, splitting="split", branch=b)
+                                      for b in branches]
+    job = tmp_path / "g.json"
+    job.write_text(json.dumps({"command": "growth", "d": 17, "coeffs": ["7/2", "-3/2"],
+                               "initials": ["2", "7/2"], "range": [1, 60],
+                               "options": {"place": {"kind": "finite", "p": 2,
+                                                     "branch": 7}}}))
+    assert cli.main(["growth", str(job)]) == 0
+    assert capsys.readouterr().out.endswith("# growth_check: pass\n")
 
 
 @settings(max_examples=60)

@@ -53,7 +53,7 @@ from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_log, enclosure_centre, finite_dominant_slope,
-                     growth_rows, log_abs, places_above, real_places,
+                     fmt_float, growth_rows, log_abs, places_above, real_places,
                      root_abs_table)
 from .qfield import QuadElem, Surd, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
@@ -387,10 +387,6 @@ def place_from_spec(spec, d: int) -> Place:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt_float(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -636,14 +632,6 @@ def estimate_log_limit(values, margin: float = 0.05) -> LogLimitEstimate:
     return LogLimitEstimate(slope, slope > margin)
 
 
-def _log_abs_float(e, v: Place) -> float:
-    """log|x|_v as printed from e = places.log_abs(x, v): -ord_w(x) * f * log(p)
-    at a finite place, the float of the enclosure's centre at a real one."""
-    if v.kind == "finite":
-        return e * v.f * math.log(v.p)
-    return enclosure_centre(*e)
-
-
 def _growth_eps(options: dict) -> Fraction:
     raw = options.get("eps", "1/10")
     try:
@@ -682,17 +670,16 @@ def cmd_growth(args) -> int:
         rows, passed = growth_rows(r, v, eps, n_lo, n_hi)
         lines = ["n,log_abs,bound"]
         factor = (1 - float(eps)) * log_a1
-        for n, e in rows:
-            lines.append(f"{n},{_fmt_float(_log_abs_float(e, v))},"
-                         f"{_fmt_float(factor * n)}")
+        for n, shown in rows:
+            lines.append(f"{n},{shown},{fmt_float(factor * n)}")
         lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
         if args.estimate_limit:
             w = real_places(r.d)[0]
-            pts = [(n, _log_abs_float(log_abs(diff, w), w))
+            pts = [(n, enclosure_centre(*log_abs(diff, w)))
                    for n in range(n_lo, n_hi + 1)
                    if (diff := r.term(n) - r.term(n).conj()) != 0]
             est = estimate_log_limit(pts)
-            lines.append(f"# limit_slope={_fmt_float(est.slope)} "
+            lines.append(f"# limit_slope={fmt_float(est.slope)} "
                          f"positive={'yes' if est.positive else 'no'} "
                          f"({ESTIMATOR_LABEL})")
         _emit(lines, args.out)

@@ -2,9 +2,11 @@
 
 Finite places are identified by a rational prime together with its splitting
 behavior; a split place carries its branch, the residue of one p-adic root t
-of d (t mod p, or t mod 8 at p = 2).  At a split place no root is lifted:
-ord_w is read off the norm and that one residue, which is checked exactly
-against d mod p (mod 16 at p = 2).
+of d (t mod p, or t mod 8 at p = 2).  Valuations are read off the integers
+of x = (A + B sqrt(d)) / m: v_p(N(x)) = v_p(A^2 - d B^2) - 2 v_p(m), with
+v_p by repeated squaring of p.  At a split place no root is lifted: ord_w is
+read off the norm and that one residue, which is checked exactly against
+d mod p (mod 16 at p = 2).
 Normalization: |x|_w = (p^f)^(-ord_w(x)) with residue degree f, so the product
 formula over the two real embeddings and all finite places holds with no
 exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
@@ -13,25 +15,28 @@ keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 Growth of |A_n|_v along a recurrence is compared against the dominant root.
 Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
 finite place, a certified enclosure at a real one.  ``growth_rows`` walks a
-growth job's range once, calls log_abs once per nonzero term, and returns
-the CLI's rows together with the verdict it reads off the same values;
+growth job's range once and returns the CLI's rows, each n with its printed
+log, together with the verdict it reads off the same values;
 ``growth_profile`` reads log_abs too.  The dominant root is exact at finite
 places (Newton polygon slopes) and certified at the real ones, where strict
 >1 facts come from the exact circle profile and arch_dominant_log forms its
 log once for the verdict and the CLI.  All real-place numerics live here and
-read elements through qfield.to_mpf.  A log enclosure is mpf_log of
-to_mpf's tuple, its ends and the verdict's per-row comparison are
-mpmath.libmp operations, each rounded to nearest at 2 * ARCH_DPS digits: no
-row enters a precision context.  Root boxes run in mpmath.workdps at
-ARCH_DPS = 60 digits, escalated up to 16 times that until certified.  One
-growth job runs in one ``memo.scope()``, which keeps the minimal
-polynomial, its factors and the dominant-root bounds, but no term's
-valuation or enclosure.
+read elements through qfield.to_mpf.  A log enclosure at dps digits is
+mpf_log of to_mpf's tuple at 2 * dps digits, with ends (|log| + 1) * 10^-dps
+on either side, each an mpmath.libmp operation rounded to nearest: no row
+enters a precision context.  Every printed log and verdict is that of an
+enclosure at ARCH_DPS = 60 digits; growth_rows computes one only for a row
+that its enclosure at ROW_DPS = 20 digits leaves undecided.  Root boxes run
+in mpmath.workdps at ARCH_DPS digits, escalated up to 16 times that until
+certified.  One growth job runs
+in one ``memo.scope()``, which keeps the minimal polynomial, its factors and
+the dominant-root bounds, but no term's valuation or enclosure.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +53,7 @@ from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
 ARCH_DPS = 60
+ROW_DPS = 20  # below ARCH_DPS, so that a row's enclosure holds its ARCH_DPS one
 
 
 @dataclass(frozen=True)
@@ -100,19 +106,24 @@ def places_above(p: int, d: int) -> list[Place]:
 
 
 def _vp_int(n: int, p: int) -> int:
+    """v_p(n) for n != 0: at p = 2 off the lowest set bit, at odd p by
+    stripping p, p^2, p^4, ... while they divide, then the same powers back
+    down, so v_p(n) = v costs about 2 log2(v) divisions, not v."""
     if n == 0:
         raise ZeroInput("valuation of 0")
     if p == 2:
         return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    v, powers, q = 0, [], p
+    while n % q == 0:
+        n //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in range(len(powers) - 1, -1, -1):  # what is left is below p^(2^len(powers))
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
-
-
-def _vp_fraction(q: Fraction, p: int) -> int:
-    return _vp_int(q.numerator, p) - _vp_int(q.denominator, p)
 
 
 def val(x: QuadElem, w: Place) -> int:
@@ -121,30 +132,29 @@ def val(x: QuadElem, w: Place) -> int:
         raise PreconditionViolated("val is defined for finite places only")
     if x == 0:
         raise ZeroInput("valuation of 0")
-    p = w.p
-    nrm = x.norm()
-    vn = _vp_fraction(nrm, p)
+    # x = (A + B sqrt(d)) / m has v_p(N(x)) = v_p(A^2 - d B^2) - 2 v_p(m)
+    p, A, B = w.p, x.A, x.B
+    vm, vn = _vp_int(x.m, p), _vp_int(A * A - x.d * B * B, p)
     if w.splitting == "inert":
         if vn % 2:
             raise InternalInvariantError("odd norm valuation at an inert place")
-        return vn // 2
+        return vn // 2 - vm
     if w.splitting == "ramified":
-        return vn
-    # split: x = (A + B sqrt(d)) / m.  With p^g the highest power of p that
-    # divides both A and B, y = p^-g (A + B sqrt(d)) = A' + B' sqrt(d) maps to
-    # (A' + B' t, A' - B' t) in Z_p x Z_p, t the root of d on w's branch, and
-    # the ords of the two sum to s = v_p(A'^2 - d B'^2).  At odd p at most one
-    # is divisible by p (else p | 2A' and 2B't), so ord_w(y) is s or 0 by
-    # A' + B' t mod p.  At p = 2, s = 0 when A' + B' is odd; otherwise A' and
-    # B' are odd, s >= 3, and the two differ by 2B't of ord 1: one has ord 1
-    # and the other s - 1, told apart by A' + B' t mod 4
-    A, B, m, b = x.A, x.B, x.m, w.branch
+        return vn - 2 * vm
+    # split: with p^g the highest power of p that divides both A and B,
+    # y = p^-g (A + B sqrt(d)) = A' + B' sqrt(d) maps to (A' + B' t, A' - B' t)
+    # in Z_p x Z_p, t the root of d on w's branch, and the ords of the two sum
+    # to s = v_p(A'^2 - d B'^2).  At odd p at most one is divisible by p
+    # (else p | 2A' and 2B't), so ord_w(y) is s or 0 by A' + B' t mod p.  At
+    # p = 2, s = 0 when A' + B' is odd; otherwise A' and B' are odd, s >= 3,
+    # and the two differ by 2B't of ord 1: one has ord 1 and the other s - 1,
+    # told apart by A' + B' t mod 4
+    b = w.branch
     if (b * b - x.d) % (16 if p == 2 else p):
         raise InternalInvariantError(f"branch {b} at {w} is not a root of {x.d}")
-    vm = _vp_int(m, p)
     g = min(_vp_int(c, p) for c in (A, B) if c)
     A, B = A // p ** g, B // p ** g
-    s = vn + 2 * vm - 2 * g
+    s = vn - 2 * g
     if p != 2:
         vy = s if (A + B * b) % p == 0 else 0
     elif (A + B) % 2:
@@ -170,54 +180,60 @@ class LogAbs:
     enclosure: tuple | None    # (lo, hi) mpf log bounds at real embeddings
 
 
-def log_abs(x: QuadElem, v: Place):
+def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
     """log|x|_v for x != 0: at a finite place the exact exponent
     -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place a certified
-    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at
-    2 * ARCH_DPS digits.
+    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at 2 * dps
+    digits (dps has no effect at a finite place).
     """
     if v.kind == "finite":
         return -val(x, v)
-    return _log_abs_real(x, v.embedding)
+    return _log_abs_real(x, v.embedding, dps)
 
 
 @functools.cache
-def _ten_to_arch_dps():
-    """10^ARCH_DPS as an exact mpmath.libmp tuple, built once."""
+def _ten_to(dps: int):
+    """10^dps as an exact mpmath.libmp tuple, built once per dps."""
     import mpmath
 
-    return mpmath.libmp.from_int(10 ** ARCH_DPS)
+    return mpmath.libmp.from_int(10 ** dps)
 
 
-def _log_abs_real(x: QuadElem, embedding: int):
-    """sigma(x) is to_mpf of x (or of its conjugate) at 2 * ARCH_DPS digits,
-    free of cancellation, so its log, mpf_log of that tuple at the same
+def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS):
+    """sigma(x) is to_mpf of x (or of its conjugate) at 2 * dps digits, free
+    of cancellation, so its log, mpf_log of that tuple at the same
     precision, is good to about that many digits; the ends of the enclosure
-    sit (|log| + 1) * 10^-ARCH_DPS on either side of it.  No precision
-    context is entered."""
+    sit (|log| + 1) * 10^-dps on either side of it.  No precision context is
+    entered."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
     libmp = mpmath.libmp
-    prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
-    sigma = to_mpf(x if embedding == 1 else x.conj(), 2 * ARCH_DPS)._mpf_
+    prec, rnd = libmp.dps_to_prec(2 * dps), libmp.round_nearest
+    sigma = to_mpf(x if embedding == 1 else x.conj(), 2 * dps)._mpf_
     lg = libmp.mpf_log(libmp.mpf_abs(sigma), prec, rnd)
     eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
-                        _ten_to_arch_dps(), prec, rnd)
+                        _ten_to(dps), prec, rnd)
     make = mpmath.mp.make_mpf
     return make(libmp.mpf_sub(lg, eps, prec, rnd)), make(libmp.mpf_add(lg, eps, prec, rnd))
 
 
 def enclosure_centre(lo, hi) -> float:
     """float((lo + hi) / 2) for the ends of a log_abs enclosure, formed on
-    their tuples: lo + hi rounded to nearest at the context precision, then
-    halved exactly, with no mpf arithmetic."""
+    their tuples: lo + hi rounded to nearest at 53 bits, then halved exactly,
+    with no mpf arithmetic and whatever the caller's mpmath precision."""
     import mpmath
 
     libmp = mpmath.libmp
-    total = libmp.mpf_add(lo._mpf_, hi._mpf_, mpmath.mp.prec, libmp.round_nearest)
+    total = libmp.mpf_add(lo._mpf_, hi._mpf_, 53, libmp.round_nearest)
     return libmp.to_float(libmp.mpf_shift(total, -1), rnd=libmp.round_nearest)
+
+
+def fmt_float(x) -> str:
+    """The printed form of a float: the nearest float of x to 12 significant
+    digits.  A growth row's log is printed so, and growth_rows decides it."""
+    return f"{float(x):.12g}"
 
 
 def growth_profile(r: LinRec, v: Place, n_lo: int, n_hi: int) -> list[LogAbs]:
@@ -394,16 +410,22 @@ def root_abs_table(r: LinRec, v: Place) -> list[str]:
 
 
 def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
-    """(rows, passed): the rows (n, log_abs(A_n, v)) of the nonzero terms of
-    [n_lo, n_hi], and whether |A_n|_v >= |alpha_1|_v^(n(1-eps)) held on the
-    range tail.
+    """(rows, passed): the rows (n, printed log|A_n|_v) of the nonzero terms
+    of [n_lo, n_hi], and whether |A_n|_v >= |alpha_1|_v^(n(1-eps)) held on
+    the range tail.
 
-    One pass computes each row's log_abs once, and the verdict reads that
-    value.  alpha_1 is a dominant root of the minimal charpoly at v; the
-    first 20% of the range is discarded as burn-in, and a zero term in the
-    tail fails the check.  At finite places the comparison is an exact
-    rational inequality on valuations; at the real embeddings certified
-    enclosures are compared conservatively.
+    One pass computes each row once, and the verdict reads the same values.
+    alpha_1 is a dominant root of the minimal charpoly at v; the first 20%
+    of the range is discarded as burn-in, and a zero term in the tail fails
+    the check.  A row's log prints as fmt_float of -ord_w(A_n) * f * log(p)
+    at a finite place, of the centre of an ARCH_DPS enclosure at a real one.
+    At finite places the comparison is an exact rational inequality on
+    valuations.  At the real embeddings a row is read off a log_abs
+    enclosure at ROW_DPS digits, and again at ARCH_DPS only when that one
+    leaves undecided the printed digits (its ends' floats print differently)
+    or, in the tail, the comparison of the ARCH_DPS enclosure's low end with
+    (1 - eps) n log|alpha_1|_v: the printed string and the verdict are those
+    of an ARCH_DPS enclosure on every row.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -411,35 +433,68 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
     if witness_orders(_charpoly_or_raise(r)):
         raise PreconditionViolated("growth check needs a non-degenerate sequence")
 
-    # log|A_n|_v >= (1 - eps) n log|alpha_1|_v: exact at a finite place; at a
-    # real one the low end of each enclosure against the high root bound, on
-    # libmp tuples at 2 * ARCH_DPS digits with each product rounded to nearest
-    finite = v.kind == "finite"
-    if finite:
-        frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
-    else:
-        import mpmath
-
-        libmp = mpmath.libmp
-        prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
-        frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
-            libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
-            prec, rnd), prec, rnd)
-        log_a1 = arch_dominant_log(r, v)._mpf_
     tail = n_lo + (n_hi - n_lo) // 5
     rows, passed = [], True
+    if v.kind == "finite":
+        frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
+        log_p = math.log(v.p)
+        for n in range(n_lo, n_hi + 1):
+            a = r.term(n)
+            if a == 0:
+                passed = passed and n < tail
+                continue
+            e = log_abs(a, v, ROW_DPS)
+            rows.append((n, fmt_float(e * v.f * log_p)))
+            if passed and n >= tail:
+                passed = e >= frac * n * log_a1
+        return rows, passed
+
+    # The verdict compares the low end of each row's ARCH_DPS enclosure with
+    # threshold(n) = (1 - eps) n log|alpha_1|_v, the high root bound's log,
+    # on libmp tuples at 2 * ARCH_DPS digits with each product rounded to
+    # nearest.  A row's ROW_DPS enclosure holds its ARCH_DPS one: the radii
+    # differ by a factor 10^(ARCH_DPS - ROW_DPS), and by far more than the
+    # two logs' errors.  n c_dn and n c_up, rounded outward at 128 bits,
+    # bracket threshold(n), which its roundings move by far less than 2^-120
+    # of itself.
+    # So a row passes when its low end is not below the bracket, fails when
+    # its high end is below the bracket, and is computed again otherwise.
+    import mpmath
+
+    libmp = mpmath.libmp
+    prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
+    up, down = libmp.round_ceiling, libmp.round_floor
+    lt, mul, mul_int, to_float = libmp.mpf_lt, libmp.mpf_mul, libmp.mpf_mul_int, libmp.to_float
+    frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
+        libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
+        prec, rnd), prec, rnd)
+    log_a1 = arch_dominant_log(r, v)._mpf_
+    slope = mul(frac, log_a1)  # exact, and > 0
+    c_dn = mul(slope, libmp.from_man_exp(2 ** 120 - 1, -120), 128, down)
+    c_up = mul(slope, libmp.from_man_exp(2 ** 120 + 1, -120), 128, up)
     for n in range(n_lo, n_hi + 1):
         a = r.term(n)
         if a == 0:
             passed = passed and n < tail
             continue
-        e = log_abs(a, v)
-        rows.append((n, e))
-        if not passed or n < tail:
-            continue
-        if finite:
-            passed = e >= frac * n * log_a1
-        else:
-            passed = not libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(
-                libmp.mpf_mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+        lo, hi = (t._mpf_ for t in log_abs(a, v, ROW_DPS))
+        # rounding to a float and printing 12 digits are monotone: ends that
+        # print alike print every value between them alike, the centre of
+        # the ARCH_DPS enclosure included
+        f_lo, f_hi = to_float(lo, rnd=rnd), to_float(hi, rnd=rnd)
+        shown = fmt_float(f_lo)
+        decided = f_lo == f_hi or shown == fmt_float(f_hi)
+        if decided and passed and n >= tail:
+            c_lo, c_hi = (c_dn, c_up) if n >= 0 else (c_up, c_dn)
+            if lt(lo, mul_int(c_hi, n, 128, up)):
+                if lt(hi, mul_int(c_lo, n, 128, down)):
+                    passed = False
+                else:
+                    decided = False
+        if not decided:
+            lo, hi = log_abs(a, v)
+            shown = fmt_float(enclosure_centre(lo, hi))
+            if passed and n >= tail:
+                passed = not lt(lo._mpf_, mul(mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+        rows.append((n, shown))
     return rows, passed

@@ -26,7 +26,7 @@ from .errors import InternalInvariantError, MixedFieldError, PreconditionViolate
 from .memo import memoized
 from .polyalg import (KPoly, _monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
                       _zz_power_poly, witness_orders)
-from .qfield import QuadElem
+from .qfield import QuadElem, _new, _reduced
 
 
 class ZeroSequence:
@@ -49,10 +49,15 @@ ZERO_SEQUENCE = ZeroSequence()
 class LinRec:
     """A_n = c_1 A_{n-1} + ... + c_k A_{n-k}, c_k != 0; defined for all n in Z.
 
-    Term evaluation is exact and memoized per instance.
+    Term evaluation is exact and memoized per instance.  Forward steps run on
+    integers: with M the lcm of the coefficients' denominators and L that of
+    the seeds', A_n = (X_n + Y_n sqrt(d)) / (L M^n) for n >= 0, and
+    X_n + Y_n sqrt(d) = sum_i M^i (M c_(i+1)) (X_(n-1-i) + Y_(n-1-i) sqrt(d))
+    has integer coefficients, so a stored term costs one gcd (none when
+    L M^n = 1).  Backward steps divide by c_k in the field.
     """
 
-    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_lo", "_hi")
+    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_lo", "_hi", "_ints")
 
     def __init__(self, coeffs, initials, d: int):
         coeffs = tuple(self._coerce(c, d) for c in coeffs)
@@ -72,6 +77,7 @@ class LinRec:
         self._memo = {n: a for n, a in enumerate(initials)}
         self._lo = 0
         self._hi = len(initials) - 1
+        self._ints = None  # the forward integer state, built on the first step
 
     @staticmethod
     def _coerce(c, d: int) -> QuadElem:
@@ -81,15 +87,43 @@ class LinRec:
             return c
         return QuadElem(Fraction(c), 0, d)
 
+    def _integer_state(self):
+        """(top, steps, M, xs, ys, den) at top = k - 1: steps[i] = (P, dQ, Q)
+        with P + Q sqrt(d) = M^(i+1) c_(i+1), xs[j] + ys[j] sqrt(d) =
+        L M^(top-j) A_(top-j), and den = L M^top, the top term's."""
+        c, a, k = self.coeffs, self.initials, self.order
+        M = math.lcm(*(x.m for x in c))
+        L = math.lcm(*(x.m for x in a))
+        steps = []
+        for i, x in enumerate(c):
+            s = M ** (i + 1) // x.m
+            steps.append((x.A * s, self.d * x.B * s, x.B * s))
+        xs, ys = [], []
+        for j in range(k):
+            s = L * M ** (k - 1 - j) // a[k - 1 - j].m
+            xs.append(a[k - 1 - j].A * s)
+            ys.append(a[k - 1 - j].B * s)
+        return k - 1, steps, M, xs, ys, L * M ** (k - 1)
+
     def term(self, n: int) -> QuadElem:
         memo, k, c = self._memo, self.order, self.coeffs
-        while self._hi < n:
-            m = self._hi + 1
-            acc = c[0] * memo[m - 1]
-            for i in range(1, k):
-                acc = acc + c[i] * memo[m - 1 - i]
-            memo[m] = acc
-            self._hi = m
+        if self._hi < n:
+            # the state is one tuple, replaced whole: a thread that reads it
+            # gets a window and the index it stands at
+            top, steps, M, xs, ys, den = self._ints or self._integer_state()
+            d = self.d
+            for m in range(top + 1, n + 1):
+                X = Y = 0
+                for (p, dq, q), x, y in zip(steps, xs, ys):
+                    X += p * x + dq * y
+                    Y += p * y + q * x
+                xs = [X, *xs[:-1]]
+                ys = [Y, *ys[:-1]]
+                den *= M
+                memo[m] = _new(X, Y, 1, d) if den == 1 else _reduced(X, Y, den, d)
+            if n > top:
+                self._ints = n, steps, M, xs, ys, den
+            self._hi = n
         while self._lo > n:
             m = self._lo - 1  # solve the recurrence at index m + k for A_m
             acc = memo[m + k]

@@ -80,6 +80,12 @@ envelope of the convergents.  sqrt_int builds sqrt(k) for test fixtures.
 schinzel_rows_by_factoring is the schinzel scan by the route the CLI left:
 each f(n) factored into s^2 * k and walked as the element s * sqrt(k), where
 the CLI walks the surd sqrt(f(n)) and tests squares by an integer root.
+The reference terms, term_by_field_steps, step the recurrence in the field,
+one QuadElem multiply and add (each with its gcd) per coefficient and step,
+where LinRec.term steps integer pairs over one running denominator.  The
+reference growth rows, growth_rows_at_arch_dps, read every row off one
+log_abs at ARCH_DPS digits, where places.growth_rows reads it at ROW_DPS and
+computes it again at ARCH_DPS only when that leaves it undecided.
 WindowTooShort and VerificationFailed are raised only by the Berlekamp-Massey
 reference, and ZeroRootInDenominator only by ratio_poly.
 The tolerances are calibrated for the test generators in this tree (integer
@@ -1366,3 +1372,70 @@ def diff_sum_parts_bm(r):
     p_d = min_charpoly(SeqWindow(0, tuple(a - a.conj() for a in terms)), bound)
     p_s = min_charpoly(SeqWindow(0, tuple(a + a.conj() for a in terms)), bound)
     return p_d, p_s
+
+
+# ---------------------------------------------------------------------------
+# reference terms and growth rows: field steps, one precision
+# ---------------------------------------------------------------------------
+
+def term_by_field_steps(r, n: int):
+    """A_n of the LinRec r by QuadElem arithmetic from its initials, one field
+    multiply and add per coefficient and step, with no memo: forward
+    A_m = sum c_i A_(m-i), backward A_m = (A_(m+k) - sum_(i<k) c_i
+    A_(m+k-i)) / c_k."""
+    c, k = r.coeffs, r.order
+    terms = dict(enumerate(r.initials))
+    for m in range(k, n + 1):
+        acc = c[0] * terms[m - 1]
+        for i in range(1, k):
+            acc = acc + c[i] * terms[m - 1 - i]
+        terms[m] = acc
+    for m in range(-1, n - 1, -1):
+        acc = terms[m + k]
+        for i in range(k - 1):
+            acc = acc - c[i] * terms[m + k - 1 - i]
+        terms[m] = acc / c[k - 1]
+    return terms[n]
+
+
+def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
+    """(rows, passed) as places.growth_rows returns them, every row from one
+    log_abs at ARCH_DPS digits: the printed log is the float of the
+    enclosure's centre at a real place, and the tail check compares the
+    enclosure's low end with (1 - eps) n log|alpha_1|_v, each product rounded
+    to nearest at 2 * ARCH_DPS digits."""
+    from cfperiod import places
+
+    eps = Fraction(eps)
+    if not (0 < eps < 1):
+        raise PreconditionViolated("eps must lie strictly between 0 and 1")
+    if polyalg.witness_orders(places._charpoly_or_raise(r)):
+        raise PreconditionViolated("growth check needs a non-degenerate sequence")
+    finite = v.kind == "finite"
+    libmp = mpmath.libmp
+    prec, rnd = libmp.dps_to_prec(2 * places.ARCH_DPS), libmp.round_nearest
+    if finite:
+        frac, log_a1 = 1 - eps, places.finite_dominant_slope(r, v)
+    else:
+        frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
+            libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
+            prec, rnd), prec, rnd)
+        log_a1 = places.arch_dominant_log(r, v)._mpf_
+    tail = n_lo + (n_hi - n_lo) // 5
+    rows, passed = [], True
+    for n in range(n_lo, n_hi + 1):
+        a = r.term(n)
+        if a == 0:
+            passed = passed and n < tail
+            continue
+        e = places.log_abs(a, v)
+        shown = e * v.f * math.log(v.p) if finite else places.enclosure_centre(*e)
+        rows.append((n, f"{shown:.12g}"))
+        if not passed or n < tail:
+            continue
+        if finite:
+            passed = e >= frac * n * log_a1
+        else:
+            passed = not libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(
+                libmp.mpf_mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+    return rows, passed

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import cli, contfrac, polyalg
+from cfperiod import cli, contfrac, places, polyalg
 from cfperiod.errors import (DivisionByZero, ParseError, StepCapExceeded,
                              TooFewPoints)
 from cfperiod.qfield import QuadElem, quad
@@ -854,7 +854,7 @@ def test_growth_zero_sequence_reports_once(capsys, tmp_path, place):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("golden, spec, extra", [
+REAL_GOLDENS = [
     # Fibonacci at the first real place of Q(sqrt(5)); F_0 = 0 leaves a gap
     ("growth_fib_real1.txt",
      {"command": "growth", "d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"],
@@ -865,7 +865,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
      {"command": "growth", "d": 2, "coeffs": ["2", "1"], "initials": ["1", ["1", "-1"]],
       "range": [1, 40], "options": {"place": {"kind": "real", "embedding": 2},
                                     "eps": "1/10"}}, ["--estimate-limit"]),
-])
+]
+
+
+@pytest.mark.parametrize("golden, spec, extra", REAL_GOLDENS)
 def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, extra):
     job = write_job(tmp_path, "g.json", spec)
     # real-place numerics run at one fixed precision, which no environment
@@ -878,7 +881,7 @@ def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, e
         assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("golden, spec", [
+FINITE_GOLDENS = [
     # roots (3 - sqrt2)/7, of ord -1 on branch 4 above 7 in Q(sqrt2), and the unit 1 + sqrt2
     ("growth_split7_sqrt2.txt",
      {"command": "growth", "d": 2, "coeffs": [["10/7", "6/7"], ["-1/7", "-2/7"]],
@@ -890,11 +893,37 @@ def test_growth_real_place_golden(capsys, tmp_path, monkeypatch, golden, spec, e
      {"command": "growth", "d": 17, "coeffs": [["31/8", "9/8"], ["-13/8", "-3/8"]],
       "initials": ["1", ["1", "1"]], "range": [1, 2000],
       "options": {"place": {"kind": "finite", "p": 2, "branch": 7}}}),
-])
+]
+
+
+@pytest.mark.parametrize("golden, spec", FINITE_GOLDENS)
 def test_growth_finite_place_golden(capsys, tmp_path, golden, spec):
     code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)])
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, spec, extra",
+                         REAL_GOLDENS + [(g, spec, []) for g, spec in FINITE_GOLDENS])
+def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,
+                                                 golden, spec, extra):
+    # at ROW_DPS = 2 no real-place row is decided at the row precision: each
+    # one is computed again at ARCH_DPS, and the output, verdict included,
+    # stays byte for byte the golden one
+    escalated = []
+
+    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
+        if dps == places.ARCH_DPS:
+            escalated.append(x)
+        return _real(x, v, dps)
+
+    monkeypatch.setattr(places, "ROW_DPS", 2)
+    monkeypatch.setattr(places, "log_abs", counted)
+    code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+    rows = out.count("\n") - 2 - bool(extra)
+    assert len(escalated) == (rows if spec["options"]["place"]["kind"] == "real" else 0)
 
 
 def test_growth_check_sees_a_dominant_root_just_above_one(capsys, tmp_path):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import cli, places
+from cfperiod import cli, memo, places
 from cfperiod.errors import (
     HypothesisViolated,
     InternalInvariantError,
@@ -30,8 +30,8 @@ from cfperiod.places import (
 from cfperiod.qfield import quad, to_mpf
 from cfperiod.recurrence import LinRec
 
-from oracles import (branch_root_newton, quad_to_mpf, sqrt_int, surd_value,
-                     two_adic_sqrt_bitwise, val_by_branch_lift)
+from oracles import (branch_root_newton, growth_rows_at_arch_dps, quad_to_mpf, sqrt_int,
+                     surd_value, two_adic_sqrt_bitwise, val_by_branch_lift)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -338,6 +338,10 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
     lo, hi = places._log_abs_real(x, embedding)
     # the printed centre, formed on the tuples, is the mpf centre's float
     assert places.enclosure_centre(lo, hi) == float((lo + hi) / 2)
+    # an enclosure at fewer digits holds this one, which growth_rows relies on
+    for dps in (2, places.ROW_DPS):
+        row_lo, row_hi = places._log_abs_real(x, embedding, dps)
+        assert row_lo < lo and hi < row_hi
     dps = 3 * places.ARCH_DPS
     with mpmath.workdps(dps):
         ref = quad_to_mpf(y, dps)
@@ -385,25 +389,96 @@ def test_real_growth_rows_enter_no_precision_context(monkeypatch, tmp_path, caps
     assert mpmath.mp.prec == prec
 
 
-@pytest.mark.parametrize("spec, verdict", [
+def test_enclosure_centre_rounds_at_53_bits_in_any_context():
+    # lo + hi = 2 + 2^-52 + 2^-352 lies just above the midpoint of two floats:
+    # at 53 bits it rounds up, while at 200 bits the halved sum would keep
+    # only 1 + 2^-53 and round to even, down to 1.0
+    libmp = mpmath.libmp
+    x = mpmath.mp.make_mpf(libmp.from_man_exp(2 ** 353 + 2 ** 300 + 1, -353))
+    assert places.enclosure_centre(x, x) == 1.0000000000000002
+    with mpmath.workprec(200):
+        assert places.enclosure_centre(x, x) == 1.0000000000000002
+
+
+@pytest.mark.parametrize("p", [3, 7, 9973])
+def test_vp_int_strips_powers_by_squaring(p):
+    for v in (0, 1, 2, 3, 7, 8, 63, 64, 65, 1000):
+        for unit in (1, -1, p + 1, 2 * p - 1):
+            assert places._vp_int(unit * p ** v, p) == v
+    with pytest.raises(ZeroInput):
+        places._vp_int(0, p)
+
+
+@st.composite
+def growth_jobs(draw):
+    """(r, v, eps, n_lo, n_hi) at a real place: a recurrence of order 1-3 over
+    Q(sqrt(d)) with small coefficients, and either eps = 1/10 or an eps that
+    puts the threshold of the first tail row within 10^-30 of its log."""
+    d = draw(st.sampled_from((2, 3, 5, 6, 7)))
+    k = draw(st.integers(1, 3))
+    small, den = st.integers(-3, 3), draw(st.integers(1, 4))
+    coeffs = [quad(draw(small), draw(st.integers(-1, 1)), d) for _ in range(k)]
+    coeffs[-1] = coeffs[-1] or quad(1, 1, d)
+    r = LinRec(coeffs, [quad(F(draw(small), den), F(draw(small), den), d) for _ in range(k)], d)
+    v = real_places(d)[draw(st.sampled_from((0, 1)))]
+    n_lo = draw(st.integers(-4, 10))
+    n_hi = n_lo + draw(st.integers(10, 50))
+    eps = F(1, 10)
+    offset = draw(st.one_of(st.none(), st.integers(-10 ** 6, 10 ** 6)))
+    tail = n_lo + (n_hi - n_lo) // 5
+    if offset is not None and tail != 0 and r.term(tail) != 0:
+        try:
+            log_a1 = places.arch_dominant_log(r, v)
+        except HypothesisViolated:
+            return r, v, eps, n_lo, n_hi
+        a = r.term(tail)
+        with mpmath.workdps(150):
+            log_a = mpmath.log(abs(quad_to_mpf(a if v.embedding == 1 else a.conj(), 150)))
+            ratio = (log_a + offset * mpmath.mpf(10) ** -36) / (tail * log_a1)
+            if 0 < ratio < 1:
+                man, exp = ratio.man_exp
+                eps = 1 - F(man) * F(2) ** exp
+    return r, v, eps, n_lo, n_hi
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (HypothesisViolated, PreconditionViolated) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(growth_jobs())
+def test_growth_rows_match_the_arch_dps_oracle(job):
+    # the printed strings and the verdict are those of an ARCH_DPS enclosure
+    # on every row, a threshold a hair from a row's log included
+    with memo.scope():
+        assert _outcome(growth_rows, *job) == _outcome(growth_rows_at_arch_dps, *job)
+
+
+@pytest.mark.parametrize("spec, verdict, escalated", [
     # Fibonacci at the first real place of Q(sqrt5)
     ({"d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"], "range": [20, 200],
-      "options": {"place": {"kind": "real", "embedding": 1}}}, "pass"),
+      "options": {"place": {"kind": "real", "embedding": 1}}}, "pass", 0),
     # A_n = 2^(-n) + 3^n in Q(sqrt17) at the 2-adic place where |A_n|_2 = 2^n
     ({"d": 17, "coeffs": [["7/2", "0"], ["-3/2", "0"]],
       "initials": [["2", "0"], ["7/2", "0"]], "range": [20, 200],
-      "options": {"place": {"kind": "finite", "p": 2, "branch": 1}}}, "pass"),
+      "options": {"place": {"kind": "finite", "p": 2, "branch": 1}}}, "pass", 0),
     # A_n = 2^n - 2^10: a zero tail term gets no row and no log
     ({"d": 2, "coeffs": ["3", "-2"], "initials": ["-1023", "-1022"], "range": [5, 30],
-      "options": {"place": {"kind": "real", "embedding": 1}}}, "fail"),
+      "options": {"place": {"kind": "real", "embedding": 1}}}, "fail", 0),
 ], ids=["fibonacci-real", "2-adic", "zero-tail-term"])
-def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, verdict):
-    # the rows and the verdict read one log_abs per nonzero term of the range
+def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, verdict,
+                                          escalated):
+    # the rows and the verdict read one log_abs at ROW_DPS per nonzero term of
+    # the range, and one more at ARCH_DPS for each row that leaves its printed
+    # digits or its verdict undecided
     calls = []
 
-    def counted(x, v, _real=places.log_abs):
-        calls.append(x)
-        return _real(x, v)
+    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
+        calls.append((x, dps))
+        return _real(x, v, dps)
 
     monkeypatch.setattr(places, "log_abs", counted)
     monkeypatch.setattr(cli, "log_abs", counted)
@@ -415,7 +490,9 @@ def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, v
     r = cli.rec_from_job(spec)
     n_lo, n_hi = spec["range"]
     nonzero = [r.term(n) for n in range(n_lo, n_hi + 1) if r.term(n) != 0]
-    assert calls == nonzero and len(out) == len(nonzero) + 2
+    assert [x for x, dps in calls if dps == places.ROW_DPS] == nonzero
+    assert len([x for x, dps in calls if dps == places.ARCH_DPS]) == escalated
+    assert len(calls) == len(nonzero) + escalated and len(out) == len(nonzero) + 2
 
 
 def test_growth_check_fails_on_a_zero_tail_term():

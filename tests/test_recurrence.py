@@ -25,7 +25,7 @@ from cfperiod.recurrence import (
 )
 
 from oracles import (BM_MARGIN, SeqWindow, VerificationFailed, WindowTooShort,
-                     diff_sum_parts_bm, min_charpoly, sqrt_int)
+                     diff_sum_parts_bm, min_charpoly, sqrt_int, term_by_field_steps)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -82,6 +82,44 @@ def test_rational_coefficients_supported():
     r = LinRec([F(3, 2), F(5, 2)], [1 + R2, F(5, 2) - R2], 2)
     for n in range(8):
         assert r.term(n) == quad(F(5, 2) ** n, (-1) ** n, 2)
+
+
+@st.composite
+def recurrences_with_denominators(draw):
+    """(d, coeffs, initials) of order 1-4: coefficients with denominators
+    dividing 1 (M = 1) or drawn up to 6 (M > 1), seeds rational or
+    irrational, with or without denominators."""
+    d = draw(st.sampled_from((2, 3, 5, 17)))
+    k = draw(st.integers(1, 4))
+    small = st.integers(-5, 5)
+    coeff_den = st.just(1) if draw(st.booleans()) else st.integers(1, 6)
+    seed_den = st.just(1) if draw(st.booleans()) else st.integers(1, 9)
+    seed_irr = draw(st.booleans())
+
+    def elem(dens, irrational=True):
+        den = draw(dens)
+        return quad(F(draw(small), den), F(draw(small), den) if irrational else 0, d)
+
+    coeffs = [elem(coeff_den) for _ in range(k)]
+    coeffs[-1] = coeffs[-1] or quad(1, 1, d)
+    return d, coeffs, [elem(seed_den, seed_irr) for _ in range(k)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(recurrences_with_denominators(), st.lists(st.integers(-15, 80), min_size=1, max_size=4))
+@example((2, [quad(F(3, 2), 0, 2), quad(F(5, 2), 0, 2)], [1 + R2, F(5, 2) - R2]), [60, -15, 80])
+@example((5, [quad(1, 0, 5), quad(1, 0, 5)], [quad(0, 0, 5), quad(1, 0, 5)]), [60, -15, 80])
+def test_integer_steps_match_the_field_loop(case, calls):
+    # the stored terms are the normal forms (A, B, m) of the QuadElem loop,
+    # whatever order the forward and backward calls come in
+    d, coeffs, initials = case
+    r = LinRec(coeffs, initials, d)
+    for n in calls + [60, -15, 80]:
+        got, want = r.term(n), term_by_field_steps(r, n)
+        assert (got.A, got.B, got.m) == (want.A, want.B, want.m), n
+    for n in range(-15, 81, 7):
+        got, want = r.term(n), term_by_field_steps(r, n)
+        assert (got.A, got.B, got.m) == (want.A, want.B, want.m), n
 
 
 def test_constructor_validation():

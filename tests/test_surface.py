@@ -8,7 +8,10 @@ or in another module through ``from .module import name`` or
 exactly the list under "Names used only by tests" in ROADMAP.md item 5, so a
 new unreached name, or one that code starts to use again, fails here.  The
 names that item lists as moved to tests/oracles.py must be defined there and
-no longer in src/cfperiod, so a second implementation does not come back.
+no longer in src/cfperiod, so a second implementation does not come back;
+``places.growth_rows`` keeps one call of log_abs at ARCH_DPS, the escalation
+of an undecided row, and the forward steps of ``LinRec.term`` read only its
+integer state.
 Every name a module in src/cfperiod imports must also be read there, so a
 deletion does not leave its imports behind.  sympy and mpmath stay out of
 ``import cfperiod.cli``, both are imported inside function bodies only, and
@@ -100,6 +103,38 @@ def test_names_moved_to_the_oracles_left_src():
         assert name not in {node.name for node in tree.body
                             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}, entry
         assert callable(getattr(oracles, name)), entry
+
+
+def _function(mod: str, qualname: str) -> ast.FunctionDef:
+    """The definition of `qualname` (a function, or Class.method) in src/cfperiod/mod.py."""
+    node = ast.parse((SRC / f"{mod}.py").read_text())
+    for part in qualname.split("."):
+        node = next(n for n in node.body if getattr(n, "name", None) == part)
+    return node
+
+
+def test_growth_rows_and_terms_keep_one_route_each():
+    """growth_rows reads each row off log_abs at ROW_DPS and calls log_abs at
+    ARCH_DPS (its default) in one place, the escalation of an undecided row;
+    LinRec.term's forward steps read no QuadElem coefficient, only the
+    integer state, so the field loop lives in the oracles alone."""
+    calls = [node for node in ast.walk(_function("places", "growth_rows"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "log_abs"]
+    row = [c for c in calls if len(c.args) == 3]
+    assert all(getattr(c.args[2], "id", None) == "ROW_DPS" for c in row) and len(row) == 2
+    assert len([c for c in calls if len(c.args) == 2 and not c.keywords]) == 1
+    term = _function("recurrence", "LinRec.term")
+    forward = next(node for node in term.body if isinstance(node, ast.If)
+                   and isinstance(node.test, ast.Compare)
+                   and getattr(node.test.left, "attr", None) == "_hi")
+    read = {node.attr for node in ast.walk(forward) if isinstance(node, ast.Attribute)}
+    names = {node.id for node in ast.walk(forward)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    terms_read = [node for node in ast.walk(forward)
+                  if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                  and getattr(node.value, "id", None) == "memo"]
+    assert "_ints" in read and not read & {"coeffs", "initials"}
+    assert "c" not in names and terms_read == []
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:

@@ -52,8 +52,8 @@ from .contfrac import (check_convergent_bound, convergents, cycle_lengths, expan
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
-from .places import (Place, arch_dominant_log, enclosure_centre, finite_dominant_slope,
-                     fmt_float, growth_rows, log_abs, places_above, real_places,
+from .places import (Place, arch_dominant_log, finite_dominant_slope, fmt_float,
+                     growth_rows, log_abs_centre, places_above, real_places,
                      root_abs_table)
 from .qfield import QuadElem, Surd, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
@@ -675,9 +675,9 @@ def cmd_growth(args) -> int:
         lines.append(f"# growth_check: {'pass' if passed else 'fail'}")
         if args.estimate_limit:
             w = real_places(r.d)[0]
-            pts = [(n, enclosure_centre(*log_abs(diff, w)))
+            pts = [(n, log_abs_centre(diff, w))
                    for n in range(n_lo, n_hi + 1)
-                   if (diff := r.term(n) - r.term(n).conj()) != 0]
+                   if (diff := (term := r.term(n)) - term.conj()) != 0]
             est = estimate_log_limit(pts)
             lines.append(f"# limit_slope={fmt_float(est.slope)} "
                          f"positive={'yes' if est.positive else 'no'} "

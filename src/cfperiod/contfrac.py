@@ -16,6 +16,10 @@ in a small C kernel (`_cfwalk.c`).  On a reduced state 0 < P <= t and
 Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), never forming P^2 or D, so every
 intermediate stays below 4t + 2 and signed 128-bit arithmetic is exact for
 t < 2^124, that is D < 2^248.  The kernel checks those bounds at every step.
+It takes a_k = floor((P + t)/Q) with one 64-bit division while P + t and Q
+fit 64 bits; past that it takes a_k = 1 when P + t < 2Q, and otherwise a
+64-bit estimate from the top words, never above a_k and corrected upward,
+or a 128-bit division when Q's top word is below 2^32.
 
 The kernel finds l in about l/2 steps when the cycle has a centre (Perron's
 half-period conditions).  R(P_k, Q_k) = (P_k, Q_{k-1}) is the state
@@ -37,9 +41,10 @@ l > max_steps - j.  The state the kernel stops on is checked exactly: it
 satisfies Q Q_prev = D - P^2 and is x_j again or a centre.
 
 The kernel is compiled with `cc` into the package's __pycache__ on first use,
-never at import; when that fails (no compiler, no __int128, a read-only
-directory, a load error), or for D beyond its range, `cycle_lengths` runs
-`expand` instead.
+never at import, as `_cfwalk-<crc>.so`, named by the CRC-32 of `_cfwalk.c`
+(an edited source builds a new library); when that fails (no compiler, no
+__int128, a read-only directory, a load error), or for D beyond its range,
+`cycle_lengths` runs `expand` instead.
 """
 from __future__ import annotations
 
@@ -49,6 +54,7 @@ import math
 import os
 import subprocess
 import tempfile
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -192,7 +198,6 @@ _KERNEL_STEP_LIMIT = 1 << 61
 # scanned A_n rows the centre behind x_j is mostly within j + 1 steps, and the
 # probe costs about what the walk from x_0 to x_j already did
 _PROBE_SLACK = 2
-_MASK64 = (1 << 64) - 1
 
 
 def _bind(lib: str):
@@ -206,13 +211,12 @@ def _bind(lib: str):
 def _load_kernel(cache_dir: str):
     """The kernel's cf_cycle, built from _cfwalk.c into cache_dir unless a
     library built from the same source is there already; None if building
-    or loading fails."""
-    import hashlib
-
+    or loading fails.  The library is named by the CRC-32 of the source
+    (zlib is loaded already; hashlib would cost a fresh process about 2 ms)."""
     try:
         with open(_KERNEL_SOURCE, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        lib = os.path.join(cache_dir, f"_cfwalk-{digest}.so")
+            crc = zlib.crc32(fh.read())
+        lib = os.path.join(cache_dir, f"_cfwalk-{crc:08x}.so")
         if not os.path.exists(lib):
             os.makedirs(cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(prefix="_cfwalk-", suffix=".tmp", dir=cache_dir)
@@ -235,9 +239,13 @@ def _kernel():
     return _load_kernel(os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
 
 
-def _signed128(lo: int, hi: int) -> int:
-    v = lo | hi << 64
-    return v - (1 << 128) if v >> 127 else v
+def _kernel_state(state) -> tuple[int, int, int]:
+    """(P, Q, Q_prev) from the kernel's state array, each a signed 128-bit
+    little-endian word pair."""
+    b = bytes(state)
+    return (int.from_bytes(b[:16], "little", signed=True),
+            int.from_bytes(b[16:32], "little", signed=True),
+            int.from_bytes(b[32:48], "little", signed=True))
 
 
 def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
@@ -256,11 +264,13 @@ def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
         return len(e.preperiod), len(e.period)
     Pj, Qj, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
     j = len(quotients)
-    state = (ctypes.c_uint64 * 8)(*(w for v in (Pj, Qj, (D - Pj * Pj) // Qj, t)
-                                    for w in (v & _MASK64, v >> 64)))
+    # every value is positive and t < 2^124, so each fits 16 unsigned bytes
+    state = (ctypes.c_uint64 * 8).from_buffer_copy(
+        Pj.to_bytes(16, "little") + Qj.to_bytes(16, "little")
+        + ((D - Pj * Pj) // Qj).to_bytes(16, "little") + t.to_bytes(16, "little"))
     ell = kernel(state, min(max_steps - j, _KERNEL_STEP_LIMIT),
                  min(j + _PROBE_SLACK, _KERNEL_STEP_LIMIT))
-    P, Q, R = (_signed128(state[i], state[i + 1]) for i in (0, 2, 4))
+    P, Q, R = _kernel_state(state)
     # a closed walk stops at x_j, one measured between centres on a centre
     if ell == -2 or Q * R != D - P * P or ell > 0 and not (
             P == Pj and Q == Qj or Q == R or 2 * P % R == 0):

@@ -26,7 +26,9 @@ mpf_log of to_mpf's tuple at 2 * dps digits, with ends (|log| + 1) * 10^-dps
 on either side, each an mpmath.libmp operation rounded to nearest: no row
 enters a precision context.  Every printed log and verdict is that of an
 enclosure at ARCH_DPS = 60 digits; growth_rows computes one only for a row
-that its enclosure at ROW_DPS = 20 digits leaves undecided.  Root boxes run
+that its enclosure at ROW_DPS = 20 digits leaves undecided, and
+log_abs_centre, the float of each point of the CLI's limit estimate, only
+when the ROW_DPS ends round to different floats.  Root boxes run
 in mpmath.workdps at ARCH_DPS digits, escalated up to 16 times that until
 certified.  One growth job runs
 in one ``memo.scope()``, which keeps the minimal polynomial, its factors and
@@ -228,6 +230,20 @@ def enclosure_centre(lo, hi) -> float:
     libmp = mpmath.libmp
     total = libmp.mpf_add(lo._mpf_, hi._mpf_, 53, libmp.round_nearest)
     return libmp.to_float(libmp.mpf_shift(total, -1), rnd=libmp.round_nearest)
+
+
+def log_abs_centre(x: QuadElem, v: Place) -> float:
+    """enclosure_centre of log_abs(x, v) at ARCH_DPS for a real place v.
+
+    The ROW_DPS enclosure holds the ARCH_DPS one, and rounding to a float is
+    monotone: when its two ends round to one float, that float is the
+    ARCH_DPS centre, and log_abs runs at ARCH_DPS only otherwise."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    lo, hi = (libmp.to_float(e._mpf_, rnd=libmp.round_nearest)
+              for e in log_abs(x, v, ROW_DPS))
+    return lo if lo == hi else enclosure_centre(*log_abs(x, v))
 
 
 def fmt_float(x) -> str:

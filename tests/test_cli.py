@@ -907,9 +907,10 @@ def test_growth_finite_place_golden(capsys, tmp_path, golden, spec):
                          REAL_GOLDENS + [(g, spec, []) for g, spec in FINITE_GOLDENS])
 def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,
                                                  golden, spec, extra):
-    # at ROW_DPS = 2 no real-place row is decided at the row precision: each
-    # one is computed again at ARCH_DPS, and the output, verdict included,
-    # stays byte for byte the golden one
+    # at ROW_DPS = 2 no real-place row, and no point of the limit estimate,
+    # is decided at the row precision: each one is computed again at
+    # ARCH_DPS, and the output, verdict and slope included, stays byte for
+    # byte the golden one
     escalated = []
 
     def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
@@ -923,7 +924,10 @@ def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
     rows = out.count("\n") - 2 - bool(extra)
-    assert len(escalated) == (rows if spec["options"]["place"]["kind"] == "real" else 0)
+    r = cli.rec_from_job(spec)
+    points = len([n for n in range(spec["range"][0], spec["range"][1] + 1)
+                  if (term := r.term(n)) != term.conj()]) if extra else 0
+    assert len(escalated) == (rows if spec["options"]["place"]["kind"] == "real" else 0) + points
 
 
 def test_growth_check_sees_a_dominant_root_just_above_one(capsys, tmp_path):

@@ -1,4 +1,5 @@
 """Continued fractions of rationals and quadratic irrationals."""
+import ctypes
 import functools
 import math
 import os
@@ -6,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import zlib
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -315,6 +317,22 @@ def wide_surd_states(draw):
     return P, q * draw(st.sampled_from([1, -1])), D
 
 
+@st.composite
+def quotient_surd_states(draw):
+    """(P, Q, D) with D = m^2 + 2h and m = hk, so that the cycle of x_1 =
+    (m + sqrt(D))/2h has the partial quotients k and 2m.  t = m is drawn
+    from 2^63 to 2^124 and k log-uniformly up to 2^40, so the kernel's wide
+    steps take both their 64-bit estimate and their 128-bit division, and
+    the estimate meets quotients from 1 to about 2^32."""
+    k = draw(st.integers(1, 1 << draw(st.integers(0, 40))))
+    m = draw(st.integers(1 << 63, T_LIMIT - 1)) // k * k
+    assume(m >= 1 << 63)
+    h = m // k
+    q = draw(st.sampled_from([1, 2, h, 2 * h]))
+    P = draw(st.sampled_from([m, -m])) + draw(st.integers(-1000, 1000)) * q
+    return P, q * draw(st.sampled_from([1, -1])), m * m + 2 * h
+
+
 def _lengths(P, Q, D, cap):
     try:
         return ("closed", *cycle_lengths(Surd(P, Q, D), max_steps=cap))
@@ -359,11 +377,32 @@ def _near_word_limits():
     return out
 
 
-KERNEL_CASES = MIRROR_CASES + _near_word_limits()
+def _wide_quotients():
+    """States (0, 1, m^2 + 2h) of sqrt(m^2 + 2h), m = hk: the cycle steps
+    (P, Q) = (m, 2h) with quotient k and (m, 1) with quotient 2m > 2^64.
+    n = P + t = 2m, and s is the bit length of its high word; t is just
+    above 2^64, near 2^96 and just below 2^124.  Each width takes Q = n
+    (a = 1, with Q >> s = 2^64 - 1, where (Q >> s) + 1 would wrap), Q >> s
+    just below 2^32 (the 128-bit division) and at 2^32 (the 64-bit estimate,
+    corrected upward when k is near 2^32), and a quotient k > 2^32 at
+    Q >> s = 2^30.  At the narrow boundary, n = Q = 2^64 - 2 and 2^64."""
+    out = [(0, 1, m * m + 2 * m) for m in ((1 << 63) - 1, 1 << 63)]
+    for s in (2, 34, 61):
+        m = (1 << 63 + s) - 1
+        out.append((0, 1, m * m + 2 * m))
+        for h, k in [((1 << 31 + s) + e, k) for e in (-1, 1)
+                     for k in ((3 << 30) + 1, (1 << 32) - 5)] + [(1 << 29 + s, (1 << 33) + 3)]:
+            assert (2 * h * k) >> 64 + s == 0 and (2 * h * k) >> 63 + s == 1
+            out.append((0, 1, (h * k) ** 2 + 2 * h))
+    return out
+
+
+KERNEL_CASES = MIRROR_CASES + _near_word_limits() + _wide_quotients()
 
 
 @settings(max_examples=200)
-@given(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states()))
+@given(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states(),
+                 quotient_surd_states()))
 @_examples(KERNEL_CASES)
 def test_cycle_lengths_match_reference_and_python_route(state):
     P, Q, D = state
@@ -414,9 +453,9 @@ def test_kernel_half_walk_stops_on_a_centre():
     states = []
 
     def spy(state, budget, probe):
-        start = [contfrac._signed128(state[i], state[i + 1]) for i in (0, 2, 4)]
+        start = contfrac._kernel_state(state)
         ell = kernel(state, budget, probe)
-        states.append((start, [contfrac._signed128(state[i], state[i + 1]) for i in (0, 2, 4)]))
+        states.append((start, contfrac._kernel_state(state)))
         return ell
 
     with patch.object(contfrac, "_kernel", lambda: spy):
@@ -424,6 +463,41 @@ def test_kernel_half_walk_stops_on_a_centre():
     [((Pj, Qj, _), (P, Q, R))] = states
     assert (P, Q) != (Pj, Qj)
     assert Q == R or 2 * P % R == 0
+
+
+def _child_env():
+    """The environment of a child interpreter that imports cfperiod from
+    this checkout and the test modules from this directory."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(contfrac.__file__)), here]))
+
+
+def _kernel_steps_past_64_bit_q(kernel):
+    """One forward step (budget 1, no probe) from in-bound states with
+    n = P + t < 2^64 <= Q.  No reduced state has Q > n, so the step leaves
+    the bounds; the kernel takes a = 1 there, as n < 2Q, and never divides
+    by Q's low word, which is 0 at Q = 2^64."""
+    P, R = 1, 3
+    for t in ((1 << 63) + 5, (1 << 64) - 2):
+        for Q in (1 << 64, (1 << 64) + 1, 2 * t + 1):
+            state = (ctypes.c_uint64 * 8).from_buffer_copy(
+                b"".join(v.to_bytes(16, "little") for v in (P, Q, R, t)))
+            assert kernel(state, 1, 0) == -2
+            assert contfrac._kernel_state(state) == (Q - P, R + 2 * P - Q, Q)
+
+
+def test_kernel_step_reads_q_past_64_bits():
+    # in a child process: a division by a zero low word would kill it, not
+    # the test run
+    if contfrac._kernel() is None:
+        pytest.skip("no CF kernel")
+    script = ("import test_contfrac as T\n"
+              "from cfperiod import contfrac\n"
+              "T._kernel_steps_past_64_bit_q(contfrac._kernel())\n")
+    got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_child_env(), timeout=300)
+    assert got.returncode == 0, got.stderr[-2000:]
 
 
 @pytest.mark.parametrize("mangle", ["breach", "bad_state", "off_centre"])
@@ -497,6 +571,45 @@ def test_loader_builds_once_then_reuses_the_library(tmp_path, monkeypatch):
     assert list(cache.iterdir()) == built
 
 
+@needs_cc
+def test_loader_builds_again_when_the_source_changes(tmp_path, monkeypatch):
+    # the library is named by the CRC-32 of the source, so a one-byte edit
+    # builds a second library beside the first
+    cache = tmp_path / "cache"
+    assert contfrac._load_kernel(str(cache)) is not None
+    with open(contfrac._KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    [first] = cache.iterdir()
+    assert first.name == f"_cfwalk-{zlib.crc32(source):08x}.so"
+    edited = source.replace(b"Period length", b"period length", 1)
+    assert sum(x != y for x, y in zip(source, edited)) == 1
+    (tmp_path / "_cfwalk.c").write_bytes(edited)
+    monkeypatch.setattr(contfrac, "_KERNEL_SOURCE", str(tmp_path / "_cfwalk.c"))
+    kernel = contfrac._load_kernel(str(cache))
+    assert kernel is not None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [first.name, f"_cfwalk-{zlib.crc32(edited):08x}.so"])
+    assert _lengths_with(kernel) == _lengths_with(None)
+
+
+@needs_cc
+def test_kernel_loads_without_hashlib():
+    # a fresh process that runs the CLI's imports and loads the kernel
+    # imports no hashlib (about 2 ms)
+    script = ("import sys\n"
+              "if 'hashlib' in sys.modules: sys.exit(5)\n"
+              "import cfperiod.cli\n"
+              "from cfperiod import contfrac\n"
+              "assert contfrac._kernel() is not None\n"
+              "print('hashlib' in sys.modules)\n")
+    got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_child_env(), timeout=300)
+    if got.returncode == 5:
+        pytest.skip("the interpreter imports hashlib at start-up")
+    assert got.returncode == 0, got.stderr[-2000:]
+    assert got.stdout == "False\n"
+
+
 def _kernel_agrees_with_python_route(kernel, states):
     for P, Q, D in states:
         assert math.isqrt(D) < T_LIMIT
@@ -525,14 +638,13 @@ def test_kernel_builds_without_warnings(tmp_path):
 def test_kernel_has_no_undefined_behaviour_on_the_mirror_cases(tmp_path):
     # in a child process: a UBSan report aborts it, not the test run
     lib = _cc(tmp_path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
-    here = os.path.dirname(os.path.abspath(__file__))
     script = ("import test_contfrac as T\n"
               "from cfperiod import contfrac\n"
-              f"T._kernel_agrees_with_python_route(contfrac._bind({str(lib)!r}), T.KERNEL_CASES)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(contfrac.__file__)), here]))
+              f"kernel = contfrac._bind({str(lib)!r})\n"
+              "T._kernel_agrees_with_python_route(kernel, T.KERNEL_CASES)\n"
+              "T._kernel_steps_past_64_bit_q(kernel)\n")
     got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, timeout=600)
+                         env=_child_env(), timeout=600)
     assert got.returncode == 0, got.stderr[-2000:]
     assert "runtime error" not in got.stderr
 

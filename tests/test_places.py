@@ -342,12 +342,33 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
     for dps in (2, places.ROW_DPS):
         row_lo, row_hi = places._log_abs_real(x, embedding, dps)
         assert row_lo < lo and hi < row_hi
+    # and so the centre decided at ROW_DPS is the ARCH_DPS one
+    assert places.log_abs_centre(x, places.real_places(d)[embedding - 1]) == \
+        places.enclosure_centre(lo, hi)
     dps = 3 * places.ARCH_DPS
     with mpmath.workdps(dps):
         ref = quad_to_mpf(y, dps)
         assert lo < mpmath.log(abs(ref)) < hi
         for digits in (30, 60, 120):
             assert abs(to_mpf(y, digits) - ref) <= abs(ref) * mpmath.mpf(10) ** -digits
+
+
+@pytest.mark.parametrize("x, escalated", [(quad(1, 1, 2), 0), (quad(3, -2, 2), 0),
+                                          (quad(1, 0, 2), 1), (quad(-1, 0, 2), 1)])
+def test_log_abs_centre_escalates_only_ends_that_round_apart(monkeypatch, x, escalated):
+    # log|1| = 0 has ROW_DPS ends -1e-20 and 1e-20, two floats apart; the
+    # ends of log|1 + sqrt2| and of log|3 - 2 sqrt2| round to one float
+    calls = []
+
+    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
+        calls.append(dps)
+        return _real(x, v, dps)
+
+    monkeypatch.setattr(places, "log_abs", counted)
+    v = places.real_places(2)[0]
+    got = places.log_abs_centre(x, v)
+    assert calls == [places.ROW_DPS] + [places.ARCH_DPS] * escalated
+    assert got == places.enclosure_centre(*places._log_abs_real(x, 1))
 
 
 def _count_precision_contexts(monkeypatch) -> list[str]:
@@ -481,7 +502,6 @@ def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, v
         return _real(x, v, dps)
 
     monkeypatch.setattr(places, "log_abs", counted)
-    monkeypatch.setattr(cli, "log_abs", counted)
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"command": "growth", **spec}))
     assert cli.main(["growth", str(job)]) == 0

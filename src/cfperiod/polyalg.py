@@ -179,13 +179,11 @@ class _PolyBase:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = self._make([self._one()])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        result = self if e else self._make([self._one()])
+        for bit in bin(e)[3:]:  # the bits below the leading one, high to low
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __divmod__(self, other):
@@ -561,8 +559,8 @@ def factor_q(f: tuple[int, ...]) -> tuple:
     of degree >= 2.  Certified on every call: f must be a primitive form
     (content 1, positive leading coefficient), all integer factors multiply
     back to f exactly, and factors of degree <= 4 pass an independent
-    irreducibility re-check.  A pooled f is its own factorization,
-    certified when it entered the pool.
+    irreducibility re-check when they enter the pool, so once per scope.
+    A pooled f is its own factorization.
     """
     if not f or f[-1] <= 0 or math.gcd(*f) != 1:
         raise InternalInvariantError(f"factor_q of {list(f)}, not a primitive integer form")
@@ -600,7 +598,8 @@ def factor_q(f: tuple[int, ...]) -> tuple:
         raise InternalInvariantError(f"factor_q multiply-back failed for {list(f)}")
     found.sort(key=lambda gm: (len(gm[0]), tuple(Fraction(c, gm[0][-1]) for c in gm[0])))
     for g, _m in found:
-        _certify_irreducible_q(g)
+        if not pool or g not in pool:  # a pooled g was certified on entry
+            _certify_irreducible_q(g)
     if pool is not None:
         pool.update(dict.fromkeys(g for g, _m in found))
     return tuple(found)

@@ -54,10 +54,11 @@ class LinRec:
     the seeds', A_n = (X_n + Y_n sqrt(d)) / (L M^n) for n >= 0, and
     X_n + Y_n sqrt(d) = sum_i M^i (M c_(i+1)) (X_(n-1-i) + Y_(n-1-i) sqrt(d))
     has integer coefficients, so a stored term costs one gcd (none when
-    L M^n = 1).  Backward steps divide by c_k in the field.
+    L M^n = 1).  A_n for n < 0 is B_(k-1-n), a forward term of the reversed
+    sequence B_j = A_(k-1-j), whose coefficients are (-c_(k-1), ..., -c_1, 1)/c_k.
     """
 
-    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_lo", "_hi", "_ints")
+    __slots__ = ("d", "order", "coeffs", "initials", "_memo", "_hi", "_ints", "_back")
 
     def __init__(self, coeffs, initials, d: int):
         coeffs = tuple(self._coerce(c, d) for c in coeffs)
@@ -75,9 +76,9 @@ class LinRec:
         self.coeffs = coeffs
         self.initials = initials
         self._memo = {n: a for n, a in enumerate(initials)}
-        self._lo = 0
         self._hi = len(initials) - 1
         self._ints = None  # the forward integer state, built on the first step
+        self._back = None  # the reversed sequence, built on the first n < 0
 
     @staticmethod
     def _coerce(c, d: int) -> QuadElem:
@@ -106,7 +107,12 @@ class LinRec:
         return k - 1, steps, M, xs, ys, L * M ** (k - 1)
 
     def term(self, n: int) -> QuadElem:
-        memo, k, c = self._memo, self.order, self.coeffs
+        if n < 0:  # _back is set once (twice in a race, to equal sequences), never reset
+            if self._back is None:
+                c, inv = self.coeffs[-2::-1], self.coeffs[-1].inverse()
+                self._back = LinRec([-x * inv for x in c] + [inv], self.initials[::-1], self.d)
+            return self._back.term(self.order - 1 - n)
+        memo = self._memo
         if self._hi < n:
             # the state is one tuple, replaced whole: a thread that reads it
             # gets a window and the index it stands at
@@ -124,13 +130,6 @@ class LinRec:
             if n > top:
                 self._ints = n, steps, M, xs, ys, den
             self._hi = n
-        while self._lo > n:
-            m = self._lo - 1  # solve the recurrence at index m + k for A_m
-            acc = memo[m + k]
-            for i in range(k - 1):
-                acc = acc - c[i] * memo[m + k - 1 - i]
-            memo[m] = acc / c[k - 1]
-            self._lo = m
         return memo[n]
 
     def __repr__(self):

@@ -82,7 +82,9 @@ each f(n) factored into s^2 * k and walked as the element s * sqrt(k), where
 the CLI walks the surd sqrt(f(n)) and tests squares by an integer root.
 The reference terms, term_by_field_steps, step the recurrence in the field,
 one QuadElem multiply and add (each with its gcd) per coefficient and step,
-where LinRec.term steps integer pairs over one running denominator.  The
+and a division by c_k per backward step, where LinRec.term steps integer
+pairs over one running denominator, for n < 0 those of the reversed
+recurrence.  The
 reference growth rows, growth_rows_at_arch_dps, read every row off one
 log_abs at ARCH_DPS digits, where places.growth_rows reads it at ROW_DPS and
 computes it again at ARCH_DPS only when that leaves it undecided.

@@ -903,6 +903,28 @@ def test_growth_finite_place_golden(capsys, tmp_path, golden, spec):
     assert out == (GOLDEN / golden).read_text()
 
 
+NEGATIVE_GOLDENS = [
+    # the README job over n = -40..-1: denominators 7^|n|, 23 rows capped
+    ("periods_readme_negative.txt",
+     {"command": "periods", "d": 2, "coeffs": ["6", "-7"], "initials": ["1", ["3", "1"]],
+      "range": [-40, -1], "options": {}}, ["--step-cap", "250000"]),
+    ("growth_split7_sqrt2_negative.txt",
+     dict(FINITE_GOLDENS[0][1], range=[-400, -1]), []),
+    ("growth_fib_real2_negative.txt",
+     {"command": "growth", "d": 5, "coeffs": ["1", "1"], "initials": ["0", "1"],
+      "range": [-300, -20], "options": {"place": {"kind": "real", "embedding": 2}}}, []),
+]
+
+
+@pytest.mark.parametrize("golden, spec, extra", NEGATIVE_GOLDENS,
+                         ids=[golden for golden, _, _ in NEGATIVE_GOLDENS])
+def test_scan_goldens_over_negative_ranges(capsys, tmp_path, golden, spec, extra):
+    # every row reads a term A_n with n < 0, a forward term of the reversed recurrence
+    code, out, err = run(capsys, [spec["command"], write_job(tmp_path, "g.json", spec)] + extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("golden, spec, extra",
                          REAL_GOLDENS + [(g, spec, []) for g, spec in FINITE_GOLDENS])
 def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,

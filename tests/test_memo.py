@@ -341,8 +341,11 @@ def test_each_polynomial_fact_is_computed_once_per_classification(monkeypatch, r
     profiled = _computations(monkeypatch, "_profile_irreducible")
     factored_k = _computations(monkeypatch, "factor_k")
     factored_q = _computations(monkeypatch, "factor_q")
+    # an irreducible is certified when it enters the pool, not when a later
+    # factor_q call divides it out of its input
+    certified = _computations(monkeypatch, "_certify_irreducible_q")
     c = classify(r)
-    for seen in (profiled, factored_k, factored_q):
+    for seen in (profiled, factored_k, factored_q, certified):
         keys = [tuple((type(a), a) for a in args) for args in seen]
         assert len(keys) == len(set(keys))
     if c.verdict not in ("ClassA", "DegenerateInput"):

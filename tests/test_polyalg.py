@@ -96,6 +96,26 @@ def test_ring_axioms_random():
         assert (p - q) + q == p
 
 
+def test_power_forms_only_the_products_it_uses(monkeypatch):
+    # square and multiply from the top bit: f ** e squares once per bit below
+    # the leading one and multiplies once per set bit among them, with no
+    # product by the unit and no square after the last bit
+    f = KPoly([quad(1, 1, 2), 3, quad(0, -1, 2)], 2)
+    products, mul = [], KPoly.__mul__
+    monkeypatch.setattr(KPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for e, count in [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3), (13, 5)]:
+        products.clear()
+        got = f ** e
+        assert len(products) == count, e
+        want = KPoly([1], 2)
+        for _ in range(e):
+            want = mul(want, f)
+        assert got == want, e
+    assert f ** 0 == KPoly([1], 2) and f ** 1 == f
+    with pytest.raises(ValueError, match="negative"):
+        f ** -1
+
+
 def test_divmod_invariant():
     rng = random.Random(32)
     for _ in range(80):

@@ -1,6 +1,7 @@
 """Linear recurrences over Q(sqrt(d)) and their minimal characteristic data."""
 import math
 import random
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -70,11 +71,19 @@ def test_term_cache_is_thread_safe():
             if fresh.term(n) != expected[n]:
                 errors.append(n)
 
+    # eight threads, switched often: several of them may build the
+    # reversed sequence of the first n < 0, and each must read equal terms
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert errors == []
 
 
@@ -106,18 +115,20 @@ def recurrences_with_denominators(draw):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(recurrences_with_denominators(), st.lists(st.integers(-15, 80), min_size=1, max_size=4))
-@example((2, [quad(F(3, 2), 0, 2), quad(F(5, 2), 0, 2)], [1 + R2, F(5, 2) - R2]), [60, -15, 80])
-@example((5, [quad(1, 0, 5), quad(1, 0, 5)], [quad(0, 0, 5), quad(1, 0, 5)]), [60, -15, 80])
+@given(recurrences_with_denominators(), st.lists(st.integers(-300, 80), min_size=1, max_size=4))
+@example((2, [quad(F(3, 2), 0, 2), quad(F(5, 2), 0, 2)], [1 + R2, F(5, 2) - R2]), [-300, 60])
+@example((5, [quad(1, 0, 5), quad(1, 0, 5)], [quad(0, 0, 5), quad(1, 0, 5)]), [60, -300])
 def test_integer_steps_match_the_field_loop(case, calls):
     # the stored terms are the normal forms (A, B, m) of the QuadElem loop,
-    # whatever order the forward and backward calls come in
+    # forward and backward (the reversed recurrence's forward steps), down to
+    # n = -300 and whatever order the calls come in: backward calls run both
+    # before and after forward ones
     d, coeffs, initials = case
     r = LinRec(coeffs, initials, d)
-    for n in calls + [60, -15, 80]:
+    for n in [-40] + calls + [60, -15, 80, -300]:
         got, want = r.term(n), term_by_field_steps(r, n)
         assert (got.A, got.B, got.m) == (want.A, want.B, want.m), n
-    for n in range(-15, 81, 7):
+    for n in range(-300, 81, 19):
         got, want = r.term(n), term_by_field_steps(r, n)
         assert (got.A, got.B, got.m) == (want.A, want.B, want.m), n
 

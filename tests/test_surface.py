@@ -11,7 +11,7 @@ names that item lists as moved to tests/oracles.py must be defined there and
 no longer in src/cfperiod, so a second implementation does not come back;
 ``places.growth_rows`` keeps one call of log_abs at ARCH_DPS, the escalation
 of an undecided row, and the forward steps of ``LinRec.term`` read only its
-integer state.
+integer state and are its one stepping loop.
 Every name a module in src/cfperiod imports must also be read there, so a
 deletion does not leave its imports behind.  sympy and mpmath stay out of
 ``import cfperiod.cli``, both are imported inside function bodies only, and
@@ -117,7 +117,10 @@ def test_growth_rows_and_terms_keep_one_route_each():
     """growth_rows reads each row off log_abs at ROW_DPS and calls log_abs at
     ARCH_DPS (its default) in one place, the escalation of an undecided row;
     LinRec.term's forward steps read no QuadElem coefficient, only the
-    integer state, so the field loop lives in the oracles alone."""
+    integer state, so the field loop lives in the oracles alone.  LinRec.term
+    has no other stepping loop and LinRec no _lo slot: a term with n < 0 is a
+    forward term of the reversed recurrence, and the coefficients are read
+    only where it is built."""
     calls = [node for node in ast.walk(_function("places", "growth_rows"))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "log_abs"]
     row = [c for c in calls if len(c.args) == 3]
@@ -135,6 +138,21 @@ def test_growth_rows_and_terms_keep_one_route_each():
                   and getattr(node.value, "id", None) == "memo"]
     assert "_ints" in read and not read & {"coeffs", "initials"}
     assert "c" not in names and terms_read == []
+    cls = _function("recurrence", "LinRec")
+    assert "_lo" not in {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)}
+    assert "_lo" not in {node.value for node in ast.walk(cls) if isinstance(node, ast.Constant)}
+    assert not [node for node in ast.walk(term) if isinstance(node, ast.While)]
+    assert len([node for node in ast.walk(term) if isinstance(node, ast.For)]) == 2
+    build = next(node for node in ast.walk(term) if isinstance(node, ast.If)
+                 and getattr(node.test, "left", None) is not None
+                 and getattr(node.test.left, "attr", None) == "_back")
+    assert [node.func.id for node in ast.walk(build) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)] == ["LinRec"]
+
+    def coeffs_read(node):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                and sub.attr == "coeffs"]
+    assert coeffs_read(term) and coeffs_read(term) == coeffs_read(build)
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:

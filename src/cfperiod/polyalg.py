@@ -13,10 +13,12 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   already certified there is answered at once, and those irreducibles are
   divided out first; then the rational roots, found without factoring an
   integer, are divided out as linear factors to their full multiplicity;
-  sympy's factorer over Z sees only a cofactor of degree >= 2 with no
-  rational root.  Certified by refusing an input that is not a primitive
-  form, an exact multiply-back over Z and independent small-degree
-  irreducibility re-checks on integers.  Over K, too, by one route: the
+  a cofactor of degree >= 3 is split into squarefree parts (Yun), a
+  quadratic part decided by its discriminant and a quartic one split off
+  its resolvent; sympy's factorer over Z sees only the other parts.
+  Certified by refusing an input that is not a primitive form, an exact
+  multiply-back over Z and an independent irreducibility re-check on
+  integers of sympy's factors of degree <= 4.  Over K, too, by one route: the
   Q-factors of p (p rational) or of its norm p * conj(p) are split over K,
   by a gcd with p or each on its own (c2 x^2 + c1 x + c0 splits iff
   (c1^2 - 4 c0 c2) d is a square, an even degree >= 4 as the shifted copy
@@ -26,7 +28,8 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   degree budget is the classifier's;
 * one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
   certified by both cofactors multiplying back, behind the minimal
-  polynomials over Q and every squarefree test; Euclid runs over K only;
+  polynomials over Q, every squarefree test and factor_q's squarefree
+  parts; Euclid runs over K only;
 * unit-circle root profiles, exact throughout: on-circle roots through
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
@@ -368,7 +371,7 @@ class KPoly(_PolyBase):
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q (sympy-backed, certified here)
+# factorization over Q (on integers up to degree 4, then sympy; certified here)
 # ---------------------------------------------------------------------------
 
 def _zz_factor(ints: list[int]):
@@ -404,9 +407,41 @@ def _zz_gcd_certified(f, g) -> tuple[list[int], list[int], list[int]]:
     return h, cf, cg
 
 
+def _zz_derivative(f) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
 def _zz_squarefree_part(f) -> list[int]:
     """f / gcd(f, f') over Z for a nonconstant integer f, low-to-high."""
-    return _zz_gcd_certified(f, [i * c for i, c in enumerate(f)][1:])[1]
+    return _zz_gcd_certified(f, _zz_derivative(f))[1]
+
+
+def _zz_squarefree_parts(f) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive form f of degree >= 1:
+    [(a, i), ...] with f the product of the a^i, the parts a nonconstant
+    primitive forms, squarefree and pairwise coprime.  One certified gcd
+    per step: with y = gcd(f, f'), w = f / y and z = f' / y, a = gcd(w,
+    z - w') is the part of multiplicity i, and its cofactors are the next w
+    and z.  Not certified here: factor_q multiplies every factor back."""
+    _y, w, z = _zz_gcd_certified(f, _zz_derivative(f))
+    parts, i = [], 1
+    while len(w) > 1:
+        z = [a - b for a, b in itertools.zip_longest(z, _zz_derivative(w), fillvalue=0)]
+        if not any(z):  # w is the last part
+            parts.append((w, i))
+            break
+        a, w, z = _zz_gcd_certified(w, z)
+        if len(a) > 1:
+            parts.append((a, i))
+        i += 1
+    return parts
+
+
+def _primitive_form(f) -> tuple[int, ...]:
+    """The primitive form of a nonzero integer f (low-to-high, nonzero top
+    coefficient): f over its content, its top coefficient made positive."""
+    g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return tuple(c // g for c in f)
 
 
 def _zz_mul(a: list[int], b: list[int]) -> list[int]:
@@ -477,7 +512,7 @@ def _rational_roots(f) -> list[Fraction]:
     for tried, ell in enumerate(primes, 1):
         if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
             g = _zz_squarefree_part(g)  # still monic: gcd(g, g') is monic over Z
-        dg = [i * c for i, c in enumerate(g)][1:]
+        dg = _zz_derivative(g)
         mod_roots = [r for r in range(ell) if _zz_eval(g, r) % ell == 0]
         if all(_zz_eval(dg, r) % ell for r in mod_roots):
             break
@@ -504,42 +539,75 @@ def _monic_from_ints(f, d: int) -> KPoly:
     return KPoly([Fraction(c, f[-1]) for c in f], d)
 
 
+def _quadratic_split(f) -> list[tuple[tuple[int, ...], int]]:
+    """[(g, mult), ...] over Q of a primitive form f of degree 1, or of
+    degree 2, f = c2 x^2 + c1 x + c0, by its discriminant: irreducible unless
+    c1^2 - 4 c0 c2 = t^2, then the linear forms 2 c2 x + c1 -+ t (one,
+    squared, when t = 0)."""
+    if len(f) == 2:
+        return [(tuple(f), 1)]
+    c0, c1, c2 = f
+    disc = c1 * c1 - 4 * c0 * c2
+    if not _is_square(disc):
+        return [(tuple(f), 1)]
+    t = math.isqrt(disc)
+    if not t:
+        return [(_primitive_form((c1, 2 * c2)), 2)]
+    return [(_primitive_form((c1 - t, 2 * c2)), 1), (_primitive_form((c1 + t, 2 * c2)), 1)]
+
+
+def _quartic_split(f) -> tuple | None:
+    """Two primitive quadratic forms whose product is the integer quartic f
+    (low-to-high, positive leading coefficient), or None when f has no
+    quadratic factor over Q.
+
+    u = 4 a4 x + a3 depresses f over Z: 256 a4^3 f = u^4 + P u^2 + Q u + R,
+    monic over Z, so by Gauss it splits over Q iff it splits over Z as
+    (u^2 + s u + t1)(u^2 - s u + t2), with t1 + t2 = P + s^2,
+    s (t2 - t1) = Q and t1 t2 = R.  For Q = 0 that is s = 0 when
+    P^2 - 4R is a square (a biquadratic), or t1 = t2 = +-g with R = g^2
+    and s^2 = +-2g - P; otherwise z = s^2 is a positive root of the
+    resolvent cubic z^3 + 2P z^2 + (P^2 - 4R) z - Q^2, monic over Z, whose
+    rational roots are integers.  Each u-quadratic is read back in x and
+    made primitive.  Not certified here: the caller multiplies back.
+    """
+    a0, a1, a2, a3, a4 = f
+    P = 16 * a4 * a2 - 6 * a3 * a3
+    Q = 64 * a4 * a4 * a1 - 32 * a4 * a3 * a2 + 8 * a3 ** 3
+    R = 256 * a4 ** 3 * a0 - 64 * a4 * a4 * a3 * a1 + 16 * a4 * a3 * a3 * a2 - 3 * a3 ** 4
+    if Q == 0:
+        g = math.isqrt(max(R, 0))
+        if _is_square(P * P - 4 * R):
+            t = math.isqrt(P * P - 4 * R)
+            s, t1, t2 = 0, (P - t) // 2, (P + t) // 2
+        elif g * g == R and _is_square(2 * g - P):
+            s, t1, t2 = math.isqrt(2 * g - P), g, g
+        elif g * g == R and _is_square(-2 * g - P):
+            s, t1, t2 = math.isqrt(-2 * g - P), -g, -g
+        else:
+            return None
+    else:
+        z = next((z for z in _rational_roots([-Q * Q, P * P - 4 * R, 2 * P, 1])
+                  if z > 0 and _is_square(z.numerator)), None)
+        if z is None:
+            return None
+        s = math.isqrt(z.numerator)
+        t1, t2 = (P + s * s - Q // s) // 2, (P + s * s + Q // s) // 2
+    return tuple(_primitive_form((a3 * a3 + e * a3 + t, 4 * a4 * (2 * a3 + e), 16 * a4 * a4))
+                 for e, t in ((s, t1), (-s, t2)))
+
+
 def _certify_irreducible_q(f) -> None:
     """Independent irreducibility re-check of a primitive integer form f of
-    degree <= 4 (raises on failure), on integers throughout."""
+    degree <= 4 (raises on failure), on integers throughout: no rational
+    root, and for a quartic no split into quadratics (_quartic_split)."""
     deg = len(f) - 1
     if deg <= 1:
         return
     if _rational_roots(f):
         raise NotIrreducible(f"{list(f)} has a rational root")
-    if deg <= 3:
-        return
-    if deg == 4:
-        # u = 4 a4 x + a3 depresses f over Z: 256 a4^3 f = u^4 + P u^2 + Q u + R.
-        # With no rational root, f splits iff it splits into quadratics: for
-        # Q = 0 when P^2 - 4R is a square (a biquadratic) or R = g^2 with
-        # 2g - P or -2g - P a square, otherwise when the resolvent cubic
-        # z^3 + 2Pz^2 + (P^2 - 4R)z - Q^2 has a positive root that is a
-        # square.  Those are rational squares for the monic depressed
-        # quartic in y = u / (4 a4), whose P, Q and R are these over
-        # (4 a4)^2, (4 a4)^3 and (4 a4)^4; so each test here, scaled by an
-        # even power of 4 a4, asks for an integer square, and the resolvent,
-        # monic over Z, has integer roots only.
-        a0, a1, a2, a3, a4 = f
-        P = 16 * a4 * a2 - 6 * a3 * a3
-        Q = 64 * a4 * a4 * a1 - 32 * a4 * a3 * a2 + 8 * a3 ** 3
-        R = 256 * a4 ** 3 * a0 - 64 * a4 * a4 * a3 * a1 + 16 * a4 * a3 * a3 * a2 - 3 * a3 ** 4
-        if Q == 0:
-            if _is_square(P * P - 4 * R):
-                raise NotIrreducible(f"{list(f)} splits as a biquadratic")
-            g = math.isqrt(max(R, 0))
-            if g * g == R and (_is_square(2 * g - P) or _is_square(-2 * g - P)):
-                raise NotIrreducible(f"{list(f)} splits into quadratics")
-            return
-        for z0 in _rational_roots([-Q * Q, P * P - 4 * R, 2 * P, 1]):
-            if z0 > 0 and _is_square(z0.numerator):
-                raise NotIrreducible(f"{list(f)} splits into quadratics (resolvent root {z0})")
-        return
+    if deg == 4 and (pair := _quartic_split(f)) is not None:
+        raise NotIrreducible(f"{list(f)} splits into quadratics {[list(q) for q in pair]}")
     # degree >= 5: no independent certificate here (ROADMAP item 10)
 
 
@@ -549,18 +617,24 @@ def factor_q(f: tuple[int, ...]) -> tuple:
     ((g, mult), ...), each g an irreducible primitive integer form, sorted
     by degree and then by the coefficients of the monic g; () for f = (1,).
 
-    Three steps.  Inside a ``memo.scope()`` the irreducibles certified
+    Four steps.  Inside a ``memo.scope()`` the irreducibles certified
     earlier in the scope (the pool) are divided out first, exactly over Z;
     Gauss's lemma lets a pooled g divide only when lc(g) | lc and g(0) | the
     constant term, which skips most candidates without a division.  Then
     each rational root a/b of the cofactor (_rational_roots) is divided out
     as b x - a, exactly over Z and to its full multiplicity; a root that
-    does not divide raises.  sympy's factorer runs last, only on a cofactor
-    of degree >= 2.  Certified on every call: f must be a primitive form
-    (content 1, positive leading coefficient), all integer factors multiply
-    back to f exactly, and factors of degree <= 4 pass an independent
-    irreducibility re-check when they enter the pool, so once per scope.
-    A pooled f is its own factorization.
+    does not divide raises.  A cofactor of degree >= 3 is split into
+    squarefree parts (_zz_squarefree_parts), whose factors take the part's
+    multiplicity.  A quadratic part is decided by its discriminant (a
+    square one gives two linear forms, so a root the search missed is
+    still found), a quartic one by the quadratics _quartic_split reads off
+    it.  sympy's factorer gets the rest: squarefree parts with no rational
+    root that are cubics, quartics with no quadratic factor or of degree
+    >= 5.  Certified on every call: f must be a primitive form (content 1,
+    positive leading coefficient), all integer factors multiply back to f
+    exactly, and sympy's factors of degree <= 4 pass an independent
+    irreducibility re-check, once per scope as they enter the pool.  A
+    pooled f is its own factorization.
     """
     if not f or f[-1] <= 0 or math.gcd(*f) != 1:
         raise InternalInvariantError(f"factor_q of {list(f)}, not a primitive integer form")
@@ -586,20 +660,25 @@ def factor_q(f: tuple[int, ...]) -> tuple:
         if not mult:
             raise InternalInvariantError(f"rational root {root} does not divide {list(f)}")
         found.append((g, mult))
-    check = rest[:1]
-    if len(rest) > 2:
-        zz_unit, zz_factors = _zz_factor(rest[::-1])
-        check = [zz_unit]
-        found += [(tuple(g[::-1]), mult) for g, mult in zz_factors]
+    check, zz_found = [1], []
+    parts = _zz_squarefree_parts(rest) if len(rest) > 3 else [(rest, 1)] if len(rest) > 1 else []
+    for part, i in parts:
+        pair = _quartic_split(part) if len(part) == 5 else (part,)
+        if pair is not None and len(part) in (2, 3, 5):
+            found += [(g, i * m) for q in pair for g, m in _quadratic_split(q)]
+        else:  # a cubic, an irreducible quartic or a degree >= 5
+            zz_unit, zz_factors = _zz_factor(part[::-1])
+            check = [c * zz_unit for c in check]
+            zz_found += [tuple(g[::-1]) for g, _m in zz_factors]
+            found += [(tuple(g[::-1]), i * m) for g, m in zz_factors]
     for g, mult in found:
         for _ in range(mult):
             check = _zz_mul(check, g)
     if tuple(check) != f:
         raise InternalInvariantError(f"factor_q multiply-back failed for {list(f)}")
     found.sort(key=lambda gm: (len(gm[0]), tuple(Fraction(c, gm[0][-1]) for c in gm[0])))
-    for g, _m in found:
-        if not pool or g not in pool:  # a pooled g was certified on entry
-            _certify_irreducible_q(g)
+    for g in zz_found:  # the other factors are irreducible by construction
+        _certify_irreducible_q(g)
     if pool is not None:
         pool.update(dict.fromkeys(g for g, _m in found))
     return tuple(found)
@@ -1024,8 +1103,7 @@ def _zz_unscaled(sums: list[int], end: int, scale: int) -> list[int]:
     for c in big:
         out.append(c * power)
         power *= scale
-    h = math.gcd(*out)
-    return [c // h for c in out] if out[-1] > 0 else [-c // h for c in out]
+    return list(_primitive_form(out))
 
 
 def _zz_ratio_poly(f, g) -> list[int]:
@@ -1097,8 +1175,7 @@ def _over_q(p: KPoly) -> tuple[int, ...]:
         raise ValueError("primitive form of zero polynomial")
     den = math.lcm(*(c.m for c in p.coeffs))
     ints = [c.A * (den // c.m) for c in p.coeffs]
-    g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
-    form = tuple(c // g for c in ints)
+    form = _primitive_form(ints)
     lc, top = p.lc, form[-1]  # c = lc.A * f / (lc.m * top), cross-multiplied
     if any(c.A * lc.m * top != lc.A * c.m * f for c, f in zip(p.coeffs, form)):
         raise InternalInvariantError(f"content scale-back failed for {p}")

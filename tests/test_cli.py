@@ -1082,6 +1082,30 @@ def test_classify_job_golden(capsys, tmp_path):
         "every A_n is rational\n")
 
 
+def _no_zassenhaus(ints):
+    raise AssertionError(f"sympy's factorer called on {ints}")
+
+
+@pytest.mark.parametrize("command, spec, golden", [
+    *[("growth", spec, (GOLDEN / golden).read_text())
+      for golden, spec in [REAL_GOLDENS[0][:2], FINITE_GOLDENS[1]]],
+    *[("classify", {"command": "classify", "d": d, "coeffs": coeffs, "initials": initials},
+       (GOLDEN / "classify_curated.txt").read_text().split(f"== {name} ==\n")[1]
+       .split("\n\n")[0] + "\n")
+      for name, d, coeffs, initials in [
+          ("fibonacci", 5, ["1", "1"], ["0", "1"]),
+          ("(1+sqrt2)^n", 2, ["2", "1"], ["1", ["1", "1"]])]],
+], ids=["growth_fib_real1", "growth_2adic_sqrt17", "classify_fibonacci",
+        "classify_(1+sqrt2)^n"])
+def test_order_two_jobs_reach_no_zassenhaus(capsys, tmp_path, monkeypatch,
+                                           command, spec, golden):
+    # ROADMAP item 3's gate: the pool of an order-2 job is a quadratic or the
+    # quartic N = P_A * conj(P_A), both decided on integers, so a run whose
+    # sympy factorer raises prints the golden output byte for byte
+    monkeypatch.setattr(polyalg, "_zz_factor", _no_zassenhaus)
+    assert run(capsys, [command, write_job(tmp_path, "j.json", spec)]) == (0, golden, "")
+
+
 @pytest.mark.parametrize("e", [17, 20])
 def test_classify_near_the_unit_circle(capsys, tmp_path, e):
     # A_n = -A_(n-1) - c A_(n-2), c = 1 + 10^-e: both roots of x^2 + x + c lie

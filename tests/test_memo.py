@@ -228,7 +228,8 @@ def test_a_new_scope_starts_with_an_empty_pool(monkeypatch):
         assert memo.pool() == {}
         # x^2 - 2 is not pooled here: sympy sees the whole quintic
         factor_q_monic(RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1]))
-    assert [len(f) - 1 for f in inputs] == [2, 5]
+    # a quadratic is decided by its discriminant, with no sympy call
+    assert [len(f) - 1 for f in inputs] == [5]
 
 
 @pytest.mark.parametrize("c", [1, 3, Fraction(-1, 2)])
@@ -265,23 +266,23 @@ def _order6_sqrt2():
 
 
 # The degree of each polynomial sympy factors in a curated classification.
-# Rational roots are divided out before sympy, so a member whose pool
-# N = P_A * conj(P_A) has only linear factors sends it nothing, and one with
-# a quadratic factor sends that quadratic once.
+# Rational roots are divided out before sympy, and a quadratic is decided by
+# its discriminant, so a member whose pool N = P_A * conj(P_A) has only
+# linear and quadratic factors sends it nothing.
 ZZ_FACTOR_DEGREES = {
-    "fibonacci": [2],
+    "fibonacci": [],
     "n+sqrt5": [],
-    "(1+sqrt2)^n": [2],
-    "(3+sqrt2)^n": [2],
+    "(1+sqrt2)^n": [],
+    "(3+sqrt2)^n": [],
     "sqrt5*2^n": [],
     "n^2*sqrt5": [],
     "(-1)^n*(2+sqrt2)": [],
     "(5/2)^n+(-1)^n*sqrt2": [],
-    "sqrt2*osc_n": [2],
-    "((1+sqrt2)/8)^n": [2],
-    "(2+sqrt2)^n": [2],
-    "(1+sqrt2)^n+(3/2)^n": [2],
-    "(2+sqrt3)^n+(2/3)^n": [2],
+    "sqrt2*osc_n": [],
+    "((1+sqrt2)/8)^n": [],
+    "(2+sqrt2)^n": [],
+    "(1+sqrt2)^n+(3/2)^n": [],
+    "(2+sqrt3)^n+(2/3)^n": [],
 }
 
 
@@ -289,8 +290,9 @@ ZZ_FACTOR_DEGREES = {
     *[pytest.param(r, ZZ_FACTOR_DEGREES[name], id=name) for name, r, verdict, _s in members()
       if verdict != "DegenerateInput"],
     # P_D and P_S are products of the pool N's factors; the roots 3 and 1/2
-    # are divided out before sympy, which sees the quadratic x^2 - 2x - 1
-    pytest.param(_order4_b1(), [2], id="order4-B.1"),
+    # are divided out, and the quadratic x^2 - 2x - 1 is decided by its
+    # discriminant
+    pytest.param(_order4_b1(), [], id="order4-B.1"),
     # N once; P_D = N splits over K through the norm of a shifted copy, the
     # one polynomial whose factors are not in the pool
     pytest.param(_order6_sqrt2(), [12, 24], id="order6-sqrt2"),

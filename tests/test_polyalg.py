@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import polyalg
+from cfperiod import memo, polyalg
 from cfperiod.errors import InternalInvariantError, NotIrreducible, PreconditionViolated
 from cfperiod.polyalg import (
     KPoly,
@@ -351,17 +351,21 @@ def test_factor_q_certifies_the_integer_route(monkeypatch):
         m.setattr(math, "lcm", lambda *dens: lcm(*dens) // 2)
         with pytest.raises(InternalInvariantError, match="scale-back"):
             polyalg._over_q(lifted)
-    # p's rational roots never reach sympy; (x^2 - 2)(x^2 - 3) has none, so
-    # sympy factors it whole, and a wrong answer must not pass
-    q = RatPoly([6, 0, -5, 0, 1])
+    # p's rational roots never reach sympy; (x^2 - 2)(x^3 - x - 1) has none
+    # and is squarefree of degree 5, so sympy factors it whole, and a wrong
+    # answer must not pass
+    q = RatPoly([-2, 0, 1]) * RatPoly([-1, -1, 0, 1])
     with monkeypatch.context() as m:  # factors that do not multiply back
         m.setattr(polyalg, "_zz_factor", lambda ints: (1, [([1, 0, -2], 1), ([1, 0, -2], 1)]))
         with pytest.raises(InternalInvariantError, match="multiply-back"):
             factor_q_monic(q)
-    with monkeypatch.context() as m:  # a reducible quartic returned whole
-        m.setattr(polyalg, "_zz_factor", lambda ints: (1, [(ints, 1)]))
+    # (x^2 - 2)(x^2 - 3)(x^2 - 5) has degree 6, so sympy gets it too
+    r = RatPoly([6, 0, -5, 0, 1]) * RatPoly([-5, 0, 1])
+    with monkeypatch.context() as m:  # a reducible quartic returned as a factor
+        m.setattr(polyalg, "_zz_factor",
+                  lambda ints: (1, [([1, 0, -5, 0, 6], 1), ([1, 0, -5], 1)]))
         with pytest.raises(NotIrreducible):
-            factor_q_monic(q)
+            factor_q_monic(r)
 
 
 def test_factor_q_takes_and_returns_primitive_forms():
@@ -418,6 +422,104 @@ def test_factor_q_checks_the_rational_roots(monkeypatch):
 def _primitive(f) -> tuple[int, ...]:
     g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
     return tuple(c // g for c in f)
+
+
+@st.composite
+def quadratic_products(draw):
+    """(f, pieces): a primitive integer form f, the product of its pieces,
+    each a primitive form (x -> k x + t substituted into some) raised to a
+    multiplicity of 1 to 3.  The pieces are quadratics with square and
+    non-square discriminants, x^4 + 4 shapes, biquadratics, cubics and
+    quintics, with coefficients of 1 or 30 digits; several quadratics make
+    q^2, q1 q2^2 and q1 q2 q3."""
+    coeff = draw(st.sampled_from([st.integers(-9, 9), st.integers(-10**30, 10**30)]))
+    lead = coeff.filter(lambda c: c > 0)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["quadratic", "quadratic", "split", "x^4+4", "biquadratic",
+                                     "cubic", "quintic"]))
+        if kind == "quadratic":
+            g = [draw(coeff), draw(coeff), draw(lead)]
+        elif kind == "split":  # a square discriminant: two linear factors
+            g = polyalg._zz_mul([draw(coeff), draw(lead)], [draw(coeff), draw(lead)])
+        elif kind == "x^4+4":  # (x^2 + 2bx + 2b^2)(x^2 - 2bx + 2b^2)
+            b = draw(coeff.filter(bool))
+            g = _substituted([4 * b ** 4, 0, 0, 0, 1], draw(st.sampled_from([1, 2, -3])),
+                             draw(st.integers(-3, 3)))
+        elif kind == "biquadratic":
+            g = [draw(coeff), 0, draw(coeff), 0, draw(lead)]
+        else:
+            g = [draw(coeff) for _ in range(3 if kind == "cubic" else 5)] + [draw(lead)]
+        assume(any(g[:-1]))
+        pieces.append((_primitive(g), draw(st.integers(1, 3))))
+    f = [1]
+    for g, m in pieces:
+        for _ in range(m):
+            f = polyalg._zz_mul(f, list(g))
+    return _primitive(f), pieces
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(quadratic_products())
+@example(((4, 0, 0, 0, 1), [((4, 0, 0, 0, 1), 1)]))                # x^4 + 4
+@example((_primitive(polyalg._zz_mul([-2, 0, 1], [-3, 0, 1])),     # (x^2 - 2)(x^2 - 3)
+          [((-2, 0, 1), 1), ((-3, 0, 1), 1)]))
+@example((_primitive(polyalg._zz_mul([-2, 0, 1], polyalg._zz_mul([1, 1, 1], [1, 1, 1]))),
+          [((-2, 0, 1), 1), ((1, 1, 1), 2)]))                       # q1 q2^2
+def test_factor_q_matches_sympy_on_products_of_quadratics(case):
+    f, pieces = case
+    p = RatPoly(list(f))
+    zz_factor, inputs = polyalg._zz_factor, []
+
+    def recording(ints):
+        inputs.append(ints)
+        return zz_factor(ints)
+
+    expected = factor_q_qq(p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyalg, "_zz_factor", recording)
+        assert factor_q_monic(p) == expected
+        quadratics = {g for g, _m in pieces if len(g) == 3}
+        if len(quadratics) <= 2 and len(quadratics) == len(pieces):
+            assert inputs == []  # at most two distinct quadratics: no Zassenhaus call
+        with memo.scope():  # the same with a piece pooled first
+            polyalg.factor_q(pieces[0][0])
+            assert factor_q_monic(p) == expected
+
+
+def _factored_by_sympy(ints):
+    raise AssertionError(f"sympy's factorer called on {ints}")
+
+
+@pytest.mark.parametrize("p", [
+    RatPoly([-1, 2]) * RatPoly([3, 1]),                   # (2x - 1)(x + 3)
+    RatPoly([-1, 3]) ** 2,                                # (3x - 1)^2: discriminant 0
+    RatPoly([-1, 0, 1]) * RatPoly([-2, 0, 1]),            # a biquadratic quartic part
+    RatPoly([-1, 1]) ** 2 * RatPoly([5, 1]) ** 2 * RatPoly([1, 1, 1]) ** 3,
+], ids=["quadratic", "square", "quartic", "parts"])
+def test_roots_the_search_misses_are_found_by_the_discriminant(monkeypatch, p):
+    # with no rational root found, every linear factor is read off a square
+    # discriminant, and sympy is not called (a quartic part here has Q = 0:
+    # the resolvent cubic's roots come from the same root search)
+    monkeypatch.setattr(polyalg, "_rational_roots", lambda f: [])
+    monkeypatch.setattr(polyalg, "_zz_factor", _factored_by_sympy)
+    assert factor_q_monic(p) == factor_q_qq(p)
+
+
+def test_a_wrong_quartic_split_is_refused(monkeypatch):
+    q = RatPoly([-2, 0, 1]) * RatPoly([-3, 0, 1])  # (x^2 - 2)(x^2 - 3), no sympy call
+    monkeypatch.setattr(polyalg, "_quartic_split", lambda f: ((-2, 0, 1), (-2, 0, 1)))
+    with pytest.raises(InternalInvariantError, match="multiply-back"):
+        factor_q_monic(q)
+
+
+def test_wrong_squarefree_multiplicities_are_refused(monkeypatch):
+    q = RatPoly([-2, 0, 1]) * RatPoly([1, 1, 1]) ** 2  # q1 q2^2, no sympy call
+    parts = polyalg._zz_squarefree_parts
+    monkeypatch.setattr(polyalg, "_zz_squarefree_parts",
+                        lambda f: [(a, i % 2 + 1) for a, i in parts(f)])
+    with pytest.raises(InternalInvariantError, match="multiply-back"):
+        factor_q_monic(q)
 
 
 def _substituted(f, k: int, t: int) -> list[int]:

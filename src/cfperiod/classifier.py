@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 from . import memo
 from .errors import DegreeTooLarge, InternalInvariantError
+from .kpoly import KPoly
 from .polyalg import (
     CircleProfile,
-    KPoly,
     _monic_from_ints,
     _over_q,
     _profile_irreducible,

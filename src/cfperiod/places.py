@@ -49,8 +49,10 @@ from .errors import (
     PreconditionViolated,
     ZeroInput,
 )
+from .kpoly import KPoly
 from .memo import memoized
-from .polyalg import KPoly, circle_profile, factor_k, witness_orders
+from .modp import sqrt_mod
+from .polyalg import circle_profile, factor_k, witness_orders
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
@@ -101,10 +103,8 @@ def places_above(p: int, d: int) -> list[Place]:
     ls = pow(d % p, (p - 1) // 2, p)
     if ls == p - 1:
         return [Place(d, "finite", p=p, splitting="inert", f=2)]
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    return [Place(d, "finite", p=p, splitting="split", branch=int(t), f=1)
-            for t in sorted(sqrt_mod(d % p, p, all_roots=True))]
+    t = sqrt_mod(d, p)
+    return [Place(d, "finite", p=p, splitting="split", branch=b, f=1) for b in sorted((t, p - t))]
 
 
 def _vp_int(n: int, p: int) -> int:

@@ -2,6 +2,9 @@
 
 Dense coefficient lists, low degree, everything exact.  Highlights:
 
+* one form over K: KPoly (``kpoly``) keeps integer coordinates, and its
+  products, divisions and gcds run on the ints; the gcd over K is modular.
+  _over_q, _zz_sqrt_d_form and the Z[sqrt(d)] power sums read the ints;
 * one form over Q: a polynomial over Q passes between functions as its
   primitive integer form, a low-to-high tuple of ints with content 1 and a
   positive leading coefficient, and KPoly is the one polynomial class.
@@ -29,7 +32,7 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
 * one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
   certified by both cofactors multiplying back, behind the minimal
   polynomials over Q, every squarefree test and factor_q's squarefree
-  parts; Euclid runs over K only;
+  parts;
 * unit-circle root profiles, exact throughout: on-circle roots through
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
@@ -81,293 +84,9 @@ from .errors import (
     PreconditionViolated,
 )
 from . import memo
+from .kpoly import KPoly, _kpoly, _make, _sign_of, _zz_mul
 from .memo import memoized
 from .qfield import QuadElem
-
-
-def _sign_of(c) -> int:
-    if isinstance(c, QuadElem):
-        return c.sign()
-    return (c > 0) - (c < 0)
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials
-# ---------------------------------------------------------------------------
-
-class _PolyBase:
-    """Shared exact algorithms; subclasses fix the coefficient field."""
-
-    __slots__ = ("coeffs",)
-
-    # subclasses: _zero(), _one(), _try_coeff(c) (c as a coefficient, or None
-    # when c is not one), _make(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self):
-        if self.is_zero:
-            raise ValueError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
-
-    def constant_term(self):
-        return self.coeffs[0] if self.coeffs else self._zero()
-
-    @staticmethod
-    def _strip(coeffs: list) -> tuple:
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def _same(self, other):
-        if isinstance(other, type(self)):
-            return other
-        c = self._try_coeff(other)
-        if c is None:
-            return None
-        return self._make([c] if c else [])
-
-    def __add__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = self._zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        for i, c in enumerate(o.coeffs):
-            a[i] = a[i] + c
-        return self._make(a)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._make([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
-            return self._make([])
-        z = self._zero()
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return self._make(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = self if e else self._make([self._one()])
-        for bit in bin(e)[3:]:  # the bits below the leading one, high to low
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
-
-    def __divmod__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            from .errors import DivisionByZero
-            raise DivisionByZero("polynomial division by zero")
-        if self.degree < o.degree:
-            return self._make([]), self
-        rem = list(self.coeffs)
-        quo = [self._zero()] * (len(rem) - len(o.coeffs) + 1)
-        inv_lc = self._one() / o.lc
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + o.degree] * inv_lc
-            if c:
-                quo[k] = c
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return self._make(quo), self._make(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise InternalInvariantError(f"exact division had remainder {r}")
-        return q
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        if self.lc == self._one():
-            return self
-        inv = self._one() / self.lc
-        return self._make([c * inv for c in self.coeffs])
-
-    def scale(self, s):
-        c = self._try_coeff(s)
-        return self._make([a * c for a in self.coeffs])
-
-    def derivative(self):
-        return self._make([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, x):
-        acc = self._zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def compose(self, other):
-        o = self._same(other)
-        acc = self._make([])
-        for c in reversed(self.coeffs):
-            acc = acc * o + self._make([c] if c else [])
-        return acc
-
-    def reverse(self):
-        """x^deg * p(1/x); trailing zero coefficients of p drop out."""
-        return self._make(list(reversed(self.coeffs)))
-
-    def _coerce(self, c):
-        v = self._try_coeff(c)
-        if v is None:
-            raise TypeError(f"cannot coerce {c!r} into {type(self).__name__} coefficient")
-        return v
-
-    def sturm_count(self, lo, hi) -> int:
-        """Number of distinct real roots in (lo, hi]; needs squarefree self."""
-        chain = [self, self.derivative()]
-        while chain[-1].degree > 0:
-            r = chain[-2] % chain[-1]
-            if r.is_zero:
-                break
-            chain.append(-r)
-
-        def variations(x):
-            signs = [_sign_of(p.eval(x)) for p in chain]
-            signs = [s for s in signs if s != 0]
-            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-        return variations(lo) - variations(hi)
-
-    def __eq__(self, other):
-        o = self._same(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _format(self, var="x") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            else:
-                xs = var if i == 1 else f"{var}^{i}"
-                cs = "" if c == self._one() else f"({c})*"
-                parts.append(f"{cs}{xs}")
-        return " + ".join(parts)
-
-    def __str__(self):
-        return self._format()
-
-
-class KPoly(_PolyBase):
-    """Dense polynomial with QuadElem coefficients over a fixed Q(sqrt(d))."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, coeffs, d: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs",
-                           self._strip([self._coerce(c) for c in coeffs]))
-
-    def __setattr__(self, *a):
-        raise AttributeError("KPoly is immutable")
-
-    def _zero(self) -> QuadElem:
-        return QuadElem(0, 0, self.d)
-
-    def _one(self) -> QuadElem:
-        return QuadElem(1, 0, self.d)
-
-    def _try_coeff(self, c):
-        if isinstance(c, QuadElem):
-            if c.d != self.d:
-                from .errors import MixedFieldError
-                raise MixedFieldError(f"coefficient field d={c.d}, polynomial d={self.d}")
-            return c
-        if isinstance(c, (int, Fraction)):
-            return QuadElem(c, 0, self.d)
-        return None
-
-    def _same(self, other):
-        if isinstance(other, KPoly):
-            if other.d != self.d:
-                from .errors import MixedFieldError
-                raise MixedFieldError(f"mixed polynomial fields d={self.d}, d={other.d}")
-            return other
-        c = self._try_coeff(other)
-        if c is None:
-            return None
-        return self._make([c] if c else [])
-
-    def _make(self, coeffs) -> "KPoly":
-        p = KPoly.__new__(KPoly)
-        object.__setattr__(p, "d", self.d)
-        object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
-        return p
-
-    def gcd(self, other) -> "KPoly":
-        """Monic gcd over K by Euclid (over Q every gcd is _zz_gcd_certified)."""
-        a, b = self, self._same(other)
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
-
-    def conj(self) -> "KPoly":
-        return self._make([c.conj() for c in self.coeffs])
-
-    def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
-
-    def __repr__(self):
-        return f"KPoly({self._format()}; d={self.d})"
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +161,6 @@ def _primitive_form(f) -> tuple[int, ...]:
     coefficient): f over its content, its top coefficient made positive."""
     g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
     return tuple(c // g for c in f)
-
-
-def _zz_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _zz_exact_div(f, g) -> list[int] | None:
@@ -536,7 +247,7 @@ def _monic_from_ints(f, d: int) -> KPoly:
     """The monic rational KPoly over Q(sqrt(d)) of an integer form f
     (low-to-high): the one way from a form over Q back to field
     coefficients, taken where field arithmetic or a report needs them."""
-    return KPoly([Fraction(c, f[-1]) for c in f], d)
+    return _kpoly(list(f), [0] * len(f), f[-1], d)
 
 
 def _quadratic_split(f) -> list[tuple[tuple[int, ...], int]]:
@@ -763,7 +474,8 @@ def factor_k(p: KPoly) -> tuple:
                 rest, mult = quo_rem[0], mult + 1
             if mult:
                 items.append((g, mult))
-    items.sort(key=lambda fm: (fm[0].degree, tuple((c.a, c.b) for c in fm[0].coeffs)))
+    items.sort(key=lambda fm: (fm[0].degree, tuple((Fraction(a, fm[0].m), Fraction(b, fm[0].m))
+                                                   for a, b in zip(fm[0].A, fm[0].B))))
     check = KPoly([p.lc], p.d)
     for f, m in items:
         check = check * f ** m
@@ -806,14 +518,13 @@ def _self_reciprocal(pi) -> bool:
 
 def _chebyshev_like_transform(pi):
     """g with pi(x) = x^(deg/2) * g(x + 1/x); pi palindromic of even degree."""
-    m = pi.degree
-    h = m // 2
+    h, d = pi.degree // 2, pi.d
     coeffs = pi.coeffs
     # V_k(y) represents x^k + x^-k:  V_0 = 2, V_1 = y, V_k = y V_{k-1} - V_{k-2}
-    y = pi._make([pi._zero(), pi._one()])
-    v_prev = pi._make([pi._one() + pi._one()])
+    y = KPoly([0, 1], d)
+    v_prev = KPoly([2], d)
     v_cur = y
-    g = pi._make([coeffs[h]])
+    g = KPoly([coeffs[h]], d)
     for k in range(1, h + 1):
         g = g + v_cur.scale(coeffs[h + k])
         v_prev, v_cur = v_cur, y * v_cur - v_prev
@@ -1061,7 +772,7 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
 
 def _power_sums(c, count: int) -> list:
     """[s_1, ..., s_count], s_k the k-th power sum of the roots of the monic
-    polynomial with coefficients c (low-to-high; ints or QuadElems), by
+    polynomial with coefficients c (low-to-high; ints, or any ring), by
     Newton's identities s_k = -(k c_k + c_1 s_(k-1) + ... + c_(k-1) s_1),
     c_j the coefficient of x^(n-j) and c_k = 0 past n.  They need no
     division, so a monic integer polynomial, whose roots are algebraic
@@ -1073,6 +784,31 @@ def _power_sums(c, count: int) -> list:
         acc = sum(map(operator.mul, c[1:min(k, n + 1)], reversed(sums)))
         sums.append(-(acc + (k * c[k] if k <= n else 0)))
     return sums
+
+
+def _sqrt_d_power_sums(f, d: int, count: int) -> tuple[list[int], list[int]]:
+    """_power_sums over Z[sqrt(d)] on integer coordinates: f = (A, B) is the
+    monic A + B sqrt(d) (low-to-high), and the k-th power sum of its roots is
+    SA[k-1] + SB[k-1] sqrt(d)."""
+    A, B = f[0][::-1], f[1][::-1]
+    n, SA, SB = len(A) - 1, [], []
+    for k in range(1, count + 1):
+        acc_a, acc_b = (k * A[k], k * B[k]) if k <= n else (0, 0)
+        for j in range(1, min(k, n + 1)):
+            a, b, x, y = A[j], B[j], SA[k - 1 - j], SB[k - 1 - j]
+            acc_a += a * x + d * b * y
+            acc_b += a * y + b * x
+        SA.append(-acc_a)
+        SB.append(-acc_b)
+    return SA, SB
+
+
+def _sqrt_d_monic_scaled(f) -> tuple[list[int], list[int]]:
+    """_zz_monic_scaled over Z[sqrt(d)]: f = (A, B), of degree n >= 1 with
+    the leading coefficient lc = A[-1] an int, becomes lc^(n-1) f(y/lc)."""
+    A, B = f
+    n, lc = len(A) - 1, A[-1]
+    return _zz_monic_scaled(A), [c * lc ** (n - 1 - i) for i, c in enumerate(B[:-1])] + [0]
 
 
 def _zz_from_power_sums(sums: list[int]) -> list[int]:
@@ -1106,14 +842,15 @@ def _zz_unscaled(sums: list[int], end: int, scale: int) -> list[int]:
     return list(_primitive_form(out))
 
 
-def _zz_ratio_poly(f, g) -> list[int]:
+def _zz_ratio_poly(f, g, d: int = 0) -> list[int]:
     """The primitive integer form (low-to-high) of the polynomial r whose
     roots are the ratios alpha/beta, alpha a root of f and beta one of g
     (g(0) != 0), with multiplicity; of r * conj(r) when r is irrational.
 
-    f and g lie over Z, or over Z[sqrt(d)] (_zz_sqrt_d_form), with lc(f) = a
-    and g(0) = c ints.  The monic forms F and G of a*alpha and c/beta
-    (_zz_monic_scaled of f and of g reversed) have power sums over the same
+    f and g lie over Z (d = 0), or over Z[sqrt(d)] as pairs (A, B) of
+    integer lists (_zz_sqrt_d_form), with lc(f) = a and g(0) = c ints.
+    The monic forms F and G of a*alpha and c/beta (_zz_monic_scaled of f
+    and of g reversed) have power sums over the same
     ring, whose products are those of the N = deg f * deg g algebraic
     integers a*c*alpha/beta.  Rational products are integers, and Newton's
     identities over Z give the monic R of those roots, R(a*c*x) being r up
@@ -1121,19 +858,32 @@ def _zz_ratio_poly(f, g) -> list[int]:
     R * conj(R), taken in its place.  Certified: R(0) = (-1)^N *
     F(0)^deg g * G(0)^deg f, or its norm for R * conj(R).
     """
-    n, m = len(f) - 1, len(g) - 1
-    fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
-    count, end = n * m, (-1) ** (n * m) * fs[0] ** m * gs[0] ** n
-    if isinstance(end, int):
+    if not d:
+        n, m = len(f) - 1, len(g) - 1
+        fs, gs = _zz_monic_scaled(f), _zz_monic_scaled(g[::-1])
+        count, end = n * m, (-1) ** (n * m) * fs[0] ** m * gs[0] ** n
         sums = list(map(operator.mul, _power_sums(fs, count), _power_sums(gs, count)))
-    else:  # a pair over K: the products lie in Z[sqrt(d)]
-        sums = list(map(operator.mul, _power_sums(fs, 2 * count), _power_sums(gs, 2 * count)))
-        if all(s.is_rational() for s in sums[:count]):
-            sums = [int(s.a) for s in sums[:count]]
-        else:
-            count, end = 2 * count, end.norm()
-            sums = [int(s.trace()) for s in sums]
-    return _zz_unscaled(sums, end, f[-1] * g[0])
+        return _zz_unscaled(sums, end, f[-1] * g[0])
+    # a pair over K: the products lie in Z[sqrt(d)]
+    n, m = len(f[0]) - 1, len(g[0]) - 1
+    fs, gs = _sqrt_d_monic_scaled(f), _sqrt_d_monic_scaled((g[0][::-1], g[1][::-1]))
+    count = n * m
+    (fa, fb), (ga, gb) = (_sqrt_d_power_sums(fs, d, 2 * count),
+                          _sqrt_d_power_sums(gs, d, 2 * count))
+    sa = [x * u + d * y * v for x, y, u, v in zip(fa, fb, ga, gb)]
+    sb = [x * v + y * u for x, y, u, v in zip(fa, fb, ga, gb)]
+    ea, eb = (-1) ** count, 0  # (-1)^N F(0)^deg g G(0)^deg f
+    for (x, y), k in (((fs[0][0], fs[1][0]), m), ((gs[0][0], gs[1][0]), n)):
+        for _ in range(k):
+            ea, eb = ea * x + d * eb * y, ea * y + eb * x
+    if not any(sb[:count]):
+        if eb:
+            raise InternalInvariantError("power-sum polynomial is rational, its constant term not")
+        sums, end = sa[:count], ea
+    else:
+        count, end = 2 * count, ea * ea - d * eb * eb
+        sums = [2 * x for x in sa]
+    return _zz_unscaled(sums, end, f[0][-1] * g[0][0])
 
 
 def _zz_power_poly(f, k: int) -> list[int]:
@@ -1152,20 +902,19 @@ def _zz_power_poly(f, k: int) -> list[int]:
     return _zz_unscaled(sums, (-1) ** n * ((-1) ** n * fs[0]) ** k, f[-1] ** k)
 
 
-def _zz_sqrt_d_form(p: KPoly) -> list:
+def _zz_sqrt_d_form(p: KPoly) -> tuple[list[int], list[int]]:
     """p scaled to the least multiple with coefficients in Z[sqrt(d)] whose
-    leading coefficient is a positive int, low-to-high: the QuadElems below
-    have integer coordinates, and the roots are p's."""
+    leading coefficient is a positive int: the numerator (A, B) of monic p,
+    low-to-high, whose top is (m, 0); the roots are p's."""
     monic = p.monic()
-    den = math.lcm(*(c.m for c in monic.coeffs))
-    return [c * den for c in monic.coeffs[:-1]] + [den]
+    return list(monic.A), list(monic.B)
 
 
 @memoized
 def _over_q(p: KPoly) -> tuple[int, ...]:
     """The primitive integer form of a nonzero p when p is rational, and of
     p * conj(p) otherwise: the one way from field coefficients to a form,
-    read off the integers A / m of the QuadElems.  Certified by the content
+    read off p's integer coordinates A / m.  Certified by the content
     scale-back: lc(p) / form[-1] times the form is p's coefficients."""
     if not p.is_rational():
         p = p * p.conj()
@@ -1173,11 +922,9 @@ def _over_q(p: KPoly) -> tuple[int, ...]:
             raise InternalInvariantError("p * conj(p) not rational")
     if p.is_zero:
         raise ValueError("primitive form of zero polynomial")
-    den = math.lcm(*(c.m for c in p.coeffs))
-    ints = [c.A * (den // c.m) for c in p.coeffs]
-    form = _primitive_form(ints)
-    lc, top = p.lc, form[-1]  # c = lc.A * f / (lc.m * top), cross-multiplied
-    if any(c.A * lc.m * top != lc.A * c.m * f for c, f in zip(p.coeffs, form)):
+    form = _primitive_form(p.A)
+    lc, top = p.A[-1], form[-1]  # A_i / m = (lc / m) f_i / top, cross-multiplied
+    if any(a * top != lc * f for a, f in zip(p.A, form)):
         raise InternalInvariantError(f"content scale-back failed for {p}")
     return form
 
@@ -1204,24 +951,27 @@ def witness_orders(p) -> tuple[int, ...]:
     rational = not isinstance(p, KPoly)
     if not rational and p.is_rational():
         return witness_orders(_over_q(p))
-    coeffs = p if rational else p.coeffs
+    coeffs = p if rational else [a or b for a, b in zip(p.A, p.B)]  # nonzero as p's are
     if len(coeffs) < 2:
         raise PreconditionViolated("witness_orders needs a nonconstant polynomial")
     zeros = next(i for i, c in enumerate(coeffs) if c)
     if zeros == len(coeffs) - 1:
         return ()
-    if rational:  # (numerator, denominator) forms of each factor
-        base = [(f, f) for f, _m in factor_q(p[zeros:])]
+    d = 0 if rational else p.d
+    if rational:  # (numerator, denominator, degree) of each factor
+        base = [(f, f, len(f) - 1) for f, _m in factor_q(p[zeros:])]
     else:
-        base = [(_zz_sqrt_d_form(g), _zz_sqrt_d_form(g.reverse())[::-1])
-                for g, _m in factor_k(p._make(coeffs[zeros:]))]
+        base = []
+        for g, _m in factor_k(_make(p.A[zeros:], p.B[zeros:], p.m, d)):
+            den = _zz_sqrt_d_form(g.reverse())
+            base.append((_zz_sqrt_d_form(g), (den[0][::-1], den[1][::-1]), g.degree))
     witnesses: set[int] = set()
-    for i, (fi, _gi) in enumerate(base):
+    for i, (fi, _gi, deg) in enumerate(base):
         for j in range(i, len(base)):
-            r = _zz_ratio_poly(fi, base[j][1])
+            r = _zz_ratio_poly(fi, base[j][1], d)
             # a self-ratio polynomial holds (x - 1)^deg f once, and twice in
             # r * conj(r), of twice the degree; it is stripped on the form
-            for n in _cyclotomic_orders(r, (len(r) - 1) // (len(fi) - 1) if i == j else 0):
+            for n in _cyclotomic_orders(r, (len(r) - 1) // deg if i == j else 0):
                 if n == 1:
                     raise InternalInvariantError("distinct irreducible factors share a root")
                 witnesses.add(n)

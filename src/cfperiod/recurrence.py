@@ -20,11 +20,13 @@ on N) and splits it into arithmetic subsequences that are not.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
-from .polyalg import (KPoly, _monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
+from .kpoly import KPoly, _kmul, _kpoly
+from .polyalg import (_monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
                       _zz_power_poly, witness_orders)
 from .qfield import QuadElem, _new, _reduced
 
@@ -147,49 +149,59 @@ def _minpoly_from_recurrence(q, terms):
 
     q has q(0) != 0: a monic KPoly with QuadElem terms, whose minimal
     polynomial is returned as a monic KPoly, or a primitive integer form (a
-    low-to-high tuple of ints) with Fraction terms, whose minimal polynomial
-    is returned as a primitive integer form.  With k = deg q and
+    low-to-high tuple of ints) with rational terms (ints or Fractions),
+    whose minimal polynomial is returned as a primitive integer form.  With
+    k = deg q and
     rev(q) of degree k, the generating function sum_n t_n x^n is G / rev(q),
     where G = rev(q) * sum_(n<k) t_n x^n mod x^k, and the minimal polynomial
     is the reverse of the reduced denominator rev(q) / gcd(rev(q), G), made
     monic over K and primitive over Q (Everest, van der Poorten, Shparlinski
     and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is the zero
-    sequence.  Over K the
-    gcd is Euclid's.  Over Q it is the certified integer gcd
-    (``polyalg._zz_gcd_certified``, whose cofactors multiply back exactly)
-    on integer lists, after the sequence is scaled to integers, which
-    changes no minimal polynomial.
+    sequence.  Both run on integers, after the terms are scaled to one
+    denominator, which changes no minimal polynomial.  Over K the gcd is the
+    modular one (``KPoly.gcd``), on integer coordinates A + B sqrt(d).  Over
+    Q it is the certified integer gcd (``polyalg._zz_gcd_certified``, whose
+    cofactors multiply back exactly) on integer lists.
     Certified: P divides q exactly, and P's recurrence holds at positions
     deg P .. k - 1 of the terms, which with P | q makes P annihilate the
     whole two-sided sequence.  Minimality rests on the exact gcd.
     """
-    rational = isinstance(q, tuple)
-    rev = q[::-1] if rational else q.coeffs[::-1]
-    k = len(rev) - 1
-    if rational:
+    if isinstance(q, tuple):
+        rev, k = q[::-1], len(q) - 1
         scale = math.lcm(*(t.denominator for t in terms))
         terms = [t.numerator * (scale // t.denominator) for t in terms]
-    num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
-    if not any(num):
-        return ZERO_SEQUENCE
-    if rational:  # the reduced denominator from the top is P's form up to sign
+        num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
+        if not any(num):
+            return ZERO_SEQUENCE
+        # the reduced denominator from the top is P's form up to sign
         cs = _zz_gcd_certified(rev, num)[1][::-1]
         p = cs = tuple(cs) if cs[-1] > 0 else tuple(-c for c in cs)
-        divides = _zz_exact_div(q, cs) is not None
-    else:
-        rev, num = q._make(rev), q._make(num)
+        divides, order = _zz_exact_div(q, cs) is not None, len(cs) - 1
+        fails = (n for n in range(order, k)
+                 if sum(map(operator.mul, cs, terms[n - order:n + 1])))
+    else:  # on integer coordinates: the terms are (ta + tb sqrt(d)) / scale
+        rev, k, d = q.reverse(), q.degree, q.d
+        scale = math.lcm(*(t.m for t in terms))
+        ta = [t.A * (scale // t.m) for t in terms]
+        tb = [t.B * (scale // t.m) for t in terms]
+        num = _kpoly(*(c[:k] for c in _kmul(rev.A, rev.B, ta, tb, d)), rev.m * scale, d)
+        if not num:
+            return ZERO_SEQUENCE
         g = rev.gcd(num)
         num.exact_div(g)  # raises unless g divides G as well
         p = rev.exact_div(g).reverse().monic()
-        cs = p.coeffs
-        divides = (q % p).is_zero
+        divides, order = not q % p, p.degree
+
+        def residue(n):  # sum_i P_i t_(n-order+i), its A and B coordinates
+            w = list(zip(p.A, p.B, ta[n - order:n + 1], tb[n - order:n + 1]))
+            return (sum(a * x + d * b * y for a, b, x, y in w),
+                    sum(a * y + b * x for a, b, x, y in w))
+        fails = (n for n in range(order, k) if any(residue(n)))
     if not divides:
         raise InternalInvariantError(f"minimal polynomial {p} does not divide {q}")
-    order = len(cs) - 1
-    for n in range(order, k):
-        if sum(c * terms[n - order + i] for i, c in enumerate(cs)):
-            raise InternalInvariantError(
-                f"minimal polynomial {p} fails the recurrence at position {n}")
+    if (n := next(fails, None)) is not None:
+        raise InternalInvariantError(
+            f"minimal polynomial {p} fails the recurrence at position {n}")
     return p
 
 
@@ -198,8 +210,10 @@ def diff_sum_parts(r: LinRec):
 
     Both satisfy the rational N = P_A * conj(P_A) (P_A itself when it is
     rational), and so do the rational sequences D_n / sqrt(d) and S_n: both
-    are read over Q from N's primitive integer form, as forms, and returned
-    as monic rational KPolys over the sequence's field.
+    are read over Q from N's primitive integer form, as forms, on their
+    terms' integers B_n and A_n over one common denominator L (the sequences
+    times L / 2, with the same minimal polynomials), and returned as monic
+    rational KPolys over the sequence's field.
     Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: KPoly | ZERO_SEQUENCE).
     """
     p_a = seq_min_charpoly(r)
@@ -207,9 +221,10 @@ def diff_sum_parts(r: LinRec):
         return ZERO_SEQUENCE, ZERO_SEQUENCE
     n_poly = _over_q(p_a)
     terms = [r.term(n) for n in range(len(n_poly) - 1)]
+    den = math.lcm(*(a.m for a in terms))
     return tuple(p if isinstance(p, ZeroSequence) else _monic_from_ints(p, r.d)
-                 for p in (_minpoly_from_recurrence(n_poly, [2 * a.b for a in terms]),
-                           _minpoly_from_recurrence(n_poly, [2 * a.a for a in terms])))
+                 for p in (_minpoly_from_recurrence(n_poly, [a.B * (den // a.m) for a in terms]),
+                           _minpoly_from_recurrence(n_poly, [a.A * (den // a.m) for a in terms])))
 
 
 @memoized

@@ -46,7 +46,12 @@ quartic depressed by composition, with rational square roots, where the
 package depresses over Z and asks for integer squares.
 RatPoly is the Fraction polynomial class the package left: there a
 polynomial over Q is a primitive integer form, read as a rational KPoly
-where field arithmetic needs it.  The Fraction references are built on it,
+where field arithmetic needs it.  _PolyBase, the coefficient-generic
+polynomial algorithms RatPoly is built on, left the package too, and
+ElemKPoly is the KPoly it had on them: one QuadElem per coefficient, each
+normalized by its own gcd, and Euclid's gcd over K, where polyalg.KPoly
+keeps integer coordinates over one denominator and takes the gcd over K by
+the modular method.  The Fraction references are built on it,
 and Factorization, a unit with ((factor, multiplicity), ...), is the shape
 the reference factorizations return.
 The reference gcd over Q is Euclid on Fractions (euclid_gcd, and with it
@@ -104,7 +109,6 @@ from fractions import Fraction
 import mpmath
 
 from cfperiod import polyalg, qfield
-from cfperiod.polyalg import _PolyBase
 from cfperiod.contfrac import CFExpansion, convergents, cycle_lengths
 from cfperiod.errors import (BadFieldParameter, DivisionByZero, InternalError,
                              InternalInvariantError, MixedFieldError, NegativeInput,
@@ -790,6 +794,299 @@ def quad_to_mpf(x: QuadElem, dps: int):
 # Euclid's gcd over a field
 # ---------------------------------------------------------------------------
 
+def _sign_of(c) -> int:
+    if isinstance(c, qfield.QuadElem):
+        return c.sign()
+    return (c > 0) - (c < 0)
+
+
+class _PolyBase:
+    """Shared exact algorithms; subclasses fix the coefficient field."""
+
+    __slots__ = ("coeffs",)
+
+    # subclasses: _zero(), _one(), _try_coeff(c) (c as a coefficient, or None
+    # when c is not one), _make(coeffs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def lc(self):
+        if self.is_zero:
+            raise ValueError("leading coefficient of zero polynomial")
+        return self.coeffs[-1]
+
+    def constant_term(self):
+        return self.coeffs[0] if self.coeffs else self._zero()
+
+    @staticmethod
+    def _strip(coeffs: list) -> tuple:
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def _same(self, other):
+        if isinstance(other, type(self)):
+            return other
+        c = self._try_coeff(other)
+        if c is None:
+            return None
+        return self._make([c] if c else [])
+
+    def __add__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        n = max(len(self.coeffs), len(o.coeffs))
+        z = self._zero()
+        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
+        for i, c in enumerate(o.coeffs):
+            a[i] = a[i] + c
+        return self._make(a)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        if self.is_zero or o.is_zero:
+            return self._make([])
+        z = self._zero()
+        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(o.coeffs):
+                out[i + j] = out[i + j] + a * b
+        return self._make(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative polynomial power")
+        result = self if e else self._make([self._one()])
+        for bit in bin(e)[3:]:  # the bits below the leading one, high to low
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
+
+    def __divmod__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero:
+            raise DivisionByZero("polynomial division by zero")
+        if self.degree < o.degree:
+            return self._make([]), self
+        rem = list(self.coeffs)
+        quo = [self._zero()] * (len(rem) - len(o.coeffs) + 1)
+        inv_lc = self._one() / o.lc
+        for k in range(len(quo) - 1, -1, -1):
+            c = rem[k + o.degree] * inv_lc
+            if c:
+                quo[k] = c
+                for j, b in enumerate(o.coeffs):
+                    rem[k + j] = rem[k + j] - c * b
+        return self._make(quo), self._make(rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if not r.is_zero:
+            raise InternalInvariantError(f"exact division had remainder {r}")
+        return q
+
+    def monic(self):
+        if self.is_zero:
+            return self
+        if self.lc == self._one():
+            return self
+        inv = self._one() / self.lc
+        return self._make([c * inv for c in self.coeffs])
+
+    def scale(self, s):
+        c = self._try_coeff(s)
+        return self._make([a * c for a in self.coeffs])
+
+    def derivative(self):
+        return self._make([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def eval(self, x):
+        acc = self._zero()
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose(self, other):
+        o = self._same(other)
+        acc = self._make([])
+        for c in reversed(self.coeffs):
+            acc = acc * o + self._make([c] if c else [])
+        return acc
+
+    def reverse(self):
+        """x^deg * p(1/x); trailing zero coefficients of p drop out."""
+        return self._make(list(reversed(self.coeffs)))
+
+    def _coerce(self, c):
+        v = self._try_coeff(c)
+        if v is None:
+            raise TypeError(f"cannot coerce {c!r} into {type(self).__name__} coefficient")
+        return v
+
+    def sturm_count(self, lo, hi) -> int:
+        """Number of distinct real roots in (lo, hi]; needs squarefree self."""
+        chain = [self, self.derivative()]
+        while chain[-1].degree > 0:
+            r = chain[-2] % chain[-1]
+            if r.is_zero:
+                break
+            chain.append(-r)
+
+        def variations(x):
+            signs = [_sign_of(p.eval(x)) for p in chain]
+            signs = [s for s in signs if s != 0]
+            return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+        return variations(lo) - variations(hi)
+
+    def __eq__(self, other):
+        o = self._same(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def _format(self, var="x") -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i in range(self.degree, -1, -1):
+            c = self.coeffs[i]
+            if not c:
+                continue
+            if i == 0:
+                parts.append(f"{c}")
+            else:
+                xs = var if i == 1 else f"{var}^{i}"
+                cs = "" if c == self._one() else f"({c})*"
+                parts.append(f"{cs}{xs}")
+        return " + ".join(parts)
+
+    def __str__(self):
+        return self._format()
+
+
+class ElemKPoly(_PolyBase):
+    """Dense polynomial with QuadElem coefficients over a fixed Q(sqrt(d)):
+    polyalg.KPoly as it was before it moved to integer coordinates, each
+    coefficient operation normalizing its own element, with Euclid's gcd
+    over K."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, coeffs, d: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coeffs",
+                           self._strip([self._coerce(c) for c in coeffs]))
+
+    def __setattr__(self, *a):
+        raise AttributeError("ElemKPoly is immutable")
+
+    def _zero(self) -> qfield.QuadElem:
+        return qfield.QuadElem(0, 0, self.d)
+
+    def _one(self) -> qfield.QuadElem:
+        return qfield.QuadElem(1, 0, self.d)
+
+    def _try_coeff(self, c):
+        if isinstance(c, qfield.QuadElem):
+            if c.d != self.d:
+                raise MixedFieldError(f"coefficient field d={c.d}, polynomial d={self.d}")
+            return c
+        if isinstance(c, (int, Fraction)):
+            return qfield.QuadElem(c, 0, self.d)
+        return None
+
+    def _same(self, other):
+        if isinstance(other, ElemKPoly):
+            if other.d != self.d:
+                raise MixedFieldError(f"mixed polynomial fields d={self.d}, d={other.d}")
+            return other
+        c = self._try_coeff(other)
+        if c is None:
+            return None
+        return self._make([c] if c else [])
+
+    def _make(self, coeffs) -> "ElemKPoly":
+        p = ElemKPoly.__new__(ElemKPoly)
+        object.__setattr__(p, "d", self.d)
+        object.__setattr__(p, "coeffs", self._strip(list(coeffs)))
+        return p
+
+    def gcd(self, other) -> "ElemKPoly":
+        """Monic gcd over K by Euclid, where polyalg.KPoly.gcd is modular."""
+        a, b = self, self._same(other)
+        while not b.is_zero:
+            a, b = b, a % b
+        return a.monic()
+
+    def conj(self) -> "ElemKPoly":
+        return self._make([c.conj() for c in self.coeffs])
+
+    def is_rational(self) -> bool:
+        return all(c.is_rational() for c in self.coeffs)
+
+    def __hash__(self):  # that of the equal polyalg.KPoly
+        return hash(("KPoly", self.coeffs))
+
+    def __repr__(self):
+        return f"KPoly({self._format()}; d={self.d})"
+
+    @classmethod
+    def of(cls, p) -> "ElemKPoly":
+        """The reference copy of a polyalg.KPoly."""
+        return cls(p.coeffs, p.d)
+
+    def to_kpoly(self) -> "polyalg.KPoly":
+        return polyalg.KPoly(self.coeffs, self.d)
+
+
+
 class RatPoly(_PolyBase):
     """Dense polynomial with Fraction coefficients, low-to-high order."""
 
@@ -876,9 +1173,9 @@ def from_roots(roots, d: int | None = None):
 
 
 def euclid_gcd(f, g):
-    """Monic gcd by Euclid over the coefficient field (Fractions over Q):
-    the route polyalg keeps over K only, where over Q it takes the certified
-    integer gcd."""
+    """Monic gcd by Euclid over the coefficient field (Fractions over Q,
+    QuadElems over K): the route polyalg left, for the certified integer gcd
+    over Q and the modular gcd over K."""
     g = f._same(g)
     while not g.is_zero:
         f, g = g, f % g
@@ -903,11 +1200,10 @@ def is_squarefree(p) -> bool:
 def resultant(f, g):
     """Res(f, g) over the coefficient field of f, by Euclidean descent."""
     g = f._same(g)
-    one = f._one()
+    zero = f.constant_term() * 0
+    one = zero + 1
     if f.is_zero or g.is_zero:
-        if f.degree <= 0 and g.degree <= 0:
-            return one * 0
-        return f._zero()
+        return zero
     acc = one
     while True:
         if g.degree == 0:
@@ -919,7 +1215,7 @@ def resultant(f, g):
             continue
         r = f % g
         if r.is_zero:
-            return f._zero()
+            return zero
         if (f.degree * g.degree) % 2 == 1:
             acc = -acc
         acc = acc * g.lc ** (f.degree - r.degree)
@@ -988,6 +1284,11 @@ class ZeroRootInDenominator(UsageError):
     pass
 
 
+def _like(p, coeffs):
+    """A polynomial of p's class over p's field."""
+    return RatPoly(coeffs) if isinstance(p, RatPoly) else type(p)(coeffs, p.d)
+
+
 def _from_power_sums(sums: list, like, root_product):
     """Monic polynomial over the field of `like` (a KPoly) whose N = len(sums)
     roots have the power sums s_1, ..., s_N, by Newton's identities (k is
@@ -997,13 +1298,13 @@ def _from_power_sums(sums: list, like, root_product):
     product of the roots as the caller computes it from its inputs' end
     coefficients.
     """
-    c = [like._one()]
+    c = [1]
     for k in range(1, len(sums) + 1):
         acc = sums[k - 1]
         for j in range(1, k):
             acc = acc + c[j] * sums[k - j - 1]
         c.append(-acc / k)
-    out = like._make(c[::-1])
+    out = _like(like, c[::-1])
     if out.constant_term() != (-1) ** len(sums) * root_product:
         raise InternalInvariantError(
             f"power-sum polynomial {out} has the wrong root product")
@@ -1051,7 +1352,7 @@ def witness_orders_by_ratio_poly(p) -> tuple[int, ...]:
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     if zeros == p.degree:
         return ()
-    base = [g for g, _m in polyalg.factor_k(p._make(p.coeffs[zeros:]))]
+    base = [g for g, _m in polyalg.factor_k(_like(p, p.coeffs[zeros:]))]
     witnesses = set()
     for i, fi in enumerate(base):
         for fj in base[i:]:
@@ -1075,21 +1376,20 @@ def ratio_resultant_field(pi, pj):
         # nonzero sample points only: at x=0 the specialized pair drops degree
         # and its resultant no longer equals the generic one evaluated there
         point = Fraction(c)
-        scaled = pi._make([coef * point ** k for k, coef in enumerate(pi.coeffs)])
+        scaled = _like(pi, [coef * point ** k for k, coef in enumerate(pi.coeffs)])
         val = resultant(pj, scaled)
         xs.append(point)
         ys.append(val)
         c = -c if c > 0 else -c + 1  # 1, -1, 2, -2, ...
     # Lagrange interpolation over the field
-    acc = pi._make([])
+    acc = _like(pi, [])
     for i in range(n):
-        num = pi._make([pi._one()])
-        den = pi._one()
+        num, den = _like(pi, [1]), Fraction(1)
         for j in range(n):
             if i == j:
                 continue
-            num = num * pi._make([pi._coerce(-xs[j]), pi._one()])
-            den = den * pi._coerce(xs[i] - xs[j])
+            num = num * _like(pi, [-xs[j], 1])
+            den = den * (xs[i] - xs[j])
         acc = acc + num.scale(ys[i] / den)
     return acc
 
@@ -1116,7 +1416,7 @@ def power_map_charpoly(p, power: int):
         acc = acc + num.scale(ys[i] / den)
     if L % 2:
         acc = -acc
-    if acc.is_zero or acc.lc != acc._one():
+    if acc.is_zero or acc.lc != 1:
         raise InternalInvariantError("power-map charpoly not monic")
     return acc
 

@@ -1,5 +1,6 @@
 """Places of Q(sqrt(d)): valuations, product formula, growth."""
 import json
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -211,17 +212,23 @@ def test_val_refuses_a_branch_that_is_no_root_of_d(p, d, branch):
 def test_two_adic_places_and_growth_call_no_sqrt_mod(monkeypatch, capsys, tmp_path):
     # the branches above 2 are read off the odd residues mod 16, so sympy's
     # sqrt_mod is never reached at p = 2; they are the classes mod 8 of its
-    # roots mod 16, the former route
+    # roots mod 16, the former route.  At an odd split p the branches are the
+    # two roots of modp.sqrt_mod (Tonelli-Shanks), sorted as sympy's were
     sqrt_mod = sympy.ntheory.residue_ntheory.sqrt_mod
-    want = {d: sorted({int(t) % 8 for t in sqrt_mod(d, 16, all_roots=True)})
+    want = {(2, d): sorted({int(t) % 8 for t in sqrt_mod(d, 16, all_roots=True)})
             for d in (17, 33, 41, 57, 65, 73, 89, 105)}
+    want.update({(p, d): sorted(int(t) for t in sqrt_mod(d, p, all_roots=True))
+                 for p, d in ((7, 2), (17, 2), (97, 3), (257, 2), (65537, 13),
+                                 (998244353, 7))})
 
     def refuse(*args, **kwargs):
         raise AssertionError("sqrt_mod called")
 
     monkeypatch.setattr(sympy.ntheory.residue_ntheory, "sqrt_mod", refuse)
-    for d, branches in want.items():
-        assert places_above(2, d) == [Place(d, "finite", p=2, splitting="split", branch=b)
+    monkeypatch.setattr(sympy, "sqrt_mod", refuse)
+    for (p, d), branches in want.items():
+        assert len(branches) == 2
+        assert places_above(p, d) == [Place(d, "finite", p=p, splitting="split", branch=b)
                                       for b in branches]
     job = tmp_path / "g.json"
     job.write_text(json.dumps({"command": "growth", "d": 17, "coeffs": ["7/2", "-3/2"],
@@ -230,6 +237,15 @@ def test_two_adic_places_and_growth_call_no_sqrt_mod(monkeypatch, capsys, tmp_pa
                                                      "branch": 7}}}))
     assert cli.main(["growth", str(job)]) == 0
     assert capsys.readouterr().out.endswith("# growth_check: pass\n")
+    # the split place above 7 in Q(sqrt2): the golden scan, byte for byte
+    job.write_text(json.dumps({"command": "growth", "d": 2,
+                               "coeffs": [["10/7", "6/7"], ["-1/7", "-2/7"]],
+                               "initials": ["1", ["0", "1"]], "range": [1, 400],
+                               "options": {"place": {"kind": "finite", "p": 7,
+                                                     "branch": 4}}}))
+    assert cli.main(["growth", str(job)]) == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "growth_split7_sqrt2.txt"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 @settings(max_examples=60)

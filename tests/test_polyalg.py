@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import memo, polyalg
+from cfperiod import memo, modp, polyalg, qfield
 from cfperiod.errors import InternalInvariantError, NotIrreducible, PreconditionViolated
 from cfperiod.polyalg import (
     KPoly,
@@ -25,7 +25,7 @@ from cfperiod.qfield import quad
 from cfperiod.recurrence import seq_min_charpoly
 
 from curated import members
-from oracles import (RatPoly, certify_irreducible_q_fraction, circle_counts, cyclotomic,
+from oracles import (ElemKPoly, RatPoly, certify_irreducible_q_fraction, circle_counts, cyclotomic,
                      cyclotomic_orders_by_factoring, euclid_gcd, factor_k_norm,
                      factor_q_monic, factor_q_qq, from_roots, is_root_of_unity,
                      newton_power_poly, newton_ratio_poly, offcircle_counts_numeric,
@@ -54,8 +54,8 @@ def _ratio_over_q(p, q):
 def _ratio_over_k(f, g):
     """The degeneracy test's integer ratio polynomial of two KPolys: the
     numerator and the denominator forms witness_orders builds."""
-    return polyalg._zz_ratio_poly(polyalg._zz_sqrt_d_form(f),
-                                  polyalg._zz_sqrt_d_form(g.reverse())[::-1])
+    den = polyalg._zz_sqrt_d_form(g.reverse())
+    return polyalg._zz_ratio_poly(polyalg._zz_sqrt_d_form(f), (den[0][::-1], den[1][::-1]), f.d)
 
 
 def _power_over_q(q, f):
@@ -346,9 +346,9 @@ def test_rational_roots_factor_no_integer(monkeypatch):
 def test_factor_q_certifies_the_integer_route(monkeypatch):
     p = RatPoly([F(-1, 3), F(1, 6), F(1, 2)])  # (3x - 2)(x + 1)/6: roots 2/3, -1
     assert factor_q_monic(p).factors == ((RatPoly([F(-2, 3), 1]), 1), (RatPoly([1, 1]), 1))
-    lcm, lifted = math.lcm, p.lift(2)
-    with monkeypatch.context() as m:  # a common denominator too small: a form that is not p's
-        m.setattr(math, "lcm", lambda *dens: lcm(*dens) // 2)
+    form, lifted = polyalg._primitive_form, p.lift(2)
+    with monkeypatch.context() as m:  # a top coefficient doubled: a form that is not p's
+        m.setattr(polyalg, "_primitive_form", lambda f: form(f)[:-1] + (2 * form(f)[-1],))
         with pytest.raises(InternalInvariantError, match="scale-back"):
             polyalg._over_q(lifted)
     # p's rational roots never reach sympy; (x^2 - 2)(x^3 - x - 1) has none
@@ -1303,3 +1303,141 @@ def test_ratio_and_power_poly_match_the_separate_loops(pair, power):
     powers = power_map_charpoly(f, power)
     assert power_poly(f, power) == powers
     assert polyalg._zz_power_poly(polyalg._over_q(f), power) == _power_over_q(powers, f)
+
+
+# ---------------------------------------------------------------------------
+# KPoly on integer coordinates, and the modular gcd over K
+# ---------------------------------------------------------------------------
+
+@st.composite
+def k_elements(draw, d, rational=False, big=False):
+    """(a + b sqrt(d)) / m, m = 2 with a and b odd giving (1 + sqrt(d)) / 2
+    shapes when d = 1 (mod 4)."""
+    coord = st.integers(-10**20, 10**20) if big else st.integers(-40, 40)
+    m = draw(st.sampled_from([1, 1, 2, 3, 4, 7]))
+    return quad(F(draw(coord), m), F(0 if rational else draw(coord), m), d)
+
+
+@st.composite
+def k_coeff_lists(draw, d, lo=0, hi=6, rational=False, big=False, nonzero=False):
+    cs = [draw(k_elements(d, rational, big)) for _ in range(draw(st.integers(lo, hi)))]
+    if nonzero and not any(cs):
+        cs.append(quad(1, 0, d))
+    return cs
+
+
+def _same_kpoly(mine, ref) -> bool:
+    """mine (a KPoly) and ref (an ElemKPoly) agree coefficient by coefficient,
+    print alike, hash alike, and mine is in its normal form."""
+    normal = mine.m > 0 and math.gcd(mine.m, *mine.A, *mine.B) == 1 and (
+        not mine.A or mine.A[-1] or mine.B[-1])
+    return (normal and mine.coeffs == ref.coeffs and str(mine) == str(ref)
+            and repr(mine) == repr(ref) and hash(mine) == hash(ref))
+
+
+@st.composite
+def kpoly_cases(draw):
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    rational = draw(st.integers(0, 3)) == 0
+    cs, ds = (draw(k_coeff_lists(d, rational=rational)) for _ in range(2))
+    return d, cs, ds, draw(k_elements(d)), draw(st.integers(0, 5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kpoly_cases())
+@example((2, [], [quad(1, 1, 2)], quad(3, 0, 2), 0))                  # zero polynomial
+@example((5, [quad(F(1, 2), F(1, 2), 5), 0, 1], [0, quad(F(-1, 2), F(1, 2), 5)],
+          quad(F(1, 2), F(1, 2), 5), 3))                             # (1 + sqrt5)/2, x | q
+def test_kpoly_matches_the_quad_elem_reference(case):
+    d, cs, ds, x, e = case
+    p, q, rp, rq = KPoly(cs, d), KPoly(ds, d), ElemKPoly(cs, d), ElemKPoly(ds, d)
+    assert _same_kpoly(p, rp) and _same_kpoly(q, rq)
+    assert (p == q) == (rp == rq) and (p == p.conj()) == (rp == rp.conj())
+    assert p.is_rational() == rp.is_rational() and p.degree == rp.degree
+    pairs = [(p + q, rp + rq), (p - q, rp - rq), (-p, -rp), (p * q, rp * rq), (p ** e, rp ** e),
+             (p.conj(), rp.conj()), (p.monic(), rp.monic()), (p.derivative(), rp.derivative()),
+             (p.reverse(), rp.reverse()), (p.compose(q), rp.compose(rq)),
+             (p.scale(x), rp.scale(x)), (p + x, rp + x), (x - p, x - rp), (p * x, rp * x)]
+    if not q.is_zero:
+        pairs += list(zip(divmod(p, q), divmod(rp, rq)))
+        pairs.append(((p * q).exact_div(q), rp))
+        assert (p * q).exact_div(q) == p and (p * q + p) % q == p % q
+    for mine, ref in pairs:
+        assert _same_kpoly(mine, ref)
+    assert p.eval(x) == rp.eval(x) and p + q - q == p
+    if not p.is_zero:
+        assert p.lc == rp.lc and p.constant_term() == rp.constant_term()
+
+
+D_LUCKLESS = 2
+P0, T0 = next(modp.split_primes(D_LUCKLESS))  # the first prime _gcd_k tries over Q(sqrt2)
+
+
+def _k(*roots, lead=1, d=D_LUCKLESS):
+    """lead * prod (x - r) over Q(sqrt(d))."""
+    out = KPoly([lead], d)
+    for r in roots:
+        out = out * KPoly([-r, 1], d)
+    return out
+
+
+@st.composite
+def k_gcd_pairs(draw):
+    d = draw(st.sampled_from([2, 3, 5, 13]))
+    big = draw(st.booleans())
+    h = KPoly(draw(k_coeff_lists(d, 1, 9 if big else 4, big=big, nonzero=True)), d)
+    u = KPoly(draw(k_coeff_lists(d, 1, 4, nonzero=True)), d)
+    v = KPoly(draw(k_coeff_lists(d, 1, 4, nonzero=True)), d)
+    x = KPoly([0, 1], d)
+    return h * u * x ** draw(st.integers(0, 2)), h * v * x ** draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(k_gcd_pairs())
+@example((_k(R2, 1 - R2), _k(-R2, 3)))                                  # coprime
+@example((_k(F(1, P0), 2, lead=P0), _k(F(1, P0), 3, lead=P0)))          # P0 | lc
+@example((_k(2, lead=T0 - R2) * KPoly([1, T0 - R2], 2),                 # P0 | N(lc), one
+          _k(5) * KPoly([1, T0 - R2], 2)))                              # image loses a degree
+@example((_k(R2, 1), _k(R2, 1 + P0)))                                   # P0 | a resultant
+@example((_k(R2, 1, 2, 1 - R2, F(1, 3)) * _k(7, 8, 9), _k(R2, 1, 2, 1 - R2, F(1, 3)) * _k(10)))
+@example((_k(0, 0, R2), _k(0, R2, -1)))                                 # zero constant terms
+@example((_k(quad(F(1, 2), F(1, 2), 5), 1, d=5) ** 2,                   # (1 + sqrt5)/2
+          _k(quad(F(1, 2), F(1, 2), 5), quad(F(1, 2), F(-1, 2), 5), d=5)))
+@example((KPoly([quad(10**30 + 1, 3, 2), quad(F(1, 10**9 + 7), 10**25, 2), 1], 2) ** 3,
+          KPoly([quad(10**30 + 1, 3, 2), quad(F(1, 10**9 + 7), 10**25, 2), 1], 2) ** 2 * _k(1)))
+def test_gcd_over_k_matches_euclid(pair):
+    f, g = pair
+    want = ElemKPoly.of(f).gcd(ElemKPoly.of(g))
+    assert _same_kpoly(f.gcd(g), want) and _same_kpoly(g.gcd(f), want)
+
+
+def test_gcd_over_k_skips_the_primes_of_a_leading_norm(monkeypatch):
+    # P0 divides lc(f) and the norm of lc(g): f mod P0 loses x - 1/P0, and at
+    # one embedding g loses its root 1/(sqrt2 - T0), so no image is taken there
+    seen, gcd = [], modp.gcd
+    monkeypatch.setattr(modp, "gcd", lambda f, g, p: seen.append(p) or gcd(f, g, p))
+    f = _k(F(1, P0), 2, lead=P0)
+    assert f.gcd(_k(F(1, P0), 3, lead=P0)) == _k(F(1, P0))
+    assert P0 not in seen and seen
+    seen.clear()
+    g = KPoly([1, T0 - R2], 2) * _k(5)
+    assert g.gcd(KPoly([1, T0 - R2], 2) * _k(R2)) == KPoly([1, T0 - R2], 2).monic()
+    assert P0 not in seen and seen
+
+
+def test_kpoly_arithmetic_and_gcd_build_no_quad_elem(monkeypatch):
+    # products, divisions and gcds run on integer coordinates: not one QuadElem
+    # is made (the reference, one QuadElem per coefficient operation, makes many)
+    f = _k(R2, F(1, 3), 1 - R2, lead=quad(2, 1, 2))
+    g = _k(R2, F(-1, 3), 5, lead=7)
+    h = _k(F(2, 7), quad(1, 1, 2))
+    ref_f, ref_g, common, one = ElemKPoly.of(f), ElemKPoly.of(g), _k(R2), KPoly([1], 2)
+    made, new = [], qfield._new
+    monkeypatch.setattr(qfield, "_new", lambda *a: made.append(a) or new(*a))
+    fg = f * g
+    quo, rem = divmod(fg + h, g)
+    assert fg.exact_div(f) == g and (fg * h).exact_div(h * g) == f and quo == f and rem == h
+    assert f.gcd(g) == common and (f * h).gcd(g * h) == common * h and f.gcd(h) == one
+    assert made == []
+    ref_f * ref_g
+    assert made

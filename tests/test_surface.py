@@ -237,12 +237,19 @@ def _polynomial_classes() -> set[str]:
 
 def test_every_gcd_over_q_is_the_certified_integer_gcd():
     """sympy's integer gcd has one caller, the function that certifies its
-    cofactors, and KPoly, the one polynomial class in src/, keeps Euclid
-    over K."""
-    from cfperiod.polyalg import KPoly
-
+    cofactors.  KPoly, the one polynomial class in src/, takes its gcd over
+    K by the modular method and derives from no coefficient-generic base:
+    _PolyBase, and Euclid on field coefficients with it, live in the
+    oracles."""
     assert _callers("_zz_gcd") == {"polyalg._zz_gcd_certified"}
-    assert _polynomial_classes() == {"polyalg.KPoly"} and hasattr(KPoly, "gcd")
+    assert _polynomial_classes() == set()
+    with_gcd = {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(getattr(n, "name", None) == "gcd" for n in node.body)}
+    assert with_gcd == {"kpoly.KPoly"}
+    assert _callers("_gcd_k") == {"kpoly.gcd"}
+    assert not any(isinstance(n, ast.While) for n in ast.walk(_function("kpoly", "KPoly.gcd")))
 
 
 def test_polynomials_over_q_pass_as_primitive_integer_forms():

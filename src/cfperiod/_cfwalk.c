@@ -35,7 +35,13 @@
    Returns l, -1 when l > max_steps, or -2 when a state leaves the reduced
    bounds.  s is overwritten with the last forward state: x_j again when the
    walk closed, and a centre when l came from centres (Q == Q_prev, or
-   Q_prev | 2P when the centre is the edge just walked). */
+   Q_prev | 2P when the centre is the edge just walked).
+
+   The library exports one entry, cf_cycles, which runs cf_cycle over a
+   batch of rows in order, each a state and its max_steps and probe, and
+   stops at the first row that is capped (-1) or leaves the bounds (-2): a
+   scan hands over its rows in one call, and its first capped row in scan
+   order is the one reported. */
 #include <stdint.h>
 
 typedef __int128 i128;
@@ -82,7 +88,10 @@ static int64_t leave(uint64_t *s, i128 P, i128 Q, i128 R, int64_t rc)
     return rc;
 }
 
-int64_t cf_cycle(uint64_t *s, int64_t max_steps, int64_t probe)
+/* Kept out of line: inlined into the batch loop below, gcc -O2 lays the
+   walk out about 5% slower. */
+static __attribute__((noinline)) int64_t cf_cycle(uint64_t *s, int64_t max_steps,
+                                                  int64_t probe)
 {
     i128 P = get(s), Q = get(s + 2), R = get(s + 4), t = get(s + 6);
     const i128 P0 = P, Q0 = Q;
@@ -112,4 +121,20 @@ int64_t cf_cycle(uint64_t *s, int64_t max_steps, int64_t probe)
             return leave(s, P, Q, R, k);
     }
     return leave(s, P, Q, R, -1);
+}
+
+/* Row i is the 10 words at r = s + 10i: the state in r[0..7], max_steps
+   in r[8] and probe in r[9], each below 2^62.  cf_cycle's result is
+   written over r[8], as a two's complement word.  Stops after the first
+   negative result; returns the number of rows walked. */
+int64_t cf_cycles(uint64_t *s, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t *r = s + 10 * i;
+        int64_t rc = cf_cycle(r, (int64_t)r[8], (int64_t)r[9]);
+        r[8] = (uint64_t)rc;
+        if (rc < 0)
+            return i + 1;
+    }
+    return count;
 }

@@ -47,20 +47,21 @@ from typing import NamedTuple
 
 from . import memo
 from .classifier import classify, explain
-from .contfrac import (check_convergent_bound, convergents, cycle_lengths, expand,
-                       period_length)
+from .contfrac import (convergent_bound_holds, convergents, cycle_lengths, expand,
+                       surd_cycle_lengths)
 from .errors import (DivisionByZero, HypothesisViolated, InternalError,
                      ParseError, PreconditionViolated, StepCapExceeded,
                      TooFewPoints, UsageError)
 from .places import (Place, arch_dominant_log, finite_dominant_slope, fmt_float,
                      growth_rows, log_abs_centre, places_above, real_places,
                      root_abs_table)
-from .qfield import QuadElem, Surd, check_field_parameter, floor_exact, split_square
+from .qfield import QuadElem, check_field_parameter, floor_exact, split_square
 from .recurrence import LinRec
 
 DEFAULT_MAX_BITS = 1 << 20
 DEFAULT_STEP_CAP = 250_000
 MAX_SCAN_ROWS = 1_000_000
+SCAN_BLOCK = 4096  # schinzel rows per kernel batch
 
 
 def max_bits_guard() -> int:
@@ -411,11 +412,14 @@ def cmd_cf(args) -> int:
                  "convergents:"]
         total = None if e.period else len(e.preperiod)
         count = 8 if total is None else min(8, total)
+        # a_{n+1} for every row but the exact last one of a finite expansion
+        qs = e.quotients(count + 1 if total is None else min(count + 1, total))
         for c in convergents(e, count):
             if total is not None and c.n == total - 1:
                 mark = "exact"
             else:
-                mark = "yes" if check_convergent_bound(e, c.n) else "NO"
+                ok = convergent_bound_holds(e.value, c.p, c.q, qs[c.n + 1])
+                mark = "yes" if ok else "NO"
             lines.append(f"  n={c.n} p={c.p} q={c.q} bound_ok={mark}")
     except ValueError as exc:  # an integer beyond the int -> str digit limit
         raise UsageError(f"cannot print the result: {exc}") from None
@@ -590,20 +594,25 @@ def cmd_schinzel(args) -> int:
     lines = ["n,ell,flag", f"# hypothesis: {'covered' if covered else 'not covered'}"]
     running = None
     increases = []
-    for n in range(n_lo, n_hi + 1):
-        v = sum(c * n ** i for i, c in enumerate(coeffs))
-        if v < 0:
-            lines.append(f"{n},,negative_skipped")
-            continue
-        # sqrt(f(n)) is the canonical surd (0 + sqrt(f(n)))/1, so f(n) is never factored
-        if math.isqrt(v) ** 2 == v:
-            ell, flag = 0, "square"
-        else:
-            ell, flag = period_length(Surd(0, 1, v)), ""
-        lines.append(f"{n},{ell},{flag}")
-        if running is None or ell > running:
-            running = ell
-            increases.append((n, ell))
+    # sqrt(f(n)) is the canonical surd (0 + sqrt(f(n)))/1, so f(n) is never
+    # factored; each block of rows is measured in one batch, and blocks keep
+    # the batch's buffers, about half a kB a row, bounded at any range
+    for lo in range(n_lo, n_hi + 1, SCAN_BLOCK):
+        block = range(lo, min(lo + SCAN_BLOCK, n_hi + 1))
+        values = [sum(c * n ** i for i, c in enumerate(coeffs)) for n in block]
+        flags = ["negative_skipped" if v < 0 else "square" if math.isqrt(v) ** 2 == v else ""
+                 for v in values]
+        ells = iter([ell for _j, ell in surd_cycle_lengths(
+            [(0, 1, v) for v, flag in zip(values, flags) if not flag])])
+        for n, flag in zip(block, flags):
+            if flag == "negative_skipped":
+                lines.append(f"{n},,{flag}")
+                continue
+            ell = 0 if flag else next(ells)
+            lines.append(f"{n},{ell},{flag}")
+            if running is None or ell > running:
+                running = ell
+                increases.append((n, ell))
     for n, ell in increases:
         lines.append(f"# running_max: n={n} ell={ell}")
     _emit(lines, args.out)

@@ -9,17 +9,20 @@ first reduced state x_j with j >= 1 is therefore the first state on the cycle:
 j is the minimal preperiod (a_0 always counts in it), and the number of steps
 until (P, Q) at x_j recurs is the minimal period.
 
-`expand` walks in Python and keeps the quotients.  `cycle_lengths` needs only
-the two lengths: it walks x_0 to x_j in Python and measures the cycle from x_j
-in a small C kernel (`_cfwalk.c`).  On a reduced state 0 < P <= t and
-0 < Q, Q_prev <= 2t + 1, where t = isqrt(D), and the kernel steps with
-Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), never forming P^2 or D, so every
-intermediate stays below 4t + 2 and signed 128-bit arithmetic is exact for
-t < 2^124, that is D < 2^248.  The kernel checks those bounds at every step.
-It takes a_k = floor((P + t)/Q) with one 64-bit division while P + t and Q
-fit 64 bits; past that it takes a_k = 1 when P + t < 2Q, and otherwise a
-64-bit estimate from the top words, never above a_k and corrected upward,
-or a 128-bit division when Q's top word is below 2^32.
+`expand` walks in Python and keeps the quotients.  `surd_cycle_lengths` needs
+only the two lengths, for a batch of states (P, Q, D): it walks each x_0 to x_j
+in Python and measures every cycle from its x_j in one call of a small C
+kernel (`_cfwalk.c`), whose one entry loops over the batch in order and stops
+at the first capped row; `cycle_lengths(x)` is the batch of one.  On a
+reduced state 0 < P <= t and 0 < Q, Q_prev <= 2t + 1, where t = isqrt(D),
+and the kernel steps with Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), never
+forming P^2 or D, so every intermediate stays below 4t + 2 and signed 128-bit
+arithmetic is exact for t < 2^124, that is D < 2^248.  The kernel checks
+those bounds at every step.  It takes a_k = floor((P + t)/Q) with one 64-bit
+division while P + t and Q fit 64 bits; past that it takes a_k = 1 when
+P + t < 2Q, and otherwise a 64-bit estimate from the top words, never above
+a_k and corrected upward, or a 128-bit division when Q's top word is below
+2^32.
 
 The kernel finds l in about l/2 steps when the cycle has a centre (Perron's
 half-period conditions).  R(P_k, Q_k) = (P_k, Q_{k-1}) is the state
@@ -37,14 +40,15 @@ meets, after no more than l steps; a cycle without a centre (D = 229 has two)
 closes as before.  The cap is unchanged: StepCapExceeded(steps=max_steps,
 preperiod_seen=seen) iff j + l > max_steps, decided without walking the cap,
 since once a centre u is known, none by u + max_steps - j proves
-l > max_steps - j.  The state the kernel stops on is checked exactly: it
-satisfies Q Q_prev = D - P^2 and is x_j again or a centre.
+l > max_steps - j; a batch raises for its first capped row in order.  Each
+state the kernel returns is checked exactly: it satisfies Q Q_prev = D - P^2
+and is x_j again or a centre.
 
 The kernel is compiled with `cc` into the package's __pycache__ on first use,
 never at import, as `_cfwalk-<crc>.so`, named by the CRC-32 of `_cfwalk.c`
 (an edited source builds a new library); when that fails (no compiler, no
-__int128, a read-only directory, a load error), or for D beyond its range,
-`cycle_lengths` runs `expand` instead.
+__int128, a read-only directory, a load error), or for a row with D beyond
+its range, `surd_cycle_lengths` runs `expand` instead.
 """
 from __future__ import annotations
 
@@ -52,6 +56,7 @@ import ctypes
 import functools
 import math
 import os
+import struct
 import subprocess
 import tempfile
 import zlib
@@ -104,9 +109,6 @@ class Convergent:
     n: int
     p: int
     q: int
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 def _rational_quotients(x: Fraction) -> list[int]:
@@ -198,18 +200,21 @@ _KERNEL_STEP_LIMIT = 1 << 61
 # scanned A_n rows the centre behind x_j is mostly within j + 1 steps, and the
 # probe costs about what the walk from x_0 to x_j already did
 _PROBE_SLACK = 2
+# a row of the kernel's buffer: P, Q and Q_prev as (low, signed high) words,
+# t skipped, the result, the probe skipped
+_ROW = struct.Struct("<QqQqQq16xq8x")
 
 
 def _bind(lib: str):
-    """cf_cycle from the shared library at lib, with its C signature."""
-    fn = ctypes.CDLL(lib).cf_cycle
-    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64, ctypes.c_int64)
+    """cf_cycles, the batch entry of the shared library at lib, with its C signature."""
+    fn = ctypes.CDLL(lib).cf_cycles
+    fn.argtypes = (ctypes.POINTER(ctypes.c_uint64), ctypes.c_int64)
     fn.restype = ctypes.c_int64
     return fn
 
 
 def _load_kernel(cache_dir: str):
-    """The kernel's cf_cycle, built from _cfwalk.c into cache_dir unless a
+    """The kernel's cf_cycles, built from _cfwalk.c into cache_dir unless a
     library built from the same source is there already; None if building
     or loading fails.  The library is named by the CRC-32 of the source
     (zlib is loaded already; hashlib would cost a fresh process about 2 ms)."""
@@ -239,51 +244,87 @@ def _kernel():
     return _load_kernel(os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
 
 
-def _kernel_state(state) -> tuple[int, int, int]:
-    """(P, Q, Q_prev) from the kernel's state array, each a signed 128-bit
-    little-endian word pair."""
-    b = bytes(state)
-    return (int.from_bytes(b[:16], "little", signed=True),
-            int.from_bytes(b[16:32], "little", signed=True),
-            int.from_bytes(b[32:48], "little", signed=True))
+def _kernel_rows(buf) -> list[tuple[int, int, int, int]]:
+    """(P, Q, Q_prev, result) of each row of the kernel's buffer: 10 words a
+    row, P, Q and Q_prev each a signed 128-bit little-endian word pair, and
+    the result a signed word."""
+    return [(a | b << 64, c | d << 64, e | f << 64, rc)
+            for a, b, c, d, e, f, rc in _ROW.iter_unpack(buf)]
+
+
+def surd_cycle_lengths(states, max_steps: int = DEFAULT_STEP_CAP) -> list[tuple[int, int]]:
+    """(preperiod length, period length) of expand(Surd(P, Q, D)) for each
+    (P, Q, D) of states, in order; each must be a canonical surd state, as
+    Surd checks (not checked here).
+
+    Every row whose t = isqrt(D) is in the kernel's range is walked to x_j
+    in Python and then measured in one kernel call for the whole batch; the
+    other rows, or all of them when no kernel loads, run expand.  Raises
+    StepCapExceeded with expand's steps and preperiod_seen for the first
+    capped row in order; no row after it is measured.
+    """
+    kernel = _kernel()
+    # a budget past _KERNEL_STEP_LIMIT is never reached; j, walked in Python,
+    # is far below it
+    cap = min(max_steps, _KERNEL_STEP_LIMIT)
+    # rows holds, in order, a row's (P, Q, D) for expand, its index in
+    # walked, or the StepCapExceeded of its walk to x_j
+    rows, walked, packed = [], [], []
+    for P, Q, D in states:
+        t = math.isqrt(D)
+        if kernel is None or t >= _KERNEL_T_LIMIT:
+            rows.append((P, Q, D))
+            continue
+        try:
+            Pj, Qj, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
+        except StepCapExceeded as exc:
+            rows.append(exc)
+            break
+        j = len(quotients)
+        rows.append(len(walked))
+        walked.append((Pj, Qj, D, j, seen))
+        # P, Q, Q_prev and t, each positive and below 2^125, in 16 bytes;
+        # the budget and the probe, each below 2^62, in 8
+        R = (D - Pj * Pj) // Qj
+        packed.append((Pj | Qj << 128 | R << 256 | t << 384 | cap - j << 512
+                       | j + _PROBE_SLACK << 576).to_bytes(80, "little"))
+    if walked:
+        buf = (ctypes.c_uint64 * (10 * len(walked))).from_buffer_copy(b"".join(packed))
+        done = kernel(buf, len(walked))
+        ends = _kernel_rows(buf)
+    out = []
+    for row in rows:
+        if type(row) is tuple:
+            e = expand(Surd(*row), max_steps=max_steps)
+            out.append((len(e.preperiod), len(e.period)))
+            continue
+        if type(row) is not int:
+            raise row
+        Pj, Qj, D, j, seen = walked[row]
+        P, Q, R, ell = ends[row]
+        if row >= done:  # past the first negative result: not walked
+            ell = -2
+        # a closed walk stops at x_j, one measured between centres on a centre
+        if ell == -2 or Q * R != D - P * P or ell > 0 and not (
+                P == Pj and Q == Qj or Q == R or 2 * P % R == 0):
+            raise InternalInvariantError(
+                f"CF kernel left the reduced cycle of D={D} at (P, Q, Q_prev) = ({P}, {Q}, {R})")
+        if ell < 0:
+            raise StepCapExceeded(steps=max_steps, preperiod_seen=seen)
+        out.append((j, ell))
+    return out
 
 
 def cycle_lengths(x, max_steps: int = DEFAULT_STEP_CAP) -> tuple[int, int]:
-    """(preperiod length, period length) of expand(x), without the quotients.
+    """(preperiod length, period length) of expand(x), without the quotients:
+    surd_cycle_lengths of x's canonical surd, a batch of one.
 
     Raises StepCapExceeded with the same steps and preperiod_seen as expand.
     """
     if isinstance(x, (int, Fraction)) or (isinstance(x, QuadElem) and x.is_rational()):
         return len(expand(x).preperiod), 0
     surd = x if isinstance(x, Surd) else to_surd(x)
-    P, Q, D = surd.P, surd.Q, surd.D
-    t = math.isqrt(D)
-    kernel = _kernel() if t < _KERNEL_T_LIMIT else None
-    if kernel is None:
-        e = expand(surd, max_steps=max_steps)
-        return len(e.preperiod), len(e.period)
-    Pj, Qj, quotients, seen = _walk_to_reduced(P, Q, D, t, max_steps)
-    j = len(quotients)
-    # every value is positive and t < 2^124, so each fits 16 unsigned bytes
-    state = (ctypes.c_uint64 * 8).from_buffer_copy(
-        Pj.to_bytes(16, "little") + Qj.to_bytes(16, "little")
-        + ((D - Pj * Pj) // Qj).to_bytes(16, "little") + t.to_bytes(16, "little"))
-    ell = kernel(state, min(max_steps - j, _KERNEL_STEP_LIMIT),
-                 min(j + _PROBE_SLACK, _KERNEL_STEP_LIMIT))
-    P, Q, R = _kernel_state(state)
-    # a closed walk stops at x_j, one measured between centres on a centre
-    if ell == -2 or Q * R != D - P * P or ell > 0 and not (
-            P == Pj and Q == Qj or Q == R or 2 * P % R == 0):
-        raise InternalInvariantError(
-            f"CF kernel left the reduced cycle of D={D} at (P, Q, Q_prev) = ({P}, {Q}, {R})")
-    if ell < 0:
-        raise StepCapExceeded(steps=max_steps, preperiod_seen=seen)
-    return j, ell
-
-
-def period_length(x, max_steps: int = DEFAULT_STEP_CAP) -> int:
-    """l(x): minimal period of the quotient sequence; 0 for rationals."""
-    return cycle_lengths(x, max_steps=max_steps)[1]
+    return surd_cycle_lengths([(surd.P, surd.Q, surd.D)], max_steps=max_steps)[0]
 
 
 def convergents(e: CFExpansion, count: int) -> list[Convergent]:
@@ -299,13 +340,20 @@ def convergents(e: CFExpansion, count: int) -> list[Convergent]:
     return out
 
 
+def convergent_bound_holds(x, p: int, q: int, a_next: int) -> bool:
+    """Exact check of |x - p/q| <= 1/(a_next * q^2), q > 0, for x a Fraction
+    or a QuadElem (A + B sqrt(d))/m, on integers.  Times a_next q^2 m > 0 it
+    reads |u + v sqrt(d)| <= m with u = a_next q (qA - pm) and v = a_next q^2 B,
+    that is (u - m) + v sqrt(d) <= 0 <= (u + m) + v sqrt(d), each sign read
+    from squares by QuadElem.sign."""
+    if isinstance(x, Fraction):
+        return abs(a_next * q * (q * x.numerator - p * x.denominator)) <= x.denominator
+    m, d = x.m, x.d
+    u, v = a_next * q * (q * x.A - p * m), a_next * q * q * x.B
+    return QuadElem(u - m, v, d).sign() <= 0 <= QuadElem(u + m, v, d).sign()
+
+
 def check_convergent_bound(e: CFExpansion, n: int) -> bool:
     """Exact check of |x - p_n/q_n| <= 1/(a_{n+1} * q_n^2) for x = e.value."""
-    a_next = e.quotients(n + 2)[n + 1]
-    conv = convergents(e, n + 1)[n]
-    bound = Fraction(1, a_next * conv.q * conv.q)
-    diff = e.value - conv.as_fraction()  # e.value is a Fraction or a QuadElem
-    if isinstance(diff, Fraction):
-        return abs(diff) <= bound
-    return (diff - bound).sign() <= 0 and (diff + bound).sign() >= 0
-
+    c = convergents(e, n + 1)[n]
+    return convergent_bound_holds(e.value, c.p, c.q, e.quotients(n + 2)[n + 1])

@@ -21,10 +21,12 @@ log, together with the verdict it reads off the same values;
 places (Newton polygon slopes) and certified at the real ones, where strict
 >1 facts come from the exact circle profile and arch_dominant_log forms its
 log once for the verdict and the CLI.  All real-place numerics live here and
-read elements through qfield.to_mpf.  A log enclosure at dps digits is
-mpf_log of to_mpf's tuple at 2 * dps digits, with ends (|log| + 1) * 10^-dps
-on either side, each an mpmath.libmp operation rounded to nearest: no row
-enters a precision context.  Every printed log and verdict is that of an
+read elements through qfield: a row's sigma_v(x) is image_tuple of x's
+integers, the root boxes' coefficients to_mpf.  A log enclosure at dps digits
+is mpf_log of that tuple at 2 * dps digits, with ends (|log| + 1) * 10^-dps on
+either side at ARCH_DPS, and a power of two no closer at any other dps, each
+an mpmath.libmp operation rounded to nearest: no row enters a precision
+context.  Every printed log and verdict is that of an
 enclosure at ARCH_DPS = 60 digits; growth_rows computes one only for a row
 that its enclosure at ROW_DPS = 20 digits leaves undecided, and
 log_abs_centre, the float of each point of the CLI's limit estimate, only
@@ -53,7 +55,7 @@ from .kpoly import KPoly
 from .memo import memoized
 from .modp import sqrt_mod
 from .polyalg import circle_profile, factor_k, witness_orders
-from .qfield import QuadElem, to_mpf
+from .qfield import QuadElem, image_tuple, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
 ARCH_DPS = 60
@@ -194,29 +196,40 @@ def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
 
 
 @functools.cache
-def _ten_to(dps: int):
-    """10^dps as an exact mpmath.libmp tuple, built once per dps."""
+def _enclosure_scale(dps: int) -> tuple[int, int, tuple]:
+    """(prec, k, ten) for an enclosure at dps digits: its working precision
+    dps_to_prec(2 * dps), k with 2^k <= 10^dps < 2^(k + 1), and 10^dps as an
+    exact mpmath.libmp tuple, formed once per dps."""
     import mpmath
 
-    return mpmath.libmp.from_int(10 ** dps)
+    libmp = mpmath.libmp
+    return (libmp.dps_to_prec(2 * dps), (10 ** dps).bit_length() - 1,
+            libmp.from_int(10 ** dps))
 
 
 def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS):
-    """sigma(x) is to_mpf of x (or of its conjugate) at 2 * dps digits, free
-    of cancellation, so its log, mpf_log of that tuple at the same
-    precision, is good to about that many digits; the ends of the enclosure
-    sit (|log| + 1) * 10^-dps on either side of it.  No precision context is
-    entered."""
+    """sigma(x) is qfield.image_tuple of x's integers (B negated at the second
+    embedding) at 2 * dps digits, free of cancellation, so its log, mpf_log
+    of that tuple at the same precision, is good to about that many digits.
+    At ARCH_DPS the ends sit (|log| + 1) * 10^-dps on either side of it; at
+    any other dps, the filter growth_rows reads first, they sit a power of
+    two 2^(e - k) no closer, with 2^e >= |log| + 1 read off the log's
+    exponent and 2^k <= 10^dps.  No precision context is entered."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
     libmp = mpmath.libmp
-    prec, rnd = libmp.dps_to_prec(2 * dps), libmp.round_nearest
-    sigma = to_mpf(x if embedding == 1 else x.conj(), 2 * dps)._mpf_
+    prec, k, ten = _enclosure_scale(dps)
+    rnd = libmp.round_nearest
+    sigma = image_tuple(x.A, x.B if embedding == 1 else -x.B, x.m, x.d, prec)
     lg = libmp.mpf_log(libmp.mpf_abs(sigma), prec, rnd)
-    eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
-                        _ten_to(dps), prec, rnd)
+    if dps == ARCH_DPS:
+        eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
+                            ten, prec, rnd)
+    else:
+        # |log| < 2^(exp + bc), so |log| + 1 <= 2^e
+        eps = (0, 1, max(lg[2] + lg[3], 0) + 1 - k, 1)
     make = mpmath.mp.make_mpf
     return make(libmp.mpf_sub(lg, eps, prec, rnd)), make(libmp.mpf_add(lg, eps, prec, rnd))
 
@@ -452,7 +465,9 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
     tail = n_lo + (n_hi - n_lo) // 5
     rows, passed = [], True
     if v.kind == "finite":
-        frac, log_a1 = 1 - eps, finite_dominant_slope(r, v)
+        # e >= (1 - eps) n log_a1, compared on integers as e den >= num n
+        bound = (1 - eps) * finite_dominant_slope(r, v)
+        num, den = bound.numerator, bound.denominator
         log_p = math.log(v.p)
         for n in range(n_lo, n_hi + 1):
             a = r.term(n)
@@ -462,17 +477,17 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
             e = log_abs(a, v, ROW_DPS)
             rows.append((n, fmt_float(e * v.f * log_p)))
             if passed and n >= tail:
-                passed = e >= frac * n * log_a1
+                passed = e * den >= num * n
         return rows, passed
 
     # The verdict compares the low end of each row's ARCH_DPS enclosure with
     # threshold(n) = (1 - eps) n log|alpha_1|_v, the high root bound's log,
     # on libmp tuples at 2 * ARCH_DPS digits with each product rounded to
     # nearest.  A row's ROW_DPS enclosure holds its ARCH_DPS one: the radii
-    # differ by a factor 10^(ARCH_DPS - ROW_DPS), and by far more than the
-    # two logs' errors.  n c_dn and n c_up, rounded outward at 128 bits,
-    # bracket threshold(n), which its roundings move by far less than 2^-120
-    # of itself.
+    # differ by at least a factor 10^(ARCH_DPS - ROW_DPS), and by far more
+    # than the two logs' errors.  n c_dn and n c_up, rounded outward at 128
+    # bits, bracket threshold(n), which its roundings move by far less than
+    # 2^-120 of itself.
     # So a row passes when its low end is not below the bracket, fails when
     # its high end is below the bracket, and is computed again otherwise.
     import mpmath

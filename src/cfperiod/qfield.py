@@ -13,8 +13,9 @@ in from outside: by quad() and by the CLI's job parsing.  QuadElem(a, b, d),
 the arithmetic and the constructors fed by split_square trust it.
 Everything here is exact integer/rational arithmetic; no floating point ever
 enters a comparison, floor, or sign decision.  The one float image of an
-element, to_mpf, is free of cancellation; the real-place numerics of
-``places`` read every element through it.
+element, image_tuple, is free of cancellation; to_mpf wraps it into an mpf,
+and the real-place numerics of ``places`` read every element through one of
+the two.
 """
 from __future__ import annotations
 
@@ -421,13 +422,28 @@ def _sqrt_tuple(d: int, prec: int) -> tuple:
     return libmp.mpf_sqrt(libmp.from_int(d), prec, libmp.round_nearest)
 
 
+def image_tuple(A: int, B: int, m: int, d: int, prec: int) -> tuple:
+    """(A + B*sqrt(d))/m for m > 0 as an mpmath.libmp tuple, good to a few
+    units in the last of prec bits: when A and B*sqrt(d) differ in sign it
+    is (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels.  Each
+    step is one libmp operation rounded to nearest at prec bits, on exact
+    integers and the field's cached sqrt(d); x's image under the second
+    embedding is that of (A, -B, m)."""
+    import mpmath
+
+    libmp = mpmath.libmp
+    from_int, rnd = libmp.from_int, libmp.round_nearest
+    bt = libmp.mpf_mul(from_int(B), _sqrt_tuple(d, prec), prec, rnd)
+    if A * B < 0:
+        den = libmp.mpf_mul(from_int(m), libmp.mpf_sub(from_int(A), bt, prec, rnd), prec, rnd)
+        return libmp.mpf_div(from_int(A * A - d * B * B), den, prec, rnd)
+    return libmp.mpf_div(libmp.mpf_add(from_int(A), bt, prec, rnd), from_int(m), prec, rnd)
+
+
 def to_mpf(x, dps: int):
-    """The float image of x under the b > 0 embedding, good to a few units in
-    the last of dps digits: when A and B*sqrt(d) differ in sign, it is
-    (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels.  Each step
-    is one mpmath.libmp operation rounded to nearest at dps_to_prec(dps) bits,
-    on exact integers and the field's cached sqrt(d); no precision context is
-    entered, and the result is wrapped into an mpf once."""
+    """The float image of x under the b > 0 embedding at dps_to_prec(dps)
+    bits, image_tuple's for a QuadElem, wrapped into an mpf once; no
+    precision context is entered."""
     import mpmath
 
     libmp = mpmath.libmp
@@ -437,13 +453,5 @@ def to_mpf(x, dps: int):
         f = _as_fraction(x)
         v = libmp.mpf_div(from_int(f.numerator, prec, rnd), from_int(f.denominator), prec, rnd)
     else:
-        A, B = x.A, x.B
-        bt = libmp.mpf_mul(from_int(B), _sqrt_tuple(x.d, prec), prec, rnd)
-        if A * B < 0:
-            den = libmp.mpf_mul(from_int(x.m), libmp.mpf_sub(from_int(A), bt, prec, rnd),
-                                prec, rnd)
-            v = libmp.mpf_div(from_int(A * A - x.d * B * B), den, prec, rnd)
-        else:
-            v = libmp.mpf_div(libmp.mpf_add(from_int(A), bt, prec, rnd), from_int(x.m),
-                              prec, rnd)
+        v = image_tuple(x.A, x.B, x.m, x.d, prec)
     return mpmath.mp.make_mpf(v)

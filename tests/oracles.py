@@ -81,7 +81,10 @@ package tests reducedness on integers; complete_quotients steps an element in
 the field by 1/(x - floor(x)), not a (P, Q) state.  period_lower_bound reads
 a certified lower bound off a capped cycle_lengths, as the periods command
 does inline, and check_fibonacci_bounds is the exact product/Fibonacci
-envelope of the convergents.  sqrt_int builds sqrt(k) for test fixtures.
+envelope of the convergents.  convergent_bound_by_field_ops decides
+|x - p/q| <= 1/(a q^2) by QuadElem and Fraction arithmetic, the signs of
+x - p/q -+ 1/(a q^2), where contfrac reads the same two signs off integers
+scaled by a q^2 m.  sqrt_int builds sqrt(k) for test fixtures.
 schinzel_rows_by_factoring is the schinzel scan by the route the CLI left:
 each f(n) factored into s^2 * k and walked as the element s * sqrt(k), where
 the CLI walks the surd sqrt(f(n)) and tests squares by an integer root.
@@ -564,6 +567,16 @@ def check_fibonacci_bounds(e: CFExpansion, n: int) -> bool:
         prod_all = math.prod(qs)
         ok = ok and prod_all <= conv.p <= _fib(n + 2) * prod_all
     return ok
+
+
+def convergent_bound_by_field_ops(x, p: int, q: int, a_next: int) -> bool:
+    """Exact check of |x - p/q| <= 1/(a_next * q^2), q > 0, for x a Fraction
+    or a QuadElem, on the difference in the field."""
+    bound = Fraction(1, a_next * q * q)
+    diff = x - Fraction(p, q)
+    if isinstance(diff, Fraction):
+        return abs(diff) <= bound
+    return (diff - bound).sign() <= 0 and (diff + bound).sign() >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from oracles import (RatPoly, check_fibonacci_bounds, complete_quotients, cyclot
                      period_lower_bound, purely_periodic)
 
 from cfperiod.classifier import classify
-from cfperiod.contfrac import _surd_reduced, check_convergent_bound, expand, period_length
+from cfperiod.contfrac import _surd_reduced, check_convergent_bound, cycle_lengths, expand
 from cfperiod.places import growth_rows, places_above, real_places, val
 from cfperiod.polyalg import KPoly, _over_q, circle_profile, factor_k, witness_orders
 from cfperiod.qfield import floor_exact, quad, split_square, to_mpf, to_surd
@@ -176,7 +176,7 @@ def test_criterion_4_unbounded_grow_stable_stay_flat(capsys):
     ells = {}
     for n in range(1, 61):
         s, k = split_square(2 * n * n + 1)
-        ells[n] = 0 if k == 1 else period_length(quad(0, s, k))
+        ells[n] = 0 if k == 1 else cycle_lengths(quad(0, s, k))[1]
     inc, at_ends = window_increases(ells, [1, 3, 7, 15, 31, 60])
     if inc < 2:
         failures.append(("sqrt(2n^2+1)", at_ends))

@@ -204,7 +204,7 @@ def test_cf_parse_error_exit_code(capsys):
 
 @pytest.mark.parametrize("walk, argv", [
     ("expand", ["cf", "sqrt(2)"]),
-    ("period_length", ["schinzel", "--poly", "x^2+2", "--range", "1..3"]),
+    ("surd_cycle_lengths", ["schinzel", "--poly", "x^2+2", "--range", "1..3"]),
 ], ids=["cf", "schinzel"])
 def test_step_cap_hit_exits_two_without_traceback(capsys, monkeypatch, walk, argv):
     def capped(x, max_steps=None):
@@ -450,7 +450,11 @@ def test_periods_a1_too_long_to_print_exits_two(capsys, tmp_path):
 
 
 def test_periods_kernel_fault_exits_three(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(contfrac, "_kernel", lambda: lambda state, budget, probe: -2)
+    def breach(row, count):
+        row[8] = -2
+        return 1
+
+    monkeypatch.setattr(contfrac, "_kernel", lambda: breach)
     code, out, err = run(capsys, ["periods", unbounded_job(tmp_path, 5, 5)])
     assert code == 3 and out == ""
     assert err.startswith("internal error: CF kernel left the reduced cycle")
@@ -734,17 +738,21 @@ def schinzel_polys(draw):
 
 
 @settings(max_examples=150)
-@given(schinzel_polys(), st.integers(-15, 15), st.integers(0, 20))
-@example([1, 0, 2], 1, 59)   # 2x^2 + 1 over 1..60
-@example([0, 0, 1], 1, 9)    # x^2: every row a square
-@example([-10, 1], 5, 7)     # x - 10: negative rows, a zero, squares
-@example([1, 0, -4], -3, 6)  # 1 - 4x^2: a negative square leading coefficient
-def test_schinzel_rows_match_the_factoring_route(coeffs, n_lo, width):
+@given(schinzel_polys(), st.integers(-15, 15), st.integers(0, 20),
+       st.sampled_from([cli.SCAN_BLOCK, 1, 3, 7]))
+@example([1, 0, 2], 1, 59, cli.SCAN_BLOCK)  # 2x^2 + 1 over 1..60
+@example([1, 0, 2], 1, 59, 7)               # the same in blocks of 7 rows
+@example([0, 0, 1], 1, 9, 3)                # x^2: every row a square
+@example([-10, 1], 5, 7, 3)                 # x - 10: negative rows, a zero, squares
+@example([1, 0, -4], -3, 6, cli.SCAN_BLOCK)  # 1 - 4x^2: a negative square leading coefficient
+def test_schinzel_rows_match_the_factoring_route(coeffs, n_lo, width, block):
     # the surd sqrt(f(n)) with an integer-root square test against f(n)
-    # factored into s^2 * k and walked as s * sqrt(k)
+    # factored into s^2 * k and walked as s * sqrt(k), whatever the rows
+    # per kernel batch
     n_hi = n_lo + width
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "SCAN_BLOCK", block):
         code = cli.main(["schinzel", f"--poly={_poly_arg(coeffs)}",
                          f"--range={n_lo}..{n_hi}"])
     assert (code, err.getvalue()) == (0, "")

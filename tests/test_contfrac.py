@@ -7,7 +7,9 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
+from dataclasses import astuple
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -19,17 +21,18 @@ from cfperiod import contfrac
 from cfperiod.contfrac import (
     DEFAULT_STEP_CAP,
     check_convergent_bound,
+    convergent_bound_holds,
     convergents,
     cycle_lengths,
     expand,
-    period_length,
+    surd_cycle_lengths,
 )
 from cfperiod.errors import InternalInvariantError, RationalInput, StepCapExceeded
-from cfperiod.qfield import Surd, quad, to_surd
+from cfperiod.qfield import Surd, floor_exact, quad, to_surd
 
 from oracles import (cf_quotients, check_fibonacci_bounds, complete_quotients,
-                     cycle_centres, period_lower_bound, purely_periodic, sqrt_int,
-                     surd_value, surd_walk_first_repeat)
+                     convergent_bound_by_field_ops, cycle_centres, period_lower_bound,
+                     purely_periodic, sqrt_int, surd_value, surd_walk_first_repeat)
 
 R2 = sqrt_int(2)
 GOLDEN = quad(F(1, 2), F(1, 2), 5)
@@ -75,7 +78,7 @@ def test_expand_rational_terminates():
     # canonical form: final quotient >= 2 so the expansion is unique
     assert expand(F(1, 2)).preperiod == (0, 2)
     assert expand(F(-10, 7)).preperiod[0] == -2
-    assert period_length(F(10, 7)) == 0
+    assert cycle_lengths(F(10, 7))[1] == 0
 
 
 def test_leading_quotient_lives_in_preperiod():
@@ -191,6 +194,34 @@ def test_convergent_bound_holds_on_sample():
     # rational input: the bound needs a next quotient, so stop one short
     for n in range(len(expand(F(355, 113)).preperiod) - 1):
         assert check_convergent_bound(expand(F(355, 113)), n)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(1, 10**4),
+       st.sampled_from([2, 3, 5, 6, 7, 10, 13, 991]), st.integers(1, 10**5),
+       st.integers(-3, 3), st.integers(1, 10**9), st.booleans())
+def test_convergent_bound_on_integers_matches_field_ops(A, B, m, d, q, shift, a, rational):
+    # p next to q x, so the bound both holds and fails; a rational x = p/q
+    # + 1/(a q^2) (shift 0) meets it with equality
+    x = F(A, m) if rational else quad(F(A, m), F(B, m), d)
+    p = floor_exact(x * q) + shift
+    if rational and shift == 0:
+        x = F(p, q) + F(1, a * q * q)
+    assert convergent_bound_holds(x, p, q, a) == convergent_bound_by_field_ops(x, p, q, a)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(-60, 60), st.integers(-9, 9), st.integers(1, 12),
+       st.sampled_from([2, 3, 5, 6, 7, 10, 13, 991]))
+def test_check_convergent_bound_matches_field_ops(A, B, m, d):
+    x = quad(F(A, m), F(B, m), d)
+    e = expand(x)
+    total = len(e.preperiod) if B == 0 else 8
+    for n in range(min(6, total - 1)):
+        c = convergents(e, n + 1)[n]
+        a_next = e.quotients(n + 2)[n + 1]
+        assert check_convergent_bound(e, n) == convergent_bound_by_field_ops(
+            e.value, c.p, c.q, a_next) is True
 
 
 def test_fibonacci_denominator_bounds():
@@ -412,9 +443,9 @@ def test_cycle_lengths_match_reference_and_python_route(state):
     first_reduced = surd_walk_first_repeat(P, Q, D, max_steps=len(pre))[2]
     kernel, budgets = contfrac._kernel(), []
 
-    def counted(state, budget, probe):
-        budgets.append(budget)
-        return kernel(state, budget, probe)
+    def counted(buf, count):
+        budgets.append(buf[8])
+        return kernel(buf, count)
 
     for cap in {first_reduced, *_caps(len(pre), per)}:
         ref = surd_walk_first_repeat(P, Q, D, cap)
@@ -452,15 +483,15 @@ def test_kernel_half_walk_stops_on_a_centre():
         pytest.skip("no CF kernel")
     states = []
 
-    def spy(state, budget, probe):
-        start = contfrac._kernel_state(state)
-        ell = kernel(state, budget, probe)
-        states.append((start, contfrac._kernel_state(state)))
-        return ell
+    def spy(buf, count):
+        [start] = contfrac._kernel_rows(buf)
+        done = kernel(buf, count)
+        states.append((start, *contfrac._kernel_rows(buf)))
+        return done
 
     with patch.object(contfrac, "_kernel", lambda: spy):
         assert cycle_lengths(quad(3, 1, 2) ** 30) == (1, 105_440)
-    [((Pj, Qj, _), (P, Q, R))] = states
+    [((Pj, Qj, _, _), (P, Q, R, _))] = states
     assert (P, Q) != (Pj, Qj)
     assert Q == R or 2 * P % R == 0
 
@@ -473,6 +504,12 @@ def _child_env():
         [os.path.dirname(os.path.dirname(contfrac.__file__)), here]))
 
 
+def _kernel_row(state, budget, probe):
+    """The 10 words of a kernel row: P, Q, Q_prev and t as (low, high) word
+    pairs, then max_steps and probe."""
+    return [w for v in state for w in (v % 2 ** 64, v >> 64)] + [budget, probe]
+
+
 def _kernel_steps_past_64_bit_q(kernel):
     """One forward step (budget 1, no probe) from in-bound states with
     n = P + t < 2^64 <= Q.  No reduced state has Q > n, so the step leaves
@@ -481,10 +518,9 @@ def _kernel_steps_past_64_bit_q(kernel):
     P, R = 1, 3
     for t in ((1 << 63) + 5, (1 << 64) - 2):
         for Q in (1 << 64, (1 << 64) + 1, 2 * t + 1):
-            state = (ctypes.c_uint64 * 8).from_buffer_copy(
-                b"".join(v.to_bytes(16, "little") for v in (P, Q, R, t)))
-            assert kernel(state, 1, 0) == -2
-            assert contfrac._kernel_state(state) == (Q - P, R + 2 * P - Q, Q)
+            state = (ctypes.c_uint64 * 10)(*_kernel_row((P, Q, R, t), 1, 0))
+            assert kernel(state, 1) == 1
+            assert contfrac._kernel_rows(state) == [(Q - P, R + 2 * P - Q, Q, -2)]
 
 
 def test_kernel_step_reads_q_past_64_bits():
@@ -502,20 +538,110 @@ def test_kernel_step_reads_q_past_64_bits():
 
 @pytest.mark.parametrize("mangle", ["breach", "bad_state", "off_centre"])
 def test_kernel_fault_is_an_internal_error(mangle):
-    def faulty(state, budget, probe):
+    def faulty(row, count):
         if mangle == "breach":
-            return -2
-        if mangle == "off_centre":
+            row[8] = -2
+        elif mangle == "off_centre":
             # x_2 = (1 + sqrt 13)/3 follows x_j = x_1 = (3 + sqrt 13)/4: on
             # the cycle, but neither x_j nor a centre
-            state[0], state[2], state[4] = 1, 3, 4
-            return 3
-        state[2] += 1  # Q no longer satisfies Q * Q_prev = D - P^2
+            row[0], row[2], row[4], row[8] = 1, 3, 4, 3
+        else:
+            row[2] += 1  # Q no longer satisfies Q * Q_prev = D - P^2
+            row[8] = 1
         return 1
 
     with patch.object(contfrac, "_kernel", lambda: faulty):
         with pytest.raises(InternalInvariantError):
             cycle_lengths(sqrt_int(13))
+
+
+# ---------------------------------------------------------------------------
+# surd_cycle_lengths: one kernel call per batch
+# ---------------------------------------------------------------------------
+
+WIDE = (1 << 250) + (1 << 126)  # t = 2^125: past the kernel, period 2
+
+
+def _batch(states, cap):
+    try:
+        return surd_cycle_lengths(states, max_steps=cap)
+    except StepCapExceeded as exc:
+        return "capped", exc.steps, exc.preperiod_seen
+
+
+def _batch_by_expand(states, cap):
+    """_batch by expand row by row: the lengths, or the first capped row."""
+    out = []
+    for P, Q, D in states:
+        try:
+            e = expand(Surd(P, Q, D), max_steps=cap)
+        except StepCapExceeded as exc:
+            return "capped", exc.steps, exc.preperiod_seen
+        out.append((len(e.preperiod), len(e.period)))
+    return out
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.lists(st.one_of(surd_states().map(lambda s: s[1:]), wide_surd_states()), max_size=8),
+       st.one_of(st.integers(0, 12), st.just(DEFAULT_STEP_CAP)))
+# a capped row (l = 217) between rows that close, before and after it a row
+# past the kernel; the capped row is the first in order; and the empty batch
+@example([(0, 1, 2), (0, 1, WIDE), (0, 1, 9949), (0, 1, 13), (0, 1, WIDE)], 100)
+@example([(0, 1, WIDE), (0, 1, 9949), (0, 1, 94)], 10)
+@example([], DEFAULT_STEP_CAP)
+def test_batch_matches_expand_row_by_row(states, cap):
+    want = _batch_by_expand(states, cap)
+    kernel, calls = contfrac._kernel(), []
+
+    def counted(buf, count):
+        calls.append(count)
+        return kernel(buf, count)
+
+    with patch.object(contfrac, "_kernel", lambda: counted if kernel else None):
+        assert _batch(states, cap) == want
+    assert len(calls) <= 1
+    if kernel is not None and want and want[0] != "capped":
+        in_range = [D for _P, _Q, D in states if math.isqrt(D) < T_LIMIT]
+        assert calls == ([len(in_range)] if in_range else [])
+    with patch.object(contfrac, "_kernel", lambda: None):
+        assert _batch(states, cap) == want
+
+
+def _kernel_batch_stops_at_its_first_capped_row(kernel):
+    """x_1 = (t + sqrt(D))/(D - t^2) of sqrt(D) for D = 2, 9949, 13 (periods
+    1, 217, 5) under a budget of 100 and a probe of 3: the batch stops after
+    the second row, and the third is left as it was given."""
+    given = [(t, D - t * t, 1, t) for D in (2, 9949, 13) for t in [math.isqrt(D)]]
+    buf = (ctypes.c_uint64 * 30)(*(w for row in given for w in _kernel_row(row, 100, 3)))
+    assert kernel(buf, 3) == 2
+    assert [rc for *_state, rc in contfrac._kernel_rows(buf)] == [1, -1, 100]
+    assert contfrac._kernel_rows(buf)[2][:3] == given[2][:3]
+
+
+def test_kernel_batch_stops_at_its_first_capped_row():
+    if contfrac._kernel() is None:
+        pytest.skip("no CF kernel")
+    _kernel_batch_stops_at_its_first_capped_row(contfrac._kernel())
+
+
+def test_batch_scans_in_two_threads_match_one_thread():
+    # the kernel call releases the GIL, so the two scans run in it at once
+    scans = [[(0, 1, v) for v in (2 * n * n + 1 for n in range(1, 300))
+              if math.isqrt(v) ** 2 != v],
+             [astuple(to_surd(quad(3, 1, 2) ** k)) for k in range(1, 16)]]
+    want = [surd_cycle_lengths(states) for states in scans]
+    got, start = [None, None], threading.Barrier(2)
+
+    def scan(i):
+        start.wait()
+        got[i] = [surd_cycle_lengths(states) for _ in range(3) for states in scans]
+
+    threads = [threading.Thread(target=scan, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert got == [want * 3, want * 3]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +768,8 @@ def test_kernel_has_no_undefined_behaviour_on_the_mirror_cases(tmp_path):
               "from cfperiod import contfrac\n"
               f"kernel = contfrac._bind({str(lib)!r})\n"
               "T._kernel_agrees_with_python_route(kernel, T.KERNEL_CASES)\n"
-              "T._kernel_steps_past_64_bit_q(kernel)\n")
+              "T._kernel_steps_past_64_bit_q(kernel)\n"
+              "T._kernel_batch_stops_at_its_first_capped_row(kernel)\n")
     got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=_child_env(), timeout=600)
     assert got.returncode == 0, got.stderr[-2000:]

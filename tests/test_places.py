@@ -1,5 +1,6 @@
 """Places of Q(sqrt(d)): valuations, product formula, growth."""
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfperiod import cli, memo, places
@@ -369,10 +370,42 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
             assert abs(to_mpf(y, digits) - ref) <= abs(ref) * mpmath.mpf(10) ** -digits
 
 
+def _exact(v) -> F:
+    return F(*mpmath.libmp.to_rational(v._mpf_))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 9973]), COORD, COORD, st.integers(1, 2 ** 64),
+       st.integers(-400, 400), st.sampled_from(["term", "near_one"]), st.sampled_from([1, 2]))
+@example(2, 2 ** 14, 2 ** 14, 1, 0, "near_one", 1)  # x = 1, log 0
+def test_row_enclosures_hold_the_arch_dps_one(d, A, B, m, k, kind, embedding):
+    # terms x (t + sqrt d)^k: A*B < 0 at one embedding, a cancellation of
+    # up to about 1 000 bits, and logs of either sign up to about 1 400 in
+    # size; or 1 + (a + b sqrt d)/2^62, within 2^-40 of 1, and 1 itself
+    if kind == "term":
+        x = quad(F(A, m), F(B, m), d) * quad(math.isqrt(d) + 1, 1, d) ** k
+    else:
+        x = quad(1 + F(A % 2 ** 15 - 2 ** 14, 2 ** 62), F(B % 2 ** 15 - 2 ** 14, 2 ** 62), d)
+    assume(x != 0)
+    y = x if embedding == 1 else x.conj()
+    ref_dps = 3 * places.ARCH_DPS + _cancellation_bits(y) // 3 + 10
+    with mpmath.workdps(ref_dps):
+        ref = _exact(mpmath.log(abs(quad_to_mpf(y, ref_dps))))
+    lo, hi = map(_exact, places._log_abs_real(x, embedding))
+    assert lo < ref < hi
+    # at every other dps the ends are a power of two apart from their
+    # centre, at least (|log| + 1) 10^-dps, and hold the ARCH_DPS enclosure
+    for dps in (1, 2, 5, places.ROW_DPS, 30):
+        row_lo, row_hi = map(_exact, places._log_abs_real(x, embedding, dps))
+        centre = (row_lo + row_hi) / 2
+        assert row_hi - centre >= (abs(centre) + 1) / F(10) ** dps
+        assert row_lo < lo and hi < row_hi
+
+
 @pytest.mark.parametrize("x, escalated", [(quad(1, 1, 2), 0), (quad(3, -2, 2), 0),
                                           (quad(1, 0, 2), 1), (quad(-1, 0, 2), 1)])
 def test_log_abs_centre_escalates_only_ends_that_round_apart(monkeypatch, x, escalated):
-    # log|1| = 0 has ROW_DPS ends -1e-20 and 1e-20, two floats apart; the
+    # log|1| = 0 has ROW_DPS ends -2^-65 and 2^-65, two floats apart; the
     # ends of log|1 + sqrt2| and of log|3 - 2 sqrt2| round to one float
     calls = []
 

@@ -273,11 +273,12 @@ def test_polynomials_over_q_pass_as_primitive_integer_forms():
 def test_mpmath_is_imported_inside_functions_only():
     """Every mpmath import in src/cfperiod sits in a function body, and only
     qfield and places import it: real-place numerics live in places, which
-    reads elements through qfield.to_mpf, and to_mpf takes sqrt(d) from one
-    cached function.  No module behind ``classify`` imports it."""
+    reads elements through qfield.image_tuple or to_mpf, its mpf wrapper,
+    and image_tuple takes sqrt(d) from one cached function.  No module
+    behind ``classify`` imports it."""
     importers = _importers("mpmath")
     assert importers.keys() == {"qfield", "places"}
-    assert importers["qfield"] == {"to_mpf", "_sqrt_tuple"}
+    assert importers["qfield"] == {"to_mpf", "image_tuple", "_sqrt_tuple"}
 
 
 def test_qfield_and_places_load_mpmath_on_first_use():

@@ -347,7 +347,7 @@ class KPoly:
         return self.A == o.A and self.B == o.B and self.m == o.m
 
     def __hash__(self):
-        return hash(("KPoly", self.coeffs))
+        return hash((self.A, self.B, self.m, self.d))  # the normal form: no view is built
 
     def __bool__(self):
         return bool(self.A)
@@ -429,6 +429,56 @@ def _rational_reconstruction(u: int, mod: int, bound: int) -> tuple[int, int] | 
     return r1, s1
 
 
+def _prime_budget(f: KPoly, g: KPoly) -> int:
+    """An upper bound on the primes _gcd_k tries for nonzero f and g.
+
+    Write F and G for the numerators (coefficients A_i + B_i sqrt(d) in
+    Z[sqrt(d)]), c for a leading coefficient, N(c) = a^2 - d b^2 for its
+    norm, e = min(deg f, deg g), and s(F) = 2 sum (A_i^2 + d B_i^2), at least
+    1 and at least the squared 2-norm of F at either real embedding, since
+    (|A| + |B| sqrt(d))^2 <= 2 (A^2 + d B^2).  Every prime tried exceeds
+    2^61, so an integer M has fewer than bits(M) / 61 of them as divisors.
+    A prime is tried for one of three reasons.
+
+    * It divides N(c_F) N(c_G) (a skip).
+    * It is unlucky: the image gcd at t or at -t has a degree above that of
+      the monic gcd h over K.  Then the prime ideal (p, sqrt(d) - t) or its
+      conjugate divides the principal subresultant coefficient S of F and G
+      of order deg h, a nonzero minor of their Sylvester matrix with entries
+      in Z[sqrt(d)], so p divides the integer N(S).  By Hadamard's bound at
+      each embedding, |N(S)| <= s(F)^deg G s(G)^deg F.
+    * It is good, and kept.  With c = c_F, c alpha is an algebraic integer
+      for every root alpha of F, so c^e h_i and then N(c)^e h_i are
+      integers of K, and 2 N(c)^e h_i lies in Z[sqrt(d)]: each coordinate of
+      h has a denominator of at most 2 |N(c)|^e.  Mignotte's bound gives
+      |sigma(h_i)| <= 2^e |sigma(F)|_2 / |sigma(c)| at each embedding sigma,
+      with 1 / |sigma(c)| = |sigma'(c)| / |N(c)| <= (2 (a^2 + d b^2))^(1/2),
+      and both coordinates of h_i are at most max |sigma(h_i)|.  So numerators
+      and denominators are below 2^H, with H read off bit lengths below, and
+      once the product of the good primes exceeds 2^(2H + 2), rational
+      reconstruction returns h, which then certifies.  The same holds with G
+      for F; the smaller count is used.
+
+    The budget is the sum of the three counts."""
+    d, e = f.d, min(f.degree, g.degree)
+
+    def square_norm(p):
+        return 2 * sum(a * a + d * b * b for a, b in zip(p.A, p.B))
+
+    def lc_norm(p):
+        return abs(p.A[-1] ** 2 - d * p.B[-1] ** 2)
+
+    def height_bits(p):
+        a, b = p.A[-1], p.B[-1]
+        return (2 + e * (lc_norm(p).bit_length() + 1) + (square_norm(p).bit_length() + 1) // 2
+                + ((2 * (a * a + d * b * b)).bit_length() + 1) // 2)
+
+    bad = ((lc_norm(f) * lc_norm(g)).bit_length() + g.degree * square_norm(f).bit_length()
+           + f.degree * square_norm(g).bit_length())
+    good = -(-(2 * min(height_bits(f), height_bits(g)) + 2) // 61)
+    return bad // 61 + good
+
+
 def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
     """The monic gcd over K of f and g, by the modular method (Langemyr and
     McCallum, J. Symbolic Comput. 8, 1989; Encarnacion, J. Symbolic Comput.
@@ -445,7 +495,9 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
     over the kept primes and read back as fractions by rational
     reconstruction.  The candidate H is certified: it divides f and g
     exactly, so deg H <= deg h, and its degree is e, the degree at a good
-    prime, so deg H >= deg h and H = h.
+    prime, so deg H >= deg h and H = h.  No more primes than _prime_budget
+    are tried: past it, a fault (say, an image that lost a degree) raises
+    InternalInvariantError instead of trying primes without end.
     """
     d = f.d
     if not f.A or not g.A:
@@ -453,7 +505,10 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
     lcs = ((f.A[-1], f.B[-1]), (g.A[-1], g.B[-1]))
     e = kept = None
     mod = 1
-    for p, t in modp.split_primes(d):
+    budget = _prime_budget(f, g)
+    for tried, (p, t) in enumerate(modp.split_primes(d)):
+        if tried == budget:
+            raise InternalInvariantError(f"gcd over K: no certified gcd after {budget} primes")
         if any((a + b * t) % p == 0 or (a - b * t) % p == 0 for a, b in lcs):
             continue
         plus = modp.gcd(_image(f, t, p), _image(g, t, p), p)

@@ -14,27 +14,32 @@ keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 
 Growth of |A_n|_v along a recurrence is compared against the dominant root.
 Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
-finite place, a certified enclosure at a real one.  ``growth_rows`` walks a
-growth job's range once and returns the CLI's rows, each n with its printed
-log, together with the verdict it reads off the same values;
+finite place, an enclosure with proven ends at a real one.  ``growth_rows``
+walks a growth job's range once and returns the CLI's rows, each n with its
+printed log, together with the verdict it reads off the same values;
 ``growth_profile`` reads log_abs too.  The dominant root is exact at finite
 places (Newton polygon slopes) and certified at the real ones, where strict
 >1 facts come from the exact circle profile and arch_dominant_log forms its
-log once for the verdict and the CLI.  All real-place numerics live here and
-read elements through qfield: a row's sigma_v(x) is image_tuple of x's
-integers, the root boxes' coefficients to_mpf.  A log enclosure at dps digits
-is mpf_log of that tuple at 2 * dps digits, with ends (|log| + 1) * 10^-dps on
-either side at ARCH_DPS, and a power of two no closer at any other dps, each
-an mpmath.libmp operation rounded to nearest: no row enters a precision
-context.  Every printed log and verdict is that of an
-enclosure at ARCH_DPS = 60 digits; growth_rows computes one only for a row
-that its enclosure at ROW_DPS = 20 digits leaves undecided, and
-log_abs_centre, the float of each point of the CLI's limit estimate, only
-when the ROW_DPS ends round to different floats.  Root boxes run
-in mpmath.workdps at ARCH_DPS digits, escalated up to 16 times that until
-certified.  One growth job runs
-in one ``memo.scope()``, which keeps the minimal polynomial, its factors and
-the dominant-root bounds, but no term's valuation or enclosure.
+log once for the verdict and the CLI.  All real-place numerics live here.
+A log at a real place is one routine on integers (Brent and Zimmermann,
+*Modern Computer Arithmetic*, ch. 4): |sigma_v(x)| 2^K is bracketed from
+x's integers with math.isqrt and no cancellation (_abs_image), and its log
+by argument reduction to [1, 2), a table of log(1 + j/64) and an atanh
+series with a bounded tail, each term floored or ceiled over 2^F
+(_log_ints); ln 2 and the table come from the same series, per scale on
+first use.  A row's enclosure at dps digits widens that bracket by
+(|c| + 1) * 10^-dps on either side at ARCH_DPS, and by a power of two no
+closer at any other dps; arch_dominant_log is the same routine on the root
+boxes' exact dyadic high bound.  No row enters a precision context or runs
+mpmath arithmetic.  Every printed log and verdict is that of an enclosure
+at ARCH_DPS = 60 digits; growth_rows computes one only for a row that its
+enclosure at ROW_DPS = 20 digits leaves undecided, and log_abs_centre, the
+float of each point of the CLI's limit estimate, only when the ROW_DPS ends
+round to different floats.  Root boxes read their coefficients through
+qfield.to_mpf and run in mpmath.workdps at ARCH_DPS digits, escalated up to
+16 times that until certified.  One growth job runs in one
+``memo.scope()``, which keeps the minimal polynomial, its factors and the
+dominant-root bounds, but no term's valuation or enclosure.
 """
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ from .kpoly import KPoly
 from .memo import memoized
 from .modp import sqrt_mod
 from .polyalg import circle_profile, factor_k, witness_orders
-from .qfield import QuadElem, image_tuple, to_mpf
+from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
 
 ARCH_DPS = 60
@@ -176,7 +181,8 @@ def val(x: QuadElem, w: Place) -> int:
 
 @dataclass(frozen=True)
 class LogAbs:
-    """log|A_n|_v: exact (coeff * log base) at finite places, enclosure at real."""
+    """log|A_n|_v: exact (coeff * log base) at finite places, an enclosure
+    with proven mpf ends at real ones."""
 
     n: int
     base: int | None           # p^f at finite places, None at real embeddings
@@ -186,8 +192,8 @@ class LogAbs:
 
 def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
     """log|x|_v for x != 0: at a finite place the exact exponent
-    -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place a certified
-    enclosure (lo, hi) of log|sigma_v(x)| with both ends formed at 2 * dps
+    -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place mpf ends
+    (lo, hi) that provably hold log|sigma_v(x)|, from _log_abs_real at dps
     digits (dps has no effect at a finite place).
     """
     if v.kind == "finite":
@@ -195,43 +201,135 @@ def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
     return _log_abs_real(x, v.embedding, dps)
 
 
-@functools.cache
-def _enclosure_scale(dps: int) -> tuple[int, int, tuple]:
-    """(prec, k, ten) for an enclosure at dps digits: its working precision
-    dps_to_prec(2 * dps), k with 2^k <= 10^dps < 2^(k + 1), and 10^dps as an
-    exact mpmath.libmp tuple, formed once per dps."""
-    import mpmath
+_GUARD = 32  # bits of an enclosure's integer scale beyond 10^dps
 
-    libmp = mpmath.libmp
-    return (libmp.dps_to_prec(2 * dps), (10 ** dps).bit_length() - 1,
-            libmp.from_int(10 ** dps))
+
+@functools.cache
+def _enclosure_scale(dps: int) -> tuple[int, int, int]:
+    """(F, k, 10^dps) for an enclosure at dps digits: 2^k <= 10^dps <
+    2^(k + 1), and its ends are integers over 2^F, F = k + _GUARD."""
+    ten = 10 ** dps
+    k = ten.bit_length() - 1
+    return k + _GUARD, k, ten
+
+
+def _two_atanh(p: int, q: int, F: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2^F * 2 atanh(p/q) <= hi, for 0 <= p/q <= 1/3.
+
+    With t = p/q, T = floor(2^F t), Q = floor(T^2 / 2^F), the powers P_0 = T,
+    P_(i+1) = floor(P_i Q / 2^F) and s the sum of floor(P_i / (2i + 1)) over
+    the n terms before the first P_n = 0: every step floors a nonnegative
+    value, so s <= 2^F atanh(t).  With 2^F t^2 - Q < 2t + 1, the shortfall
+    d_i of P_i against 2^F t^(2i+1) obeys d_0 < 1 and d_(i+1) < t^(2i+1)
+    (2t + 1) + t^2 d_i + 1 <= 14/9 + d_i / 9, so d_i < 7/4; each term is
+    short by less than d_i + 1 < 3, and the tail from P_n = 0 on is at most
+    d_n / (1 - t^2) < 2.  So 2^F atanh(t) < s + 3n + 2."""
+    if not p:
+        return 0, 0
+    t = (p << F) // q
+    t2 = (t * t) >> F
+    s, u, i = 0, t, 1
+    while u:
+        s += u // i
+        u = (u * t2) >> F
+        i += 2
+    return 2 * s, 2 * s + 3 * (i - 1) + 4  # n = (i - 1) / 2
+
+
+@functools.cache
+def _log_step(j: int, F: int) -> tuple[int, int]:
+    """Outward integer bounds on 2^F log(1 + j/64) for 0 <= j <= 64, so
+    ln 2 at j = 64: 2 atanh(j / (128 + j)) by _two_atanh at F + 16 bits,
+    rounded outward to F.  A constant like qfield's sqrt(d): each entry is
+    formed on first use and kept."""
+    lo, hi = _two_atanh(j, 128 + j, F + 16)
+    return lo >> 16, -(-hi >> 16)
+
+
+def _abs_image(A: int, B: int, m: int, d: int, W: int) -> tuple[int, int, int]:
+    """(lo, hi, K) with 2^W <= lo <= |A + B sqrt(d)| / m * 2^K <= hi for
+    m > 0 and A + B sqrt(d) != 0, from the integers and math.isqrt.
+
+    E = (|A| + |B| sqrt(d)) 2^j, floored and ceiled, has about W + 2 bits:
+    h is chosen so that |A| + |B| sqrt(d) >= 2^(h - 1), and j = W + 2 - h.
+    When A and B sqrt(d) have one sign the image is E / (m 2^j); when they
+    differ it is |A^2 - d B^2| 2^j / (m E), in which nothing cancels, so a
+    value near 2^-1000 keeps its bits.  Each division is floored for lo and
+    ceiled for hi, on a numerator shifted to keep lo >= 2^W."""
+    a, b2d = abs(A), B * B * d
+    h = max(a.bit_length(), (b2d.bit_length() + 1) // 2)
+    j = W + 2 - h
+    if j >= 0:
+        e_lo = (a << j) + math.isqrt(b2d << 2 * j)
+        e_hi = e_lo + (B != 0)  # sqrt(B^2 d) is irrational unless B = 0
+    else:
+        e_lo = (a >> -j) + math.isqrt(b2d >> -2 * j)
+        e_hi = e_lo + 2
+    if A * B >= 0:
+        g = m.bit_length()
+        return (e_lo << g) // m, -(-(e_hi << g) // m), j + g
+    n = abs(A * A - b2d)
+    c = W + 2 + (m * e_hi).bit_length() - n.bit_length()
+    n_lo, n_hi = (n << c, n << c) if c >= 0 else (n >> -c, (n >> -c) + 1)
+    return n_lo // (m * e_hi), -(-n_hi // (m * e_lo)), c - j
+
+
+def _log_ints(lo: int, hi: int, K: int, F: int) -> tuple[int, int]:
+    """(a, b) with a <= 2^F log(s / 2^K) <= b for every real s in [lo, hi],
+    2^6 <= lo <= hi.
+
+    With 2^e <= lo < 2^(e + 1) and j = floor(64 lo / 2^e) - 64, lo = 2^e
+    (1 + j/64)(1 + y) with 0 <= y < 1/64, and 1 + y = (1 + t) / (1 - t) for
+    t = (64 lo - 2^e (64 + j)) / (64 lo + 2^e (64 + j)), an exact ratio of
+    integers below 1/129.  So log(lo / 2^K) = (e - K) ln 2 + log(1 + j/64)
+    + 2 atanh(t), each term bounded outward (ln 2 and the table by
+    _log_step, the series by _two_atanh), and log(s / lo) <= (hi - lo) / lo
+    < (hi - lo) / 2^e adds at most ceil((hi - lo) 2^(F - e)) to b."""
+    e = lo.bit_length() - 1
+    j = (lo >> (e - 6)) - 64
+    base = (64 + j) << e
+    a, b = _two_atanh(64 * lo - base, 64 * lo + base, F)
+    n = e - K
+    l2_lo, l2_hi = _log_step(64, F)
+    if n < 0:
+        l2_lo, l2_hi = l2_hi, l2_lo
+    t_lo, t_hi = _log_step(j, F)
+    widen = (((hi - lo) << F) >> e) + 1 if hi != lo else 0
+    return n * l2_lo + t_lo + a, n * l2_hi + t_hi + b + widen
 
 
 def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS):
-    """sigma(x) is qfield.image_tuple of x's integers (B negated at the second
-    embedding) at 2 * dps digits, free of cancellation, so its log, mpf_log
-    of that tuple at the same precision, is good to about that many digits.
-    At ARCH_DPS the ends sit (|log| + 1) * 10^-dps on either side of it; at
-    any other dps, the filter growth_rows reads first, they sit a power of
-    two 2^(e - k) no closer, with 2^e >= |log| + 1 read off the log's
-    exponent and 2^k <= 10^dps.  No precision context is entered."""
+    """Ends (lo, hi) that provably hold log|sigma(x)|, as mpfs.
+
+    _abs_image brackets |sigma(x)| 2^K (B negated at the second embedding)
+    and _log_ints brackets its log minus K ln 2 by integers a <= b over 2^F,
+    F = _enclosure_scale(dps)[0].  The ends are a - r and b + r over 2^F:
+    at ARCH_DPS, r = ceil((|c| + 1) 10^-dps 2^F) with c = (a + b) / 2^(F + 1)
+    the centre; at any other dps, the filter growth_rows reads first,
+    r = 2^(e - k) with 2^e >= |c| + 1 read off the bit length of max(|a|,
+    |b|) and 2^k <= 10^dps.  Both radii are nonnegative, so the ends hold
+    [a, b], which holds the log.  When |sigma(x)| = 1, a = b = 0 exactly and
+    the centre is 0.  No precision context is entered and no mpmath
+    arithmetic runs: the ends become mpfs only at the end."""
     if x == 0:
         raise ZeroInput("log of 0")
     import mpmath
 
-    libmp = mpmath.libmp
-    prec, k, ten = _enclosure_scale(dps)
-    rnd = libmp.round_nearest
-    sigma = image_tuple(x.A, x.B if embedding == 1 else -x.B, x.m, x.d, prec)
-    lg = libmp.mpf_log(libmp.mpf_abs(sigma), prec, rnd)
+    F, k, ten = _enclosure_scale(dps)
+    lo, hi = _log_ints(*_abs_image(x.A, x.B if embedding == 1 else -x.B, x.m, x.d, F), F)
     if dps == ARCH_DPS:
-        eps = libmp.mpf_div(libmp.mpf_add(libmp.mpf_abs(lg), libmp.fone, prec, rnd),
-                            ten, prec, rnd)
+        r = -(-(abs(lo + hi) + (2 << F)) // (2 * ten))
     else:
-        # |log| < 2^(exp + bc), so |log| + 1 <= 2^e
-        eps = (0, 1, max(lg[2] + lg[3], 0) + 1 - k, 1)
-    make = mpmath.mp.make_mpf
-    return make(libmp.mpf_sub(lg, eps, prec, rnd)), make(libmp.mpf_add(lg, eps, prec, rnd))
+        r = 1 << (max(max(-lo, hi).bit_length() - F, 0) + 1 + F - k)
+    make, from_man_exp = mpmath.mp.make_mpf, mpmath.libmp.from_man_exp
+    return make(from_man_exp(lo - r, -F)), make(from_man_exp(hi + r, -F))
+
+
+def _scaled(x, F: int) -> int:
+    """x * 2^F for an mpf x that is an integer over 2^F, read off its tuple
+    (sign, man, exp, bc), whose exp is at least -F."""
+    s, man, exp, _bc = x._mpf_
+    return (-man if s else man) << (exp + F)
 
 
 def enclosure_centre(lo, hi) -> float:
@@ -249,13 +347,10 @@ def log_abs_centre(x: QuadElem, v: Place) -> float:
     """enclosure_centre of log_abs(x, v) at ARCH_DPS for a real place v.
 
     The ROW_DPS enclosure holds the ARCH_DPS one, and rounding to a float is
-    monotone: when its two ends round to one float, that float is the
-    ARCH_DPS centre, and log_abs runs at ARCH_DPS only otherwise."""
-    import mpmath
-
-    libmp = mpmath.libmp
-    lo, hi = (libmp.to_float(e._mpf_, rnd=libmp.round_nearest)
-              for e in log_abs(x, v, ROW_DPS))
+    monotone: when its two ends, integers over 2^F, round to one float, that
+    float is the ARCH_DPS centre, and log_abs runs at ARCH_DPS only otherwise."""
+    F = _enclosure_scale(ROW_DPS)[0]
+    lo, hi = (_scaled(e, F) / (1 << F) for e in log_abs(x, v, ROW_DPS))
     return lo if lo == hi else enclosure_centre(*log_abs(x, v))
 
 
@@ -403,16 +498,21 @@ def arch_dominant_bounds(r: LinRec, v: Place):
 
 @memoized
 def arch_dominant_log(r: LinRec, v: Place):
-    """log|alpha_1|_v at a real place, mpf_log at 2 * ARCH_DPS digits of the
-    high bound of arch_dominant_bounds: growth_rows compares against it, and
-    the CLI's bound column prints its float, which keeps its relative
-    precision when hi lies within 2^-53 of 1."""
+    """log|alpha_1|_v at a real place: the high end of _log_ints on the
+    exact dyadic high bound hi of arch_dominant_bounds, as an mpf, so an
+    upper bound on log hi.  growth_rows compares against it, and the CLI's
+    bound column prints its float.  It is formed over 2^F, F the ARCH_DPS
+    scale plus -z bits when hi - 1 < 2^z for a z < 0, so it keeps its
+    relative precision when hi lies within 2^-53 of 1."""
     import mpmath
 
-    libmp = mpmath.libmp
-    hi = arch_dominant_bounds(r, v)[1]._mpf_
-    return mpmath.mp.make_mpf(
-        libmp.mpf_log(hi, libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest))
+    _s, man, exp, _bc = arch_dominant_bounds(r, v)[1]._mpf_  # hi = man 2^exp > 1
+    F = _enclosure_scale(ARCH_DPS)[0]
+    if exp < 0:
+        F += max(0, -((man - (1 << -exp)).bit_length() + exp))
+    shift = max(0, F + 1 - man.bit_length())
+    hi = _log_ints(man << shift, man << shift, shift - exp, F)[1]
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(hi, -F))
 
 
 def root_abs_table(r: LinRec, v: Place) -> list[str]:
@@ -452,9 +552,9 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
     valuations.  At the real embeddings a row is read off a log_abs
     enclosure at ROW_DPS digits, and again at ARCH_DPS only when that one
     leaves undecided the printed digits (its ends' floats print differently)
-    or, in the tail, the comparison of the ARCH_DPS enclosure's low end with
-    (1 - eps) n log|alpha_1|_v: the printed string and the verdict are those
-    of an ARCH_DPS enclosure on every row.
+    or, in the tail, the exact comparison of the ARCH_DPS enclosure's low end
+    with (1 - eps) n log|alpha_1|_v: the printed string and the verdict are
+    those of an ARCH_DPS enclosure on every row.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -481,51 +581,47 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
         return rows, passed
 
     # The verdict compares the low end of each row's ARCH_DPS enclosure with
-    # threshold(n) = (1 - eps) n log|alpha_1|_v, the high root bound's log,
-    # on libmp tuples at 2 * ARCH_DPS digits with each product rounded to
-    # nearest.  A row's ROW_DPS enclosure holds its ARCH_DPS one: the radii
+    # threshold(n) = slope * n, slope = (1 - eps) log|alpha_1|_v, exactly: the
+    # mpf log|alpha_1|_v is a dyadic rational.  A row's ROW_DPS ends are
+    # integers lo <= hi over 2^f_row and hold its ARCH_DPS ones: the radii
     # differ by at least a factor 10^(ARCH_DPS - ROW_DPS), and by far more
-    # than the two logs' errors.  n c_dn and n c_up, rounded outward at 128
-    # bits, bracket threshold(n), which its roundings move by far less than
-    # 2^-120 of itself.
-    # So a row passes when its low end is not below the bracket, fails when
-    # its high end is below the bracket, and is computed again otherwise.
-    import mpmath
-
-    libmp = mpmath.libmp
-    prec, rnd = libmp.dps_to_prec(2 * ARCH_DPS), libmp.round_nearest
-    up, down = libmp.round_ceiling, libmp.round_floor
-    lt, mul, mul_int, to_float = libmp.mpf_lt, libmp.mpf_mul, libmp.mpf_mul_int, libmp.to_float
-    frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
-        libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
-        prec, rnd), prec, rnd)
-    log_a1 = arch_dominant_log(r, v)._mpf_
-    slope = mul(frac, log_a1)  # exact, and > 0
-    c_dn = mul(slope, libmp.from_man_exp(2 ** 120 - 1, -120), 128, down)
-    c_up = mul(slope, libmp.from_man_exp(2 ** 120 + 1, -120), 128, up)
+    # than the widths of the two proven brackets.  With c_dn <= 2^f_row
+    # slope <= c_up, n c_dn and n c_up bracket 2^f_row threshold(n) (the
+    # other way round for n < 0).  So a row passes when lo is not below the
+    # bracket, fails when hi is below it, and is computed again otherwise.
+    # Each float is an integer over a power of two, correctly rounded by
+    # int / int.
+    f_row, f_arch = _enclosure_scale(ROW_DPS)[0], _enclosure_scale(ARCH_DPS)[0]
+    sign, man, exp, _bc = arch_dominant_log(r, v)._mpf_
+    slope = (1 - eps) * (-man if sign else man) * Fraction(2) ** exp
+    c_dn = (slope.numerator << f_row) // slope.denominator
+    c_up = -(-(slope.numerator << f_row) // slope.denominator)
+    unit = 1 << f_row
     for n in range(n_lo, n_hi + 1):
         a = r.term(n)
         if a == 0:
             passed = passed and n < tail
             continue
-        lo, hi = (t._mpf_ for t in log_abs(a, v, ROW_DPS))
+        lo, hi = log_abs(a, v, ROW_DPS)
+        lo, hi = _scaled(lo, f_row), _scaled(hi, f_row)
         # rounding to a float and printing 12 digits are monotone: ends that
         # print alike print every value between them alike, the centre of
         # the ARCH_DPS enclosure included
-        f_lo, f_hi = to_float(lo, rnd=rnd), to_float(hi, rnd=rnd)
+        f_lo, f_hi = lo / unit, hi / unit
         shown = fmt_float(f_lo)
         decided = f_lo == f_hi or shown == fmt_float(f_hi)
         if decided and passed and n >= tail:
-            c_lo, c_hi = (c_dn, c_up) if n >= 0 else (c_up, c_dn)
-            if lt(lo, mul_int(c_hi, n, 128, up)):
-                if lt(hi, mul_int(c_lo, n, 128, down)):
+            t_lo, t_hi = (n * c_dn, n * c_up) if n >= 0 else (n * c_up, n * c_dn)
+            if lo < t_hi:
+                if hi < t_lo:
                     passed = False
                 else:
                     decided = False
         if not decided:
             lo, hi = log_abs(a, v)
-            shown = fmt_float(enclosure_centre(lo, hi))
+            lo, hi = _scaled(lo, f_arch), _scaled(hi, f_arch)
+            shown = fmt_float((lo + hi) / (2 << f_arch))
             if passed and n >= tail:
-                passed = not lt(lo._mpf_, mul(mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+                passed = lo * slope.denominator >= n * (slope.numerator << f_arch)
         rows.append((n, shown))
     return rows, passed

@@ -13,9 +13,9 @@ in from outside: by quad() and by the CLI's job parsing.  QuadElem(a, b, d),
 the arithmetic and the constructors fed by split_square trust it.
 Everything here is exact integer/rational arithmetic; no floating point ever
 enters a comparison, floor, or sign decision.  The one float image of an
-element, image_tuple, is free of cancellation; to_mpf wraps it into an mpf,
-and the real-place numerics of ``places`` read every element through one of
-the two.
+element, image_tuple, is free of cancellation, and to_mpf wraps it into an
+mpf for the root boxes of ``places``; a log at a real place is formed there
+from the integers, with no float image.
 """
 from __future__ import annotations
 
@@ -428,7 +428,7 @@ def image_tuple(A: int, B: int, m: int, d: int, prec: int) -> tuple:
     is (A^2 - d*B^2) / (m*(A - B*sqrt(d))), in which nothing cancels.  Each
     step is one libmp operation rounded to nearest at prec bits, on exact
     integers and the field's cached sqrt(d); x's image under the second
-    embedding is that of (A, -B, m)."""
+    embedding is that of (A, -B, m).  to_mpf is its one caller."""
     import mpmath
 
     libmp = mpmath.libmp

@@ -1085,7 +1085,7 @@ class ElemKPoly(_PolyBase):
         return all(c.is_rational() for c in self.coeffs)
 
     def __hash__(self):  # that of the equal polyalg.KPoly
-        return hash(("KPoly", self.coeffs))
+        return hash(self.to_kpoly())
 
     def __repr__(self):
         return f"KPoly({self._format()}; d={self.d})"
@@ -1717,8 +1717,8 @@ def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
     """(rows, passed) as places.growth_rows returns them, every row from one
     log_abs at ARCH_DPS digits: the printed log is the float of the
     enclosure's centre at a real place, and the tail check compares the
-    enclosure's low end with (1 - eps) n log|alpha_1|_v, each product rounded
-    to nearest at 2 * ARCH_DPS digits."""
+    enclosure's low end with (1 - eps) n log|alpha_1|_v exactly, as
+    Fractions."""
     from cfperiod import places
 
     eps = Fraction(eps)
@@ -1727,15 +1727,12 @@ def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
     if polyalg.witness_orders(places._charpoly_or_raise(r)):
         raise PreconditionViolated("growth check needs a non-degenerate sequence")
     finite = v.kind == "finite"
-    libmp = mpmath.libmp
-    prec, rnd = libmp.dps_to_prec(2 * places.ARCH_DPS), libmp.round_nearest
-    if finite:
-        frac, log_a1 = 1 - eps, places.finite_dominant_slope(r, v)
-    else:
-        frac = libmp.mpf_sub(libmp.fone, libmp.mpf_div(
-            libmp.from_int(eps.numerator, prec, rnd), libmp.from_int(eps.denominator),
-            prec, rnd), prec, rnd)
-        log_a1 = places.arch_dominant_log(r, v)._mpf_
+
+    def exact(x) -> Fraction:
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+    log_a1 = places.finite_dominant_slope(r, v) if finite else exact(
+        places.arch_dominant_log(r, v))
     tail = n_lo + (n_hi - n_lo) // 5
     rows, passed = [], True
     for n in range(n_lo, n_hi + 1):
@@ -1748,9 +1745,5 @@ def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
         rows.append((n, f"{shown:.12g}"))
         if not passed or n < tail:
             continue
-        if finite:
-            passed = e >= frac * n * log_a1
-        else:
-            passed = not libmp.mpf_lt(e[0]._mpf_, libmp.mpf_mul(
-                libmp.mpf_mul_int(frac, n, prec, rnd), log_a1, prec, rnd))
+        passed = (e if finite else exact(e[0])) >= (1 - eps) * n * log_a1
     return rows, passed

@@ -933,6 +933,23 @@ def test_scan_goldens_over_negative_ranges(capsys, tmp_path, golden, spec, extra
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("golden, spec, extra", REAL_GOLDENS + [
+    golden for golden in NEGATIVE_GOLDENS if golden[0] == "growth_fib_real2_negative.txt"])
+def test_real_place_goldens_call_no_mpf_log(capsys, tmp_path, monkeypatch, golden, spec, extra):
+    # every log at a real place, rows, limit estimate and bound column, is
+    # places' integer routine: with mpmath's mpf_log made to raise, the
+    # real-place goldens print byte for byte
+    import mpmath
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpf_log called")
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_log", refuse)
+    code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("golden, spec, extra",
                          REAL_GOLDENS + [(g, spec, []) for g, spec in FINITE_GOLDENS])
 def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,

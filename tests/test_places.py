@@ -402,6 +402,72 @@ def test_row_enclosures_hold_the_arch_dps_one(d, A, B, m, k, kind, embedding):
         assert row_lo < lo and hi < row_hi
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5, 13, 9973]), COORD, COORD, st.integers(1, 2 ** 64),
+       st.integers(-400, 400), st.sampled_from(["term", "near_one", "power_of_two"]),
+       st.sampled_from([1, 2]), st.sampled_from([places.ROW_DPS, places.ARCH_DPS]))
+@example(2, 1, 0, 1, 0, "power_of_two", 1, places.ROW_DPS)       # x = 1
+@example(5, -1, 0, 1, 0, "power_of_two", 2, places.ARCH_DPS)     # x = -1
+@example(9973, 1, 0, 1, 400, "term", 2, places.ARCH_DPS)         # about 1 150 bits cancel
+def test_integer_log_brackets_the_log(d, A, B, m, k, kind, embedding, dps):
+    # the integer routine against mpmath at 220 digits past the
+    # cancellation: terms x (t + sqrt d)^k with coordinates up to 2^2000,
+    # whose image at one embedding cancels up to about 1 150 bits; values
+    # 1 + (a + b sqrt d) / 2^90, within 2^-60 of 1; and +-2^k, whose image
+    # and log bracket are exact at k = 0
+    if kind == "term":
+        x = quad(F(A, m), F(B, m), d) * quad(math.isqrt(d) + 1, 1, d) ** k
+    elif kind == "near_one":
+        x = quad(1 + F(A % 2 ** 20 - 2 ** 19, 2 ** 90), F(B % 2 ** 20 - 2 ** 19, 2 ** 90), d)
+    else:
+        x = quad(F(2) ** k * (1 if A >= 0 else -1), 0, d)
+    assume(x != 0)
+    y = x if embedding == 1 else x.conj()
+    scale = places._enclosure_scale(dps)[0]
+    lo, hi, K = places._abs_image(y.A, y.B, y.m, d, scale)
+    assert 2 ** scale <= lo <= hi <= lo + 16
+    assert quad(F(lo) / F(2) ** K, 0, d) <= abs(y) <= quad(F(hi) / F(2) ** K, 0, d)
+    a, b = places._log_ints(lo, hi, K, scale)
+    with mpmath.workdps(220 + _cancellation_bits(y) // 3):
+        ref = _exact(mpmath.log(abs(quad_to_mpf(y, mpmath.mp.dps)))) * 2 ** scale
+    assert a <= ref <= b
+    assert b - a <= 128 * (2 + abs(a) // 2 ** scale)
+    if kind == "power_of_two" and k == 0:
+        assert a == b == 0
+        ends = places._log_abs_real(x, embedding, dps)
+        assert ends[0] == -ends[1] and places.enclosure_centre(*ends) == 0
+
+
+def test_integer_log_holds_every_point_of_its_interval():
+    # _log_ints(lo, hi, K, F) brackets log(s / 2^K) for every s in [lo, hi],
+    # intervals up to a factor 2 wide included
+    scale = places._enclosure_scale(places.ROW_DPS)[0]
+    rng = random.Random(35)
+    with mpmath.workdps(120):
+        for _ in range(300):
+            lo = rng.randrange(64, 2 ** rng.randrange(7, 400))
+            hi = lo + rng.choice([0, 1, rng.randrange(lo)])
+            K = rng.randrange(-600, 600)
+            a, b = places._log_ints(lo, hi, K, scale)
+            for s in (lo, hi):
+                ref = _exact(mpmath.log(s) - K * mpmath.ln2) * 2 ** scale
+                assert a <= ref <= b, (lo, hi, K)
+
+
+@pytest.mark.parametrize("dps, extra", [(1, 0), (2, 0), (places.ROW_DPS, 0),
+                                        (places.ARCH_DPS, 0), (places.ARCH_DPS, 77)])
+def test_log_table_and_ln2_match_mpmath(dps, extra):
+    # every entry 2^F log(1 + j/64), ln 2 at j = 64, at the scales the rows
+    # use and at one that arch_dominant_log takes for a bound near 1
+    scale = places._enclosure_scale(dps)[0] + extra
+    with mpmath.workdps(300):
+        for j in range(65):
+            lo, hi = places._log_step(j, scale)
+            ref = _exact(mpmath.log(1 + mpmath.mpf(j) / 64)) * 2 ** scale
+            assert lo <= ref <= hi and hi - lo <= 2, j
+    assert places._log_step(0, scale) == (0, 0)
+
+
 @pytest.mark.parametrize("x, escalated", [(quad(1, 1, 2), 0), (quad(3, -2, 2), 0),
                                           (quad(1, 0, 2), 1), (quad(-1, 0, 2), 1)])
 def test_log_abs_centre_escalates_only_ends_that_round_apart(monkeypatch, x, escalated):

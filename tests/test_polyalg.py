@@ -1425,6 +1425,53 @@ def test_gcd_over_k_skips_the_primes_of_a_leading_norm(monkeypatch):
     assert P0 not in seen and seen
 
 
+def test_gcd_over_k_stops_at_its_prime_budget(monkeypatch):
+    # a mutant of _gcd_k that takes images at a prime dividing a leading
+    # norm, stripped of their vanished top: in the P0 | N(lc) example the
+    # image of f at t vanishes, its x - 5 is kept as an image of the gcd,
+    # and no candidate ever certifies; the prime budget ends the loop
+    import inspect
+    import textwrap
+
+    from cfperiod import kpoly
+
+    skip = "if any((a + b * t) % p == 0 or (a - b * t) % p == 0 for a, b in lcs):"
+    source = textwrap.dedent(inspect.getsource(kpoly._gcd_k))
+    assert skip in source
+    scope = dict(vars(kpoly), _image=lambda f, t, p: modp._strip(
+        [(a + b * t) % p for a, b in zip(f.A, f.B)]))
+    exec(source.replace(skip, "if False:"), scope)
+    monkeypatch.setattr(kpoly, "_gcd_k", scope["_gcd_k"])
+    f = _k(2, lead=T0 - R2) * KPoly([1, T0 - R2], 2)
+    g = _k(5) * KPoly([1, T0 - R2], 2)
+    tried = []
+
+    def spy(a, b, p, _gcd=modp.gcd):
+        tried.append(p)
+        if len(tried) > 1000:  # without a budget the loop would not end
+            raise RuntimeError("no prime budget")
+        return _gcd(a, b, p)
+
+    monkeypatch.setattr(modp, "gcd", spy)
+    with pytest.raises(InternalInvariantError, match="no certified gcd"):
+        f.gcd(g)
+    assert P0 in tried and len(set(tried)) == kpoly._prime_budget(f, g)
+
+
+def test_kpoly_hash_reads_the_integers():
+    # equal polynomials hash alike however they were built, and hashing
+    # builds no QuadElem view
+    d = 5
+    built = [KPoly([F(1, 2), 3, 0], d), KPoly([quad(F(1, 2), 0, d), quad(3, 0, d)], d),
+             KPoly([1, 6], d) * KPoly([F(1, 2)], d)]
+    assert all(p._view is None for p in built)
+    assert len({hash(p) for p in built}) == 1 and all(p == built[0] for p in built)
+    assert all(p._view is None for p in built)
+    q = KPoly([quad(1, 1, d), 2], d)
+    assert hash(q) == hash(KPoly([quad(1, 1, d), quad(2, 0, d)], d)) != hash(q.conj())
+    assert q._view is None
+
+
 def test_kpoly_arithmetic_and_gcd_build_no_quad_elem(monkeypatch):
     # products, divisions and gcds run on integer coordinates: not one QuadElem
     # is made (the reference, one QuadElem per coefficient operation, makes many)

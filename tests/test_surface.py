@@ -272,13 +272,29 @@ def test_polynomials_over_q_pass_as_primitive_integer_forms():
 
 def test_mpmath_is_imported_inside_functions_only():
     """Every mpmath import in src/cfperiod sits in a function body, and only
-    qfield and places import it: real-place numerics live in places, which
-    reads elements through qfield.image_tuple or to_mpf, its mpf wrapper,
-    and image_tuple takes sqrt(d) from one cached function.  No module
-    behind ``classify`` imports it."""
+    qfield and places import it: real-place numerics live in places, whose
+    root boxes read coefficients through qfield.to_mpf, image_tuple's mpf
+    wrapper, and image_tuple takes sqrt(d) from one cached function.  No
+    module behind ``classify`` imports it."""
     importers = _importers("mpmath")
     assert importers.keys() == {"qfield", "places"}
     assert importers["qfield"] == {"to_mpf", "image_tuple", "_sqrt_tuple"}
+
+
+def test_real_place_logs_come_from_the_integer_routine():
+    """No module in src/cfperiod names mpmath's mpf_log: every log at a real
+    place, log|alpha_1|_v included, comes from places' integer routine.
+    places._log_abs_real reads x's integers, not qfield.image_tuple, which
+    only to_mpf calls."""
+    for path in sorted(SRC.glob("*.py")):
+        names = {getattr(node, "id", None) or getattr(node, "attr", None) or
+                 getattr(node, "name", None)
+                 for node in ast.walk(ast.parse(path.read_text()))}
+        assert "mpf_log" not in names, path.name
+    body = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(_function("places", "_log_abs_real"))}
+    assert "image_tuple" not in body
+    assert _callers("image_tuple") == {"qfield.to_mpf"}
 
 
 def test_qfield_and_places_load_mpmath_on_first_use():

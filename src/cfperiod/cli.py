@@ -403,6 +403,10 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 
 def cmd_cf(args) -> int:
     x = parse_element(args.expr)
+    if isinstance(x, QuadElem) and not x.is_rational():
+        # the kernel decides the step cap before expand walks up to it in
+        # Python; a rational expansion has no cap
+        cycle_lengths(x)
     e = expand(x)
     try:
         lines = [f"value = {x}",

@@ -28,14 +28,16 @@ _LOCK = threading.Lock()
 
 
 def is_prime(n: int) -> bool:
-    """Primality of 0 <= n < 3.3 * 10^24, by Miller-Rabin on fixed bases."""
+    """Primality of 0 <= n < 3.3 * 10^24, by Miller-Rabin on fixed bases;
+    ValueError for a larger n that no base divides."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
     if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is above the deterministic Miller-Rabin range")
+        raise ValueError(f"{n} is not below {_MR_LIMIT}, the limit of the "
+                         "deterministic Miller-Rabin test")
     s, r = 0, n - 1
     while not r & 1:
         s, r = s + 1, r >> 1

@@ -13,14 +13,17 @@ exponent weights.  Ramified places use ord_w(x) = v_p(N(x)) with f = 1, which
 keeps sum-over-p consistency and gives |sqrt(2)|_2 = 1/2.
 
 Growth of |A_n|_v along a recurrence is compared against the dominant root.
-Every log|x|_v comes from ``log_abs``: the exact exponent -ord_w(x) at a
-finite place, an enclosure with proven ends at a real one.  ``growth_rows``
-walks a growth job's range once and returns the CLI's rows, each n with its
-printed log, together with the verdict it reads off the same values;
-``growth_profile`` reads log_abs too.  The dominant root is exact at finite
-places (Newton polygon slopes) and certified at the real ones, where strict
->1 facts come from the exact circle profile and arch_dominant_log forms its
-log once for the verdict and the CLI.  All real-place numerics live here.
+At a finite place log|x|_v is the exact exponent -ord_w(x); at a real one it
+is an integer bracket (lo, hi) over 2^F with proven ends, from
+_log_abs_real.  ``growth_rows`` walks a growth job's range once and returns
+the CLI's rows, each n with its printed log, together with the verdict it
+reads off the same values; ``log_abs_centre`` gives a point of the CLI's
+limit estimate.  Only the library API (``log_abs`` at a real place, and
+``growth_profile``'s ``LogAbs``) turns the bracket into an mpf pair.  The
+dominant root is exact at finite places (Newton polygon slopes) and
+certified at the real ones, where strict >1 facts come from the exact
+circle profile and arch_dominant_log forms its log once, as a Fraction, for
+the verdict and the CLI.  All real-place numerics live here.
 A log at a real place is one routine on integers (Brent and Zimmermann,
 *Modern Computer Arithmetic*, ch. 4): |sigma_v(x)| 2^K is bracketed from
 x's integers with math.isqrt and no cancellation (_abs_image), and its log
@@ -30,16 +33,16 @@ series with a bounded tail, each term floored or ceiled over 2^F
 first use.  A row's enclosure at dps digits widens that bracket by
 (|c| + 1) * 10^-dps on either side at ARCH_DPS, and by a power of two no
 closer at any other dps; arch_dominant_log is the same routine on the root
-boxes' exact dyadic high bound.  No row enters a precision context or runs
-mpmath arithmetic.  Every printed log and verdict is that of an enclosure
-at ARCH_DPS = 60 digits; growth_rows computes one only for a row that its
-enclosure at ROW_DPS = 20 digits leaves undecided, and log_abs_centre, the
-float of each point of the CLI's limit estimate, only when the ROW_DPS ends
-round to different floats.  Root boxes read their coefficients through
-qfield.to_mpf and run in mpmath.workdps at ARCH_DPS digits, escalated up to
-16 times that until certified.  One growth job runs in one
-``memo.scope()``, which keeps the minimal polynomial, its factors and the
-dominant-root bounds, but no term's valuation or enclosure.
+boxes' exact dyadic high bound.  No row imports mpmath, enters a precision
+context or builds an mpf.  Every printed log and verdict is that of an
+enclosure at ARCH_DPS = 60 digits, its centre the int / int float
+(lo + hi) / 2^(F + 1); growth_rows computes one only for a row that its
+enclosure at ROW_DPS = 20 digits leaves undecided, and log_abs_centre only
+when the ROW_DPS ends round to different floats.  Root boxes read their
+coefficients through qfield.to_mpf and run in mpmath.workdps at ARCH_DPS
+digits, escalated up to 16 times that until certified.  One growth job runs
+in one ``memo.scope()``, which keeps the minimal polynomial, its factors and
+the dominant-root bounds, but no term's valuation or enclosure.
 """
 from __future__ import annotations
 
@@ -58,7 +61,7 @@ from .errors import (
 )
 from .kpoly import KPoly
 from .memo import memoized
-from .modp import sqrt_mod
+from .modp import is_prime, sqrt_mod
 from .polyalg import circle_profile, factor_k, witness_orders
 from .qfield import QuadElem, to_mpf
 from .recurrence import LinRec, ZeroSequence, seq_min_charpoly
@@ -91,10 +94,14 @@ def real_places(d: int) -> list[Place]:
 
 
 def places_above(p: int, d: int) -> list[Place]:
-    """The finite places of Q(sqrt(d)) lying above the rational prime p."""
-    from sympy import isprime
-
-    if not isprime(p):
+    """The finite places of Q(sqrt(d)) lying above the rational prime p,
+    which modp.is_prime decides: PreconditionViolated for a p it cannot
+    test, at or above its deterministic range."""
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise PreconditionViolated(str(exc)) from None
+    if not prime:
         raise PreconditionViolated(f"{p} is not prime")
     if p == 2:
         if d % 4 in (2, 3):
@@ -193,12 +200,17 @@ class LogAbs:
 def log_abs(x: QuadElem, v: Place, dps: int = ARCH_DPS):
     """log|x|_v for x != 0: at a finite place the exact exponent
     -ord_w(x) (log|x|_v = -ord_w(x) * log(p^f)), at a real place mpf ends
-    (lo, hi) that provably hold log|sigma_v(x)|, from _log_abs_real at dps
-    digits (dps has no effect at a finite place).
+    (lo, hi) that provably hold log|sigma_v(x)|: the integer ends of
+    _log_abs_real at dps digits over 2^F, exactly (dps has no effect at a
+    finite place).  The library API's form; no row reads it.
     """
     if v.kind == "finite":
         return -val(x, v)
-    return _log_abs_real(x, v.embedding, dps)
+    import mpmath
+
+    F = _enclosure_scale(dps)[0]
+    make, from_man_exp = mpmath.mp.make_mpf, mpmath.libmp.from_man_exp
+    return tuple(make(from_man_exp(e, -F)) for e in _log_abs_real(x, v.embedding, dps))
 
 
 _GUARD = 32  # bits of an enclosure's integer scale beyond 10^dps
@@ -298,8 +310,9 @@ def _log_ints(lo: int, hi: int, K: int, F: int) -> tuple[int, int]:
     return n * l2_lo + t_lo + a, n * l2_hi + t_hi + b + widen
 
 
-def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS):
-    """Ends (lo, hi) that provably hold log|sigma(x)|, as mpfs.
+def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^F log|sigma(x)| <= hi, F =
+    _enclosure_scale(dps)[0]: the one form of an enclosure inside places.
 
     _abs_image brackets |sigma(x)| 2^K (B negated at the second embedding)
     and _log_ints brackets its log minus K ln 2 by integers a <= b over 2^F,
@@ -309,49 +322,33 @@ def _log_abs_real(x: QuadElem, embedding: int, dps: int = ARCH_DPS):
     r = 2^(e - k) with 2^e >= |c| + 1 read off the bit length of max(|a|,
     |b|) and 2^k <= 10^dps.  Both radii are nonnegative, so the ends hold
     [a, b], which holds the log.  When |sigma(x)| = 1, a = b = 0 exactly and
-    the centre is 0.  No precision context is entered and no mpmath
-    arithmetic runs: the ends become mpfs only at the end."""
+    the centre is 0.  Only integer arithmetic runs."""
     if x == 0:
         raise ZeroInput("log of 0")
-    import mpmath
-
     F, k, ten = _enclosure_scale(dps)
     lo, hi = _log_ints(*_abs_image(x.A, x.B if embedding == 1 else -x.B, x.m, x.d, F), F)
     if dps == ARCH_DPS:
         r = -(-(abs(lo + hi) + (2 << F)) // (2 * ten))
     else:
         r = 1 << (max(max(-lo, hi).bit_length() - F, 0) + 1 + F - k)
-    make, from_man_exp = mpmath.mp.make_mpf, mpmath.libmp.from_man_exp
-    return make(from_man_exp(lo - r, -F)), make(from_man_exp(hi + r, -F))
-
-
-def _scaled(x, F: int) -> int:
-    """x * 2^F for an mpf x that is an integer over 2^F, read off its tuple
-    (sign, man, exp, bc), whose exp is at least -F."""
-    s, man, exp, _bc = x._mpf_
-    return (-man if s else man) << (exp + F)
-
-
-def enclosure_centre(lo, hi) -> float:
-    """float((lo + hi) / 2) for the ends of a log_abs enclosure, formed on
-    their tuples: lo + hi rounded to nearest at 53 bits, then halved exactly,
-    with no mpf arithmetic and whatever the caller's mpmath precision."""
-    import mpmath
-
-    libmp = mpmath.libmp
-    total = libmp.mpf_add(lo._mpf_, hi._mpf_, 53, libmp.round_nearest)
-    return libmp.to_float(libmp.mpf_shift(total, -1), rnd=libmp.round_nearest)
+    return lo - r, hi + r
 
 
 def log_abs_centre(x: QuadElem, v: Place) -> float:
-    """enclosure_centre of log_abs(x, v) at ARCH_DPS for a real place v.
+    """The float of the centre of the ARCH_DPS enclosure of log|x|_v at a
+    real place v, (lo + hi) / 2^(F + 1) on its integer ends: CPython's
+    int / int division rounds correctly, half to even, as lo + hi rounded
+    to nearest at 53 bits and then halved exactly would.
 
     The ROW_DPS enclosure holds the ARCH_DPS one, and rounding to a float is
-    monotone: when its two ends, integers over 2^F, round to one float, that
-    float is the ARCH_DPS centre, and log_abs runs at ARCH_DPS only otherwise."""
+    monotone: when its two ends round to one float, that float is the
+    ARCH_DPS centre, and _log_abs_real runs at ARCH_DPS only otherwise."""
     F = _enclosure_scale(ROW_DPS)[0]
-    lo, hi = (_scaled(e, F) / (1 << F) for e in log_abs(x, v, ROW_DPS))
-    return lo if lo == hi else enclosure_centre(*log_abs(x, v))
+    lo, hi = (e / (1 << F) for e in _log_abs_real(x, v.embedding, ROW_DPS))
+    if lo == hi:
+        return lo
+    lo, hi = _log_abs_real(x, v.embedding)
+    return (lo + hi) / (2 << _enclosure_scale(ARCH_DPS)[0])
 
 
 def fmt_float(x) -> str:
@@ -497,22 +494,20 @@ def arch_dominant_bounds(r: LinRec, v: Place):
 
 
 @memoized
-def arch_dominant_log(r: LinRec, v: Place):
+def arch_dominant_log(r: LinRec, v: Place) -> Fraction:
     """log|alpha_1|_v at a real place: the high end of _log_ints on the
-    exact dyadic high bound hi of arch_dominant_bounds, as an mpf, so an
-    upper bound on log hi.  growth_rows compares against it, and the CLI's
-    bound column prints its float.  It is formed over 2^F, F the ARCH_DPS
-    scale plus -z bits when hi - 1 < 2^z for a z < 0, so it keeps its
+    exact dyadic high bound hi of arch_dominant_bounds, an exact Fraction
+    over 2^F, so an upper bound on log hi.  growth_rows compares against
+    it, and the CLI's bound column prints its float.  F is the ARCH_DPS
+    scale plus -z bits when hi - 1 < 2^z for a z < 0, so the log keeps its
     relative precision when hi lies within 2^-53 of 1."""
-    import mpmath
-
     _s, man, exp, _bc = arch_dominant_bounds(r, v)[1]._mpf_  # hi = man 2^exp > 1
     F = _enclosure_scale(ARCH_DPS)[0]
     if exp < 0:
         F += max(0, -((man - (1 << -exp)).bit_length() + exp))
     shift = max(0, F + 1 - man.bit_length())
     hi = _log_ints(man << shift, man << shift, shift - exp, F)[1]
-    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(hi, -F))
+    return Fraction(hi, 1 << F)
 
 
 def root_abs_table(r: LinRec, v: Place) -> list[str]:
@@ -549,12 +544,12 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
     the check.  A row's log prints as fmt_float of -ord_w(A_n) * f * log(p)
     at a finite place, of the centre of an ARCH_DPS enclosure at a real one.
     At finite places the comparison is an exact rational inequality on
-    valuations.  At the real embeddings a row is read off a log_abs
-    enclosure at ROW_DPS digits, and again at ARCH_DPS only when that one
-    leaves undecided the printed digits (its ends' floats print differently)
-    or, in the tail, the exact comparison of the ARCH_DPS enclosure's low end
-    with (1 - eps) n log|alpha_1|_v: the printed string and the verdict are
-    those of an ARCH_DPS enclosure on every row.
+    valuations.  At the real embeddings a row is read off the integer ends
+    of _log_abs_real at ROW_DPS digits, and again at ARCH_DPS only when
+    those leave undecided the printed digits (their floats print
+    differently) or, in the tail, the exact comparison of the ARCH_DPS
+    enclosure's low end with (1 - eps) n log|alpha_1|_v: the printed string
+    and the verdict are those of an ARCH_DPS enclosure on every row.
     """
     eps = Fraction(eps)
     if not (0 < eps < 1):
@@ -582,7 +577,7 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
 
     # The verdict compares the low end of each row's ARCH_DPS enclosure with
     # threshold(n) = slope * n, slope = (1 - eps) log|alpha_1|_v, exactly: the
-    # mpf log|alpha_1|_v is a dyadic rational.  A row's ROW_DPS ends are
+    # log|alpha_1|_v is a dyadic Fraction.  A row's ROW_DPS ends are
     # integers lo <= hi over 2^f_row and hold its ARCH_DPS ones: the radii
     # differ by at least a factor 10^(ARCH_DPS - ROW_DPS), and by far more
     # than the widths of the two proven brackets.  With c_dn <= 2^f_row
@@ -592,8 +587,7 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
     # Each float is an integer over a power of two, correctly rounded by
     # int / int.
     f_row, f_arch = _enclosure_scale(ROW_DPS)[0], _enclosure_scale(ARCH_DPS)[0]
-    sign, man, exp, _bc = arch_dominant_log(r, v)._mpf_
-    slope = (1 - eps) * (-man if sign else man) * Fraction(2) ** exp
+    slope = (1 - eps) * arch_dominant_log(r, v)
     c_dn = (slope.numerator << f_row) // slope.denominator
     c_up = -(-(slope.numerator << f_row) // slope.denominator)
     unit = 1 << f_row
@@ -602,8 +596,7 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
         if a == 0:
             passed = passed and n < tail
             continue
-        lo, hi = log_abs(a, v, ROW_DPS)
-        lo, hi = _scaled(lo, f_row), _scaled(hi, f_row)
+        lo, hi = _log_abs_real(a, v.embedding, ROW_DPS)
         # rounding to a float and printing 12 digits are monotone: ends that
         # print alike print every value between them alike, the centre of
         # the ARCH_DPS enclosure included
@@ -618,8 +611,7 @@ def growth_rows(r: LinRec, v: Place, eps: Fraction, n_lo: int, n_hi: int):
                 else:
                     decided = False
         if not decided:
-            lo, hi = log_abs(a, v)
-            lo, hi = _scaled(lo, f_arch), _scaled(hi, f_arch)
+            lo, hi = _log_abs_real(a, v.embedding)
             shown = fmt_float((lo + hi) / (2 << f_arch))
             if passed and n >= tail:
                 passed = lo * slope.denominator >= n * (slope.numerator << f_arch)

@@ -86,6 +86,7 @@ from .errors import (
 from . import memo
 from .kpoly import KPoly, _kpoly, _make, _sign_of, _zz_mul
 from .memo import memoized
+from .modp import is_prime
 from .qfield import QuadElem
 
 
@@ -219,7 +220,7 @@ def _rational_roots(f) -> list[Fraction]:
         return roots
     g = _zz_monic_scaled(ints)
     k = max(-(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1]))
-    primes = (q for q in itertools.count(2) if _is_prime(q))
+    primes = (q for q in itertools.count(2) if is_prime(q))
     for tried, ell in enumerate(primes, 1):
         if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
             g = _zz_squarefree_part(g)  # still monic: gcd(g, g') is monic over Z
@@ -661,11 +662,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    """Primality by trial division: every n tested here is small."""
-    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
-
-
 def _cyclotomic_ints(n: int) -> list[int]:
     """Phi_n over Z, low-to-high, as prod_{e | n} (x^e - 1)^mu(n/e).
 
@@ -700,7 +696,7 @@ def _root_of_unity_mod_prime(n: int) -> tuple[int, int]:
     """(p, w): the least prime p = 1 (mod n), and w = a^((p-1)/n) mod p for
     the least a >= 1 that gives w exact multiplicative order n modulo p."""
     p = n + 1
-    while not _is_prime(p):
+    while not is_prime(p):
         p += n
     primes = _prime_divisors(n)
     for a in range(1, p):
@@ -747,7 +743,7 @@ def _orders_with_totient_at_most(bound: int) -> tuple[tuple[int, int], ...]:
     most bound; they are enumerated over the primes p <= bound + 1 in
     increasing order, each taken to every power whose phi still fits.
     """
-    primes = [p for p in range(2, bound + 2) if _is_prime(p)]
+    primes = [p for p in range(2, bound + 2) if is_prime(p)]
     out = []
 
     def extend(n, t, start):

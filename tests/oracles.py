@@ -94,8 +94,10 @@ and a division by c_k per backward step, where LinRec.term steps integer
 pairs over one running denominator, for n < 0 those of the reversed
 recurrence.  The
 reference growth rows, growth_rows_at_arch_dps, read every row off one
-log_abs at ARCH_DPS digits, where places.growth_rows reads it at ROW_DPS and
-computes it again at ARCH_DPS only when that leaves it undecided.
+log_abs at ARCH_DPS digits, its mpf pair, and print the float of its centre
+by enclosure_centre, mpmath's 53-bit sum halved; places.growth_rows reads
+the integer ends at ROW_DPS, computes them again at ARCH_DPS only when that
+leaves the row undecided, and prints (lo + hi) / 2^(F + 1) by int / int.
 WindowTooShort and VerificationFailed are raised only by the Berlekamp-Massey
 reference, and ZeroRootInDenominator only by ratio_poly.
 The tolerances are calibrated for the test generators in this tree (integer
@@ -1713,6 +1715,17 @@ def term_by_field_steps(r, n: int):
     return terms[n]
 
 
+def enclosure_centre(lo, hi) -> float:
+    """float((lo + hi) / 2) for the mpf ends of a log_abs enclosure, formed
+    on their tuples: lo + hi rounded to nearest at 53 bits, then halved
+    exactly, with no mpf arithmetic and whatever the caller's mpmath
+    precision.  The reference for the int / int centre that places forms on
+    the integer ends."""
+    libmp = mpmath.libmp
+    total = libmp.mpf_add(lo._mpf_, hi._mpf_, 53, libmp.round_nearest)
+    return libmp.to_float(libmp.mpf_shift(total, -1), rnd=libmp.round_nearest)
+
+
 def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
     """(rows, passed) as places.growth_rows returns them, every row from one
     log_abs at ARCH_DPS digits: the printed log is the float of the
@@ -1731,8 +1744,7 @@ def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
     def exact(x) -> Fraction:
         return Fraction(*mpmath.libmp.to_rational(x._mpf_))
 
-    log_a1 = places.finite_dominant_slope(r, v) if finite else exact(
-        places.arch_dominant_log(r, v))
+    log_a1 = (places.finite_dominant_slope if finite else places.arch_dominant_log)(r, v)
     tail = n_lo + (n_hi - n_lo) // 5
     rows, passed = [], True
     for n in range(n_lo, n_hi + 1):
@@ -1741,7 +1753,7 @@ def growth_rows_at_arch_dps(r, v, eps, n_lo: int, n_hi: int):
             passed = passed and n < tail
             continue
         e = places.log_abs(a, v)
-        shown = e * v.f * math.log(v.p) if finite else places.enclosure_centre(*e)
+        shown = e * v.f * math.log(v.p) if finite else enclosure_centre(*e)
         rows.append((n, f"{shown:.12g}"))
         if not passed or n < tail:
             continue

@@ -216,6 +216,37 @@ def test_step_cap_hit_exits_two_without_traceback(capsys, monkeypatch, walk, arg
     assert err == "error: step cap hit after 7 states\n"
 
 
+# an element whose period exceeds contfrac.DEFAULT_STEP_CAP = 10^7
+LONG_PERIOD = "(1000000000+1000000000*sqrt(991))/99999"
+
+
+def test_cf_step_cap_is_decided_before_expand_walks(capsys, monkeypatch):
+    # the kernel finds the period past the cap (in about 0.1 s, where expand
+    # walked 10^7 states in Python for about 6 s), so expand never runs
+    def refuse(x, max_steps=None):
+        raise AssertionError("expand called")
+
+    monkeypatch.setattr(cli, "expand", refuse)
+    code, out, err = run(capsys, ["cf", LONG_PERIOD])
+    assert code == 2 and out == ""
+    assert err == f"error: step cap hit after {contfrac.DEFAULT_STEP_CAP} states\n"
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+def test_cf_step_cap_message_with_and_without_the_kernel(capsys, monkeypatch, kernel):
+    # with no kernel cycle_lengths walks by expand; the exit and the error
+    # line, with expand's step count, are the same (the cap lowered to 10^4
+    # to keep the walk short)
+    if not kernel:
+        monkeypatch.setattr(contfrac, "_kernel", lambda: None)
+    for name in ("cycle_lengths", "expand"):
+        monkeypatch.setattr(cli, name, functools.partial(getattr(contfrac, name),
+                                                         max_steps=10_000))
+    code, out, err = run(capsys, ["cf", LONG_PERIOD])
+    assert code == 2 and out == ""
+    assert err == "error: step cap hit after 10000 states\n"
+
+
 def _call(capsys, argv):
     """main(argv) with an argparse rejection (SystemExit) read as its code."""
     try:
@@ -937,14 +968,16 @@ def test_scan_goldens_over_negative_ranges(capsys, tmp_path, golden, spec, extra
     golden for golden in NEGATIVE_GOLDENS if golden[0] == "growth_fib_real2_negative.txt"])
 def test_real_place_goldens_call_no_mpf_log(capsys, tmp_path, monkeypatch, golden, spec, extra):
     # every log at a real place, rows, limit estimate and bound column, is
-    # places' integer routine: with mpmath's mpf_log made to raise, the
-    # real-place goldens print byte for byte
+    # places' integer routine, read as integer ends: with mpmath's mpf_log
+    # and places.log_abs, the mpf pair of the library API, made to raise,
+    # the real-place goldens print byte for byte
     import mpmath
 
     def refuse(*args, **kwargs):
-        raise AssertionError("mpf_log called")
+        raise AssertionError("mpf_log or log_abs called")
 
     monkeypatch.setattr(mpmath.libmp, "mpf_log", refuse)
+    monkeypatch.setattr(places, "log_abs", refuse)
     code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
@@ -960,13 +993,13 @@ def test_growth_goldens_with_every_row_escalated(capsys, tmp_path, monkeypatch,
     # byte the golden one
     escalated = []
 
-    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
+    def counted(x, embedding, dps=places.ARCH_DPS, _real=places._log_abs_real):
         if dps == places.ARCH_DPS:
             escalated.append(x)
-        return _real(x, v, dps)
+        return _real(x, embedding, dps)
 
     monkeypatch.setattr(places, "ROW_DPS", 2)
-    monkeypatch.setattr(places, "log_abs", counted)
+    monkeypatch.setattr(places, "_log_abs_real", counted)
     code, out, err = run(capsys, ["growth", write_job(tmp_path, "g.json", spec)] + extra)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
@@ -1055,6 +1088,24 @@ def test_growth_eps_accepts_json_numbers(capsys, tmp_path, eps):
     code, out, err = run(capsys, ["growth", write_job(tmp_path, "eps.json", spec)])
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "# growth_check: pass"
+
+
+@pytest.mark.parametrize("p", [10 ** 25 + 13, 10 ** 25 + 7], ids=["prime", "composite"])
+def test_growth_place_above_the_primality_range_exits_two(capsys, tmp_path, p):
+    # modp.is_prime is deterministic below _MR_LIMIT (about 3.3 * 10^24): a
+    # place above a larger p with no prime factor up to 41, prime (10^25 +
+    # 13) or not (10^25 + 7 = 544667 * 18359841885041686021), is refused
+    # with that limit named
+    from cfperiod import modp
+
+    job = write_job(tmp_path, "bigp.json",
+                    {"command": "growth", "d": 2, "coeffs": ["2", "1"],
+                     "initials": ["2", "2"], "range": [1, 20],
+                     "options": {"place": {"kind": "finite", "p": p}}})
+    code, out, err = run(capsys, ["growth", job])
+    assert code == 2 and out == ""
+    assert err == (f"error: {p} is not below {modp._MR_LIMIT}, the limit of the "
+                   "deterministic Miller-Rabin test\n")
 
 
 def test_place_spec_errors(capsys, tmp_path):

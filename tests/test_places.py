@@ -32,8 +32,9 @@ from cfperiod.places import (
 from cfperiod.qfield import quad, to_mpf
 from cfperiod.recurrence import LinRec
 
-from oracles import (branch_root_newton, growth_rows_at_arch_dps, quad_to_mpf, sqrt_int,
-                     surd_value, two_adic_sqrt_bitwise, val_by_branch_lift)
+from oracles import (branch_root_newton, enclosure_centre, growth_rows_at_arch_dps,
+                     quad_to_mpf, sqrt_int, surd_value, two_adic_sqrt_bitwise,
+                     val_by_branch_lift)
 
 R2 = sqrt_int(2)
 R5 = sqrt_int(5)
@@ -352,16 +353,16 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
     # the oracle adds two terms at 3 * ARCH_DPS digits: it keeps over 130 of
     # them while A + B*sqrt(d) cancels fewer than 160 bits
     assume(_cancellation_bits(y) < 160)
-    lo, hi = places._log_abs_real(x, embedding)
-    # the printed centre, formed on the tuples, is the mpf centre's float
-    assert places.enclosure_centre(lo, hi) == float((lo + hi) / 2)
+    v = places.real_places(d)[embedding - 1]
+    lo, hi = places.log_abs(x, v)
+    # the oracle centre, formed on the tuples, is the mpf centre's float
+    assert enclosure_centre(lo, hi) == float((lo + hi) / 2)
     # an enclosure at fewer digits holds this one, which growth_rows relies on
     for dps in (2, places.ROW_DPS):
-        row_lo, row_hi = places._log_abs_real(x, embedding, dps)
+        row_lo, row_hi = places.log_abs(x, v, dps)
         assert row_lo < lo and hi < row_hi
     # and so the centre decided at ROW_DPS is the ARCH_DPS one
-    assert places.log_abs_centre(x, places.real_places(d)[embedding - 1]) == \
-        places.enclosure_centre(lo, hi)
+    assert places.log_abs_centre(x, v) == enclosure_centre(lo, hi)
     dps = 3 * places.ARCH_DPS
     with mpmath.workdps(dps):
         ref = quad_to_mpf(y, dps)
@@ -372,6 +373,12 @@ def test_log_abs_real_encloses_the_oracle_log(dk, A, B, m, embedding):
 
 def _exact(v) -> F:
     return F(*mpmath.libmp.to_rational(v._mpf_))
+
+
+def _ends(x, embedding: int, dps: int = places.ARCH_DPS) -> list[F]:
+    """The integer ends of places._log_abs_real over 2^F, as Fractions."""
+    scale = 2 ** places._enclosure_scale(dps)[0]
+    return [F(e, scale) for e in places._log_abs_real(x, embedding, dps)]
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -391,12 +398,12 @@ def test_row_enclosures_hold_the_arch_dps_one(d, A, B, m, k, kind, embedding):
     ref_dps = 3 * places.ARCH_DPS + _cancellation_bits(y) // 3 + 10
     with mpmath.workdps(ref_dps):
         ref = _exact(mpmath.log(abs(quad_to_mpf(y, ref_dps))))
-    lo, hi = map(_exact, places._log_abs_real(x, embedding))
+    lo, hi = _ends(x, embedding)
     assert lo < ref < hi
     # at every other dps the ends are a power of two apart from their
     # centre, at least (|log| + 1) 10^-dps, and hold the ARCH_DPS enclosure
     for dps in (1, 2, 5, places.ROW_DPS, 30):
-        row_lo, row_hi = map(_exact, places._log_abs_real(x, embedding, dps))
+        row_lo, row_hi = _ends(x, embedding, dps)
         centre = (row_lo + row_hi) / 2
         assert row_hi - centre >= (abs(centre) + 1) / F(10) ** dps
         assert row_lo < lo and hi < row_hi
@@ -434,8 +441,9 @@ def test_integer_log_brackets_the_log(d, A, B, m, k, kind, embedding, dps):
     assert b - a <= 128 * (2 + abs(a) // 2 ** scale)
     if kind == "power_of_two" and k == 0:
         assert a == b == 0
-        ends = places._log_abs_real(x, embedding, dps)
-        assert ends[0] == -ends[1] and places.enclosure_centre(*ends) == 0
+        lo, hi = places._log_abs_real(x, embedding, dps)
+        assert lo == -hi < 0
+        assert places.log_abs_centre(x, places.real_places(d)[embedding - 1]) == 0
 
 
 def test_integer_log_holds_every_point_of_its_interval():
@@ -475,15 +483,15 @@ def test_log_abs_centre_escalates_only_ends_that_round_apart(monkeypatch, x, esc
     # ends of log|1 + sqrt2| and of log|3 - 2 sqrt2| round to one float
     calls = []
 
-    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
+    def counted(x, embedding, dps=places.ARCH_DPS, _real=places._log_abs_real):
         calls.append(dps)
-        return _real(x, v, dps)
+        return _real(x, embedding, dps)
 
-    monkeypatch.setattr(places, "log_abs", counted)
+    monkeypatch.setattr(places, "_log_abs_real", counted)
     v = places.real_places(2)[0]
     got = places.log_abs_centre(x, v)
     assert calls == [places.ROW_DPS] + [places.ARCH_DPS] * escalated
-    assert got == places.enclosure_centre(*places._log_abs_real(x, 1))
+    assert got == enclosure_centre(*places.log_abs(x, v))
 
 
 def _count_precision_contexts(monkeypatch) -> list[str]:
@@ -531,9 +539,50 @@ def test_enclosure_centre_rounds_at_53_bits_in_any_context():
     # only 1 + 2^-53 and round to even, down to 1.0
     libmp = mpmath.libmp
     x = mpmath.mp.make_mpf(libmp.from_man_exp(2 ** 353 + 2 ** 300 + 1, -353))
-    assert places.enclosure_centre(x, x) == 1.0000000000000002
+    assert enclosure_centre(x, x) == 1.0000000000000002
     with mpmath.workprec(200):
-        assert places.enclosure_centre(x, x) == 1.0000000000000002
+        assert enclosure_centre(x, x) == 1.0000000000000002
+
+
+ROW_F = places._enclosure_scale(places.ROW_DPS)[0]
+
+
+@st.composite
+def end_pairs(draw):
+    """(F, lo, hi) with lo <= hi integers over 2^F: small, up to 2^900 in
+    size, of either sign, equal, or with a centre (lo + hi) / 2^(F + 1) at,
+    or 2^-(F + 1) from, the midpoint (man + 1/2) 2^exp of two 53-bit floats."""
+    F_ = draw(st.sampled_from([places._enclosure_scale(dps)[0]
+                               for dps in (1, places.ROW_DPS, places.ARCH_DPS)]))
+    kind = draw(st.sampled_from(["any", "equal", "halfway"]))
+    if kind == "halfway":
+        man = draw(st.integers(2 ** 52, 2 ** 53 - 1))
+        exp = draw(st.integers(-F_, -F_ + 8) | st.integers(-F_, 900 - 53))
+        total = draw(st.sampled_from([-1, 1])) * (2 * man + 1) << (F_ + exp)
+        total += draw(st.sampled_from([-1, 0, 0, 1]))
+        lo = (total - draw(st.integers(0, 2 ** (F_ + 4)))) // 2
+        return F_, lo, total - lo
+    lo = draw(st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** (F_ + 900), 2 ** (F_ + 900)))
+    if kind == "equal":
+        return F_, lo, lo
+    return F_, lo, lo + draw(st.integers(0, 2 ** 40) | st.integers(0, 2 ** (F_ + 900)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(end_pairs())
+@example((ROW_F, -2 ** ROW_F, 2 ** ROW_F))        # ends of either sign, centre 0
+@example((ROW_F, 1, 1))                            # lo = hi = 1
+@example((ROW_F, 2 ** ROW_F + 2 ** (ROW_F - 53), 2 ** ROW_F + 2 ** (ROW_F - 53)))
+@example((ROW_F, -2 ** ROW_F - 3 * 2 ** (ROW_F - 53), -2 ** ROW_F - 3 * 2 ** (ROW_F - 53)))
+def test_integer_centre_is_the_oracle_centre(ends):
+    # places prints an enclosure's centre as (lo + hi) / 2^(F + 1), one int /
+    # int division: CPython rounds it correctly, half to even, as the oracle
+    # rounds lo + hi to 53 bits on the mpf pair and halves it exactly
+    # (the last two examples: 1 + 2^-53 ties down to 1, -(1 + 3 2^-53) up
+    # to -(1 + 2^-51))
+    F_, lo, hi = ends
+    pair = [mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(e, -F_)) for e in (lo, hi)]
+    assert (lo + hi) / (2 << F_) == enclosure_centre(*pair)
 
 
 @pytest.mark.parametrize("p", [3, 7, 9973])
@@ -607,16 +656,20 @@ def test_growth_rows_match_the_arch_dps_oracle(job):
 ], ids=["fibonacci-real", "2-adic", "zero-tail-term"])
 def test_each_growth_row_is_computed_once(monkeypatch, tmp_path, capsys, spec, verdict,
                                           escalated):
-    # the rows and the verdict read one log_abs at ROW_DPS per nonzero term of
-    # the range, and one more at ARCH_DPS for each row that leaves its printed
+    # the rows and the verdict read one log_abs (finite place) or integer
+    # enclosure _log_abs_real (real place) at ROW_DPS per nonzero term of the
+    # range, and one more at ARCH_DPS for each row that leaves its printed
     # digits or its verdict undecided
     calls = []
 
-    def counted(x, v, dps=places.ARCH_DPS, _real=places.log_abs):
-        calls.append((x, dps))
-        return _real(x, v, dps)
+    def count(name):
+        def counted(x, v, dps=places.ARCH_DPS, _real=getattr(places, name)):
+            calls.append((x, dps))
+            return _real(x, v, dps)
+        monkeypatch.setattr(places, name, counted)
 
-    monkeypatch.setattr(places, "log_abs", counted)
+    count("log_abs")
+    count("_log_abs_real")
     job = tmp_path / "job.json"
     job.write_text(json.dumps({"command": "growth", **spec}))
     assert cli.main(["growth", str(job)]) == 0

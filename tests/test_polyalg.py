@@ -758,11 +758,11 @@ def test_totient_sieve_matches_sympy():
         assert list(_orders_with_totient_at_most(bound)) == want
 
 
-def test_trial_division_primality_matches_sympy():
+def test_polyalg_primality_matches_sympy():
     # every prime polyalg picks (the l of _rational_roots, the p = 1 (mod n)
     # of _root_of_unity_mod_prime, the primes of the totient enumeration)
-    # comes from this one test
-    assert [n for n in range(-5, 200_001) if polyalg._is_prime(n) != sympy.isprime(n)] == []
+    # comes from modp.is_prime, the one primality test in src/
+    assert [n for n in range(-5, 200_001) if polyalg.is_prime(n) != sympy.isprime(n)] == []
 
 
 def test_totient_orders_match_the_sieve():

@@ -9,13 +9,14 @@ exactly the list under "Names used only by tests" in ROADMAP.md item 5, so a
 new unreached name, or one that code starts to use again, fails here.  The
 names that item lists as moved to tests/oracles.py must be defined there and
 no longer in src/cfperiod, so a second implementation does not come back;
-``places.growth_rows`` keeps one call of log_abs at ARCH_DPS, the escalation
-of an undecided row, and the forward steps of ``LinRec.term`` read only its
-integer state and are its one stepping loop.
+``places.growth_rows`` keeps one call of the integer routine _log_abs_real
+at ARCH_DPS, the escalation of an undecided row, and the forward steps of
+``LinRec.term`` read only its integer state and are its one stepping loop.
 Every name a module in src/cfperiod imports must also be read there, so a
 deletion does not leave its imports behind.  sympy and mpmath stay out of
 ``import cfperiod.cli``, both are imported inside function bodies only, and
-mpmath only by qfield and places, never on the ``classify`` path.
+mpmath only by qfield and places, never on the ``classify`` path nor on a
+growth row's.
 """
 import ast
 import os
@@ -114,18 +115,22 @@ def _function(mod: str, qualname: str) -> ast.FunctionDef:
 
 
 def test_growth_rows_and_terms_keep_one_route_each():
-    """growth_rows reads each row off log_abs at ROW_DPS and calls log_abs at
-    ARCH_DPS (its default) in one place, the escalation of an undecided row;
-    LinRec.term's forward steps read no QuadElem coefficient, only the
+    """growth_rows reads each row at ROW_DPS, off log_abs at a finite place
+    and off the integer routine _log_abs_real at a real one, and calls
+    _log_abs_real at ARCH_DPS (its default) in one place, the escalation of
+    an undecided row, never log_abs at ARCH_DPS; LinRec.term's forward steps read no QuadElem coefficient, only the
     integer state, so the field loop lives in the oracles alone.  LinRec.term
     has no other stepping loop and LinRec no _lo slot: a term with n < 0 is a
     forward term of the reversed recurrence, and the coefficients are read
     only where it is built."""
     calls = [node for node in ast.walk(_function("places", "growth_rows"))
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "log_abs"]
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("log_abs", "_log_abs_real")]
     row = [c for c in calls if len(c.args) == 3]
-    assert all(getattr(c.args[2], "id", None) == "ROW_DPS" for c in row) and len(row) == 2
-    assert len([c for c in calls if len(c.args) == 2 and not c.keywords]) == 1
+    assert all(getattr(c.args[2], "id", None) == "ROW_DPS" for c in row)
+    assert sorted(c.func.id for c in row) == ["_log_abs_real", "log_abs"]
+    arch = [c for c in calls if len(c.args) == 2 and not c.keywords]
+    assert [c.func.id for c in arch] == ["_log_abs_real"] and len(calls) == 3
     term = _function("recurrence", "LinRec.term")
     forward = next(node for node in term.body if isinstance(node, ast.If)
                    and isinstance(node.test, ast.Compare)
@@ -275,10 +280,15 @@ def test_mpmath_is_imported_inside_functions_only():
     qfield and places import it: real-place numerics live in places, whose
     root boxes read coefficients through qfield.to_mpf, image_tuple's mpf
     wrapper, and image_tuple takes sqrt(d) from one cached function.  No
-    module behind ``classify`` imports it."""
+    module behind ``classify`` imports it.  In places only the root boxes,
+    the root table and log_abs, which builds the library API's mpf pair,
+    import it: the growth rows, the limit estimate's points and
+    arch_dominant_log read integers."""
     importers = _importers("mpmath")
     assert importers.keys() == {"qfield", "places"}
     assert importers["qfield"] == {"to_mpf", "image_tuple", "_sqrt_tuple"}
+    assert importers["places"] == {"log_abs", "_certified_roots", "arch_dominant_bounds",
+                                   "root_abs_table"}
 
 
 def test_real_place_logs_come_from_the_integer_routine():

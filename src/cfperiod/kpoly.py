@@ -8,11 +8,12 @@ divisions, monic, conj, compose, eval and powers run on the integers with
 one gcd per result; coeffs is a read-only view of QuadElems, built on first
 use, for reports and for callers that need one element.
 
-The gcd over K is modular (_gcd_k; Langemyr and McCallum, J. Symbolic
-Comput. 8, 1989; Encarnacion, J. Symbolic Comput. 20, 1995): images at split
-primes, where sqrt(d) maps to +-t, gcds modulo p on modp's layer, CRT and
-rational reconstruction, certified by exact division of both inputs and by
-the degree of an image gcd at a prime of good reduction.
+The gcd is modular (_gcd_k; Langemyr and McCallum, J. Symbolic Comput. 8,
+1989; Encarnacion, J. Symbolic Comput. 20, 1995), the one gcd algorithm of
+the package, over K and over Q: images at split primes, where sqrt(d) maps
+to +-t (one image per prime for a rational pair), gcds modulo p on modp's
+layer, CRT and rational reconstruction, certified by exact division of
+both inputs and by the degree of an image gcd at a prime of good reduction.
 """
 from __future__ import annotations
 
@@ -459,7 +460,9 @@ def _prime_budget(f: KPoly, g: KPoly) -> int:
       reconstruction returns h, which then certifies.  The same holds with G
       for F; the smaller count is used.
 
-    The budget is the sum of the three counts."""
+    The budget is the sum of the three counts.  It holds for a rational
+    pair (B = 0) too, at one image per prime: N(c) = c^2, and an unlucky
+    prime divides the integer S, so N(S) = S^2."""
     d, e = f.d, min(f.degree, g.degree)
 
     def square_norm(p):
@@ -493,20 +496,22 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
     means that p divides a resultant), and their coordinates
     a = (h(t) + h(-t)) / 2 and b = (h(t) - h(-t)) / (2t) are combined by CRT
     over the kept primes and read back as fractions by rational
-    reconstruction.  The candidate H is certified: it divides f and g
-    exactly, so deg H <= deg h, and its degree is e, the degree at a good
-    prime, so deg H >= deg h and H = h.  No more primes than _prime_budget
-    are tried: past it, a fault (say, an image that lost a degree) raises
-    InternalInvariantError instead of trying primes without end.
+    reconstruction.  A rational pair (B = 0) takes every prime p = 3 (mod 4),
+    the split primes of d = 1 with t = 1, and one image per prime: h(t) =
+    h(-t) is h's A-list, the one list reconstructed.  The candidate H is
+    certified: it divides f and g exactly, so deg H <= deg h, and its degree
+    is e, the degree at a good prime, so deg H >= deg h and H = h.  No more
+    primes than _prime_budget are tried: past it, a fault (say, an image
+    that lost a degree) raises InternalInvariantError instead of trying
+    primes without end.
     """
     d = f.d
     if not f.A or not g.A:
         return (f if f.A else g).monic()
+    rational = not any(f.B) and not any(g.B)
     lcs = ((f.A[-1], f.B[-1]), (g.A[-1], g.B[-1]))
-    e = kept = None
-    mod = 1
-    budget = _prime_budget(f, g)
-    for tried, (p, t) in enumerate(modp.split_primes(d)):
+    e, kept, mod, budget = None, None, 1, _prime_budget(f, g)
+    for tried, (p, t) in enumerate(modp.split_primes(1 if rational else d)):
         if tried == budget:
             raise InternalInvariantError(f"gcd over K: no certified gcd after {budget} primes")
         if any((a + b * t) % p == 0 or (a - b * t) % p == 0 for a, b in lcs):
@@ -514,7 +519,7 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
         plus = modp.gcd(_image(f, t, p), _image(g, t, p), p)
         if len(plus) == 1:
             return _make((1,), (0,), 1, d)
-        minus = modp.gcd(_image(f, p - t, p), _image(g, p - t, p), p)
+        minus = plus if rational else modp.gcd(_image(f, p - t, p), _image(g, p - t, p), p)
         k = min(len(plus), len(minus)) - 1
         if k == 0:
             return _make((1,), (0,), 1, d)
@@ -523,8 +528,8 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
         if len(plus) != len(minus) or k > e:
             continue
         half, inv = (p + 1) // 2, pow(2 * t, -1, p)
-        vals = ([(x + y) * half % p for x, y in zip(plus, minus)]
-                + [(x - y) * inv % p for x, y in zip(plus, minus)])
+        vals = plus if rational else ([(x + y) * half % p for x, y in zip(plus, minus)]
+                                      + [(x - y) * inv % p for x, y in zip(plus, minus)])
         if kept is None:
             kept = vals
         else:
@@ -532,11 +537,11 @@ def _gcd_k(f: KPoly, g: KPoly) -> KPoly:
             kept = [x + mod * ((v - x) * u % p) for x, v in zip(kept, vals)]
         mod *= p
         bound = math.isqrt(mod // 2)
+        if any(_rational_reconstruction(v, mod, bound) is None for v in kept):
+            continue  # stopped at the first coefficient that does not reconstruct
         fracs = [_rational_reconstruction(v, mod, bound) for v in kept]
-        if None in fracs:
-            continue
         m = math.lcm(*(s for _r, s in fracs))
         ints = [r * (m // s) for r, s in fracs]
-        h = _kpoly(ints[:e + 1], ints[e + 1:], m, d)
+        h = _kpoly(ints[:e + 1], ints[e + 1:] or [0] * (e + 1), m, d)
         if h.degree == e and not f % h and not g % h:
             return h

@@ -1,13 +1,14 @@
 """Arithmetic modulo a prime: dense polynomials, square roots, and the
-primes of the modular gcd over K = Q(sqrt(d)).
+primes of the modular gcd over K = Q(sqrt(d)) and over Q.
 
 A polynomial mod p is a low-to-high list of ints in [0, p) with a nonzero
 top coefficient ([] is zero).  Only the standard library is used.
 
-* primes: deterministic Miller-Rabin (is_prime), and the supply of the gcd
-  over K, the primes p = 3 (mod 4) taken downward from 2^62 (split_primes),
-  each with the root t = d^((p+1)/4) of d mod p when d splits there, so
-  sqrt(d) maps to t and to -t;
+* primes: deterministic Miller-Rabin (is_prime), and the supply of the
+  modular gcd, the primes p = 3 (mod 4) taken downward from 2^62
+  (split_primes), each with the root t = d^((p+1)/4) of d mod p when d
+  splits there, so sqrt(d) maps to t and to -t (d = 1, every prime with
+  t = 1, for a rational pair);
 * sqrt_mod: a square root modulo an odd prime (Tonelli-Shanks);
 * mul, divmod_ and gcd of polynomials mod p, gcd monic.
 """

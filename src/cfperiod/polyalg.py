@@ -29,10 +29,9 @@ Dense coefficient lists, low degree, everything exact.  Highlights:
   factor_k splits by the same gcd), with the multiplicities of the
   Q-factors, or for an irrational p by exact division.  Any degree: the
   degree budget is the classifier's;
-* one gcd over Q, _zz_gcd_certified: sympy's integer gcd on integer lists,
-  certified by both cofactors multiplying back, behind the minimal
-  polynomials over Q, every squarefree test and factor_q's squarefree
-  parts;
+* one gcd over Q, _zz_gcd_certified, behind every squarefree test and
+  factor_q's squarefree parts: kpoly's modular gcd, the one over K too, at
+  one image per prime, certified by both cofactors multiplying back;
 * unit-circle root profiles, exact throughout: on-circle roots through
   self-reciprocal factors and Sturm chains on the x + 1/x transform, roots
   off the circle counted by the inertia of the Schur-Cohn matrix;
@@ -84,9 +83,9 @@ from .errors import (
     PreconditionViolated,
 )
 from . import memo
-from .kpoly import KPoly, _kpoly, _make, _sign_of, _zz_mul
+from .kpoly import KPoly, _gcd_k, _kpoly, _make, _sign_of, _zz_mul
 from .memo import memoized
-from .modp import is_prime
+from .modp import _strip, is_prime
 from .qfield import QuadElem
 
 
@@ -103,26 +102,17 @@ def _zz_factor(ints: list[int]):
     return dup_zz_factor(ints, ZZ)
 
 
-def _zz_gcd(f: list[int], g: list[int]):
-    """sympy's gcd over Z on high-to-low coefficients: (h, f / h, g / h)."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dup_inner_gcd
-
-    return dup_inner_gcd(f, g, ZZ)
-
-
 def _zz_gcd_certified(f, g) -> tuple[list[int], list[int], list[int]]:
     """(h, f / h, g / h) with h = gcd(f, g) over Z, for nonzero integer f and g
-    low-to-high (zero top coefficients are dropped).  Every gcd over Q runs
-    here, on primitive integer forms: on those h is primitive with a
-    positive leading coefficient, the monic gcd over Q up to that scale.
-    Certified: both cofactors multiply back to f and g exactly."""
-    f, g = list(f), list(g)
-    for c in (f, g):
-        while not c[-1]:
-            c.pop()
-    h, cf, cg = (c[::-1] for c in _zz_gcd(f[::-1], g[::-1]))
-    if _zz_mul(h, cf) != f or _zz_mul(h, cg) != g:
+    low-to-high (zero top coefficients are dropped): the gcd of the contents
+    times the primitive form of the monic gcd over Q, the modular one
+    (kpoly._gcd_k).  Every gcd over Q runs here.  Certified: both cofactors
+    multiply back to f and g exactly."""
+    f, g = _strip(list(f)), _strip(list(g))
+    monic = _gcd_k(*(_make(tuple(c), (0,) * len(c), 1, 1) for c in (f, g)))
+    h = [math.gcd(*f, *g) * a for a in monic.A]
+    cf, cg = _zz_exact_div(f, h), _zz_exact_div(g, h)
+    if cf is None or cg is None or _zz_mul(h, cf) != f or _zz_mul(h, cg) != g:
         raise InternalInvariantError("integer gcd cofactors do not multiply back")
     return h, cf, cg
 
@@ -223,7 +213,8 @@ def _rational_roots(f) -> list[Fraction]:
     primes = (q for q in itertools.count(2) if is_prime(q))
     for tried, ell in enumerate(primes, 1):
         if tried == 8:  # a repeated root is simple modulo no prime: drop repeats
-            g = _zz_squarefree_part(g)  # still monic: gcd(g, g') is monic over Z
+            s = _zz_squarefree_part(ints)  # g's part, monic over Z, is lc^deg s s(y/lc) / lc(s)
+            g = [c * lc ** (len(s) - 1 - i) // s[-1] for i, c in enumerate(s)]
         dg = _zz_derivative(g)
         mod_roots = [r for r in range(ell) if _zz_eval(g, r) % ell == 0]
         if all(_zz_eval(dg, r) % ell for r in mod_roots):

@@ -3,19 +3,15 @@
 A sequence is given by its defining data (order-k recurrence with c_k != 0
 plus k initial terms); closed forms are never materialized.  The classifier
 reads the minimal characteristic polynomials of the sequence itself, of its
-conjugate-difference and of its conjugate-sum.  Each of them comes from a
-recurrence the sequence is known to satisfy (the defining one for A, and
-N = P_A * conj(P_A) for the other two) by one exact gcd: the minimal
-polynomial is the reverse of the reduced denominator of the sequence's
-rational generating function.  No recurrence is fitted to a window.
-Over Q the recurrence is N's primitive integer form (polyalg._over_q), the
-one form in which a polynomial over Q passes between polyalg, recurrence
-and classifier, and the gcd runs on integers; the minimal polynomials come
-back as forms, read as monic rational KPolys over the sequence's field
-(polyalg._monic_from_ints), which the report prints.
-A sequence whose N has two roots with a root-of-unity ratio is degenerate;
-split_degenerate reads the orders of those ratios (polyalg.witness_orders
-on N) and splits it into arithmetic subsequences that are not.
+conjugate-difference and of its conjugate-sum, from recurrences they are
+known to satisfy; no recurrence is fitted to a window.  P_A is the reverse
+of the reduced denominator of the sequence's rational generating function,
+by one exact gcd over K.  P_D and P_S divide the rational
+N = P_A * conj(P_A) and are peeled off N's factors over Q, which
+split_degenerate has already asked for: a sequence whose N has two roots
+with a root-of-unity ratio is degenerate, and split_degenerate reads the
+orders of those ratios (polyalg.witness_orders on N's primitive integer
+form) and splits it into arithmetic subsequences that are not.
 """
 from __future__ import annotations
 
@@ -26,8 +22,8 @@ from fractions import Fraction
 from .errors import InternalInvariantError, MixedFieldError, PreconditionViolated
 from .memo import memoized
 from .kpoly import KPoly, _kmul, _kpoly
-from .polyalg import (_monic_from_ints, _over_q, _zz_exact_div, _zz_gcd_certified,
-                      _zz_power_poly, witness_orders)
+from .polyalg import (_monic_from_ints, _over_q, _zz_exact_div, _zz_power_poly, factor_q,
+                      witness_orders)
 from .qfield import QuadElem, _new, _reduced
 
 
@@ -145,58 +141,41 @@ class LinRec:
 # ---------------------------------------------------------------------------
 
 def _minpoly_from_recurrence(q, terms):
-    """Minimal polynomial of a sequence that satisfies q, from its first deg q terms.
+    """Minimal polynomial (a monic KPoly) of a sequence that satisfies the
+    monic KPoly q, q(0) != 0, from its first deg q terms (QuadElems).
 
-    q has q(0) != 0: a monic KPoly with QuadElem terms, whose minimal
-    polynomial is returned as a monic KPoly, or a primitive integer form (a
-    low-to-high tuple of ints) with rational terms (ints or Fractions),
-    whose minimal polynomial is returned as a primitive integer form.  With
-    k = deg q and
-    rev(q) of degree k, the generating function sum_n t_n x^n is G / rev(q),
-    where G = rev(q) * sum_(n<k) t_n x^n mod x^k, and the minimal polynomial
-    is the reverse of the reduced denominator rev(q) / gcd(rev(q), G), made
-    monic over K and primitive over Q (Everest, van der Poorten, Shparlinski
-    and Ward, Recurrence Sequences, 2003, section 1.1); G = 0 is the zero
-    sequence.  Both run on integers, after the terms are scaled to one
-    denominator, which changes no minimal polynomial.  Over K the gcd is the
-    modular one (``KPoly.gcd``), on integer coordinates A + B sqrt(d).  Over
-    Q it is the certified integer gcd (``polyalg._zz_gcd_certified``, whose
-    cofactors multiply back exactly) on integer lists.
+    With k = deg q and rev(q) of degree k, the generating function
+    sum_n t_n x^n is G / rev(q), where G = rev(q) * sum_(n<k) t_n x^n mod
+    x^k, and the minimal polynomial is the reverse of the reduced
+    denominator rev(q) / gcd(rev(q), G), made monic (Everest, van der
+    Poorten, Shparlinski and Ward, Recurrence Sequences, 2003, section 1.1);
+    G = 0 is the zero sequence.  It runs on integer coordinates A + B
+    sqrt(d), after the terms are scaled to one denominator, which changes no
+    minimal polynomial, and the gcd is the modular one (``KPoly.gcd``).
     Certified: P divides q exactly, and P's recurrence holds at positions
     deg P .. k - 1 of the terms, which with P | q makes P annihilate the
     whole two-sided sequence.  Minimality rests on the exact gcd.
     """
-    if isinstance(q, tuple):
-        rev, k = q[::-1], len(q) - 1
-        scale = math.lcm(*(t.denominator for t in terms))
-        terms = [t.numerator * (scale // t.denominator) for t in terms]
-        num = [sum(rev[i] * terms[n - i] for i in range(n + 1)) for n in range(k)]
-        if not any(num):
-            return ZERO_SEQUENCE
-        # the reduced denominator from the top is P's form up to sign
-        cs = _zz_gcd_certified(rev, num)[1][::-1]
-        p = cs = tuple(cs) if cs[-1] > 0 else tuple(-c for c in cs)
-        divides, order = _zz_exact_div(q, cs) is not None, len(cs) - 1
-        fails = (n for n in range(order, k)
-                 if sum(map(operator.mul, cs, terms[n - order:n + 1])))
-    else:  # on integer coordinates: the terms are (ta + tb sqrt(d)) / scale
-        rev, k, d = q.reverse(), q.degree, q.d
-        scale = math.lcm(*(t.m for t in terms))
-        ta = [t.A * (scale // t.m) for t in terms]
-        tb = [t.B * (scale // t.m) for t in terms]
-        num = _kpoly(*(c[:k] for c in _kmul(rev.A, rev.B, ta, tb, d)), rev.m * scale, d)
-        if not num:
-            return ZERO_SEQUENCE
-        g = rev.gcd(num)
-        num.exact_div(g)  # raises unless g divides G as well
-        p = rev.exact_div(g).reverse().monic()
-        divides, order = not q % p, p.degree
+    rev, k, d = q.reverse(), q.degree, q.d
+    scale = math.lcm(*(t.m for t in terms))
+    ta = [t.A * (scale // t.m) for t in terms]
+    tb = [t.B * (scale // t.m) for t in terms]
+    num = _kpoly(*(c[:k] for c in _kmul(rev.A, rev.B, ta, tb, d)), rev.m * scale, d)
+    if not num:
+        return ZERO_SEQUENCE
+    g = rev.gcd(num)
+    num.exact_div(g)  # raises unless g divides G as well
+    p = rev.exact_div(g).reverse().monic()
 
-        def residue(n):  # sum_i P_i t_(n-order+i), its A and B coordinates
-            w = list(zip(p.A, p.B, ta[n - order:n + 1], tb[n - order:n + 1]))
-            return (sum(a * x + d * b * y for a, b, x, y in w),
-                    sum(a * y + b * x for a, b, x, y in w))
-        fails = (n for n in range(order, k) if any(residue(n)))
+    def residue(n):  # sum_i P_i t_(n-deg P+i), its A and B coordinates
+        w = list(zip(p.A, p.B, ta[n - p.degree:n + 1], tb[n - p.degree:n + 1]))
+        return (sum(a * x + d * b * y for a, b, x, y in w),
+                sum(a * y + b * x for a, b, x, y in w))
+    return _certified(p, q, not q % p, (n for n in range(p.degree, k) if any(residue(n))))
+
+
+def _certified(p, q, divides: bool, fails):
+    """p, unless it does not divide q or fails yields a position of its recurrence."""
     if not divides:
         raise InternalInvariantError(f"minimal polynomial {p} does not divide {q}")
     if (n := next(fails, None)) is not None:
@@ -205,26 +184,50 @@ def _minpoly_from_recurrence(q, terms):
     return p
 
 
+def _annihilates(p, terms) -> bool:
+    """Whether the integer form p's recurrence holds at positions deg p .. len(terms) - 1."""
+    return not any(sum(map(operator.mul, p, terms[n + 1 - len(p):n + 1]))
+                   for n in range(len(p) - 1, len(terms)))
+
+
 def diff_sum_parts(r: LinRec):
     """Minimal charpolys of D_n = A_n - conj(A_n) and S_n = A_n + conj(A_n).
 
     Both satisfy the rational N = P_A * conj(P_A) (P_A itself when it is
-    rational), and so do the rational sequences D_n / sqrt(d) and S_n: both
-    are read over Q from N's primitive integer form, as forms, on their
-    terms' integers B_n and A_n over one common denominator L (the sequences
-    times L / 2, with the same minimal polynomials), and returned as monic
-    rational KPolys over the sequence's field.
+    rational), and so do the rational sequences D_n / sqrt(d) and S_n, read
+    as their terms' integers B_n and A_n over one denominator (the sequences
+    times a constant, with the same minimal polynomials).  A divisor Q of N
+    annihilates one iff Q's recurrence holds at positions deg Q .. deg N - 1
+    (Q(E) t satisfies N / Q and starts with deg N - deg Q zeros), and the
+    annihilators form an ideal, so a greedy peel of N's factors g^e
+    (factor_q, which classify has run on N for the degeneracy split) ends at
+    the minimal polynomial in any order: g is divided out, up to e times,
+    while the quotient still annihilates.  Certified apart from the peel:
+    P divides N exactly and its recurrence holds at positions deg P ..
+    deg N - 1.  P = 1 is the zero sequence; the others are returned as
+    monic rational KPolys over the sequence's field.
     Returns (P_D: KPoly | ZERO_SEQUENCE, P_S: KPoly | ZERO_SEQUENCE).
     """
     p_a = seq_min_charpoly(r)
     if isinstance(p_a, ZeroSequence):
         return ZERO_SEQUENCE, ZERO_SEQUENCE
     n_poly = _over_q(p_a)
-    terms = [r.term(n) for n in range(len(n_poly) - 1)]
+    k = len(n_poly) - 1
+    terms = [r.term(n) for n in range(k)]
     den = math.lcm(*(a.m for a in terms))
-    return tuple(p if isinstance(p, ZeroSequence) else _monic_from_ints(p, r.d)
-                 for p in (_minpoly_from_recurrence(n_poly, [a.B * (den // a.m) for a in terms]),
-                           _minpoly_from_recurrence(n_poly, [a.A * (den // a.m) for a in terms])))
+    out = []
+    for ts in ([a.B * (den // a.m) for a in terms], [a.A * (den // a.m) for a in terms]):
+        p = n_poly
+        for g, e in factor_q(n_poly):
+            for _ in range(e):
+                if not _annihilates(quo := _zz_exact_div(p, g), ts):
+                    break
+                p = quo
+        order = len(p) - 1
+        _certified(p, n_poly, _zz_exact_div(n_poly, p) is not None,
+                   (n for n in range(order, k) if sum(map(operator.mul, p, ts[n - order:n + 1]))))
+        out.append(_monic_from_ints(p, r.d) if order else ZERO_SEQUENCE)
+    return tuple(out)
 
 
 @memoized

@@ -1245,6 +1245,62 @@ def test_classify_order_k_factors_no_ratio_polynomial(capsys, tmp_path, monkeypa
     assert 2 * k in factored and max(factored) <= 4 * k
 
 
+def test_goldens_reach_sympy_gcd_only_inside_the_factorer(capsys, tmp_path, monkeypatch):
+    # one gcd algorithm in src/: with sympy's integer gcds made to raise
+    # everywhere but inside _zz_factor (sympy's Zassenhaus takes its own),
+    # every classify and growth golden prints byte for byte
+    from sympy.polys import euclidtools, factortools  # noqa: F401 (bind the gcds)
+
+    from curated import members
+
+    factoring, zz_factor = [], polyalg._zz_factor
+
+    def factor(ints):
+        factoring.append(ints)
+        try:
+            return zz_factor(ints)
+        finally:
+            factoring.pop()
+
+    def guarded(gcd):
+        def refuse_outside(*args):
+            assert factoring, f"sympy's {gcd.__name__} called outside _zz_factor"
+            return gcd(*args)
+        return refuse_outside
+
+    monkeypatch.setattr(polyalg, "_zz_factor", factor)
+    for name in ("dup_inner_gcd", "dup_zz_heu_gcd"):
+        gcd = getattr(euclidtools, name)
+        for module in [m for n, m in sys.modules.items() if n.startswith("sympy.")]:
+            if vars(module).get(name) is gcd:
+                monkeypatch.setattr(module, name, guarded(gcd))
+
+    def job(command, spec, *extra):
+        return run(capsys, [command, write_job(tmp_path, "j.json", spec), *extra])
+
+    def element(c):
+        return [str(c.a), str(c.b)]
+
+    curated = ""
+    for name, rec, _verdict, _step in members():
+        code, out, err = job("classify", {"d": rec.d, "coeffs": [element(c) for c in rec.coeffs],
+                                          "initials": [element(c) for c in rec.initials]})
+        assert (code, err) == (0, "")
+        curated += f"== {name} ==\n{out}\n"
+    assert curated == (GOLDEN / "classify_curated.txt").read_text()
+    near = f"{10 ** 20 + 1}/{10 ** 20}"
+    assert job("classify", {"d": 2, "coeffs": ["-1", f"-{near}"], "initials": [["1", "1"], "1"]}
+               ) == (0, (GOLDEN / "classify_near_circle.txt").read_text(), "")
+    assert run(capsys, ["classify", _order_k_sqrt2_job(tmp_path, 6)]) == (
+        0, (GOLDEN / "classify_order6_sqrt2.txt").read_text(), "")
+    assert run(capsys, ["classify", _order_k_sqrt2_job(tmp_path, 7)]) == (
+        2, "", (GOLDEN / "classify_order7_sqrt2.err").read_text())
+    growth = REAL_GOLDENS + [(g, spec, []) for g, spec in FINITE_GOLDENS] + [
+        golden for golden in NEGATIVE_GOLDENS if golden[1]["command"] == "growth"]
+    for golden, spec, extra in growth:
+        assert job("growth", spec, *extra) == (0, (GOLDEN / golden).read_text(), "")
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any job file, any string over the element grammar's alphabet, and
 # any schinzel polynomial and range exit 0 or 2 and never raise

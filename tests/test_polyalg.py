@@ -150,19 +150,22 @@ def _zz_times(*polys):
 def integer_gcd_pairs(draw):
     """(f, g) over Z, low-to-high: a shared factor (1 for a coprime pair),
     possibly squared, times two cofactors with non-monic leading
-    coefficients up to 2^200, and f possibly times x (a zero constant term)."""
+    coefficients up to 2^200 and contents up to 12 or 2^100, f possibly
+    times x (a zero constant term) and either possibly with zero top
+    coefficients."""
     coeff = st.integers(-9, 9) | st.integers(-2**200, 2**200)
+    content = st.integers(1, 12) | st.integers(1, 2**100)
 
     def poly(max_deg):
         lead = draw(st.integers(1, 9) | st.integers(1, 2**200)) * draw(st.sampled_from([1, -1]))
         return draw(st.lists(coeff, max_size=max_deg)) + [lead]
 
     shared = poly(2)
-    f = _zz_times(*[shared] * draw(st.integers(1, 2)), poly(3))
-    g = _zz_times(shared, poly(3))
+    f = _zz_times(*[shared] * draw(st.integers(1, 2)), poly(3), [draw(content)])
+    g = _zz_times(shared, poly(3), [draw(content)])
     if draw(st.booleans()):
         f = [0] + f
-    return f, g
+    return tuple(c + [0] * draw(st.integers(0, 2)) for c in (f, g))
 
 
 @settings(max_examples=120)
@@ -170,12 +173,16 @@ def integer_gcd_pairs(draw):
 @example(([-1, 0, 1], [2, 3]))                                # coprime
 @example(([0, 1, 2, 1], [3, 6, 3]))                           # x (x + 1)^2, 3 (x + 1)^2
 @example(([4, -12, 9], [2**200 * -2, 2**200 * 3]))            # (3x - 2)^2, 2^200 (3x - 2)
+@example(([-12, 6, 0, 0], [-18, 9, 0]))                       # contents 6 and 9, zero tops
+@example(([-6, 0, -6], [-4, 4]))                              # negative leads, coprime: h = 2
 def test_integer_gcd_matches_euclid_over_q(pair):
-    f, g = pair
-    h, cf, cg = polyalg._zz_gcd_certified(f, g)
-    assert RatPoly(h).monic() == euclid_gcd(RatPoly(f), RatPoly(g))
+    f, g = ([c for i, c in enumerate(p) if any(p[i:])] for p in pair)  # without zero tops
+    h, cf, cg = polyalg._zz_gcd_certified(*pair)
+    content = math.gcd(math.gcd(*f), math.gcd(*g))
+    want = euclid_gcd(RatPoly(f), RatPoly(g)).primitive_integer_coeffs()
+    assert h == [content * c for c in want]
     assert _zz_times(h, cf) == f and _zz_times(h, cg) == g
-    for p in (p for p in pair if len(p) > 1):
+    for p in (p for p in (f, g) if len(p) > 1):
         assert RatPoly(polyalg._zz_squarefree_part(p)).monic() == squarefree_part(RatPoly(p))
 
 
@@ -326,6 +333,7 @@ def rational_root_polys(draw):
 @given(rational_root_polys())
 @example(RatPoly([-1, 0, 1]) ** 2 * RatPoly([0, 0, 1]))  # repeated roots +-1, 0
 @example(RatPoly([F(-1, 3), F(1, 6), F(1, 2)]))  # (3x - 2)(x + 1)/6
+@example(RatPoly([-2, 3]) ** 2 * RatPoly([1, 5]) * RatPoly([1, 0, 2]))  # 2/3 twice, lc 90
 def test_rational_roots_match_divisor_enumeration(p):
     assert (sorted(_rational_roots(p.primitive_integer_coeffs()))
             == sorted(set(rational_roots_divisors(p))))
@@ -664,18 +672,25 @@ def test_factor_k_of_rational_keeps_multiplicities():
 
 def test_wrong_integer_gcd_cofactors_are_refused_in_the_shift_search(monkeypatch):
     # x^4 - 10x^2 + 1, whose roots are +-sqrt2 +- sqrt3, splits over Q(sqrt 2)
-    # into two quadratics through the squarefree test of a shifted norm
+    # into two quadratics through the squarefree test of a shifted norm;
+    # with a wrong gcd from the modular route, or a wrong cofactor of it,
+    # the integer gcd's multiply-back refuses
     p = RatPoly([1, 0, -10, 0, 1]).lift(2)
     assert [f.degree for f, _m in factor_k(p)] == [2, 2]
-    zz_gcd = polyalg._zz_gcd
+    gcd_k, exact_div = polyalg._gcd_k, polyalg._zz_exact_div
 
-    def wrong(f, g):
-        h, cff, cfg = zz_gcd(f, g)
-        return h, cff[:-1] + [cff[-1] + 1], cfg
+    def wrong_h(f, g):
+        return gcd_k(f, g) * KPoly([1, 1], f.d)
 
-    monkeypatch.setattr(polyalg, "_zz_gcd", wrong)
-    with pytest.raises(InternalInvariantError, match="multiply back"):
-        factor_k(p)
+    def wrong_cofactor(f, g):
+        q = exact_div(f, g)
+        return q and q[:-1] + [q[-1] + 1]
+
+    for name, mutant in (("_gcd_k", wrong_h), ("_zz_exact_div", wrong_cofactor)):
+        with monkeypatch.context() as m:
+            m.setattr(polyalg, name, mutant)
+            with pytest.raises(InternalInvariantError, match="multiply back"):
+                factor_k(p)
 
 
 @st.composite
@@ -1371,6 +1386,7 @@ def test_kpoly_matches_the_quad_elem_reference(case):
 
 D_LUCKLESS = 2
 P0, T0 = next(modp.split_primes(D_LUCKLESS))  # the first prime _gcd_k tries over Q(sqrt2)
+P1, _ = next(modp.split_primes(1))  # the first prime it tries for a rational pair, in any K
 
 
 def _k(*roots, lead=1, d=D_LUCKLESS):
@@ -1384,10 +1400,10 @@ def _k(*roots, lead=1, d=D_LUCKLESS):
 @st.composite
 def k_gcd_pairs(draw):
     d = draw(st.sampled_from([2, 3, 5, 13]))
-    big = draw(st.booleans())
-    h = KPoly(draw(k_coeff_lists(d, 1, 9 if big else 4, big=big, nonzero=True)), d)
-    u = KPoly(draw(k_coeff_lists(d, 1, 4, nonzero=True)), d)
-    v = KPoly(draw(k_coeff_lists(d, 1, 4, nonzero=True)), d)
+    big, rational = draw(st.booleans()), draw(st.integers(0, 3)) == 0
+    h = KPoly(draw(k_coeff_lists(d, 1, 9 if big else 4, rational, big, nonzero=True)), d)
+    u = KPoly(draw(k_coeff_lists(d, 1, 4, rational, nonzero=True)), d)
+    v = KPoly(draw(k_coeff_lists(d, 1, 4, rational, nonzero=True)), d)
     x = KPoly([0, 1], d)
     return h * u * x ** draw(st.integers(0, 2)), h * v * x ** draw(st.integers(0, 2))
 
@@ -1405,6 +1421,8 @@ def k_gcd_pairs(draw):
           _k(quad(F(1, 2), F(1, 2), 5), quad(F(1, 2), F(-1, 2), 5), d=5)))
 @example((KPoly([quad(10**30 + 1, 3, 2), quad(F(1, 10**9 + 7), 10**25, 2), 1], 2) ** 3,
           KPoly([quad(10**30 + 1, 3, 2), quad(F(1, 10**9 + 7), 10**25, 2), 1], 2) ** 2 * _k(1)))
+@example((_k(F(-1, P1), 2, lead=P1), _k(F(-1, P1), 2 - P1, lead=P1)))   # rational, P1 | lc
+@example((_k(F(1, 3), 7, 7, d=13), _k(7, F(-2, 9), d=13) * 10**40))     # rational
 def test_gcd_over_k_matches_euclid(pair):
     f, g = pair
     want = ElemKPoly.of(f).gcd(ElemKPoly.of(g))
@@ -1429,7 +1447,9 @@ def test_gcd_over_k_stops_at_its_prime_budget(monkeypatch):
     # a mutant of _gcd_k that takes images at a prime dividing a leading
     # norm, stripped of their vanished top: in the P0 | N(lc) example the
     # image of f at t vanishes, its x - 5 is kept as an image of the gcd,
-    # and no candidate ever certifies; the prime budget ends the loop
+    # and no candidate ever certifies; in the rational pair (P1 x + 1) (x - 2)
+    # and (P1 x + 1) (x + P1 - 2) both images at P1 lose P1 x + 1 and keep
+    # x - 2.  The prime budget ends the loop
     import inspect
     import textwrap
 
@@ -1442,8 +1462,6 @@ def test_gcd_over_k_stops_at_its_prime_budget(monkeypatch):
         [(a + b * t) % p for a, b in zip(f.A, f.B)]))
     exec(source.replace(skip, "if False:"), scope)
     monkeypatch.setattr(kpoly, "_gcd_k", scope["_gcd_k"])
-    f = _k(2, lead=T0 - R2) * KPoly([1, T0 - R2], 2)
-    g = _k(5) * KPoly([1, T0 - R2], 2)
     tried = []
 
     def spy(a, b, p, _gcd=modp.gcd):
@@ -1453,9 +1471,14 @@ def test_gcd_over_k_stops_at_its_prime_budget(monkeypatch):
         return _gcd(a, b, p)
 
     monkeypatch.setattr(modp, "gcd", spy)
-    with pytest.raises(InternalInvariantError, match="no certified gcd"):
-        f.gcd(g)
-    assert P0 in tried and len(set(tried)) == kpoly._prime_budget(f, g)
+    pairs = [(_k(2, lead=T0 - R2) * KPoly([1, T0 - R2], 2), _k(5) * KPoly([1, T0 - R2], 2), P0, 2),
+             (_k(F(-1, P1), 2, lead=P1), _k(F(-1, P1), 2 - P1, lead=P1), P1, 1)]
+    for f, g, first, images in pairs:
+        tried.clear()
+        with pytest.raises(InternalInvariantError, match="no certified gcd"):
+            f.gcd(g)
+        assert first in tried and len(tried) == images * len(set(tried))
+        assert len(set(tried)) == kpoly._prime_budget(f, g)
 
 
 def test_kpoly_hash_reads_the_integers():

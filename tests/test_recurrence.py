@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfperiod import polyalg
+from cfperiod import polyalg, recurrence
 from cfperiod.errors import (
     InternalInvariantError,
     MixedFieldError,
@@ -341,6 +341,12 @@ def _bm_min_charpoly(r):
           [quad(0, 0, 5), R5, 4 * R5]))
 @example((3, [quad(3, 0, 3), quad(-1, 0, 3), quad(-2, 0, 3)],                  # inflated
           [quad(0, 0, 3), quad(1, 0, 3), quad(1, 0, 3)]))
+# N = (x - 2)^2 (x^2 - 2x - 1): D takes x - 2 once, S none of it
+@example((2, [quad(3, 1, 2), quad(-2, -2, 2)], [quad(1, 1, 2), quad(1, 3, 2)]))
+@example((2, [quad(4, 0, 2), quad(-4, 0, 2)],                                  # N = (x - 2)^2,
+          [quad(1, 0, 2), quad(2, 2, 2)]))                                     # S takes it once
+@example((2, [quad(5, 0, 2), quad(-6, 0, 2)],                                  # N = (x-2)(x-3):
+          [quad(1, 1, 2), quad(2, 3, 2)]))                                     # D x-3, S x-2
 def test_min_charpolys_match_berlekamp_massey(case):
     d, coeffs, initials = case
     r = LinRec(coeffs, initials, d)
@@ -348,13 +354,23 @@ def test_min_charpolys_match_berlekamp_massey(case):
     assert diff_sum_parts(r) == diff_sum_parts_bm(r)
 
 
-def test_wrong_integer_gcd_cofactors_are_refused(monkeypatch):
-    zz_gcd = polyalg._zz_gcd
+def test_wrong_peel_of_n_is_refused(monkeypatch):
+    # two mutants of the peel that builds P_D and P_S from N's factors: an
+    # annihilation test that always says yes, and one that says yes once
+    # where the answer is no, so one factor is divided out once too often;
+    # the certificate, which checks the peel's result on its own, refuses both
+    annihilates = recurrence._annihilates
+    for rec in (PELL_POW, DEGEN):  # N irreducible; N = (x^2 - 2)(x^2 - 2x - 1)
+        lied = []
 
-    def wrong(f, g):
-        h, cff, cfg = zz_gcd(f, g)
-        return h, cff[:-1] + [cff[-1] + 1], cfg
+        def once_too_often(p, terms):
+            if annihilates(p, terms) or lied:
+                return annihilates(p, terms)
+            lied.append(p)
+            return True
 
-    monkeypatch.setattr(polyalg, "_zz_gcd", wrong)
-    with pytest.raises(InternalInvariantError, match="multiply back"):
-        diff_sum_parts(PELL_POW)
+        for mutant in (lambda p, terms: True, once_too_often):
+            monkeypatch.setattr(recurrence, "_annihilates", mutant)
+            with pytest.raises(InternalInvariantError, match="fails the recurrence"):
+                diff_sum_parts(rec)
+        assert lied

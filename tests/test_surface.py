@@ -213,9 +213,10 @@ def _importers(package: str) -> dict[str, set[str]]:
 
 
 def test_sympy_is_imported_inside_functions_only():
-    """Every sympy import in src/cfperiod sits in a function body, and in
-    polyalg only the integer factorer and gcd import from sympy."""
-    assert _importers("sympy")["polyalg"] == {"_zz_factor", "_zz_gcd"}
+    """Every sympy import in src/cfperiod sits in a function body, and two
+    functions import it: the integer factorer and split_square's factorint."""
+    assert {f"{mod}.{fn}" for mod, fns in _importers("sympy").items() for fn in fns} == {
+        "polyalg._zz_factor", "qfield.split_square"}
 
 
 def _callers(name: str) -> set[str]:
@@ -241,19 +242,23 @@ def _polynomial_classes() -> set[str]:
 
 
 def test_every_gcd_over_q_is_the_certified_integer_gcd():
-    """sympy's integer gcd has one caller, the function that certifies its
-    cofactors.  KPoly, the one polynomial class in src/, takes its gcd over
-    K by the modular method and derives from no coefficient-generic base:
+    """One gcd algorithm in src/: the modular gcd _gcd_k, which KPoly.gcd
+    takes over K and the certified integer gcd over Q, the function that
+    multiplies its cofactors back; sympy's integer gcd is gone.  KPoly, the
+    one polynomial class in src/, derives from no coefficient-generic base:
     _PolyBase, and Euclid on field coefficients with it, live in the
     oracles."""
-    assert _callers("_zz_gcd") == {"polyalg._zz_gcd_certified"}
+    from cfperiod import polyalg
+
+    assert not hasattr(polyalg, "_zz_gcd") and _callers("_zz_gcd") == set()
+    assert not any("euclidtools" in p.read_text() for p in SRC.glob("*.py"))
     assert _polynomial_classes() == set()
     with_gcd = {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
                 for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ClassDef)
                 and any(getattr(n, "name", None) == "gcd" for n in node.body)}
     assert with_gcd == {"kpoly.KPoly"}
-    assert _callers("_gcd_k") == {"kpoly.gcd"}
+    assert _callers("_gcd_k") == {"kpoly.gcd", "polyalg._zz_gcd_certified"}
     assert not any(isinstance(n, ast.While) for n in ast.walk(_function("kpoly", "KPoly.gcd")))
 
 
